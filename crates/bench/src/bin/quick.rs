@@ -2,12 +2,17 @@
 //!
 //! Runs GPUMEM on a fixed smoke dataset (seeded generator, so the
 //! workload is identical on every machine and every run) and writes
-//! `BENCH_pipeline.json` at the repo root:
+//! `results/BENCH_pipeline.json` (gitignored; `GPUMEM_BENCH_OUT`
+//! overrides the path):
 //!
-//! * `before` — the first numbers ever recorded (preserved verbatim on
-//!   later runs; the pre-optimization baseline of the hot-path PR);
+//! * `before` — the first numbers ever recorded, copied from the
+//!   tracked baseline `BENCH_pipeline.json` at the repo root (the
+//!   pre-optimization baseline of the hot-path PR);
 //! * `current` — this run;
 //! * `speedup_wall` — `before.wall_s / current.wall_s`.
+//!
+//! The tracked baseline is rewritten only under `GPUMEM_BLESS=1`, the
+//! golden-file convention of the telemetry tests.
 //!
 //! Wall-clock is the min over `GPUMEM_QUICK_ITERS` (default 3)
 //! end-to-end runs on one `Gpumem` instance, so steady-state buffer
@@ -48,8 +53,8 @@
 //! divergence rate for both, plus the tuned run's steal count.
 //!
 //! With `GPUMEM_BENCH_CHECK=1`, compares the fresh wall-clock against
-//! the committed `current.wall_s` (plus the fresh match-phase wall
-//! `match_wall_s`, the fresh batch queries/sec against the committed
+//! the tracked baseline's `current.wall_s` (plus the fresh match-phase
+//! wall `match_wall_s`, the fresh batch queries/sec against the committed
 //! `batch.qps_batch`, the fresh L = 300 seed-mode `modeled_ratio`, and
 //! the fresh skewed-scenario `modeled_ratio` against their committed
 //! values) and exits non-zero when any regresses by more than
@@ -734,25 +739,31 @@ fn extract_number(object: &str, field: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
+fn repo_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// The tracked baseline every run compares against.
+fn baseline_path() -> PathBuf {
+    repo_root().join("BENCH_pipeline.json")
+}
+
+/// Where this run's report goes: `GPUMEM_BENCH_OUT`, else the tracked
+/// baseline under `GPUMEM_BLESS=1`, else `results/BENCH_pipeline.json`.
 fn out_path() -> PathBuf {
-    std::env::var("GPUMEM_BENCH_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join("BENCH_pipeline.json")
-        })
+    if let Ok(path) = std::env::var("GPUMEM_BENCH_OUT") {
+        return PathBuf::from(path);
+    }
+    if std::env::var("GPUMEM_BLESS").is_ok_and(|v| v == "1") {
+        return baseline_path();
+    }
+    repo_root().join("results").join("BENCH_pipeline.json")
 }
 
 fn history_path() -> PathBuf {
     std::env::var("GPUMEM_BENCH_HISTORY")
         .map(PathBuf::from)
-        .unwrap_or_else(|_| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join("results")
-                .join("bench_history.jsonl")
-        })
+        .unwrap_or_else(|_| repo_root().join("results").join("bench_history.jsonl"))
 }
 
 /// Append this run's headline numbers to the bench trajectory journal.
@@ -852,6 +863,9 @@ fn main() {
     let batch_best = batch_best.expect("at least one iteration");
 
     let path = out_path();
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir).expect("create the report directory");
+    }
 
     // One traced run of the same pipeline workload, after the timed
     // iterations so the recorder can't perturb them. The Chrome trace
@@ -968,7 +982,7 @@ fn main() {
         })
         .collect();
 
-    let committed = std::fs::read_to_string(&path).ok();
+    let committed = std::fs::read_to_string(baseline_path()).ok();
     let current = render(&best, &breakdown);
     let before = committed
         .as_deref()

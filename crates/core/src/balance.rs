@@ -17,11 +17,18 @@
 //!
 //! With the heuristic disabled (Figure 7's ablation) the original
 //! one-thread-per-seed assignment is used verbatim.
+//!
+//! Steps 1–2 branch only on thread id, so they charge the same on every
+//! round, and on a single-seed round steps 3–4 charge a function of the
+//! seed's slot alone. [`balance_into`] therefore runs those regions once
+//! per [`BalanceScratch`] under [`BlockCtx::record`] and afterwards
+//! [`BlockCtx::replay`]s their charge, computing the results on the host
+//! (DESIGN.md §8, "Replaying known charges").
 
 use std::ops::Range;
 
 use gpu_sim::primitives::{block_inclusive_scan, upper_bound_shared};
-use gpu_sim::{BlockCtx, Op};
+use gpu_sim::{BlockCtx, Op, RegionCharge};
 
 /// One thread group serving one non-empty seed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -46,13 +53,21 @@ pub struct Assignment {
 pub const IDLE: usize = usize::MAX;
 
 /// Reusable working storage for [`balance_into`] — the shared-memory
-/// arrays of Algorithm 2, hoisted so every round reuses them.
+/// arrays of Algorithm 2, hoisted so every round reuses them, and the
+/// recorded charges of the regions whose charge is known in advance.
 #[derive(Debug, Default)]
 pub struct BalanceScratch {
     load: Vec<u32>,
     task: Vec<u32>,
     assign: Vec<u32>,
     seed_slot_of_group: Vec<usize>,
+    /// The Hillis–Steele scan's double buffer.
+    scan_src: Vec<u32>,
+    /// Charge of steps 1–2.
+    scan_charge: Option<RegionCharge>,
+    /// `single_seed[s]`: charge of steps 3–4 on a round whose only
+    /// non-empty slot is `s` (τ entries).
+    single_seed: Vec<Option<RegionCharge>>,
 }
 
 /// Run the assignment for one round. `loads[k]` is the index occurrence
@@ -103,20 +118,32 @@ pub fn balance_into(
     // Algorithm 2, step 1: per-thread load/task flags.
     let load = &mut scratch.load;
     let task = &mut scratch.task;
+    let scan_src = &mut scratch.scan_src;
     load.clear();
     load.resize(tau, 0);
     task.clear();
     task.resize(tau, 0);
-    ctx.simt(|lane| {
-        lane.charge(Op::GlobalLoad, 1); // ptrs[s+1] - ptrs[s]
-        lane.shared(2);
-        load[lane.tid] = loads[lane.tid];
-        task[lane.tid] = u32::from(loads[lane.tid] > 0);
-    });
+    let ran = ctx.replay_or_record(&mut scratch.scan_charge, |ctx| {
+        ctx.simt(|lane| {
+            lane.charge(Op::GlobalLoad, 1); // ptrs[s+1] - ptrs[s]
+            lane.shared(2);
+            load[lane.tid] = loads[lane.tid];
+            task[lane.tid] = u32::from(loads[lane.tid] > 0);
+        });
 
-    // Step 2: GPUPrefixSum over both arrays.
-    block_inclusive_scan(ctx, load);
-    block_inclusive_scan(ctx, task);
+        // Step 2: GPUPrefixSum over both arrays.
+        block_inclusive_scan(ctx, load, scan_src);
+        block_inclusive_scan(ctx, task, scan_src);
+    });
+    if !ran {
+        let (mut load_sum, mut task_sum) = (0u32, 0u32);
+        for (k, &l) in loads.iter().enumerate() {
+            load_sum = load_sum.wrapping_add(l);
+            task_sum += u32::from(l > 0);
+            load[k] = load_sum;
+            task[k] = task_sum;
+        }
+    }
 
     let t_load = load[tau - 1] as usize;
     let n_groups = task[tau - 1] as usize;
@@ -134,24 +161,42 @@ pub fn balance_into(
     assign.resize(n_groups + 1, 0);
     seed_slot_of_group.clear();
     seed_slot_of_group.resize(n_groups, 0);
-    ctx.simt(|lane| {
-        lane.charge(Op::Alu, 4);
-        lane.shared(2);
-        if lane.branch(loads[lane.tid] > 0) {
-            let g = task[lane.tid] as usize - 1;
-            let offset = t_idle * load[lane.tid] as usize / t_load;
-            assign[g + 1] = ((g + 1) + offset) as u32;
-            seed_slot_of_group[g] = lane.tid;
-        }
-    });
-    debug_assert_eq!(assign[n_groups] as usize, tau, "all threads assigned");
-
-    // Step 4: every thread binary-searches its group.
     let group_of_thread = &mut out.group_of_thread;
-    ctx.simt(|lane| {
-        let g = upper_bound_shared(lane, assign, lane.tid as u32) - 1;
-        group_of_thread[lane.tid] = g;
-    });
+    let mut steps_3_4 = |ctx: &mut BlockCtx<'_>| {
+        ctx.simt(|lane| {
+            lane.charge(Op::Alu, 4);
+            lane.shared(2);
+            if lane.branch(loads[lane.tid] > 0) {
+                let g = task[lane.tid] as usize - 1;
+                let offset = t_idle * load[lane.tid] as usize / t_load;
+                assign[g + 1] = ((g + 1) + offset) as u32;
+                seed_slot_of_group[g] = lane.tid;
+            }
+        });
+
+        // Step 4: every thread binary-searches its group.
+        ctx.simt(|lane| {
+            let g = upper_bound_shared(lane, assign, lane.tid as u32) - 1;
+            group_of_thread[lane.tid] = g;
+        });
+    };
+    if n_groups == 1 {
+        // A single-seed round: every thread joins the one group, and
+        // step 3 diverges only in the warp holding its slot.
+        let slot = loads
+            .iter()
+            .position(|&l| l > 0)
+            .expect("one non-empty slot");
+        scratch.single_seed.resize(tau, None);
+        if !ctx.replay_or_record(&mut scratch.single_seed[slot], steps_3_4) {
+            assign[1] = tau as u32;
+            seed_slot_of_group[0] = slot;
+            group_of_thread.fill(0);
+        }
+    } else {
+        steps_3_4(ctx);
+    }
+    debug_assert_eq!(assign[n_groups] as usize, tau, "all threads assigned");
 
     out.groups.extend((0..n_groups).map(|g| GroupAssign {
         seed_slot: seed_slot_of_group[g],

@@ -49,7 +49,7 @@ use gpumem_index::{SeedCodec, SeedLookup};
 use gpumem_seq::{Mem, PackedSeq};
 
 use crate::balance::{balance_into, Assignment, BalanceScratch};
-use crate::combine::{combine_schedule, tree_combine_scheduled};
+use crate::combine::{tree_combine_scheduled, CombineScratch};
 use crate::config::GpumemConfig;
 use crate::expand::{expand_within, Bounds};
 use crate::generate::{generate_triplets, lce_cost};
@@ -68,7 +68,10 @@ pub struct BlockOutput {
 /// Reusable per-block working storage. The pipeline hoists one of
 /// these across every block of every tile, so repeated launches stop
 /// allocating (blocks execute sequentially — see the `gpu_sim::exec`
-/// docs — so a single scratch serves the whole grid).
+/// docs — so a single scratch serves the whole grid). Its balance and
+/// combine scratch also keep the recorded charges the kernel replays:
+/// at most 2τ + 1, one for the scans and one per slot for each of the
+/// single-seed balance and combine.
 pub struct BlockScratch {
     tau: usize,
     codec: SeedCodec,
@@ -76,9 +79,9 @@ pub struct BlockScratch {
     codes: Vec<Option<u32>>,
     loads: Vec<u32>,
     triplets: Vec<Vec<Mem>>,
-    schedule: Vec<Vec<(usize, usize)>>,
     assignment: Assignment,
     balance: BalanceScratch,
+    combine: CombineScratch,
     /// Flattened-offset scan of the round's bucket loads (τ+1 entries),
     /// the slot→flat-index map of the stealing drain.
     prefix: Vec<usize>,
@@ -100,9 +103,9 @@ impl BlockScratch {
             codes: vec![None; tau],
             loads: vec![0; tau],
             triplets: vec![Vec::new(); tau],
-            schedule: combine_schedule(tau),
             assignment: Assignment::default(),
             balance: BalanceScratch::default(),
+            combine: CombineScratch::new(tau),
             prefix: vec![0; tau + 1],
             deferred: Vec::new(),
         }
@@ -239,9 +242,9 @@ pub fn process_block(
         codes,
         loads,
         triplets,
-        schedule,
         assignment,
         balance: balance_scratch,
+        combine: combine_scratch,
         prefix,
         deferred,
         ..
@@ -315,7 +318,7 @@ pub fn process_block(
 
         // Step 3: tree combine (Algorithm 3).
         ctx.phase("combine");
-        tree_combine_scheduled(ctx, assignment, schedule, triplets);
+        tree_combine_scheduled(ctx, assignment, combine_scratch, triplets);
 
         // Step 4: expand survivors per base and classify. Stealing mode
         // defers the whole sweep's expansion to one block-wide drain —

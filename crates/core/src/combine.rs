@@ -19,7 +19,7 @@
 //! Plus [`block_sort_by_diag`], the in-kernel bitonic sort that puts
 //! out-block MEMs in `(r−q, q)` order (§III-C1).
 
-use gpu_sim::{BlockCtx, Op};
+use gpu_sim::{BlockCtx, Op, RegionCharge};
 use gpumem_seq::Mem;
 
 use crate::balance::{Assignment, IDLE};
@@ -81,27 +81,91 @@ pub fn combine_schedule(tau: usize) -> Vec<Vec<(usize, usize)>> {
     schedule
 }
 
-/// Algorithm 3 over one round's per-slot triplet lists. Deleted
-/// triplets are marked `len = 0` (callers filter). Computes the
-/// schedule on the fly; hot callers precompute it once and use
-/// [`tree_combine_scheduled`].
-pub fn tree_combine(ctx: &mut BlockCtx<'_>, assignment: &Assignment, triplets: &mut [Vec<Mem>]) {
-    let schedule = combine_schedule(ctx.block_dim);
-    tree_combine_scheduled(ctx, assignment, &schedule, triplets);
+/// Reusable storage for [`tree_combine_scheduled`]: the
+/// [`combine_schedule`], which depends only on `τ`, the per-iteration
+/// target lookup, and the recorded charges of single-seed rounds.
+pub struct CombineScratch {
+    schedule: Vec<Vec<(usize, usize)>>,
+    target_of: Vec<usize>,
+    /// `single_seed[s]`: charge of the whole combine on a round whose
+    /// one group, holding every thread, serves slot `s` (τ entries).
+    single_seed: Vec<Option<RegionCharge>>,
 }
 
-/// [`tree_combine`] with a caller-provided [`combine_schedule`]; the
-/// schedule depends only on `τ`, so the block loop computes it once.
+impl CombineScratch {
+    /// Scratch for blocks of `tau` threads (a power of two ≥ 2).
+    pub fn new(tau: usize) -> CombineScratch {
+        CombineScratch {
+            schedule: combine_schedule(tau),
+            target_of: vec![usize::MAX; tau],
+            single_seed: vec![None; tau],
+        }
+    }
+}
+
+/// Algorithm 3 over one round's per-slot triplet lists. Deleted
+/// triplets are marked `len = 0` (callers filter). Builds its scratch
+/// on the fly; hot callers keep a [`CombineScratch`] and use
+/// [`tree_combine_scheduled`].
+pub fn tree_combine(ctx: &mut BlockCtx<'_>, assignment: &Assignment, triplets: &mut [Vec<Mem>]) {
+    let mut scratch = CombineScratch::new(ctx.block_dim);
+    tree_combine_scheduled(ctx, assignment, &mut scratch, triplets);
+}
+
+/// [`tree_combine`] over caller-kept scratch.
+///
+/// When one group holds every thread and every other slot is empty (a
+/// single-seed round under load balancing), no iteration can pair two
+/// non-empty slots: the combine changes no triplet and charges a
+/// function of the group's slot alone. It then runs once per slot and
+/// scratch under [`BlockCtx::record`], and later rounds
+/// [`BlockCtx::replay`] that charge.
 pub fn tree_combine_scheduled(
     ctx: &mut BlockCtx<'_>,
     assignment: &Assignment,
-    schedule: &[Vec<(usize, usize)>],
+    scratch: &mut CombineScratch,
     triplets: &mut [Vec<Mem>],
 ) {
     let tau = ctx.block_dim;
     debug_assert!(tau.is_power_of_two());
+    debug_assert_eq!(
+        scratch.target_of.len(),
+        tau,
+        "scratch sized for a different τ"
+    );
+    let CombineScratch {
+        schedule,
+        target_of,
+        single_seed,
+    } = scratch;
+    if let [group] = assignment.groups.as_slice() {
+        let slot = group.seed_slot;
+        let alone = group.threads == (0..tau)
+            && triplets
+                .iter()
+                .enumerate()
+                .all(|(k, list)| k == slot || list.is_empty());
+        if alone {
+            // Nothing merges, so a replay leaves nothing for the host
+            // to compute.
+            ctx.replay_or_record(&mut single_seed[slot], |ctx| {
+                combine_iterations(ctx, assignment, schedule, target_of, triplets)
+            });
+            return;
+        }
+    }
+    combine_iterations(ctx, assignment, schedule, target_of, triplets);
+}
+
+/// Algorithm 3's iterations, one SIMT region each.
+fn combine_iterations(
+    ctx: &mut BlockCtx<'_>,
+    assignment: &Assignment,
+    schedule: &[Vec<(usize, usize)>],
+    target_of: &mut [usize],
+    triplets: &mut [Vec<Mem>],
+) {
     // Per-slot target lookup, rebuilt (not reallocated) per iteration.
-    let mut target_of = vec![usize::MAX; tau];
     for pairs in schedule {
         target_of.fill(usize::MAX);
         for &(src, tgt) in pairs {

@@ -32,11 +32,11 @@
 //! (as [`MemCollector::into_canonical`] does).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use gpu_sim::{Device, DeviceSpec, LaunchStats};
 use gpumem_index::{Region, SharedSeedLookup};
@@ -881,6 +881,8 @@ pub struct Engine {
     session: Arc<RefSession>,
     spec: DeviceSpec,
     workers: Vec<Mutex<Worker>>,
+    /// Where a single-query request waits when every worker is busy.
+    next_worker: AtomicUsize,
     /// Clock reading at assembly — `uptime_s` is measured from here.
     created_at: Duration,
     latency: Mutex<LatencyHistogram>,
@@ -1002,6 +1004,7 @@ impl Engine {
             session,
             spec,
             workers,
+            next_worker: AtomicUsize::new(0),
             created_at: telemetry.clock.now(),
             latency: Mutex::new(LatencyHistogram::new()),
             build_wait: Mutex::new(Duration::ZERO),
@@ -1059,6 +1062,20 @@ impl Engine {
     /// Number of query workers.
     pub fn query_threads(&self) -> usize {
         self.workers.len()
+    }
+
+    /// Check out a worker for one query: the first free one, else a
+    /// blocking wait on the next worker in rotation, so concurrent
+    /// single-query requests spread over the pool instead of queueing
+    /// on one worker.
+    fn checkout(&self) -> MutexGuard<'_, Worker> {
+        self.workers
+            .iter()
+            .find_map(Mutex::try_lock)
+            .unwrap_or_else(|| {
+                let next = self.next_worker.fetch_add(1, Ordering::Relaxed);
+                self.workers[next % self.workers.len()].lock()
+            })
     }
 
     /// Build every row index now, so the first query pays no index
@@ -1257,8 +1274,10 @@ impl Engine {
     ///
     /// Untraced single-device batches fan out across the engine's
     /// workers; traced or sharded requests run queries sequentially
-    /// (tracing owns worker 0's observer; a sharded query is already
-    /// parallel across its shard devices).
+    /// (tracing owns one worker's observer per query; a sharded query
+    /// is already parallel across its shard devices). A single query
+    /// takes the first free worker, so concurrent callers spread over
+    /// the pool.
     pub fn execute(&self, request: &RunRequest<'_>) -> Vec<Result<RunOutput, RunError>> {
         let opts = &request.options;
         let n = match request.queries {
@@ -1315,14 +1334,13 @@ impl Engine {
             return self.run_sharded(query, resolved, opts, shards);
         }
         if opts.trace {
-            let (result, trace) =
-                self.traced_on_worker0(query, &resolved.session, &resolved.config);
+            let (result, trace) = self.traced_on_worker(query, &resolved.session, &resolved.config);
             return Ok(RunOutput {
                 result,
                 trace: Some(trace),
             });
         }
-        let mut worker = self.workers[0].lock();
+        let mut worker = self.checkout();
         Ok(RunOutput {
             result: self.collect_on_worker(&mut worker, query, &resolved.session, &resolved.config),
             trace: None,
@@ -1445,7 +1463,7 @@ impl Engine {
         stats.match_wall += t.elapsed();
         stats.counts.total = mems.len();
 
-        let mut worker = self.workers[0].lock();
+        let mut worker = self.checkout();
         self.record_query(&mut worker, t0.elapsed());
         drop(worker);
         self.shard_health.lock().record(&stats.shard_matching);
@@ -1511,13 +1529,13 @@ impl Engine {
         }
     }
 
-    fn traced_on_worker0(
+    fn traced_on_worker(
         &self,
         query: &PackedSeq,
         session: &RefSession,
         config: &GpumemConfig,
     ) -> (GpumemResult, Trace) {
-        let mut worker = self.workers[0].lock();
+        let mut worker = self.checkout();
         let recorder = Arc::new(TraceRecorder::new(worker.device.spec().warp_size));
         worker
             .device
@@ -1557,7 +1575,7 @@ impl Engine {
         ensure_sort_key(query)?;
         let t0 = Instant::now();
         self.emit(|ts| Event::new("run_start", ts).with_u64("query_len", query.len() as u64));
-        let mut worker = self.workers[0].lock();
+        let mut worker = self.checkout();
         let stats = self.run_on_worker(
             &mut worker,
             query,
@@ -1584,9 +1602,9 @@ impl Engine {
     /// [`Engine::run`] with structured tracing: also returns the
     /// query's [`Trace`] (see [`crate::trace`]) — the
     /// `RunOptions { trace: true, .. }` adapter over
-    /// [`Engine::execute`]. Runs on worker 0 with the recorder
-    /// installed as that device's launch observer for the duration of
-    /// the call.
+    /// [`Engine::execute`]. Runs on the first free worker with the
+    /// recorder installed as that device's launch observer for the
+    /// duration of the call.
     pub fn run_traced(&self, query: &PackedSeq) -> Result<(GpumemResult, Trace), RunError> {
         let options = RunOptions {
             trace: true,
@@ -1945,12 +1963,35 @@ mod tests {
             "two warm queries re-read each row index from cache"
         );
         assert!(m.index_cache.build_wait_s > 0.0);
-        // run() always uses worker 0; worker 1 sat idle.
+        // Sequential run() calls always find worker 0 free; worker 1
+        // sat idle.
         assert_eq!(m.workers.len(), 2);
         assert_eq!(m.workers[0].queries, 3);
         assert_eq!(m.workers[1].queries, 0);
         assert!(m.workers[0].utilization > 0.0 && m.workers[0].utilization <= 1.0);
         assert_eq!(m.workers[1].busy_s, 0.0);
+    }
+
+    #[test]
+    fn single_query_request_takes_a_free_worker() {
+        let reference = GenomeModel::mammalian().generate(2_000, 813);
+        let engine = engine_of(&reference, config(16), 2);
+        let q = GenomeModel::mammalian().generate(1_000, 814);
+        let expect = engine.run(&q).unwrap().mems;
+        let held = engine.workers[0].lock();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| tx.send(engine.run(&q).map(|r| r.mems)));
+            let reply = rx.recv_timeout(Duration::from_secs(60));
+            // Release worker 0 before judging, so a request queued on it
+            // finishes and the scope can join.
+            drop(held);
+            let mems = reply.expect("request blocked on the busy worker 0");
+            assert_eq!(mems.unwrap(), expect);
+        });
+        let m = engine.metrics();
+        assert_eq!(m.workers[0].queries, 1, "only the first, unheld run");
+        assert_eq!(m.workers[1].queries, 1, "the second run took worker 1");
     }
 
     #[test]

@@ -285,6 +285,20 @@ impl Device {
     }
 }
 
+/// What a run of SIMT regions charged one block: the eight per-block
+/// counters and the number of regions, plus the key they are a
+/// function of — the block size, warp size and cost model they ran
+/// under. Made by [`BlockCtx::record`], spent by [`BlockCtx::replay`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct RegionCharge {
+    /// Counter deltas, in [`BlockOut::snapshot`] order.
+    counters: [u64; 8],
+    regions: u32,
+    block_dim: usize,
+    warp_size: usize,
+    cost: CostModel,
+}
+
 /// Per-block accumulation, reduced into [`LaunchStats`] after the launch.
 struct BlockOut {
     warps: u64,
@@ -311,6 +325,18 @@ impl BlockOut {
             self.steals,
         ]
     }
+
+    /// Add counter deltas given in [`BlockOut::snapshot`] order.
+    fn add(&mut self, d: &[u64; 8]) {
+        self.warps += d[0];
+        self.warp_cycles += d[1];
+        self.lane_cycles += d[2];
+        self.divergence_events += d[3];
+        self.atomic_ops += d[4];
+        self.global_ops += d[5];
+        self.comparisons += d[6];
+        self.steals += d[7];
+    }
 }
 
 /// Execution context of one simulated block.
@@ -324,9 +350,9 @@ pub struct BlockCtx<'c> {
     cost: &'c CostModel,
     warp_size: usize,
     shared_mem_per_block: usize,
-    /// SIMT region ordinal: incremented at every `simt_range` call, so
-    /// accesses separated by a barrier land in different regions.
-    #[cfg(feature = "sanitize")]
+    /// SIMT region ordinal: incremented at every `simt_range` call (and
+    /// by a replay, by the regions it stands for), so accesses
+    /// separated by a barrier land in different regions.
     region: u32,
     /// Distinct branch signatures of the current warp. Owned by the
     /// context so the hot warp loop never allocates (one buffer per
@@ -359,7 +385,6 @@ impl<'c> BlockCtx<'c> {
             cost,
             warp_size,
             shared_mem_per_block,
-            #[cfg(feature = "sanitize")]
             region: 0,
             signatures: Vec::with_capacity(warp_size),
             out: BlockOut {
@@ -420,11 +445,8 @@ impl<'c> BlockCtx<'c> {
     /// return;` guard in CUDA).
     pub fn simt_range<F: FnMut(&mut Lane<'_>)>(&mut self, threads: Range<usize>, mut f: F) {
         #[cfg(feature = "sanitize")]
-        let region = {
-            let r = self.region;
-            self.region += 1;
-            r
-        };
+        let region = self.region;
+        self.region += 1;
         // Snapshot the block counters so the region's delta can be
         // attributed to the current phase. Skipped entirely (not even
         // the copies) when no observer is installed.
@@ -476,16 +498,78 @@ impl<'c> BlockCtx<'c> {
         }
         if let (Some(idx), Some(before)) = (tracked_phase, before) {
             let after = self.out.snapshot();
-            let p = &mut self.phases[idx];
-            p.warps += after[0] - before[0];
-            p.warp_cycles += after[1] - before[1];
-            p.lane_cycles += after[2] - before[2];
-            p.divergence_events += after[3] - before[3];
-            p.atomic_ops += after[4] - before[4];
-            p.global_mem_ops += after[5] - before[5];
-            p.comparisons += after[6] - before[6];
-            p.steal_events += after[7] - before[7];
+            self.phases[idx].add(&std::array::from_fn(|i| after[i] - before[i]));
         }
+    }
+
+    /// Run `f`'s SIMT regions exactly as they run without recording and
+    /// return what they charged this block, for later
+    /// [`BlockCtx::replay`]s.
+    ///
+    /// `f` must not mark a phase: a replay attributes the whole
+    /// recording to the phase current at the replay.
+    pub fn record(&mut self, f: impl FnOnce(&mut Self)) -> RegionCharge {
+        let before = self.out.snapshot();
+        let (region, phase) = (self.region, self.current_phase);
+        f(self);
+        assert_eq!(
+            self.current_phase, phase,
+            "a recording may not cross a phase marker"
+        );
+        let after = self.out.snapshot();
+        RegionCharge {
+            counters: std::array::from_fn(|i| after[i] - before[i]),
+            regions: self.region - region,
+            block_dim: self.block_dim,
+            warp_size: self.warp_size,
+            cost: self.cost.clone(),
+        }
+    }
+
+    /// Charge this block what `charge`'s regions charged when they were
+    /// recorded, without running them: the block counters grow by the
+    /// recording, the current phase is credited with it when an
+    /// observer is installed, and the region ordinal advances past the
+    /// regions it stands for, so the sanitizer numbers later regions as
+    /// if they had run.
+    ///
+    /// Only for regions that touch no device buffer and whose charge is
+    /// a function of what the caller keys the recording by; their
+    /// results must come from the host. Returns `false`, charging
+    /// nothing, when the recording was made under a different block
+    /// size, warp size or cost model.
+    #[must_use = "a refused recording charges nothing; run the regions instead"]
+    pub fn replay(&mut self, charge: &RegionCharge) -> bool {
+        if charge.block_dim != self.block_dim
+            || charge.warp_size != self.warp_size
+            || charge.cost != *self.cost
+        {
+            return false;
+        }
+        self.out.add(&charge.counters);
+        if self.phases_enabled {
+            if let Some(idx) = self.current_phase {
+                self.phases[idx].add(&charge.counters);
+            }
+        }
+        self.region += charge.regions;
+        true
+    }
+
+    /// Replay `memo` when it holds a recording this block accepts;
+    /// otherwise run `f` under [`BlockCtx::record`] and keep the new
+    /// recording in `memo`. Returns whether `f` ran: when it did not,
+    /// the caller produces the regions' results on the host.
+    pub fn replay_or_record(
+        &mut self,
+        memo: &mut Option<RegionCharge>,
+        f: impl FnOnce(&mut Self),
+    ) -> bool {
+        if memo.as_ref().is_some_and(|charge| self.replay(charge)) {
+            return false;
+        }
+        *memo = Some(self.record(f));
+        true
     }
 
     /// The device's warp size.

@@ -18,6 +18,10 @@
 //!   barriers. Lanes within a block are executed *sequentially* by the
 //!   simulator (which makes shared memory a plain `&mut` borrow and the
 //!   simulation deterministic) but are *cost-modeled* as parallel;
+//! * a block may [`BlockCtx::record`] what a run of regions charged and
+//!   later [`BlockCtx::replay`] that charge without running them, when
+//!   the regions touch no device buffer and their charge is known in
+//!   advance (the result then comes from the host);
 //! * every lane carries an operation counter ([`Lane`]); a warp's cycle
 //!   cost is the **maximum over its 32 lanes** plus a serialization
 //!   charge for divergent branches — this is precisely the effect the
@@ -49,7 +53,7 @@ pub mod stats;
 pub mod workqueue;
 
 pub use cost::{CostModel, Op};
-pub use exec::{BlockCtx, BlockKernel, Device, Lane, LaunchConfig};
+pub use exec::{BlockCtx, BlockKernel, Device, Lane, LaunchConfig, RegionCharge};
 pub use memory::{GpuU32, GpuU64, SharedArena, SharedBuf};
 pub use observe::{LaunchObserver, LaunchRecord, PhaseStats};
 pub use pool::{PooledU32, PooledU64};

@@ -62,6 +62,20 @@ impl PhaseStats {
         self.steal_events += rhs.steal_events;
     }
 
+    /// Add one block's counter deltas, given in the order `warps,
+    /// warp_cycles, lane_cycles, divergence_events, atomic_ops,
+    /// global_mem_ops, comparisons, steal_events`.
+    pub(crate) fn add(&mut self, d: &[u64; 8]) {
+        self.warps += d[0];
+        self.warp_cycles += d[1];
+        self.lane_cycles += d[2];
+        self.divergence_events += d[3];
+        self.atomic_ops += d[4];
+        self.global_mem_ops += d[5];
+        self.comparisons += d[6];
+        self.steal_events += d[7];
+    }
+
     /// Warp occupancy efficiency of this phase; same convention as
     /// [`LaunchStats::warp_efficiency`] (no work ⇒ `1.0`).
     pub fn warp_efficiency(&self, warp_size: usize) -> f64 {

@@ -20,18 +20,18 @@ use crate::stats::LaunchStats;
 /// In-place inclusive scan of a shared-memory array within a block.
 ///
 /// `data.len()` must not exceed the block's thread count, mirroring the
-/// one-element-per-thread shared-memory scan.
-pub fn block_inclusive_scan(ctx: &mut BlockCtx<'_>, data: &mut [u32]) {
+/// one-element-per-thread shared-memory scan. `src` is the caller's
+/// double buffer: Hillis–Steele needs the pre-step values, which a real
+/// kernel double buffers and the simulator snapshots into `src` (cost
+/// charged per lane below — the snapshot itself is host bookkeeping).
+pub fn block_inclusive_scan(ctx: &mut BlockCtx<'_>, data: &mut [u32], src: &mut Vec<u32>) {
     let n = data.len();
     assert!(
         n <= ctx.block_dim,
         "block scan over {n} elements needs at least {n} threads (block_dim = {})",
         ctx.block_dim
     );
-    // Hillis–Steele needs the pre-step values; a real kernel double
-    // buffers, we snapshot into one reusable buffer (cost charged per
-    // lane below — the snapshot itself is host bookkeeping).
-    let mut src = vec![0u32; n];
+    src.resize(n, 0);
     let mut dist = 1;
     while dist < n {
         src.copy_from_slice(data);
@@ -52,9 +52,10 @@ pub fn block_exclusive_scan(ctx: &mut BlockCtx<'_>, data: &mut [u32]) {
     if n == 0 {
         return;
     }
-    block_inclusive_scan(ctx, data);
+    let mut src = Vec::with_capacity(n);
+    block_inclusive_scan(ctx, data, &mut src);
     // Shift right by one (one more SIMT region = one more barrier).
-    let src = data.to_vec();
+    src.copy_from_slice(data);
     ctx.simt_range(0..n, |lane| {
         lane.shared(2);
         data[lane.tid] = if lane.branch(lane.tid == 0) {
@@ -197,7 +198,7 @@ mod tests {
             let out = GpuU32::new(n);
             device.launch_fn(LaunchConfig::new(1, 256), |ctx| {
                 let mut shared = input.clone();
-                block_inclusive_scan(ctx, &mut shared);
+                block_inclusive_scan(ctx, &mut shared, &mut Vec::new());
                 ctx.simt_range(0..n, |lane| {
                     lane.st32(&out, lane.tid, shared[lane.tid]);
                 });
@@ -227,7 +228,7 @@ mod tests {
         let device = device();
         device.launch_fn(LaunchConfig::new(1, 32), |ctx| {
             let mut shared = vec![0u32; 64];
-            block_inclusive_scan(ctx, &mut shared);
+            block_inclusive_scan(ctx, &mut shared, &mut Vec::new());
         });
     }
 

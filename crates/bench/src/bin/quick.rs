@@ -52,18 +52,20 @@
 //! MEM sets and recording modeled match time, warp efficiency, and
 //! divergence rate for both, plus the tuned run's steal count.
 //!
-//! With `GPUMEM_BENCH_CHECK=1`, compares the fresh wall-clock against
-//! the tracked baseline's `current.wall_s` (plus the fresh match-phase
-//! wall `match_wall_s`, the fresh batch queries/sec against the committed
-//! `batch.qps_batch`, the fresh L = 300 seed-mode `modeled_ratio`, and
-//! the fresh skewed-scenario `modeled_ratio` against their committed
-//! values) and exits non-zero when any regresses by more than
-//! `GPUMEM_BENCH_MAX_REGRESS` (default 0.20) — the CI bench-smoke
-//! gate.
+//! With `GPUMEM_BENCH_CHECK=1`, compares the fresh report with the
+//! tracked baseline — the CI bench-smoke gate. The simulator is
+//! deterministic, so every modeled and count field (`EXACT_FIELDS`:
+//! modeled times, ratios and device counters, launches, MEM and index
+//! launch counts, registry counts) must equal the baseline exactly at
+//! the precision the report writes. Only the host-timed `current.wall_s`,
+//! `current.match_wall_s` and `batch.qps_batch` get a band: they fail
+//! when they regress by more than `GPUMEM_BENCH_MAX_REGRESS` (default
+//! 0.20). Any failure exits non-zero.
 //!
 //! Every run also appends one compact JSON line of headline numbers
 //! (`wall_s`, `match_wall_s`, `qps_batch`, the three modeled ratios,
-//! `mems`, and a unix `ts`) to `results/bench_history.jsonl`
+//! `mems`, a unix `ts`, and the `git_sha`, `rustc` and `nproc` that tell
+//! machines and builds apart) to `results/bench_history.jsonl`
 //! (override with `GPUMEM_BENCH_HISTORY`). The accumulated trajectory
 //! is what `gpumem-cli bench-info --check` gates against.
 
@@ -766,6 +768,58 @@ fn history_path() -> PathBuf {
         .unwrap_or_else(|_| repo_root().join("results").join("bench_history.jsonl"))
 }
 
+/// What tells trajectory entries from different builds and machines
+/// apart — the commit, the compiler (`rustc -V`) and the CPU count, as
+/// the perfbench results record them. Unknown parts read `"unknown"`
+/// (and 0 CPUs).
+fn fingerprint() -> (String, String, usize) {
+    let rustc = std::process::Command::new("rustc")
+        .arg("-V")
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string());
+    let nproc = std::thread::available_parallelism().map_or(0, usize::from);
+    (
+        git_sha().unwrap_or_else(|| "unknown".to_string()),
+        rustc.unwrap_or_else(|| "unknown".to_string()),
+        nproc,
+    )
+}
+
+/// The commit checked out at the repository root, read from `.git`
+/// without running git (a source checkout without history has none).
+fn git_sha() -> Option<String> {
+    let git = repo_root().join(".git");
+    let head = std::fs::read_to_string(git.join("HEAD")).ok()?;
+    let head = head.trim();
+    let Some(reference) = head.strip_prefix("ref: ") else {
+        return Some(head.to_string());
+    };
+    if let Ok(sha) = std::fs::read_to_string(git.join(reference)) {
+        return Some(sha.trim().to_string());
+    }
+    let packed = std::fs::read_to_string(git.join("packed-refs")).ok()?;
+    packed.lines().find_map(|line| {
+        let (sha, name) = line.split_once(' ')?;
+        (name == reference).then(|| sha.to_string())
+    })
+}
+
+/// `text` as the body of a JSON string literal.
+fn json_escape(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    for c in text.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if c.is_control() => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 /// Append this run's headline numbers to the bench trajectory journal.
 ///
 /// One compact JSON line per run; field names match the metric tables
@@ -789,6 +843,149 @@ fn append_history(line: &str) {
     match appended {
         Ok(()) => eprintln!("bench history → {}", path.display()),
         Err(err) => eprintln!("bench history skipped: {err}"),
+    }
+}
+
+/// Fields the simulator computes deterministically — modeled times and
+/// ratios, device counters and counts. A fresh report must repeat the
+/// tracked baseline's value exactly, at the precision the report writes:
+/// a replay or scheduling change that moves the model even slightly
+/// shows here, where a tolerance band would hide it.
+const EXACT_FIELDS: &[(&str, &[&str])] = &[
+    (
+        "current",
+        &[
+            "modeled_index_s",
+            "modeled_match_s",
+            "modeled_generate_s",
+            "modeled_extend_s",
+            "modeled_combine_s",
+            "warp_efficiency",
+            "divergence_rate",
+            "block_occupancy",
+            "steal_events",
+            "launches",
+            "mems",
+        ],
+    ),
+    (
+        "batch",
+        &["index_launches_cold", "index_launches_batch", "mems"],
+    ),
+    ("seedmode_l25", SEEDMODE_EXACT),
+    ("seedmode_l100", SEEDMODE_EXACT),
+    ("seedmode_l300", SEEDMODE_EXACT),
+    (
+        "skewed",
+        &[
+            "base_modeled_match_s",
+            "tuned_modeled_match_s",
+            "modeled_ratio",
+            "base_warp_efficiency",
+            "tuned_warp_efficiency",
+            "base_divergence_rate",
+            "tuned_divergence_rate",
+            "steal_events",
+            "mems",
+        ],
+    ),
+    (
+        "registry",
+        &[
+            "budget_bytes",
+            "per_ref_bytes",
+            "hit_rate",
+            "evictions",
+            "peak_resident_bytes",
+            "resident_bytes",
+        ],
+    ),
+    (
+        "sharded",
+        &[
+            "single_modeled_match_s",
+            "max_shard_modeled_match_s",
+            "modeled_ratio",
+            "mems",
+        ],
+    ),
+];
+
+const SEEDMODE_EXACT: &[&str] = &[
+    "k1",
+    "k2",
+    "ref_modeled_match_s",
+    "dual_modeled_match_s",
+    "modeled_ratio",
+    "mems",
+];
+
+/// Host-timed fields, gated by a relative band because wall time varies
+/// from run to run: `(object, field, higher is better)`.
+const BANDED_FIELDS: &[(&str, &str, bool)] = &[
+    ("current", "wall_s", false),
+    ("current", "match_wall_s", false),
+    ("batch", "qps_batch", true),
+];
+
+/// Compare a fresh report with the tracked baseline: every
+/// [`EXACT_FIELDS`] entry must be equal, and every [`BANDED_FIELDS`]
+/// entry within `max_regress` of the baseline. Returns the failures.
+fn check_against_baseline(
+    fresh: &str,
+    committed: &str,
+    max_regress: f64,
+) -> Result<(), Vec<String>> {
+    let field = |json: &str, object: &str, name: &str| {
+        extract_object(json, object).and_then(|o| extract_number(&o, name))
+    };
+    let mut failures = Vec::new();
+    let mut exact = 0;
+    for &(object, names) in EXACT_FIELDS {
+        for &name in names {
+            let (Some(now), Some(then)) =
+                (field(fresh, object, name), field(committed, object, name))
+            else {
+                failures.push(format!(
+                    "{object}.{name} missing from the fresh or the committed report"
+                ));
+                continue;
+            };
+            if now == then {
+                exact += 1;
+            } else {
+                failures.push(format!("{object}.{name} is {now} but the committed baseline has {then}; modeled figures must not move without a re-bless"));
+            }
+        }
+    }
+    eprintln!("exact check: {exact} modeled and count fields equal the committed baseline");
+    for &(object, name, higher_is_better) in BANDED_FIELDS {
+        let (Some(now), Some(then)) = (field(fresh, object, name), field(committed, object, name))
+        else {
+            eprintln!("{object}.{name} check skipped: no committed value");
+            continue;
+        };
+        let regressed = if higher_is_better {
+            now < then * (1.0 - max_regress)
+        } else {
+            now > then * (1.0 + max_regress)
+        };
+        if regressed {
+            failures.push(format!(
+                "{object}.{name} {now} regressed more than {:.0}% against committed {then}",
+                max_regress * 100.0
+            ));
+        } else {
+            eprintln!(
+                "{object}.{name} check ok: {now} vs committed {then} (max regression {:.0}%)",
+                max_regress * 100.0
+            );
+        }
+    }
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(failures)
     }
 }
 
@@ -990,168 +1187,6 @@ fn main() {
         .unwrap_or_else(|| current.clone());
     let before_wall = extract_number(&before, "wall_s").unwrap_or(best.wall_s);
 
-    if std::env::var("GPUMEM_BENCH_CHECK").is_ok_and(|v| v == "1") {
-        let max_regress: f64 = std::env::var("GPUMEM_BENCH_MAX_REGRESS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0.20);
-        let committed_wall = committed
-            .as_deref()
-            .and_then(|json| extract_object(json, "current"))
-            .and_then(|object| extract_number(&object, "wall_s"));
-        match committed_wall {
-            Some(committed_wall) if best.wall_s > committed_wall * (1.0 + max_regress) => {
-                eprintln!(
-                    "FAIL: wall-clock {:.3} s regressed more than {:.0}% over committed {:.3} s",
-                    best.wall_s,
-                    max_regress * 100.0,
-                    committed_wall
-                );
-                std::process::exit(1);
-            }
-            Some(committed_wall) => eprintln!(
-                "check ok: {:.3} s vs committed {:.3} s (max regression {:.0}%)",
-                best.wall_s,
-                committed_wall,
-                max_regress * 100.0
-            ),
-            None => eprintln!("check skipped: no committed BENCH_pipeline.json"),
-        }
-        // The match-phase wall-clock gets its own gate so a regression
-        // in the hot path can't hide behind a faster index build.
-        let fresh_match_wall = best.stats.match_wall.as_secs_f64();
-        let committed_match_wall = committed
-            .as_deref()
-            .and_then(|json| extract_object(json, "current"))
-            .and_then(|object| extract_number(&object, "match_wall_s"));
-        match committed_match_wall {
-            Some(committed_match_wall)
-                if fresh_match_wall > committed_match_wall * (1.0 + max_regress) =>
-            {
-                eprintln!(
-                    "FAIL: match wall {:.3} s regressed more than {:.0}% over committed {:.3} s",
-                    fresh_match_wall,
-                    max_regress * 100.0,
-                    committed_match_wall
-                );
-                std::process::exit(1);
-            }
-            Some(committed_match_wall) => eprintln!(
-                "match-wall check ok: {:.3} s vs committed {:.3} s (max regression {:.0}%)",
-                fresh_match_wall,
-                committed_match_wall,
-                max_regress * 100.0
-            ),
-            None => eprintln!("match-wall check skipped: no committed match_wall_s"),
-        }
-        let fresh_qps = BATCH_QUERIES as f64 / batch_best.batch_wall_s;
-        let committed_qps = committed
-            .as_deref()
-            .and_then(|json| extract_object(json, "batch"))
-            .and_then(|object| extract_number(&object, "qps_batch"));
-        match committed_qps {
-            Some(committed_qps) if fresh_qps < committed_qps * (1.0 - max_regress) => {
-                eprintln!(
-                    "FAIL: batch {:.1} qps regressed more than {:.0}% under committed {:.1} qps",
-                    fresh_qps,
-                    max_regress * 100.0,
-                    committed_qps
-                );
-                std::process::exit(1);
-            }
-            Some(committed_qps) => eprintln!(
-                "batch check ok: {:.1} qps vs committed {:.1} qps (max regression {:.0}%)",
-                fresh_qps,
-                committed_qps,
-                max_regress * 100.0
-            ),
-            None => eprintln!("batch check skipped: no committed batch scenario"),
-        }
-        // The dual-sampling win at large L must not erode: gate the
-        // L = 300 modeled ratio the same way.
-        let fresh_ratio = seedmode
-            .iter()
-            .find(|s| s.l == 300)
-            .map(|s| s.ref_modeled_match_s / s.dual_modeled_match_s)
-            .expect("L = 300 is in the ablation");
-        let committed_ratio = committed
-            .as_deref()
-            .and_then(|json| extract_object(json, "seedmode_l300"))
-            .and_then(|object| extract_number(&object, "modeled_ratio"));
-        match committed_ratio {
-            Some(committed_ratio) if fresh_ratio < committed_ratio * (1.0 - max_regress) => {
-                eprintln!(
-                    "FAIL: seedmode L=300 modeled ratio {:.2}x regressed more than {:.0}% under committed {:.2}x",
-                    fresh_ratio,
-                    max_regress * 100.0,
-                    committed_ratio
-                );
-                std::process::exit(1);
-            }
-            Some(committed_ratio) => eprintln!(
-                "seedmode check ok: {:.2}x vs committed {:.2}x (max regression {:.0}%)",
-                fresh_ratio,
-                committed_ratio,
-                max_regress * 100.0
-            ),
-            None => eprintln!("seedmode check skipped: no committed seedmode scenario"),
-        }
-        // The locality/balance win on skew must not erode either.
-        let fresh_skew_ratio = skewed.base_modeled_match_s / skewed.tuned_modeled_match_s;
-        let committed_skew_ratio = committed
-            .as_deref()
-            .and_then(|json| extract_object(json, "skewed"))
-            .and_then(|object| extract_number(&object, "modeled_ratio"));
-        match committed_skew_ratio {
-            Some(committed_skew_ratio)
-                if fresh_skew_ratio < committed_skew_ratio * (1.0 - max_regress) =>
-            {
-                eprintln!(
-                    "FAIL: skewed modeled ratio {:.2}x regressed more than {:.0}% under committed {:.2}x",
-                    fresh_skew_ratio,
-                    max_regress * 100.0,
-                    committed_skew_ratio
-                );
-                std::process::exit(1);
-            }
-            Some(committed_skew_ratio) => eprintln!(
-                "skewed check ok: {:.2}x vs committed {:.2}x (max regression {:.0}%)",
-                fresh_skew_ratio,
-                committed_skew_ratio,
-                max_regress * 100.0
-            ),
-            None => eprintln!("skewed check skipped: no committed skewed scenario"),
-        }
-        // The modeled multi-device speedup must not erode: gate the
-        // sharded modeled_ratio like the other ratios.
-        let fresh_sharded_ratio =
-            sharded_sample.single_modeled_match_s / sharded_sample.max_shard_modeled_match_s;
-        let committed_sharded_ratio = committed
-            .as_deref()
-            .and_then(|json| extract_object(json, "sharded"))
-            .and_then(|object| extract_number(&object, "modeled_ratio"));
-        match committed_sharded_ratio {
-            Some(committed_sharded_ratio)
-                if fresh_sharded_ratio < committed_sharded_ratio * (1.0 - max_regress) =>
-            {
-                eprintln!(
-                    "FAIL: sharded modeled ratio {:.2}x regressed more than {:.0}% under committed {:.2}x",
-                    fresh_sharded_ratio,
-                    max_regress * 100.0,
-                    committed_sharded_ratio
-                );
-                std::process::exit(1);
-            }
-            Some(committed_sharded_ratio) => eprintln!(
-                "sharded check ok: {:.2}x vs committed {:.2}x (max regression {:.0}%)",
-                fresh_sharded_ratio,
-                committed_sharded_ratio,
-                max_regress * 100.0
-            ),
-            None => eprintln!("sharded check skipped: no committed sharded scenario"),
-        }
-    }
-
     let json = format!(
         concat!(
             "{{\n",
@@ -1194,6 +1229,24 @@ fn main() {
         render_sharded(&sharded_sample),
         before_wall / best.wall_s,
     );
+    if std::env::var("GPUMEM_BENCH_CHECK").is_ok_and(|v| v == "1") {
+        let max_regress: f64 = std::env::var("GPUMEM_BENCH_MAX_REGRESS")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0.20);
+        match committed.as_deref() {
+            Some(committed) => {
+                if let Err(failures) = check_against_baseline(&json, committed, max_regress) {
+                    for failure in failures {
+                        eprintln!("FAIL: {failure}");
+                    }
+                    std::process::exit(1);
+                }
+            }
+            None => eprintln!("check skipped: no committed BENCH_pipeline.json"),
+        }
+    }
+
     std::fs::write(&path, &json).expect("write BENCH_pipeline.json");
 
     // Bench trajectory: one compact line per run, appended after the
@@ -1206,13 +1259,18 @@ fn main() {
         .iter()
         .find(|s| s.l == 300)
         .expect("L = 300 is in the ablation");
+    let (git_sha, rustc, nproc) = fingerprint();
     append_history(&format!(
         concat!(
-            "{{\"ts\":{},\"wall_s\":{:.6},\"match_wall_s\":{:.6},\"qps_batch\":{:.3},",
+            "{{\"ts\":{},\"git_sha\":\"{}\",\"rustc\":\"{}\",\"nproc\":{},",
+            "\"wall_s\":{:.6},\"match_wall_s\":{:.6},\"qps_batch\":{:.3},",
             "\"seedmode_l300_modeled_ratio\":{:.4},\"skewed_modeled_ratio\":{:.4},",
             "\"sharded_modeled_ratio\":{:.4},\"mems\":{}}}"
         ),
         ts,
+        json_escape(&git_sha),
+        json_escape(&rustc),
+        nproc,
         best.wall_s,
         best.stats.match_wall.as_secs_f64(),
         BATCH_QUERIES as f64 / batch_best.batch_wall_s,

@@ -70,6 +70,13 @@ pub struct BalanceScratch {
     single_seed: Vec<Option<RegionCharge>>,
 }
 
+impl BalanceScratch {
+    /// Number of recorded charges this scratch holds (at most τ + 1).
+    pub fn recordings(&self) -> usize {
+        usize::from(self.scan_charge.is_some()) + self.single_seed.iter().flatten().count()
+    }
+}
+
 /// Run the assignment for one round. `loads[k]` is the index occurrence
 /// count of the seed at slot `k` (0 for slots without a valid seed).
 /// Allocates a fresh result; hot callers reuse storage via

@@ -44,7 +44,7 @@
 
 use std::ops::Range;
 
-use gpu_sim::{BlockCtx, Lane, Op, SharedArena, WorkQueue};
+use gpu_sim::{BlockCtx, Lane, Op, RegionCharge, SharedArena, WorkQueue};
 use gpumem_index::{SeedCodec, SeedLookup};
 use gpumem_seq::{Mem, PackedSeq};
 
@@ -68,13 +68,18 @@ pub struct BlockOutput {
 /// Reusable per-block working storage. The pipeline hoists one of
 /// these across every block of every tile, so repeated launches stop
 /// allocating (blocks execute sequentially — see the `gpu_sim::exec`
-/// docs — so a single scratch serves the whole grid). Its balance and
-/// combine scratch also keep the recorded charges the kernel replays:
-/// at most 2τ + 1, one for the scans and one per slot for each of the
-/// single-seed balance and combine.
+/// docs — so a single scratch serves the whole grid). It also keeps
+/// the recorded charges the kernel replays (DESIGN.md §8): 2(τ + 1) for
+/// the seed lookup, and in its balance and combine scratch one for the
+/// scans, one per slot for each of the single-seed balance and combine,
+/// and ⌈τ/warp⌉ + 1 for dead combine iterations.
 pub struct BlockScratch {
     tau: usize,
-    codec: SeedCodec,
+    /// `seed_lookup[2·n + s]`: charge of the seed-lookup region when the
+    /// first `n` slots hold a seed and `s` says whether the query window
+    /// is staged, under the lookup overhead `lookup_overhead`.
+    seed_lookup: Vec<Option<RegionCharge>>,
+    lookup_overhead: u64,
     q_of_slot: Vec<Option<usize>>,
     codes: Vec<Option<u32>>,
     loads: Vec<u32>,
@@ -92,13 +97,12 @@ pub struct BlockScratch {
 
 impl BlockScratch {
     /// Scratch for blocks of `tau` threads (a power of two ≥ 2, as the
-    /// combine schedule requires) extracting seeds of `seed_len` bases.
-    /// The seed codec lives here so repeated launches share one
-    /// translation table instead of rebuilding it per block.
-    pub fn new(tau: usize, seed_len: usize) -> BlockScratch {
+    /// combine schedule requires).
+    pub fn new(tau: usize) -> BlockScratch {
         BlockScratch {
             tau,
-            codec: SeedCodec::new(seed_len),
+            seed_lookup: vec![None; 2 * (tau + 1)],
+            lookup_overhead: 0,
             q_of_slot: vec![None; tau],
             codes: vec![None; tau],
             loads: vec![0; tau],
@@ -110,6 +114,25 @@ impl BlockScratch {
             deferred: Vec::new(),
         }
     }
+
+    /// Number of recorded charges this scratch holds; never more than
+    /// 2(τ + 1) + 2τ + 1 + ⌈τ/warp⌉ + 1.
+    pub fn recordings(&self) -> usize {
+        self.seed_lookup.iter().flatten().count()
+            + self.balance.recordings()
+            + self.combine.recordings()
+    }
+}
+
+/// Write the seed code of every query position whose seed fits the
+/// query into `codes` (`codes[q]` for `q + seed_len ≤ query.len()`).
+/// The pipeline encodes a run's query once and hands the codes to every
+/// block of every tile row.
+pub fn encode_query_seeds(query: &PackedSeq, seed_len: usize, codes: &mut Vec<u32>) {
+    let codec = SeedCodec::new(seed_len);
+    let n = (query.len() + 1).saturating_sub(seed_len);
+    codes.clear();
+    codes.extend((0..n).map(|q| codec.encode(query, q).expect("seed fits the query")));
 }
 
 /// Generation engages the queue only when the round carries at least
@@ -194,14 +217,17 @@ pub(crate) fn stage_query_window(
 /// Process one block inside a launched kernel, appending its results
 /// to `output`.
 ///
-/// `queue` selects the persistent-block stealing variant of the
-/// generation and expansion steps; `arena` enables shared-memory query
-/// staging. Both `None` reproduce the paper's kernel byte for byte.
+/// `query_codes` holds the query's seed codes from
+/// [`encode_query_seeds`]. `queue` selects the persistent-block
+/// stealing variant of the generation and expansion steps; `arena`
+/// enables shared-memory query staging. Both `None` reproduce the
+/// paper's kernel byte for byte.
 #[allow(clippy::too_many_arguments)]
 pub fn process_block(
     ctx: &mut BlockCtx<'_>,
     reference: &PackedSeq,
     query: &PackedSeq,
+    query_codes: &[u32],
     index: &dyn SeedLookup,
     config: &GpumemConfig,
     row_range: Range<usize>,
@@ -212,6 +238,10 @@ pub fn process_block(
     output: &mut BlockOutput,
 ) {
     debug_assert_eq!(index.seed_len(), config.seed_len);
+    debug_assert_eq!(
+        query_codes.len(),
+        (query.len() + 1).saturating_sub(config.seed_len)
+    );
     let tau = ctx.block_dim;
     debug_assert_eq!(tau, config.threads_per_block);
     debug_assert_eq!(tau, scratch.tau, "scratch sized for a different τ");
@@ -237,7 +267,8 @@ pub fn process_block(
     };
 
     let BlockScratch {
-        codec,
+        seed_lookup,
+        lookup_overhead,
         q_of_slot,
         codes,
         loads,
@@ -249,8 +280,15 @@ pub fn process_block(
         deferred,
         ..
     } = scratch;
-    debug_assert_eq!(codec.seed_len(), config.seed_len);
     deferred.clear();
+    // Seed-lookup charges include the index layout's lookup overhead,
+    // which the compact index sets per row: recordings made under
+    // another overhead are dropped, never replayed.
+    let overhead = index.lookup_overhead_loads();
+    if *lookup_overhead != overhead {
+        seed_lookup.fill(None);
+        *lookup_overhead = overhead;
+    }
 
     // Round r probes query locations ≡ block_q.start + r (mod w). Dual
     // sampling only probes global multiples of k2, so start from the
@@ -260,28 +298,46 @@ pub fn process_block(
     let q_step = config.query_step();
     debug_assert_eq!(w % q_step, 0);
     let first_round = (q_step - block_q.start % q_step) % q_step;
+    // A slot's seed may read past the block edge but must fit the query:
+    // slot k probes q = block_q.start + round + k·w, valid while q is
+    // below `probe_end`.
+    let probe_end = block_q.end.min(query_codes.len());
     for round in (first_round..w).step_by(q_step) {
-        // Slot k's query location for this round; the seed may read past
-        // the block edge but must fit the query.
+        // q grows with k, so the valid slots are a prefix, and a lane's
+        // charge depends only on whether its slot is valid. The region
+        // charges; its results — each slot's bucket load and, when any
+        // is non-zero, location and seed code — come from the host, and
+        // the charge is replayed once recorded for this prefix length
+        // and staging.
+        let q0 = block_q.start + round;
+        let n_valid = probe_end.saturating_sub(q0).div_ceil(w).min(tau);
         ctx.phase("seed_lookup");
-        ctx.simt(|lane| {
-            lane.charge(Op::Alu, 3);
-            let q = block_q.start + round + lane.tid * w;
-            let valid = q < block_q.end && q + config.seed_len <= query.len();
-            q_of_slot[lane.tid] = valid.then_some(q);
-            if staged {
-                lane.shared(1); // seed served from the staged window
-            } else {
-                lane.charge(Op::GlobalLoad, 1); // read the seed
-            }
-            codes[lane.tid] = if valid { codec.encode(query, q) } else { None };
-            loads[lane.tid] = codes[lane.tid].map_or(0, |c| {
-                lane.charge(Op::GlobalLoad, 2 + index.lookup_overhead_loads());
-                index.occurrences(c) as u32
+        ctx.replay_or_record(&mut seed_lookup[2 * n_valid + usize::from(staged)], |ctx| {
+            ctx.simt(|lane| {
+                lane.charge(Op::Alu, 3); // the slot's location and validity
+                if staged {
+                    lane.shared(1); // seed served from the staged window
+                } else {
+                    lane.charge(Op::GlobalLoad, 1); // read the seed
+                }
+                if lane.tid < n_valid {
+                    lane.charge(Op::GlobalLoad, 2 + overhead); // bucket bounds
+                }
             });
         });
+        for k in 0..tau {
+            loads[k] = if k < n_valid {
+                index.occurrences(query_codes[q0 + k * w]) as u32
+            } else {
+                0
+            };
+        }
         if loads.iter().all(|&l| l == 0) {
             continue;
+        }
+        for k in 0..tau {
+            q_of_slot[k] = (k < n_valid).then_some(q0 + k * w);
+            codes[k] = q_of_slot[k].map(|q| query_codes[q]);
         }
 
         // Step 1: proactive load balancing (Algorithm 2). Stealing mode
@@ -676,6 +732,8 @@ mod tests {
             config.step,
         );
         let device = Device::new(DeviceSpec::test_tiny());
+        let mut query_codes = Vec::new();
+        encode_query_seeds(query, config.seed_len, &mut query_codes);
         let queue = stealing.then(|| {
             WorkQueue::new(
                 1,
@@ -686,12 +744,13 @@ mod tests {
         let out = Mutex::new(BlockOutput::default());
         let stats = device.launch_fn(LaunchConfig::new(1, config.threads_per_block), |ctx| {
             let mut arena = staging.then(|| SharedArena::new(device.spec().shared_mem_per_block));
-            let mut scratch = BlockScratch::new(config.threads_per_block, config.seed_len);
+            let mut scratch = BlockScratch::new(config.threads_per_block);
             let mut block_out = BlockOutput::default();
             process_block(
                 ctx,
                 reference,
                 query,
+                &query_codes,
                 &index,
                 config,
                 0..reference.len(),
@@ -881,15 +940,18 @@ mod tests {
             cfg.step,
         );
         let device = Device::new(DeviceSpec::test_tiny());
+        let mut query_codes = Vec::new();
+        encode_query_seeds(&query, cfg.seed_len, &mut query_codes);
         let out = Mutex::new(BlockOutput::default());
         let stats = device.launch_fn(LaunchConfig::new(1, cfg.threads_per_block), |ctx| {
             let mut arena = SharedArena::new(8); // one word: far too small
-            let mut scratch = BlockScratch::new(cfg.threads_per_block, cfg.seed_len);
+            let mut scratch = BlockScratch::new(cfg.threads_per_block);
             let mut block_out = BlockOutput::default();
             process_block(
                 ctx,
                 &reference,
                 &query,
+                &query_codes,
                 &index,
                 &cfg,
                 0..reference.len(),
@@ -922,15 +984,18 @@ mod tests {
         let text = GenomeModel::uniform().generate(200, 107);
         let cfg = config(8, 4, 4); // block width = 4 * 5 = 20 < 200
         let index = build_sequential(&text, Region::whole(&text), 4, 5);
+        let mut text_codes = Vec::new();
+        encode_query_seeds(&text, 4, &mut text_codes);
         let device = Device::new(DeviceSpec::test_tiny());
         let out = Mutex::new(BlockOutput::default());
         device.launch_fn(LaunchConfig::new(1, 4), |ctx| {
-            let mut scratch = BlockScratch::new(4, 4);
+            let mut scratch = BlockScratch::new(4);
             let mut block_out = BlockOutput::default();
             process_block(
                 ctx,
                 &text,
                 &text,
+                &text_codes,
                 &index,
                 &cfg,
                 0..text.len(),
@@ -962,15 +1027,18 @@ mod tests {
         let text = GenomeModel::uniform().generate(100, 108);
         let cfg = config(8, 4, 4);
         let index = build_sequential(&text, Region::whole(&text), 4, 5);
+        let mut text_codes = Vec::new();
+        encode_query_seeds(&text, 4, &mut text_codes);
         let device = Device::new(DeviceSpec::test_tiny());
         let out = Mutex::new(BlockOutput::default());
         device.launch_fn(LaunchConfig::new(1, 4), |ctx| {
-            let mut scratch = BlockScratch::new(4, 4);
+            let mut scratch = BlockScratch::new(4);
             let mut block_out = BlockOutput::default();
             process_block(
                 ctx,
                 &text,
                 &text,
+                &text_codes,
                 &index,
                 &cfg,
                 0..100,

@@ -82,24 +82,50 @@ pub fn combine_schedule(tau: usize) -> Vec<Vec<(usize, usize)>> {
 }
 
 /// Reusable storage for [`tree_combine_scheduled`]: the
-/// [`combine_schedule`], which depends only on `τ`, the per-iteration
-/// target lookup, and the recorded charges of single-seed rounds.
+/// [`combine_schedule`] as a per-iteration target lookup, which depends
+/// only on `τ`, and the recorded charges of single-seed rounds and dead
+/// iterations.
 pub struct CombineScratch {
-    schedule: Vec<Vec<(usize, usize)>>,
-    target_of: Vec<usize>,
+    /// `targets[i][s]`: the slot that source slot `s` absorbs in
+    /// iteration `i`, or `usize::MAX` when `s` is not a source there.
+    targets: Vec<Vec<usize>>,
     /// `single_seed[s]`: charge of the whole combine on a round whose
     /// one group, holding every thread, serves slot `s` (τ entries).
     single_seed: Vec<Option<RegionCharge>>,
+    /// `dead[m]`: charge of an iteration that merges nothing, with no
+    /// idle thread and `m` warps mixing lanes that have a target with
+    /// lanes that have none (⌈τ/warp⌉ + 1 entries).
+    dead: Vec<Option<RegionCharge>>,
+    /// Per-warp kinds of lane seen in the current iteration: bit 0 a
+    /// lane without a target, bit 1 a lane with one.
+    warp_kinds: Vec<u8>,
 }
 
 impl CombineScratch {
     /// Scratch for blocks of `tau` threads (a power of two ≥ 2).
     pub fn new(tau: usize) -> CombineScratch {
+        let targets = combine_schedule(tau)
+            .into_iter()
+            .map(|pairs| {
+                let mut target_of = vec![usize::MAX; tau];
+                for (src, tgt) in pairs {
+                    target_of[src] = tgt;
+                }
+                target_of
+            })
+            .collect();
         CombineScratch {
-            schedule: combine_schedule(tau),
-            target_of: vec![usize::MAX; tau],
+            targets,
             single_seed: vec![None; tau],
+            dead: Vec::new(),
+            warp_kinds: Vec::new(),
         }
+    }
+
+    /// Number of recorded charges this scratch holds (at most
+    /// τ + ⌈τ/warp⌉ + 1).
+    pub fn recordings(&self) -> usize {
+        self.single_seed.iter().chain(&self.dead).flatten().count()
     }
 }
 
@@ -119,7 +145,8 @@ pub fn tree_combine(ctx: &mut BlockCtx<'_>, assignment: &Assignment, triplets: &
 /// non-empty slots: the combine changes no triplet and charges a
 /// function of the group's slot alone. It then runs once per slot and
 /// scratch under [`BlockCtx::record`], and later rounds
-/// [`BlockCtx::replay`] that charge.
+/// [`BlockCtx::replay`] that charge. Other rounds replay their dead
+/// iterations one by one (see `combine_iterations`).
 pub fn tree_combine_scheduled(
     ctx: &mut BlockCtx<'_>,
     assignment: &Assignment,
@@ -129,15 +156,19 @@ pub fn tree_combine_scheduled(
     let tau = ctx.block_dim;
     debug_assert!(tau.is_power_of_two());
     debug_assert_eq!(
-        scratch.target_of.len(),
+        scratch.single_seed.len(),
         tau,
         "scratch sized for a different τ"
     );
+    let warps = tau.div_ceil(ctx.warp_size());
     let CombineScratch {
-        schedule,
-        target_of,
+        targets,
         single_seed,
+        dead,
+        warp_kinds,
     } = scratch;
+    dead.resize(warps + 1, None);
+    warp_kinds.resize(warps, 0);
     if let [group] = assignment.groups.as_slice() {
         let slot = group.seed_slot;
         let alone = group.threads == (0..tau)
@@ -149,77 +180,140 @@ pub fn tree_combine_scheduled(
             // Nothing merges, so a replay leaves nothing for the host
             // to compute.
             ctx.replay_or_record(&mut single_seed[slot], |ctx| {
-                combine_iterations(ctx, assignment, schedule, target_of, triplets)
+                combine_iterations(ctx, assignment, targets, dead, warp_kinds, triplets)
             });
             return;
         }
     }
-    combine_iterations(ctx, assignment, schedule, target_of, triplets);
+    combine_iterations(ctx, assignment, targets, dead, warp_kinds, triplets);
 }
 
 /// Algorithm 3's iterations, one SIMT region each.
+///
+/// An iteration is dead when no group's slot and its target both hold
+/// triplets: nothing merges, and every lane charges the same branch,
+/// three ALU ops and branch, differing only in whether its slot has a
+/// target. With no idle thread the block's charge is then a function of
+/// how many warps mix the two kinds of lane, so a dead iteration
+/// replays the recording kept for that count. Rounds with idle threads
+/// (load balancing off) run every iteration.
 fn combine_iterations(
     ctx: &mut BlockCtx<'_>,
     assignment: &Assignment,
-    schedule: &[Vec<(usize, usize)>],
-    target_of: &mut [usize],
+    targets: &[Vec<usize>],
+    dead: &mut [Option<RegionCharge>],
+    warp_kinds: &mut [u8],
     triplets: &mut [Vec<Mem>],
 ) {
-    // Per-slot target lookup, rebuilt (not reallocated) per iteration.
-    for pairs in schedule {
-        target_of.fill(usize::MAX);
-        for &(src, tgt) in pairs {
-            target_of[src] = tgt;
+    let no_idle = assignment
+        .groups
+        .iter()
+        .map(|g| g.threads.len())
+        .sum::<usize>()
+        == ctx.block_dim;
+    for target_of in targets {
+        if no_idle {
+            if let Some(mixed) =
+                dead_iteration_mix(assignment, target_of, triplets, ctx.warp_size(), warp_kinds)
+            {
+                ctx.replay_or_record(&mut dead[mixed], |ctx| {
+                    combine_region(ctx, assignment, target_of, triplets)
+                });
+                continue;
+            }
         }
-        ctx.simt(|lane| {
-            let g = assignment.group_of_thread[lane.tid];
-            if lane.branch(g == IDLE) {
-                return;
-            }
-            let group = &assignment.groups[g];
-            let src = group.seed_slot;
-            lane.charge(Op::Alu, 3);
-            let target = target_of[src];
-            if lane.branch(target == usize::MAX) {
-                return;
-            }
-            // This thread's share of S (strided split over the group).
-            let my_offset = lane.tid - group.threads.start;
-            let stride = group.threads.len();
-            // Split borrows: src and target are distinct slots.
-            let (s_list, t_list) = if src < target {
-                let (a, b) = triplets.split_at_mut(target);
-                (&mut a[src], &mut b[0])
-            } else {
-                unreachable!("target = src + d > src")
-            };
-            // Charges accumulate into locals and post in one batch per
-            // lane (totals are what the warp model consumes).
-            let (mut compares, mut shared) = (0u64, 0u64);
-            let mut i = my_offset;
-            while i < s_list.len() {
-                let mine = s_list[i];
-                if mine.len > 0 {
-                    for other in t_list.iter_mut() {
-                        compares += 3;
+        combine_region(ctx, assignment, target_of, triplets);
+    }
+}
+
+/// For an iteration that merges nothing, the number of warps holding
+/// both lanes whose slot has a target and lanes whose slot has none;
+/// `None` when some group's slot and its target both hold triplets.
+fn dead_iteration_mix(
+    assignment: &Assignment,
+    target_of: &[usize],
+    triplets: &[Vec<Mem>],
+    warp_size: usize,
+    warp_kinds: &mut [u8],
+) -> Option<usize> {
+    warp_kinds.fill(0);
+    for group in &assignment.groups {
+        let src = group.seed_slot;
+        let target = target_of[src];
+        let has_target = target != usize::MAX;
+        if has_target && !triplets[src].is_empty() && !triplets[target].is_empty() {
+            return None;
+        }
+        if group.threads.is_empty() {
+            continue;
+        }
+        let kind = 1 << u8::from(has_target);
+        for kinds in
+            &mut warp_kinds[group.threads.start / warp_size..group.threads.end.div_ceil(warp_size)]
+        {
+            *kinds |= kind;
+        }
+    }
+    Some(warp_kinds.iter().filter(|&&kinds| kinds == 3).count())
+}
+
+/// One iteration of Algorithm 3 as a SIMT region: every active group's
+/// threads split its slot's triplets and absorb overlapping triplets of
+/// the target slot.
+fn combine_region(
+    ctx: &mut BlockCtx<'_>,
+    assignment: &Assignment,
+    target_of: &[usize],
+    triplets: &mut [Vec<Mem>],
+) {
+    ctx.simt(|lane| {
+        let g = assignment.group_of_thread[lane.tid];
+        if lane.branch(g == IDLE) {
+            return;
+        }
+        let group = &assignment.groups[g];
+        let src = group.seed_slot;
+        lane.charge(Op::Alu, 3);
+        let target = target_of[src];
+        if lane.branch(target == usize::MAX) {
+            return;
+        }
+        // This thread's share of S (strided split over the group).
+        let my_offset = lane.tid - group.threads.start;
+        let stride = group.threads.len();
+        // Split borrows: src and target are distinct slots.
+        let (s_list, t_list) = if src < target {
+            let (a, b) = triplets.split_at_mut(target);
+            (&mut a[src], &mut b[0])
+        } else {
+            unreachable!("target = src + d > src")
+        };
+        // Charges accumulate into locals and post in one batch per
+        // lane (totals are what the warp model consumes).
+        let (mut compares, mut shared) = (0u64, 0u64);
+        let mut i = my_offset;
+        while i < s_list.len() {
+            let mine = s_list[i];
+            if mine.len > 0 {
+                for other in t_list.iter_mut() {
+                    compares += 3;
+                    shared += 2;
+                    if other.len == 0 {
+                        continue;
+                    }
+                    if let Some(merged) = combine_pair(mine, *other) {
+                        s_list[i] = merged;
+                        other.len = 0; // "GPUMEM just sets λ' to zero"
                         shared += 2;
-                        if other.len == 0 {
-                            continue;
-                        }
-                        if let Some(merged) = combine_pair(mine, *other) {
-                            s_list[i] = merged;
-                            other.len = 0; // "GPUMEM just sets λ' to zero"
-                            shared += 2;
-                            break; // ≤ 1 triplet per diagonal per slot
-                        }
+                        break; // ≤ 1 triplet per diagonal per slot
                     }
                 }
-                i += stride;
             }
-            lane.compare(compares);
-            lane.shared(shared);
-        });
-    }
+            i += stride;
+        }
+        lane.compare(compares);
+        lane.shared(shared);
+    });
 }
 
 /// 61-bit sort key `(r − q, q)` for triplets; requires positions below

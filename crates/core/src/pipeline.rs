@@ -23,7 +23,9 @@ use gpu_sim::{Device, DeviceSpec, LaunchConfig, LaunchStats, SharedArena, WorkQu
 use gpumem_index::{build_compact_gpu, build_gpu, Region, SharedSeedLookup};
 use gpumem_seq::{Mem, PackedSeq};
 
-use crate::block::{process_block, steal_queue_capacity, BlockOutput, BlockScratch};
+use crate::block::{
+    encode_query_seeds, process_block, steal_queue_capacity, BlockOutput, BlockScratch,
+};
 use crate::config::{GpumemConfig, SchedulePolicy};
 use crate::engine::{MemCollector, MemSink, MemStage};
 use crate::expand::Bounds;
@@ -159,12 +161,16 @@ pub struct IndexBuildReport {
     pub rows: usize,
 }
 
-/// Per-worker working storage for one in-flight run: the block
-/// scratch/accumulators hoisted across every tile (blocks execute
-/// sequentially, see the `gpu_sim::exec` docs) plus the run's out-tile
-/// fragment list. One-shot runs make one; the serving engine keeps one
-/// per query worker so parallel queries never contend on scratch.
+/// Per-worker working storage for one in-flight run: the query's seed
+/// codes, the block scratch/accumulators hoisted across every tile
+/// (blocks execute sequentially, see the `gpu_sim::exec` docs) plus the
+/// run's out-tile fragment list. One-shot runs make one; the serving
+/// engine keeps one per query worker so parallel queries never contend
+/// on scratch.
 pub struct RunScratch {
+    /// Seed code of every query position, encoded at the start of each
+    /// run (never carried over to the next run's query).
+    query_codes: Vec<u32>,
     block: BlockScratch,
     blocks_out: BlockOutput,
     tile_out: TileOutput,
@@ -172,10 +178,11 @@ pub struct RunScratch {
 }
 
 impl RunScratch {
-    /// Scratch for `config`'s block geometry (τ threads, seed codec).
+    /// Scratch for `config`'s block geometry (τ threads).
     pub fn new(config: &GpumemConfig) -> RunScratch {
         RunScratch {
-            block: BlockScratch::new(config.threads_per_block, config.seed_len),
+            query_codes: Vec::new(),
+            block: BlockScratch::new(config.threads_per_block),
             blocks_out: BlockOutput::default(),
             tile_out: TileOutput::default(),
             out_tile: Vec::new(),
@@ -345,6 +352,8 @@ pub(crate) fn run_tile_rows(
     scratch.out_tile.clear();
 
     if reference.len() >= config.seed_len && !query.is_empty() {
+        // Every tile row probes the same query seeds: encode them once.
+        encode_query_seeds(query, config.seed_len, &mut scratch.query_codes);
         let tiling = Tiling::new(config.tile_len(), reference.len(), query.len());
         stats.rows = tiling.n_rows();
         stats.cols = tiling.n_cols();
@@ -455,6 +464,7 @@ pub(crate) fn run_tile_rows(
                 scratch.blocks_out.in_block.clear();
                 scratch.blocks_out.out_block.clear();
                 let batch_span = trace.map(|t| t.begin("block_batch", SpanCat::Stage));
+                let query_codes = &scratch.query_codes;
                 let cell =
                     Mutex::new((&mut scratch.blocks_out, &mut scratch.block, arena.as_mut()));
                 let launch = device.launch_fn_named(
@@ -468,6 +478,7 @@ pub(crate) fn run_tile_rows(
                             ctx,
                             reference,
                             query,
+                            query_codes,
                             index.as_ref(),
                             config,
                             row_range.clone(),

@@ -12,8 +12,11 @@
 //!   prefix-sums the `ptrs` array (up to `4^ℓs` entries). Implemented as
 //!   the standard three-phase chunked scan: per-block local scan, scan
 //!   of the per-block totals (recursively), then per-block offset add.
+//!   The per-block scan of the chunk's thread sums branches only on
+//!   thread id, so it runs on the first chunk of a call and is replayed
+//!   on the others (DESIGN.md §8, "Replaying known charges").
 
-use crate::exec::{BlockCtx, Device, LaunchConfig};
+use crate::exec::{BlockCtx, Device, LaunchConfig, RegionCharge};
 use crate::memory::GpuU32;
 use crate::stats::LaunchStats;
 
@@ -86,8 +89,9 @@ pub fn device_exclusive_scan(device: &Device, buf: &GpuU32) -> LaunchStats {
     // Per-block shared-memory scratch, hoisted out of the launch: blocks
     // execute sequentially (see `exec` docs), so one buffer behind a
     // Mutex serves every block without a per-block allocation. Each
-    // block fully overwrites `local` before reading it.
-    let local_scratch = parking_lot::Mutex::new(vec![0u32; SCAN_BLOCK_DIM]);
+    // block fully overwrites `local` before reading it. Next to it, the
+    // recorded charge of the block scan over `local`.
+    let local_scratch = parking_lot::Mutex::new((vec![0u32; SCAN_BLOCK_DIM], None::<RegionCharge>));
 
     // Pass 1: each block exclusively scans its chunk and records the
     // chunk total.
@@ -98,7 +102,7 @@ pub fn device_exclusive_scan(device: &Device, buf: &GpuU32) -> LaunchStats {
             let chunk_start = ctx.block_id * SCAN_CHUNK;
             let chunk_end = (chunk_start + SCAN_CHUNK).min(n);
             let m = chunk_end - chunk_start;
-            let mut local = local_scratch.lock();
+            let (local, scan_charge) = &mut *local_scratch.lock();
             ctx.simt(|lane| {
                 let lo = chunk_start + lane.tid * PER_THREAD;
                 let hi = (lo + PER_THREAD).min(chunk_end);
@@ -108,7 +112,17 @@ pub fn device_exclusive_scan(device: &Device, buf: &GpuU32) -> LaunchStats {
                 lane.shared(1);
                 local[lane.tid] = sum;
             });
-            block_exclusive_scan(ctx, &mut local);
+            // The block scan touches only shared memory and branches
+            // only on thread id: every chunk replays the first one's
+            // charge and scans on the host.
+            if !ctx.replay_or_record(scan_charge, |ctx| block_exclusive_scan(ctx, local)) {
+                let mut acc = 0u32;
+                for v in local.iter_mut() {
+                    let sum = *v;
+                    *v = acc;
+                    acc = acc.wrapping_add(sum);
+                }
+            }
             let last_lane = (m.saturating_sub(1)) / PER_THREAD;
             let block_id = ctx.block_id;
             ctx.simt(|lane| {

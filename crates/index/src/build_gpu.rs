@@ -93,10 +93,10 @@ pub fn build_gpu(
             ctx.simt(|lane| {
                 let lo = base + lane.tid * SEEDS_PER_THREAD;
                 let hi = (lo + SEEDS_PER_THREAD).min(num_seeds);
-                for s in lo..hi {
-                    let v = lane.ld32(&ptrs, s);
-                    lane.st32(&temp, s, v);
-                }
+                let mut cursor = [0u32; SEEDS_PER_THREAD];
+                let cursor = &mut cursor[..hi.saturating_sub(lo)];
+                lane.ld32_slice(&ptrs, lo, cursor);
+                lane.st32_slice(&temp, lo, cursor);
             });
         },
     );
@@ -131,9 +131,19 @@ pub fn build_gpu(
             ctx.simt(|lane| {
                 let lo_seed = base + lane.tid * SEEDS_PER_THREAD;
                 let hi_seed = (lo_seed + SEEDS_PER_THREAD).min(num_seeds);
-                for s in lo_seed..hi_seed {
-                    let lo = lane.ld32(&ptrs, s) as usize;
-                    let hi = lane.ld32(&ptrs, s + 1) as usize;
+                let seeds = hi_seed.saturating_sub(lo_seed);
+                if seeds == 0 {
+                    return;
+                }
+                // Each seed reads its two bucket bounds; neighbours share
+                // one, so a bulk read of `seeds + 1` entries plus the
+                // repeated reads charges the 2 loads per seed.
+                let mut bounds = [0u32; SEEDS_PER_THREAD + 1];
+                let bounds = &mut bounds[..=seeds];
+                lane.ld32_slice(&ptrs, lo_seed, bounds);
+                lane.charge(Op::GlobalLoad, seeds as u64 - 1);
+                for pair in bounds.windows(2) {
+                    let (lo, hi) = (pair[0] as usize, pair[1] as usize);
                     if lane.branch(hi - lo > 1) {
                         lane_sort_bucket(lane, &locs, lo, hi);
                     }

@@ -95,8 +95,8 @@
 //! `bench-info --check` reads the bench trajectory the `quick` bench
 //! appends to `results/bench_history.jsonl` and fails (exit 1) if the
 //! latest entry regresses more than `--max-regress` (default 0.20)
-//! against the best earlier entry — the local mirror of the CI
-//! bench-smoke gate.
+//! against the best earlier entry with the same `rustc` and `nproc` —
+//! the local mirror of the CI bench-smoke gate.
 
 use std::fs::File;
 use std::io::BufReader;
@@ -935,7 +935,10 @@ const HISTORY_HIGHER_BETTER: [&str; 4] = [
 ];
 
 /// Compare the newest trajectory entry against the best earlier entry
-/// per metric; fail on any regression beyond `max_regress`.
+/// per metric; fail on any regression beyond `max_regress`. Only
+/// earlier entries from the same toolchain (`rustc`) and CPU count
+/// (`nproc`) count: wall times from another build or machine are not
+/// comparable.
 fn bench_check(history: &str, max_regress: f64) -> Result<(), String> {
     let body = match std::fs::read_to_string(history) {
         Ok(body) => body,
@@ -958,7 +961,24 @@ fn bench_check(history: &str, max_regress: f64) -> Result<(), String> {
         );
         return Ok(());
     }
-    let (last, prior) = entries.split_last().expect("len >= 2");
+    let (last, earlier) = entries.split_last().expect("len >= 2");
+    fn machine(entry: &serde::json::Value) -> (Option<&str>, Option<f64>) {
+        (
+            entry.get("rustc").and_then(serde::json::Value::as_str),
+            entry.get("nproc").and_then(serde::json::Value::as_f64),
+        )
+    }
+    let (prior, skipped): (Vec<_>, Vec<_>) =
+        earlier.iter().partition(|e| machine(e) == machine(last));
+    println!(
+        "bench-check: comparing with {} earlier entr{}; skipped {} from another rustc or nproc",
+        prior.len(),
+        if prior.len() == 1 { "y" } else { "ies" },
+        skipped.len()
+    );
+    if prior.is_empty() {
+        return Ok(());
+    }
     let field = |entry: &serde::json::Value, name: &str| {
         entry.get(name).and_then(serde::json::Value::as_f64)
     };

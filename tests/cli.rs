@@ -558,6 +558,59 @@ fn bench_info_prints_device_catalog() {
 }
 
 #[test]
+fn bench_check_compares_only_entries_of_the_same_rustc_and_nproc() {
+    let dir = std::env::temp_dir().join("gpumem-cli-test-bench-fingerprint");
+    std::fs::create_dir_all(&dir).unwrap();
+    let history = dir.join("history.jsonl");
+    let entry = |rustc: &str, nproc: u32, wall: f64| {
+        format!(
+            "{{\"ts\":1,\"git_sha\":\"abc\",\"rustc\":\"{rustc}\",\"nproc\":{nproc},\
+             \"wall_s\":{wall},\"match_wall_s\":0.2,\"qps_batch\":50.0,\"mems\":41040}}"
+        )
+    };
+    let check = |lines: &[String]| {
+        std::fs::write(&history, lines.join("\n") + "\n").unwrap();
+        cli()
+            .args([
+                "bench-info",
+                "--check",
+                "--history",
+                history.to_str().unwrap(),
+            ])
+            .output()
+            .expect("binary runs")
+    };
+    let here = "rustc 1.0.0 (test 2026-01-01)";
+    // A faster entry from another toolchain would fail the newest one;
+    // it is skipped, and the same-machine entry passes it.
+    let out = check(&[
+        entry(here, 2, 1.0),
+        entry("rustc 9.9.9 (other 2026-01-01)", 2, 0.5),
+        entry(here, 2, 1.1),
+    ]);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        out.status.success(),
+        "mismatched entry compared: {stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        stdout.contains("comparing with 1 earlier entry"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("skipped 1"), "{stdout}");
+    // Another CPU count is skipped too, and the same machine's regression
+    // still fails.
+    let out = check(&[
+        entry(here, 2, 1.0),
+        entry(here, 8, 2.0),
+        entry(here, 2, 1.3),
+    ]);
+    assert!(!out.status.success(), "same-machine regression must fail");
+    assert!(String::from_utf8(out.stdout).unwrap().contains("skipped 1"));
+}
+
+#[test]
 fn both_strands_superset_and_strand_column() {
     let dir = std::env::temp_dir().join("gpumem-cli-test-strands");
     std::fs::create_dir_all(&dir).unwrap();

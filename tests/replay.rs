@@ -7,26 +7,34 @@
 //!   warp size or cost model is refused.
 //! * The match kernel replays its known charges from scratch it keeps
 //!   across rounds and blocks, so a warm scratch must give the same
-//!   assignment, block output and block counters as a fresh one — for
-//!   empty, single-seed (every slot) and multi-seed rounds, at every
-//!   τ, with load balancing on and off.
+//!   assignment, block output, block counters and phase rows as a fresh
+//!   one — for empty, single-seed (every slot) and multi-seed rounds,
+//!   every count of valid seed slots, dead combine iterations with
+//!   none, one or every warp mixed, at every τ, with load balancing and
+//!   query staging on and off, and under a compact index whose lookup
+//!   overhead changes from row to row.
+//! * The device-wide scan replays its block scan on every chunk after
+//!   the first and still matches the host scan, and a sanitized index
+//!   build over a many-chunk `ptrs` table stays hazard-free.
 
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use gpumem::core::balance::{balance_into, Assignment, BalanceScratch, GroupAssign};
-use gpumem::core::block::{process_block, BlockOutput, BlockScratch};
+use gpumem::core::block::{encode_query_seeds, process_block, BlockOutput, BlockScratch};
 use gpumem::core::combine::{tree_combine_scheduled, CombineScratch};
 use gpumem::core::GpumemConfig;
-use gpumem::index::{build_sequential, Region};
+use gpumem::index::{build_compact_sequential, build_gpu, build_sequential, Region, SeedLookup};
 use gpumem::seq::{GenomeModel, Mem, MutationModel, PackedSeq};
+use gpumem::sim::primitives::device_exclusive_scan;
 use gpumem::sim::{
     sanitizer, BlockCtx, CostModel, Device, DeviceSpec, GpuU32, LaunchConfig, LaunchObserver,
-    LaunchRecord, LaunchStats, Op, PhaseStats, RegionCharge,
+    LaunchRecord, LaunchStats, Op, PhaseStats, RegionCharge, SharedArena,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 const TAUS: [usize; 4] = [2, 32, 64, 128];
 
@@ -263,65 +271,239 @@ fn lone_full_group_replay_covers_nothing_else() {
         }],
         group_of_thread: vec![0, usize::MAX, usize::MAX, usize::MAX],
     };
-    let combine = |assignment: &Assignment, triplets: &[Vec<Mem>], scratch: &mut CombineScratch| {
-        let cell = Mutex::new((triplets.to_vec(), scratch));
-        let stats = tiny().launch_fn(LaunchConfig::new(1, 4), |ctx| {
-            let (t, scratch) = &mut *cell.lock().unwrap();
-            tree_combine_scheduled(ctx, assignment, scratch, t);
-        });
-        (cell.into_inner().unwrap().0, without_wall(stats))
-    };
     let head = Mem { r: 0, q: 0, len: 4 };
     let tail = Mem { r: 4, q: 4, len: 4 };
     let mut warm = CombineScratch::new(4);
     let alone = vec![vec![head], vec![], vec![], vec![]];
-    let recorded = combine(&full, &alone, &mut warm);
+    let recorded = combine_run(&full, &alone, &mut warm);
     assert_eq!(recorded.0, alone, "nothing to merge");
-    assert_eq!(combine(&full, &alone, &mut warm), recorded);
+    assert_eq!(combine_run(&full, &alone, &mut warm), recorded);
     let neighbour = vec![vec![head], vec![tail], vec![], vec![]];
-    let fresh = combine(&full, &neighbour, &mut CombineScratch::new(4));
-    let merged = combine(&full, &neighbour, &mut warm);
+    let fresh = combine_run(&full, &neighbour, &mut CombineScratch::new(4));
+    let merged = combine_run(&full, &neighbour, &mut warm);
     assert_eq!(merged, fresh);
     assert_eq!(merged.0[0], vec![Mem { r: 0, q: 0, len: 8 }]);
     assert!(merged.1.comparisons > recorded.1.comparisons);
-    let unbalanced = combine(&one_thread, &alone, &mut CombineScratch::new(4));
-    assert_eq!(combine(&one_thread, &alone, &mut warm), unbalanced);
+    let unbalanced = combine_run(&one_thread, &alone, &mut CombineScratch::new(4));
+    assert_eq!(combine_run(&one_thread, &alone, &mut warm), unbalanced);
     assert_ne!(unbalanced.1, recorded.1, "a different charge to replay");
 }
 
-/// One block over the first block width of `query`, as its own launch:
-/// the output and what the launch charged.
+/// A device whose launches log their phase rows.
+fn observed() -> (Device, Arc<PhaseLog>) {
+    let device = tiny();
+    let log = Arc::new(PhaseLog::default());
+    device.set_observer(Some(log.clone()));
+    (device, log)
+}
+
+/// What one launch produced and charged: its output, its counters and
+/// its phase rows.
+type Observed<T> = (T, LaunchStats, Vec<PhaseStats>);
+
+/// One block over the first block width of `query` against the row
+/// `row` of `reference` indexed by `index`, as its own launch.
 fn block_run(
     reference: &PackedSeq,
     query: &PackedSeq,
+    index: &dyn SeedLookup,
+    row: Range<usize>,
     config: &GpumemConfig,
+    staging: bool,
     scratch: &mut BlockScratch,
-) -> (BlockOutput, LaunchStats) {
-    let index = build_sequential(
-        reference,
-        Region::whole(reference),
-        config.seed_len,
-        config.step,
-    );
+) -> Observed<BlockOutput> {
     let block_q = 0..config.block_width().min(query.len());
-    let cell = Mutex::new((BlockOutput::default(), scratch));
-    let stats = tiny().launch_fn(LaunchConfig::new(1, config.threads_per_block), |ctx| {
-        let (out, scratch) = &mut *cell.lock().unwrap();
+    let mut query_codes = Vec::new();
+    encode_query_seeds(query, config.seed_len, &mut query_codes);
+    let (device, log) = observed();
+    let mut arena = staging.then(|| SharedArena::new(device.spec().shared_mem_per_block));
+    let cell = Mutex::new((BlockOutput::default(), scratch, arena.as_mut()));
+    let stats = device.launch_fn(LaunchConfig::new(1, config.threads_per_block), |ctx| {
+        let (out, scratch, arena) = &mut *cell.lock().unwrap();
         process_block(
             ctx,
             reference,
             query,
-            &index,
+            &query_codes,
+            index,
             config,
-            0..reference.len(),
+            row.clone(),
             block_q.clone(),
             None,
-            None,
+            arena.as_deref_mut(),
             scratch,
             out,
         );
     });
-    (cell.into_inner().unwrap().0, without_wall(stats))
+    let output = cell.into_inner().unwrap().0;
+    let phases = log.0.lock().unwrap().pop().expect("one launch");
+    (output, without_wall(stats), phases)
+}
+
+/// One combine round as its own launch: the triplets it leaves, what it
+/// charged, and its phase rows.
+fn combine_run(
+    assignment: &Assignment,
+    triplets: &[Vec<Mem>],
+    scratch: &mut CombineScratch,
+) -> Observed<Vec<Vec<Mem>>> {
+    let (device, log) = observed();
+    let cell = Mutex::new((triplets.to_vec(), scratch));
+    let tau = triplets.len();
+    let stats = device.launch_fn(LaunchConfig::new(1, tau), |ctx| {
+        let (t, scratch) = &mut *cell.lock().unwrap();
+        ctx.phase("combine");
+        tree_combine_scheduled(ctx, assignment, scratch, t);
+    });
+    let phases = log.0.lock().unwrap().pop().expect("one launch");
+    (cell.into_inner().unwrap().0, without_wall(stats), phases)
+}
+
+/// An assignment of explicit `(slot, threads)` groups over `tau`
+/// threads; threads no group covers are idle.
+fn assign(tau: usize, groups: &[(usize, Range<usize>)]) -> Assignment {
+    let mut group_of_thread = vec![usize::MAX; tau];
+    for (g, (_, threads)) in groups.iter().enumerate() {
+        group_of_thread[threads.clone()].fill(g);
+    }
+    Assignment {
+        groups: groups
+            .iter()
+            .map(|(slot, threads)| GroupAssign {
+                seed_slot: *slot,
+                threads: threads.clone(),
+            })
+            .collect(),
+        group_of_thread,
+    }
+}
+
+/// One triplet on each listed slot, every one on diagonal 100 so that
+/// triplets of neighbouring slots chain when an iteration pairs them.
+fn chain_lists(tau: usize, slots: &[usize]) -> Vec<Vec<Mem>> {
+    let mut lists = vec![Vec::new(); tau];
+    for &k in slots {
+        let q = 4 * k as u32;
+        lists[k].push(Mem {
+            r: q + 100,
+            q,
+            len: 4,
+        });
+    }
+    lists
+}
+
+/// Multi-seed rounds whose first combine iteration (sources even, each
+/// absorbing its right neighbour) merges nothing, with none, one and
+/// every warp mixing lanes that have a target and lanes that have none.
+/// Later iterations pair non-empty slots and merge. Groups may serve an
+/// empty slot, which the kernel never assigns but the combine allows.
+fn dead_iteration_rounds(tau: usize, warp: usize) -> Vec<(Assignment, Vec<Vec<Mem>>)> {
+    let warps = tau.div_ceil(warp);
+    let span = |w: usize| w * warp..((w + 1) * warp).min(tau);
+    let split = |w: usize| {
+        let r = span(w);
+        (r.start..r.start + r.len() / 2, r.start + r.len() / 2..r.end)
+    };
+    let mut rounds = Vec::new();
+    // No warp mixed: one group per warp on an odd slot, which has no
+    // target in the first iteration; slot 0 holds triplets no thread
+    // serves.
+    let groups: Vec<_> = (0..warps).map(|w| (2 * w + 1, span(w))).collect();
+    let mut slots: Vec<usize> = groups.iter().map(|g| g.0).collect();
+    slots.push(0);
+    rounds.push((assign(tau, &groups), chain_lists(tau, &slots)));
+    if tau == 2 {
+        // One warp, mixed: slot 0's target, slot 1, is empty.
+        let groups = [(0, 0..1), (1, 1..2)];
+        rounds.push((assign(tau, &groups), chain_lists(tau, &[0])));
+        return rounds;
+    }
+    // One warp mixed: warp 0 splits between slot 0 (target 1, empty)
+    // and slot 3 (no target); the other warps serve odd slots.
+    let (lo, hi) = split(0);
+    let mut groups = vec![(0, lo), (3, hi)];
+    groups.extend((1..warps).map(|w| (2 * w + 3, span(w))));
+    let slots: Vec<usize> = groups.iter().map(|g| g.0).collect();
+    rounds.push((assign(tau, &groups), chain_lists(tau, &slots)));
+    // Every warp mixed: each warp splits between slot 4w (target
+    // 4w + 1, empty) and slot 4w + 3 (no target).
+    let groups: Vec<_> = (0..warps)
+        .flat_map(|w| {
+            let (lo, hi) = split(w);
+            [(4 * w, lo), (4 * w + 3, hi)]
+        })
+        .collect();
+    let slots: Vec<usize> = groups.iter().map(|g| g.0).collect();
+    rounds.push((assign(tau, &groups), chain_lists(tau, &slots)));
+    rounds
+}
+
+#[test]
+fn warm_scratch_replays_dead_combine_iterations_like_a_fresh_one() {
+    for tau in TAUS {
+        let warp = tiny().spec().warp_size;
+        let warps = tau.div_ceil(warp);
+        let rounds = dead_iteration_rounds(tau, warp);
+        let mut warm = CombineScratch::new(tau);
+        for (assignment, triplets) in &rounds {
+            combine_run(assignment, triplets, &mut warm);
+        }
+        // One recording per mixed-warp count: 0, 1 and every warp.
+        let counts: std::collections::BTreeSet<usize> = [0, 1, warps].into();
+        assert_eq!(warm.recordings(), counts.len(), "τ={tau}");
+        for (assignment, triplets) in &rounds {
+            let fresh = combine_run(assignment, triplets, &mut CombineScratch::new(tau));
+            assert_eq!(
+                combine_run(assignment, triplets, &mut warm),
+                fresh,
+                "τ={tau} {assignment:?}"
+            );
+        }
+        // The same non-empty slots without load balancing: one thread
+        // per slot and idle threads, so every iteration runs.
+        for (_, triplets) in &rounds {
+            let loads: Vec<u32> = triplets.iter().map(|t| t.len() as u32).collect();
+            let (unbalanced, _) = balance_round(&loads, false, &mut BalanceScratch::default());
+            let mut cold = CombineScratch::new(tau);
+            let fresh = combine_run(&unbalanced, triplets, &mut cold);
+            assert_eq!(cold.recordings(), 0, "τ={tau}: replayed with idle threads");
+            assert_eq!(combine_run(&unbalanced, triplets, &mut warm), fresh);
+        }
+    }
+}
+
+#[test]
+fn device_scan_matches_the_host_and_index_builds_stay_hazard_free() {
+    let device = tiny();
+    let mut rng = StdRng::seed_from_u64(13);
+    for n in [1usize, 4095, 4096, 4097, 65537] {
+        let input: Vec<u32> = (0..n).map(|_| rng.gen_range(0..1_000)).collect();
+        let expect: Vec<u32> = input
+            .iter()
+            .scan(0u32, |acc, &v| {
+                let out = *acc;
+                *acc += v;
+                Some(out)
+            })
+            .collect();
+        let buf = GpuU32::from_slice(&input);
+        let session = sanitizer::Session::start();
+        device_exclusive_scan(&device, &buf);
+        let report = session.finish();
+        assert!(report.is_clean(), "n={n}: {report}");
+        assert_eq!(buf.to_vec(), expect, "n={n}");
+    }
+    // ℓs = 7: a 16,385-entry `ptrs` table, scanned in five chunks.
+    let reference = GenomeModel::mammalian().generate(3_000, 14);
+    let session = sanitizer::Session::start();
+    let (index, _) = build_gpu(&device, &reference, Region::whole(&reference), 7, 2);
+    let report = session.finish();
+    assert!(report.is_clean(), "index build: {report}");
+    assert_eq!(
+        index,
+        build_sequential(&reference, Region::whole(&reference), 7, 2)
+    );
 }
 
 proptest! {
@@ -359,14 +541,19 @@ proptest! {
         prop_assert_eq!(balance_round(&loads, enabled, &mut warm), fresh);
     }
 
-    /// A block scratch that already served another block gives the
-    /// output and charge of a fresh one. ℓs = 8 keeps random seed hits
-    /// rare, so rounds mix empty, single-seed and multi-seed ones at
-    /// every τ.
+    /// A block scratch that already served other blocks gives the output,
+    /// charge and phase rows of a fresh one. ℓs = 8 keeps random seed
+    /// hits rare, so rounds mix empty, single-seed and multi-seed ones
+    /// at every τ. The query is cut to end mid-block at every count of
+    /// valid seed slots, consecutive blocks alternate between two rows,
+    /// whose compact indexes differ in lookup overhead, and query
+    /// staging changes every third block.
     #[test]
     fn warm_block_scratch_matches_a_fresh_one(
         tau_ix in 0usize..4,
         load_balancing: bool,
+        staging: bool,
+        compact: bool,
         seed in 0u64..1_000,
     ) {
         let tau = TAUS[tau_ix];
@@ -382,15 +569,51 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let codes = reference.to_codes();
         let query_a = PackedSeq::from_codes(&model.apply(&codes[300..1_100], &mut rng));
-        let query_b = PackedSeq::from_codes(&model.apply(&codes[100..900], &mut rng));
-        let mut warm = BlockScratch::new(tau, config.seed_len);
-        block_run(&reference, &query_a, &config, &mut warm);
-        let fresh = block_run(
-            &reference,
-            &query_b,
-            &config,
-            &mut BlockScratch::new(tau, config.seed_len),
-        );
-        prop_assert_eq!(block_run(&reference, &query_b, &config, &mut warm), fresh);
+        let query_b = model.apply(&codes[100..900], &mut rng);
+        let rows = [0..400, 400..reference.len()];
+        let indexes: Vec<Box<dyn SeedLookup>> = rows
+            .iter()
+            .map(|row| {
+                let region = Region { start: row.start, len: row.len() };
+                if compact {
+                    Box::new(build_compact_sequential(&reference, region, config.seed_len, config.step))
+                        as Box<dyn SeedLookup>
+                } else {
+                    Box::new(build_sequential(&reference, region, config.seed_len, config.step))
+                }
+            })
+            .collect();
+        if compact {
+            prop_assert_ne!(
+                indexes[0].lookup_overhead_loads(),
+                indexes[1].lookup_overhead_loads()
+            );
+        }
+        let run = |query: &PackedSeq, n: usize, scratch: &mut BlockScratch| {
+            let row = n % 2;
+            block_run(
+                &reference,
+                query,
+                indexes[row].as_ref(),
+                rows[row].clone(),
+                &config,
+                staging ^ n.is_multiple_of(3),
+                scratch,
+            )
+        };
+        let mut warm = BlockScratch::new(tau);
+        for n in 0..3 {
+            run(&query_a, n, &mut warm);
+        }
+        // Cut after ℓs − 1 + n·w bases, every round of the block has
+        // exactly n slots whose seed fits the query.
+        for n in 0..=tau {
+            let cut = (config.seed_len - 1 + n * config.w()).min(query_b.len());
+            let query = PackedSeq::from_codes(&query_b[..cut]);
+            let fresh = run(&query, n, &mut BlockScratch::new(tau));
+            prop_assert_eq!(run(&query, n, &mut warm), fresh, "n = {}", n);
+        }
+        let warps = tau.div_ceil(tiny().spec().warp_size);
+        prop_assert!(warm.recordings() <= 2 * (tau + 1) + 2 * tau + 1 + warps + 1);
     }
 }

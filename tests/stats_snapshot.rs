@@ -10,10 +10,21 @@
 //! Deliberately excluded: `wall_time` (host-machine dependent) and
 //! `pool_allocs` (host-side bookkeeping that optimization is expected
 //! to change).
+//!
+//! The configuration matrix is pinned in `tests/golden/stats_snapshot.txt`
+//! instead of inline literals. Re-bless it only after an intentional
+//! model change:
+//!
+//! ```text
+//! GPUMEM_BLESS=1 cargo test --test stats_snapshot
+//! ```
 
-use gpumem::core::{Gpumem, GpumemConfig, IndexKind};
+use std::path::PathBuf;
+
+use gpumem::core::{Gpumem, GpumemConfig, GpumemResult, IndexKind, SeedMode};
+use gpumem::index::max_coprime_steps;
 use gpumem::seq::{GenomeModel, Mem, MutationModel, PackedSeq};
-use gpumem::sim::{Device, DeviceSpec, LaunchStats};
+use gpumem::sim::{Device, DeviceSpec, LaunchStats, PhaseStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -157,4 +168,125 @@ fn traced_run_changes_nothing_and_stage_spans_reconcile_exactly() {
             "{kind:?}: stage spans do not reconcile with run totals"
         );
     }
+}
+
+/// Every `LaunchStats` field except `wall_time` and `pool_allocs`,
+/// gauges included.
+fn render_all_counters(tag: &str, s: &LaunchStats) -> String {
+    format!(
+        "{} steals={} busiest_block_cycles={} pool_peak_bytes={}",
+        render_stats(tag, s),
+        s.steal_events,
+        s.busiest_block_cycles,
+        s.pool_peak_bytes,
+    )
+}
+
+fn render_phase(p: &PhaseStats) -> String {
+    format!(
+        "  phase {}: warps={} warp_cycles={} lane_cycles={} divergence={} atomics={} \
+         global={} compares={} steals={}",
+        p.name,
+        p.warps,
+        p.warp_cycles,
+        p.lane_cycles,
+        p.divergence_events,
+        p.atomic_ops,
+        p.global_mem_ops,
+        p.comparisons,
+        p.steal_events,
+    )
+}
+
+fn render_result(out: &mut Vec<String>, result: &GpumemResult) {
+    let s = &result.stats;
+    out.push(render_all_counters("  index", &s.index));
+    out.push(render_all_counters("  matching", &s.matching));
+    out.push(format!("  tiles: {}x{} {:?}", s.rows, s.cols, s.counts));
+    out.push(format!(
+        "  mems: n={} fnv=0x{:016x}",
+        result.mems.len(),
+        mem_hash(&result.mems)
+    ));
+}
+
+/// The modeled-contract configurations: the default kernel, both
+/// neighbouring block sizes, each locality/balance knob, the compact
+/// index and dual sampling at the widest co-prime steps.
+fn contract_configs() -> Vec<(&'static str, GpumemConfig)> {
+    let base = || {
+        GpumemConfig::builder(25)
+            .seed_len(6)
+            .threads_per_block(64)
+            .blocks_per_tile(2)
+    };
+    let (k1, k2) = max_coprime_steps(25, 6).expect("valid co-prime steps");
+    [
+        ("default", base()),
+        ("tau=32", base().threads_per_block(32)),
+        ("tau=128", base().threads_per_block(128)),
+        ("load_balancing=off", base().load_balancing(false)),
+        (
+            "stealing+staging",
+            base().work_stealing(true).query_staging(true),
+        ),
+        ("compact", base().index_kind(IndexKind::CompactDirectory)),
+        (
+            "dual_sampled",
+            base().seed_mode(SeedMode::DualSampled { k1, k2 }),
+        ),
+    ]
+    .into_iter()
+    .map(|(name, builder)| (name, builder.build().expect("valid config")))
+    .collect()
+}
+
+/// Byte-compare `actual` against the committed golden file, or rewrite
+/// the golden file when `GPUMEM_BLESS=1`.
+fn check_golden(name: &str, actual: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("golden")
+        .join(name);
+    if std::env::var("GPUMEM_BLESS").is_ok_and(|v| v == "1") {
+        std::fs::write(&path, actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden {name} ({e}); re-bless with GPUMEM_BLESS=1"));
+    if actual != expected {
+        let first = actual
+            .lines()
+            .zip(expected.lines())
+            .position(|(a, e)| a != e)
+            .unwrap_or(actual.lines().count().min(expected.lines().count()));
+        panic!(
+            "{name} drifted from the golden file at line {}:\n  actual:   {}\n  expected: {}\n\
+             if the model change is intentional, re-bless with GPUMEM_BLESS=1",
+            first + 1,
+            actual.lines().nth(first).unwrap_or("<end>"),
+            expected.lines().nth(first).unwrap_or("<end>"),
+        );
+    }
+}
+
+/// Every modeled figure of the smoke pair under each contract
+/// configuration, plain and traced: all counters of both stages, stage
+/// counts and the MEM hash, plus every row of the trace's phase totals.
+#[test]
+fn every_configuration_matches_the_golden_modeled_contract() {
+    let (reference, query) = smoke_pair();
+    let mut out = Vec::new();
+    for (name, config) in contract_configs() {
+        let gpumem = || Gpumem::with_device(config.clone(), Device::new(DeviceSpec::test_tiny()));
+        let plain = gpumem().run(&reference, &query).unwrap();
+        out.push(format!("{name} plain"));
+        render_result(&mut out, &plain);
+        let (traced, trace) = gpumem().run_traced(&reference, &query).unwrap();
+        out.push(format!("{name} traced"));
+        render_result(&mut out, &traced);
+        out.extend(trace.phase_totals().iter().map(render_phase));
+    }
+    out.push(String::new());
+    check_golden("stats_snapshot.txt", &out.join("\n"));
 }

@@ -45,7 +45,7 @@ use rayon::prelude::*;
 
 use crate::config::{GpumemConfig, SchedulePolicy};
 use crate::pipeline::{
-    build_row_index, ensure_fits, ensure_sort_key, finish_global, run_tile_rows, run_tiles,
+    build_row_index, ensure_fits, ensure_sort_key, gather_rows, row_masses, run_tiles,
     GpumemResult, GpumemStats, IndexBuildReport, RunError, RunScratch,
 };
 use crate::registry::{RefHandle, Registry, RegistryStats};
@@ -905,25 +905,6 @@ struct ResolvedRun {
     _pin: Option<crate::registry::PinnedSession>,
 }
 
-/// A sink that just concatenates (the cross-shard merge needs the raw
-/// Global batch, not a canonicalized collector).
-struct VecSink(Vec<Mem>);
-
-impl MemSink for VecSink {
-    fn mems(&mut self, _stage: MemStage, mems: &[Mem]) {
-        self.0.extend_from_slice(mems);
-    }
-}
-
-/// Everything one shard brings home.
-struct ShardRun {
-    stats: GpumemStats,
-    mems: Vec<Mem>,
-    fragments: Vec<Mem>,
-    build_wait: Duration,
-    trace: Option<Trace>,
-}
-
 impl Engine {
     /// Start building an engine for `reference` (see [`EngineBuilder`]).
     pub fn builder(reference: impl Into<Arc<PackedSeq>>) -> EngineBuilder {
@@ -1348,10 +1329,10 @@ impl Engine {
     }
 
     /// One query across N simulated devices: each shard runs its tile
-    /// rows on a fresh device with its own scratch, then the shards'
-    /// out-tile fragments are concatenated and host-merged once. See
-    /// [`crate::shard`] for why the result is byte-identical to a
-    /// single-device run.
+    /// rows on a fresh device with its own scratch and host thread, then
+    /// the shards' out-tile fragments are concatenated and host-merged
+    /// once ([`gather_rows`]). See [`crate::shard`] for why the result
+    /// is byte-identical to a single-device run.
     fn run_sharded(
         &self,
         query: &PackedSeq,
@@ -1368,100 +1349,48 @@ impl Engine {
                 .with_u64("query_len", query.len() as u64)
                 .with_u64("shards", n_shards as u64)
         });
-        let tiling = (reference.len() >= config.seed_len && !query.is_empty())
-            .then(|| Tiling::new(config.tile_len(), reference.len(), query.len()));
-        let n_rows = tiling.as_ref().map_or(0, Tiling::n_rows);
+        // Row mass ∝ reference bases covered (the last row may be
+        // short); occurrence-accurate masses would need the indexes
+        // built up front, defeating lazy residency.
+        let masses = row_masses(config, reference, query);
         let plan = match &opts.shard_plan {
             Some(plan) => {
-                if !plan.covers(n_rows) {
+                if !plan.covers(masses.len()) {
                     return Err(RunError::InvalidOptions(format!(
-                        "shard plan assigns {} rows but the run has {n_rows} tile rows",
-                        plan.n_rows()
+                        "shard plan assigns {} rows but the run has {} tile rows",
+                        plan.n_rows(),
+                        masses.len()
                     )));
                 }
                 plan.clone()
             }
-            None => {
-                // Row mass ∝ reference bases covered (the last row may
-                // be short); occurrence-accurate masses would need the
-                // indexes built up front, defeating lazy residency.
-                let masses: Vec<u64> = (0..n_rows)
-                    .map(|row| {
-                        tiling
-                            .as_ref()
-                            .expect("rows imply tiling")
-                            .row_range(row)
-                            .len() as u64
-                    })
-                    .collect();
-                ShardPlan::from_row_masses(n_shards, &masses)
-            }
+            None => ShardPlan::from_row_masses(n_shards, &masses),
         };
-
-        let shard_runs: Vec<ShardRun> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..plan.n_shards())
-                .map(|s| {
-                    let rows = plan.rows(s);
-                    self.emit(|ts| {
-                        Event::new("shard_dispatch", ts)
-                            .with_u64("shard", s as u64)
-                            .with_u64("rows", rows.len() as u64)
-                    });
-                    let session = Arc::clone(session);
-                    scope.spawn(move || {
-                        self.run_shard_body(query, &session, config, rows, opts.trace, s)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard thread panicked"))
-                .collect()
-        });
-
-        let mut stats = GpumemStats {
-            rows: n_rows,
-            cols: tiling.as_ref().map_or(0, Tiling::n_cols),
-            ..GpumemStats::default()
-        };
-        let mut mems: Vec<Mem> = Vec::new();
-        let mut fragments: Vec<Mem> = Vec::new();
-        let mut traces: Vec<Trace> = Vec::new();
-        for run in shard_runs {
-            stats.index += run.stats.index.clone();
-            stats.matching += run.stats.matching.clone();
-            stats.index_wall += run.stats.index_wall;
-            stats.match_wall += run.stats.match_wall;
-            stats.counts.in_block += run.stats.counts.in_block;
-            stats.counts.out_block += run.stats.counts.out_block;
-            stats.counts.in_tile += run.stats.counts.in_tile;
-            stats.shard_matching.push(run.stats.matching);
-            mems.extend(run.mems);
-            fragments.extend(run.fragments);
-            *self.build_wait.lock() += run.build_wait;
-            if let Some(trace) = run.trace {
-                traces.push(trace);
-            }
+        for s in 0..plan.n_shards() {
+            self.emit(|ts| {
+                Event::new("shard_dispatch", ts)
+                    .with_u64("shard", s as u64)
+                    .with_u64("rows", plan.rows(s).len() as u64)
+            });
         }
-        *self.matching_totals.lock() += stats.matching.clone();
 
-        // The cross-shard global merge: one host merge over every
-        // shard's fragments, exactly what a single device would feed it.
-        let mut global = VecSink(Vec::new());
-        finish_global(
-            reference,
-            query,
-            fragments,
-            config.min_len,
-            &mut global,
-            None,
-            &mut stats,
+        // Time every row-index acquisition: building a cold row, or
+        // waiting on another shard's in-flight build of the same row.
+        let row_index = |device: &Device, row: usize, _region: Region| {
+            let t = Instant::now();
+            let out = session.row_index(device, row);
+            *self.build_wait.lock() += t.elapsed();
+            out
+        };
+        let devices: Vec<Device> = (0..plan.n_shards())
+            .map(|_| Device::new(self.spec.clone()))
+            .collect();
+        let gathered = gather_rows(
+            &devices, &plan, "shard", config, reference, query, &row_index, opts.trace, None,
         );
-        mems.extend(global.0);
-        let t = Instant::now();
-        let mems = canonicalize(mems);
-        stats.match_wall += t.elapsed();
-        stats.counts.total = mems.len();
+        let GpumemResult { mems, mut stats } = gathered.result;
+        stats.shard_matching = gathered.workers.into_iter().map(|s| s.matching).collect();
+        *self.matching_totals.lock() += stats.matching.clone();
 
         let mut worker = self.checkout();
         self.record_query(&mut worker, t0.elapsed());
@@ -1469,64 +1398,10 @@ impl Engine {
         self.shard_health.lock().record(&stats.shard_matching);
         self.emit_run_end(query, &stats, mems.len());
         self.check_anomalies(&stats);
-        let trace = (!traces.is_empty()).then(|| Trace::merge(traces));
         Ok(RunOutput {
             result: GpumemResult { mems, stats },
-            trace,
+            trace: gathered.trace,
         })
-    }
-
-    /// One shard's tile rows on a fresh simulated device.
-    fn run_shard_body(
-        &self,
-        query: &PackedSeq,
-        session: &Arc<RefSession>,
-        config: &GpumemConfig,
-        rows: &[usize],
-        traced: bool,
-        shard_id: usize,
-    ) -> ShardRun {
-        let device = Device::new(self.spec.clone());
-        let recorder = traced.then(|| Arc::new(TraceRecorder::new(device.spec().warp_size)));
-        if let Some(recorder) = &recorder {
-            device.set_observer(Some(crate::trace::as_observer(recorder)));
-        }
-        let shard_span = recorder
-            .as_ref()
-            .map(|r| r.begin(format!("shard {shard_id}"), SpanCat::Run));
-        let mut scratch = RunScratch::new(session.config());
-        let mut collector = MemCollector::default();
-        let mut build_wait = Duration::ZERO;
-        let mut provider = |device: &Device, row: usize, _region: Region| {
-            let t = Instant::now();
-            let out = session.row_index(device, row);
-            build_wait += t.elapsed();
-            out
-        };
-        let stats = run_tile_rows(
-            &device,
-            config,
-            session.reference(),
-            query,
-            &mut provider,
-            &mut scratch,
-            &mut collector,
-            recorder.as_deref(),
-            Some(rows),
-        );
-        if let (Some(recorder), Some(id)) = (&recorder, shard_span) {
-            recorder.end(id);
-        }
-        if recorder.is_some() {
-            device.set_observer(None);
-        }
-        ShardRun {
-            stats,
-            mems: collector.into_canonical(),
-            fragments: std::mem::take(&mut scratch.out_tile),
-            build_wait,
-            trace: recorder.map(|r| r.snapshot()),
-        }
     }
 
     fn traced_on_worker(

@@ -9,6 +9,11 @@
 //! [`BlockCtx::simt`] runs a closure once per logical thread, warp by
 //! warp; each region boundary is a block barrier; warp cost is the max
 //! over lane costs plus a divergence serialization charge.
+//!
+//! A launch never leaves its thread, but devices are independent:
+//! several devices may launch concurrently from different threads, each
+//! with its own pool, observer and statistics. A sanitizer session only
+//! instruments launches made on the thread that started it.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -20,7 +25,7 @@ use rayon::prelude::*;
 use crate::cost::{CostModel, Op};
 use crate::memory::{GpuU32, GpuU64};
 use crate::observe::{LaunchObserver, LaunchRecord, PhaseStats};
-use crate::pool::{BufferPool, Init, PooledU32, PooledU64};
+use crate::pool::{BufferPool, Init, PoolClass, PooledU32, PooledU64};
 use crate::spec::DeviceSpec;
 use crate::stats::LaunchStats;
 
@@ -117,6 +122,12 @@ impl Device {
         *self.observer.lock() = observer;
     }
 
+    /// The installed launch observer, if any (see
+    /// [`Device::set_observer`]).
+    pub fn observer(&self) -> Option<Arc<dyn LaunchObserver>> {
+        self.observer.lock().clone()
+    }
+
     /// Pool-backed [`GpuU32::named`]: `len` zeroed elements, reusing
     /// storage freed by earlier drops of pooled buffers on this device.
     pub fn alloc_u32(&self, len: usize, name: &str) -> PooledU32<'_> {
@@ -138,6 +149,15 @@ impl Device {
     /// Pool-backed [`GpuU64::alloc_uninit`].
     pub fn alloc_u64_uninit(&self, len: usize, name: &str) -> PooledU64<'_> {
         self.pool.get_u64(len, name, Init::Uninit)
+    }
+
+    /// The buffers this device's pool holds, per size class (see
+    /// [`crate::pool`]). Their bytes sum to the
+    /// [`LaunchStats::pool_peak_bytes`] the next launch reports. Devices
+    /// that split one run's work can fold their classes into the
+    /// footprint one device running all of it would have.
+    pub fn pool_classes(&self) -> Vec<PoolClass> {
+        self.pool.classes()
     }
 
     /// The device specification.
@@ -1243,6 +1263,7 @@ mod tests {
         let device = tiny();
         let recorder = Arc::new(Recorder::default());
         device.set_observer(Some(recorder.clone()));
+        assert!(device.observer().is_some());
         let counter = GpuU32::new(1);
         let stats = device.launch_fn_named(LaunchConfig::new(2, 32), "count", |ctx| {
             ctx.simt(|lane| {
@@ -1250,6 +1271,7 @@ mod tests {
             });
         });
         device.set_observer(None);
+        assert!(device.observer().is_none());
         device.launch_fn_named(LaunchConfig::new(1, 32), "silent", |ctx| {
             ctx.simt(|_| {});
         });
@@ -1344,6 +1366,10 @@ mod tests {
             });
         });
         assert_eq!(stats.pool_peak_bytes, 512);
+        let classes = device.pool_classes();
+        assert_eq!(classes.len(), 1);
+        assert_eq!((classes[0].len, classes[0].buffers), (128, 1));
+        assert_eq!(classes[0].bytes(), stats.pool_peak_bytes);
     }
 
     #[test]

@@ -11,7 +11,11 @@
 //!   ascending `block_id` order (the vendored rayon is a sequential
 //!   stand-in), while *cost-modeling* them as distributed across SMs —
 //!   execution is therefore fully deterministic, and block order is an
-//!   asserted invariant, not an accident of scheduling;
+//!   asserted invariant, not an accident of scheduling. Separate
+//!   [`Device`]s share nothing (each owns its buffer pool and launch
+//!   observer), so different devices may launch from different host
+//!   threads at once — the GPUMEM pipeline simulates independent tile
+//!   rows that way, one device per thread;
 //! * inside a block, code is written as a sequence of **SIMT regions**
 //!   ([`BlockCtx::simt`]): each region runs a closure once per logical
 //!   thread, warp by warp, and region boundaries are `__syncthreads()`
@@ -56,7 +60,7 @@ pub use cost::{CostModel, Op};
 pub use exec::{BlockCtx, BlockKernel, Device, Lane, LaunchConfig, RegionCharge};
 pub use memory::{GpuU32, GpuU64, SharedArena, SharedBuf};
 pub use observe::{LaunchObserver, LaunchRecord, PhaseStats};
-pub use pool::{PooledU32, PooledU64};
+pub use pool::{PoolClass, PooledU32, PooledU64};
 pub use spec::DeviceSpec;
 pub use stats::LaunchStats;
 pub use workqueue::WorkQueue;

@@ -38,13 +38,33 @@ pub(crate) struct BufferPool {
     free_u64: Mutex<HashMap<usize, Vec<Vec<AtomicU64>>>>,
     /// Fresh heap allocations (pool misses) since the last drain.
     fresh: AtomicU64,
-    /// Total bytes of pooled storage, counted at class capacity. The
-    /// pool never returns storage to the heap (freed buffers sit on
-    /// the free lists), so this is simultaneously the current device
+    /// Buffers held per size class, on loan or free, sorted by element
+    /// size and length: one per fresh allocation. The pool never
+    /// returns storage to the heap (freed buffers sit on the free
+    /// lists), so their bytes are simultaneously the current device
     /// footprint and its high-water mark — the memory-admission
     /// headroom gauge reported as
     /// [`LaunchStats::pool_peak_bytes`](crate::stats::LaunchStats).
-    bytes: AtomicU64,
+    held: Mutex<Vec<PoolClass>>,
+}
+
+/// Buffers a device's pool holds in one size class, on loan or free
+/// (see [`Device::pool_classes`](crate::exec::Device::pool_classes)).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PoolClass {
+    /// Element size: 4 for `u32` buffers, 8 for `u64` buffers.
+    pub elem_bytes: usize,
+    /// Elements per buffer of the class (a power of two).
+    pub len: usize,
+    /// Buffers of the class the pool holds.
+    pub buffers: u64,
+}
+
+impl PoolClass {
+    /// Bytes the class's buffers occupy.
+    pub fn bytes(&self) -> u64 {
+        (self.elem_bytes * self.len) as u64 * self.buffers
+    }
 }
 
 /// Whether an acquired buffer must come back zeroed (the `named`
@@ -63,9 +83,33 @@ impl BufferPool {
         self.fresh.swap(0, Ordering::Relaxed)
     }
 
-    /// Peak bytes of pooled buffer storage (see the `bytes` field).
+    /// Peak bytes of pooled buffer storage, counted at class capacity
+    /// (see the `held` field).
     pub(crate) fn peak_bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
+        self.held.lock().iter().map(PoolClass::bytes).sum()
+    }
+
+    /// Every size class the pool holds buffers in, sorted by element
+    /// size and length.
+    pub(crate) fn classes(&self) -> Vec<PoolClass> {
+        self.held.lock().clone()
+    }
+
+    /// Count one fresh buffer of `len` elements of `elem_bytes`.
+    fn grow(&self, elem_bytes: usize, len: usize) {
+        self.fresh.fetch_add(1, Ordering::Relaxed);
+        let mut held = self.held.lock();
+        match held.binary_search_by_key(&(elem_bytes, len), |c| (c.elem_bytes, c.len)) {
+            Ok(i) => held[i].buffers += 1,
+            Err(i) => held.insert(
+                i,
+                PoolClass {
+                    elem_bytes,
+                    len,
+                    buffers: 1,
+                },
+            ),
+        }
     }
 
     fn acquire_u32(&self, len: usize, init: Init) -> (Vec<AtomicU32>, usize) {
@@ -84,8 +128,7 @@ impl BufferPool {
                 (data, class)
             }
             None => {
-                self.fresh.fetch_add(1, Ordering::Relaxed);
-                self.bytes.fetch_add(class as u64 * 4, Ordering::Relaxed);
+                self.grow(4, class);
                 let mut data = Vec::with_capacity(class);
                 data.resize_with(len, || AtomicU32::new(0));
                 (data, class)
@@ -108,8 +151,7 @@ impl BufferPool {
                 (data, class)
             }
             None => {
-                self.fresh.fetch_add(1, Ordering::Relaxed);
-                self.bytes.fetch_add(class as u64 * 8, Ordering::Relaxed);
+                self.grow(8, class);
                 let mut data = Vec::with_capacity(class);
                 data.resize_with(len, || AtomicU64::new(0));
                 (data, class)
@@ -256,6 +298,36 @@ mod tests {
         assert_eq!(pool.peak_bytes(), 512, "reuse does not grow the pool");
         drop(pool.get_u64(10, "c", Init::Zeroed)); // class 16 → 128 B
         assert_eq!(pool.peak_bytes(), 512 + 128);
+    }
+
+    #[test]
+    fn classes_count_every_buffer_held() {
+        let pool = BufferPool::default();
+        {
+            // Two 128-class u32 buffers at once, then one reused.
+            let _a = pool.get_u32(100, "a", Init::Zeroed);
+            let _b = pool.get_u32(128, "b", Init::Uninit);
+        }
+        drop(pool.get_u32(120, "c", Init::Zeroed));
+        drop(pool.get_u64(128, "d", Init::Zeroed));
+        let classes = pool.classes();
+        assert_eq!(
+            classes,
+            vec![
+                PoolClass {
+                    elem_bytes: 4,
+                    len: 128,
+                    buffers: 2
+                },
+                PoolClass {
+                    elem_bytes: 8,
+                    len: 128,
+                    buffers: 1
+                },
+            ],
+            "u32 and u64 buffers of equal length are separate classes"
+        );
+        assert_eq!(pool.peak_bytes(), 2 * 128 * 4 + 128 * 8);
     }
 
     #[test]

@@ -74,6 +74,23 @@ const SCAN_CHUNK: usize = 4096;
 /// Threads per block for the device-wide scan kernels.
 const SCAN_BLOCK_DIM: usize = 256;
 
+/// Element counts of the chunk-sum buffers [`device_exclusive_scan`]
+/// takes from the device's pool to scan `n` elements, one per level of
+/// its recursion, outermost first. All are held at once: what a
+/// device-memory estimate must reserve for the scan.
+pub fn device_scan_sums(mut n: usize) -> Vec<usize> {
+    let mut lens = Vec::new();
+    while n > 0 {
+        let chunks = n.div_ceil(SCAN_CHUNK);
+        lens.push(chunks);
+        if chunks == 1 {
+            break;
+        }
+        n = chunks;
+    }
+    lens
+}
+
 /// In-place device-wide **exclusive** scan of a global buffer:
 /// `buf[i] ← Σ_{j<i} buf[j]`. Returns the accumulated launch stats of
 /// all passes. This is `GPUPrefixSum(ptrs)` from Algorithm 1.
@@ -272,6 +289,27 @@ mod tests {
             assert_eq!(buf.to_vec(), host_exclusive(&input), "n = {n}");
             assert!(stats.launches >= 1);
             assert!(stats.global_mem_ops > 0);
+        }
+    }
+
+    #[test]
+    fn device_scan_sums_are_what_the_scan_takes_from_the_pool() {
+        for n in [0, 1, 5, SCAN_CHUNK, SCAN_CHUNK + 1, 300 * SCAN_CHUNK] {
+            let device = device();
+            let buf = GpuU32::new(n);
+            device_exclusive_scan(&device, &buf);
+            let mut taken: Vec<usize> = device
+                .pool_classes()
+                .iter()
+                .flat_map(|c| std::iter::repeat_n(c.len, c.buffers as usize))
+                .collect();
+            taken.sort_unstable();
+            let mut sums: Vec<usize> = device_scan_sums(n)
+                .into_iter()
+                .map(|len| len.next_power_of_two())
+                .collect();
+            sums.sort_unstable();
+            assert_eq!(taken, sums, "n = {n}");
         }
     }
 

@@ -191,8 +191,11 @@ impl Drop for Session {
     }
 }
 
+/// `true` while a [`Session`] is live on any thread. A caller that
+/// would spread launches over several threads keeps them on one while
+/// this holds, so the session sees every launch.
 #[inline]
-pub(crate) fn enabled() -> bool {
+pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 

@@ -144,6 +144,41 @@ fn sanitize_flag_reports_clean_run() {
 }
 
 #[test]
+fn sanitize_flag_sees_the_launches_of_sharded_runs() {
+    let dir = std::env::temp_dir().join("gpumem-cli-test-sanitize-shards");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (ref_fa, query_fa) = write_pair(&dir);
+
+    let out = cli()
+        .args([
+            "run",
+            "--tool",
+            "gpumem",
+            "--min-len",
+            "25",
+            "--seed-len",
+            "8",
+            "--shards",
+            "2",
+            "--sanitize",
+            ref_fa.as_str(),
+            query_fa.as_str(),
+        ])
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "sanitized sharded run failed: {err}");
+    assert!(err.contains("0 hazard(s)"), "expected clean report: {err}");
+    let launches: u64 = err
+        .split("sanitizer: ")
+        .nth(1)
+        .and_then(|rest| rest.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no launch count in report: {err}"));
+    assert!(launches > 0, "the session saw no shard launch: {err}");
+}
+
+#[test]
 fn bad_usage_fails_cleanly() {
     let out = cli().arg("only-one-file.fa").output().expect("binary runs");
     assert!(!out.status.success());

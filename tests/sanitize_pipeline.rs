@@ -3,9 +3,10 @@
 //! match kernels (generate/combine/expand/balance inside
 //! `match.blocks`), the tile merge, plus the compact builder's pack +
 //! tile-merge sort — runs under an active sanitizer session on a smoke
-//! dataset with **zero hazards**.
+//! dataset with **zero hazards**, and the session sees every launch of
+//! runs whose tile rows would otherwise spread over host threads.
 
-use gpumem::core::{Gpumem, GpumemConfig};
+use gpumem::core::{Engine, Gpumem, GpumemConfig, GpumemStats, RunOptions, RunRequest};
 use gpumem::index::{build_compact_gpu, build_gpu, Region};
 use gpumem::seq::{GenomeModel, MutationModel, PackedSeq};
 use gpumem::sim::sanitizer::Session;
@@ -141,6 +142,67 @@ fn work_stealing_pipeline_is_hazard_free_under_sanitizer() {
         sanitized.mems, baseline.mems,
         "knob stack changed the MEM set"
     );
+}
+
+/// The golden default configuration: a 2 × 2 tile grid on the smoke
+/// pair, so a run has two tile rows to spread over host threads.
+fn two_row_config() -> GpumemConfig {
+    GpumemConfig::builder(25)
+        .seed_len(6)
+        .threads_per_block(64)
+        .blocks_per_tile(2)
+        .build()
+        .expect("valid config")
+}
+
+fn launches(stats: &GpumemStats) -> u64 {
+    stats.index.launches + stats.matching.launches
+}
+
+#[test]
+fn session_sees_every_launch_of_a_multi_row_run() {
+    let (reference, query) = smoke_pair();
+    let gpumem = Gpumem::with_device(two_row_config(), Device::new(DeviceSpec::test_tiny()));
+
+    let session = Session::start();
+    let result = gpumem.run(&reference, &query).unwrap();
+    let report = session.finish();
+
+    assert_eq!(result.stats.rows, 2, "the run must span two tile rows");
+    assert!(report.is_clean(), "pipeline hazards:\n{report}");
+    assert_eq!(
+        u64::from(report.launches),
+        launches(&result.stats),
+        "{report}"
+    );
+}
+
+#[test]
+fn session_sees_every_launch_of_a_sharded_engine_run() {
+    let (reference, query) = smoke_pair();
+    let engine = Engine::builder(reference)
+        .config(two_row_config())
+        .spec(DeviceSpec::test_tiny())
+        .build()
+        .expect("engine builds");
+    let options = RunOptions {
+        shards: 2,
+        ..RunOptions::default()
+    };
+
+    let session = Session::start();
+    let out = engine
+        .execute(&RunRequest::query(&query).options(options))
+        .pop()
+        .expect("one query yields one output")
+        .expect("sharded run succeeds");
+    let report = session.finish();
+
+    let stats = &out.result.stats;
+    assert_eq!(stats.shard_matching.len(), 2);
+    assert!(launches(stats) > 0, "the cold session builds its rows");
+    assert!(report.is_clean(), "sharded pipeline hazards:\n{report}");
+    assert_eq!(u64::from(report.launches), launches(stats), "{report}");
 }
 
 #[test]

@@ -132,7 +132,7 @@ impl FmIndex {
     }
 
     /// Text position of the suffix at `row`, via LF-walking to the
-    /// nearest sampled row (at most [`RATE`] steps).
+    /// nearest sampled row (at most `RATE` steps).
     pub fn locate(&self, row: usize) -> u32 {
         let mut row = row;
         let mut steps = 0u32;

@@ -43,15 +43,6 @@
 //! `seedmode_l{25,100,300}` objects whose `modeled_ratio` is the
 //! ref/dual modeled-match-time quotient.
 //!
-//! A `skewed` scenario measures the SaLoBa-style locality/balance
-//! knobs where they matter: a repeat-heavy pair (planted repeat family
-//! plus a homopolymer run, so a few seed codes own most of the
-//! occurrence mass) runs under the default configuration and under the
-//! tuned stack — mass-descending tile scheduling + persistent-block
-//! work stealing + shared-memory query staging — asserting identical
-//! MEM sets and recording modeled match time, warp efficiency, and
-//! divergence rate for both, plus the tuned run's steal count.
-//!
 //! With `GPUMEM_BENCH_CHECK=1`, compares the fresh report with the
 //! tracked baseline — the CI bench-smoke gate. The simulator is
 //! deterministic, so every modeled and count field (`EXACT_FIELDS`:
@@ -63,7 +54,7 @@
 //! 0.20). Any failure exits non-zero.
 //!
 //! Every run also appends one compact JSON line of headline numbers
-//! (`wall_s`, `match_wall_s`, `qps_batch`, the three modeled ratios,
+//! (`wall_s`, `match_wall_s`, `qps_batch`, the two modeled ratios,
 //! `mems`, a unix `ts`, and the `git_sha`, `rustc` and `nproc` that tell
 //! machines and builds apart) to `results/bench_history.jsonl`
 //! (override with `GPUMEM_BENCH_HISTORY`). The accumulated trajectory
@@ -103,13 +94,6 @@ const BATCH_QUERY_LEN: usize = 2_000;
 /// query-probe count, so it grows with `L`.
 const SEEDMODE_LS: &[u32] = &[25, 100, 300];
 const SEEDMODE_REF_LEN: usize = 40_000;
-
-/// Skewed-load scenario: a repeat family + homopolymer run concentrate
-/// seed-occurrence mass on a few codes, the Fig. 6 skew the
-/// locality/balance knobs target.
-const SKEW_REF_LEN: usize = 30_000;
-const SKEW_MOTIF_LEN: usize = 400;
-const SKEW_MOTIF_COPIES: usize = 24;
 
 fn dataset() -> (PackedSeq, PackedSeq) {
     let reference = GenomeModel::mammalian().generate(REF_LEN, DATA_SEED);
@@ -257,95 +241,6 @@ fn measure_seedmode(l: u32, reference: &PackedSeq, query: &PackedSeq) -> SeedMod
         ref_modeled_match_s: ref_result.stats.matching.modeled_secs(),
         dual_modeled_match_s: dual_result.stats.matching.modeled_secs(),
         mems: ref_result.mems.len(),
-    }
-}
-
-/// A repeat-heavy pair: one motif spliced into many reference
-/// locations plus a homopolymer run, queried by a mutated copy. A few
-/// seed codes own most of the occurrence mass, so static per-round
-/// splits leave stragglers for the queue to steal from.
-fn skewed_pair() -> (PackedSeq, PackedSeq) {
-    let mut codes = GenomeModel::mammalian()
-        .generate(SKEW_REF_LEN, DATA_SEED + 4)
-        .to_codes();
-    let motif = GenomeModel::mammalian()
-        .generate(SKEW_MOTIF_LEN, DATA_SEED + 5)
-        .to_codes();
-    for copy in 0..SKEW_MOTIF_COPIES {
-        let at = 1_000 + copy * ((SKEW_REF_LEN - 2_000) / SKEW_MOTIF_COPIES);
-        codes[at..at + SKEW_MOTIF_LEN].copy_from_slice(&motif);
-    }
-    for slot in codes[200..800].iter_mut() {
-        *slot = 1; // homopolymer: one seed code, 600 locations
-    }
-    let reference = PackedSeq::from_codes(&codes);
-    let query = {
-        let model = MutationModel {
-            sub_rate: 0.02,
-            indel_rate: 0.002,
-        };
-        let mut rng = StdRng::seed_from_u64(DATA_SEED + 6);
-        PackedSeq::from_codes(&model.apply(&codes, &mut rng))
-    };
-    (reference, query)
-}
-
-/// One measurement of the skewed-load scenario: default configuration
-/// versus the tuned locality/balance stack on the same pair.
-struct SkewSample {
-    base_wall_s: f64,
-    tuned_wall_s: f64,
-    base_modeled_match_s: f64,
-    tuned_modeled_match_s: f64,
-    base_warp_efficiency: f64,
-    tuned_warp_efficiency: f64,
-    base_divergence_rate: f64,
-    tuned_divergence_rate: f64,
-    steal_events: u64,
-    mems: usize,
-}
-
-fn measure_skewed(reference: &PackedSeq, query: &PackedSeq) -> SkewSample {
-    let build = |tuned: bool| {
-        let mut builder = GpumemConfig::builder(MIN_LEN)
-            .seed_len(SEED_LEN)
-            .threads_per_block(THREADS_PER_BLOCK)
-            .blocks_per_tile(BLOCKS_PER_TILE);
-        if tuned {
-            builder = builder
-                .schedule_policy(gpumem_core::SchedulePolicy::MassDescending)
-                .work_stealing(true)
-                .query_staging(true);
-        }
-        Gpumem::new(builder.build().expect("valid skewed config"))
-    };
-    let run = |tuned: bool| {
-        let gpumem = build(tuned);
-        let start = Instant::now();
-        let result = gpumem.run(reference, query).expect("skewed workload fits");
-        (start.elapsed().as_secs_f64(), result)
-    };
-    let (base_wall_s, base) = run(false);
-    let (tuned_wall_s, tuned) = run(true);
-    assert_eq!(
-        base.mems, tuned.mems,
-        "locality/balance knobs must not change the MEM set"
-    );
-    assert!(
-        tuned.stats.matching.steal_events > 0,
-        "skewed workload must exercise the steal queue"
-    );
-    SkewSample {
-        base_wall_s,
-        tuned_wall_s,
-        base_modeled_match_s: base.stats.matching.modeled_secs(),
-        tuned_modeled_match_s: tuned.stats.matching.modeled_secs(),
-        base_warp_efficiency: base.stats.matching.warp_efficiency(32),
-        tuned_warp_efficiency: tuned.stats.matching.warp_efficiency(32),
-        base_divergence_rate: base.stats.matching.divergence_rate(),
-        tuned_divergence_rate: tuned.stats.matching.divergence_rate(),
-        steal_events: tuned.stats.matching.steal_events,
-        mems: base.mems.len(),
     }
 }
 
@@ -550,37 +445,6 @@ fn render_sharded(sample: &ShardedSample) -> String {
     )
 }
 
-fn render_skewed(sample: &SkewSample) -> String {
-    format!(
-        concat!(
-            "{{\n",
-            "    \"base_wall_s\": {:.4},\n",
-            "    \"tuned_wall_s\": {:.4},\n",
-            "    \"base_modeled_match_s\": {:.6},\n",
-            "    \"tuned_modeled_match_s\": {:.6},\n",
-            "    \"modeled_ratio\": {:.2},\n",
-            "    \"base_warp_efficiency\": {:.4},\n",
-            "    \"tuned_warp_efficiency\": {:.4},\n",
-            "    \"base_divergence_rate\": {:.6},\n",
-            "    \"tuned_divergence_rate\": {:.6},\n",
-            "    \"steal_events\": {},\n",
-            "    \"mems\": {}\n",
-            "  }}"
-        ),
-        sample.base_wall_s,
-        sample.tuned_wall_s,
-        sample.base_modeled_match_s,
-        sample.tuned_modeled_match_s,
-        sample.base_modeled_match_s / sample.tuned_modeled_match_s,
-        sample.base_warp_efficiency,
-        sample.tuned_warp_efficiency,
-        sample.base_divergence_rate,
-        sample.tuned_divergence_rate,
-        sample.steal_events,
-        sample.mems,
-    )
-}
-
 fn render_seedmode(sample: &SeedModeSample) -> String {
     format!(
         concat!(
@@ -685,7 +549,6 @@ fn render(sample: &Sample, breakdown: &ModeledBreakdown) -> String {
             "    \"warp_efficiency\": {:.4},\n",
             "    \"divergence_rate\": {:.6},\n",
             "    \"block_occupancy\": {:.4},\n",
-            "    \"steal_events\": {},\n",
             "    \"pool_allocs\": {},\n",
             "    \"launches\": {},\n",
             "    \"mems\": {}\n",
@@ -702,7 +565,6 @@ fn render(sample: &Sample, breakdown: &ModeledBreakdown) -> String {
         s.matching.warp_efficiency(32),
         s.matching.divergence_rate(),
         s.matching.block_occupancy(),
-        s.matching.steal_events,
         s.index.pool_allocs + s.matching.pool_allocs,
         s.index.launches + s.matching.launches,
         sample.mems,
@@ -863,7 +725,6 @@ const EXACT_FIELDS: &[(&str, &[&str])] = &[
             "warp_efficiency",
             "divergence_rate",
             "block_occupancy",
-            "steal_events",
             "launches",
             "mems",
         ],
@@ -875,20 +736,6 @@ const EXACT_FIELDS: &[(&str, &[&str])] = &[
     ("seedmode_l25", SEEDMODE_EXACT),
     ("seedmode_l100", SEEDMODE_EXACT),
     ("seedmode_l300", SEEDMODE_EXACT),
-    (
-        "skewed",
-        &[
-            "base_modeled_match_s",
-            "tuned_modeled_match_s",
-            "modeled_ratio",
-            "base_warp_efficiency",
-            "tuned_warp_efficiency",
-            "base_divergence_rate",
-            "tuned_divergence_rate",
-            "steal_events",
-            "mems",
-        ],
-    ),
     (
         "registry",
         &[
@@ -1090,31 +937,11 @@ fn main() {
         breakdown.combine_s * 1e3,
     );
     eprintln!(
-        "device counters: warp efficiency {:.3}, divergence rate {:.4}, block occupancy {:.3}, {} steals",
+        "device counters: warp efficiency {:.3}, divergence rate {:.4}, block occupancy {:.3}",
         best.stats.matching.warp_efficiency(32),
         best.stats.matching.divergence_rate(),
         best.stats.matching.block_occupancy(),
-        best.stats.matching.steal_events,
     );
-
-    // Skewed-load scenario: the locality/balance knobs against their
-    // target workload. Modeled time is deterministic, so one run per
-    // configuration suffices; modeled_ratio is what the gate tracks.
-    let skewed = {
-        let (skew_ref, skew_query) = skewed_pair();
-        let sample = measure_skewed(&skew_ref, &skew_query);
-        eprintln!(
-            "skewed: tuned modeled match {:.3} ms vs base {:.3} ms ({:.2}x), warp eff {:.3} -> {:.3}, {} steals, {} MEMs",
-            sample.tuned_modeled_match_s * 1e3,
-            sample.base_modeled_match_s * 1e3,
-            sample.base_modeled_match_s / sample.tuned_modeled_match_s,
-            sample.base_warp_efficiency,
-            sample.tuned_warp_efficiency,
-            sample.steal_events,
-            sample.mems,
-        );
-        sample
-    };
 
     // Registry scenario: zipf traffic over K references under a byte
     // budget — hit rate and eviction churn are the tracked outputs.
@@ -1202,7 +1029,6 @@ fn main() {
             "  \"seedmode_l25\": {},\n",
             "  \"seedmode_l100\": {},\n",
             "  \"seedmode_l300\": {},\n",
-            "  \"skewed\": {},\n",
             "  \"registry\": {},\n",
             "  \"sharded\": {},\n",
             "  \"speedup_wall\": {:.2}\n",
@@ -1224,7 +1050,6 @@ fn main() {
         render_seedmode(&seedmode[0]),
         render_seedmode(&seedmode[1]),
         render_seedmode(&seedmode[2]),
-        render_skewed(&skewed),
         render_registry(&registry_sample),
         render_sharded(&sharded_sample),
         before_wall / best.wall_s,
@@ -1264,7 +1089,7 @@ fn main() {
         concat!(
             "{{\"ts\":{},\"git_sha\":\"{}\",\"rustc\":\"{}\",\"nproc\":{},",
             "\"wall_s\":{:.6},\"match_wall_s\":{:.6},\"qps_batch\":{:.3},",
-            "\"seedmode_l300_modeled_ratio\":{:.4},\"skewed_modeled_ratio\":{:.4},",
+            "\"seedmode_l300_modeled_ratio\":{:.4},",
             "\"sharded_modeled_ratio\":{:.4},\"mems\":{}}}"
         ),
         ts,
@@ -1275,7 +1100,6 @@ fn main() {
         best.stats.match_wall.as_secs_f64(),
         BATCH_QUERIES as f64 / batch_best.batch_wall_s,
         l300.ref_modeled_match_s / l300.dual_modeled_match_s,
-        skewed.base_modeled_match_s / skewed.tuned_modeled_match_s,
         sharded_sample.single_modeled_match_s / sharded_sample.max_shard_modeled_match_s,
         best.mems,
     ));

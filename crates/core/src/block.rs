@@ -12,39 +12,10 @@
 //! steps of §III-B: load balancing, triplet generation with right
 //! extension, the tree combine, and per-base expansion with
 //! in-/out-block classification.
-//!
-//! Two SaLoBa-style locality/balance variants ride on top of the
-//! paper's kernel, both off by default and both output-preserving:
-//!
-//! * **shared-memory query staging** ([`stage_query_window`]): the
-//!   block cooperatively copies the packed words of its query window
-//!   into the shared-memory arena once, then every seed read and every
-//!   query-side LCE word during generation/expansion is charged at
-//!   shared- instead of global-memory cost;
-//! * **persistent-block work stealing** (`generate_stealing` /
-//!   `expand_stealing`): the round's work is *flattened* — a scan over
-//!   the τ bucket loads turns (slot, occurrence) pairs into one dense
-//!   index space — and published on the block's [`WorkQueue`] segment
-//!   as up to 2τ count-equal contiguous chunks, drained in waves (one
-//!   pop per lane per SIMT region, a host-side `pending` check standing
-//!   in for the barrier between waves). A lane that pops a chunk owned
-//!   by a different lane under the even static split records a steal.
-//!   Generation only engages the queue on rounds heavy enough to
-//!   amortize the atomic traffic (see `QUEUE_MIN_LANE_SHARE`) — light
-//!   rounds keep Algorithm 2's split, whose integer granularity is
-//!   already near-ideal there. Expansion is *deferred*: every round's
-//!   post-combine triplets stay in the global triplet arena and one
-//!   block-wide drain expands them after the sweep, so the queue
-//!   rebalances the survivor distribution — which the static split,
-//!   frozen from pre-combine loads, models poorly — at one reset/fill
-//!   per block instead of per round. The tree combine keeps
-//!   Algorithm 2's balanced groups (its conflict-free schedule is
-//!   built from them), so `load_balancing` stays meaningful in
-//!   stealing mode.
 
 use std::ops::Range;
 
-use gpu_sim::{BlockCtx, Lane, Op, RegionCharge, SharedArena, WorkQueue};
+use gpu_sim::{BlockCtx, Op, RegionCharge};
 use gpumem_index::{SeedCodec, SeedLookup};
 use gpumem_seq::{Mem, PackedSeq};
 
@@ -69,15 +40,14 @@ pub struct BlockOutput {
 /// these across every block of every tile, so repeated launches stop
 /// allocating (blocks execute sequentially — see the `gpu_sim::exec`
 /// docs — so a single scratch serves the whole grid). It also keeps
-/// the recorded charges the kernel replays (DESIGN.md §8): 2(τ + 1) for
+/// the recorded charges the kernel replays (DESIGN.md §8): τ + 1 for
 /// the seed lookup, and in its balance and combine scratch one for the
 /// scans, one per slot for each of the single-seed balance and combine,
 /// and ⌈τ/warp⌉ + 1 for dead combine iterations.
 pub struct BlockScratch {
     tau: usize,
-    /// `seed_lookup[2·n + s]`: charge of the seed-lookup region when the
-    /// first `n` slots hold a seed and `s` says whether the query window
-    /// is staged, under the lookup overhead `lookup_overhead`.
+    /// `seed_lookup[n]`: charge of the seed-lookup region when the first
+    /// `n` slots hold a seed, under the lookup overhead `lookup_overhead`.
     seed_lookup: Vec<Option<RegionCharge>>,
     lookup_overhead: u64,
     q_of_slot: Vec<Option<usize>>,
@@ -87,12 +57,6 @@ pub struct BlockScratch {
     assignment: Assignment,
     balance: BalanceScratch,
     combine: CombineScratch,
-    /// Flattened-offset scan of the round's bucket loads (τ+1 entries),
-    /// the slot→flat-index map of the stealing drain.
-    prefix: Vec<usize>,
-    /// Stealing mode's deferred-expansion arena: every round's
-    /// post-combine triplets, drained once per block.
-    deferred: Vec<Mem>,
 }
 
 impl BlockScratch {
@@ -101,7 +65,7 @@ impl BlockScratch {
     pub fn new(tau: usize) -> BlockScratch {
         BlockScratch {
             tau,
-            seed_lookup: vec![None; 2 * (tau + 1)],
+            seed_lookup: vec![None; tau + 1],
             lookup_overhead: 0,
             q_of_slot: vec![None; tau],
             codes: vec![None; tau],
@@ -110,13 +74,11 @@ impl BlockScratch {
             assignment: Assignment::default(),
             balance: BalanceScratch::default(),
             combine: CombineScratch::new(tau),
-            prefix: vec![0; tau + 1],
-            deferred: Vec::new(),
         }
     }
 
     /// Number of recorded charges this scratch holds; never more than
-    /// 2(τ + 1) + 2τ + 1 + ⌈τ/warp⌉ + 1.
+    /// (τ + 1) + 2τ + 1 + ⌈τ/warp⌉ + 1.
     pub fn recordings(&self) -> usize {
         self.seed_lookup.iter().flatten().count()
             + self.balance.recordings()
@@ -135,93 +97,11 @@ pub fn encode_query_seeds(query: &PackedSeq, seed_len: usize, codes: &mut Vec<u3
     codes.extend((0..n).map(|q| codec.encode(query, q).expect("seed fits the query")));
 }
 
-/// Generation engages the queue only when the round carries at least
-/// this many flat elements per lane; below it the fixed queue traffic
-/// (a reset, ~2 atomics per lane, the scan) outweighs what dynamic
-/// chunking can recover from Algorithm 2's integer granularity.
-const QUEUE_MIN_LANE_SHARE: usize = 8;
-
-/// Flat-chunk size for one stealing drain: each queue item covers a
-/// contiguous `chunk`-element range of the flattened work list, sized
-/// for ~2 chunks per lane — fine enough that whole chunks can shift
-/// between lanes, coarse enough that one push+pop (two atomics) stays
-/// amortized over the chunk's work.
-#[inline]
-fn chunk_size(total: usize, tau: usize) -> usize {
-    total.div_ceil(2 * tau).max(8)
-}
-
-/// Per-lane share of the even static split — the owner baseline that
-/// decides which pops count as steals.
-#[inline]
-fn static_share(total: usize, tau: usize) -> usize {
-    total.div_ceil(tau).max(1)
-}
-
-/// The lane that would own chunk `j`'s first element under the even
-/// static split; a different popping lane has stolen the chunk.
-#[inline]
-fn home_lane(j: usize, chunk: usize, share: usize, tau: usize) -> usize {
-    ((j * chunk) / share).min(tau - 1)
-}
-
-/// Queue-segment capacity that [`chunk_size`] can never overflow:
-/// `ceil(total / chunk) ≤ 2τ` because `chunk ≥ total / 2τ`.
-pub fn steal_queue_capacity(tau: usize) -> usize {
-    2 * tau
-}
-
-/// Cooperatively copy the packed words covering `window` of `query`
-/// into the block's shared-memory arena (the "stage" phase). Returns
-/// `false` when the window does not fit the arena — the block then
-/// falls back to global-memory accounting, matching a real kernel that
-/// disables staging when the tile exceeds shared memory.
-pub(crate) fn stage_query_window(
-    ctx: &mut BlockCtx<'_>,
-    query: &PackedSeq,
-    arena: &mut SharedArena,
-    window: Range<usize>,
-) -> bool {
-    arena.reset();
-    if window.is_empty() {
-        return false;
-    }
-    let words = window.len().div_ceil(32);
-    let Some(buf) = arena.try_alloc(words) else {
-        return false;
-    };
-    ctx.phase("stage");
-    let tau = ctx.block_dim;
-    ctx.simt(|lane| {
-        let mut global_loads = 0u64;
-        let mut j = lane.tid;
-        while j < words {
-            // One coalesced global read per packed word; the word is
-            // rebuilt from the 2-bit codes it covers and parked in
-            // shared memory for the whole block sweep.
-            global_loads += 1;
-            let base = window.start + j * 32;
-            let span = 32.min(window.end - base);
-            let mut word = 0u64;
-            for b in 0..span {
-                word |= (query.code(base + b) as u64) << (2 * b);
-            }
-            arena.store(lane, &buf, j, word);
-            j += tau;
-        }
-        lane.charge(Op::GlobalLoad, global_loads);
-    });
-    true
-}
-
 /// Process one block inside a launched kernel, appending its results
 /// to `output`.
 ///
 /// `query_codes` holds the query's seed codes from
-/// [`encode_query_seeds`]. `queue` selects the persistent-block
-/// stealing variant of the generation and expansion steps; `arena`
-/// enables shared-memory query staging. Both `None` reproduce the
-/// paper's kernel byte for byte.
+/// [`encode_query_seeds`].
 #[allow(clippy::too_many_arguments)]
 pub fn process_block(
     ctx: &mut BlockCtx<'_>,
@@ -232,8 +112,6 @@ pub fn process_block(
     config: &GpumemConfig,
     row_range: Range<usize>,
     block_q: Range<usize>,
-    queue: Option<&WorkQueue>,
-    arena: Option<&mut SharedArena>,
     scratch: &mut BlockScratch,
     output: &mut BlockOutput,
 ) {
@@ -255,17 +133,6 @@ pub fn process_block(
         return;
     }
 
-    // Stage the block's query window — seeds read up to ℓs past the
-    // block edge and generation extends up to `cap`, so the window runs
-    // that far beyond the block (cap ≥ ℓs by construction).
-    let staged = match arena {
-        Some(arena) => {
-            let window = block_q.start..(block_q.end + cap).min(query.len());
-            stage_query_window(ctx, query, arena, window)
-        }
-        None => false,
-    };
-
     let BlockScratch {
         seed_lookup,
         lookup_overhead,
@@ -276,11 +143,8 @@ pub fn process_block(
         assignment,
         balance: balance_scratch,
         combine: combine_scratch,
-        prefix,
-        deferred,
         ..
     } = scratch;
-    deferred.clear();
     // Seed-lookup charges include the index layout's lookup overhead,
     // which the compact index sets per row: recordings made under
     // another overhead are dropped, never replayed.
@@ -307,19 +171,14 @@ pub fn process_block(
         // charge depends only on whether its slot is valid. The region
         // charges; its results — each slot's bucket load and, when any
         // is non-zero, location and seed code — come from the host, and
-        // the charge is replayed once recorded for this prefix length
-        // and staging.
+        // the charge is replayed once recorded for this prefix length.
         let q0 = block_q.start + round;
         let n_valid = probe_end.saturating_sub(q0).div_ceil(w).min(tau);
         ctx.phase("seed_lookup");
-        ctx.replay_or_record(&mut seed_lookup[2 * n_valid + usize::from(staged)], |ctx| {
+        ctx.replay_or_record(&mut seed_lookup[n_valid], |ctx| {
             ctx.simt(|lane| {
                 lane.charge(Op::Alu, 3); // the slot's location and validity
-                if staged {
-                    lane.shared(1); // seed served from the staged window
-                } else {
-                    lane.charge(Op::GlobalLoad, 1); // read the seed
-                }
+                lane.charge(Op::GlobalLoad, 1); // read the seed
                 if lane.tid < n_valid {
                     lane.charge(Op::GlobalLoad, 2 + overhead); // bucket bounds
                 }
@@ -340,8 +199,7 @@ pub fn process_block(
             codes[k] = q_of_slot[k].map(|q| query_codes[q]);
         }
 
-        // Step 1: proactive load balancing (Algorithm 2). Stealing mode
-        // still runs it — the tree combine schedules over its groups.
+        // Step 1: proactive load balancing (Algorithm 2).
         ctx.phase("balance");
         balance_into(
             ctx,
@@ -354,49 +212,24 @@ pub fn process_block(
             continue;
         }
 
-        // Step 2: generate + right-extend triplets. The queue only pays
-        // for itself on heavy rounds; light rounds keep the paper's
-        // balanced split even in stealing mode.
+        // Step 2: generate + right-extend triplets.
         ctx.phase("generate");
         for slot in triplets.iter_mut() {
             slot.clear();
         }
-        let round_work: usize = loads.iter().map(|&l| l as usize).sum();
-        match queue {
-            Some(queue) if round_work >= QUEUE_MIN_LANE_SHARE * tau => generate_stealing(
-                ctx, reference, query, index, queue, q_of_slot, codes, loads, prefix, cap, staged,
-                triplets,
-            ),
-            _ => generate_triplets(
-                ctx, reference, query, index, assignment, q_of_slot, codes, cap, staged, triplets,
-            ),
-        }
+        generate_triplets(
+            ctx, reference, query, index, assignment, q_of_slot, codes, cap, triplets,
+        );
 
         // Step 3: tree combine (Algorithm 3).
         ctx.phase("combine");
         tree_combine_scheduled(ctx, assignment, combine_scratch, triplets);
 
-        // Step 4: expand survivors per base and classify. Stealing mode
-        // defers the whole sweep's expansion to one block-wide drain —
-        // the triplets are already in the global arena (generation
-        // stored them), so deferral costs nothing extra to keep.
-        match queue {
-            Some(_) => deferred.extend(triplets.iter().flatten().copied()),
-            None => {
-                ctx.phase("expand");
-                expand_static(
-                    ctx, reference, query, assignment, &bounds, config, staged, triplets, output,
-                );
-            }
-        }
-    }
-
-    if let Some(queue) = queue {
+        // Step 4: expand survivors per base and classify.
         ctx.phase("expand");
-        expand_stealing(
-            ctx, reference, query, queue, &bounds, config, staged, deferred, output,
+        expand_static(
+            ctx, reference, query, assignment, &bounds, config, triplets, output,
         );
-        deferred.clear();
     }
 }
 
@@ -411,7 +244,6 @@ fn expand_static(
     assignment: &Assignment,
     bounds: &Bounds,
     config: &GpumemConfig,
-    staged: bool,
     triplets: &[Vec<Mem>],
     output: &mut BlockOutput,
 ) {
@@ -440,291 +272,27 @@ fn expand_static(
             }
             i += group.threads.len();
         }
-        charge_lce(lane, lce_loads, lce_compares, staged);
+        lane.charge(Op::GlobalLoad, lce_loads);
+        lane.compare(lce_compares);
         lane.charge(Op::GlobalStore, stores);
     });
-}
-
-/// Post one batch of accumulated LCE charges. With a staged query
-/// window the query-side half of the packed-word reads is shared-memory
-/// traffic; the reference side always comes from global memory.
-#[inline]
-fn charge_lce(lane: &mut Lane<'_>, lce_loads: u64, lce_compares: u64, staged: bool) {
-    if staged {
-        lane.charge(Op::GlobalLoad, lce_loads / 2);
-        lane.shared(lce_loads / 2);
-    } else {
-        lane.charge(Op::GlobalLoad, lce_loads);
-    }
-    lane.compare(lce_compares);
-}
-
-/// Persistent-block triplet generation over the round's flattened work
-/// list: a cooperative scan of the τ bucket loads yields the dense
-/// (slot, occurrence) index space, count-equal contiguous chunks of it
-/// go on the block's queue segment, and the block drains them in waves.
-#[allow(clippy::too_many_arguments)]
-fn generate_stealing(
-    ctx: &mut BlockCtx<'_>,
-    reference: &PackedSeq,
-    query: &PackedSeq,
-    index: &dyn SeedLookup,
-    queue: &WorkQueue,
-    q_of_slot: &[Option<usize>],
-    codes: &[Option<u32>],
-    loads: &[u32],
-    prefix: &mut [usize],
-    cap: usize,
-    staged: bool,
-    triplets: &mut [Vec<Mem>],
-) {
-    let tau = ctx.block_dim;
-    let seg = ctx.block_id % queue.segments();
-    debug_assert_eq!(prefix.len(), tau + 1);
-    prefix[0] = 0;
-    for k in 0..tau {
-        prefix[k + 1] = prefix[k] + loads[k] as usize;
-    }
-    let total = prefix[tau];
-    if total == 0 {
-        return;
-    }
-    let chunk = chunk_size(total, tau);
-    let share = static_share(total, tau);
-    let n_chunks = total.div_ceil(chunk);
-    let scan_steps = tau.trailing_zeros() as u64;
-
-    // Reset the segment in its own region — the barrier every
-    // persistent-block loop needs before refilling its queue.
-    ctx.simt_range(0..1, |lane| queue.reset(lane, seg));
-
-    // Fill: a Hillis–Steele scan over the bucket loads (log₂ τ
-    // shared-memory rounds) publishes the flattened offsets, then the
-    // lanes cooperatively push the chunk ordinals. Capacity cannot
-    // overflow (see `steal_queue_capacity`); if a push is ever rejected
-    // the pushing lane degrades to processing the chunk in place.
-    ctx.simt(|lane| {
-        lane.shared(2 * scan_steps);
-        lane.charge(Op::Alu, scan_steps);
-        let mut j = lane.tid;
-        while j < n_chunks {
-            if !queue.push(lane, seg, j as u32) {
-                debug_assert!(false, "steal queue overflow");
-                let range = j * chunk..total.min((j + 1) * chunk);
-                generate_flat(
-                    lane, reference, query, index, q_of_slot, codes, prefix, range, cap, staged,
-                    triplets,
-                );
-            }
-            j += tau;
-        }
-    });
-
-    // Drain in waves: one pop per lane per region; the host-side
-    // `pending` check between regions models the barrier that
-    // synchronizes waves. With ≤ 2τ chunks the drain closes in two.
-    while queue.pending(seg) > 0 {
-        ctx.simt(|lane| {
-            if let Some(item) = queue.pop(lane, seg) {
-                let j = item as usize;
-                if home_lane(j, chunk, share, tau) != lane.tid {
-                    lane.record_steals(1);
-                }
-                let range = j * chunk..total.min((j + 1) * chunk);
-                generate_flat(
-                    lane, reference, query, index, q_of_slot, codes, prefix, range, cap, staged,
-                    triplets,
-                );
-            }
-        });
-    }
-}
-
-/// Generate the triplets of one flat chunk, mirroring
-/// [`generate_triplets`]'s per-element accounting. The popped ordinal
-/// carries no slot, exactly as a persistent thread rediscovers its
-/// work: a log₂ τ binary search over the scanned offsets finds the
-/// first covered slot, and each slot segment re-reads its bucket
-/// bounds once.
-#[allow(clippy::too_many_arguments)]
-fn generate_flat(
-    lane: &mut Lane<'_>,
-    reference: &PackedSeq,
-    query: &PackedSeq,
-    index: &dyn SeedLookup,
-    q_of_slot: &[Option<usize>],
-    codes: &[Option<u32>],
-    prefix: &[usize],
-    range: Range<usize>,
-    cap: usize,
-    staged: bool,
-    triplets: &mut [Vec<Mem>],
-) {
-    if range.is_empty() {
-        return;
-    }
-    let tau = prefix.len() - 1;
-    lane.shared(tau.trailing_zeros() as u64);
-    lane.compare(tau.trailing_zeros() as u64);
-    let mut slot = prefix.partition_point(|&p| p <= range.start) - 1;
-    let mut flat = range.start;
-    while flat < range.end {
-        // Zero-load slots occupy no flat space; step past them.
-        while prefix[slot + 1] <= flat {
-            slot += 1;
-        }
-        let (Some(q), Some(code)) = (q_of_slot[slot], codes[slot]) else {
-            debug_assert!(false, "nonzero load implies a valid seed");
-            return;
-        };
-        lane.charge(Op::GlobalLoad, 2 + index.lookup_overhead_loads());
-        let bucket = index.lookup(code);
-        let lo = flat - prefix[slot];
-        let hi = (range.end - prefix[slot]).min(bucket.len());
-        let (mut lce_loads, mut lce_compares) = (0u64, 0u64);
-        for &r in &bucket[lo..hi] {
-            let r = r as usize;
-            let len = reference.lce_fwd(r, query, q, cap);
-            debug_assert!(len >= index.seed_len().min(cap));
-            let (loads, compares) = lce_cost(len);
-            lce_loads += loads;
-            lce_compares += compares;
-            triplets[slot].push(Mem {
-                r: r as u32,
-                q: q as u32,
-                len: len as u32,
-            });
-        }
-        let visited = (hi - lo) as u64;
-        lane.charge(Op::GlobalLoad, visited); // locs[j] reads
-        charge_lce(lane, lce_loads, lce_compares, staged);
-        lane.charge(Op::GlobalStore, visited);
-        flat = prefix[slot] + hi;
-        slot += 1;
-    }
-}
-
-/// Persistent-block expansion: one drain over the whole sweep's
-/// deferred post-combine triplets. The static split freezes threads to
-/// pre-combine bucket loads, but the combine absorbs whole chains —
-/// chunking the survivor list directly rebalances on the work that
-/// actually remains, and running once per block amortizes the queue
-/// traffic across every round.
-#[allow(clippy::too_many_arguments)]
-fn expand_stealing(
-    ctx: &mut BlockCtx<'_>,
-    reference: &PackedSeq,
-    query: &PackedSeq,
-    queue: &WorkQueue,
-    bounds: &Bounds,
-    config: &GpumemConfig,
-    staged: bool,
-    deferred: &[Mem],
-    output: &mut BlockOutput,
-) {
-    let tau = ctx.block_dim;
-    let seg = ctx.block_id % queue.segments();
-    let total = deferred.len();
-    if total == 0 {
-        return;
-    }
-    let chunk = chunk_size(total, tau);
-    let share = static_share(total, tau);
-    let n_chunks = total.div_ceil(chunk);
-    ctx.simt_range(0..1, |lane| queue.reset(lane, seg));
-    ctx.simt(|lane| {
-        let mut j = lane.tid;
-        while j < n_chunks {
-            if !queue.push(lane, seg, j as u32) {
-                debug_assert!(false, "steal queue overflow");
-                let range = j * chunk..total.min((j + 1) * chunk);
-                expand_flat(
-                    lane,
-                    reference,
-                    query,
-                    bounds,
-                    config,
-                    staged,
-                    &deferred[range],
-                    output,
-                );
-            }
-            j += tau;
-        }
-    });
-    while queue.pending(seg) > 0 {
-        ctx.simt(|lane| {
-            if let Some(item) = queue.pop(lane, seg) {
-                let j = item as usize;
-                if home_lane(j, chunk, share, tau) != lane.tid {
-                    lane.record_steals(1);
-                }
-                let range = j * chunk..total.min((j + 1) * chunk);
-                expand_flat(
-                    lane,
-                    reference,
-                    query,
-                    bounds,
-                    config,
-                    staged,
-                    &deferred[range],
-                    output,
-                );
-            }
-        });
-    }
-}
-
-/// Expand one flat chunk of the deferred triplet list; combine-absorbed
-/// entries (len 0) pass through for free, as in the static path.
-#[allow(clippy::too_many_arguments)]
-fn expand_flat(
-    lane: &mut Lane<'_>,
-    reference: &PackedSeq,
-    query: &PackedSeq,
-    bounds: &Bounds,
-    config: &GpumemConfig,
-    staged: bool,
-    chunk: &[Mem],
-    output: &mut BlockOutput,
-) {
-    let (mut lce_loads, mut lce_compares, mut stores) = (0u64, 0u64, 0u64);
-    for &mem in chunk {
-        if mem.len > 0 {
-            let (expanded, compared) = expand_within(reference, query, mem, bounds);
-            let (loads, compares) = lce_cost(compared);
-            lce_loads += loads;
-            lce_compares += compares;
-            stores += 1;
-            if expanded.touches_boundary {
-                output.out_block.push(expanded.mem);
-            } else if expanded.mem.len >= config.min_len {
-                output.in_block.push(expanded.mem);
-            }
-        }
-    }
-    charge_lce(lane, lce_loads, lce_compares, staged);
-    lane.charge(Op::GlobalStore, stores);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::{Device, DeviceSpec, LaunchConfig, LaunchStats};
+    use gpu_sim::{Device, DeviceSpec, LaunchConfig};
     use gpumem_index::{build_sequential, Region};
     use gpumem_seq::{canonicalize, is_maximal_exact, naive_mems, GenomeModel};
     use parking_lot::Mutex;
 
     /// Run a single block covering the whole query against the whole
-    /// reference (one row, one block), optionally with the stealing
-    /// queue and/or the staging arena.
-    fn run_block_variant(
+    /// reference (one row, one block).
+    fn run_single_block(
         reference: &PackedSeq,
         query: &PackedSeq,
         config: &GpumemConfig,
-        stealing: bool,
-        staging: bool,
-    ) -> (BlockOutput, LaunchStats) {
+    ) -> BlockOutput {
         let index = build_sequential(
             reference,
             Region::whole(reference),
@@ -734,16 +302,8 @@ mod tests {
         let device = Device::new(DeviceSpec::test_tiny());
         let mut query_codes = Vec::new();
         encode_query_seeds(query, config.seed_len, &mut query_codes);
-        let queue = stealing.then(|| {
-            WorkQueue::new(
-                1,
-                steal_queue_capacity(config.threads_per_block),
-                "test.steal",
-            )
-        });
         let out = Mutex::new(BlockOutput::default());
-        let stats = device.launch_fn(LaunchConfig::new(1, config.threads_per_block), |ctx| {
-            let mut arena = staging.then(|| SharedArena::new(device.spec().shared_mem_per_block));
+        device.launch_fn(LaunchConfig::new(1, config.threads_per_block), |ctx| {
             let mut scratch = BlockScratch::new(config.threads_per_block);
             let mut block_out = BlockOutput::default();
             process_block(
@@ -755,22 +315,12 @@ mod tests {
                 config,
                 0..reference.len(),
                 0..query.len(),
-                queue.as_ref(),
-                arena.as_mut(),
                 &mut scratch,
                 &mut block_out,
             );
             *out.lock() = block_out;
         });
-        (out.into_inner(), stats)
-    }
-
-    fn run_single_block(
-        reference: &PackedSeq,
-        query: &PackedSeq,
-        config: &GpumemConfig,
-    ) -> BlockOutput {
-        run_block_variant(reference, query, config, false, false).0
+        out.into_inner()
     }
 
     fn config(min_len: u32, seed_len: usize, tau: usize) -> GpumemConfig {
@@ -877,106 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn stealing_and_staging_preserve_block_output() {
-        // A repeat-heavy pair drives real skew through the queue.
-        let mut codes = GenomeModel::mammalian().generate(500, 109).to_codes();
-        codes.extend(std::iter::repeat(1u8).take(300)); // poly-C block
-        codes.extend(GenomeModel::mammalian().generate(200, 110).to_codes());
-        let reference = PackedSeq::from_codes(&codes);
-        let query = PackedSeq::from_codes(&codes[200..800]);
-        let cfg = config(12, 5, 128);
-        assert!(cfg.block_width() >= query.len());
-        let (base, base_stats) = run_block_variant(&reference, &query, &cfg, false, false);
-        let expect_in = canonicalize(base.in_block.clone());
-        let expect_out = canonicalize(base.out_block.clone());
-        assert!(!expect_in.is_empty(), "fixture produces MEMs");
-        let mut stats_of = std::collections::HashMap::new();
-        stats_of.insert((false, false), base_stats);
-        for (stealing, staging) in [(true, false), (false, true), (true, true)] {
-            let (got, stats) = run_block_variant(&reference, &query, &cfg, stealing, staging);
-            assert_eq!(
-                canonicalize(got.in_block),
-                expect_in,
-                "{stealing}/{staging}"
-            );
-            assert_eq!(
-                canonicalize(got.out_block),
-                expect_out,
-                "{stealing}/{staging}"
-            );
-            if stealing {
-                assert!(stats.steal_events > 0, "skewed run must steal");
-            } else {
-                assert_eq!(stats.steal_events, 0);
-            }
-            stats_of.insert((stealing, staging), stats);
-        }
-        // Staging trades global for shared traffic; compare against the
-        // matching stealing mode (the queue itself costs global ops, so
-        // cross-mode comparisons would mix two effects).
-        for stealing in [false, true] {
-            let unstaged = &stats_of[&(stealing, false)];
-            let staged = &stats_of[&(stealing, true)];
-            assert!(
-                staged.global_mem_ops < unstaged.global_mem_ops,
-                "staging cuts global traffic (stealing={stealing})"
-            );
-            assert!(
-                staged.lane_cycles < unstaged.lane_cycles,
-                "shared-memory reads are modeled cheaper (stealing={stealing})"
-            );
-        }
-    }
-
-    #[test]
-    fn staging_falls_back_when_arena_is_too_small() {
-        let reference = GenomeModel::mammalian().generate(600, 111);
-        let query = GenomeModel::mammalian().generate(400, 112);
-        let cfg = config(10, 5, 64);
-        let index = build_sequential(
-            &reference,
-            Region::whole(&reference),
-            cfg.seed_len,
-            cfg.step,
-        );
-        let device = Device::new(DeviceSpec::test_tiny());
-        let mut query_codes = Vec::new();
-        encode_query_seeds(&query, cfg.seed_len, &mut query_codes);
-        let out = Mutex::new(BlockOutput::default());
-        let stats = device.launch_fn(LaunchConfig::new(1, cfg.threads_per_block), |ctx| {
-            let mut arena = SharedArena::new(8); // one word: far too small
-            let mut scratch = BlockScratch::new(cfg.threads_per_block);
-            let mut block_out = BlockOutput::default();
-            process_block(
-                ctx,
-                &reference,
-                &query,
-                &query_codes,
-                &index,
-                &cfg,
-                0..reference.len(),
-                0..query.len(),
-                None,
-                Some(&mut arena),
-                &mut scratch,
-                &mut block_out,
-            );
-            *out.lock() = block_out;
-        });
-        let expect = run_single_block(&reference, &query, &cfg);
-        assert_eq!(
-            canonicalize(out.into_inner().in_block),
-            canonicalize(expect.in_block)
-        );
-        // Fallback means the block behaves exactly like the unstaged
-        // kernel — no stage phase, identical charges.
-        let (_, base_stats) = run_block_variant(&reference, &query, &cfg, false, false);
-        assert_eq!(stats.warp_cycles, base_stats.warp_cycles);
-        assert_eq!(stats.lane_cycles, base_stats.lane_cycles);
-        assert_eq!(stats.global_mem_ops, base_stats.global_mem_ops);
-    }
-
-    #[test]
     fn narrow_block_emits_boundary_fragments() {
         // Identical sequences, block covering only part of the query:
         // the diagonal MEM must surface as out-block fragments, not be
@@ -1000,8 +450,6 @@ mod tests {
                 &cfg,
                 0..text.len(),
                 40..60, // interior query window
-                None,
-                None,
                 &mut scratch,
                 &mut block_out,
             );
@@ -1043,8 +491,6 @@ mod tests {
                 &cfg,
                 0..100,
                 50..50,
-                None,
-                None,
                 &mut scratch,
                 &mut block_out,
             );

@@ -25,28 +25,6 @@ pub enum IndexKind {
     CompactDirectory,
 }
 
-/// In what order tile launches are issued within a run.
-///
-/// The MEM set is byte-identical under every policy (tiles are
-/// independent and the merge stages canonicalize order); what changes
-/// is *when* each tile's work reaches the device. `MassDescending`
-/// fronts the heavy tiles so a straggler tile is co-scheduled with
-/// light ones instead of finishing alone — the SaLoBa-style
-/// occupancy-aware schedule.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum SchedulePolicy {
-    /// Row-major tile order, exactly as the launches are written —
-    /// the byte-reproducible default (trace span order is stable
-    /// against the recorded baselines).
-    #[default]
-    InOrder,
-    /// Heaviest-first: tile rows are ordered by total seed-occurrence
-    /// mass, and tiles within a row likewise, both computed from the
-    /// per-row index's occurrence counts (the Fig. 6 histogram data)
-    /// before any match launch is issued.
-    MassDescending,
-}
-
 /// Validated GPUMEM configuration.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct GpumemConfig {
@@ -70,18 +48,6 @@ pub struct GpumemConfig {
     pub load_balancing: bool,
     /// The per-row index layout.
     pub index_kind: IndexKind,
-    /// Tile launch ordering within a run (default: [`SchedulePolicy::InOrder`]).
-    pub schedule_policy: SchedulePolicy,
-    /// Replace Algorithm 2's static `balance()` split with
-    /// persistent-block work stealing from a global work queue
-    /// (default: off). The MEM set is byte-identical either way; the
-    /// modeled device time changes because stragglers are shared.
-    pub work_stealing: bool,
-    /// Stage each block's active query slice into the per-block
-    /// shared-memory arena so extension LCEs read the query side at
-    /// shared-memory cost (default: off — global-load accounting, as
-    /// in the recorded baselines).
-    pub query_staging: bool,
 }
 
 /// Configuration errors.
@@ -147,9 +113,6 @@ impl GpumemConfig {
             blocks_per_tile: 16,
             load_balancing: true,
             index_kind: IndexKind::DenseTable,
-            schedule_policy: SchedulePolicy::InOrder,
-            work_stealing: false,
-            query_staging: false,
         }
     }
 
@@ -203,9 +166,6 @@ pub struct GpumemConfigBuilder {
     blocks_per_tile: usize,
     load_balancing: bool,
     index_kind: IndexKind,
-    schedule_policy: SchedulePolicy,
-    work_stealing: bool,
-    query_staging: bool,
 }
 
 impl GpumemConfigBuilder {
@@ -226,7 +186,7 @@ impl GpumemConfigBuilder {
     /// Choose the seed sampling scheme (default
     /// [`SeedMode::RefOnly`]). [`SeedMode::DualSampled`] steps are
     /// validated by `build()` via
-    /// [`check_dual_steps`](gpumem_index::check_dual_steps).
+    /// [`check_dual_steps`].
     pub fn seed_mode(mut self, mode: SeedMode) -> Self {
         self.seed_mode = mode;
         self
@@ -254,27 +214,6 @@ impl GpumemConfigBuilder {
     /// table).
     pub fn index_kind(mut self, kind: IndexKind) -> Self {
         self.index_kind = kind;
-        self
-    }
-
-    /// Choose the tile launch order (default
-    /// [`SchedulePolicy::InOrder`]).
-    pub fn schedule_policy(mut self, policy: SchedulePolicy) -> Self {
-        self.schedule_policy = policy;
-        self
-    }
-
-    /// Toggle persistent-block work stealing (default off — the
-    /// static Algorithm 2 split).
-    pub fn work_stealing(mut self, on: bool) -> Self {
-        self.work_stealing = on;
-        self
-    }
-
-    /// Toggle shared-memory query staging in the extension kernels
-    /// (default off — global-load accounting).
-    pub fn query_staging(mut self, on: bool) -> Self {
-        self.query_staging = on;
         self
     }
 
@@ -326,9 +265,6 @@ impl GpumemConfigBuilder {
             blocks_per_tile: self.blocks_per_tile,
             load_balancing: self.load_balancing,
             index_kind: self.index_kind,
-            schedule_policy: self.schedule_policy,
-            work_stealing: self.work_stealing,
-            query_staging: self.query_staging,
         })
     }
 }
@@ -411,33 +347,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(compact.index_kind, IndexKind::CompactDirectory);
-    }
-
-    #[test]
-    fn scheduling_knobs_default_to_baseline_behavior() {
-        let config = GpumemConfig::builder(50).build().unwrap();
-        assert_eq!(config.schedule_policy, SchedulePolicy::InOrder);
-        assert!(!config.work_stealing);
-        assert!(!config.query_staging);
-        let tuned = GpumemConfig::builder(50)
-            .schedule_policy(SchedulePolicy::MassDescending)
-            .work_stealing(true)
-            .query_staging(true)
-            .build()
-            .unwrap();
-        assert_eq!(tuned.schedule_policy, SchedulePolicy::MassDescending);
-        assert!(tuned.work_stealing);
-        assert!(tuned.query_staging);
-        // SessionCache keys on the config, so distinct knob settings
-        // must hash apart.
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let fingerprint = |c: &GpumemConfig| {
-            let mut h = DefaultHasher::new();
-            c.hash(&mut h);
-            h.finish()
-        };
-        assert_ne!(fingerprint(&config), fingerprint(&tuned));
     }
 
     #[test]

@@ -21,11 +21,8 @@
 //! ## Sink ordering guarantees
 //!
 //! For one run, batches arrive in a deterministic order: tiles in
-//! schedule order (row-major under the default
-//! [`SchedulePolicy::InOrder`](crate::config::SchedulePolicy);
-//! heaviest-first under `MassDescending`), each tile's
-//! [`MemStage::Block`] batch before its [`MemStage::Tile`] batch, and
-//! one final [`MemStage::Global`] batch.
+//! row-major order, each tile's [`MemStage::Block`] batch before its
+//! [`MemStage::Tile`] batch, and one final [`MemStage::Global`] batch.
 //! Only non-empty batches are delivered. Batches are the raw stage
 //! outputs — across tiles they may repeat a MEM (boundary
 //! re-expansion), so a sink that needs the canonical set must dedup
@@ -43,7 +40,7 @@ use gpumem_index::{Region, SharedSeedLookup};
 use gpumem_seq::{canonicalize, Mem, PackedSeq, SeqSet};
 use rayon::prelude::*;
 
-use crate::config::{GpumemConfig, SchedulePolicy};
+use crate::config::GpumemConfig;
 use crate::pipeline::{
     build_row_index, ensure_fits, ensure_sort_key, gather_rows, row_masses, run_tiles,
     GpumemResult, GpumemStats, IndexBuildReport, RunError, RunScratch,
@@ -487,9 +484,8 @@ pub struct WorkerUtilization {
 }
 
 /// Aggregated device-health counters of every query's extraction
-/// launches served so far: the load-balance and locality signals
-/// (warp efficiency, divergence, steals, block occupancy) that the
-/// scheduling and work-stealing knobs exist to move.
+/// launches served so far: the load-balance signals (warp efficiency,
+/// divergence, block occupancy) that Algorithm 2 exists to move.
 #[derive(Clone, Debug, serde::Serialize)]
 pub struct DeviceCounters {
     /// Warp efficiency of the matching kernels (mean active-lane share
@@ -497,9 +493,6 @@ pub struct DeviceCounters {
     pub warp_efficiency: f64,
     /// Divergence events per executed warp.
     pub divergence_rate: f64,
-    /// Work-queue chunks executed by a lane other than their home seed
-    /// slot. Zero unless `work_stealing` is on.
-    pub steal_events: u64,
     /// Warp-cycle share of the busiest block (1.0 = perfectly even
     /// blocks), aggregated across launches.
     pub block_occupancy: f64,
@@ -637,12 +630,6 @@ pub struct RunOptions {
     /// configuration (e.g. probe the copMEM-style dual grid for one
     /// request). Validated like a fresh configuration.
     pub seed_mode: Option<SeedMode>,
-    /// Override the tile launch order for this request.
-    pub schedule_policy: Option<SchedulePolicy>,
-    /// Override persistent-block work stealing for this request.
-    pub work_stealing: Option<bool>,
-    /// Override shared-memory query staging for this request.
-    pub query_staging: Option<bool>,
 }
 
 /// One unit of work for [`Engine::execute`]: what to run plus how.
@@ -694,8 +681,7 @@ struct RegistryBinding {
     handle: RefHandle,
 }
 
-/// Builds an [`Engine`] — the single construction surface replacing the
-/// old `new` / `with_spec` / `from_session` trio.
+/// Builds an [`Engine`] — its single construction surface.
 ///
 /// ```no_run
 /// # use gpumem_core::{Engine, GpumemConfig};
@@ -922,48 +908,6 @@ impl Engine {
         }
     }
 
-    /// Serve `reference` on the paper's Tesla K20c with one query
-    /// worker.
-    #[deprecated(note = "use Engine::builder(reference).config(config).build()")]
-    pub fn new(reference: PackedSeq, config: GpumemConfig) -> Result<Engine, RunError> {
-        Engine::builder(reference).config(config).build()
-    }
-
-    /// Serve `reference` on `query_threads` workers of an explicit
-    /// device spec (each worker simulates its own device).
-    #[deprecated(
-        note = "use Engine::builder(reference).config(config).spec(spec).threads(n).build()"
-    )]
-    pub fn with_spec(
-        reference: PackedSeq,
-        config: GpumemConfig,
-        spec: DeviceSpec,
-        query_threads: usize,
-    ) -> Result<Engine, RunError> {
-        Engine::builder(reference)
-            .config(config)
-            .spec(spec)
-            .threads(query_threads)
-            .build()
-    }
-
-    /// Bind an existing (possibly shared, possibly warmed) session to a
-    /// fresh worker pool.
-    #[deprecated(note = "use Engine::builder(reference).session(session).spec(spec).threads(n)")]
-    pub fn from_session(
-        session: Arc<RefSession>,
-        spec: DeviceSpec,
-        query_threads: usize,
-    ) -> Engine {
-        Engine::assemble(
-            session,
-            spec,
-            query_threads,
-            None,
-            EngineTelemetry::default(),
-        )
-    }
-
     fn assemble(
         session: Arc<RefSession>,
         spec: DeviceSpec,
@@ -1162,21 +1106,17 @@ impl Engine {
     }
 
     /// Resolve a request's options into the (session, config) pair to
-    /// run under. Schedule knobs are free overrides on the base
-    /// session; a seed-mode override needs its own index layout, so it
+    /// run under. A seed-mode override needs its own index layout, so it
     /// resolves to a separate session — through the registry (budgeted,
-    /// pinned for the call) when hosted, else a per-engine cache.
+    /// pinned for the call) when hosted, else a per-engine cache — and
+    /// runs under that session's re-derived configuration.
     fn resolve_options(&self, opts: &RunOptions) -> Result<ResolvedRun, RunError> {
         let base = self.session.config();
-        let mut config = base.clone();
-        config.schedule_policy = opts.schedule_policy.unwrap_or(base.schedule_policy);
-        config.work_stealing = opts.work_stealing.unwrap_or(base.work_stealing);
-        config.query_staging = opts.query_staging.unwrap_or(base.query_staging);
         match opts.seed_mode {
             Some(mode) if mode != base.seed_mode => {
                 // Re-derive through the validating builder: the seed
                 // mode dictates step and therefore the tile geometry.
-                let derived = GpumemConfig::builder(base.min_len)
+                let config = GpumemConfig::builder(base.min_len)
                     .seed_len(base.seed_len)
                     .seed_mode(mode)
                     .threads_per_block(base.threads_per_block)
@@ -1185,15 +1125,7 @@ impl Engine {
                     .index_kind(base.index_kind)
                     .build()
                     .map_err(|e| RunError::InvalidOptions(e.to_string()))?;
-                // The session is keyed on the index-relevant shape:
-                // schedule knobs are launch-order details and must not
-                // multiply sessions.
-                let session_config = derived.clone();
-                config.min_len = derived.min_len;
-                config.seed_len = derived.seed_len;
-                config.step = derived.step;
-                config.seed_mode = derived.seed_mode;
-                let (session, pin) = self.override_session(session_config)?;
+                let (session, pin) = self.override_session(config.clone())?;
                 Ok(ResolvedRun {
                     session,
                     config,
@@ -1202,7 +1134,7 @@ impl Engine {
             }
             _ => Ok(ResolvedRun {
                 session: Arc::clone(&self.session),
-                config,
+                config: base.clone(),
                 _pin: None,
             }),
         }
@@ -1542,7 +1474,6 @@ impl Engine {
         let device = DeviceCounters {
             warp_efficiency: totals.warp_efficiency(warp_size),
             divergence_rate: totals.divergence_rate(),
-            steal_events: totals.steal_events,
             block_occupancy: totals.block_occupancy(),
             busiest_block_cycles: totals.busiest_block_cycles,
         };
@@ -1980,33 +1911,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructor_shims_still_work() {
-        let reference = GenomeModel::mammalian().generate(1_500, 830);
-        let query = GenomeModel::mammalian().generate(900, 831);
-        let expect = naive_mems(&reference, &query, 16);
-
-        let a = Engine::new(reference.clone(), config(16)).unwrap();
-        assert_eq!(a.run(&query).unwrap().mems, expect);
-
-        let b =
-            Engine::with_spec(reference.clone(), config(16), DeviceSpec::test_tiny(), 2).unwrap();
-        assert_eq!(b.run(&query).unwrap().mems, expect);
-        assert_eq!(b.query_threads(), 2);
-
-        let session = Arc::new(
-            RefSession::new(
-                Arc::new(reference.clone()),
-                config(16),
-                &DeviceSpec::test_tiny(),
-            )
-            .unwrap(),
-        );
-        let c = Engine::from_session(session, DeviceSpec::test_tiny(), 1);
-        assert_eq!(c.run(&query).unwrap().mems, expect);
-    }
-
-    #[test]
     fn session_cache_builds_different_references_in_parallel() {
         // Regression test for the map-lock-held-across-construction bug:
         // pre-insert reference A's slot and hold its *slot* lock (as an
@@ -2130,26 +2034,11 @@ mod tests {
     }
 
     #[test]
-    fn run_options_override_schedule_and_seed_mode() {
+    fn run_options_override_seed_mode() {
         use gpumem_index::SeedMode;
         let reference = GenomeModel::mammalian().generate(2_500, 840);
         let query = GenomeModel::mammalian().generate(1_500, 841);
         let engine = engine_of(&reference, config(25), 1);
-        let base = engine.run(&query).unwrap();
-
-        // Schedule knobs change launch order, never the MEM set.
-        let options = RunOptions {
-            schedule_policy: Some(SchedulePolicy::MassDescending),
-            work_stealing: Some(true),
-            query_staging: Some(true),
-            ..RunOptions::default()
-        };
-        let out = engine
-            .execute(&RunRequest::query(&query).options(options))
-            .pop()
-            .unwrap()
-            .unwrap();
-        assert_eq!(out.result.mems, base.mems);
 
         // A seed-mode override answers exactly like an engine built
         // with that mode, and materializes exactly one extra session.

@@ -29,10 +29,7 @@ pub(crate) fn lce_cost(matched: usize) -> (u64, u64) {
 ///
 /// * `q_of_slot[k]` — the query location of seed slot `k` (`None` when
 ///   the location falls outside the block or cannot host a full seed);
-/// * `cap` — [`crate::GpumemConfig::generation_cap`] (`max(w, ℓs)`);
-/// * `staged` — the block holds its query window in shared memory, so
-///   the query-side half of each LCE's packed-word reads is charged at
-///   shared- instead of global-memory cost.
+/// * `cap` — [`crate::GpumemConfig::generation_cap`] (`max(w, ℓs)`).
 ///
 /// Runs as one SIMT region; lanes of one group stride over the seed's
 /// bucket (the even split of §III-B2).
@@ -46,7 +43,6 @@ pub fn generate_triplets(
     q_of_slot: &[Option<usize>],
     codes: &[Option<u32>],
     cap: usize,
-    staged: bool,
     triplets: &mut [Vec<Mem>],
 ) {
     ctx.simt(|lane| {
@@ -93,13 +89,7 @@ pub fn generate_triplets(
             j += stride;
         }
         lane.charge(Op::GlobalLoad, visited); // locs[j] reads
-        if staged {
-            // lce_cost charges an even word count, half per sequence.
-            lane.charge(Op::GlobalLoad, lce_loads / 2);
-            lane.shared(lce_loads / 2);
-        } else {
-            lane.charge(Op::GlobalLoad, lce_loads);
-        }
+        lane.charge(Op::GlobalLoad, lce_loads);
         lane.compare(lce_compares);
         lane.charge(Op::GlobalStore, visited);
     });
@@ -154,7 +144,6 @@ mod tests {
                 &q_of_slot,
                 &codes,
                 cap,
-                false,
                 &mut triplets,
             );
             *out.lock() = triplets;

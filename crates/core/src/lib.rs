@@ -18,9 +18,6 @@
 //!   (block → tile → host);
 //! * [`pipeline`] — the [`Gpumem`] runner tying everything together on
 //!   a [`gpu_sim::Device`];
-//! * [`schedule`] — occupancy-aware tile-launch ordering from sampled
-//!   seed-occurrence mass (the Fig. 6 histogram skew, exploited at tile
-//!   granularity);
 //! * [`engine`] — the serving layer: cached [`RefSession`] reference
 //!   indexes, the batch [`Engine`] with per-worker devices/scratch, and
 //!   the streaming [`MemSink`] result path;
@@ -57,14 +54,13 @@ pub mod generate;
 pub mod global;
 pub mod pipeline;
 pub mod registry;
-pub mod schedule;
 pub mod shard;
 pub mod telemetry;
 pub mod tile;
 pub mod tile_run;
 pub mod trace;
 
-pub use config::{ConfigError, GpumemConfig, GpumemConfigBuilder, IndexKind, SchedulePolicy};
+pub use config::{ConfigError, GpumemConfig, GpumemConfigBuilder, IndexKind};
 pub use engine::{
     DeviceCounters, Engine, EngineBuilder, MemCollector, MemSink, MemStage, MetricsSnapshot,
     Queries, RefSession, RunOptions, RunOutput, RunRequest, SessionCache, ShardHealth,

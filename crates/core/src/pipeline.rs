@@ -6,16 +6,15 @@
 //! fragments (§III-C1), and finally merge the accumulated out-tile
 //! fragments on the host (§III-C2).
 //!
-//! The tile loop itself lives in [`run_tile_rows`]: a streaming core
+//! The tile loop itself lives in `run_tile_rows`: a streaming core
 //! that runs a set of tile rows on one device, emits every stage's MEMs
-//! into a [`MemSink`](crate::engine::MemSink) as tiles complete and
-//! takes the row index from a caller-supplied provider. [`gather_rows`]
-//! spreads a run's rows over several devices and host threads and
-//! merges them back into one run; [`Gpumem::run`] wires it to a fresh
-//! per-row build, and sharded engine runs to a cached
-//! [`RefSession`](crate::engine::RefSession). The serving engine's
-//! single-device path, [`run_tiles`], runs every row on the calling
-//! thread with per-worker scratch instead.
+//! into a [`MemSink`] as tiles complete and takes the row index from a
+//! caller-supplied provider. `gather_rows` spreads a run's rows over
+//! several devices and host threads and merges them back into one run;
+//! [`Gpumem::run`] wires it to a fresh per-row build, and sharded
+//! engine runs to a cached [`RefSession`](crate::engine::RefSession).
+//! The serving engine's single-device path, `run_tiles`, runs every row
+//! on the calling thread with per-worker scratch instead.
 
 use std::collections::HashMap;
 use std::sync::{mpsc, Arc};
@@ -23,18 +22,15 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use gpu_sim::{Device, DeviceSpec, LaunchConfig, LaunchStats, PoolClass, SharedArena, WorkQueue};
+use gpu_sim::{Device, DeviceSpec, LaunchConfig, LaunchStats, PoolClass};
 use gpumem_index::{build_compact_gpu, build_gpu, Region, SharedSeedLookup};
 use gpumem_seq::{Mem, PackedSeq};
 
-use crate::block::{
-    encode_query_seeds, process_block, steal_queue_capacity, BlockOutput, BlockScratch,
-};
-use crate::config::{GpumemConfig, SchedulePolicy};
+use crate::block::{encode_query_seeds, process_block, BlockOutput, BlockScratch};
+use crate::config::GpumemConfig;
 use crate::engine::{MemCollector, MemSink, MemStage};
 use crate::expand::Bounds;
 use crate::global::global_merge;
-use crate::schedule::TileSchedule;
 use crate::shard::ShardPlan;
 use crate::tile::Tiling;
 use crate::tile_run::{merge_tile, TileOutput};
@@ -426,91 +422,28 @@ fn run_tile_rows(
             "shard rows out of range"
         );
 
-        // Persistent-block steal queue (one segment per block of a tile
-        // launch) and shared-memory staging arena, shared across every
-        // launch of the run. Both `None` by default.
-        let queue = config.work_stealing.then(|| {
-            WorkQueue::new(
-                config.blocks_per_tile,
-                steal_queue_capacity(config.threads_per_block),
-                "match.steal",
-            )
-        });
-        let mut arena = config
-            .query_staging
-            .then(|| SharedArena::new(device.spec().shared_mem_per_block));
-
-        // Launch order. `MassDescending` needs every subset row's index
-        // up front to sample tile masses, so it builds them in a
-        // pre-pass (same spans/stats as the in-loop build; like a
-        // serving session, it holds all row indexes alive for the run)
-        // and the tile loop below consumes the cache. `InOrder` walks
-        // the subset in ascending row order with the build inline —
-        // byte-identical to the unscheduled pipeline.
-        let mut row_indexes: Vec<Option<SharedSeedLookup>> =
-            (0..tiling.n_rows()).map(|_| None).collect();
-        let schedule = match config.schedule_policy {
-            SchedulePolicy::InOrder => TileSchedule {
-                row_order: subset.to_vec(),
-                col_orders: vec![(0..tiling.n_cols()).collect(); tiling.n_rows()],
-            },
-            SchedulePolicy::MassDescending => {
-                for &row in subset {
-                    let row_range = tiling.row_range(row);
-                    let t0 = Instant::now();
-                    let index_span = trace.map(|t| t.begin("index_build", SpanCat::Stage));
-                    let (index, istats) = row_index(
-                        device,
-                        row,
-                        Region {
-                            start: row_range.start,
-                            len: row_range.len(),
-                        },
-                    );
-                    if let (Some(t), Some(id)) = (trace, index_span) {
-                        t.end_with_stats(id, istats.clone());
-                    }
-                    stats.index += istats;
-                    stats.index_wall += t0.elapsed();
-                    row_indexes[row] = Some(index);
-                }
-                let indexes: Vec<SharedSeedLookup> = subset
-                    .iter()
-                    .map(|&row| Arc::clone(row_indexes[row].as_ref().expect("prepass built row")))
-                    .collect();
-                crate::schedule::plan_mass_descending_rows(config, query, &tiling, subset, &indexes)
-            }
-        };
-
-        for &row in &schedule.row_order {
+        for &row in subset {
             let row_range = tiling.row_range(row);
             let row_span = trace.map(|t| t.begin(format!("tile_row {row}"), SpanCat::TileRow));
 
-            // Partial index of this row (Algorithm 1, on device):
-            // cached by the scheduling pre-pass, or built here.
-            let index = match row_indexes[row].take() {
-                Some(index) => index,
-                None => {
-                    let t0 = Instant::now();
-                    let index_span = trace.map(|t| t.begin("index_build", SpanCat::Stage));
-                    let (index, istats) = row_index(
-                        device,
-                        row,
-                        Region {
-                            start: row_range.start,
-                            len: row_range.len(),
-                        },
-                    );
-                    if let (Some(t), Some(id)) = (trace, index_span) {
-                        t.end_with_stats(id, istats.clone());
-                    }
-                    stats.index += istats;
-                    stats.index_wall += t0.elapsed();
-                    index
-                }
-            };
+            // Partial index of this row (Algorithm 1, on device).
+            let t0 = Instant::now();
+            let index_span = trace.map(|t| t.begin("index_build", SpanCat::Stage));
+            let (index, istats) = row_index(
+                device,
+                row,
+                Region {
+                    start: row_range.start,
+                    len: row_range.len(),
+                },
+            );
+            if let (Some(t), Some(id)) = (trace, index_span) {
+                t.end_with_stats(id, istats.clone());
+            }
+            stats.index += istats;
+            stats.index_wall += t0.elapsed();
 
-            for &col in &schedule.col_orders[row] {
+            for col in 0..tiling.n_cols() {
                 let t1 = Instant::now();
                 let tile_span =
                     trace.map(|t| t.begin(format!("tile ({row},{col})"), SpanCat::Tile));
@@ -520,15 +453,14 @@ fn run_tile_rows(
                 scratch.blocks_out.in_block.clear();
                 scratch.blocks_out.out_block.clear();
                 let batch_span = trace.map(|t| t.begin("block_batch", SpanCat::Stage));
-                let cell =
-                    Mutex::new((&mut scratch.blocks_out, &mut scratch.block, arena.as_mut()));
+                let cell = Mutex::new((&mut scratch.blocks_out, &mut scratch.block));
                 let launch = device.launch_fn_named(
                     LaunchConfig::new(config.blocks_per_tile, config.threads_per_block),
                     "match.blocks",
                     |ctx| {
                         let block_q = tiling.block_range(col, ctx.block_id, config.block_width());
                         let guard = &mut *cell.lock();
-                        let (output, scratch, arena) = guard;
+                        let (output, scratch) = guard;
                         process_block(
                             ctx,
                             reference,
@@ -538,8 +470,6 @@ fn run_tile_rows(
                             config,
                             row_range.clone(),
                             block_q,
-                            queue.as_ref(),
-                            arena.as_deref_mut(),
                             scratch,
                             output,
                         );
@@ -565,17 +495,14 @@ fn run_tile_rows(
                     scratch.tile_out.in_tile.clear();
                     scratch.tile_out.out_tile.clear();
                     let merge_span = trace.map(|t| t.begin("tile_merge", SpanCat::Stage));
-                    let cell = Mutex::new((
-                        &mut scratch.blocks_out.out_block,
-                        &mut scratch.tile_out,
-                        arena.as_mut(),
-                    ));
+                    let cell =
+                        Mutex::new((&mut scratch.blocks_out.out_block, &mut scratch.tile_out));
                     let launch = device.launch_fn_named(
                         LaunchConfig::new(1, config.threads_per_block),
                         "match.tile_merge",
                         |ctx| {
                             let guard = &mut *cell.lock();
-                            let (fragments, output, arena) = guard;
+                            let (fragments, output) = guard;
                             merge_tile(
                                 ctx,
                                 reference,
@@ -583,7 +510,6 @@ fn run_tile_rows(
                                 fragments,
                                 &tile_bounds,
                                 config.min_len,
-                                arena.as_deref_mut(),
                                 output,
                             );
                         },
@@ -1221,110 +1147,6 @@ mod tests {
         );
     }
 
-    fn knobbed_gpumem(
-        min_len: u32,
-        seed_len: usize,
-        tau: usize,
-        n_block: usize,
-        policy: SchedulePolicy,
-        stealing: bool,
-        staging: bool,
-    ) -> Gpumem {
-        let config = GpumemConfig::builder(min_len)
-            .seed_len(seed_len)
-            .threads_per_block(tau)
-            .blocks_per_tile(n_block)
-            .schedule_policy(policy)
-            .work_stealing(stealing)
-            .query_staging(staging)
-            .build()
-            .unwrap();
-        Gpumem::with_device(config, Device::new(DeviceSpec::test_tiny()))
-    }
-
-    #[test]
-    fn scheduling_knobs_preserve_output_on_multi_tile_runs() {
-        let spec = &table2_pairs(1.0 / 65536.0)[1];
-        let pair = spec.realize(45);
-        let baseline = small_gpumem(16, 8, 8, 2);
-        assert!(baseline.config().tile_len() < pair.reference.len());
-        let expect = baseline.run(&pair.reference, &pair.query).unwrap().mems;
-        assert_eq!(expect, naive_mems(&pair.reference, &pair.query, 16));
-        for policy in [SchedulePolicy::InOrder, SchedulePolicy::MassDescending] {
-            for stealing in [false, true] {
-                for staging in [false, true] {
-                    if policy == SchedulePolicy::InOrder && !stealing && !staging {
-                        continue; // the baseline itself
-                    }
-                    let gpumem = knobbed_gpumem(16, 8, 8, 2, policy, stealing, staging);
-                    let result = gpumem.run(&pair.reference, &pair.query).unwrap();
-                    assert_eq!(
-                        result.mems, expect,
-                        "{policy:?}/stealing={stealing}/staging={staging}"
-                    );
-                    if stealing {
-                        assert!(
-                            result.stats.matching.steal_events > 0,
-                            "{policy:?}: multi-tile run must record steals"
-                        );
-                    } else {
-                        assert_eq!(result.stats.matching.steal_events, 0);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn mass_descending_schedule_leaves_device_totals_unchanged() {
-        // Reordering tile launches permutes span order but must not
-        // change any modeled total: same launches, same work, same
-        // memory traffic — only the wall-clock overlap story differs.
-        let spec = &table2_pairs(1.0 / 65536.0)[2];
-        let pair = spec.realize(46);
-        let in_order = small_gpumem(16, 8, 8, 2);
-        let mass = knobbed_gpumem(16, 8, 8, 2, SchedulePolicy::MassDescending, false, false);
-        let a = in_order.run(&pair.reference, &pair.query).unwrap();
-        let b = mass.run(&pair.reference, &pair.query).unwrap();
-        assert_eq!(a.mems, b.mems);
-        for (x, y, what) in [
-            (&a.stats.index, &b.stats.index, "index"),
-            (&a.stats.matching, &b.stats.matching, "matching"),
-        ] {
-            assert_eq!(x.launches, y.launches, "{what}");
-            assert_eq!(x.blocks, y.blocks, "{what}");
-            assert_eq!(x.warps, y.warps, "{what}");
-            assert_eq!(x.warp_cycles, y.warp_cycles, "{what}");
-            assert_eq!(x.lane_cycles, y.lane_cycles, "{what}");
-            assert_eq!(x.device_cycles, y.device_cycles, "{what}");
-            assert_eq!(x.divergence_events, y.divergence_events, "{what}");
-            assert_eq!(x.atomic_ops, y.atomic_ops, "{what}");
-            assert_eq!(x.global_mem_ops, y.global_mem_ops, "{what}");
-            assert_eq!(x.comparisons, y.comparisons, "{what}");
-        }
-    }
-
-    #[test]
-    fn query_staging_cuts_global_traffic_end_to_end() {
-        let spec = &table2_pairs(1.0 / 65536.0)[1];
-        let pair = spec.realize(47);
-        let base = small_gpumem(16, 8, 8, 2)
-            .run(&pair.reference, &pair.query)
-            .unwrap();
-        let staged = knobbed_gpumem(16, 8, 8, 2, SchedulePolicy::InOrder, false, true)
-            .run(&pair.reference, &pair.query)
-            .unwrap();
-        assert_eq!(base.mems, staged.mems);
-        assert!(
-            staged.stats.matching.global_mem_ops < base.stats.matching.global_mem_ops,
-            "staging must trade global for shared traffic"
-        );
-        assert!(
-            staged.stats.matching.lane_cycles < base.stats.matching.lane_cycles,
-            "shared reads are modeled cheaper"
-        );
-    }
-
     #[test]
     fn every_output_mem_is_maximal_and_long_enough() {
         let reference = GenomeModel::mammalian().generate(4_000, 402);
@@ -1508,7 +1330,7 @@ mod tests {
     fn render_launch(s: &LaunchStats) -> String {
         format!(
             "launches={} blocks={} warps={} warp_cycles={} lane_cycles={} device_cycles={} \
-             modeled_ns={} divergence={} atomics={} global={} compares={} steals={} \
+             modeled_ns={} divergence={} atomics={} global={} compares={} \
              busiest_block_cycles={} pool_peak_bytes={}",
             s.launches,
             s.blocks,
@@ -1521,7 +1343,6 @@ mod tests {
             s.atomic_ops,
             s.global_mem_ops,
             s.comparisons,
-            s.steal_events,
             s.busiest_block_cycles,
             s.pool_peak_bytes,
         )
@@ -1575,20 +1396,12 @@ mod tests {
             ("tau=128", base().threads_per_block(128)),
             ("load_balancing=off", base().load_balancing(false)),
             (
-                "stealing+staging",
-                base().work_stealing(true).query_staging(true),
-            ),
-            (
                 "compact",
                 base().index_kind(crate::config::IndexKind::CompactDirectory),
             ),
             (
                 "dual_sampled",
                 base().seed_mode(gpumem_index::SeedMode::DualSampled { k1, k2 }),
-            ),
-            (
-                "mass_descending",
-                base().schedule_policy(SchedulePolicy::MassDescending),
             ),
         ];
         for (name, builder) in configs {
@@ -1791,44 +1604,6 @@ mod proptests {
                 .seed_len(seed_len)
                 .threads_per_block(1 << tau_pow)
                 .blocks_per_tile(n_block)
-                .build()
-                .unwrap();
-            let gpumem = Gpumem::with_device(config, Device::new(DeviceSpec::test_tiny()));
-            let got = gpumem.run(&reference, &query).unwrap().mems;
-            prop_assert_eq!(got, naive_mems(&reference, &query, min_len));
-        }
-
-        /// Every combination of the locality/balance knobs is
-        /// output-preserving on arbitrary inputs: schedule policy,
-        /// work stealing, and query staging may only move work and
-        /// memory traffic around, never change the MEM set.
-        #[test]
-        fn knobbed_pipeline_always_matches_naive(
-            r in proptest::collection::vec(0u8..4, 1..500),
-            q in proptest::collection::vec(0u8..4, 1..500),
-            seed_len in 2usize..7,
-            extra in 0u32..10,
-            tau_pow in 1u32..5,
-            n_block in 1usize..4,
-            knobs in 0u8..8,
-        ) {
-            let (mass, stealing, staging) =
-                (knobs & 1 != 0, knobs & 2 != 0, knobs & 4 != 0);
-            let min_len = seed_len as u32 + extra;
-            let reference = PackedSeq::from_codes(&r);
-            let query = PackedSeq::from_codes(&q);
-            let policy = if mass {
-                crate::config::SchedulePolicy::MassDescending
-            } else {
-                crate::config::SchedulePolicy::InOrder
-            };
-            let config = GpumemConfig::builder(min_len)
-                .seed_len(seed_len)
-                .threads_per_block(1 << tau_pow)
-                .blocks_per_tile(n_block)
-                .schedule_policy(policy)
-                .work_stealing(stealing)
-                .query_staging(staging)
                 .build()
                 .unwrap();
             let gpumem = Gpumem::with_device(config, Device::new(DeviceSpec::test_tiny()));

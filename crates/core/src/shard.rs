@@ -13,9 +13,8 @@
 //! `canonicalize(in_block ∪ in_tile ∪ global_merge(out-tile fragments))`.
 //! In-block and in-tile MEMs are per-tile products; out-tile fragments
 //! are too — which fragments a tile emits depends only on the tile's
-//! slice, never on which device launched it or in what order (the
-//! schedule-policy invariance tests prove the order half). So running
-//! disjoint row subsets on separate devices, concatenating every
+//! slice, never on which device launched it or in what order. So
+//! running disjoint row subsets on separate devices, concatenating every
 //! shard's fragments, and host-merging them **once** feeds the global
 //! merge the exact multiset of fragments a single device would have
 //! produced — and `global_merge` sorts before combining, so the result

@@ -3,8 +3,8 @@
 //! clock.
 //!
 //! Counters have lived all over the tree — [`LaunchStats`] on the
-//! simulator, [`MetricsSnapshot`](crate::engine::MetricsSnapshot) on
-//! the engine, [`RegistryStats`](crate::registry::RegistryStats) on the
+//! simulator, [`MetricsSnapshot`] on
+//! the engine, [`RegistryStats`] on the
 //! registry, per-shard stats on
 //! [`GpumemStats::shard_matching`](crate::pipeline::GpumemStats) — each
 //! with its own ad-hoc JSON shape. This module gives them one scrape
@@ -14,7 +14,7 @@
 //!   ([`Counter`], [`Gauge`], log₂ [`Histogram`]) with stable names,
 //!   optional labels, and deterministic rendering order;
 //! * [`export_snapshot`] — re-plumbs every existing counter onto the
-//!   registry from a [`MetricsSnapshot`](crate::engine::MetricsSnapshot)
+//!   registry from a [`MetricsSnapshot`]
 //!   (pull model: nothing is touched on the query hot path);
 //! * [`render_prometheus`] / [`render_json`] — the one-call exposition
 //!   entry points a scraper (or the future `gpumem serve` daemon)
@@ -840,11 +840,6 @@ pub fn export_launch_stats(registry: &MetricsRegistry, stage: &str, stats: &Laun
         "Base comparisons charged.",
         stats.comparisons as f64,
     );
-    c(
-        "gpumem_stage_steal_events_total",
-        "Work-queue chunks executed by a non-home lane.",
-        stats.steal_events as f64,
-    );
     g(
         "gpumem_stage_busiest_block_cycles",
         "Warp cycles of the most loaded block seen in any launch (gauge).",
@@ -1085,12 +1080,6 @@ pub fn export_snapshot(registry: &MetricsRegistry, snap: &MetricsSnapshot) {
             "Divergence events per executed warp.",
         )
         .set(dev.divergence_rate);
-    registry
-        .counter(
-            "gpumem_device_steal_events_total",
-            "Work-queue chunks executed by a non-home lane.",
-        )
-        .set_total(dev.steal_events as f64);
     registry
         .gauge(
             "gpumem_device_block_occupancy",

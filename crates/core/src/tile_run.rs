@@ -7,10 +7,9 @@
 //! classified: in-tile MEMs (≥ L) go to the host for reporting,
 //! out-tile fragments join the global list.
 
-use gpu_sim::{BlockCtx, Op, SharedArena};
+use gpu_sim::{BlockCtx, Op};
 use gpumem_seq::{Mem, PackedSeq};
 
-use crate::block::stage_query_window;
 use crate::combine::{block_sort_by_diag, scan_combine_sorted};
 use crate::expand::{expand_within, Bounds};
 use crate::generate::lce_cost;
@@ -27,10 +26,7 @@ pub struct TileOutput {
 /// Merge one tile's out-block fragments inside a launched kernel
 /// block, appending results to `output`. `out_block` is consumed in
 /// place (sorted and scan-combined), so the caller can reuse its
-/// storage for the next tile. With an `arena`, the tile's query window
-/// is staged into shared memory and the re-expansion's query-side word
-/// reads are charged at shared-memory cost.
-#[allow(clippy::too_many_arguments)]
+/// storage for the next tile.
 pub fn merge_tile(
     ctx: &mut BlockCtx<'_>,
     reference: &PackedSeq,
@@ -38,19 +34,11 @@ pub fn merge_tile(
     out_block: &mut Vec<Mem>,
     tile_bounds: &Bounds,
     min_len: u32,
-    arena: Option<&mut SharedArena>,
     output: &mut TileOutput,
 ) {
     if out_block.is_empty() {
         return;
     }
-
-    // Re-expansion stays inside the tile's query window, so staging
-    // exactly that window covers every read.
-    let staged = match arena {
-        Some(arena) => stage_query_window(ctx, query, arena, tile_bounds.q.clone()),
-        None => false,
-    };
 
     // Parallel sort by (r − q, q).
     block_sort_by_diag(ctx, out_block);
@@ -105,12 +93,7 @@ pub fn merge_tile(
             }
             i += lanes;
         }
-        if staged {
-            lane.charge(Op::GlobalLoad, lce_loads / 2);
-            lane.shared(lce_loads / 2);
-        } else {
-            lane.charge(Op::GlobalLoad, lce_loads);
-        }
+        lane.charge(Op::GlobalLoad, lce_loads);
         lane.compare(lce_compares);
         lane.charge(Op::GlobalStore, stores);
     });
@@ -142,7 +125,6 @@ mod tests {
                 &mut fragments,
                 &bounds,
                 min_len,
-                None,
                 &mut tile_out,
             );
             *out.lock() = tile_out;

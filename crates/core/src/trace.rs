@@ -3,7 +3,7 @@
 //! A [`TraceRecorder`] records one run (or one served query) as a tree
 //! of spans — run → tile row → tile → stage, with per-launch and
 //! per-phase detail supplied by the simulator's
-//! [`LaunchObserver`](gpu_sim::LaunchObserver) hook — and the finished
+//! [`LaunchObserver`] hook — and the finished
 //! [`Trace`] exports as:
 //!
 //! * **Chrome Trace Event JSON** ([`Trace::to_chrome_json`]): open the
@@ -310,7 +310,6 @@ impl Trace {
                         q.atomic_ops += p.atomic_ops;
                         q.global_mem_ops += p.global_mem_ops;
                         q.comparisons += p.comparisons;
-                        q.steal_events += p.steal_events;
                     }
                     None => phases.push(p.clone()),
                 }

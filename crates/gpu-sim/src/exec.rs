@@ -208,7 +208,6 @@ impl Device {
                     cfg,
                     &self.cost,
                     self.spec.warp_size,
-                    self.spec.shared_mem_per_block,
                     phases_enabled,
                 );
                 kernel.block(&mut ctx);
@@ -297,7 +296,6 @@ impl Device {
             stats.atomic_ops += o.atomic_ops;
             stats.global_mem_ops += o.global_ops;
             stats.comparisons += o.comparisons;
-            stats.steal_events += o.steals;
             // Gauge: the straggler block of this launch.
             stats.busiest_block_cycles = stats.busiest_block_cycles.max(o.warp_cycles);
         }
@@ -305,14 +303,14 @@ impl Device {
     }
 }
 
-/// What a run of SIMT regions charged one block: the eight per-block
+/// What a run of SIMT regions charged one block: the seven per-block
 /// counters and the number of regions, plus the key they are a
 /// function of — the block size, warp size and cost model they ran
 /// under. Made by [`BlockCtx::record`], spent by [`BlockCtx::replay`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct RegionCharge {
     /// Counter deltas, in [`BlockOut::snapshot`] order.
-    counters: [u64; 8],
+    counters: [u64; 7],
     regions: u32,
     block_dim: usize,
     warp_size: usize,
@@ -328,12 +326,11 @@ struct BlockOut {
     atomic_ops: u64,
     global_ops: u64,
     comparisons: u64,
-    steals: u64,
 }
 
 impl BlockOut {
     /// Counter snapshot, in the field order phase attribution diffs.
-    fn snapshot(&self) -> [u64; 8] {
+    fn snapshot(&self) -> [u64; 7] {
         [
             self.warps,
             self.warp_cycles,
@@ -342,12 +339,11 @@ impl BlockOut {
             self.atomic_ops,
             self.global_ops,
             self.comparisons,
-            self.steals,
         ]
     }
 
     /// Add counter deltas given in [`BlockOut::snapshot`] order.
-    fn add(&mut self, d: &[u64; 8]) {
+    fn add(&mut self, d: &[u64; 7]) {
         self.warps += d[0];
         self.warp_cycles += d[1];
         self.lane_cycles += d[2];
@@ -355,7 +351,6 @@ impl BlockOut {
         self.atomic_ops += d[4];
         self.global_ops += d[5];
         self.comparisons += d[6];
-        self.steals += d[7];
     }
 }
 
@@ -369,7 +364,6 @@ pub struct BlockCtx<'c> {
     pub block_dim: usize,
     cost: &'c CostModel,
     warp_size: usize,
-    shared_mem_per_block: usize,
     /// SIMT region ordinal: incremented at every `simt_range` call (and
     /// by a replay, by the regions it stands for), so accesses
     /// separated by a barrier land in different regions.
@@ -395,7 +389,6 @@ impl<'c> BlockCtx<'c> {
         cfg: LaunchConfig,
         cost: &'c CostModel,
         warp_size: usize,
-        shared_mem_per_block: usize,
         phases_enabled: bool,
     ) -> BlockCtx<'c> {
         BlockCtx {
@@ -404,7 +397,6 @@ impl<'c> BlockCtx<'c> {
             block_dim: cfg.block_dim,
             cost,
             warp_size,
-            shared_mem_per_block,
             region: 0,
             signatures: Vec::with_capacity(warp_size),
             out: BlockOut {
@@ -415,7 +407,6 @@ impl<'c> BlockCtx<'c> {
                 atomic_ops: 0,
                 global_ops: 0,
                 comparisons: 0,
-                steals: 0,
             },
             phases_enabled,
             phases: Vec::new(),
@@ -494,7 +485,6 @@ impl<'c> BlockCtx<'c> {
                     atomic_ops: 0,
                     global_ops: 0,
                     comparisons: 0,
-                    steals: 0,
                 };
                 f(&mut lane);
                 warp_max = warp_max.max(lane.cycles);
@@ -502,7 +492,6 @@ impl<'c> BlockCtx<'c> {
                 self.out.atomic_ops += lane.atomic_ops;
                 self.out.global_ops += lane.global_ops;
                 self.out.comparisons += lane.comparisons;
-                self.out.steals += lane.steals;
                 if !self.signatures.contains(&lane.branch_signature) {
                     self.signatures.push(lane.branch_signature);
                 }
@@ -597,13 +586,6 @@ impl<'c> BlockCtx<'c> {
         self.warp_size
     }
 
-    /// Shared memory available to this block, in bytes (from the
-    /// launching device's [`DeviceSpec::shared_mem_per_block`]). Kernels
-    /// size their [`crate::memory::SharedArena`] from this.
-    pub fn shared_mem_bytes(&self) -> usize {
-        self.shared_mem_per_block
-    }
-
     fn finish(self) -> (BlockOut, Vec<PhaseStats>) {
         (self.out, self.phases)
     }
@@ -625,7 +607,6 @@ pub struct Lane<'c> {
     atomic_ops: u64,
     global_ops: u64,
     comparisons: u64,
-    steals: u64,
 }
 
 impl Lane<'_> {
@@ -661,16 +642,6 @@ impl Lane<'_> {
     #[inline(always)]
     pub fn shared(&mut self, count: u64) {
         self.charge(Op::Shared, count);
-    }
-
-    /// Record `count` stolen work items (work pulled from a
-    /// [`WorkQueue`](crate::workqueue::WorkQueue) whose home lane is
-    /// another thread). Pure bookkeeping: the queue operations
-    /// themselves are charged by their atomic/load calls, this only
-    /// feeds [`LaunchStats::steal_events`] and the per-phase breakdown.
-    #[inline(always)]
-    pub fn record_steals(&mut self, count: u64) {
-        self.steals += count;
     }
 
     /// This lane's coordinates for the sanitizer.

@@ -54,13 +54,11 @@ pub mod primitives;
 pub mod sanitizer;
 pub mod spec;
 pub mod stats;
-pub mod workqueue;
 
 pub use cost::{CostModel, Op};
 pub use exec::{BlockCtx, BlockKernel, Device, Lane, LaunchConfig, RegionCharge};
-pub use memory::{GpuU32, GpuU64, SharedArena, SharedBuf};
+pub use memory::{GpuU32, GpuU64};
 pub use observe::{LaunchObserver, LaunchRecord, PhaseStats};
 pub use pool::{PoolClass, PooledU32, PooledU64};
 pub use spec::DeviceSpec;
 pub use stats::LaunchStats;
-pub use workqueue::WorkQueue;

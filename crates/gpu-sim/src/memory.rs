@@ -387,115 +387,6 @@ impl GpuU64 {
     }
 }
 
-/// A bump-allocated model of one block's **shared memory** (the
-/// `__shared__` arena of a CUDA block).
-///
-/// Unlike [`GpuU32`]/[`GpuU64`] this is not global device memory: an
-/// arena is created *inside* the kernel, one per block, and dies with
-/// the block, so it is never visible to other blocks. Because the
-/// simulator runs a block's lanes sequentially, the arena is a plain
-/// `&mut` local — no atomics and no sanitizer shadow state are needed
-/// (there is nothing another block could race with). What the arena
-/// adds over a bare `Vec` is **capacity and cost accounting**:
-///
-/// * [`SharedArena::try_alloc`] enforces the device's
-///   per-block shared-memory budget
-///   ([`DeviceSpec::shared_mem_per_block`](crate::spec::DeviceSpec)),
-///   so kernels must implement the same capacity-gated fallback they
-///   would need on real hardware;
-/// * [`SharedArena::load`]/[`SharedArena::store`] charge
-///   [`Op::Shared`](crate::cost::Op) through the acting [`Lane`],
-///   which the default cost model prices far below a global load —
-///   the entire point of staging.
-///
-/// Words are `u64`: one word holds 32 two-bit-packed bases, matching
-/// the load granularity the extension kernels' LCE cost model uses.
-pub struct SharedArena {
-    data: Vec<u64>,
-    used: usize,
-}
-
-/// A handle to one allocation inside a [`SharedArena`] (base + length,
-/// in words). Indices passed to `load`/`store` are relative to the
-/// allocation.
-#[derive(Clone, Copy, Debug)]
-pub struct SharedBuf {
-    base: usize,
-    len: usize,
-}
-
-impl SharedBuf {
-    /// Allocation length in words.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` if the allocation is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-impl SharedArena {
-    /// An arena with `capacity_bytes` of shared memory (usually
-    /// [`BlockCtx::shared_mem_bytes`](crate::exec::BlockCtx::shared_mem_bytes)).
-    /// Hosts that run blocks in a loop may allocate one arena up front
-    /// and [`reset`](SharedArena::reset) it per block instead of
-    /// re-allocating.
-    pub fn new(capacity_bytes: usize) -> SharedArena {
-        SharedArena {
-            data: vec![0; capacity_bytes / 8],
-            used: 0,
-        }
-    }
-
-    /// Total capacity in words.
-    pub fn capacity_words(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Words still available.
-    pub fn remaining_words(&self) -> usize {
-        self.data.len() - self.used
-    }
-
-    /// Reserve `words` words, or `None` when the block's shared-memory
-    /// budget cannot hold them — the caller must fall back to global
-    /// accounting, exactly like a kernel that cannot be launched with
-    /// the requested `__shared__` size.
-    pub fn try_alloc(&mut self, words: usize) -> Option<SharedBuf> {
-        if words > self.remaining_words() {
-            return None;
-        }
-        let base = self.used;
-        self.used += words;
-        Some(SharedBuf { base, len: words })
-    }
-
-    /// Release every allocation (the next block reusing a host-side
-    /// arena starts from an empty budget). Contents are not cleared —
-    /// like real shared memory, stale bits persist until overwritten.
-    pub fn reset(&mut self) {
-        self.used = 0;
-    }
-
-    /// Shared-memory word read, charged as one [`Op::Shared`](crate::cost::Op).
-    #[inline(always)]
-    pub fn load(&self, lane: &mut crate::exec::Lane<'_>, buf: &SharedBuf, i: usize) -> u64 {
-        assert!(i < buf.len, "shared read out of allocation bounds");
-        lane.shared(1);
-        self.data[buf.base + i]
-    }
-
-    /// Shared-memory word write, charged as one [`Op::Shared`](crate::cost::Op).
-    #[inline(always)]
-    pub fn store(&mut self, lane: &mut crate::exec::Lane<'_>, buf: &SharedBuf, i: usize, v: u64) {
-        assert!(i < buf.len, "shared write out of allocation bounds");
-        lane.shared(1);
-        self.data[buf.base + i] = v;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -560,58 +451,6 @@ mod tests {
         assert_eq!(buf.to_vec(), vec![0; 4]);
         let big = GpuU64::alloc_uninit(2, "scratch64");
         assert_eq!(big.to_vec(), vec![0; 2]);
-    }
-
-    #[test]
-    fn shared_arena_enforces_capacity_and_resets() {
-        let mut arena = SharedArena::new(64); // 8 words
-        assert_eq!(arena.capacity_words(), 8);
-        let a = arena.try_alloc(5).expect("fits");
-        assert_eq!(a.len(), 5);
-        assert!(arena.try_alloc(4).is_none(), "only 3 words remain");
-        let b = arena.try_alloc(3).expect("exactly fits");
-        assert_eq!(b.len(), 3);
-        assert_eq!(arena.remaining_words(), 0);
-        arena.reset();
-        assert_eq!(arena.remaining_words(), 8);
-        assert!(arena.try_alloc(8).is_some());
-    }
-
-    #[test]
-    fn shared_arena_round_trips_and_charges_shared_cost() {
-        use crate::cost::CostModel;
-        use crate::exec::{Device, LaunchConfig};
-        use crate::spec::DeviceSpec;
-
-        // Isolate the shared charge: everything else free.
-        let model = CostModel {
-            shared: 3,
-            sync: 0,
-            divergence_penalty: 0,
-            ..CostModel::default()
-        };
-        let device = Device::with_cost_model(DeviceSpec::test_tiny(), model);
-        let out = GpuU64::new(32);
-        let stats = device.launch_fn(LaunchConfig::new(1, 32), |ctx| {
-            let mut arena = SharedArena::new(ctx.shared_mem_bytes());
-            let buf = arena.try_alloc(32).expect("32 words fit in 16 KB");
-            ctx.simt(|lane| {
-                arena.store(lane, &buf, lane.tid, lane.tid as u64 + 7);
-            });
-            // Region boundary = barrier; lanes read a neighbor's word.
-            ctx.simt(|lane| {
-                let v = arena.load(lane, &buf, 31 - lane.tid);
-                lane.st64(&out, lane.tid, v);
-            });
-        });
-        let host: Vec<u64> = out.to_vec();
-        for (tid, &v) in host.iter().enumerate() {
-            assert_eq!(v, (31 - tid) as u64 + 7);
-        }
-        // 32 lanes × (1 store + 1 load) × 3 cycles, plus 32 global
-        // stores at the default global_store price.
-        let global_store = CostModel::default().global_store;
-        assert_eq!(stats.lane_cycles, 32 * 2 * 3 + 32 * global_store);
     }
 
     #[cfg(feature = "sanitize")]

@@ -4,7 +4,7 @@
 //! via [`Device::set_observer`](crate::exec::Device::set_observer) is
 //! called synchronously after every kernel launch with a
 //! [`LaunchRecord`]: the launch name, its aggregate
-//! [`LaunchStats`](crate::stats::LaunchStats), and — when the kernel
+//! [`LaunchStats`], and — when the kernel
 //! marked phases with [`BlockCtx::phase`](crate::exec::BlockCtx::phase)
 //! — a per-phase breakdown of the in-kernel counters.
 //!
@@ -43,9 +43,6 @@ pub struct PhaseStats {
     pub global_mem_ops: u64,
     /// Base comparisons in this phase's regions.
     pub comparisons: u64,
-    /// Stolen work-queue items in this phase's regions (see
-    /// [`LaunchStats::steal_events`]).
-    pub steal_events: u64,
 }
 
 impl PhaseStats {
@@ -59,13 +56,12 @@ impl PhaseStats {
         self.atomic_ops += rhs.atomic_ops;
         self.global_mem_ops += rhs.global_mem_ops;
         self.comparisons += rhs.comparisons;
-        self.steal_events += rhs.steal_events;
     }
 
     /// Add one block's counter deltas, given in the order `warps,
     /// warp_cycles, lane_cycles, divergence_events, atomic_ops,
-    /// global_mem_ops, comparisons, steal_events`.
-    pub(crate) fn add(&mut self, d: &[u64; 8]) {
+    /// global_mem_ops, comparisons`.
+    pub(crate) fn add(&mut self, d: &[u64; 7]) {
         self.warps += d[0];
         self.warp_cycles += d[1];
         self.lane_cycles += d[2];
@@ -73,7 +69,6 @@ impl PhaseStats {
         self.atomic_ops += d[4];
         self.global_mem_ops += d[5];
         self.comparisons += d[6];
-        self.steal_events += d[7];
     }
 
     /// Warp occupancy efficiency of this phase; same convention as
@@ -125,7 +120,6 @@ mod tests {
             atomic_ops: 5,
             global_mem_ops: 6,
             comparisons: 7,
-            steal_events: 8,
         };
         let b = a.clone();
         a.merge(&b);
@@ -140,7 +134,6 @@ mod tests {
                 atomic_ops: 10,
                 global_mem_ops: 12,
                 comparisons: 14,
-                steal_events: 16,
             }
         );
     }

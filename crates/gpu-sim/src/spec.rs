@@ -22,12 +22,6 @@ pub struct DeviceSpec {
     pub global_mem_bytes: u64,
     /// Maximum threads per block.
     pub max_threads_per_block: usize,
-    /// Shared memory available to one block, in bytes (48 KB on the
-    /// Kepler parts the paper evaluates). Kernels that stage data in
-    /// shared memory size their [`crate::memory::SharedArena`] from
-    /// this and fall back to global accounting when a slice does not
-    /// fit.
-    pub shared_mem_per_block: usize,
 }
 
 impl DeviceSpec {
@@ -42,7 +36,6 @@ impl DeviceSpec {
             clock_hz: 0.706e9,
             global_mem_bytes: 4_800_000_000,
             max_threads_per_block: 1024,
-            shared_mem_per_block: 48 * 1024,
         }
     }
 
@@ -57,7 +50,6 @@ impl DeviceSpec {
             clock_hz: 0.745e9,
             global_mem_bytes: 12_000_000_000,
             max_threads_per_block: 1024,
-            shared_mem_per_block: 48 * 1024,
         }
     }
 
@@ -71,7 +63,6 @@ impl DeviceSpec {
             clock_hz: 1.0e9,
             global_mem_bytes: 1 << 30,
             max_threads_per_block: 256,
-            shared_mem_per_block: 16 * 1024,
         }
     }
 

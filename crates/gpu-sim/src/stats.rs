@@ -39,16 +39,11 @@ pub struct LaunchStats {
     pub global_mem_ops: u64,
     /// Base comparisons charged (the domain-level work measure).
     pub comparisons: u64,
-    /// Work items pulled from a [`WorkQueue`](crate::workqueue::WorkQueue)
-    /// by a lane other than the item's home lane (persistent-block work
-    /// stealing). Zero for kernels that use static work splits.
-    pub steal_events: u64,
     /// Warp cycles of the most heavily loaded block across the folded
     /// launches. **Gauge, not counter**: it merges by `max` under `+`.
     /// The ratio `warp_cycles / (blocks * busiest_block_cycles)` (see
     /// [`block_occupancy`](LaunchStats::block_occupancy)) measures how
-    /// evenly work is spread across blocks — the straggler effect that
-    /// work stealing attacks.
+    /// evenly work is spread across blocks — the straggler effect.
     pub busiest_block_cycles: u64,
     /// Fresh device-buffer allocations that missed the device's buffer
     /// pool since the previous launch (host-side bookkeeping; no cycle
@@ -149,7 +144,6 @@ impl AddAssign for LaunchStats {
         self.atomic_ops += rhs.atomic_ops;
         self.global_mem_ops += rhs.global_mem_ops;
         self.comparisons += rhs.comparisons;
-        self.steal_events += rhs.steal_events;
         // Gauge: the busiest block of merged launches is the busier one.
         self.busiest_block_cycles = self.busiest_block_cycles.max(rhs.busiest_block_cycles);
         self.pool_allocs += rhs.pool_allocs;
@@ -177,7 +171,6 @@ mod tests {
             atomic_ops: 6,
             global_mem_ops: 7,
             comparisons: 8,
-            steal_events: 11,
             busiest_block_cycles: 7,
             pool_allocs: 9,
             pool_peak_bytes: 1024,
@@ -189,7 +182,6 @@ mod tests {
         assert_eq!(sum.lane_cycles, 200);
         assert_eq!(sum.modeled_time, Duration::from_millis(2));
         assert_eq!(sum.comparisons, 16);
-        assert_eq!(sum.steal_events, 22);
         assert_eq!(sum.busiest_block_cycles, 7, "gauge merges by max, not sum");
         assert_eq!(sum.pool_allocs, 18);
         assert_eq!(sum.pool_peak_bytes, 1024, "gauge merges by max, not sum");

@@ -3,7 +3,7 @@
 //! [`build_sequential`] is the obviously-correct reference;
 //! [`build_parallel`] mirrors Algorithm 1's four phases on rayon and is
 //! used both to cross-check the simulated-GPU build and as a fast host
-//! path. All three builders (including [`crate::build_gpu`]) produce
+//! path. All three builders (including [`crate::build_gpu()`]) produce
 //! bit-identical indexes.
 //!
 //! The builders are seed-mode agnostic: `step` is `Δs` under

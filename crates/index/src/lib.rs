@@ -20,7 +20,7 @@
 //!
 //! Three builders produce bit-identical indexes:
 //!
-//! * [`build_gpu`] — Algorithm 1 verbatim on the [`gpu_sim`] device
+//! * [`build_gpu()`] — Algorithm 1 verbatim on the [`gpu_sim`] device
 //!   (atomic count → device prefix-sum → atomic fill → per-seed sort);
 //! * [`build_parallel`] — a rayon CPU equivalent (used to cross-check
 //!   the GPU build and as a fast path in tests);

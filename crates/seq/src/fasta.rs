@@ -14,7 +14,8 @@ use rand::{Rng, SeedableRng};
 use crate::alphabet::{Base, SeqError};
 use crate::packed::PackedSeq;
 
-/// What to do with non-ACGT bytes inside FASTA sequence lines.
+/// What to do with non-ACGT bytes inside FASTA sequence lines. ASCII
+/// whitespace is not one of them: it is skipped under every policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AmbigPolicy {
     /// Fail with [`SeqError::InvalidBase`].
@@ -77,6 +78,11 @@ pub fn read_fasta<R: BufRead>(
                 ));
             }
             for &byte in line.as_bytes() {
+                // Whitespace inside a sequence line is layout, not
+                // sequence: it neither becomes a base nor counts in `pos`.
+                if byte.is_ascii_whitespace() {
+                    continue;
+                }
                 match Base::from_ascii(byte) {
                     Some(base) => codes.push(base.code()),
                     None => match policy {
@@ -146,6 +152,22 @@ mod tests {
         assert_eq!(a[0].seq.len(), 8);
         assert_eq!(a[0].seq.to_ascii(), b[0].seq.to_ascii());
         assert_eq!(&a[0].seq.to_ascii()[..3], b"ACG");
+    }
+
+    #[test]
+    fn whitespace_inside_sequence_lines_is_skipped_under_every_policy() {
+        let text = ">x\nACGT ACGT\n\tAC\tGT \n";
+        for policy in [
+            AmbigPolicy::Error,
+            AmbigPolicy::Skip,
+            AmbigPolicy::Randomize(3),
+        ] {
+            let records = read_fasta(text.as_bytes(), policy).unwrap();
+            assert_eq!(records[0].seq.to_ascii(), b"ACGTACGTACGT", "{policy:?}");
+        }
+        // Positions count sequence bytes only.
+        let err = read_fasta(">x\nAC G\tN\n".as_bytes(), AmbigPolicy::Error).unwrap_err();
+        assert!(matches!(err, SeqError::InvalidBase { pos: 3, byte: b'N' }));
     }
 
     #[test]

@@ -30,15 +30,6 @@
 //!   --shards <n>         split each query's tile rows across n
 //!                        simulated devices and merge (default 1; the
 //!                        merged MEM set is byte-identical to n = 1)
-//!   --schedule-policy <inorder|mass>
-//!                        GPUMEM tile launch order: grid order
-//!                        (default) or heaviest sampled seed-occurrence
-//!                        mass first (LPT-style straggler avoidance)
-//!   --work-stealing      GPUMEM persistent-block work stealing: the
-//!                        generate/expand steps drain a per-block chunk
-//!                        queue instead of the static split
-//!   --query-staging      GPUMEM shared-memory query staging: blocks
-//!                        park their query window in shared memory
 //!   --both-strands       also match the reverse complement of the query
 //!   --mum                report only maximal unique matches
 //!   --rare <t>           report matches occurring ≤ t times in each sequence
@@ -114,7 +105,7 @@ use gpumem::seq::{
 use gpumem::sim::{Device, DeviceSpec, LaunchStats};
 use gpumem::{
     Engine, EventSink, GpumemConfig, GpumemResult, JsonlEventSink, Registry, RunError, RunOptions,
-    RunRequest, SchedulePolicy, SeedMode, Trace,
+    RunRequest, SeedMode, Trace,
 };
 
 struct Options {
@@ -126,9 +117,6 @@ struct Options {
     threads: usize,
     query_threads: usize,
     shards: usize,
-    schedule_policy: SchedulePolicy,
-    work_stealing: bool,
-    query_staging: bool,
     both_strands: bool,
     mum: bool,
     rare: Option<usize>,
@@ -152,9 +140,6 @@ fn parse_args(argv: &[String]) -> Result<Options, String> {
         threads: 1,
         query_threads: 1,
         shards: 1,
-        schedule_policy: SchedulePolicy::InOrder,
-        work_stealing: false,
-        query_staging: false,
         both_strands: false,
         mum: false,
         rare: None,
@@ -213,19 +198,6 @@ fn parse_args(argv: &[String]) -> Result<Options, String> {
                     return Err("bad --shards: must be positive".into());
                 }
             }
-            "--schedule-policy" => {
-                opts.schedule_policy = match value("--schedule-policy")?.as_str() {
-                    "inorder" => SchedulePolicy::InOrder,
-                    "mass" => SchedulePolicy::MassDescending,
-                    other => {
-                        return Err(format!(
-                            "bad --schedule-policy {other}: expected inorder or mass"
-                        ))
-                    }
-                }
-            }
-            "--work-stealing" => opts.work_stealing = true,
-            "--query-staging" => opts.query_staging = true,
             "--both-strands" => opts.both_strands = true,
             "--mum" => opts.mum = true,
             "--rare" => {
@@ -300,8 +272,18 @@ fn load_records(path: &str) -> Result<Vec<FastaRecord>, String> {
     Ok(records)
 }
 
-fn load_first_record(path: &str) -> Result<PackedSeq, String> {
-    Ok(load_records(path)?.remove(0).seq)
+/// The one record of a reference FASTA. Every finder compares against
+/// a single reference sequence, so a file with more records is refused
+/// rather than silently cut to its first.
+fn load_reference(path: &str) -> Result<PackedSeq, String> {
+    let mut records = load_records(path)?;
+    if records.len() > 1 {
+        return Err(format!(
+            "{path}: reference FASTA holds {} records; expected exactly one",
+            records.len()
+        ));
+    }
+    Ok(records.remove(0).seq)
 }
 
 /// One query record's matches, in that record's coordinates.
@@ -350,10 +332,7 @@ fn run_gpumem(
     let mut builder = GpumemConfig::builder(opts.min_len)
         .threads_per_block(128)
         .blocks_per_tile(16)
-        .seed_mode(seed_mode)
-        .schedule_policy(opts.schedule_policy)
-        .work_stealing(opts.work_stealing)
-        .query_staging(opts.query_staging);
+        .seed_mode(seed_mode);
     if let Some(seed_len) = opts.seed_len {
         builder = builder.seed_len(seed_len);
     }
@@ -520,7 +499,7 @@ fn run_finder(
 
 fn usage() {
     eprintln!(
-        "usage: gpumem-cli run [--tool T] [--min-len L] [--seed-len ls] [--seed-mode ref|dual[:k1,k2]] [--sparseness K] [--threads t] [--query-threads n] [--shards n] [--schedule-policy inorder|mass] [--work-stealing] [--query-staging] [--both-strands] [--mum] [--rare t] [--stats] [--sanitize] [--trace out.json] [--metrics out.json] [--profile] <reference.fa> <query.fa>\n       gpumem-cli registry add <handles.tsv> <name> <reference.fa> [--min-len L] [--seed-len ls]\n       gpumem-cli registry list <handles.tsv>\n       gpumem-cli registry evict-stats <handles.tsv> [--budget bytes] [--rounds N]\n       gpumem-cli metrics export [--format prometheus|json] [--min-len L] [--seed-len ls] [--query-threads n] [--shards n] [--journal events.jsonl] <reference.fa> <query.fa>\n       gpumem-cli bench-info [--min-len L] [--check [--max-regress R] [--history results/bench_history.jsonl]]"
+        "usage: gpumem-cli run [--tool T] [--min-len L] [--seed-len ls] [--seed-mode ref|dual[:k1,k2]] [--sparseness K] [--threads t] [--query-threads n] [--shards n] [--both-strands] [--mum] [--rare t] [--stats] [--sanitize] [--trace out.json] [--metrics out.json] [--profile] <reference.fa> <query.fa>\n       gpumem-cli registry add <handles.tsv> <name> <reference.fa> [--min-len L] [--seed-len ls]\n       gpumem-cli registry list <handles.tsv>\n       gpumem-cli registry evict-stats <handles.tsv> [--budget bytes] [--rounds N]\n       gpumem-cli metrics export [--format prometheus|json] [--min-len L] [--seed-len ls] [--query-threads n] [--shards n] [--journal events.jsonl] <reference.fa> <query.fa>\n       gpumem-cli bench-info [--min-len L] [--check [--max-regress R] [--history results/bench_history.jsonl]]"
     );
 }
 
@@ -625,7 +604,7 @@ fn load_registry(
     entries
         .iter()
         .map(|entry| {
-            let reference = Arc::new(load_first_record(&entry.path)?);
+            let reference = Arc::new(load_reference(&entry.path)?);
             registry
                 .add(&entry.name, reference, entry_config(entry)?)
                 .map_err(|e| format!("{}: {e}", entry.name))
@@ -692,7 +671,7 @@ fn registry_add(argv: &[String]) -> Result<(), String> {
     };
     // Validate before writing: the FASTA must load and the session must
     // construct against the default device.
-    let reference = Arc::new(load_first_record(fasta)?);
+    let reference = Arc::new(load_reference(fasta)?);
     let ref_len = reference.len();
     let probe = Registry::new(DeviceSpec::tesla_k20c());
     probe
@@ -882,7 +861,7 @@ fn metrics_export(argv: &[String]) -> Result<(), String> {
             positional.len()
         ));
     };
-    let reference = load_first_record(ref_path)?;
+    let reference = load_reference(ref_path)?;
     let queries = SeqSet::from_records(&load_records(query_path)?);
     let mut cfg = GpumemConfig::builder(min_len)
         .threads_per_block(128)
@@ -927,10 +906,9 @@ fn metrics_export(argv: &[String]) -> Result<(), String> {
 const HISTORY_LOWER_BETTER: [&str; 2] = ["wall_s", "match_wall_s"];
 /// The history fields where larger is better (throughput, speedup
 /// ratios).
-const HISTORY_HIGHER_BETTER: [&str; 4] = [
+const HISTORY_HIGHER_BETTER: [&str; 3] = [
     "qps_batch",
     "seedmode_l300_modeled_ratio",
-    "skewed_modeled_ratio",
     "sharded_modeled_ratio",
 ];
 
@@ -1126,7 +1104,7 @@ fn run_main(argv: &[String]) -> ExitCode {
     };
 
     let run = || -> Result<(), String> {
-        let reference = load_first_record(&opts.reference)?;
+        let reference = load_reference(&opts.reference)?;
         let queries = SeqSet::from_records(&load_records(&opts.query)?);
 
         // Under --sanitize every simulated kernel launch between here

@@ -92,7 +92,7 @@ pub use gpumem_core::{
     Engine, EngineBuilder, Gpumem, GpumemConfig, GpumemResult, GpumemStats, IndexBuildReport,
     MemCollector, MemSink, MemStage, MetricsSnapshot, PinnedSession, Queries, RefEntryInfo,
     RefHandle, RefSession, Registry, RegistryStats, RunError, RunOptions, RunOutput, RunRequest,
-    SchedulePolicy, SeedMode, SessionCache, ShardHealth, ShardPlan, Trace, TraceRecorder,
+    SeedMode, SessionCache, ShardHealth, ShardPlan, Trace, TraceRecorder,
 };
 
 // The telemetry subsystem (metrics exposition, event journal, clocks),

@@ -1,8 +1,11 @@
 //! Tiling-boundary stress and determinism guarantees for the pipeline.
 
 use gpumem::core::{Gpumem, GpumemConfig};
-use gpumem::seq::{naive_mems, GenomeModel, Mem, PackedSeq};
+use gpumem::seq::{naive_mems, GenomeModel, Mem, MutationModel, PackedSeq};
 use gpumem::sim::{Device, DeviceSpec};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn tiny_gpumem(min_len: u32, seed_len: usize, tau: usize, n_block: usize) -> Gpumem {
     let config = GpumemConfig::builder(min_len)
@@ -159,4 +162,48 @@ fn device_spec_does_not_change_results() {
         k40.stats.matching.modeled_secs() <= k20.stats.matching.modeled_secs(),
         "more SMs and higher clock cannot be slower"
     );
+}
+
+/// A related pair with a planted poly-C block: one seed code owns
+/// hundreds of reference locations, the Fig. 6 seed-occurrence skew
+/// that Algorithm 2 balances.
+fn skewed_pair(content_seed: u64) -> (PackedSeq, PackedSeq) {
+    let mut codes = GenomeModel::mammalian()
+        .generate(3_000, content_seed)
+        .to_codes();
+    for slot in codes[800..1_300].iter_mut() {
+        *slot = 1;
+    }
+    let reference = PackedSeq::from_codes(&codes);
+    let query = {
+        let model = MutationModel {
+            sub_rate: 0.03,
+            indel_rate: 0.003,
+        };
+        let mut rng = StdRng::seed_from_u64(content_seed.wrapping_add(13));
+        PackedSeq::from_codes(&model.apply(&codes, &mut rng))
+    };
+    (reference, query)
+}
+
+#[test]
+fn poly_c_skew_reproduces_the_canonical_mem_set() {
+    let (reference, query) = skewed_pair(7_001);
+    let expect = naive_mems(&reference, &query, 20);
+    assert!(!expect.is_empty(), "fixture must produce MEMs");
+    let result = tiny_gpumem(20, 6, 32, 2).run(&reference, &query).unwrap();
+    assert_eq!(result.mems, expect);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Random related pairs with a poly-C block: the MEM set equals the
+    /// ground truth.
+    #[test]
+    fn random_poly_c_pairs_equal_naive(content_seed in 0u64..1_000) {
+        let (reference, query) = skewed_pair(content_seed);
+        let got = tiny_gpumem(22, 6, 32, 2).run(&reference, &query).unwrap().mems;
+        prop_assert_eq!(got, naive_mems(&reference, &query, 22));
+    }
 }

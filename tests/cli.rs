@@ -335,55 +335,97 @@ fn seed_mode_validation_errors_are_structured() {
 }
 
 #[test]
-fn locality_knobs_preserve_cli_output() {
-    let dir = std::env::temp_dir().join("gpumem-cli-test-locality");
+fn whitespace_inside_query_sequence_lines_changes_nothing() {
+    let dir = std::env::temp_dir().join("gpumem-cli-test-whitespace");
     std::fs::create_dir_all(&dir).unwrap();
     let (ref_fa, query_fa) = write_pair(&dir);
+    // The same query with a space after base 50 and a tab inside a
+    // later sequence line.
+    let clean = std::fs::read_to_string(&query_fa).unwrap();
+    let mut lines: Vec<String> = clean.lines().map(str::to_string).collect();
+    lines[1].insert(50, ' ');
+    lines[3].insert(20, '\t');
+    let spaced_fa = dir.join("query_spaced.fa");
+    std::fs::write(&spaced_fa, lines.join("\n") + "\n").unwrap();
 
-    let run = |extra: &[&str]| -> String {
-        let mut args = vec!["--tool", "gpumem", "--min-len", "25", "--seed-len", "8"];
-        args.extend_from_slice(extra);
-        args.push(ref_fa.as_str());
-        args.push(query_fa.as_str());
-        let out = cli().args(&args).output().expect("binary runs");
+    let run = |query: &str| -> String {
+        let out = cli()
+            .args([
+                "run",
+                "--min-len",
+                "25",
+                "--seed-len",
+                "8",
+                ref_fa.as_str(),
+                query,
+            ])
+            .output()
+            .expect("binary runs");
         assert!(
             out.status.success(),
-            "gpumem {extra:?} failed: {}",
+            "{query}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
         String::from_utf8(out.stdout).unwrap()
     };
+    let expect = run(&query_fa);
+    assert!(!expect.trim().is_empty(), "expected matches");
+    assert_eq!(run(spaced_fa.to_str().unwrap()), expect);
+}
 
-    let baseline = run(&[]);
-    assert!(!baseline.trim().is_empty(), "expected matches");
-    assert_eq!(
-        run(&["--schedule-policy", "inorder"]),
-        baseline,
-        "inorder is the default"
+#[test]
+fn multi_record_reference_is_refused() {
+    let dir = std::env::temp_dir().join("gpumem-cli-test-multi-ref");
+    std::fs::create_dir_all(&dir).unwrap();
+    let write = |name: &str, records: &[FastaRecord]| -> String {
+        let path = dir.join(name);
+        let mut file = std::fs::File::create(&path).unwrap();
+        write_fasta(&mut file, records).unwrap();
+        file.flush().unwrap();
+        path.to_str().unwrap().to_string()
+    };
+    let second = GenomeModel::mammalian().generate(2_400, 4502);
+    let ref_fa = write(
+        "two_records.fa",
+        &[
+            FastaRecord {
+                header: "first".into(),
+                seq: GenomeModel::mammalian().generate(2_000, 4501),
+            },
+            FastaRecord {
+                header: "second".into(),
+                seq: second.clone(),
+            },
+        ],
     );
-    assert_eq!(
-        run(&[
-            "--schedule-policy",
-            "mass",
-            "--work-stealing",
-            "--query-staging"
-        ]),
-        baseline,
-        "the full knob stack must not change the matches"
+    // A copy of the second record: a run cut to the first record finds
+    // none of it.
+    let query_fa = write(
+        "query.fa",
+        &[FastaRecord {
+            header: "copy".into(),
+            seq: second,
+        }],
     );
-
-    let out = cli()
-        .args([
-            "--schedule-policy",
-            "banana",
-            ref_fa.as_str(),
-            query_fa.as_str(),
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("expected inorder or mass"), "{err}");
+    let handles = dir.join("handles.tsv");
+    let _ = std::fs::remove_file(&handles);
+    let handles = handles.to_str().unwrap();
+    let (r, q) = (ref_fa.as_str(), query_fa.as_str());
+    for args in [
+        vec!["run", "--min-len", "25", "--seed-len", "8", r, q],
+        vec!["run", "--tool", "mummer", "--min-len", "25", r, q],
+        vec!["metrics", "export", "--seed-len", "8", r, q],
+        vec!["registry", "add", handles, "two", r, "--seed-len", "8"],
+    ] {
+        let out = cli().args(&args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed output");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("{r}: reference FASTA holds 2 records")),
+            "{args:?}: {err}"
+        );
+    }
 }
 
 #[test]

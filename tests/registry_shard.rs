@@ -9,9 +9,7 @@ use std::sync::Arc;
 
 use gpumem::seq::{GenomeModel, MutationModel, PackedSeq};
 use gpumem::sim::{Device, DeviceSpec};
-use gpumem::{
-    Engine, GpumemConfig, Registry, RunOptions, RunRequest, SchedulePolicy, SeedMode, ShardPlan,
-};
+use gpumem::{Engine, GpumemConfig, Registry, RunOptions, RunRequest, SeedMode, ShardPlan};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -115,22 +113,17 @@ fn knob_matrix_times_shards_is_byte_identical() {
     // for the base (min_len 20, seed_len 6) configuration.
     let dual = SeedMode::DualSampled { k1: 4, k2: 3 };
     for shards in [2usize, 4] {
-        for policy in [SchedulePolicy::InOrder, SchedulePolicy::MassDescending] {
-            for seed_mode in [None, Some(dual)] {
-                let options = RunOptions {
-                    shards,
-                    schedule_policy: Some(policy),
-                    work_stealing: Some(true),
-                    query_staging: Some(true),
-                    seed_mode,
-                    ..RunOptions::default()
-                };
-                assert_eq!(
-                    sharded_mems(&engine, &query, options),
-                    expect,
-                    "shards={shards} policy={policy:?} seed_mode={seed_mode:?}"
-                );
-            }
+        for seed_mode in [None, Some(dual)] {
+            let options = RunOptions {
+                shards,
+                seed_mode,
+                ..RunOptions::default()
+            };
+            assert_eq!(
+                sharded_mems(&engine, &query, options),
+                expect,
+                "shards={shards} seed_mode={seed_mode:?}"
+            );
         }
     }
 }

@@ -174,9 +174,8 @@ fn traced_run_changes_nothing_and_stage_spans_reconcile_exactly() {
 /// gauges included.
 fn render_all_counters(tag: &str, s: &LaunchStats) -> String {
     format!(
-        "{} steals={} busiest_block_cycles={} pool_peak_bytes={}",
+        "{} busiest_block_cycles={} pool_peak_bytes={}",
         render_stats(tag, s),
-        s.steal_events,
         s.busiest_block_cycles,
         s.pool_peak_bytes,
     )
@@ -185,7 +184,7 @@ fn render_all_counters(tag: &str, s: &LaunchStats) -> String {
 fn render_phase(p: &PhaseStats) -> String {
     format!(
         "  phase {}: warps={} warp_cycles={} lane_cycles={} divergence={} atomics={} \
-         global={} compares={} steals={}",
+         global={} compares={}",
         p.name,
         p.warps,
         p.warp_cycles,
@@ -194,7 +193,6 @@ fn render_phase(p: &PhaseStats) -> String {
         p.atomic_ops,
         p.global_mem_ops,
         p.comparisons,
-        p.steal_events,
     )
 }
 
@@ -211,8 +209,8 @@ fn render_result(out: &mut Vec<String>, result: &GpumemResult) {
 }
 
 /// The modeled-contract configurations: the default kernel, both
-/// neighbouring block sizes, each locality/balance knob, the compact
-/// index and dual sampling at the widest co-prime steps.
+/// neighbouring block sizes, the Fig. 7 ablation, the compact index and
+/// dual sampling at the widest co-prime steps.
 fn contract_configs() -> Vec<(&'static str, GpumemConfig)> {
     let base = || {
         GpumemConfig::builder(25)
@@ -226,10 +224,6 @@ fn contract_configs() -> Vec<(&'static str, GpumemConfig)> {
         ("tau=32", base().threads_per_block(32)),
         ("tau=128", base().threads_per_block(128)),
         ("load_balancing=off", base().load_balancing(false)),
-        (
-            "stealing+staging",
-            base().work_stealing(true).query_staging(true),
-        ),
         ("compact", base().index_kind(IndexKind::CompactDirectory)),
         (
             "dual_sampled",

@@ -50,7 +50,6 @@ const FAMILIES: &[&str] = &[
     "gpumem_worker_utilization",
     "gpumem_device_warp_efficiency",
     "gpumem_device_divergence_rate",
-    "gpumem_device_steal_events_total",
     "gpumem_device_block_occupancy",
     "gpumem_device_busiest_block_cycles",
     "gpumem_stage_launches_total",
@@ -65,7 +64,6 @@ const FAMILIES: &[&str] = &[
     "gpumem_stage_atomic_ops_total",
     "gpumem_stage_global_mem_ops_total",
     "gpumem_stage_comparisons_total",
-    "gpumem_stage_steal_events_total",
     "gpumem_stage_busiest_block_cycles",
     "gpumem_stage_pool_allocs_total",
     "gpumem_stage_pool_peak_bytes",
@@ -133,7 +131,6 @@ fn golden_snapshot() -> MetricsSnapshot {
         device: DeviceCounters {
             warp_efficiency: 0.75,
             divergence_rate: 0.125,
-            steal_events: 7,
             block_occupancy: 0.5,
             busiest_block_cycles: 4096,
         },
@@ -150,7 +147,6 @@ fn golden_snapshot() -> MetricsSnapshot {
             atomic_ops: 10,
             global_mem_ops: 20,
             comparisons: 30,
-            steal_events: 0,
             busiest_block_cycles: 300,
             pool_allocs: 2,
             pool_peak_bytes: 1 << 20,
@@ -168,7 +164,6 @@ fn golden_snapshot() -> MetricsSnapshot {
             atomic_ops: 40,
             global_mem_ops: 80,
             comparisons: 120,
-            steal_events: 7,
             busiest_block_cycles: 4096,
             pool_allocs: 1,
             pool_peak_bytes: 1 << 21,
@@ -628,7 +623,7 @@ fn cli_bench_check_gates_the_recorded_trajectory() {
     let entry = |wall: f64, qps: f64| {
         format!(
             "{{\"ts\":1,\"wall_s\":{wall},\"match_wall_s\":0.2,\"qps_batch\":{qps},\
-             \"seedmode_l300_modeled_ratio\":4.0,\"skewed_modeled_ratio\":1.0,\
+             \"seedmode_l300_modeled_ratio\":4.0,\
              \"sharded_modeled_ratio\":3.5,\"mems\":41040}}"
         )
     };

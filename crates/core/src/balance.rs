@@ -23,12 +23,15 @@
 //! seed's slot alone. [`balance_into`] therefore runs those regions once
 //! per [`BalanceScratch`] under [`BlockCtx::record`] and afterwards
 //! [`BlockCtx::replay`]s their charge, computing the results on the host
-//! (DESIGN.md §8, "Replaying known charges").
+//! (DESIGN.md §8, "Replaying known charges"). Steps 3–4 never run lanes:
+//! the host fills `assign` and searches it for every thread, and each
+//! lane is charged from what it would have done
+//! ([`BlockCtx::simt_computed`], DESIGN.md §8, "Computing charges").
 
 use std::ops::Range;
 
-use gpu_sim::primitives::{block_inclusive_scan, upper_bound_shared};
-use gpu_sim::{BlockCtx, Op, RegionCharge};
+use gpu_sim::primitives::{block_inclusive_scan, upper_bound_probes};
+use gpu_sim::{BlockCtx, LaneCharge, Op, RegionCharge};
 
 /// One thread group serving one non-empty seed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -170,21 +173,28 @@ pub fn balance_into(
     seed_slot_of_group.resize(n_groups, 0);
     let group_of_thread = &mut out.group_of_thread;
     let mut steps_3_4 = |ctx: &mut BlockCtx<'_>| {
-        ctx.simt(|lane| {
-            lane.charge(Op::Alu, 4);
-            lane.shared(2);
-            if lane.branch(loads[lane.tid] > 0) {
-                let g = task[lane.tid] as usize - 1;
-                let offset = t_idle * load[lane.tid] as usize / t_load;
+        ctx.simt_computed(0..tau, |tid| {
+            let nonempty = loads[tid] > 0;
+            if nonempty {
+                let g = task[tid] as usize - 1;
+                let offset = t_idle * load[tid] as usize / t_load;
                 assign[g + 1] = ((g + 1) + offset) as u32;
-                seed_slot_of_group[g] = lane.tid;
+                seed_slot_of_group[g] = tid;
             }
+            LaneCharge::on_path(u64::from(nonempty))
+                .with(Op::Alu, 4)
+                .with(Op::Shared, 2)
+                .with(Op::Branch, 1)
         });
 
-        // Step 4: every thread binary-searches its group.
-        ctx.simt(|lane| {
-            let g = upper_bound_shared(lane, assign, lane.tid as u32) - 1;
-            group_of_thread[lane.tid] = g;
+        // Step 4: every thread binary-searches its group, one shared
+        // read and one compare per probe.
+        ctx.simt_computed(0..tau, |tid| {
+            let (end, probes) = upper_bound_probes(assign, tid as u32);
+            group_of_thread[tid] = end - 1;
+            LaneCharge::on_path(0)
+                .with(Op::Shared, probes)
+                .with(Op::Compare, probes)
         });
     };
     if n_groups == 1 {

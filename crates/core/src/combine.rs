@@ -10,7 +10,9 @@
 //!   `0 < r'−r = q'−q ≤ λ`; the left one becomes
 //!   `(r, q, (r'−r) + λ')` and the right one is deleted (`λ' ← 0`,
 //!   exactly as the paper notes). The active-seed schedule guarantees
-//!   no triplet is both modified and deleted in one iteration.
+//!   no triplet is both modified and deleted in one iteration. The
+//!   host merges each iteration and charges every lane what scanning
+//!   the target lists would (DESIGN.md §8, "Computing charges").
 //! * [`scan_combine_sorted`] — §III-C: after sorting by `(r−q, q)`,
 //!   overlapping triplets are consecutive; one linear scan merges each
 //!   diagonal run (used on out-block MEMs per tile and on out-tile
@@ -19,7 +21,7 @@
 //! Plus [`block_sort_by_diag`], the in-kernel bitonic sort that puts
 //! out-block MEMs in `(r−q, q)` order (§III-C1).
 
-use gpu_sim::{BlockCtx, Op, RegionCharge};
+use gpu_sim::{BlockCtx, LaneCharge, Op, RegionCharge};
 use gpumem_seq::Mem;
 
 use crate::balance::{Assignment, IDLE};
@@ -99,6 +101,17 @@ pub struct CombineScratch {
     /// Per-warp kinds of lane seen in the current iteration: bit 0 a
     /// lane without a target, bit 1 a lane with one.
     warp_kinds: Vec<u8>,
+    merge: MergeScratch,
+}
+
+/// Working storage of the host's merge in [`combine_region`].
+struct MergeScratch {
+    /// `scans[tid]`: target entries lane `tid` scans in the current
+    /// iteration, and how many of its triplets merge.
+    scans: Vec<(u64, u64)>,
+    /// The current target list's `(r << 32) | position` keys, sorted
+    /// once a triplet needs its partner (see `position_of`).
+    positions: Vec<u64>,
 }
 
 impl CombineScratch {
@@ -119,6 +132,10 @@ impl CombineScratch {
             single_seed: vec![None; tau],
             dead: Vec::new(),
             warp_kinds: Vec::new(),
+            merge: MergeScratch {
+                scans: vec![(0, 0); tau],
+                positions: Vec::new(),
+            },
         }
     }
 
@@ -166,6 +183,7 @@ pub fn tree_combine_scheduled(
         single_seed,
         dead,
         warp_kinds,
+        merge,
     } = scratch;
     dead.resize(warps + 1, None);
     warp_kinds.resize(warps, 0);
@@ -180,12 +198,12 @@ pub fn tree_combine_scheduled(
             // Nothing merges, so a replay leaves nothing for the host
             // to compute.
             ctx.replay_or_record(&mut single_seed[slot], |ctx| {
-                combine_iterations(ctx, assignment, targets, dead, warp_kinds, triplets)
+                combine_iterations(ctx, assignment, targets, dead, warp_kinds, merge, triplets)
             });
             return;
         }
     }
-    combine_iterations(ctx, assignment, targets, dead, warp_kinds, triplets);
+    combine_iterations(ctx, assignment, targets, dead, warp_kinds, merge, triplets);
 }
 
 /// Algorithm 3's iterations, one SIMT region each.
@@ -203,6 +221,7 @@ fn combine_iterations(
     targets: &[Vec<usize>],
     dead: &mut [Option<RegionCharge>],
     warp_kinds: &mut [u8],
+    merge: &mut MergeScratch,
     triplets: &mut [Vec<Mem>],
 ) {
     let no_idle = assignment
@@ -217,12 +236,12 @@ fn combine_iterations(
                 dead_iteration_mix(assignment, target_of, triplets, ctx.warp_size(), warp_kinds)
             {
                 ctx.replay_or_record(&mut dead[mixed], |ctx| {
-                    combine_region(ctx, assignment, target_of, triplets)
+                    combine_region(ctx, assignment, target_of, merge, triplets)
                 });
                 continue;
             }
         }
-        combine_region(ctx, assignment, target_of, triplets);
+        combine_region(ctx, assignment, target_of, merge, triplets);
     }
 }
 
@@ -257,63 +276,112 @@ fn dead_iteration_mix(
     Some(warp_kinds.iter().filter(|&&kinds| kinds == 3).count())
 }
 
-/// One iteration of Algorithm 3 as a SIMT region: every active group's
-/// threads split its slot's triplets and absorb overlapping triplets of
-/// the target slot.
+/// Charge of an idle lane (load balancing off): its one branch.
+const IDLE_LANE: LaneCharge = LaneCharge::on_path(0).with(Op::Branch, 1);
+/// Charge of a lane whose slot has no target in the iteration: both
+/// branches and the three ALU ops that find its group's slot and target.
+const NO_TARGET_LANE: LaneCharge = LaneCharge::on_path(1).with(Op::Branch, 2).with(Op::Alu, 3);
+
+/// One iteration of Algorithm 3: every active group's threads split its
+/// slot's triplets and absorb overlapping triplets of the target slot.
+///
+/// The host does the merging and the block is charged what each lane
+/// would (see [`BlockCtx::simt_computed`]). A lane with a target takes
+/// its share of the source triplets (a stride over the group) and scans
+/// the target list for each live one, 3 compares and 2 shared accesses
+/// per entry, zeroed entries included, plus 2 shared accesses for a
+/// merge, which ends the scan. All triplets of a slot share its `q`, so
+/// a slot holds at most one triplet per diagonal and `r` finds it: a
+/// source triplet's scan ends at its diagonal partner when the two
+/// merge and covers the whole target list otherwise.
 fn combine_region(
     ctx: &mut BlockCtx<'_>,
     assignment: &Assignment,
     target_of: &[usize],
+    merge: &mut MergeScratch,
     triplets: &mut [Vec<Mem>],
 ) {
-    ctx.simt(|lane| {
-        let g = assignment.group_of_thread[lane.tid];
-        if lane.branch(g == IDLE) {
-            return;
+    for group in &assignment.groups {
+        let (src, target) = (group.seed_slot, target_of[group.seed_slot]);
+        if target == usize::MAX || group.threads.is_empty() {
+            continue;
         }
-        let group = &assignment.groups[g];
-        let src = group.seed_slot;
-        lane.charge(Op::Alu, 3);
-        let target = target_of[src];
-        if lane.branch(target == usize::MAX) {
-            return;
-        }
-        // This thread's share of S (strided split over the group).
-        let my_offset = lane.tid - group.threads.start;
-        let stride = group.threads.len();
-        // Split borrows: src and target are distinct slots.
-        let (s_list, t_list) = if src < target {
-            let (a, b) = triplets.split_at_mut(target);
-            (&mut a[src], &mut b[0])
-        } else {
-            unreachable!("target = src + d > src")
+        let scans = &mut merge.scans[group.threads.clone()];
+        scans.fill((0, 0));
+        // Split borrows: target = src + d > src.
+        let (head, tail) = triplets.split_at_mut(target);
+        let (s_list, t_list) = (&mut head[src], &mut tail[0]);
+        let Some(first) = t_list.first() else {
+            continue;
         };
-        // Charges accumulate into locals and post in one batch per
-        // lane (totals are what the warp model consumes).
-        let (mut compares, mut shared) = (0u64, 0u64);
-        let mut i = my_offset;
-        while i < s_list.len() {
-            let mine = s_list[i];
-            if mine.len > 0 {
-                for other in t_list.iter_mut() {
-                    compares += 3;
-                    shared += 2;
-                    if other.len == 0 {
-                        continue;
-                    }
-                    if let Some(merged) = combine_pair(mine, *other) {
-                        s_list[i] = merged;
-                        other.len = 0; // "GPUMEM just sets λ' to zero"
-                        shared += 2;
-                        break; // ≤ 1 triplet per diagonal per slot
-                    }
-                }
+        let (q, scan_all) = (first.q, t_list.len() as u64);
+        debug_assert!(t_list.iter().all(|m| m.q == q), "a slot's triplets share q");
+        let positions = &mut merge.positions;
+        positions.clear();
+        // Lanes take the group's source triplets in turn.
+        for (mine, lane) in s_list.iter_mut().zip((0..scans.len()).cycle()) {
+            if mine.len == 0 {
+                continue;
             }
-            i += stride;
+            // Only a partner `q − mine.q` further along the diagonal,
+            // within `mine`'s length, can merge (see `combine_pair`).
+            let merged = q
+                .checked_sub(mine.q)
+                .filter(|&delta| delta <= mine.len)
+                .and_then(|delta| {
+                    position_of(positions, t_list, u64::from(mine.r) + u64::from(delta))
+                })
+                .filter(|&pos| t_list[pos].len > 0)
+                .and_then(|pos| Some((pos, combine_pair(*mine, t_list[pos])?)));
+            let lane = &mut scans[lane];
+            match merged {
+                Some((pos, merged)) => {
+                    *mine = merged;
+                    t_list[pos].len = 0; // "GPUMEM just sets λ' to zero"
+                    lane.0 += pos as u64 + 1;
+                    lane.1 += 1;
+                }
+                None => lane.0 += scan_all,
+            }
         }
-        lane.compare(compares);
-        lane.shared(shared);
+    }
+    let scans = &merge.scans;
+    ctx.simt_computed(0..ctx.block_dim, |tid| {
+        let g = assignment.group_of_thread[tid];
+        if g == IDLE {
+            return IDLE_LANE;
+        }
+        if target_of[assignment.groups[g].seed_slot] == usize::MAX {
+            return NO_TARGET_LANE;
+        }
+        let (scan, merges) = scans[tid];
+        LaneCharge::on_path(2)
+            .with(Op::Branch, 2)
+            .with(Op::Alu, 3)
+            .with(Op::Compare, 3 * scan)
+            .with(Op::Shared, 2 * scan + 2 * merges)
     });
+}
+
+/// The position of the triplet at reference position `r` in `list`,
+/// whose triplets share one `q` and so lie on distinct diagonals.
+/// `positions` holds the list's `(r << 32) | position` keys, sorted;
+/// empty, it is filled first.
+fn position_of(positions: &mut Vec<u64>, list: &[Mem], r: u64) -> Option<usize> {
+    if positions.is_empty() {
+        positions.extend(
+            list.iter()
+                .enumerate()
+                .map(|(pos, m)| (u64::from(m.r) << 32) | pos as u64),
+        );
+        positions.sort_unstable();
+        debug_assert!(
+            positions.windows(2).all(|w| w[0] >> 32 != w[1] >> 32),
+            "a slot holds at most one triplet per diagonal"
+        );
+    }
+    let k = positions.binary_search_by_key(&r, |key| key >> 32).ok()?;
+    Some(positions[k] as u32 as usize)
 }
 
 /// 61-bit sort key `(r − q, q)` for triplets; requires positions below

@@ -94,6 +94,18 @@ impl MemCollector {
     pub fn into_canonical(self) -> Vec<Mem> {
         canonicalize(self.mems)
     }
+
+    /// [`MemCollector::into_canonical`] inside a `canonicalize` stage
+    /// span of `trace`, if any. The span carries no statistics: it
+    /// launches nothing.
+    pub(crate) fn into_canonical_traced(self, trace: Option<&TraceRecorder>) -> Vec<Mem> {
+        let span = trace.map(|t| t.begin("canonicalize", SpanCat::Stage));
+        let mems = self.into_canonical();
+        if let (Some(t), Some(id)) = (trace, span) {
+            t.end(id);
+        }
+        mems
+    }
 }
 
 impl MemSink for MemCollector {
@@ -1359,7 +1371,7 @@ impl Engine {
             session,
             config,
         );
-        let mems = collector.into_canonical();
+        let mems = collector.into_canonical_traced(Some(&recorder));
         stats.counts.total = mems.len();
         recorder.end(query_span);
         worker.device.set_observer(None);

@@ -879,7 +879,7 @@ pub(crate) fn gather_rows(
         &mut stats,
     );
     let t = Instant::now();
-    let mems = collector.into_canonical();
+    let mems = collector.into_canonical_traced(host.as_deref());
     stats.match_wall += t.elapsed();
     stats.counts.total = mems.len();
     let trace = host.map(|host| {

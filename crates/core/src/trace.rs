@@ -20,11 +20,14 @@
 //! | `TileRow` | one reference tile row                  | none |
 //! | `Tile`    | one reference × query tile              | none |
 //! | `Stage`   | `index_build`, `block_batch`, `tile_merge`, `global_merge` | **exact, disjoint** |
+//! | `Stage`   | `canonicalize` (the final sort and dedup, host only) | none |
 //! | `Launch`  | one kernel launch (observer-reported)   | informational |
 //! | `Phase`   | in-kernel phase of a launch             | informational |
 //!
-//! Only `Stage` spans carry *summable* statistics: they partition every
-//! device launch of the run, so the sum of their [`LaunchStats`] equals
+//! Stage spans never overlap, so a run span's wall minus theirs is the
+//! host time no stage accounts for. Only `Stage` spans carry *summable*
+//! statistics: they partition every device launch of the run, so the
+//! sum of their [`LaunchStats`] equals
 //! the run's `GpumemStats.index + GpumemStats.matching` **exactly**
 //! (integer counters, no sampling — pinned by the workspace's
 //! `stats_snapshot` tests via [`Trace::stage_totals`]). `Launch` and

@@ -90,6 +90,25 @@ impl CostModel {
         unit.saturating_mul(count)
     }
 
+    /// Cycles for `counts[op as usize]` operations of every class `op`:
+    /// the sum of [`CostModel::cycles`] over the classes, which never
+    /// saturate at the counts a kernel makes. Plain products let the
+    /// sum vectorize.
+    #[inline(always)]
+    pub(crate) fn price(&self, counts: &[u64; 8]) -> u64 {
+        let units = [
+            self.alu,
+            self.compare,
+            self.global_load,
+            self.global_store,
+            self.shared,
+            self.atomic,
+            self.branch,
+            self.sync,
+        ];
+        units.iter().zip(counts).map(|(unit, n)| unit * n).sum()
+    }
+
     /// A free model (every op zero cycles) — for tests that only check
     /// functional behaviour.
     pub fn zero() -> CostModel {
@@ -130,6 +149,31 @@ mod tests {
     fn cycles_saturates() {
         let m = CostModel::default();
         assert_eq!(m.cycles(Op::Atomic, u64::MAX), u64::MAX);
+    }
+
+    #[test]
+    fn price_sums_the_cycles_of_every_class() {
+        let m = CostModel::default();
+        let ops = [
+            Op::Alu,
+            Op::Compare,
+            Op::GlobalLoad,
+            Op::GlobalStore,
+            Op::Shared,
+            Op::Atomic,
+            Op::Branch,
+            Op::Sync,
+        ];
+        let mut all = [0; 8];
+        for (i, op) in ops.into_iter().enumerate() {
+            let n = 3 * i as u64 + 1;
+            let mut one = [0; 8];
+            one[op as usize] = n;
+            assert_eq!(m.price(&one), m.cycles(op, n), "{op:?}");
+            all[op as usize] = n;
+        }
+        let sum: u64 = ops.iter().map(|&op| m.cycles(op, all[op as usize])).sum();
+        assert_eq!(m.price(&all), sum);
     }
 
     #[test]

@@ -317,6 +317,59 @@ pub struct RegionCharge {
     cost: CostModel,
 }
 
+/// What one lane of a computed region charges (see
+/// [`BlockCtx::simt_computed`]): a count per operation class, priced by
+/// the block's cost model, and the id of the branch path the lane took.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LaneCharge {
+    counts: [u64; 8],
+    path: u64,
+}
+
+impl LaneCharge {
+    /// A lane on branch path `path` that has charged nothing yet. Lanes
+    /// of one warp diverge exactly when their paths differ, so a path
+    /// must stand for the whole sequence of branch decisions the lane
+    /// would take.
+    pub const fn on_path(path: u64) -> LaneCharge {
+        LaneCharge {
+            counts: [0; 8],
+            path,
+        }
+    }
+
+    /// Add `count` operations of class `op`.
+    #[must_use]
+    pub const fn with(mut self, op: Op, count: u64) -> LaneCharge {
+        self.counts[op as usize] += count;
+        self
+    }
+
+    /// The counters this charge adds to its lane under `cost`.
+    #[inline(always)]
+    fn totals(&self, cost: &CostModel) -> LaneTotals {
+        let count = |op: Op| self.counts[op as usize];
+        LaneTotals {
+            cycles: cost.price(&self.counts),
+            atomic_ops: count(Op::Atomic),
+            global_ops: count(Op::GlobalLoad) + count(Op::GlobalStore),
+            comparisons: count(Op::Compare),
+            path: self.path,
+        }
+    }
+}
+
+/// One lane's counters as the warp fold of [`BlockCtx::fold_region`]
+/// takes them, whether the lane ran or the host computed its charge.
+struct LaneTotals {
+    cycles: u64,
+    atomic_ops: u64,
+    global_ops: u64,
+    comparisons: u64,
+    /// Branch path: lanes of one warp on different paths diverge.
+    path: u64,
+}
+
 /// Per-block accumulation, reduced into [`LaunchStats`] after the launch.
 struct BlockOut {
     warps: u64,
@@ -364,9 +417,9 @@ pub struct BlockCtx<'c> {
     pub block_dim: usize,
     cost: &'c CostModel,
     warp_size: usize,
-    /// SIMT region ordinal: incremented at every `simt_range` call (and
-    /// by a replay, by the regions it stands for), so accesses
-    /// separated by a barrier land in different regions.
+    /// SIMT region ordinal: incremented at every region, run or
+    /// computed (and by a replay, by the regions it stands for), so
+    /// accesses separated by a barrier land in different regions.
     region: u32,
     /// Distinct branch signatures of the current warp. Owned by the
     /// context so the hot warp loop never allocates (one buffer per
@@ -374,7 +427,7 @@ pub struct BlockCtx<'c> {
     signatures: Vec<u64>,
     out: BlockOut,
     /// Whether an observer is installed on the launching device. When
-    /// false, [`BlockCtx::phase`] is a no-op and `simt_range` does no
+    /// false, [`BlockCtx::phase`] is a no-op and regions do no
     /// attribution bookkeeping — the zero-cost-when-disabled contract.
     phases_enabled: bool,
     /// Per-phase counter attribution, in first-marked order.
@@ -455,8 +508,61 @@ impl<'c> BlockCtx<'c> {
     /// outside the range are masked off, as with an early `if (tid >= n)
     /// return;` guard in CUDA).
     pub fn simt_range<F: FnMut(&mut Lane<'_>)>(&mut self, threads: Range<usize>, mut f: F) {
+        let (cost, block_id) = (self.cost, self.block_id);
         #[cfg(feature = "sanitize")]
         let region = self.region;
+        self.fold_region(threads, |tid| {
+            let mut lane = Lane {
+                tid,
+                block_id,
+                #[cfg(feature = "sanitize")]
+                region,
+                cost,
+                cycles: 0,
+                branch_signature: 0xcbf2_9ce4_8422_2325,
+                atomic_ops: 0,
+                global_ops: 0,
+                comparisons: 0,
+            };
+            f(&mut lane);
+            LaneTotals {
+                cycles: lane.cycles,
+                atomic_ops: lane.atomic_ops,
+                global_ops: lane.global_ops,
+                comparisons: lane.comparisons,
+                path: lane.branch_signature,
+            }
+        });
+    }
+
+    /// A SIMT region over `threads` whose lanes do not run: `charge(tid)`
+    /// gives what lane `tid` would charge, and the region is folded into
+    /// warps exactly as [`BlockCtx::simt_range`] folds lanes that ran.
+    /// `charge` is called once per thread, in ascending order, so it may
+    /// do the lane's work on the host as it goes.
+    ///
+    /// Only for regions that touch no device buffer and whose every lane
+    /// charge is an exact function of data the host holds; the results
+    /// must come from the host. As for a region that ran, the region
+    /// ordinal advances by one and, under an observer, the current phase
+    /// is credited; [`BlockCtx::record`] and [`BlockCtx::replay`] treat
+    /// the region like any other.
+    pub fn simt_computed(
+        &mut self,
+        threads: Range<usize>,
+        mut charge: impl FnMut(usize) -> LaneCharge,
+    ) {
+        let cost = self.cost;
+        self.fold_region(threads, |tid| charge(tid).totals(cost));
+    }
+
+    /// The warp fold of one region: each warp's cost is its slowest
+    /// lane's cycles plus a sync and, for every branch path beyond the
+    /// first, the divergence penalty; the block counters grow by the
+    /// lanes' totals, and the current phase is credited with the region
+    /// when an observer is installed.
+    #[inline(always)]
+    fn fold_region(&mut self, threads: Range<usize>, mut lane: impl FnMut(usize) -> LaneTotals) {
         self.region += 1;
         // Snapshot the block counters so the region's delta can be
         // attributed to the current phase. Skipped entirely (not even
@@ -474,26 +580,14 @@ impl<'c> BlockCtx<'c> {
             let mut warp_max = 0u64;
             self.signatures.clear();
             for tid in warp_start..warp_end {
-                let mut lane = Lane {
-                    tid,
-                    block_id: self.block_id,
-                    #[cfg(feature = "sanitize")]
-                    region,
-                    cost: self.cost,
-                    cycles: 0,
-                    branch_signature: 0xcbf2_9ce4_8422_2325,
-                    atomic_ops: 0,
-                    global_ops: 0,
-                    comparisons: 0,
-                };
-                f(&mut lane);
+                let lane = lane(tid);
                 warp_max = warp_max.max(lane.cycles);
                 self.out.lane_cycles += lane.cycles;
                 self.out.atomic_ops += lane.atomic_ops;
                 self.out.global_ops += lane.global_ops;
                 self.out.comparisons += lane.comparisons;
-                if !self.signatures.contains(&lane.branch_signature) {
-                    self.signatures.push(lane.branch_signature);
+                if !self.signatures.contains(&lane.path) {
+                    self.signatures.push(lane.path);
                 }
             }
             let distinct_paths = self.signatures.len() as u64;
@@ -1325,6 +1419,113 @@ mod tests {
         assert_eq!(a.modeled_time, b.modeled_time);
         assert_eq!(a.divergence_events, b.divergence_events);
         assert_eq!(a.comparisons, b.comparisons);
+    }
+
+    /// Lane `tid`'s branch path when a region has `paths` of them.
+    fn path_of(tid: usize, paths: usize) -> u64 {
+        (tid * 7 % paths) as u64
+    }
+
+    /// The charge a lane of [`run_lanes`] makes, as a host-computed
+    /// total: path 0 decides one branch, the others two.
+    fn computed_lane(tid: usize, paths: usize) -> LaneCharge {
+        let path = path_of(tid, paths);
+        LaneCharge::on_path(path)
+            .with(Op::Branch, 1 + u64::from(path > 0))
+            .with(Op::Alu, tid as u64 % 5)
+            .with(Op::Compare, 3 * path)
+            .with(Op::GlobalLoad, tid as u64 % 2)
+            .with(Op::Atomic, u64::from(tid % 11 == 0))
+            .with(Op::Shared, 2)
+    }
+
+    /// Lanes that charge what [`computed_lane`] computes, branching
+    /// their way onto the same path.
+    fn run_lanes(ctx: &mut BlockCtx<'_>, threads: Range<usize>, paths: usize) {
+        ctx.simt_range(threads, |lane| {
+            let path = path_of(lane.tid, paths);
+            if !lane.branch(path == 0) {
+                lane.branch(path == 1);
+            }
+            lane.charge(Op::Alu, lane.tid as u64 % 5);
+            lane.compare(3 * path);
+            lane.charge(Op::GlobalLoad, lane.tid as u64 % 2);
+            lane.charge(Op::Atomic, u64::from(lane.tid % 11 == 0));
+            lane.shared(2);
+        });
+    }
+
+    #[test]
+    fn computed_region_charges_what_running_its_lanes_charges() {
+        // τ below one warp, and a partial last warp, over the whole
+        // block and a masked sub-range, on one to three paths.
+        for block_dim in [20, 70] {
+            for threads in [0..block_dim, 3..block_dim - 2] {
+                for paths in 1..=3 {
+                    for observed in [false, true] {
+                        let launch = |computed: bool| {
+                            let device = tiny();
+                            let recorder = Arc::new(Recorder::default());
+                            if observed {
+                                device.set_observer(Some(recorder.clone()));
+                            }
+                            let mut stats =
+                                device.launch_fn(LaunchConfig::new(2, block_dim), |ctx| {
+                                    ctx.phase("region");
+                                    if computed {
+                                        ctx.simt_computed(threads.clone(), |tid| {
+                                            computed_lane(tid, paths)
+                                        });
+                                    } else {
+                                        run_lanes(ctx, threads.clone(), paths);
+                                    }
+                                });
+                            stats.wall_time = Duration::ZERO;
+                            let phases = recorder.records.lock().pop().map(|r| r.2);
+                            (stats, phases)
+                        };
+                        let (run, computed) = (launch(false), launch(true));
+                        let case = format!("τ={block_dim} {threads:?} paths={paths}");
+                        assert_eq!(computed, run, "{case} observed={observed}");
+                        assert_eq!(run.1.is_some(), observed);
+                        assert_eq!(run.0.divergence_events > 0, paths > 1, "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[cfg(feature = "sanitize")]
+    #[test]
+    fn computed_region_advances_the_sanitizer_region_ordinal() {
+        // Each block writes its half of `buf`, runs or computes a region,
+        // then reads one element past the end; the report names the
+        // region ordinal of that read.
+        let probe = |computed: bool| -> Vec<(u32, u32)> {
+            let device = tiny();
+            let buf = GpuU32::named(64, "buf");
+            let session = crate::sanitizer::Session::start();
+            device.launch_fn_named(LaunchConfig::new(2, 32), "probe", |ctx| {
+                let base = ctx.block_id * 32;
+                ctx.simt(|lane| lane.st32(&buf, base + lane.tid, 1));
+                if computed {
+                    ctx.simt_computed(0..32, |tid| computed_lane(tid, 2));
+                } else {
+                    run_lanes(ctx, 0..32, 2);
+                }
+                ctx.simt_range(0..1, |lane| {
+                    lane.ld32(&buf, 64 + lane.block_id);
+                });
+            });
+            let report = session.finish();
+            report
+                .hazards
+                .iter()
+                .map(|h| (h.first.block, h.first.region))
+                .collect()
+        };
+        assert_eq!(probe(false), vec![(0, 2), (1, 2)], "write, region, probe");
+        assert_eq!(probe(true), probe(false));
     }
 
     #[test]

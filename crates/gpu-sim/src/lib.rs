@@ -25,7 +25,10 @@
 //! * a block may [`BlockCtx::record`] what a run of regions charged and
 //!   later [`BlockCtx::replay`] that charge without running them, when
 //!   the regions touch no device buffer and their charge is known in
-//!   advance (the result then comes from the host);
+//!   advance (the result then comes from the host), and may charge a
+//!   region from per-lane operation counts the host computed
+//!   ([`BlockCtx::simt_computed`]) instead of running its lanes, when
+//!   each lane's charge is an exact function of data the host holds;
 //! * every lane carries an operation counter ([`Lane`]); a warp's cycle
 //!   cost is the **maximum over its 32 lanes** plus a serialization
 //!   charge for divergent branches — this is precisely the effect the
@@ -56,7 +59,7 @@ pub mod spec;
 pub mod stats;
 
 pub use cost::{CostModel, Op};
-pub use exec::{BlockCtx, BlockKernel, Device, Lane, LaunchConfig, RegionCharge};
+pub use exec::{BlockCtx, BlockKernel, Device, Lane, LaneCharge, LaunchConfig, RegionCharge};
 pub use memory::{GpuU32, GpuU64};
 pub use observe::{LaunchObserver, LaunchRecord, PhaseStats};
 pub use pool::{PoolClass, PooledU32, PooledU64};

@@ -13,19 +13,28 @@ use crate::exec::Lane;
 ///
 /// Charges one shared access and one comparison per probe.
 pub fn upper_bound_shared(lane: &mut Lane<'_>, data: &[u32], target: u32) -> usize {
-    let mut lo = 0usize;
-    let mut hi = data.len();
+    let (index, probes) = upper_bound_probes(data, target);
+    lane.shared(probes);
+    lane.compare(probes);
+    index
+}
+
+/// [`upper_bound_shared`] on the host: the index, and the number of
+/// probes the search makes, from which a region computed with
+/// [`BlockCtx::simt_computed`](crate::exec::BlockCtx::simt_computed)
+/// charges the lane.
+pub fn upper_bound_probes(data: &[u32], target: u32) -> (usize, u64) {
+    let (mut lo, mut hi, mut probes) = (0usize, data.len(), 0u64);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        lane.shared(1);
-        lane.compare(1);
+        probes += 1;
         if data[mid] <= target {
             lo = mid + 1;
         } else {
             hi = mid;
         }
     }
-    lo
+    (lo, probes)
 }
 
 #[cfg(test)]

@@ -93,7 +93,8 @@ fn trace_flag_emits_chrome_trace_json_that_reconciles() {
     assert!(!events.is_empty());
 
     // Every event is a complete duration event; Stage events carry the
-    // per-launch device stats in args.
+    // per-launch device stats in args, except the host-only
+    // canonicalization, which carries none.
     let mut stage_warp_cycles = 0u64;
     let mut cats = Vec::new();
     for event in events {
@@ -106,7 +107,14 @@ fn trace_flag_emits_chrome_trace_json_that_reconciles() {
         let cat = field(event, "cat").as_str().unwrap().to_string();
         if cat == "Stage" {
             let stats = field(field(event, "args"), "stats");
-            stage_warp_cycles += field(stats, "warp_cycles").as_u64().unwrap();
+            if field(event, "name").as_str() == Some("canonicalize") {
+                assert!(
+                    matches!(stats, Value::Null),
+                    "canonicalize launches nothing"
+                );
+            } else {
+                stage_warp_cycles += field(stats, "warp_cycles").as_u64().unwrap();
+            }
         }
         cats.push(cat);
     }
@@ -116,7 +124,13 @@ fn trace_flag_emits_chrome_trace_json_that_reconciles() {
             "no {expected} event in trace"
         );
     }
-    for stage in ["index_build", "block_batch", "tile_merge", "global_merge"] {
+    for stage in [
+        "index_build",
+        "block_batch",
+        "tile_merge",
+        "global_merge",
+        "canonicalize",
+    ] {
         assert!(
             events.iter().any(|e| {
                 field(e, "cat").as_str() == Some("Stage")

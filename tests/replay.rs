@@ -613,3 +613,251 @@ proptest! {
         prop_assert!(warm.recordings() <= (tau + 1) + 2 * tau + 1 + warps + 1);
     }
 }
+
+// Computed charges: steps 3–4 of Algorithm 2 and every iteration of
+// Algorithm 3 run no lanes in the kernel; the host does their work and
+// charges each lane what it would have charged. Below are the
+// interpreted bodies those regions replace, as references: a round
+// balanced and combined by the kernel must leave the same assignment,
+// the same triplet lists, the same launch counters and the same phase
+// rows as the same round interpreted lane by lane.
+
+use gpumem::core::balance::IDLE;
+use gpumem::core::combine::{combine_pair, combine_schedule};
+use gpumem::sim::primitives::{block_inclusive_scan, upper_bound_shared};
+
+/// Algorithm 2 with every region interpreted.
+fn reference_balance(ctx: &mut BlockCtx<'_>, loads: &[u32], enabled: bool) -> Assignment {
+    let tau = ctx.block_dim;
+    let mut out = Assignment {
+        groups: Vec::new(),
+        group_of_thread: vec![IDLE; tau],
+    };
+    if !enabled {
+        for (k, &load) in loads.iter().enumerate() {
+            if load > 0 {
+                out.group_of_thread[k] = out.groups.len();
+                out.groups.push(GroupAssign {
+                    seed_slot: k,
+                    threads: k..k + 1,
+                });
+            }
+        }
+        return out;
+    }
+    let (mut load, mut task, mut scan_src) = (vec![0u32; tau], vec![0u32; tau], Vec::new());
+    ctx.simt(|lane| {
+        lane.charge(Op::GlobalLoad, 1);
+        lane.shared(2);
+        load[lane.tid] = loads[lane.tid];
+        task[lane.tid] = u32::from(loads[lane.tid] > 0);
+    });
+    block_inclusive_scan(ctx, &mut load, &mut scan_src);
+    block_inclusive_scan(ctx, &mut task, &mut scan_src);
+    let t_load = load[tau - 1] as usize;
+    let n_groups = task[tau - 1] as usize;
+    if n_groups == 0 {
+        return out;
+    }
+    let t_idle = tau - n_groups;
+    let mut assign = vec![0u32; n_groups + 1];
+    let mut seed_slot_of_group = vec![0usize; n_groups];
+    // Step 3.
+    ctx.simt(|lane| {
+        lane.charge(Op::Alu, 4);
+        lane.shared(2);
+        if lane.branch(loads[lane.tid] > 0) {
+            let g = task[lane.tid] as usize - 1;
+            let offset = t_idle * load[lane.tid] as usize / t_load;
+            assign[g + 1] = ((g + 1) + offset) as u32;
+            seed_slot_of_group[g] = lane.tid;
+        }
+    });
+    // Step 4.
+    let group_of_thread = &mut out.group_of_thread;
+    ctx.simt(|lane| {
+        let g = upper_bound_shared(lane, &assign, lane.tid as u32) - 1;
+        group_of_thread[lane.tid] = g;
+    });
+    out.groups = (0..n_groups)
+        .map(|g| GroupAssign {
+            seed_slot: seed_slot_of_group[g],
+            threads: assign[g] as usize..assign[g + 1] as usize,
+        })
+        .collect();
+    out
+}
+
+/// One interpreted iteration of Algorithm 3: each lane scans the target
+/// list for each of its source triplets until one merges.
+fn reference_combine_region(
+    ctx: &mut BlockCtx<'_>,
+    assignment: &Assignment,
+    target_of: &[usize],
+    triplets: &mut [Vec<Mem>],
+) {
+    ctx.simt(|lane| {
+        let g = assignment.group_of_thread[lane.tid];
+        if lane.branch(g == IDLE) {
+            return;
+        }
+        let group = &assignment.groups[g];
+        let src = group.seed_slot;
+        lane.charge(Op::Alu, 3);
+        let target = target_of[src];
+        if lane.branch(target == usize::MAX) {
+            return;
+        }
+        let my_offset = lane.tid - group.threads.start;
+        let stride = group.threads.len();
+        let (a, b) = triplets.split_at_mut(target);
+        let (s_list, t_list) = (&mut a[src], &mut b[0]);
+        let (mut compares, mut shared) = (0u64, 0u64);
+        let mut i = my_offset;
+        while i < s_list.len() {
+            let mine = s_list[i];
+            if mine.len > 0 {
+                for other in t_list.iter_mut() {
+                    compares += 3;
+                    shared += 2;
+                    if other.len == 0 {
+                        continue;
+                    }
+                    if let Some(merged) = combine_pair(mine, *other) {
+                        s_list[i] = merged;
+                        other.len = 0;
+                        shared += 2;
+                        break;
+                    }
+                }
+            }
+            i += stride;
+        }
+        lane.compare(compares);
+        lane.shared(shared);
+    });
+}
+
+/// Algorithm 3 with every iteration interpreted.
+fn reference_combine(ctx: &mut BlockCtx<'_>, assignment: &Assignment, triplets: &mut [Vec<Mem>]) {
+    let tau = ctx.block_dim;
+    for pairs in combine_schedule(tau) {
+        let mut target_of = vec![usize::MAX; tau];
+        for (src, tgt) in pairs {
+            target_of[src] = tgt;
+        }
+        reference_combine_region(ctx, assignment, &target_of, triplets);
+    }
+}
+
+/// One round balanced and combined as its own observed launch, by the
+/// kernel or by the references: the assignment and triplets it leaves,
+/// what it charged, and its phase rows.
+fn round_run(
+    loads: &[u32],
+    enabled: bool,
+    triplets: &[Vec<Mem>],
+    kernel: bool,
+) -> Observed<(Assignment, Vec<Vec<Mem>>)> {
+    let tau = loads.len();
+    let (device, log) = observed();
+    let cell = Mutex::new((Assignment::default(), triplets.to_vec()));
+    let stats = device.launch_fn(LaunchConfig::new(1, tau), |ctx| {
+        let (assignment, lists) = &mut *cell.lock().unwrap();
+        ctx.phase("balance");
+        if kernel {
+            balance_into(
+                ctx,
+                loads,
+                enabled,
+                &mut BalanceScratch::default(),
+                assignment,
+            );
+        } else {
+            *assignment = reference_balance(ctx, loads, enabled);
+        }
+        ctx.phase("combine");
+        if kernel {
+            tree_combine_scheduled(ctx, assignment, &mut CombineScratch::new(tau), lists);
+        } else {
+            reference_combine(ctx, assignment, lists);
+        }
+    });
+    let phases = log.0.lock().unwrap().pop().expect("one launch");
+    (cell.into_inner().unwrap(), without_wall(stats), phases)
+}
+
+/// A round's loads and slot lists drawn from `seed`: slot `k` probes
+/// `q = 10k`, and its triplets lie on distinct diagonals of a shared
+/// pool, so neighbouring slots chain. `kind` 0 gives one to three heavy
+/// slots in a row (load balancing hands them many threads), 1 about a
+/// third of the slots, 2 every slot. Heavy lists reach 600 triplets;
+/// some lists of slots with a load are empty, and a few triplets start
+/// zeroed.
+fn round_inputs(tau: usize, kind: u8, seed: u64) -> (Vec<u32>, Vec<Vec<Mem>>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let pool: Vec<u32> = (0..700).map(|d| 10 + 3 * d).collect();
+    let first_heavy = rng.gen_range(0..tau);
+    let mut loads = vec![0u32; tau];
+    let mut lists = vec![Vec::new(); tau];
+    for k in 0..tau {
+        let occupied = match kind {
+            0 => match (k + tau - first_heavy) % tau {
+                0 => true,
+                1 | 2 => rng.gen_range(0..3) > 0,
+                _ => false,
+            },
+            1 => rng.gen_range(0..3) == 0,
+            _ => true,
+        };
+        if !occupied {
+            continue;
+        }
+        let n = match kind {
+            0 => rng.gen_range(1..=600),
+            _ => rng.gen_range(1..=40),
+        };
+        loads[k] = n as u32;
+        if rng.gen_range(0..8) == 0 {
+            continue; // a group whose source list is empty
+        }
+        let q = 10 * k as u32;
+        let mut diagonals = pool.clone();
+        for i in 0..n {
+            let j = rng.gen_range(i..diagonals.len());
+            diagonals.swap(i, j);
+        }
+        lists[k] = diagonals[..n]
+            .iter()
+            .map(|&d| Mem {
+                r: d + q,
+                q,
+                len: if rng.gen_range(0..20) == 0 {
+                    0
+                } else {
+                    rng.gen_range(1..=25)
+                },
+            })
+            .collect();
+    }
+    (loads, lists)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Computed steps 3–4 and combine iterations leave what the
+    /// interpreted regions leave and charge what they charge.
+    #[test]
+    fn computed_rounds_match_the_interpreted_references(
+        tau_ix in 0usize..4,
+        enabled: bool,
+        kind in 0u8..3,
+        seed in 0u64..1_000_000,
+    ) {
+        let tau = TAUS[tau_ix];
+        let (loads, lists) = round_inputs(tau, kind, seed);
+        let reference = round_run(&loads, enabled, &lists, false);
+        prop_assert_eq!(round_run(&loads, enabled, &lists, true), reference);
+    }
+}

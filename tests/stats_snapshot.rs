@@ -41,6 +41,29 @@ fn smoke_pair() -> (PackedSeq, PackedSeq) {
     (reference, query)
 }
 
+/// A repeat-rich pair of 3 kb: a 150 bp motif planted six times and a
+/// 400 bp homopolymer in the reference, and a copy with 2% substitutions
+/// and 0.2% indels as the query. Under [`repeat_configs`] the
+/// homopolymer's seed holds about 200 locations in its tile row, so the
+/// combine merges slot lists of hundreds of triplets and load balancing
+/// hands groups of up to 55 threads to single heavy seeds.
+fn repeat_pair() -> (PackedSeq, PackedSeq) {
+    let mut codes = GenomeModel::mammalian().generate(3_000, 3_001).to_codes();
+    let motif = GenomeModel::mammalian().generate(150, 3_002).to_codes();
+    for copy in 0..6 {
+        let at = 700 + copy * 316;
+        codes[at..at + motif.len()].copy_from_slice(&motif);
+    }
+    codes[100..500].fill(1);
+    let model = MutationModel {
+        sub_rate: 0.02,
+        indel_rate: 0.002,
+    };
+    let mut rng = StdRng::seed_from_u64(3_003);
+    let query = PackedSeq::from_codes(&model.apply(&codes, &mut rng));
+    (PackedSeq::from_codes(&codes), query)
+}
+
 fn gpumem(kind: IndexKind) -> Gpumem {
     let config = GpumemConfig::builder(25)
         .seed_len(6)
@@ -235,6 +258,29 @@ fn contract_configs() -> Vec<(&'static str, GpumemConfig)> {
     .collect()
 }
 
+/// The configurations [`repeat_pair`] runs under: Δs = 2 and 8-block
+/// tiles keep the homopolymer's locations dense and in one tile row, at
+/// each block size the combine schedule takes and with load balancing
+/// off.
+fn repeat_configs() -> Vec<(&'static str, GpumemConfig)> {
+    let base = || {
+        GpumemConfig::builder(25)
+            .seed_len(6)
+            .step(2)
+            .threads_per_block(64)
+            .blocks_per_tile(8)
+    };
+    [
+        ("default", base()),
+        ("tau=32", base().threads_per_block(32)),
+        ("tau=128", base().threads_per_block(128)),
+        ("load_balancing=off", base().load_balancing(false)),
+    ]
+    .into_iter()
+    .map(|(name, builder)| (name, builder.build().expect("valid config")))
+    .collect()
+}
+
 /// Byte-compare `actual` against the committed golden file, or rewrite
 /// the golden file when `GPUMEM_BLESS=1`.
 fn check_golden(name: &str, actual: &str) {
@@ -265,21 +311,28 @@ fn check_golden(name: &str, actual: &str) {
 }
 
 /// Every modeled figure of the smoke pair under each contract
+/// configuration and of the repeat-rich pair under each repeat
 /// configuration, plain and traced: all counters of both stages, stage
 /// counts and the MEM hash, plus every row of the trace's phase totals.
 #[test]
 fn every_configuration_matches_the_golden_modeled_contract() {
-    let (reference, query) = smoke_pair();
     let mut out = Vec::new();
-    for (name, config) in contract_configs() {
-        let gpumem = || Gpumem::with_device(config.clone(), Device::new(DeviceSpec::test_tiny()));
-        let plain = gpumem().run(&reference, &query).unwrap();
-        out.push(format!("{name} plain"));
-        render_result(&mut out, &plain);
-        let (traced, trace) = gpumem().run_traced(&reference, &query).unwrap();
-        out.push(format!("{name} traced"));
-        render_result(&mut out, &traced);
-        out.extend(trace.phase_totals().iter().map(render_phase));
+    for (pair, prefix, configs) in [
+        (smoke_pair(), "", contract_configs()),
+        (repeat_pair(), "repeats ", repeat_configs()),
+    ] {
+        let (reference, query) = pair;
+        for (name, config) in configs {
+            let gpumem =
+                || Gpumem::with_device(config.clone(), Device::new(DeviceSpec::test_tiny()));
+            let plain = gpumem().run(&reference, &query).unwrap();
+            out.push(format!("{prefix}{name} plain"));
+            render_result(&mut out, &plain);
+            let (traced, trace) = gpumem().run_traced(&reference, &query).unwrap();
+            out.push(format!("{prefix}{name} traced"));
+            render_result(&mut out, &traced);
+            out.extend(trace.phase_totals().iter().map(render_phase));
+        }
     }
     out.push(String::new());
     check_golden("stats_snapshot.txt", &out.join("\n"));

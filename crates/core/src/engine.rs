@@ -12,9 +12,11 @@
 //!   on first touch (or eagerly via [`RefSession::warm`]) and shared by
 //!   all subsequent queries;
 //! * [`Engine`] binds a session to a pool of query workers, each with
-//!   its own simulated [`Device`] and [`RunScratch`], so
-//!   [`Engine::run_batch`] can execute independent queries in parallel
-//!   without contending on scratch or misattributing pool statistics;
+//!   its own simulated [`Device`] and [`RunScratch`]. Tile rows are
+//!   independent, so a request runs its rows on every worker that is
+//!   free when it arrives, one host thread each, and concurrent
+//!   requests spread over the pool without contending on scratch or
+//!   misattributing pool statistics;
 //! * [`MemSink`] streams MEMs out of [`Engine::run_with_sink`] stage by
 //!   stage instead of accumulating the whole result vector.
 //!
@@ -38,12 +40,11 @@ use parking_lot::{Mutex, MutexGuard};
 use gpu_sim::{Device, DeviceSpec, LaunchStats};
 use gpumem_index::{Region, SharedSeedLookup};
 use gpumem_seq::{canonicalize, Mem, PackedSeq, SeqSet};
-use rayon::prelude::*;
 
 use crate::config::GpumemConfig;
 use crate::pipeline::{
-    build_row_index, ensure_fits, ensure_sort_key, gather_rows, row_masses, run_tiles,
-    GpumemResult, GpumemStats, IndexBuildReport, RunError, RunScratch,
+    build_row_index, ensure_fits, ensure_sort_key, gather_rows, replica_cap, row_masses, run_tiles,
+    GpumemResult, GpumemStats, IndexBuildReport, RowWorker, RunError, RunScratch, TileScratch,
 };
 use crate::registry::{RefHandle, Registry, RegistryStats};
 use crate::shard::ShardPlan;
@@ -374,15 +375,20 @@ impl SessionCache {
     }
 }
 
-/// One query worker: a simulated device plus reusable run scratch and
-/// its share of the serving metrics.
+/// One query worker: a simulated device plus reusable run scratch.
 struct Worker {
     device: Device,
     scratch: RunScratch,
-    /// Wall time this worker spent executing queries.
-    busy: Duration,
-    /// Queries this worker completed.
-    queries: u64,
+}
+
+/// One worker's share of the serving metrics, kept beside its mutex so
+/// that a metrics poll never waits on a running request.
+#[derive(Default)]
+struct WorkerLoad {
+    /// Wall time, in nanoseconds, of the requests that held the worker.
+    busy_ns: AtomicU64,
+    /// Requests that checked this worker out first.
+    queries: AtomicU64,
 }
 
 /// Log-bucketed query-latency histogram: bucket `i` counts queries
@@ -484,12 +490,14 @@ pub struct IndexCacheStats {
     pub build_wait_s: f64,
 }
 
-/// One worker's share of the serving load.
+/// One worker's share of the serving load. A request counts as one
+/// query of the first worker it checked out, and as busy time of every
+/// worker it held.
 #[derive(Clone, Debug, serde::Serialize)]
 pub struct WorkerUtilization {
-    /// Queries this worker completed.
+    /// Queries this worker was the first worker of.
     pub queries: u64,
-    /// Wall time spent executing queries, seconds.
+    /// Wall time of the requests that held this worker, seconds.
     pub busy_s: f64,
     /// `busy_s / engine uptime` — 1.0 means always busy.
     pub utilization: f64,
@@ -879,7 +887,9 @@ pub struct Engine {
     session: Arc<RefSession>,
     spec: DeviceSpec,
     workers: Vec<Mutex<Worker>>,
-    /// Where a single-query request waits when every worker is busy.
+    /// `loads[w]` is worker `w`'s share of the serving metrics.
+    loads: Vec<WorkerLoad>,
+    /// Where a request waits when every worker is busy.
     next_worker: AtomicUsize,
     /// Clock reading at assembly — `uptime_s` is measured from here.
     created_at: Duration,
@@ -927,13 +937,12 @@ impl Engine {
         registry: Option<RegistryBinding>,
         telemetry: EngineTelemetry,
     ) -> Engine {
-        let workers = (0..query_threads.max(1))
+        let n = query_threads.max(1);
+        let workers = (0..n)
             .map(|_| {
                 Mutex::new(Worker {
                     device: Device::new(spec.clone()),
                     scratch: RunScratch::new(session.config()),
-                    busy: Duration::ZERO,
-                    queries: 0,
                 })
             })
             .collect();
@@ -941,6 +950,7 @@ impl Engine {
             session,
             spec,
             workers,
+            loads: (0..n).map(|_| WorkerLoad::default()).collect(),
             next_worker: AtomicUsize::new(0),
             created_at: telemetry.clock.now(),
             latency: Mutex::new(LatencyHistogram::new()),
@@ -1001,18 +1011,38 @@ impl Engine {
         self.workers.len()
     }
 
-    /// Check out a worker for one query: the first free one, else a
-    /// blocking wait on the next worker in rotation, so concurrent
-    /// single-query requests spread over the pool instead of queueing
-    /// on one worker.
-    fn checkout(&self) -> MutexGuard<'_, Worker> {
+    /// How many workers one request under `config` may hold: every
+    /// worker, as long as the helpers' pools fit the budget that also
+    /// caps [`Gpumem`](crate::Gpumem)'s replicas. A helper that meets a
+    /// cold row builds its index in its own pool, so a dense ℓs = 13
+    /// engine runs each request on one worker.
+    fn workers_per_request(&self, config: &GpumemConfig) -> usize {
         self.workers
-            .iter()
-            .find_map(Mutex::try_lock)
-            .unwrap_or_else(|| {
-                let next = self.next_worker.fetch_add(1, Ordering::Relaxed);
-                self.workers[next % self.workers.len()].lock()
-            })
+            .len()
+            .min(replica_cap(config).saturating_add(1))
+    }
+
+    /// Check out up to `most` workers for one request, each with its
+    /// place in the pool: the first free one, else a blocking wait on the next
+    /// worker in rotation, so concurrent requests spread over the pool
+    /// instead of queueing on one worker; then every other worker that
+    /// is free at once. Only the first is waited for, so a request never
+    /// waits while it holds a worker.
+    fn checkout(&self, most: usize) -> Vec<(usize, MutexGuard<'_, Worker>)> {
+        let free = |skip: Option<usize>| {
+            self.workers
+                .iter()
+                .enumerate()
+                .filter(move |&(w, _)| Some(w) != skip)
+                .filter_map(|(w, worker)| Some((w, worker.try_lock()?)))
+        };
+        let mut held: Vec<_> = free(None).take(most).collect();
+        if held.is_empty() {
+            let next = self.next_worker.fetch_add(1, Ordering::Relaxed) % self.workers.len();
+            held.push((next, self.workers[next].lock()));
+            held.extend(free(Some(next)).take(most.saturating_sub(1)));
+        }
+        held
     }
 
     /// Build every row index now, so the first query pays no index
@@ -1022,69 +1052,30 @@ impl Engine {
         self.session.warm(&worker.device)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_on_worker(
+    /// `session`'s index of `row`, for a request on `device`. Times the
+    /// acquisition — building a cold row, or waiting on another
+    /// request's in-flight build of the same row — and journals each
+    /// build.
+    fn acquire_row(
         &self,
-        worker: &mut Worker,
-        query: &PackedSeq,
-        sink: &mut dyn MemSink,
-        trace: Option<&TraceRecorder>,
         session: &RefSession,
-        config: &GpumemConfig,
-    ) -> GpumemStats {
-        // Time every row-index acquisition: building a cold row, or
-        // waiting on another query's in-flight build of the same row.
-        let mut build_wait = Duration::ZERO;
-        let mut provider = |device: &Device, row: usize, _region: Region| {
-            let t = Instant::now();
-            let out = session.row_index(device, row);
-            build_wait += t.elapsed();
-            // A cached row reports default (zero-launch) stats, so
-            // launches > 0 is exactly "this call built the index".
-            if out.1.launches > 0 {
-                self.emit(|ts| {
-                    Event::new("index_build", ts)
-                        .with_u64("row", row as u64)
-                        .with_u64("launches", out.1.launches)
-                        .with_f64("modeled_s", out.1.modeled_secs())
-                });
-            }
-            out
-        };
-        let stats = run_tiles(
-            &worker.device,
-            config,
-            session.reference(),
-            query,
-            &mut provider,
-            &mut worker.scratch,
-            sink,
-            trace,
-        );
-        *self.build_wait.lock() += build_wait;
-        *self.matching_totals.lock() += stats.matching.clone();
-        stats
-    }
-
-    fn collect_on_worker(
-        &self,
-        worker: &mut Worker,
-        query: &PackedSeq,
-        session: &RefSession,
-        config: &GpumemConfig,
-    ) -> GpumemResult {
-        let t0 = Instant::now();
-        self.emit(|ts| Event::new("run_start", ts).with_u64("query_len", query.len() as u64));
-        let mut collector = MemCollector::default();
-        let mut stats = self.run_on_worker(worker, query, &mut collector, None, session, config);
+        device: &Device,
+        row: usize,
+    ) -> (SharedSeedLookup, LaunchStats) {
         let t = Instant::now();
-        let mems = collector.into_canonical();
-        stats.match_wall += t.elapsed();
-        stats.counts.total = mems.len();
-        self.record_query(worker, t0.elapsed());
-        self.emit_run_end(query, &stats, mems.len());
-        self.check_anomalies(&stats);
-        GpumemResult { mems, stats }
+        let out = session.row_index(device, row);
+        *self.build_wait.lock() += t.elapsed();
+        // A cached row reports default (zero-launch) stats, so
+        // launches > 0 is exactly "this call built the index".
+        if out.1.launches > 0 {
+            self.emit(|ts| {
+                Event::new("index_build", ts)
+                    .with_u64("row", row as u64)
+                    .with_u64("launches", out.1.launches)
+                    .with_f64("modeled_s", out.1.modeled_secs())
+            });
+        }
+        out
     }
 
     /// Emit the `run_end` event carrying the run's stage totals
@@ -1105,12 +1096,18 @@ impl Engine {
     }
 
     /// Account one completed query to the latency histogram, the
-    /// executing worker, and — when registry-hosted — the registry's
-    /// LRU clock (which also enforces the byte budget, charging any
-    /// rows the query lazily built).
-    fn record_query(&self, worker: &mut Worker, latency: Duration) {
-        worker.busy += latency;
-        worker.queries += 1;
+    /// workers it `held` (first the one it checked out first), and —
+    /// when registry-hosted — the registry's LRU clock (which also
+    /// enforces the byte budget, charging any rows the query lazily
+    /// built).
+    fn record_query(&self, held: &[(usize, MutexGuard<'_, Worker>)], latency: Duration) {
+        let busy = u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX);
+        for (n, &(w, _)) in held.iter().enumerate() {
+            self.loads[w].busy_ns.fetch_add(busy, Ordering::Relaxed);
+            if n == 0 {
+                self.loads[w].queries.fetch_add(1, Ordering::Relaxed);
+            }
+        }
         self.latency.lock().record(latency);
         if let Some(binding) = &self.registry {
             binding.registry.touch(binding.handle);
@@ -1193,16 +1190,20 @@ impl Engine {
     }
 
     /// The unified run surface: execute every query of `request` under
-    /// its options, returning one [`RunOutput`] per query in order.
-    /// [`Engine::run`], [`Engine::run_traced`], and
+    /// its options, one query at a time, returning one [`RunOutput`]
+    /// per query in order. [`Engine::run`], [`Engine::run_traced`], and
     /// [`Engine::run_batch`] are thin adapters over this.
     ///
-    /// Untraced single-device batches fan out across the engine's
-    /// workers; traced or sharded requests run queries sequentially
-    /// (tracing owns one worker's observer per query; a sharded query
-    /// is already parallel across its shard devices). A single query
-    /// takes the first free worker, so concurrent callers spread over
-    /// the pool.
+    /// An unsharded query runs its tile rows on every worker that is
+    /// free when it arrives, up to the workers whose buffer pools fit
+    /// the replica budget (one at the dense default ℓs = 13) and one per
+    /// row: the first worker it checks out on the calling thread, the
+    /// others on scoped host threads, their out-tile fragments merged
+    /// once. Only the first worker is waited for, so concurrent callers
+    /// spread over the pool, and a query that finds one worker free runs
+    /// on the calling thread alone. A sharded query runs on fresh shard
+    /// devices instead. Every modeled statistic and the MEM set are what
+    /// one device would report, however many workers ran the rows.
     pub fn execute(&self, request: &RunRequest<'_>) -> Vec<Result<RunOutput, RunError>> {
         let opts = &request.options;
         let n = match request.queries {
@@ -1215,35 +1216,9 @@ impl Engine {
         };
         match request.queries {
             Queries::One(query) => vec![self.execute_one(query, &resolved, opts)],
-            Queries::Set(set) if opts.trace || self.effective_shards(opts) >= 2 => (0..n)
+            Queries::Set(set) => (0..n)
                 .map(|i| self.execute_one(&set.record_seq(i), &resolved, opts))
                 .collect(),
-            Queries::Set(set) => {
-                let n_workers = self.workers.len();
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(n_workers)
-                    .build()
-                    .expect("thread pool");
-                pool.install(|| {
-                    (0..n)
-                        .into_par_iter()
-                        .map(|i| {
-                            let query = set.record_seq(i);
-                            ensure_sort_key(&query)?;
-                            let mut worker = self.workers[i % n_workers].lock();
-                            Ok(RunOutput {
-                                result: self.collect_on_worker(
-                                    &mut worker,
-                                    &query,
-                                    &resolved.session,
-                                    &resolved.config,
-                                ),
-                                trace: None,
-                            })
-                        })
-                        .collect()
-                })
-            }
         }
     }
 
@@ -1258,18 +1233,63 @@ impl Engine {
         if shards >= 2 {
             return self.run_sharded(query, resolved, opts, shards);
         }
-        if opts.trace {
-            let (result, trace) = self.traced_on_worker(query, &resolved.session, &resolved.config);
-            return Ok(RunOutput {
-                result,
-                trace: Some(trace),
-            });
+        Ok(self.run_on_free_workers(query, resolved, opts.trace))
+    }
+
+    /// One unsharded query on the workers [`Engine::checkout`] finds
+    /// free, through [`gather_rows`]: each worker runs its share of the
+    /// rows on its own device with its own scratch. A traced query on
+    /// one worker is one `Run` span named `"query"`; on several, each
+    /// worker's rows sit under `"worker {w}"` on a track of its own and
+    /// the host merge under the calling thread's `"query"` span.
+    fn run_on_free_workers(
+        &self,
+        query: &PackedSeq,
+        resolved: &ResolvedRun,
+        traced: bool,
+    ) -> RunOutput {
+        let (session, config) = (&resolved.session, &resolved.config);
+        let t0 = Instant::now();
+        self.emit(|ts| Event::new("run_start", ts).with_u64("query_len", query.len() as u64));
+        let masses = row_masses(config, session.reference(), query);
+        let most = self.workers_per_request(config).min(masses.len()).max(1);
+        let mut held = self.checkout(most);
+        let plan = ShardPlan::from_row_masses(held.len(), &masses);
+        let mut workers: Vec<RowWorker<'_>> = held
+            .iter_mut()
+            .map(|(_, worker)| {
+                let Worker { device, scratch } = &mut **worker;
+                RowWorker {
+                    device,
+                    scratch: &mut scratch.tiles,
+                }
+            })
+            .collect();
+        let pools: Vec<&Device> = workers.iter().map(|worker| worker.device).collect();
+        let row_index =
+            |device: &Device, row: usize, _region: Region| self.acquire_row(session, device, row);
+        let gathered = gather_rows(
+            &mut workers,
+            &plan,
+            "worker",
+            "query",
+            config,
+            session.reference(),
+            query,
+            &row_index,
+            traced,
+            Some(&pools),
+        );
+        let GpumemResult { mems, stats } = gathered.result;
+        *self.matching_totals.lock() += stats.matching.clone();
+        self.record_query(&held, t0.elapsed());
+        drop(held);
+        self.emit_run_end(query, &stats, mems.len());
+        self.check_anomalies(&stats);
+        RunOutput {
+            result: GpumemResult { mems, stats },
+            trace: gathered.trace,
         }
-        let mut worker = self.checkout();
-        Ok(RunOutput {
-            result: self.collect_on_worker(&mut worker, query, &resolved.session, &resolved.config),
-            trace: None,
-        })
     }
 
     /// One query across N simulated devices: each shard runs its tile
@@ -1329,16 +1349,27 @@ impl Engine {
         let devices: Vec<Device> = (0..plan.n_shards())
             .map(|_| Device::new(self.spec.clone()))
             .collect();
+        let mut scratch: Vec<TileScratch> =
+            devices.iter().map(|_| TileScratch::new(config)).collect();
         let gathered = gather_rows(
-            &devices, &plan, "shard", config, reference, query, &row_index, opts.trace, None,
+            &mut RowWorker::zip(&devices, &mut scratch),
+            &plan,
+            "shard",
+            "run",
+            config,
+            reference,
+            query,
+            &row_index,
+            opts.trace,
+            None,
         );
         let GpumemResult { mems, mut stats } = gathered.result;
         stats.shard_matching = gathered.workers.into_iter().map(|s| s.matching).collect();
         *self.matching_totals.lock() += stats.matching.clone();
 
-        let mut worker = self.checkout();
-        self.record_query(&mut worker, t0.elapsed());
-        drop(worker);
+        let held = self.checkout(1);
+        self.record_query(&held, t0.elapsed());
+        drop(held);
         self.shard_health.lock().record(&stats.shard_matching);
         self.emit_run_end(query, &stats, mems.len());
         self.check_anomalies(&stats);
@@ -1348,44 +1379,11 @@ impl Engine {
         })
     }
 
-    fn traced_on_worker(
-        &self,
-        query: &PackedSeq,
-        session: &RefSession,
-        config: &GpumemConfig,
-    ) -> (GpumemResult, Trace) {
-        let mut worker = self.checkout();
-        let recorder = Arc::new(TraceRecorder::new(worker.device.spec().warp_size));
-        worker
-            .device
-            .set_observer(Some(crate::trace::as_observer(&recorder)));
-        let query_span = recorder.begin("query", SpanCat::Run);
-        let t0 = Instant::now();
-        self.emit(|ts| Event::new("run_start", ts).with_u64("query_len", query.len() as u64));
-        let mut collector = MemCollector::default();
-        let mut stats = self.run_on_worker(
-            &mut worker,
-            query,
-            &mut collector,
-            Some(&recorder),
-            session,
-            config,
-        );
-        let mems = collector.into_canonical_traced(Some(&recorder));
-        stats.counts.total = mems.len();
-        recorder.end(query_span);
-        worker.device.set_observer(None);
-        self.record_query(&mut worker, t0.elapsed());
-        self.emit_run_end(query, &stats, mems.len());
-        self.check_anomalies(&stats);
-        (GpumemResult { mems, stats }, recorder.snapshot())
-    }
-
     /// Stream one query's MEMs into `sink` as stages complete (see the
     /// module docs for the ordering contract). A warmed session makes
     /// this a zero-index-launch operation. The streaming sibling of
     /// [`Engine::execute`] (a sink has no [`RunOutput`] shape, so this
-    /// stays its own entry point).
+    /// stays its own entry point); its rows run in order on one worker.
     pub fn run_with_sink(
         &self,
         query: &PackedSeq,
@@ -1394,16 +1392,22 @@ impl Engine {
         ensure_sort_key(query)?;
         let t0 = Instant::now();
         self.emit(|ts| Event::new("run_start", ts).with_u64("query_len", query.len() as u64));
-        let mut worker = self.checkout();
-        let stats = self.run_on_worker(
-            &mut worker,
-            query,
-            sink,
-            None,
-            &self.session,
+        let mut held = self.checkout(1);
+        let worker = &mut *held[0].1;
+        let mut row_index = |device: &Device, row: usize, _region: Region| {
+            self.acquire_row(&self.session, device, row)
+        };
+        let stats = run_tiles(
+            &worker.device,
             self.session.config(),
+            self.session.reference(),
+            query,
+            &mut row_index,
+            &mut worker.scratch,
+            sink,
         );
-        self.record_query(&mut worker, t0.elapsed());
+        *self.matching_totals.lock() += stats.matching.clone();
+        self.record_query(&held, t0.elapsed());
         self.emit_run_end(query, &stats, stats.counts.total);
         self.check_anomalies(&stats);
         Ok(stats)
@@ -1421,9 +1425,9 @@ impl Engine {
     /// [`Engine::run`] with structured tracing: also returns the
     /// query's [`Trace`] (see [`crate::trace`]) — the
     /// `RunOptions { trace: true, .. }` adapter over
-    /// [`Engine::execute`]. Runs on the first free worker with the
-    /// recorder installed as that device's launch observer for the
-    /// duration of the call.
+    /// [`Engine::execute`]. Each worker the query runs on records on its
+    /// own recorder, installed as its device's launch observer for the
+    /// duration of the call, and the trace keeps one track per worker.
     pub fn run_traced(&self, query: &PackedSeq) -> Result<(GpumemResult, Trace), RunError> {
         let options = RunOptions {
             trace: true,
@@ -1439,7 +1443,8 @@ impl Engine {
 
     /// Export the engine's serving metrics: query-latency histogram,
     /// index-cache behavior (including build-wait time), and
-    /// per-worker utilization. Cheap enough to poll.
+    /// per-worker utilization. Cheap enough to poll, and never waits on
+    /// a running request.
     pub fn metrics(&self) -> MetricsSnapshot {
         let uptime = self
             .telemetry
@@ -1481,27 +1486,23 @@ impl Engine {
             misses: built,
             build_wait_s: self.build_wait.lock().as_secs_f64(),
         };
-        let warp_size = self.workers[0].lock().device.spec().warp_size;
         let totals = self.matching_totals.lock().clone();
         let device = DeviceCounters {
-            warp_efficiency: totals.warp_efficiency(warp_size),
+            warp_efficiency: totals.warp_efficiency(self.spec.warp_size),
             divergence_rate: totals.divergence_rate(),
             block_occupancy: totals.block_occupancy(),
             busiest_block_cycles: totals.busiest_block_cycles,
         };
         let workers = self
-            .workers
+            .loads
             .iter()
-            .map(|w| {
-                let w = w.lock();
+            .map(|load| {
+                let busy_s =
+                    Duration::from_nanos(load.busy_ns.load(Ordering::Relaxed)).as_secs_f64();
                 WorkerUtilization {
-                    queries: w.queries,
-                    busy_s: w.busy.as_secs_f64(),
-                    utilization: if uptime > 0.0 {
-                        w.busy.as_secs_f64() / uptime
-                    } else {
-                        0.0
-                    },
+                    queries: load.queries.load(Ordering::Relaxed),
+                    busy_s,
+                    utilization: if uptime > 0.0 { busy_s / uptime } else { 0.0 },
                 }
             })
             .collect();
@@ -1523,9 +1524,9 @@ impl Engine {
         }
     }
 
-    /// Run every record of `queries` as an independent query, in
-    /// parallel across the engine's workers — the batch adapter over
-    /// [`Engine::execute`]. Results come back in record order, each
+    /// Run every record of `queries` as an independent query, one after
+    /// another, each over the engine's free workers — the batch adapter
+    /// over [`Engine::execute`]. Results come back in record order, each
     /// exactly what [`Engine::run`] would return for that record alone.
     pub fn run_batch(&self, queries: &SeqSet) -> Vec<Result<GpumemResult, RunError>> {
         self.execute(&RunRequest::batch(queries))
@@ -1781,13 +1782,129 @@ mod tests {
             "two warm queries re-read each row index from cache"
         );
         assert!(m.index_cache.build_wait_s > 0.0);
-        // Sequential run() calls always find worker 0 free; worker 1
-        // sat idle.
+        // Sequential run() calls always find worker 0 free first, so it
+        // counts every query; worker 1 ran rows of each as a helper.
         assert_eq!(m.workers.len(), 2);
         assert_eq!(m.workers[0].queries, 3);
         assert_eq!(m.workers[1].queries, 0);
         assert!(m.workers[0].utilization > 0.0 && m.workers[0].utilization <= 1.0);
-        assert_eq!(m.workers[1].busy_s, 0.0);
+        assert!(m.workers[1].busy_s > 0.0);
+    }
+
+    #[test]
+    fn metrics_never_wait_on_a_held_worker() {
+        let reference = GenomeModel::mammalian().generate(2_000, 813);
+        let engine = engine_of(&reference, config(16), 2);
+        let held = engine.workers[0].lock();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| tx.send(engine.metrics().queries));
+            let reply = rx.recv_timeout(Duration::from_secs(60));
+            // Release worker 0 before judging, so a poll queued on it
+            // finishes and the scope can join.
+            drop(held);
+            assert_eq!(reply.expect("metrics() blocked on the held worker 0"), 0);
+        });
+    }
+
+    #[test]
+    fn engine_split_changes_no_modeled_figure_or_output() {
+        use crate::pipeline::tests::{contract_configs, render_run, smoke_pair};
+        let (reference, query) = smoke_pair();
+        let records = query_set(&reference, 3);
+        let mut split = Vec::new();
+        for (name, config) in contract_configs() {
+            let rows = row_masses(&config, &reference, &query).len();
+            if rows >= 2 {
+                split.push(name);
+            }
+            // A cold query, the same query warm, a traced query and a
+            // three-record set, on one engine.
+            let sequence = |workers: usize| {
+                let engine = engine_of(&reference, config.clone(), workers);
+                let mut out = vec![
+                    render_run(&engine.run(&query).unwrap(), None),
+                    render_run(&engine.run(&query).unwrap(), None),
+                ];
+                let (traced, trace) = engine.run_traced(&query).unwrap();
+                out.push(render_run(&traced, Some(&trace)));
+                for result in engine.run_batch(&records) {
+                    out.push(render_run(&result.unwrap(), None));
+                }
+                let busy: Vec<bool> = engine
+                    .metrics()
+                    .workers
+                    .iter()
+                    .map(|w| w.busy_s > 0.0)
+                    .collect();
+                (out, busy)
+            };
+            let (expect, _) = sequence(1);
+            for workers in [2, 3, rows + 1] {
+                let (out, busy) = sequence(workers);
+                assert_eq!(out, expect, "{name}: {workers} workers over {rows} rows");
+                assert!(
+                    busy[..workers.min(rows)].iter().all(|&b| b),
+                    "{name}: every worker a row can go to ran rows: {busy:?}"
+                );
+            }
+        }
+        for name in ["default", "compact", "dual_sampled"] {
+            assert!(
+                split.contains(&name),
+                "{name} runs on one worker: {split:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn engine_split_reaches_an_idle_worker() {
+        use std::sync::atomic::AtomicU64;
+        #[derive(Default)]
+        struct Count(AtomicU64);
+        impl gpu_sim::LaunchObserver for Count {
+            fn on_launch(&self, _: gpu_sim::LaunchRecord<'_>) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let reference = GenomeModel::mammalian().generate(2_000, 811);
+        let engine = engine_of(&reference, config(16), 2);
+        let count = Arc::new(Count::default());
+        engine.workers[1]
+            .lock()
+            .device
+            .set_observer(Some(count.clone()));
+        let q = GenomeModel::mammalian().generate(1_000, 812);
+        let stats = engine.run(&q).unwrap().stats;
+        assert!(stats.rows >= 2, "both workers get rows");
+        assert!(
+            count.0.load(Ordering::Relaxed) > 0,
+            "worker 1 launched none of the rows"
+        );
+    }
+
+    #[test]
+    fn engine_split_keeps_to_the_replica_budget() {
+        let workers = |seed_len| {
+            let config = GpumemConfig::builder(25)
+                .seed_len(seed_len)
+                .build()
+                .unwrap();
+            let engine = Engine::builder(GenomeModel::uniform().generate(1_000, 846))
+                .config(config)
+                .spec(DeviceSpec::tesla_k20c())
+                .threads(4)
+                .build()
+                .unwrap();
+            assert_eq!(engine.session().built_rows(), 0, "nothing built");
+            engine.workers_per_request(engine.session().config())
+        };
+        assert_eq!(
+            workers(13),
+            1,
+            "the dense default ℓs = 13 keeps to one worker"
+        );
+        assert_eq!(workers(8), 4, "a small index runs on every worker");
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! into a [`MemSink`] as tiles complete and takes the row index from a
 //! caller-supplied provider. `gather_rows` spreads a run's rows over
 //! several devices and host threads and merges them back into one run;
-//! [`Gpumem::run`] wires it to a fresh per-row build, and sharded
-//! engine runs to a cached [`RefSession`](crate::engine::RefSession).
-//! The serving engine's single-device path, `run_tiles`, runs every row
-//! on the calling thread with per-worker scratch instead.
+//! [`Gpumem::run`] wires it to a fresh per-row build, and engine
+//! requests to a cached [`RefSession`](crate::engine::RefSession).
+//! The engine's streaming path, `run_tiles`, runs every row on the
+//! calling thread instead.
 
 use std::collections::HashMap;
 use std::sync::{mpsc, Arc};
@@ -182,13 +182,14 @@ pub struct IndexBuildReport {
 /// Working storage for one in-flight streaming run: the query's seed
 /// codes plus the `TileScratch` its tile rows reuse. The serving
 /// engine keeps one per query worker, so parallel queries never contend
-/// on scratch; a one-shot run gives each of its workers a fresh
-/// `TileScratch` and shares one encoding of the codes among them.
+/// on scratch, and lends its `TileScratch` to every request that runs
+/// rows on the worker; a one-shot run gives each of its workers a fresh
+/// `TileScratch`.
 pub struct RunScratch {
     /// Seed code of every query position, encoded at the start of each
     /// run (never carried over to the next run's query).
     query_codes: Vec<u32>,
-    tiles: TileScratch,
+    pub(crate) tiles: TileScratch,
 }
 
 impl RunScratch {
@@ -213,7 +214,7 @@ pub(crate) struct TileScratch {
 }
 
 impl TileScratch {
-    fn new(config: &GpumemConfig) -> TileScratch {
+    pub(crate) fn new(config: &GpumemConfig) -> TileScratch {
         TileScratch {
             block: BlockScratch::new(config.threads_per_block),
             blocks_out: BlockOutput::default(),
@@ -339,8 +340,7 @@ pub struct GpumemResult {
 /// row's partial index (built fresh, or served from a session cache
 /// with zero launch stats); every stage's MEMs go to `sink` the moment
 /// the stage completes. The returned `counts.total` is the emitted total
-/// (in-block + in-tile + global, cross-tile duplicates included);
-/// collecting callers overwrite it with the canonical count.
+/// (in-block + in-tile + global, cross-tile duplicates included).
 pub(crate) fn run_tiles(
     device: &Device,
     config: &GpumemConfig,
@@ -349,7 +349,6 @@ pub(crate) fn run_tiles(
     row_index: &mut dyn FnMut(&Device, usize, Region) -> (SharedSeedLookup, LaunchStats),
     scratch: &mut RunScratch,
     sink: &mut dyn MemSink,
-    trace: Option<&TraceRecorder>,
 ) -> GpumemStats {
     // Every tile row probes the same query seeds: encode them once.
     encode_query_seeds(query, config.seed_len, &mut scratch.query_codes);
@@ -363,7 +362,7 @@ pub(crate) fn run_tiles(
         row_index,
         tiles,
         sink,
-        trace,
+        None,
         None,
     );
     finish_global(
@@ -373,7 +372,7 @@ pub(crate) fn run_tiles(
         config.min_len,
         0,
         sink,
-        trace,
+        None,
         &mut stats,
     );
     stats
@@ -604,9 +603,9 @@ pub(crate) fn row_masses(
 /// any one of them holds. Exact because every row's index build returns
 /// all of its pool buffers before the next row starts, so a device
 /// holds, per class, the most that any one of its rows needed at once.
-fn folded_pool_bytes(devices: &[Device]) -> u64 {
+fn folded_pool_bytes(devices: &[&Device]) -> u64 {
     let mut most: HashMap<(usize, usize), PoolClass> = HashMap::new();
-    for class in devices.iter().flat_map(Device::pool_classes) {
+    for class in devices.iter().flat_map(|device| device.pool_classes()) {
         let held = most.entry((class.elem_bytes, class.len)).or_insert(class);
         held.buffers = held.buffers.max(class.buffers);
     }
@@ -622,39 +621,54 @@ struct RowJob<'a> {
     row_index: &'a RowIndexFn<'a>,
 }
 
+/// One worker of a gathered run: the device its rows launch on and the
+/// scratch they reuse, which keeps the worker's out-tile fragments.
+pub(crate) struct RowWorker<'a> {
+    pub(crate) device: &'a Device,
+    pub(crate) scratch: &'a mut TileScratch,
+}
+
+impl<'a> RowWorker<'a> {
+    /// One worker per scratch: `devices[w]` with `scratch[w]`.
+    pub(crate) fn zip(devices: &'a [Device], scratch: &'a mut [TileScratch]) -> Vec<RowWorker<'a>> {
+        devices
+            .iter()
+            .zip(scratch)
+            .map(|(device, scratch)| RowWorker { device, scratch })
+            .collect()
+    }
+}
+
 /// One worker's share of a gathered run.
 struct WorkerRun {
     stats: GpumemStats,
-    fragments: Vec<Mem>,
     trace: Option<Trace>,
 }
 
 impl RowJob<'_> {
-    /// Run `rows` on `device` with fresh scratch, streaming MEMs into
-    /// `sink`; returns the statistics and the out-tile fragments.
+    /// Run `rows` on `worker`, streaming MEMs into `sink` and leaving
+    /// the out-tile fragments in its scratch.
     fn run(
         &self,
-        device: &Device,
+        worker: &mut RowWorker<'_>,
         rows: &[usize],
         trace: Option<&TraceRecorder>,
         sink: &mut dyn MemSink,
-    ) -> (GpumemStats, Vec<Mem>) {
-        let mut scratch = TileScratch::new(self.config);
+    ) -> GpumemStats {
         let mut row_index =
             |device: &Device, row: usize, region: Region| (self.row_index)(device, row, region);
-        let stats = run_tile_rows(
-            device,
+        run_tile_rows(
+            worker.device,
             self.config,
             self.reference,
             self.query,
             self.query_codes,
             &mut row_index,
-            &mut scratch,
+            worker.scratch,
             sink,
             trace,
             Some(rows),
-        );
-        (stats, scratch.out_tile)
+        )
     }
 
     /// [`RowJob::run`] as one worker of several. A traced worker
@@ -662,11 +676,12 @@ impl RowJob<'_> {
     /// named `span`.
     fn run_worker(
         &self,
-        device: &Device,
+        worker: &mut RowWorker<'_>,
         rows: &[usize],
         span: Option<String>,
         sink: &mut dyn MemSink,
     ) -> WorkerRun {
+        let device = worker.device;
         let recorder = span.map(|span| {
             let recorder = Arc::new(TraceRecorder::new(device.spec().warp_size));
             let previous = device.observer();
@@ -675,17 +690,13 @@ impl RowJob<'_> {
             (recorder, id, previous)
         });
         let trace = recorder.as_ref().map(|(recorder, ..)| &**recorder);
-        let (stats, fragments) = self.run(device, rows, trace, sink);
+        let stats = self.run(worker, rows, trace, sink);
         let trace = recorder.map(|(recorder, id, previous)| {
             recorder.end(id);
             device.set_observer(previous);
             recorder.snapshot()
         });
-        WorkerRun {
-            stats,
-            fragments,
-            trace,
-        }
+        WorkerRun { stats, trace }
     }
 }
 
@@ -731,10 +742,10 @@ pub(crate) struct Gathered {
     pub(crate) trace: Option<Trace>,
 }
 
-/// The scatter/gather core of [`Gpumem::run`] and sharded engine runs:
-/// worker `w` runs the tile rows `plan.rows(w)` on `devices[w]` with its
-/// own scratch, the workers' out-tile fragments are concatenated and
-/// host-merged once, and the MEMs are canonicalized (see
+/// The scatter/gather core of [`Gpumem::run`] and of engine requests:
+/// worker `w` runs the tile rows `plan.rows(w)` on `workers[w]`'s device
+/// with its scratch, the workers' out-tile fragments are concatenated
+/// and host-merged once, and the MEMs are canonicalized (see
 /// [`crate::shard`] for why this equals a one-device run).
 ///
 /// Worker 0 runs on the calling thread; every other worker gets a host
@@ -745,9 +756,10 @@ pub(crate) struct Gathered {
 /// instruments. The query's seed codes are encoded once and shared.
 /// Traced workers record on their own devices, their rows under one
 /// `Run` span named `"{span} {w}"`; the host merge and the
-/// canonicalization sit under the calling thread's `"run"` span. A
-/// traced device's own observer, if any, is set aside while its rows
-/// run and put back afterwards.
+/// canonicalization sit under the calling thread's `Run` span, named
+/// `run_span`. A one-worker run is that one span. A traced device's own
+/// observer, if any, is set aside while its rows run and put back
+/// afterwards.
 ///
 /// `fold` names the devices whose pools fold into one device's
 /// footprint ([`folded_pool_bytes`]): the run's `pool_peak_bytes`
@@ -756,17 +768,18 @@ pub(crate) struct Gathered {
 /// footprint per device.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gather_rows(
-    devices: &[Device],
+    workers: &mut [RowWorker<'_>],
     plan: &ShardPlan,
     span: &str,
+    run_span: &str,
     config: &GpumemConfig,
     reference: &PackedSeq,
     query: &PackedSeq,
     row_index: &RowIndexFn<'_>,
     traced: bool,
-    fold: Option<&[Device]>,
+    fold: Option<&[&Device]>,
 ) -> Gathered {
-    debug_assert_eq!(devices.len(), plan.n_shards(), "one device per worker");
+    debug_assert_eq!(workers.len(), plan.n_shards(), "one worker per shard");
     let mut query_codes = Vec::new();
     encode_query_seeds(query, config.seed_len, &mut query_codes);
     let job = RowJob {
@@ -776,44 +789,42 @@ pub(crate) fn gather_rows(
         query_codes: &query_codes,
         row_index,
     };
-    let host = traced.then(|| Arc::new(TraceRecorder::new(devices[0].spec().warp_size)));
+    let host = traced.then(|| Arc::new(TraceRecorder::new(workers[0].device.spec().warp_size)));
     let mut collector = MemCollector::default();
 
-    let (runs, run_span) = if let [device] = devices {
+    let (runs, run_span) = if let [worker] = workers {
         // One worker: the rows run on the calling thread, recorded by
         // the run's own recorder.
+        let device = worker.device;
         let previous = device.observer();
         let run_span = host.as_ref().map(|host| {
             device.set_observer(Some(crate::trace::as_observer(host)));
-            host.begin("run", SpanCat::Run)
+            host.begin(run_span, SpanCat::Run)
         });
-        let (stats, fragments) = job.run(device, plan.rows(0), host.as_deref(), &mut collector);
+        let stats = job.run(worker, plan.rows(0), host.as_deref(), &mut collector);
         if host.is_some() {
             device.set_observer(previous);
         }
-        let run = WorkerRun {
-            stats,
-            fragments,
-            trace: None,
-        };
-        (vec![run], run_span)
+        (vec![WorkerRun { stats, trace: None }], run_span)
     } else {
         let span_of = |w: usize| traced.then(|| format!("{span} {w}"));
         let runs: Vec<WorkerRun> = if gpu_sim::sanitizer::enabled() {
-            devices
-                .iter()
+            workers
+                .iter_mut()
                 .enumerate()
-                .map(|(w, device)| job.run_worker(device, plan.rows(w), span_of(w), &mut collector))
+                .map(|(w, worker)| job.run_worker(worker, plan.rows(w), span_of(w), &mut collector))
                 .collect()
         } else {
             let (tx, rx) = mpsc::channel();
+            let (first, rest) = workers.split_first_mut().expect("a worker");
             std::thread::scope(|scope| {
-                let spawned: Vec<_> = (1..devices.len())
-                    .map(|w| {
-                        let (job, device, rows, span) =
-                            (&job, &devices[w], plan.rows(w), span_of(w));
+                let spawned: Vec<_> = rest
+                    .iter_mut()
+                    .zip(1..)
+                    .map(|(worker, w)| {
+                        let (job, rows, span) = (&job, plan.rows(w), span_of(w));
                         let mut sink = ChannelSink(tx.clone());
-                        scope.spawn(move || job.run_worker(device, rows, span, &mut sink))
+                        scope.spawn(move || job.run_worker(worker, rows, span, &mut sink))
                     })
                     .collect();
                 drop(tx);
@@ -821,7 +832,7 @@ pub(crate) fn gather_rows(
                     collector: &mut collector,
                     spawned: &rx,
                 };
-                let first = job.run_worker(&devices[0], plan.rows(0), span_of(0), &mut sink);
+                let first = job.run_worker(first, plan.rows(0), span_of(0), &mut sink);
                 for (stage, mems) in rx {
                     collector.mems(stage, &mems);
                 }
@@ -832,15 +843,15 @@ pub(crate) fn gather_rows(
                 std::iter::once(first).chain(joined).collect()
             })
         };
-        let run_span = host.as_ref().map(|h| h.begin("run", SpanCat::Run));
+        let run_span = host.as_ref().map(|h| h.begin(run_span, SpanCat::Run));
         (runs, run_span)
     };
 
     let mut stats = GpumemStats::default();
     let mut fragments = Vec::new();
     let mut traces = Vec::new();
-    let mut workers = Vec::with_capacity(runs.len());
-    for run in runs {
+    let mut worker_stats = Vec::with_capacity(runs.len());
+    for (run, worker) in runs.into_iter().zip(workers.iter_mut()) {
         let s = &run.stats;
         (stats.rows, stats.cols) = (s.rows, s.cols);
         stats.index += s.index.clone();
@@ -850,9 +861,9 @@ pub(crate) fn gather_rows(
         stats.counts.in_block += s.counts.in_block;
         stats.counts.out_block += s.counts.out_block;
         stats.counts.in_tile += s.counts.in_tile;
-        fragments.extend(run.fragments);
+        fragments.append(&mut worker.scratch.out_tile);
         traces.extend(run.trace);
-        workers.push(run.stats);
+        worker_stats.push(run.stats);
     }
 
     let launched = stats.index.launches + stats.matching.launches > 0;
@@ -891,20 +902,27 @@ pub(crate) fn gather_rows(
     });
     Gathered {
         result: GpumemResult { mems, stats },
-        workers,
+        workers: worker_stats,
         trace,
     }
 }
 
-/// Host bytes the device replicas of one [`Gpumem`] may hold in their
-/// buffer pools, together. A pool keeps what a row's index build took
-/// from it — at most [`device_memory_estimate`] bytes — for as long as
-/// its `Gpumem` lives, and a dense `ptrs` table grows as 4^ℓs: about
-/// 0.8 MB per replica at ℓs = 8, but 805 MB at the default ℓs = 13. So
-/// replicas are made only while they fit: dense-index runs at
-/// ℓs = 13 keep to the device alone and hold what they held on one
-/// thread.
+/// Host bytes the device replicas of one [`Gpumem`], or the helper
+/// workers of one engine request, may hold in their buffer pools,
+/// together. A pool keeps what a row's index build took from it — at
+/// most [`device_memory_estimate`] bytes — for as long as its device
+/// lives, and a dense `ptrs` table grows as 4^ℓs: about 0.8 MB per
+/// device at ℓs = 8, but 805 MB at the default ℓs = 13. So extra
+/// devices are used only while they fit: dense-index runs at ℓs = 13
+/// keep to one device and hold what they held on one thread.
 const REPLICA_POOL_BUDGET: u64 = 256 << 20;
+
+/// How many devices beyond the first a run under `config` may use:
+/// as many as [`REPLICA_POOL_BUDGET`] leaves room for.
+pub(crate) fn replica_cap(config: &GpumemConfig) -> usize {
+    let fit = REPLICA_POOL_BUDGET / device_memory_estimate(config).max(1);
+    usize::try_from(fit).unwrap_or(usize::MAX)
+}
 
 /// The GPUMEM tool: a configuration bound to a (simulated) device.
 ///
@@ -938,8 +956,7 @@ impl Gpumem {
     /// [`Gpumem::with_device`] with up to `workers` host threads per run,
     /// as many as [`REPLICA_POOL_BUDGET`] leaves room for.
     pub(crate) fn with_workers(config: GpumemConfig, device: Device, workers: usize) -> Gpumem {
-        let fit = REPLICA_POOL_BUDGET / device_memory_estimate(&config).max(1);
-        let replicas = (workers.max(1) - 1).min(usize::try_from(fit).unwrap_or(usize::MAX));
+        let replicas = (workers.max(1) - 1).min(replica_cap(&config));
         let replicas: Vec<Device> = (0..replicas)
             .map(|_| Device::with_cost_model(device.spec().clone(), device.cost_model().clone()))
             .collect();
@@ -1048,16 +1065,21 @@ impl Gpumem {
         for replica in replicas {
             replica.set_observer(observer.clone());
         }
+        let mut scratch: Vec<TileScratch> = (0..workers)
+            .map(|_| TileScratch::new(&self.config))
+            .collect();
+        let pools: Vec<&Device> = self.devices.iter().collect();
         let gathered = gather_rows(
-            &self.devices[..workers],
+            &mut RowWorker::zip(&self.devices, &mut scratch),
             &plan,
             "worker",
+            "run",
             &self.config,
             reference,
             query,
             &row_index,
             traced,
-            Some(&self.devices),
+            Some(&pools),
         );
         for replica in replicas {
             replica.set_observer(None);
@@ -1067,7 +1089,7 @@ impl Gpumem {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use gpumem_seq::{is_maximal_exact, naive_mems, table2_pairs, GenomeModel};
 
@@ -1314,7 +1336,7 @@ mod tests {
     }
 
     /// The 4 kb smoke pair of the workspace's golden modeled contract.
-    fn smoke_pair() -> (PackedSeq, PackedSeq) {
+    pub(crate) fn smoke_pair() -> (PackedSeq, PackedSeq) {
         use rand::SeedableRng;
         let reference = GenomeModel::mammalian().generate(4_000, 2024);
         let model = gpumem_seq::MutationModel {
@@ -1350,7 +1372,7 @@ mod tests {
 
     /// Everything a run reports that must not depend on how many host
     /// threads simulated it.
-    fn render_run(result: &GpumemResult, trace: Option<&Trace>) -> String {
+    pub(crate) fn render_run(result: &GpumemResult, trace: Option<&Trace>) -> String {
         use std::hash::{Hash, Hasher};
         let s = &result.stats;
         let mut mem_hash = std::collections::hash_map::DefaultHasher::new();
@@ -1380,9 +1402,8 @@ mod tests {
         out
     }
 
-    #[test]
-    fn worker_count_changes_no_modeled_figure_or_output() {
-        let (reference, query) = smoke_pair();
+    /// The golden contract's configurations of the smoke pair.
+    pub(crate) fn contract_configs() -> Vec<(&'static str, GpumemConfig)> {
         let base = || {
             GpumemConfig::builder(25)
                 .seed_len(6)
@@ -1390,7 +1411,7 @@ mod tests {
                 .blocks_per_tile(2)
         };
         let (k1, k2) = gpumem_index::max_coprime_steps(25, 6).expect("co-prime steps");
-        let configs = [
+        [
             ("default", base()),
             ("tau=32", base().threads_per_block(32)),
             ("tau=128", base().threads_per_block(128)),
@@ -1403,9 +1424,16 @@ mod tests {
                 "dual_sampled",
                 base().seed_mode(gpumem_index::SeedMode::DualSampled { k1, k2 }),
             ),
-        ];
-        for (name, builder) in configs {
-            let config = builder.build().unwrap();
+        ]
+        .into_iter()
+        .map(|(name, builder)| (name, builder.build().unwrap()))
+        .collect()
+    }
+
+    #[test]
+    fn worker_count_changes_no_modeled_figure_or_output() {
+        let (reference, query) = smoke_pair();
+        for (name, config) in contract_configs() {
             let gpumem = |workers| {
                 Gpumem::with_workers(
                     config.clone(),
@@ -1538,6 +1566,9 @@ mod tests {
         let devices: Vec<Device> = (0..2)
             .map(|_| Device::new(DeviceSpec::test_tiny()))
             .collect();
+        let mut scratch: Vec<TileScratch> =
+            (0..2).map(|_| TileScratch::new(gpumem.config())).collect();
+        let mut workers = RowWorker::zip(&devices, &mut scratch);
         let plan = ShardPlan::from_row_masses(2, &masses);
         let last = masses.len() - 1;
         let row_index = |device: &Device, row: usize, region: Region| {
@@ -1546,9 +1577,10 @@ mod tests {
         };
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             gather_rows(
-                &devices,
+                &mut workers,
                 &plan,
                 "worker",
+                "run",
                 gpumem.config(),
                 &reference,
                 &reference,

@@ -215,17 +215,23 @@ impl Trace {
         total
     }
 
-    /// Merge traces onto one timeline, one track per input trace (the
-    /// CLI uses this to export a multi-query profiling run). Each
-    /// trace keeps its own epoch-relative timestamps.
+    /// Merge traces onto one timeline (the CLI uses this to export a
+    /// multi-query profiling run). Each input keeps its own tracks,
+    /// placed after those of the inputs before it, so a single-track
+    /// input takes one track of its own and the workers of a multi-track
+    /// input stay apart. Each trace keeps its own epoch-relative
+    /// timestamps.
     pub fn merge(traces: Vec<Trace>) -> Trace {
         let warp_size = traces.first().map_or(32, |t| t.warp_size);
         let mut spans = Vec::new();
-        for (track, trace) in traces.into_iter().enumerate() {
+        let mut placed = 0;
+        for trace in traces {
+            let tracks = trace.spans.iter().map(|s| s.track + 1).max().unwrap_or(1);
             for mut span in trace.spans {
-                span.track = track;
+                span.track += placed;
                 spans.push(span);
             }
+            placed += tracks;
         }
         Trace { warp_size, spans }
     }
@@ -567,5 +573,19 @@ mod tests {
         assert!(merged.spans().iter().any(|s| s.track == 0));
         assert!(merged.spans().iter().any(|s| s.track == 1));
         assert_eq!(merged.stage_totals().launches, 4);
+    }
+
+    #[test]
+    fn merge_keeps_each_inputs_tracks_apart() {
+        let two_tracks = || Trace::merge(vec![sample_trace(), sample_trace()]);
+        let merged = Trace::merge(vec![two_tracks(), two_tracks()]);
+        let runs: Vec<usize> = merged
+            .spans()
+            .iter()
+            .filter(|s| s.cat == SpanCat::Run)
+            .map(|s| s.track)
+            .collect();
+        assert_eq!(runs, [0, 1, 2, 3], "four runs on four tracks");
+        assert_eq!(merged.stage_totals().launches, 8);
     }
 }

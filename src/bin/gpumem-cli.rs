@@ -25,8 +25,10 @@
 //!                        picks the largest valid pair automatically)
 //!   --sparseness <K>     sparse-SA sparseness for essamem/sparsemem (default 4)
 //!   --threads <t>        CPU finder threads (default 1)
-//!   --query-threads <n>  GPUMEM query workers for multi-record query
-//!                        FASTA (default 1)
+//!   --query-threads <n>  GPUMEM query workers: each query's tile rows
+//!                        run on up to n simulated devices, one host
+//!                        thread each (default 1; a dense ℓs = 13
+//!                        index keeps each query on one)
 //!   --shards <n>         split each query's tile rows across n
 //!                        simulated devices and merge (default 1; the
 //!                        merged MEM set is byte-identical to n = 1)
@@ -47,8 +49,8 @@
 //! ```
 //!
 //! The query FASTA may hold many records; each is matched independently
-//! (GPUMEM serves them all from one cached reference session, in
-//! parallel across `--query-threads` workers). Output: one
+//! (GPUMEM serves them one after another from one cached reference
+//! session, each over up to `--query-threads` workers). Output: one
 //! `ref_pos  query_pos  length  strand` line per match, 1-based
 //! coordinates as in `mummer -maxmatch`, grouped by query record in
 //! input order; with more than one query record, each line gains the
@@ -353,30 +355,26 @@ fn run_gpumem(
         ..RunOptions::default()
     };
 
-    // Tracing serializes queries onto worker 0 so each gets its own
-    // span tree; the merged trace lays the queries out one per track.
+    // Each query runs over every free worker (or its shards) and, when
+    // traced, records its own span tree, one track per worker; the
+    // merged trace keeps every query's tracks apart.
     let tracing = opts.trace.is_some() || opts.profile;
     let mut traces = Vec::new();
-    let forward = if tracing {
-        let traced = RunOptions {
-            trace: true,
-            ..options.clone()
-        };
-        let mut results = Vec::with_capacity(queries.records.len());
-        for (i, span) in queries.records.iter().enumerate() {
-            let query = queries.record_seq(i);
-            let out = engine
-                .execute(&RunRequest::query(&query).options(traced.clone()))
-                .pop()
-                .expect("one query yields one output")
-                .map_err(|e| format!("query {}: {e}", span.name))?;
-            results.push(out.result);
-            traces.push(out.trace.expect("traced run records a trace"));
-        }
-        results
-    } else {
-        collect_batch(queries, batch_results(&engine, queries, &options))?
+    let forward_options = RunOptions {
+        trace: tracing,
+        ..options.clone()
     };
+    let forward = engine
+        .execute(&RunRequest::batch(queries).options(forward_options))
+        .into_iter()
+        .map(|r| {
+            r.map(|out| {
+                traces.extend(out.trace);
+                out.result
+            })
+        })
+        .collect();
+    let forward = collect_batch(queries, forward)?;
     let reverse = if opts.both_strands {
         // Reverse-complement each record independently; coordinates map
         // back per record.

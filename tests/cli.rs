@@ -504,6 +504,78 @@ fn shards_flag_preserves_output() {
 }
 
 #[test]
+fn traced_shards_keep_tracks_of_their_own() {
+    let dir = std::env::temp_dir().join("gpumem-cli-test-trace-shards");
+    std::fs::create_dir_all(&dir).unwrap();
+    // Three tile rows: the CLI's tile spans 36,864 reference bases at
+    // L = 25, so each query's two shards both get rows.
+    let reference = GenomeModel::mammalian().generate(80_000, 4500);
+    let model = MutationModel {
+        sub_rate: 0.03,
+        indel_rate: 0.003,
+    };
+    let codes = reference.to_codes();
+    let records: Vec<FastaRecord> = (0..2u64)
+        .map(|i| {
+            let mut rng = StdRng::seed_from_u64(4501 + i);
+            let start = 5_000 + 40_000 * i as usize;
+            FastaRecord {
+                header: format!("read{i}"),
+                seq: PackedSeq::from_codes(&model.apply(&codes[start..start + 3_000], &mut rng)),
+            }
+        })
+        .collect();
+    let write = |name: &str, records: &[FastaRecord]| -> String {
+        let path = dir.join(name);
+        let mut file = std::fs::File::create(&path).unwrap();
+        write_fasta(&mut file, records).unwrap();
+        file.flush().unwrap();
+        path.to_str().unwrap().to_string()
+    };
+    let ref_fa = write(
+        "ref.fa",
+        &[FastaRecord {
+            header: "ref".into(),
+            seq: reference,
+        }],
+    );
+    let query_fa = write("queries.fa", &records);
+    let trace_path = dir.join("trace.json");
+    let out = cli()
+        .args(["run", "--min-len", "25", "--seed-len", "8", "--shards", "2"])
+        .arg("--trace")
+        .arg(&trace_path)
+        .args([&ref_fa, &query_fa])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "traced sharded run failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(!out.stdout.is_empty(), "expected matches");
+
+    let trace = serde::json::parse(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
+    let mut shard_tids: Vec<u64> = trace
+        .get("traceEvents")
+        .and_then(|v| v.as_array())
+        .expect("traceEvents array")
+        .iter()
+        .filter(|e| e.get("cat").and_then(|v| v.as_str()) == Some("Run"))
+        .filter(|e| {
+            e.get("name")
+                .and_then(|v| v.as_str())
+                .is_some_and(|name| name.starts_with("shard "))
+        })
+        .map(|e| e.get("tid").and_then(|v| v.as_u64()).expect("tid"))
+        .collect();
+    assert_eq!(shard_tids.len(), 4, "two shards of each of two queries");
+    shard_tids.sort_unstable();
+    shard_tids.dedup();
+    assert_eq!(shard_tids.len(), 4, "shards share a track: {shard_tids:?}");
+}
+
+#[test]
 fn registry_subcommands_round_trip() {
     let dir = std::env::temp_dir().join("gpumem-cli-test-registry");
     std::fs::create_dir_all(&dir).unwrap();

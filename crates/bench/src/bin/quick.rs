@@ -22,8 +22,9 @@
 //!
 //! A second `batch` scenario measures the serving engine: one
 //! reference × [`BATCH_QUERIES`] short queries, cold (16 independent
-//! `Gpumem::run` calls, each rebuilding every row index) versus a fresh
-//! `Engine::run_batch` (one session, each row index built once). The
+//! `Gpumem::run` calls, each rebuilding every row index) versus the set
+//! as one request to a fresh `Engine` (one session, each row index built
+//! once). The
 //! `batch` object records queries/sec for both paths plus the
 //! index-launch counts that explain the amortization.
 //!
@@ -52,13 +53,6 @@
 //! `current.match_wall_s` and `batch.qps_batch` get a band: they fail
 //! when they regress by more than `GPUMEM_BENCH_MAX_REGRESS` (default
 //! 0.20). Any failure exits non-zero.
-//!
-//! Every run also appends one compact JSON line of headline numbers
-//! (`wall_s`, `match_wall_s`, `qps_batch`, the two modeled ratios,
-//! `mems`, a unix `ts`, and the `git_sha`, `rustc` and `nproc` that tell
-//! machines and builds apart) to `results/bench_history.jsonl`
-//! (override with `GPUMEM_BENCH_HISTORY`). The accumulated trajectory
-//! is what `gpumem-cli bench-info --check` gates against.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -178,13 +172,13 @@ fn measure_batch(reference: &PackedSeq, queries: &SeqSet, config: &GpumemConfig)
         .spec(DeviceSpec::tesla_k20c())
         .build()
         .expect("quick workload fits");
-    let batch = engine.run_batch(queries);
+    let batch: Vec<_> = engine
+        .execute(&RunRequest::batch(queries))
+        .into_iter()
+        .map(|out| out.expect("quick workload fits").result)
+        .collect();
     let batch_wall_s = start.elapsed().as_secs_f64();
 
-    let batch: Vec<_> = batch
-        .into_iter()
-        .map(|r| r.expect("quick workload fits"))
-        .collect();
     for (a, b) in cold.iter().zip(&batch) {
         assert_eq!(a.mems, b.mems, "batch output must equal sequential runs");
     }
@@ -624,90 +618,6 @@ fn out_path() -> PathBuf {
     repo_root().join("results").join("BENCH_pipeline.json")
 }
 
-fn history_path() -> PathBuf {
-    std::env::var("GPUMEM_BENCH_HISTORY")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| repo_root().join("results").join("bench_history.jsonl"))
-}
-
-/// What tells trajectory entries from different builds and machines
-/// apart — the commit, the compiler (`rustc -V`) and the CPU count, as
-/// the perfbench results record them. Unknown parts read `"unknown"`
-/// (and 0 CPUs).
-fn fingerprint() -> (String, String, usize) {
-    let rustc = std::process::Command::new("rustc")
-        .arg("-V")
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string());
-    let nproc = std::thread::available_parallelism().map_or(0, usize::from);
-    (
-        git_sha().unwrap_or_else(|| "unknown".to_string()),
-        rustc.unwrap_or_else(|| "unknown".to_string()),
-        nproc,
-    )
-}
-
-/// The commit checked out at the repository root, read from `.git`
-/// without running git (a source checkout without history has none).
-fn git_sha() -> Option<String> {
-    let git = repo_root().join(".git");
-    let head = std::fs::read_to_string(git.join("HEAD")).ok()?;
-    let head = head.trim();
-    let Some(reference) = head.strip_prefix("ref: ") else {
-        return Some(head.to_string());
-    };
-    if let Ok(sha) = std::fs::read_to_string(git.join(reference)) {
-        return Some(sha.trim().to_string());
-    }
-    let packed = std::fs::read_to_string(git.join("packed-refs")).ok()?;
-    packed.lines().find_map(|line| {
-        let (sha, name) = line.split_once(' ')?;
-        (name == reference).then(|| sha.to_string())
-    })
-}
-
-/// `text` as the body of a JSON string literal.
-fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if c.is_control() => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Append this run's headline numbers to the bench trajectory journal.
-///
-/// One compact JSON line per run; field names match the metric tables
-/// in `gpumem-cli bench-info --check`, which walks the same file. The
-/// journal is untracked (gitignored) so every machine accumulates its
-/// own trajectory.
-fn append_history(line: &str) {
-    let path = history_path();
-    if let Some(dir) = path.parent() {
-        if std::fs::create_dir_all(dir).is_err() {
-            eprintln!("bench history skipped: cannot create {}", dir.display());
-            return;
-        }
-    }
-    use std::io::Write;
-    let appended = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut file| writeln!(file, "{line}"));
-    match appended {
-        Ok(()) => eprintln!("bench history → {}", path.display()),
-        Err(err) => eprintln!("bench history skipped: {err}"),
-    }
-}
-
 /// Fields the simulator computes deterministically — modeled times and
 /// ratios, device counters and counts. A fresh report must repeat the
 /// tracked baseline's value exactly, at the precision the report writes:
@@ -1073,36 +983,6 @@ fn main() {
     }
 
     std::fs::write(&path, &json).expect("write BENCH_pipeline.json");
-
-    // Bench trajectory: one compact line per run, appended after the
-    // report so a write failure can never lose the main artifact.
-    let ts = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let l300 = seedmode
-        .iter()
-        .find(|s| s.l == 300)
-        .expect("L = 300 is in the ablation");
-    let (git_sha, rustc, nproc) = fingerprint();
-    append_history(&format!(
-        concat!(
-            "{{\"ts\":{},\"git_sha\":\"{}\",\"rustc\":\"{}\",\"nproc\":{},",
-            "\"wall_s\":{:.6},\"match_wall_s\":{:.6},\"qps_batch\":{:.3},",
-            "\"seedmode_l300_modeled_ratio\":{:.4},",
-            "\"sharded_modeled_ratio\":{:.4},\"mems\":{}}}"
-        ),
-        ts,
-        json_escape(&git_sha),
-        json_escape(&rustc),
-        nproc,
-        best.wall_s,
-        best.stats.match_wall.as_secs_f64(),
-        BATCH_QUERIES as f64 / batch_best.batch_wall_s,
-        l300.ref_modeled_match_s / l300.dual_modeled_match_s,
-        sharded_sample.single_modeled_match_s / sharded_sample.max_shard_modeled_match_s,
-        best.mems,
-    ));
 
     println!("{json}");
     println!("→ {}", path.display());

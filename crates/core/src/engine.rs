@@ -12,23 +12,15 @@
 //!   on first touch (or eagerly via [`RefSession::warm`]) and shared by
 //!   all subsequent queries;
 //! * [`Engine`] binds a session to a pool of query workers, each with
-//!   its own simulated [`Device`] and [`RunScratch`]. Tile rows are
+//!   its own simulated [`Device`] and tile scratch. Tile rows are
 //!   independent, so a request runs its rows on every worker that is
 //!   free when it arrives, one host thread each, and concurrent
 //!   requests spread over the pool without contending on scratch or
-//!   misattributing pool statistics;
-//! * [`MemSink`] streams MEMs out of [`Engine::run_with_sink`] stage by
-//!   stage instead of accumulating the whole result vector.
+//!   misattributing pool statistics.
 //!
-//! ## Sink ordering guarantees
-//!
-//! For one run, batches arrive in a deterministic order: tiles in
-//! row-major order, each tile's [`MemStage::Block`] batch before its
-//! [`MemStage::Tile`] batch, and one final [`MemStage::Global`] batch.
-//! Only non-empty batches are delivered. Batches are the raw stage
-//! outputs — across tiles they may repeat a MEM (boundary
-//! re-expansion), so a sink that needs the canonical set must dedup
-//! (as [`MemCollector::into_canonical`] does).
+//! [`Engine::execute`] is the one request path — one query or a set,
+//! traced or not, on the free workers or split over shards — and
+//! [`Engine::run`] its default-options shorthand for one query.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -39,81 +31,19 @@ use parking_lot::{Mutex, MutexGuard};
 
 use gpu_sim::{Device, DeviceSpec, LaunchStats};
 use gpumem_index::{Region, SharedSeedLookup};
-use gpumem_seq::{canonicalize, Mem, PackedSeq, SeqSet};
+use gpumem_seq::{PackedSeq, SeqSet};
 
 use crate::config::GpumemConfig;
 use crate::pipeline::{
-    build_row_index, ensure_fits, ensure_sort_key, gather_rows, replica_cap, row_masses, run_tiles,
-    GpumemResult, GpumemStats, IndexBuildReport, RowWorker, RunError, RunScratch, TileScratch,
+    build_row_index, ensure_fits, ensure_sort_key, gather_rows, replica_cap, row_masses,
+    GpumemResult, GpumemStats, IndexBuildReport, RowWorker, RunError, TileScratch,
 };
-use crate::registry::{RefHandle, Registry, RegistryStats};
+use crate::registry::{PinnedSession, Registry, RegistryStats};
 use crate::shard::ShardPlan;
 use crate::telemetry::{Event, EventSink, TelemetryClock, WallClock};
 use crate::tile::Tiling;
-use crate::trace::{SpanCat, Trace, TraceRecorder};
+use crate::trace::Trace;
 use gpumem_index::SeedMode;
-
-/// Which pipeline stage produced a batch of MEMs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MemStage {
-    /// The block kernels of tile `(row, col)` — in-block MEMs.
-    Block {
-        /// Tile row.
-        row: usize,
-        /// Tile column.
-        col: usize,
-    },
-    /// The tile merge of tile `(row, col)` — in-tile MEMs.
-    Tile {
-        /// Tile row.
-        row: usize,
-        /// Tile column.
-        col: usize,
-    },
-    /// The final host merge of out-tile fragments.
-    Global,
-}
-
-/// Receives MEM batches as the pipeline produces them (see the module
-/// docs for the ordering and duplication contract).
-pub trait MemSink {
-    /// A stage completed with these MEMs. Never called with an empty
-    /// batch.
-    fn mems(&mut self, stage: MemStage, mems: &[Mem]);
-}
-
-/// The collecting sink: accumulates every batch and canonicalizes at
-/// the end — the adapter that turns a streaming run back into the
-/// classic `Vec<Mem>` result.
-#[derive(Debug, Default)]
-pub struct MemCollector {
-    mems: Vec<Mem>,
-}
-
-impl MemCollector {
-    /// Sort and dedup everything received into the canonical MEM set.
-    pub fn into_canonical(self) -> Vec<Mem> {
-        canonicalize(self.mems)
-    }
-
-    /// [`MemCollector::into_canonical`] inside a `canonicalize` stage
-    /// span of `trace`, if any. The span carries no statistics: it
-    /// launches nothing.
-    pub(crate) fn into_canonical_traced(self, trace: Option<&TraceRecorder>) -> Vec<Mem> {
-        let span = trace.map(|t| t.begin("canonicalize", SpanCat::Stage));
-        let mems = self.into_canonical();
-        if let (Some(t), Some(id)) = (trace, span) {
-            t.end(id);
-        }
-        mems
-    }
-}
-
-impl MemSink for MemCollector {
-    fn mems(&mut self, _stage: MemStage, mems: &[Mem]) {
-        self.mems.extend_from_slice(mems);
-    }
-}
 
 /// Accumulated index-build cost of a session.
 #[derive(Default)]
@@ -282,103 +212,10 @@ impl RefSession {
     }
 }
 
-/// A cache of [`RefSession`]s keyed by *reference identity* (the
-/// `Arc` pointer) and the **full** [`GpumemConfig`].
-///
-/// Keying on the whole config — not just `(tile_len, seed_len)` or
-/// whatever subset happens to affect today's index layout — is what
-/// keeps seed-parameter variants apart: two configs that differ only
-/// in `step`, `seed_mode`, or `index_kind` produce different partial
-/// indexes (or different probe contracts against the same index) and
-/// must never share cached rows. The pointer half of the key is sound
-/// because every cached session holds its reference `Arc` alive, so
-/// the address cannot be recycled by a different sequence while the
-/// entry exists.
-pub struct SessionCache {
-    spec: DeviceSpec,
-    /// Two-level map: the outer lock only guards slot lookup/insertion
-    /// and is never held across a session construction; each key's
-    /// construction runs under its own slot lock, so concurrent callers
-    /// for *different* references (or configs) build in parallel while
-    /// callers for the *same* key still build exactly once.
-    sessions: Mutex<HashMap<(usize, GpumemConfig), SessionSlot>>,
-}
-
-/// One lazily built slot of a [`SessionCache`]: `None` until the first
-/// caller for the key constructs the session under the slot lock.
-type SessionSlot = Arc<Mutex<Option<Arc<RefSession>>>>;
-
-impl SessionCache {
-    /// An empty cache whose sessions validate against `spec`.
-    pub fn new(spec: DeviceSpec) -> SessionCache {
-        SessionCache {
-            spec,
-            sessions: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// The session for `(reference, config)` — cached, or freshly
-    /// created (cold, unwarmed) and cached for everyone after.
-    pub fn session(
-        &self,
-        reference: &Arc<PackedSeq>,
-        config: GpumemConfig,
-    ) -> Result<Arc<RefSession>, RunError> {
-        let key = (Arc::as_ptr(reference) as usize, config.clone());
-        let slot = {
-            let mut sessions = self.sessions.lock();
-            Arc::clone(
-                sessions
-                    .entry(key.clone())
-                    .or_insert_with(|| Arc::new(Mutex::new(None))),
-            )
-        };
-        let mut guard = slot.lock();
-        if let Some(session) = guard.as_ref() {
-            return Ok(Arc::clone(session));
-        }
-        match RefSession::new(Arc::clone(reference), config, &self.spec) {
-            Ok(session) => {
-                let session = Arc::new(session);
-                *guard = Some(Arc::clone(&session));
-                Ok(session)
-            }
-            Err(e) => {
-                // Leave no empty slot behind so a failed construction
-                // doesn't count toward `len` (another in-flight caller
-                // holding this slot Arc will simply retry-and-fail on
-                // its own).
-                drop(guard);
-                let mut sessions = self.sessions.lock();
-                if let Some(current) = sessions.get(&key) {
-                    if Arc::ptr_eq(current, &slot) && slot.lock().is_none() {
-                        sessions.remove(&key);
-                    }
-                }
-                Err(e)
-            }
-        }
-    }
-
-    /// Number of cached sessions.
-    pub fn len(&self) -> usize {
-        self.sessions
-            .lock()
-            .values()
-            .filter(|slot| slot.lock().is_some())
-            .count()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// One query worker: a simulated device plus reusable run scratch.
+/// One query worker: a simulated device plus reusable tile scratch.
 struct Worker {
     device: Device,
-    scratch: RunScratch,
+    scratch: TileScratch,
 }
 
 /// One worker's share of the serving metrics, kept beside its mutex so
@@ -639,13 +476,11 @@ pub struct RunOptions {
     /// Record a [`Trace`] for each query (returned in
     /// [`RunOutput::trace`]).
     pub trace: bool,
-    /// Split each query's tile rows across this many simulated devices
-    /// (`0`/`1` = single-device). The canonical MEM set is byte-identical
-    /// for every shard count — see [`crate::shard`].
+    /// Split each query's tile rows across this many fresh simulated
+    /// devices (`0`/`1` = run on the engine's free workers). The
+    /// canonical MEM set is byte-identical for every shard count — see
+    /// [`crate::shard`].
     pub shards: usize,
-    /// Explicit row placement for sharded runs (overrides `shards`;
-    /// must cover the run's tile rows exactly once).
-    pub shard_plan: Option<ShardPlan>,
     /// Run under a different seed-sampling mode than the engine's base
     /// configuration (e.g. probe the copMEM-style dual grid for one
     /// request). Validated like a fresh configuration.
@@ -694,13 +529,6 @@ pub struct RunOutput {
     pub trace: Option<Trace>,
 }
 
-/// The engine's registration in a [`Registry`]: the base session is
-/// pinned for the engine's lifetime (released on drop).
-struct RegistryBinding {
-    registry: Arc<Registry>,
-    handle: RefHandle,
-}
-
 /// Builds an [`Engine`] — its single construction surface.
 ///
 /// ```no_run
@@ -722,7 +550,6 @@ pub struct EngineBuilder {
     threads: usize,
     registry: Option<Arc<Registry>>,
     name: Option<String>,
-    session: Option<Arc<RefSession>>,
     clock: Option<Arc<dyn TelemetryClock>>,
     events: Option<Arc<dyn EventSink>>,
     warp_floor: Option<f64>,
@@ -767,15 +594,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Bind an existing (possibly shared, possibly warmed) session
-    /// instead of creating one; overrides `config` and the reference
-    /// passed to [`Engine::builder`]. Incompatible with
-    /// [`EngineBuilder::registry`].
-    pub fn session(mut self, session: Arc<RefSession>) -> Self {
-        self.session = Some(session);
-        self
-    }
-
     /// The time source behind `uptime_s` and event timestamps (default:
     /// a fresh [`WallClock`]). Inject a
     /// [`ManualClock`](crate::telemetry::ManualClock) for deterministic
@@ -811,55 +629,34 @@ impl EngineBuilder {
             events: self.events,
             warp_floor: self.warp_floor,
         };
-        if let Some(session) = self.session {
-            if self.registry.is_some() {
-                return Err(RunError::InvalidOptions(
-                    "EngineBuilder::session is incompatible with EngineBuilder::registry; \
-                     register the (reference, config) pair instead"
-                        .to_string(),
-                ));
-            }
-            return Ok(Engine::assemble(
-                session,
-                self.spec,
-                self.threads,
-                None,
-                telemetry,
-            ));
-        }
-        let config = match self.config {
-            Some(config) => config,
-            None => GpumemConfig::builder(20)
+        let config = self.config.unwrap_or_else(|| {
+            GpumemConfig::builder(20)
                 .build()
-                .expect("default configuration is valid"),
-        };
-        match self.registry {
+                .expect("default configuration is valid")
+        });
+        let (session, spec, pin) = match self.registry {
             Some(registry) => {
                 let name = self.name.as_deref().unwrap_or("default");
                 let handle = registry.add(name, self.reference, config)?;
-                let session = registry
-                    .pin_raw(handle)
-                    .expect("freshly added handle resolves");
-                let spec = registry.spec().clone();
-                Ok(Engine::assemble(
-                    session,
-                    spec,
-                    self.threads,
-                    Some(RegistryBinding { registry, handle }),
-                    telemetry,
-                ))
+                let pin = registry.pin(handle).expect("freshly added handle resolves");
+                (
+                    Arc::clone(pin.session()),
+                    registry.spec().clone(),
+                    Some(pin),
+                )
             }
             None => {
-                let session = Arc::new(RefSession::new(self.reference, config, &self.spec)?);
-                Ok(Engine::assemble(
-                    session,
-                    self.spec,
-                    self.threads,
-                    None,
-                    telemetry,
-                ))
+                let session = RefSession::new(self.reference, config, &self.spec)?;
+                (Arc::new(session), self.spec, None)
             }
-        }
+        };
+        Ok(Engine::assemble(
+            session,
+            spec,
+            self.threads,
+            pin,
+            telemetry,
+        ))
     }
 }
 
@@ -869,16 +666,6 @@ struct EngineTelemetry {
     clock: Arc<dyn TelemetryClock>,
     events: Option<Arc<dyn EventSink>>,
     warp_floor: Option<f64>,
-}
-
-impl Default for EngineTelemetry {
-    fn default() -> EngineTelemetry {
-        EngineTelemetry {
-            clock: Arc::new(WallClock::new()),
-            events: None,
-            warp_floor: None,
-        }
-    }
 }
 
 /// The serving engine: a [`RefSession`] bound to a pool of query
@@ -897,7 +684,9 @@ pub struct Engine {
     build_wait: Mutex<Duration>,
     matching_totals: Mutex<LaunchStats>,
     shard_health: Mutex<ShardHealth>,
-    registry: Option<RegistryBinding>,
+    /// The base session's pin in the hosting registry, held for the
+    /// engine's lifetime.
+    pin: Option<PinnedSession>,
     telemetry: EngineTelemetry,
     /// Sessions materialized for per-request seed-mode overrides on
     /// registry-less engines (registry-hosted engines route overrides
@@ -910,7 +699,7 @@ pub struct Engine {
 struct ResolvedRun {
     session: Arc<RefSession>,
     config: GpumemConfig,
-    _pin: Option<crate::registry::PinnedSession>,
+    _pin: Option<PinnedSession>,
 }
 
 impl Engine {
@@ -923,7 +712,6 @@ impl Engine {
             threads: 1,
             registry: None,
             name: None,
-            session: None,
             clock: None,
             events: None,
             warp_floor: None,
@@ -934,7 +722,7 @@ impl Engine {
         session: Arc<RefSession>,
         spec: DeviceSpec,
         query_threads: usize,
-        registry: Option<RegistryBinding>,
+        pin: Option<PinnedSession>,
         telemetry: EngineTelemetry,
     ) -> Engine {
         let n = query_threads.max(1);
@@ -942,7 +730,7 @@ impl Engine {
             .map(|_| {
                 Mutex::new(Worker {
                     device: Device::new(spec.clone()),
-                    scratch: RunScratch::new(session.config()),
+                    scratch: TileScratch::new(session.config()),
                 })
             })
             .collect();
@@ -957,7 +745,7 @@ impl Engine {
             build_wait: Mutex::new(Duration::ZERO),
             matching_totals: Mutex::new(LaunchStats::default()),
             shard_health: Mutex::new(ShardHealth::default()),
-            registry,
+            pin,
             telemetry,
             overrides: Mutex::new(HashMap::new()),
         }
@@ -991,24 +779,19 @@ impl Engine {
         }
     }
 
-    /// The underlying session (shareable with other engines).
+    /// The engine's base session.
     pub fn session(&self) -> &Arc<RefSession> {
         &self.session
     }
 
     /// The registry the engine is hosted in, if any.
     pub fn registry(&self) -> Option<&Arc<Registry>> {
-        self.registry.as_ref().map(|b| &b.registry)
+        self.pin.as_ref().map(PinnedSession::registry)
     }
 
     /// The device spec each worker simulates.
     pub fn spec(&self) -> &DeviceSpec {
         &self.spec
-    }
-
-    /// Number of query workers.
-    pub fn query_threads(&self) -> usize {
-        self.workers.len()
     }
 
     /// How many workers one request under `config` may hold: every
@@ -1096,10 +879,10 @@ impl Engine {
     }
 
     /// Account one completed query to the latency histogram, the
-    /// workers it `held` (first the one it checked out first), and —
-    /// when registry-hosted — the registry's LRU clock (which also
-    /// enforces the byte budget, charging any rows the query lazily
-    /// built).
+    /// workers it `held` (first the one it checked out first; none for a
+    /// sharded query), and — when registry-hosted — the registry's LRU
+    /// clock (which also enforces the byte budget, charging any rows the
+    /// query lazily built).
     fn record_query(&self, held: &[(usize, MutexGuard<'_, Worker>)], latency: Duration) {
         let busy = u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX);
         for (n, &(w, _)) in held.iter().enumerate() {
@@ -1109,8 +892,8 @@ impl Engine {
             }
         }
         self.latency.lock().record(latency);
-        if let Some(binding) = &self.registry {
-            binding.registry.touch(binding.handle);
+        if let Some(pin) = &self.pin {
+            pin.registry().touch(pin.handle());
         }
     }
 
@@ -1153,17 +936,15 @@ impl Engine {
     fn override_session(
         &self,
         session_config: GpumemConfig,
-    ) -> Result<(Arc<RefSession>, Option<crate::registry::PinnedSession>), RunError> {
-        if let Some(binding) = &self.registry {
-            let handle = binding.registry.add(
+    ) -> Result<(Arc<RefSession>, Option<PinnedSession>), RunError> {
+        if let Some(pin) = &self.pin {
+            let registry = pin.registry();
+            let handle = registry.add(
                 "seed-mode-override",
                 Arc::clone(self.session.reference_arc()),
                 session_config,
             )?;
-            let pin = binding
-                .registry
-                .pin(handle)
-                .expect("freshly added handle resolves");
+            let pin = registry.pin(handle).expect("freshly added handle resolves");
             let session = Arc::clone(pin.session());
             return Ok((session, Some(pin)));
         }
@@ -1180,30 +961,30 @@ impl Engine {
         Ok((session, None))
     }
 
-    /// How many shards a request resolves to.
-    fn effective_shards(&self, opts: &RunOptions) -> usize {
-        opts.shard_plan
-            .as_ref()
-            .map(|p| p.n_shards())
-            .unwrap_or(opts.shards)
-            .max(1)
-    }
-
-    /// The unified run surface: execute every query of `request` under
-    /// its options, one query at a time, returning one [`RunOutput`]
-    /// per query in order. [`Engine::run`], [`Engine::run_traced`], and
-    /// [`Engine::run_batch`] are thin adapters over this.
+    /// The run surface: execute every query of `request` under its
+    /// options, one query at a time, returning one [`RunOutput`] per
+    /// query in order. Every modeled statistic and the MEM set are what
+    /// one device would report, however many devices ran the rows.
     ///
-    /// An unsharded query runs its tile rows on every worker that is
-    /// free when it arrives, up to the workers whose buffer pools fit
-    /// the replica budget (one at the dense default ℓs = 13) and one per
-    /// row: the first worker it checks out on the calling thread, the
-    /// others on scoped host threads, their out-tile fragments merged
-    /// once. Only the first worker is waited for, so concurrent callers
-    /// spread over the pool, and a query that finds one worker free runs
-    /// on the calling thread alone. A sharded query runs on fresh shard
-    /// devices instead. Every modeled statistic and the MEM set are what
-    /// one device would report, however many workers ran the rows.
+    /// Each query runs through `pipeline::gather_rows`: every device
+    /// runs its share of the tile rows with its own scratch, and their
+    /// out-tile fragments are host-merged once. Where the devices come
+    /// from is what the options choose:
+    ///
+    /// * by default, the workers free when the query arrives, up to those
+    ///   whose buffer pools fit the replica budget (one at the dense
+    ///   default ℓs = 13) and one per row: the first worker it checks out
+    ///   on the calling thread, the others on scoped host threads. Only
+    ///   the first worker is waited for, so concurrent callers spread over
+    ///   the pool, and a query that finds one worker free runs on the
+    ///   calling thread alone. Traced on one worker, the query is one
+    ///   `Run` span named `"query"`; on several, each worker's rows sit
+    ///   under `"worker {w}"` on a track of its own and the host merge
+    ///   under the calling thread's `"query"` span.
+    /// * with [`RunOptions::shards`] ≥ 2, one fresh device per shard; the
+    ///   query holds no worker. Traced, each shard's rows sit under
+    ///   `"shard {s}"` and the host merge under `"run"`. See
+    ///   [`crate::shard`] for why the result is byte-identical.
     pub fn execute(&self, request: &RunRequest<'_>) -> Vec<Result<RunOutput, RunError>> {
         let opts = &request.options;
         let n = match request.queries {
@@ -1214,73 +995,89 @@ impl Engine {
             Ok(resolved) => resolved,
             Err(e) => return (0..n).map(|_| Err(e.clone())).collect(),
         };
+        let run = |query: &PackedSeq| {
+            ensure_sort_key(query)?;
+            Ok(self.run_query(query, &resolved, opts))
+        };
         match request.queries {
-            Queries::One(query) => vec![self.execute_one(query, &resolved, opts)],
-            Queries::Set(set) => (0..n)
-                .map(|i| self.execute_one(&set.record_seq(i), &resolved, opts))
-                .collect(),
+            Queries::One(query) => vec![run(query)],
+            Queries::Set(set) => (0..n).map(|i| run(&set.record_seq(i))).collect(),
         }
     }
 
-    fn execute_one(
-        &self,
-        query: &PackedSeq,
-        resolved: &ResolvedRun,
-        opts: &RunOptions,
-    ) -> Result<RunOutput, RunError> {
-        ensure_sort_key(query)?;
-        let shards = self.effective_shards(opts);
-        if shards >= 2 {
-            return self.run_sharded(query, resolved, opts, shards);
-        }
-        Ok(self.run_on_free_workers(query, resolved, opts.trace))
-    }
-
-    /// One unsharded query on the workers [`Engine::checkout`] finds
-    /// free, through [`gather_rows`]: each worker runs its share of the
-    /// rows on its own device with its own scratch. A traced query on
-    /// one worker is one `Run` span named `"query"`; on several, each
-    /// worker's rows sit under `"worker {w}"` on a track of its own and
-    /// the host merge under the calling thread's `"query"` span.
-    fn run_on_free_workers(
-        &self,
-        query: &PackedSeq,
-        resolved: &ResolvedRun,
-        traced: bool,
-    ) -> RunOutput {
+    /// One query of [`Engine::execute`].
+    fn run_query(&self, query: &PackedSeq, resolved: &ResolvedRun, opts: &RunOptions) -> RunOutput {
         let (session, config) = (&resolved.session, &resolved.config);
+        let sharded = opts.shards >= 2;
         let t0 = Instant::now();
-        self.emit(|ts| Event::new("run_start", ts).with_u64("query_len", query.len() as u64));
+        self.emit(|ts| {
+            let event = Event::new("run_start", ts).with_u64("query_len", query.len() as u64);
+            if sharded {
+                event.with_u64("shards", opts.shards as u64)
+            } else {
+                event
+            }
+        });
+        // Row mass ∝ reference bases covered (the last row may be
+        // short); occurrence-accurate masses would need the indexes
+        // built up front, defeating lazy residency.
         let masses = row_masses(config, session.reference(), query);
-        let most = self.workers_per_request(config).min(masses.len()).max(1);
-        let mut held = self.checkout(most);
-        let plan = ShardPlan::from_row_masses(held.len(), &masses);
-        let mut workers: Vec<RowWorker<'_>> = held
-            .iter_mut()
-            .map(|(_, worker)| {
-                let Worker { device, scratch } = &mut **worker;
-                RowWorker {
-                    device,
-                    scratch: &mut scratch.tiles,
-                }
-            })
+        // A sharded request runs on fresh devices, one per shard, and
+        // holds no worker; any other on the workers free when it arrives.
+        let fresh = if sharded { opts.shards } else { 0 };
+        let shard_devices: Vec<Device> =
+            (0..fresh).map(|_| Device::new(self.spec.clone())).collect();
+        let mut shard_scratch: Vec<TileScratch> = shard_devices
+            .iter()
+            .map(|_| TileScratch::new(config))
             .collect();
+        let mut held = if sharded {
+            Vec::new()
+        } else {
+            self.checkout(self.workers_per_request(config).min(masses.len()).max(1))
+        };
+        let mut workers = RowWorker::zip(&shard_devices, &mut shard_scratch);
+        workers.extend(held.iter_mut().map(|(_, worker)| {
+            let Worker { device, scratch } = &mut **worker;
+            RowWorker { device, scratch }
+        }));
+        let plan = ShardPlan::from_row_masses(workers.len(), &masses);
+        if sharded {
+            for s in 0..plan.n_shards() {
+                self.emit(|ts| {
+                    Event::new("shard_dispatch", ts)
+                        .with_u64("shard", s as u64)
+                        .with_u64("rows", plan.rows(s).len() as u64)
+                });
+            }
+        }
+        // The free workers stand for one device: their pools fold into
+        // its footprint. Shards stay devices of their own.
         let pools: Vec<&Device> = workers.iter().map(|worker| worker.device).collect();
+        let (span, run_span) = if sharded {
+            ("shard", "run")
+        } else {
+            ("worker", "query")
+        };
         let row_index =
             |device: &Device, row: usize, _region: Region| self.acquire_row(session, device, row);
         let gathered = gather_rows(
             &mut workers,
             &plan,
-            "worker",
-            "query",
+            span,
+            run_span,
             config,
             session.reference(),
             query,
             &row_index,
-            traced,
-            Some(&pools),
+            opts.trace,
+            (!sharded).then_some(&pools[..]),
         );
-        let GpumemResult { mems, stats } = gathered.result;
+        let GpumemResult { mems, mut stats } = gathered.result;
+        if sharded {
+            stats.shard_matching = gathered.workers.into_iter().map(|s| s.matching).collect();
+            self.shard_health.lock().record(&stats.shard_matching);
+        }
         *self.matching_totals.lock() += stats.matching.clone();
         self.record_query(&held, t0.elapsed());
         drop(held);
@@ -1292,153 +1089,13 @@ impl Engine {
         }
     }
 
-    /// One query across N simulated devices: each shard runs its tile
-    /// rows on a fresh device with its own scratch and host thread, then
-    /// the shards' out-tile fragments are concatenated and host-merged
-    /// once ([`gather_rows`]). See [`crate::shard`] for why the result
-    /// is byte-identical to a single-device run.
-    fn run_sharded(
-        &self,
-        query: &PackedSeq,
-        resolved: &ResolvedRun,
-        opts: &RunOptions,
-        n_shards: usize,
-    ) -> Result<RunOutput, RunError> {
-        let session = &resolved.session;
-        let config = &resolved.config;
-        let reference = session.reference();
-        let t0 = Instant::now();
-        self.emit(|ts| {
-            Event::new("run_start", ts)
-                .with_u64("query_len", query.len() as u64)
-                .with_u64("shards", n_shards as u64)
-        });
-        // Row mass ∝ reference bases covered (the last row may be
-        // short); occurrence-accurate masses would need the indexes
-        // built up front, defeating lazy residency.
-        let masses = row_masses(config, reference, query);
-        let plan = match &opts.shard_plan {
-            Some(plan) => {
-                if !plan.covers(masses.len()) {
-                    return Err(RunError::InvalidOptions(format!(
-                        "shard plan assigns {} rows but the run has {} tile rows",
-                        plan.n_rows(),
-                        masses.len()
-                    )));
-                }
-                plan.clone()
-            }
-            None => ShardPlan::from_row_masses(n_shards, &masses),
-        };
-        for s in 0..plan.n_shards() {
-            self.emit(|ts| {
-                Event::new("shard_dispatch", ts)
-                    .with_u64("shard", s as u64)
-                    .with_u64("rows", plan.rows(s).len() as u64)
-            });
-        }
-
-        // Time every row-index acquisition: building a cold row, or
-        // waiting on another shard's in-flight build of the same row.
-        let row_index = |device: &Device, row: usize, _region: Region| {
-            let t = Instant::now();
-            let out = session.row_index(device, row);
-            *self.build_wait.lock() += t.elapsed();
-            out
-        };
-        let devices: Vec<Device> = (0..plan.n_shards())
-            .map(|_| Device::new(self.spec.clone()))
-            .collect();
-        let mut scratch: Vec<TileScratch> =
-            devices.iter().map(|_| TileScratch::new(config)).collect();
-        let gathered = gather_rows(
-            &mut RowWorker::zip(&devices, &mut scratch),
-            &plan,
-            "shard",
-            "run",
-            config,
-            reference,
-            query,
-            &row_index,
-            opts.trace,
-            None,
-        );
-        let GpumemResult { mems, mut stats } = gathered.result;
-        stats.shard_matching = gathered.workers.into_iter().map(|s| s.matching).collect();
-        *self.matching_totals.lock() += stats.matching.clone();
-
-        let held = self.checkout(1);
-        self.record_query(&held, t0.elapsed());
-        drop(held);
-        self.shard_health.lock().record(&stats.shard_matching);
-        self.emit_run_end(query, &stats, mems.len());
-        self.check_anomalies(&stats);
-        Ok(RunOutput {
-            result: GpumemResult { mems, stats },
-            trace: gathered.trace,
-        })
-    }
-
-    /// Stream one query's MEMs into `sink` as stages complete (see the
-    /// module docs for the ordering contract). A warmed session makes
-    /// this a zero-index-launch operation. The streaming sibling of
-    /// [`Engine::execute`] (a sink has no [`RunOutput`] shape, so this
-    /// stays its own entry point); its rows run in order on one worker.
-    pub fn run_with_sink(
-        &self,
-        query: &PackedSeq,
-        sink: &mut dyn MemSink,
-    ) -> Result<GpumemStats, RunError> {
-        ensure_sort_key(query)?;
-        let t0 = Instant::now();
-        self.emit(|ts| Event::new("run_start", ts).with_u64("query_len", query.len() as u64));
-        let mut held = self.checkout(1);
-        let worker = &mut *held[0].1;
-        let mut row_index = |device: &Device, row: usize, _region: Region| {
-            self.acquire_row(&self.session, device, row)
-        };
-        let stats = run_tiles(
-            &worker.device,
-            self.session.config(),
-            self.session.reference(),
-            query,
-            &mut row_index,
-            &mut worker.scratch,
-            sink,
-        );
-        *self.matching_totals.lock() += stats.matching.clone();
-        self.record_query(&held, t0.elapsed());
-        self.emit_run_end(query, &stats, stats.counts.total);
-        self.check_anomalies(&stats);
-        Ok(stats)
-    }
-
     /// Run one query, collecting the canonical MEM set — the
-    /// default-options adapter over [`Engine::execute`].
+    /// default-options shorthand for [`Engine::execute`].
     pub fn run(&self, query: &PackedSeq) -> Result<GpumemResult, RunError> {
         self.execute(&RunRequest::query(query))
             .pop()
             .expect("one query yields one output")
             .map(|out| out.result)
-    }
-
-    /// [`Engine::run`] with structured tracing: also returns the
-    /// query's [`Trace`] (see [`crate::trace`]) — the
-    /// `RunOptions { trace: true, .. }` adapter over
-    /// [`Engine::execute`]. Each worker the query runs on records on its
-    /// own recorder, installed as its device's launch observer for the
-    /// duration of the call, and the trace keeps one track per worker.
-    pub fn run_traced(&self, query: &PackedSeq) -> Result<(GpumemResult, Trace), RunError> {
-        let options = RunOptions {
-            trace: true,
-            ..RunOptions::default()
-        };
-        let out = self
-            .execute(&RunRequest::query(query).options(options))
-            .pop()
-            .expect("one query yields one output")?;
-        let trace = out.trace.expect("traced run records a trace");
-        Ok((out.result, trace))
     }
 
     /// Export the engine's serving metrics: query-latency histogram,
@@ -1516,32 +1173,10 @@ impl Engine {
             index: self.session.index_report().stats,
             matching: totals,
             registry: self
-                .registry
-                .as_ref()
-                .map(|b| b.registry.stats())
+                .registry()
+                .map(|registry| registry.stats())
                 .unwrap_or_default(),
             shards: self.shard_health.lock().clone(),
-        }
-    }
-
-    /// Run every record of `queries` as an independent query, one after
-    /// another, each over the engine's free workers — the batch adapter
-    /// over [`Engine::execute`]. Results come back in record order, each
-    /// exactly what [`Engine::run`] would return for that record alone.
-    pub fn run_batch(&self, queries: &SeqSet) -> Vec<Result<GpumemResult, RunError>> {
-        self.execute(&RunRequest::batch(queries))
-            .into_iter()
-            .map(|r| r.map(|out| out.result))
-            .collect()
-    }
-}
-
-impl Drop for Engine {
-    fn drop(&mut self) {
-        // Release the lifetime pin taken by `EngineBuilder::build` so
-        // the registry may evict or remove this engine's session.
-        if let Some(binding) = &self.registry {
-            binding.registry.unpin(binding.handle);
         }
     }
 }
@@ -1550,7 +1185,8 @@ impl Drop for Engine {
 mod tests {
     use super::*;
     use crate::pipeline::Gpumem;
-    use gpumem_seq::{naive_mems, FastaRecord, GenomeModel, MutationModel};
+    use crate::trace::SpanCat;
+    use gpumem_seq::{naive_mems, FastaRecord, GenomeModel, Mem, MutationModel};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1588,6 +1224,39 @@ mod tests {
             })
             .collect();
         SeqSet::from_records(&records)
+    }
+
+    /// Every record of `queries` through [`Engine::execute`] under
+    /// `options`.
+    fn run_set(engine: &Engine, queries: &SeqSet, options: RunOptions) -> Vec<GpumemResult> {
+        engine
+            .execute(&RunRequest::batch(queries).options(options))
+            .into_iter()
+            .map(|out| out.unwrap().result)
+            .collect()
+    }
+
+    /// One query through [`Engine::execute`] under `options`.
+    fn run_one(engine: &Engine, query: &PackedSeq, options: RunOptions) -> RunOutput {
+        engine
+            .execute(&RunRequest::query(query).options(options))
+            .pop()
+            .unwrap()
+            .unwrap()
+    }
+
+    fn traced() -> RunOptions {
+        RunOptions {
+            trace: true,
+            ..RunOptions::default()
+        }
+    }
+
+    fn sharded(shards: usize) -> RunOptions {
+        RunOptions {
+            shards,
+            ..RunOptions::default()
+        }
     }
 
     #[test]
@@ -1647,10 +1316,10 @@ mod tests {
             .collect();
         for workers in [1, 2, 4] {
             let engine = engine_of(&reference, config(16), workers);
-            let batch = engine.run_batch(&queries);
+            let batch = run_set(&engine, &queries, RunOptions::default());
             assert_eq!(batch.len(), 4);
             for (result, expect) in batch.iter().zip(&sequential) {
-                assert_eq!(&result.as_ref().unwrap().mems, expect, "{workers} workers");
+                assert_eq!(&result.mems, expect, "{workers} workers");
             }
         }
     }
@@ -1660,11 +1329,8 @@ mod tests {
         let reference = GenomeModel::mammalian().generate(2_500, 807);
         let queries = query_set(&reference, 6);
         let engine = engine_of(&reference, config(16), 3);
-        let results = engine.run_batch(&queries);
-        let total_index_launches: u64 = results
-            .iter()
-            .map(|r| r.as_ref().unwrap().stats.index.launches)
-            .sum();
+        let results = run_set(&engine, &queries, RunOptions::default());
+        let total_index_launches: u64 = results.iter().map(|r| r.stats.index.launches).sum();
         let one_build = Gpumem::with_device(config(16), Device::new(DeviceSpec::test_tiny()))
             .build_index_only(&reference);
         assert_eq!(
@@ -1672,55 +1338,6 @@ mod tests {
             "6 queries paid for exactly one full index build"
         );
         assert_eq!(engine.session().built_rows(), engine.session().rows());
-    }
-
-    #[test]
-    fn sink_order_is_deterministic_and_complete() {
-        #[derive(Default)]
-        struct Recorder {
-            batches: Vec<(MemStage, Vec<Mem>)>,
-        }
-        impl MemSink for Recorder {
-            fn mems(&mut self, stage: MemStage, mems: &[Mem]) {
-                assert!(!mems.is_empty(), "empty batches are never delivered");
-                self.batches.push((stage, mems.to_vec()));
-            }
-        }
-
-        let reference = GenomeModel::mammalian().generate(3_000, 808);
-        let engine = engine_of(&reference, config(20), 1);
-        // Self-comparison: the main diagonal guarantees every stage
-        // (including Global) fires.
-        let run = |engine: &Engine| {
-            let mut sink = Recorder::default();
-            engine.run_with_sink(&reference, &mut sink).unwrap();
-            sink.batches
-        };
-        let a = run(&engine);
-        let b = run(&engine);
-        assert_eq!(a, b, "identical runs stream identical batch sequences");
-
-        assert_eq!(
-            a.last().map(|(stage, _)| *stage),
-            Some(MemStage::Global),
-            "the host merge is always the final batch"
-        );
-        // Tiles arrive in row-major order; Block precedes Tile within a
-        // tile.
-        let cells: Vec<(usize, usize, bool)> = a
-            .iter()
-            .filter_map(|(stage, _)| match *stage {
-                MemStage::Block { row, col } => Some((row, col, false)),
-                MemStage::Tile { row, col } => Some((row, col, true)),
-                MemStage::Global => None,
-            })
-            .collect();
-        assert!(cells.windows(2).all(|w| w[0] <= w[1]), "row-major order");
-
-        // Streamed batches reconstruct the canonical result exactly.
-        let streamed: Vec<Mem> = canonicalize(a.into_iter().flat_map(|(_, mems)| mems).collect());
-        assert_eq!(streamed, engine.run(&reference).unwrap().mems);
-        assert_eq!(streamed, naive_mems(&reference, &reference, 20));
     }
 
     #[test]
@@ -1747,14 +1364,15 @@ mod tests {
     fn empty_batch_and_empty_records() {
         let reference = GenomeModel::uniform().generate(500, 810);
         let engine = engine_of(&reference, config(16), 2);
-        assert!(engine.run_batch(&SeqSet::from_records(&[])).is_empty());
+        let none = SeqSet::from_records(&[]);
+        assert!(run_set(&engine, &none, RunOptions::default()).is_empty());
         let empty_record = SeqSet::from_records(&[FastaRecord {
             header: "empty".into(),
             seq: PackedSeq::from_codes(&[]),
         }]);
-        let results = engine.run_batch(&empty_record);
+        let results = run_set(&engine, &empty_record, RunOptions::default());
         assert_eq!(results.len(), 1);
-        assert!(results[0].as_ref().unwrap().mems.is_empty());
+        assert!(results[0].mems.is_empty());
     }
 
     #[test]
@@ -1826,10 +1444,10 @@ mod tests {
                     render_run(&engine.run(&query).unwrap(), None),
                     render_run(&engine.run(&query).unwrap(), None),
                 ];
-                let (traced, trace) = engine.run_traced(&query).unwrap();
-                out.push(render_run(&traced, Some(&trace)));
-                for result in engine.run_batch(&records) {
-                    out.push(render_run(&result.unwrap(), None));
+                let traced_run = run_one(&engine, &query, traced());
+                out.push(render_run(&traced_run.result, traced_run.trace.as_ref()));
+                for result in run_set(&engine, &records, RunOptions::default()) {
+                    out.push(render_run(&result, None));
                 }
                 let busy: Vec<bool> = engine
                     .metrics()
@@ -1930,6 +1548,29 @@ mod tests {
     }
 
     #[test]
+    fn sharded_request_holds_no_worker() {
+        let reference = GenomeModel::mammalian().generate(2_000, 813);
+        let engine = engine_of(&reference, config(16), 1);
+        let q = GenomeModel::mammalian().generate(1_000, 814);
+        let expect = engine.run(&q).unwrap().mems;
+        let held = engine.workers[0].lock();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| tx.send(run_one(&engine, &q, sharded(2)).result.mems));
+            let reply = rx.recv_timeout(Duration::from_secs(60));
+            // Release worker 0 before judging, so a request queued on it
+            // finishes and the scope can join.
+            drop(held);
+            let mems = reply.expect("sharded request blocked on the held worker 0");
+            assert_eq!(mems, expect);
+        });
+        let m = engine.metrics();
+        assert_eq!(m.queries, 2, "the sharded request counts as a query");
+        assert_eq!(m.latency.count, 2);
+        assert_eq!(m.workers[0].queries, 1, "only the unsharded request");
+    }
+
+    #[test]
     fn latency_histogram_buckets_are_powers_of_two() {
         let mut h = LatencyHistogram::new();
         for us in [1u64, 2, 3, 4, 1000, 1024, 1025] {
@@ -1949,80 +1590,16 @@ mod tests {
     }
 
     #[test]
-    fn session_cache_never_shares_across_seed_parameters() {
-        use gpumem_index::SeedMode;
-        // L = 25, ℓs = 8 → dual bound 18; (4, 3) is the auto pair.
-        let dual = GpumemConfig::builder(25)
-            .seed_len(8)
-            .threads_per_block(8)
-            .blocks_per_tile(2)
-            .seed_mode(SeedMode::DualSampled { k1: 4, k2: 3 })
-            .build()
-            .unwrap();
-        let ref_only = GpumemConfig::builder(25)
-            .seed_len(8)
-            .threads_per_block(8)
-            .blocks_per_tile(2)
-            .build()
-            .unwrap();
-        assert_ne!(dual, ref_only);
-
-        let reference = Arc::new(GenomeModel::mammalian().generate(4_000, 815));
-        let query = GenomeModel::mammalian().generate(1_500, 816);
-        let cache = SessionCache::new(DeviceSpec::test_tiny());
-
-        // Warm RefOnly fully, then request the dual-mode session: it
-        // must be a distinct, still-cold session — not the warmed
-        // RefOnly rows (whose denser step-6 index would violate the
-        // dual probe contract).
-        let warm = cache.session(&reference, ref_only.clone()).unwrap();
-        let engine_warm = Engine::builder(Arc::clone(&reference))
-            .session(Arc::clone(&warm))
-            .spec(DeviceSpec::test_tiny())
-            .build()
-            .unwrap();
-        engine_warm.warm();
-        assert_eq!(warm.built_rows(), warm.rows());
-
-        let cold = cache.session(&reference, dual.clone()).unwrap();
-        assert!(
-            !Arc::ptr_eq(&warm, &cold),
-            "configs differing only in seed parameters shared a session"
-        );
-        assert_eq!(cold.built_rows(), 0, "dual session inherited warm rows");
-        assert_eq!(cache.len(), 2);
-
-        // And the dual session still answers correctly.
-        let engine_cold = Engine::builder(Arc::clone(&reference))
-            .session(cold)
-            .spec(DeviceSpec::test_tiny())
-            .build()
-            .unwrap();
-        let got = engine_cold.run(&query).unwrap();
-        assert_eq!(got.mems, naive_mems(&reference, &query, 25));
-
-        // Same reference + identical config → the cached Arc comes
-        // back.
-        let again = cache.session(&reference, ref_only).unwrap();
-        assert!(Arc::ptr_eq(&warm, &again));
-        assert_eq!(cache.len(), 2);
-
-        // A different reference never aliases, even with an equal
-        // config.
-        let other = Arc::new(GenomeModel::mammalian().generate(4_000, 817));
-        let third = cache.session(&other, dual).unwrap();
-        assert!(!Arc::ptr_eq(&third, &engine_cold.session().clone()));
-        assert_eq!(cache.len(), 3);
-        assert!(!cache.is_empty());
-    }
-
-    #[test]
-    fn engine_run_traced_matches_untraced_and_reconciles() {
+    fn traced_request_matches_untraced_and_reconciles() {
         let reference = GenomeModel::mammalian().generate(2_000, 813);
         let engine = engine_of(&reference, config(16), 1);
         let q = GenomeModel::mammalian().generate(1_200, 814);
         let plain = engine.run(&q).unwrap();
-        let (traced, trace) = engine.run_traced(&q).unwrap();
+        let RunOutput {
+            result: traced,
+            trace,
+        } = run_one(&engine, &q, traced());
+        let trace = trace.expect("a traced request records a trace");
         assert_eq!(traced.mems, plain.mems);
         // The warm traced run launches no index builds, so its stage
         // totals are exactly the matching-side stats.
@@ -2040,41 +1617,6 @@ mod tests {
     }
 
     #[test]
-    fn session_cache_builds_different_references_in_parallel() {
-        // Regression test for the map-lock-held-across-construction bug:
-        // pre-insert reference A's slot and hold its *slot* lock (as an
-        // in-flight construction would), then ask the cache for
-        // reference B from this thread while a second thread is parked
-        // on A. With the old single-lock design the parked thread held
-        // the whole map hostage and this call deadlocked; now it
-        // completes while A is still "building".
-        let cache = Arc::new(SessionCache::new(DeviceSpec::test_tiny()));
-        let ref_a = Arc::new(GenomeModel::mammalian().generate(1_000, 832));
-        let ref_b = Arc::new(GenomeModel::mammalian().generate(1_000, 833));
-
-        let key_a = (Arc::as_ptr(&ref_a) as usize, config(16));
-        let slot_a = Arc::new(Mutex::new(None));
-        cache.sessions.lock().insert(key_a, Arc::clone(&slot_a));
-        let in_flight = slot_a.lock();
-
-        let parked = {
-            let cache = Arc::clone(&cache);
-            let ref_a = Arc::clone(&ref_a);
-            std::thread::spawn(move || cache.session(&ref_a, config(16)).unwrap())
-        };
-        // Give the parked thread time to reach A's slot lock; whether it
-        // has or not, B must not be blocked by A's construction.
-        std::thread::sleep(Duration::from_millis(20));
-        let session_b = cache.session(&ref_b, config(16)).unwrap();
-        assert!(Arc::ptr_eq(session_b.reference_arc(), &ref_b));
-
-        drop(in_flight);
-        let session_a = parked.join().unwrap();
-        assert!(Arc::ptr_eq(session_a.reference_arc(), &ref_a));
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
     fn sharded_run_is_byte_identical_to_single_device() {
         let reference = GenomeModel::mammalian().generate(3_000, 834);
         let query = GenomeModel::mammalian().generate(2_000, 835);
@@ -2083,57 +1625,12 @@ mod tests {
         assert_eq!(single.mems, naive_mems(&reference, &query, 16));
         assert!(single.stats.rows >= 4, "grid large enough to shard");
         for shards in [2usize, 3, 4, 7] {
-            let options = RunOptions {
-                shards,
-                ..RunOptions::default()
-            };
-            let out = engine
-                .execute(&RunRequest::query(&query).options(options))
-                .pop()
-                .unwrap()
-                .unwrap();
+            let out = run_one(&engine, &query, sharded(shards));
             assert_eq!(out.result.mems, single.mems, "{shards} shards");
             assert_eq!(out.result.stats.shard_matching.len(), shards);
             assert_eq!(out.result.stats.rows, single.stats.rows);
             assert_eq!(out.result.stats.counts.total, single.stats.counts.total);
         }
-    }
-
-    #[test]
-    fn sharded_run_honors_explicit_plans_and_rejects_bad_ones() {
-        let reference = GenomeModel::mammalian().generate(2_500, 836);
-        let query = GenomeModel::mammalian().generate(1_500, 837);
-        let engine = engine_of(&reference, config(16), 1);
-        let single = engine.run(&query).unwrap();
-        let n_rows = single.stats.rows;
-        assert!(n_rows >= 3);
-
-        // A deliberately lopsided hand-written plan still merges right.
-        let mut rows: Vec<usize> = (0..n_rows).collect();
-        let rest = rows.split_off(1);
-        let plan = ShardPlan::from_assignments(vec![rows, rest]);
-        let options = RunOptions {
-            shard_plan: Some(plan),
-            ..RunOptions::default()
-        };
-        let out = engine
-            .execute(&RunRequest::query(&query).options(options))
-            .pop()
-            .unwrap()
-            .unwrap();
-        assert_eq!(out.result.mems, single.mems);
-
-        // A plan that misses rows is refused, not silently wrong.
-        let bad = RunOptions {
-            shard_plan: Some(ShardPlan::from_assignments(vec![vec![0], vec![1]])),
-            ..RunOptions::default()
-        };
-        let err = engine
-            .execute(&RunRequest::query(&query).options(bad))
-            .pop()
-            .unwrap()
-            .unwrap_err();
-        assert!(matches!(err, RunError::InvalidOptions(_)));
     }
 
     #[test]
@@ -2144,14 +1641,9 @@ mod tests {
         let single = engine.run(&query).unwrap();
         let options = RunOptions {
             trace: true,
-            shards: 2,
-            ..RunOptions::default()
+            ..sharded(2)
         };
-        let out = engine
-            .execute(&RunRequest::query(&query).options(options))
-            .pop()
-            .unwrap()
-            .unwrap();
+        let out = run_one(&engine, &query, options);
         assert_eq!(out.result.mems, single.mems);
         let trace = out.trace.expect("traced shard run yields a trace");
         let shard_spans: Vec<_> = trace
@@ -2246,15 +1738,11 @@ mod tests {
         let reference = GenomeModel::mammalian().generate(2_000, 845);
         let queries = query_set(&reference, 3);
         let engine = engine_of(&reference, config(16), 2);
-        let plain = engine.run_batch(&queries);
-        let options = RunOptions {
-            shards: 2,
-            ..RunOptions::default()
-        };
-        let sharded = engine.execute(&RunRequest::batch(&queries).options(options));
-        assert_eq!(sharded.len(), plain.len());
-        for (s, p) in sharded.iter().zip(&plain) {
-            assert_eq!(s.as_ref().unwrap().result.mems, p.as_ref().unwrap().mems);
+        let plain = run_set(&engine, &queries, RunOptions::default());
+        let split = run_set(&engine, &queries, sharded(2));
+        assert_eq!(split.len(), plain.len());
+        for (s, p) in split.iter().zip(&plain) {
+            assert_eq!(s.mems, p.mems);
         }
     }
 }

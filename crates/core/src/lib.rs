@@ -19,15 +19,17 @@
 //! * [`pipeline`] — the [`Gpumem`] runner tying everything together on
 //!   a [`gpu_sim::Device`];
 //! * [`engine`] — the serving layer: cached [`RefSession`] reference
-//!   indexes, the batch [`Engine`] with per-worker devices/scratch, and
-//!   the streaming [`MemSink`] result path;
+//!   indexes and the [`Engine`] with per-worker devices/scratch, whose
+//!   one request path [`Engine::execute`] serves one query or a set,
+//!   traced or not, on the free workers or split over shards;
+//! * [`registry`] / [`shard`] — many references under one byte budget,
+//!   and the row placement a sharded request runs;
 //! * [`trace`] — the observability layer: hierarchical run spans with
 //!   exact per-stage device statistics, Chrome Trace Event export, and
 //!   the human-readable profile report;
-//! * [`telemetry`] — the unified telemetry subsystem: a
-//!   [`MetricsRegistry`] of typed instruments with Prometheus/JSON
-//!   exposition, the structured [`EventSink`] journal, and the
-//!   injectable [`TelemetryClock`].
+//! * [`telemetry`] — the unified telemetry subsystem: Prometheus/JSON
+//!   exposition of the engine's [`MetricsSnapshot`], the structured
+//!   [`EventSink`] journal, and the injectable [`TelemetryClock`].
 //!
 //! The output is the exact canonical MEM set: property tests pin it to
 //! the ground-truth [`gpumem_seq::naive_mems`] and (in the workspace
@@ -62,20 +64,19 @@ pub mod trace;
 
 pub use config::{ConfigError, GpumemConfig, GpumemConfigBuilder, IndexKind};
 pub use engine::{
-    DeviceCounters, Engine, EngineBuilder, MemCollector, MemSink, MemStage, MetricsSnapshot,
-    Queries, RefSession, RunOptions, RunOutput, RunRequest, SessionCache, ShardHealth,
+    DeviceCounters, Engine, EngineBuilder, MetricsSnapshot, Queries, RefSession, RunOptions,
+    RunOutput, RunRequest, ShardHealth,
 };
 pub use expand::Bounds;
 pub use gpumem_index::SeedMode;
 pub use pipeline::{
-    Gpumem, GpumemResult, GpumemStats, IndexBuildReport, RunError, RunScratch, StageCounts,
-    SORT_KEY_LIMIT,
+    Gpumem, GpumemResult, GpumemStats, IndexBuildReport, RunError, StageCounts, SORT_KEY_LIMIT,
 };
 pub use registry::{PinnedSession, RefEntryInfo, RefHandle, Registry, RegistryStats};
 pub use shard::ShardPlan;
 pub use telemetry::{
-    Counter, Event, EventSink, EventValue, Gauge, Histogram, InstrumentKind, JsonlEventSink,
-    ManualClock, MemoryEventSink, MetricsRegistry, TelemetryClock, WallClock,
+    Event, EventSink, EventValue, JsonlEventSink, ManualClock, MemoryEventSink, TelemetryClock,
+    WallClock,
 };
 pub use tile::Tiling;
 pub use trace::{Span, SpanCat, Trace, TraceRecorder};

@@ -6,15 +6,13 @@
 //! fragments (§III-C1), and finally merge the accumulated out-tile
 //! fragments on the host (§III-C2).
 //!
-//! The tile loop itself lives in `run_tile_rows`: a streaming core
-//! that runs a set of tile rows on one device, emits every stage's MEMs
-//! into a [`MemSink`] as tiles complete and takes the row index from a
-//! caller-supplied provider. `gather_rows` spreads a run's rows over
-//! several devices and host threads and merges them back into one run;
-//! [`Gpumem::run`] wires it to a fresh per-row build, and engine
-//! requests to a cached [`RefSession`](crate::engine::RefSession).
-//! The engine's streaming path, `run_tiles`, runs every row on the
-//! calling thread instead.
+//! The tile loop itself lives in `run_tile_rows`: it runs a set of tile
+//! rows on one device, hands every stage's MEMs on as tiles complete and
+//! takes the row index from a caller-supplied provider. `gather_rows`
+//! spreads a run's rows over several devices and host threads and
+//! merges them back into one run; [`Gpumem::run`] wires it to a fresh
+//! per-row build, and engine requests to a cached
+//! [`RefSession`](crate::engine::RefSession).
 
 use std::collections::HashMap;
 use std::sync::{mpsc, Arc};
@@ -24,11 +22,10 @@ use parking_lot::Mutex;
 
 use gpu_sim::{Device, DeviceSpec, LaunchConfig, LaunchStats, PoolClass};
 use gpumem_index::{build_compact_gpu, build_gpu, Region, SharedSeedLookup};
-use gpumem_seq::{Mem, PackedSeq};
+use gpumem_seq::{canonicalize, Mem, PackedSeq};
 
 use crate::block::{encode_query_seeds, process_block, BlockOutput, BlockScratch};
 use crate::config::GpumemConfig;
-use crate::engine::{MemCollector, MemSink, MemStage};
 use crate::expand::Bounds;
 use crate::global::global_merge;
 use crate::shard::ShardPlan;
@@ -179,33 +176,12 @@ pub struct IndexBuildReport {
     pub rows: usize,
 }
 
-/// Working storage for one in-flight streaming run: the query's seed
-/// codes plus the `TileScratch` its tile rows reuse. The serving
-/// engine keeps one per query worker, so parallel queries never contend
-/// on scratch, and lends its `TileScratch` to every request that runs
-/// rows on the worker; a one-shot run gives each of its workers a fresh
-/// `TileScratch`.
-pub struct RunScratch {
-    /// Seed code of every query position, encoded at the start of each
-    /// run (never carried over to the next run's query).
-    query_codes: Vec<u32>,
-    pub(crate) tiles: TileScratch,
-}
-
-impl RunScratch {
-    /// Scratch for `config`'s block geometry (τ threads).
-    pub fn new(config: &GpumemConfig) -> RunScratch {
-        RunScratch {
-            query_codes: Vec::new(),
-            tiles: TileScratch::new(config),
-        }
-    }
-}
-
 /// What one worker's tile rows reuse from tile to tile: the block
 /// scratch and accumulators hoisted across every launch (blocks execute
 /// sequentially on the launching thread, see the `gpu_sim::exec` docs)
-/// plus the out-tile fragments its rows produced.
+/// plus the out-tile fragments its rows produced. The serving engine
+/// keeps one per query worker, so parallel requests never contend on
+/// scratch; a one-shot run gives each of its workers a fresh one.
 pub(crate) struct TileScratch {
     block: BlockScratch,
     blocks_out: BlockOutput,
@@ -238,8 +214,7 @@ pub struct StageCounts {
     pub out_tile: usize,
     /// MEMs produced by the final host merge.
     pub from_global: usize,
-    /// Final canonical MEM count (for a streaming run: the total MEMs
-    /// emitted, which may count cross-tile duplicates).
+    /// Final canonical MEM count.
     pub total: usize,
 }
 
@@ -335,59 +310,15 @@ pub struct GpumemResult {
     pub stats: GpumemStats,
 }
 
-/// The serving engine's streaming tile loop: every tile row of the run
-/// on one device, on the calling thread. `row_index` supplies each
-/// row's partial index (built fresh, or served from a session cache
-/// with zero launch stats); every stage's MEMs go to `sink` the moment
-/// the stage completes. The returned `counts.total` is the emitted total
-/// (in-block + in-tile + global, cross-tile duplicates included).
-pub(crate) fn run_tiles(
-    device: &Device,
-    config: &GpumemConfig,
-    reference: &PackedSeq,
-    query: &PackedSeq,
-    row_index: &mut dyn FnMut(&Device, usize, Region) -> (SharedSeedLookup, LaunchStats),
-    scratch: &mut RunScratch,
-    sink: &mut dyn MemSink,
-) -> GpumemStats {
-    // Every tile row probes the same query seeds: encode them once.
-    encode_query_seeds(query, config.seed_len, &mut scratch.query_codes);
-    let tiles = &mut scratch.tiles;
-    let mut stats = run_tile_rows(
-        device,
-        config,
-        reference,
-        query,
-        &scratch.query_codes,
-        row_index,
-        tiles,
-        sink,
-        None,
-        None,
-    );
-    finish_global(
-        reference,
-        query,
-        std::mem::take(&mut tiles.out_tile),
-        config.min_len,
-        0,
-        sink,
-        None,
-        &mut stats,
-    );
-    stats
-}
-
-/// The tile loop restricted to a subset of tile rows — the core of
-/// [`run_tiles`] and of each [`gather_rows`] worker. Runs every tile of
-/// the rows listed in `rows` (`None` = all rows), streaming
-/// in-block/in-tile MEMs into `sink` and leaving the produced out-tile
-/// fragments in `scratch.out_tile` for a later [`finish_global`].
-/// `query_codes` holds the seed code of every query position
-/// ([`encode_query_seeds`]). Out-tile fragments are per-tile products —
-/// independent of which device runs the tile — so concatenating the
-/// fragments of disjoint row subsets and host-merging them once
-/// reproduces the single-device output exactly.
+/// The tile loop of one [`gather_rows`] worker: runs every tile of the
+/// tile rows `rows`, handing each non-empty batch of in-block or in-tile
+/// MEMs to `out` as its stage completes, and leaving the produced
+/// out-tile fragments in `scratch.out_tile` for a later
+/// [`finish_global`]. `query_codes` holds the seed code of every query
+/// position ([`encode_query_seeds`]). Out-tile fragments are per-tile
+/// products — independent of which device runs the tile — so
+/// concatenating the fragments of disjoint row subsets and host-merging
+/// them once reproduces the single-device output exactly.
 #[allow(clippy::too_many_arguments)]
 fn run_tile_rows(
     device: &Device,
@@ -395,11 +326,11 @@ fn run_tile_rows(
     reference: &PackedSeq,
     query: &PackedSeq,
     query_codes: &[u32],
-    row_index: &mut dyn FnMut(&Device, usize, Region) -> (SharedSeedLookup, LaunchStats),
+    row_index: &RowIndexFn<'_>,
     scratch: &mut TileScratch,
-    sink: &mut dyn MemSink,
+    out: &mut dyn FnMut(&[Mem]),
     trace: Option<&TraceRecorder>,
-    rows: Option<&[usize]>,
+    rows: &[usize],
 ) -> GpumemStats {
     let mut stats = GpumemStats::default();
     scratch.out_tile.clear();
@@ -408,20 +339,12 @@ fn run_tile_rows(
         let tiling = Tiling::new(config.tile_len(), reference.len(), query.len());
         stats.rows = tiling.n_rows();
         stats.cols = tiling.n_cols();
-        let all_rows: Vec<usize>;
-        let subset: &[usize] = match rows {
-            Some(rows) => rows,
-            None => {
-                all_rows = (0..tiling.n_rows()).collect();
-                &all_rows
-            }
-        };
         debug_assert!(
-            subset.iter().all(|&r| r < tiling.n_rows()),
+            rows.iter().all(|&r| r < tiling.n_rows()),
             "shard rows out of range"
         );
 
-        for &row in subset {
+        for &row in rows {
             let row_range = tiling.row_range(row);
             let row_span = trace.map(|t| t.begin(format!("tile_row {row}"), SpanCat::TileRow));
 
@@ -481,7 +404,7 @@ fn run_tile_rows(
 
                 stats.counts.in_block += scratch.blocks_out.in_block.len();
                 if !scratch.blocks_out.in_block.is_empty() {
-                    sink.mems(MemStage::Block { row, col }, &scratch.blocks_out.in_block);
+                    out(&scratch.blocks_out.in_block);
                 }
                 stats.counts.out_block += scratch.blocks_out.out_block.len();
 
@@ -519,7 +442,7 @@ fn run_tile_rows(
                     stats.matching += launch;
                     stats.counts.in_tile += scratch.tile_out.in_tile.len();
                     if !scratch.tile_out.in_tile.is_empty() {
-                        sink.mems(MemStage::Tile { row, col }, &scratch.tile_out.in_tile);
+                        out(&scratch.tile_out.in_tile);
                     }
                     scratch
                         .out_tile
@@ -540,13 +463,13 @@ fn run_tile_rows(
 }
 
 /// Host merge of out-tile fragments (§III-C2) — the closing half of
-/// [`run_tiles`] and [`gather_rows`], which concatenate every worker's
-/// fragments and merge them once. Its stage span carries no launch: it
+/// [`gather_rows`], which concatenates every worker's fragments and
+/// merges them once. Its stage span carries no launch: it
 /// runs on the host, so it contributes wall time but nothing to the
 /// launch-stat reconciliation, except `pool_peak_bytes`: the footprint
 /// a gather that reports one device folds its workers' pools into.
-/// Finalizes `stats.counts` (`out_tile`, `from_global`, and the emitted
-/// `total`).
+/// Sets `stats.counts.out_tile` and `from_global`, and hands the merged
+/// MEMs to `out`.
 #[allow(clippy::too_many_arguments)]
 fn finish_global(
     reference: &PackedSeq,
@@ -554,7 +477,7 @@ fn finish_global(
     out_tile: Vec<Mem>,
     min_len: u32,
     pool_peak_bytes: u64,
-    sink: &mut dyn MemSink,
+    out: &mut Vec<Mem>,
     trace: Option<&TraceRecorder>,
     stats: &mut GpumemStats,
 ) {
@@ -563,9 +486,7 @@ fn finish_global(
     stats.counts.out_tile = out_tile.len();
     let global = global_merge(reference, query, out_tile, min_len);
     stats.counts.from_global = global.len();
-    if !global.is_empty() {
-        sink.mems(MemStage::Global, &global);
-    }
+    out.extend(global);
     if let (Some(t), Some(id)) = (trace, global_span) {
         let gauge = LaunchStats {
             pool_peak_bytes,
@@ -574,7 +495,6 @@ fn finish_global(
         t.end_with_stats(id, gauge);
     }
     stats.match_wall += t2.elapsed();
-    stats.counts.total = stats.counts.in_block + stats.counts.in_tile + stats.counts.from_global;
 }
 
 /// A tile row's partial index on a worker's device: built fresh, or
@@ -646,28 +566,26 @@ struct WorkerRun {
 }
 
 impl RowJob<'_> {
-    /// Run `rows` on `worker`, streaming MEMs into `sink` and leaving
-    /// the out-tile fragments in its scratch.
+    /// Run `rows` on `worker`, handing MEMs to `out` and leaving the
+    /// out-tile fragments in its scratch.
     fn run(
         &self,
         worker: &mut RowWorker<'_>,
         rows: &[usize],
         trace: Option<&TraceRecorder>,
-        sink: &mut dyn MemSink,
+        out: &mut dyn FnMut(&[Mem]),
     ) -> GpumemStats {
-        let mut row_index =
-            |device: &Device, row: usize, region: Region| (self.row_index)(device, row, region);
         run_tile_rows(
             worker.device,
             self.config,
             self.reference,
             self.query,
             self.query_codes,
-            &mut row_index,
+            self.row_index,
             worker.scratch,
-            sink,
+            out,
             trace,
-            Some(rows),
+            rows,
         )
     }
 
@@ -679,7 +597,7 @@ impl RowJob<'_> {
         worker: &mut RowWorker<'_>,
         rows: &[usize],
         span: Option<String>,
-        sink: &mut dyn MemSink,
+        out: &mut dyn FnMut(&[Mem]),
     ) -> WorkerRun {
         let device = worker.device;
         let recorder = span.map(|span| {
@@ -690,43 +608,13 @@ impl RowJob<'_> {
             (recorder, id, previous)
         });
         let trace = recorder.as_ref().map(|(recorder, ..)| &**recorder);
-        let stats = self.run(worker, rows, trace, sink);
+        let stats = self.run(worker, rows, trace, out);
         let trace = recorder.map(|(recorder, id, previous)| {
             recorder.end(id);
             device.set_observer(previous);
             recorder.snapshot()
         });
         WorkerRun { stats, trace }
-    }
-}
-
-/// A MEM batch a spawned worker hands to the calling thread.
-type Batch = (MemStage, Vec<Mem>);
-
-/// A spawned worker's sink: its batches go to the calling thread.
-struct ChannelSink(mpsc::Sender<Batch>);
-
-impl MemSink for ChannelSink {
-    fn mems(&mut self, stage: MemStage, mems: &[Mem]) {
-        // The receiver only goes away while the caller unwinds.
-        let _ = self.0.send((stage, mems.to_vec()));
-    }
-}
-
-/// The calling thread's sink: each batch of its own worker, then every
-/// batch the spawned workers have sent so far, goes into the run's one
-/// MEM vector.
-struct CollectingSink<'a> {
-    collector: &'a mut MemCollector,
-    spawned: &'a mpsc::Receiver<Batch>,
-}
-
-impl MemSink for CollectingSink<'_> {
-    fn mems(&mut self, stage: MemStage, mems: &[Mem]) {
-        self.collector.mems(stage, mems);
-        for (stage, mems) in self.spawned.try_iter() {
-            self.collector.mems(stage, &mems);
-        }
     }
 }
 
@@ -749,13 +637,14 @@ pub(crate) struct Gathered {
 /// [`crate::shard`] for why this equals a one-device run).
 ///
 /// Worker 0 runs on the calling thread; every other worker gets a host
-/// thread of its own and sends its MEM batches to the calling thread,
-/// which folds them into the run's one MEM vector between its own tiles
-/// and after them. While a sanitizer session is live, the workers
-/// instead take turns on the calling thread, the only thread a session
-/// instruments. The query's seed codes are encoded once and shared.
-/// Traced workers record on their own devices, their rows under one
-/// `Run` span named `"{span} {w}"`; the host merge and the
+/// thread of its own and sends its MEMs to the calling thread in one
+/// batch per stage, which the calling thread folds into the run's one
+/// MEM vector between its own tiles and after them, so no worker holds
+/// a copy of its whole output. While a sanitizer session is live, the
+/// workers instead take turns on the calling thread, the only thread a
+/// session instruments. The query's seed codes are encoded once and
+/// shared. Traced workers record on their own devices, their rows under
+/// one `Run` span named `"{span} {w}"`; the host merge and the
 /// canonicalization sit under the calling thread's `Run` span, named
 /// `run_span`. A one-worker run is that one span. A traced device's own
 /// observer, if any, is set aside while its rows run and put back
@@ -790,7 +679,8 @@ pub(crate) fn gather_rows(
         row_index,
     };
     let host = traced.then(|| Arc::new(TraceRecorder::new(workers[0].device.spec().warp_size)));
-    let mut collector = MemCollector::default();
+    let mut mems: Vec<Mem> = Vec::new();
+    let mut collect = |batch: &[Mem]| mems.extend_from_slice(batch);
 
     let (runs, run_span) = if let [worker] = workers {
         // One worker: the rows run on the calling thread, recorded by
@@ -801,7 +691,7 @@ pub(crate) fn gather_rows(
             device.set_observer(Some(crate::trace::as_observer(host)));
             host.begin(run_span, SpanCat::Run)
         });
-        let stats = job.run(worker, plan.rows(0), host.as_deref(), &mut collector);
+        let stats = job.run(worker, plan.rows(0), host.as_deref(), &mut collect);
         if host.is_some() {
             device.set_observer(previous);
         }
@@ -812,10 +702,10 @@ pub(crate) fn gather_rows(
             workers
                 .iter_mut()
                 .enumerate()
-                .map(|(w, worker)| job.run_worker(worker, plan.rows(w), span_of(w), &mut collector))
+                .map(|(w, worker)| job.run_worker(worker, plan.rows(w), span_of(w), &mut collect))
                 .collect()
         } else {
-            let (tx, rx) = mpsc::channel();
+            let (tx, rx) = mpsc::channel::<Vec<Mem>>();
             let (first, rest) = workers.split_first_mut().expect("a worker");
             std::thread::scope(|scope| {
                 let spawned: Vec<_> = rest
@@ -823,18 +713,26 @@ pub(crate) fn gather_rows(
                     .zip(1..)
                     .map(|(worker, w)| {
                         let (job, rows, span) = (&job, plan.rows(w), span_of(w));
-                        let mut sink = ChannelSink(tx.clone());
-                        scope.spawn(move || job.run_worker(worker, rows, span, &mut sink))
+                        let tx = tx.clone();
+                        scope.spawn(move || {
+                            // The receiver only goes away while the
+                            // caller unwinds.
+                            let mut send = |batch: &[Mem]| {
+                                let _ = tx.send(batch.to_vec());
+                            };
+                            job.run_worker(worker, rows, span, &mut send)
+                        })
                     })
                     .collect();
                 drop(tx);
-                let mut sink = CollectingSink {
-                    collector: &mut collector,
-                    spawned: &rx,
-                };
-                let first = job.run_worker(first, plan.rows(0), span_of(0), &mut sink);
-                for (stage, mems) in rx {
-                    collector.mems(stage, &mems);
+                let first = job.run_worker(first, plan.rows(0), span_of(0), &mut |batch| {
+                    collect(batch);
+                    for sent in rx.try_iter() {
+                        collect(&sent);
+                    }
+                });
+                for sent in rx {
+                    collect(&sent);
                 }
                 let joined = spawned.into_iter().map(|h| {
                     h.join()
@@ -885,12 +783,20 @@ pub(crate) fn gather_rows(
         fragments,
         config.min_len,
         footprint,
-        &mut collector,
+        &mut mems,
         host.as_deref(),
         &mut stats,
     );
+    // The final sort and dedup: a host-only stage span, launching
+    // nothing.
     let t = Instant::now();
-    let mems = collector.into_canonical_traced(host.as_deref());
+    let canonical_span = host
+        .as_ref()
+        .map(|h| h.begin("canonicalize", SpanCat::Stage));
+    let mems = canonicalize(mems);
+    if let (Some(h), Some(id)) = (&host, canonical_span) {
+        h.end(id);
+    }
     stats.match_wall += t.elapsed();
     stats.counts.total = mems.len();
     let trace = host.map(|host| {
@@ -1597,6 +1503,105 @@ pub(crate) mod tests {
         assert_eq!(message, &format!("row {last} refused"));
     }
 
+    /// A related pair with a planted poly-C desert, so tile-row masses
+    /// are heavily skewed — the imbalance a row placement must survive —
+    /// and a configuration that cuts it into several tile rows.
+    pub(crate) fn skewed_pair(content_seed: u64) -> (PackedSeq, PackedSeq, GpumemConfig) {
+        use rand::SeedableRng;
+        let mut codes = GenomeModel::mammalian()
+            .generate(3_000, content_seed)
+            .to_codes();
+        codes[800..1_300].fill(1);
+        let model = gpumem_seq::MutationModel {
+            sub_rate: 0.03,
+            indel_rate: 0.003,
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(content_seed.wrapping_add(13));
+        let query = PackedSeq::from_codes(&model.apply(&codes, &mut rng));
+        let config = GpumemConfig::builder(20)
+            .seed_len(6)
+            .threads_per_block(32)
+            .blocks_per_tile(2)
+            .build()
+            .unwrap();
+        (PackedSeq::from_codes(&codes), query, config)
+    }
+
+    /// The MEMs of `plan`'s rows gathered on one fresh device per shard,
+    /// as a sharded engine request runs them.
+    pub(crate) fn gather_plan(
+        plan: &ShardPlan,
+        config: &GpumemConfig,
+        reference: &PackedSeq,
+        query: &PackedSeq,
+    ) -> Vec<Mem> {
+        let devices: Vec<Device> = (0..plan.n_shards())
+            .map(|_| Device::new(DeviceSpec::test_tiny()))
+            .collect();
+        let mut scratch: Vec<TileScratch> =
+            devices.iter().map(|_| TileScratch::new(config)).collect();
+        let row_index = |device: &Device, _row: usize, region: Region| {
+            build_row_index(device, config, reference, region)
+        };
+        gather_rows(
+            &mut RowWorker::zip(&devices, &mut scratch),
+            plan,
+            "shard",
+            "run",
+            config,
+            reference,
+            query,
+            &row_index,
+            false,
+            None,
+        )
+        .result
+        .mems
+    }
+
+    /// The one-device MEM set of a pair.
+    pub(crate) fn one_device_mems(
+        config: &GpumemConfig,
+        reference: &PackedSeq,
+        query: &PackedSeq,
+    ) -> Vec<Mem> {
+        Gpumem::with_workers(config.clone(), Device::new(DeviceSpec::test_tiny()), 1)
+            .run(reference, query)
+            .unwrap()
+            .mems
+    }
+
+    #[test]
+    fn lopsided_and_empty_shard_plans_reproduce_one_device() {
+        let (reference, query, config) = skewed_pair(31_002);
+        let single = one_device_mems(&config, &reference, &query);
+        assert!(!single.is_empty(), "fixture must produce MEMs");
+        let n_rows = row_masses(&config, &reference, &query).len();
+        assert!(n_rows >= 2, "fixture must span several tile rows");
+
+        // An LPT split over heavily skewed masses, everything on shard 1
+        // of 3, and one row per shard with empty shards to spare.
+        let skewed: Vec<u64> = (0..n_rows).map(|r| ((r as u64) + 1).pow(3)).collect();
+        let all: Vec<usize> = (0..n_rows).collect();
+        let spread: Vec<Vec<usize>> = (0..n_rows + 2)
+            .map(|s| if s < n_rows { vec![s] } else { Vec::new() })
+            .collect();
+        for (what, plan) in [
+            ("lpt-skewed", ShardPlan::from_row_masses(3, &skewed)),
+            (
+                "lopsided",
+                ShardPlan::from_assignments(vec![Vec::new(), all, Vec::new()]),
+            ),
+            ("spread", ShardPlan::from_assignments(spread)),
+        ] {
+            assert_eq!(
+                gather_plan(&plan, &config, &reference, &query),
+                single,
+                "{what}"
+            );
+        }
+    }
+
     #[test]
     fn stage_counts_are_plausible() {
         let text = GenomeModel::mammalian().generate(2_000, 406);
@@ -1611,9 +1616,42 @@ pub(crate) mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::{gather_plan, one_device_mems, skewed_pair};
     use super::*;
     use gpumem_seq::naive_mems;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// Any placement of the tile rows onto any number of shards —
+        /// drawn at random, from empty to badly unbalanced — reproduces
+        /// the one-device canonical MEM set byte for byte.
+        #[test]
+        fn random_row_placements_reproduce_one_device(
+            content_seed in 0u64..500,
+            split_seed in 0u64..10_000,
+        ) {
+            let (reference, query, config) = skewed_pair(content_seed);
+            let single = one_device_mems(&config, &reference, &query);
+            let n_rows = row_masses(&config, &reference, &query).len();
+
+            let mut rng = StdRng::seed_from_u64(split_seed);
+            let n_shards = rng.gen_range(2..=7usize);
+            let mut rows: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
+            for row in 0..n_rows {
+                rows[rng.gen_range(0..n_shards)].push(row);
+            }
+            let plan = ShardPlan::from_assignments(rows);
+            prop_assert_eq!(
+                gather_plan(&plan, &config, &reference, &query),
+                single,
+                "{} shards, split seed {}", n_shards, split_seed
+            );
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]

@@ -279,26 +279,7 @@ impl Registry {
         })
     }
 
-    /// Raw pin without a guard — for owners that manage the unpin
-    /// themselves (the engine pins its base session for its lifetime).
-    pub(crate) fn pin_raw(&self, handle: RefHandle) -> Option<Arc<RefSession>> {
-        let mut inner = self.inner.lock();
-        let (session, pins) = {
-            let entry = inner.entries.get_mut(&handle.0)?;
-            entry.pins += 1;
-            (Arc::clone(&entry.session), entry.pins)
-        };
-        self.touch_locked(&mut inner, handle.0);
-        drop(inner);
-        self.emit(|ts| {
-            Event::new("pin", ts)
-                .with_u64("handle", handle.0)
-                .with_u64("pins", pins as u64)
-        });
-        Some(session)
-    }
-
-    pub(crate) fn unpin(&self, handle: RefHandle) {
+    fn unpin(&self, handle: RefHandle) {
         let mut inner = self.inner.lock();
         if let Some(entry) = inner.entries.get_mut(&handle.0) {
             entry.pins = entry.pins.saturating_sub(1);
@@ -483,6 +464,11 @@ impl PinnedSession {
     pub fn handle(&self) -> RefHandle {
         self.handle
     }
+
+    /// The registry the entry is pinned in.
+    pub(crate) fn registry(&self) -> &Arc<Registry> {
+        &self.registry
+    }
 }
 
 impl Drop for PinnedSession {
@@ -532,6 +518,43 @@ mod tests {
     }
 
     #[test]
+    fn configs_differing_only_in_seed_mode_never_share_a_session() {
+        use gpumem_index::SeedMode;
+        // L = 25, ℓs = 8 → dual bound 18; (4, 3) is the auto pair.
+        let builder = || {
+            GpumemConfig::builder(25)
+                .seed_len(8)
+                .threads_per_block(8)
+                .blocks_per_tile(2)
+        };
+        let ref_only = builder().build().unwrap();
+        let dual = builder()
+            .seed_mode(SeedMode::DualSampled { k1: 4, k2: 3 })
+            .build()
+            .unwrap();
+        let device = Device::new(DeviceSpec::test_tiny());
+        let reg = Registry::new(DeviceSpec::test_tiny());
+        let r = reference(4_000, 815);
+
+        // Warm the RefOnly session fully; the dual session must be a
+        // distinct, still-cold one — not the warmed RefOnly rows, whose
+        // denser index would break the dual probe contract.
+        let warm = reg.add("ref", Arc::clone(&r), ref_only.clone()).unwrap();
+        let session = reg.session(warm).unwrap();
+        session.warm(&device);
+        assert_eq!(session.built_rows(), session.rows());
+        let cold = reg.add("dual", Arc::clone(&r), dual).unwrap();
+        assert_ne!(
+            warm, cold,
+            "configs differing only in seed mode shared a handle"
+        );
+        assert_eq!(reg.session(cold).unwrap().built_rows(), 0);
+        assert_eq!(reg.len(), 2);
+        // The same pair again is the same handle.
+        assert_eq!(reg.add("again", r, ref_only).unwrap(), warm);
+    }
+
+    #[test]
     fn eviction_is_lru_and_respects_pins() {
         let spec = DeviceSpec::test_tiny();
         let device = Device::new(spec.clone());
@@ -569,7 +592,7 @@ mod tests {
             budgeted.session(h).unwrap().warm(&device);
         }
         budgeted.enforce_budget();
-        assert!(budgeted.resident_bytes() <= total - 1);
+        assert!(budgeted.resident_bytes() < total);
         assert!(
             pin.session().resident_rows() > 0,
             "pinned session was evicted"

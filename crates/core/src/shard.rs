@@ -22,8 +22,6 @@
 //! change the output, which is what the shard-count invariance proptest
 //! gates.
 
-use gpu_sim::DeviceSpec;
-
 /// An assignment of tile-row ids to shards (one shard per simulated
 /// device). Every row appears in exactly one shard; a shard may be
 /// empty when there are fewer rows than shards.
@@ -39,58 +37,26 @@ impl ShardPlan {
     /// longest-processing-time greedy: rows heaviest-first, each to the
     /// least-loaded shard, ties to the lowest shard id. Deterministic.
     pub fn from_row_masses(n_shards: usize, row_masses: &[u64]) -> ShardPlan {
-        let weights = vec![1.0; n_shards.max(1)];
-        ShardPlan::weighted(&weights, row_masses)
-    }
-
-    /// Equal-mass rows across `n_shards` devices — round-robin by row
-    /// id (what the LPT greedy degenerates to when every row weighs the
-    /// same).
-    pub fn uniform(n_shards: usize, n_rows: usize) -> ShardPlan {
-        ShardPlan::from_row_masses(n_shards, &vec![1; n_rows])
-    }
-
-    /// Balance rows across a heterogeneous device set: each shard's
-    /// capacity is its device's total core-Hz, so a K40 shard absorbs
-    /// proportionally more row mass than a K20c shard. The greedy
-    /// assigns rows heaviest-first to the shard whose *relative* load
-    /// (`assigned mass / capacity`) is lowest.
-    pub fn for_devices(specs: &[DeviceSpec], row_masses: &[u64]) -> ShardPlan {
-        let weights: Vec<f64> = specs
-            .iter()
-            .map(|s| (s.total_cores() as f64) * s.clock_hz)
-            .collect();
-        ShardPlan::weighted(&weights, row_masses)
-    }
-
-    fn weighted(weights: &[f64], row_masses: &[u64]) -> ShardPlan {
-        let n_shards = weights.len().max(1);
+        let n_shards = n_shards.max(1);
         let mut order: Vec<usize> = (0..row_masses.len()).collect();
         order.sort_by_key(|&r| (std::cmp::Reverse(row_masses[r]), r));
         let mut rows: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
         let mut load = vec![0u64; n_shards];
         for r in order {
             let target = (0..n_shards)
-                .min_by(|&a, &b| {
-                    let la = load[a] as f64 / weights[a].max(f64::MIN_POSITIVE);
-                    let lb = load[b] as f64 / weights[b].max(f64::MIN_POSITIVE);
-                    la.partial_cmp(&lb).unwrap().then(a.cmp(&b))
-                })
+                .min_by_key(|&s| (load[s], s))
                 .expect("at least one shard");
             rows[target].push(r);
             // Zero-mass rows still count one unit so they spread out
             // instead of all piling onto shard 0.
             load[target] += row_masses[r].max(1);
         }
-        for shard in &mut rows {
-            shard.sort_unstable();
-        }
-        ShardPlan { rows }
+        ShardPlan::from_assignments(rows)
     }
 
-    /// Build a plan from explicit per-shard row lists (tests and
-    /// hand-crafted placements). Rows are sorted within each shard.
-    pub fn from_assignments(mut rows: Vec<Vec<usize>>) -> ShardPlan {
+    /// A plan from explicit per-shard row lists. Rows are sorted within
+    /// each shard.
+    pub(crate) fn from_assignments(mut rows: Vec<Vec<usize>>) -> ShardPlan {
         for shard in &mut rows {
             shard.sort_unstable();
         }
@@ -106,24 +72,19 @@ impl ShardPlan {
     pub fn rows(&self, s: usize) -> &[usize] {
         &self.rows[s]
     }
-
-    /// Total rows assigned across all shards.
-    pub fn n_rows(&self) -> usize {
-        self.rows.iter().map(Vec::len).sum()
-    }
-
-    /// `true` if the plan covers `0..n_rows` exactly once — the
-    /// precondition for the byte-identity guarantee.
-    pub fn covers(&self, n_rows: usize) -> bool {
-        let mut all: Vec<usize> = self.rows.iter().flatten().copied().collect();
-        all.sort_unstable();
-        all == (0..n_rows).collect::<Vec<_>>()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Whether `plan` places each of the rows `0..n_rows` exactly once
+    /// — the precondition for the byte-identity guarantee.
+    fn covers(plan: &ShardPlan, n_rows: usize) -> bool {
+        let mut all: Vec<usize> = plan.rows.iter().flatten().copied().collect();
+        all.sort_unstable();
+        all == (0..n_rows).collect::<Vec<_>>()
+    }
 
     #[test]
     fn lpt_balances_skewed_masses() {
@@ -131,7 +92,7 @@ mod tests {
         // almost to itself.
         let masses = [100, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10];
         let plan = ShardPlan::from_row_masses(2, &masses);
-        assert!(plan.covers(masses.len()));
+        assert!(covers(&plan, masses.len()));
         let mass_of = |s: usize| -> u64 { plan.rows(s).iter().map(|&r| masses[r]).sum() };
         let (a, b) = (mass_of(0), mass_of(1));
         assert_eq!(a + b, 200);
@@ -143,29 +104,15 @@ mod tests {
     }
 
     #[test]
-    fn uniform_covers_and_spreads() {
+    fn equal_masses_cover_and_spread() {
         for (shards, rows) in [(1, 5), (2, 5), (4, 7), (7, 4), (3, 0)] {
-            let plan = ShardPlan::uniform(shards, rows);
+            let plan = ShardPlan::from_row_masses(shards, &vec![1; rows]);
             assert_eq!(plan.n_shards(), shards);
-            assert!(plan.covers(rows), "{shards} shards x {rows} rows");
+            assert!(covers(&plan, rows), "{shards} shards x {rows} rows");
             let max = (0..shards).map(|s| plan.rows(s).len()).max().unwrap();
             let min = (0..shards).map(|s| plan.rows(s).len()).min().unwrap();
-            assert!(max - min <= 1, "uniform split is even");
+            assert!(max - min <= 1, "an equal-mass split is even");
         }
-    }
-
-    #[test]
-    fn device_weights_shift_rows_to_the_faster_card() {
-        let masses = vec![10u64; 12];
-        let specs = [DeviceSpec::tesla_k40(), DeviceSpec::test_tiny()];
-        let plan = ShardPlan::for_devices(&specs, &masses);
-        assert!(plan.covers(12));
-        assert!(
-            plan.rows(0).len() > plan.rows(1).len(),
-            "the K40 shard ({} rows) should out-pull test-tiny ({} rows)",
-            plan.rows(0).len(),
-            plan.rows(1).len()
-        );
     }
 
     #[test]
@@ -182,8 +129,7 @@ mod tests {
         let plan = ShardPlan::from_assignments(vec![vec![2, 0], vec![1]]);
         assert_eq!(plan.rows(0), &[0, 2]);
         assert_eq!(plan.rows(1), &[1]);
-        assert!(plan.covers(3));
-        assert!(!plan.covers(4));
-        assert_eq!(plan.n_rows(), 3);
+        assert!(covers(&plan, 3));
+        assert!(!covers(&plan, 4));
     }
 }

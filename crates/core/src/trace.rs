@@ -163,6 +163,7 @@ impl TraceRecorder {
     pub fn snapshot(&self) -> Trace {
         Trace {
             warp_size: self.warp_size,
+            epoch: self.epoch,
             spans: self.inner.lock().spans.clone(),
         }
     }
@@ -191,6 +192,8 @@ impl LaunchObserver for TraceRecorder {
 #[derive(Clone, Debug)]
 pub struct Trace {
     warp_size: usize,
+    /// The instant every span's `start` counts from: its recorder's.
+    epoch: Instant,
     spans: Vec<Span>,
 }
 
@@ -219,21 +222,33 @@ impl Trace {
     /// multi-query profiling run). Each input keeps its own tracks,
     /// placed after those of the inputs before it, so a single-track
     /// input takes one track of its own and the workers of a multi-track
-    /// input stay apart. Each trace keeps its own epoch-relative
-    /// timestamps.
+    /// input stay apart. Every input is rebased onto the earliest
+    /// input's epoch, so spans recorded by different recorders share one
+    /// clock.
     pub fn merge(traces: Vec<Trace>) -> Trace {
         let warp_size = traces.first().map_or(32, |t| t.warp_size);
+        let epoch = traces
+            .iter()
+            .map(|t| t.epoch)
+            .min()
+            .unwrap_or_else(Instant::now);
         let mut spans = Vec::new();
         let mut placed = 0;
         for trace in traces {
             let tracks = trace.spans.iter().map(|s| s.track + 1).max().unwrap_or(1);
+            let offset = trace.epoch - epoch;
             for mut span in trace.spans {
                 span.track += placed;
+                span.start += offset;
                 spans.push(span);
             }
             placed += tracks;
         }
-        Trace { warp_size, spans }
+        Trace {
+            warp_size,
+            epoch,
+            spans,
+        }
     }
 
     /// Export as Chrome Trace Event JSON (the `traceEvents` array
@@ -573,6 +588,27 @@ mod tests {
         assert!(merged.spans().iter().any(|s| s.track == 0));
         assert!(merged.spans().iter().any(|s| s.track == 1));
         assert_eq!(merged.stage_totals().launches, 4);
+    }
+
+    #[test]
+    fn merge_rebases_every_input_onto_the_earliest_epoch() {
+        let first = sample_trace();
+        std::thread::sleep(Duration::from_millis(2));
+        let second = sample_trace();
+        let gap = second.epoch - first.epoch;
+        assert!(gap >= Duration::from_millis(2));
+        let starts = |t: &Trace| t.spans().iter().map(|s| s.start).collect::<Vec<_>>();
+        let expect: Vec<Duration> = starts(&first)
+            .into_iter()
+            .chain(starts(&second).into_iter().map(|s| s + gap))
+            .collect();
+        // Input order does not matter: the earliest epoch wins.
+        let merged = Trace::merge(vec![second, first]);
+        let mut got = starts(&merged);
+        got.sort();
+        let mut expect = expect;
+        expect.sort();
+        assert_eq!(got, expect);
     }
 
     #[test]

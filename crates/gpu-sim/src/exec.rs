@@ -1435,7 +1435,7 @@ mod tests {
             .with(Op::Alu, tid as u64 % 5)
             .with(Op::Compare, 3 * path)
             .with(Op::GlobalLoad, tid as u64 % 2)
-            .with(Op::Atomic, u64::from(tid % 11 == 0))
+            .with(Op::Atomic, u64::from(tid.is_multiple_of(11)))
             .with(Op::Shared, 2)
     }
 

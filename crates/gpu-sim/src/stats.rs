@@ -114,8 +114,7 @@ impl LaunchStats {
 
 impl std::iter::Sum for LaunchStats {
     /// Fold many per-launch (or per-worker) statistics into one
-    /// aggregate — the batch engine merges each query worker's device
-    /// statistics this way after a parallel `run_batch`.
+    /// aggregate.
     fn sum<I: Iterator<Item = LaunchStats>>(iter: I) -> LaunchStats {
         iter.fold(LaunchStats::default(), Add::add)
     }

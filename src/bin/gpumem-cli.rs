@@ -7,12 +7,6 @@
 //!                                                      run a batch, print the unified
 //!                                                      telemetry exposition
 //! gpumem-cli bench-info [--min-len L]                  device catalog + tile geometry
-//! gpumem-cli bench-info --check [--max-regress R] [--history f]
-//!                                                      flag regressions against the
-//!                                                      recorded bench trajectory
-//!
-//! The bare flag form `gpumem-cli [OPTIONS] <ref> <query>` still works
-//! as an alias for `run` but is deprecated (a note goes to stderr).
 //!
 //! RUN OPTIONS:
 //!   --tool <gpumem|mummer|essamem|sparsemem|slamem>   finder (default gpumem)
@@ -85,11 +79,8 @@
 //! (run-lifecycle, index-build, registry pin/evict, shard dispatch) to a
 //! JSONL file, one event object per line.
 //!
-//! `bench-info --check` reads the bench trajectory the `quick` bench
-//! appends to `results/bench_history.jsonl` and fails (exit 1) if the
-//! latest entry regresses more than `--max-regress` (default 0.20)
-//! against the best earlier entry with the same `rustc` and `nproc` —
-//! the local mirror of the CI bench-smoke gate.
+//! Every GPUMEM configuration the CLI builds uses the paper's launch
+//! geometry: 128 threads per block, 16 blocks per tile.
 
 use std::fs::File;
 use std::io::BufReader;
@@ -107,7 +98,7 @@ use gpumem::seq::{
 use gpumem::sim::{Device, DeviceSpec, LaunchStats};
 use gpumem::{
     Engine, EventSink, GpumemConfig, GpumemResult, JsonlEventSink, Registry, RunError, RunOptions,
-    RunRequest, SeedMode, Trace,
+    RunOutput, RunRequest, SeedMode, Trace,
 };
 
 struct Options {
@@ -264,6 +255,29 @@ fn parse_seed_mode(spec: &str, min_len: u32, seed_len: usize) -> Result<SeedMode
     Ok(SeedMode::DualSampled { k1, k2 })
 }
 
+/// The CLI's GPUMEM configuration: minimum MEM length `min_len` in the
+/// paper's launch geometry (128 threads per block, 16 blocks per tile),
+/// ℓs = `seed_len` if given (else the builder's default), and the seed
+/// mode `seed_mode` (see [`parse_seed_mode`]), whose `dual` steps are
+/// derived for the ℓs the configuration resolves to.
+fn cli_config(
+    min_len: u32,
+    seed_len: Option<usize>,
+    seed_mode: &str,
+) -> Result<GpumemConfig, String> {
+    let mut builder = GpumemConfig::builder(min_len)
+        .threads_per_block(128)
+        .blocks_per_tile(16);
+    if let Some(seed_len) = seed_len {
+        builder = builder.seed_len(seed_len);
+    }
+    let config = builder.clone().build().map_err(|e| e.to_string())?;
+    match parse_seed_mode(seed_mode, min_len, config.seed_len)? {
+        SeedMode::RefOnly => Ok(config),
+        mode => builder.seed_mode(mode).build().map_err(|e| e.to_string()),
+    }
+}
+
 fn load_records(path: &str) -> Result<Vec<FastaRecord>, String> {
     let file = File::open(path).map_err(|e| format!("{path}: {e}"))?;
     let records = read_fasta(BufReader::new(file), AmbigPolicy::Randomize(0))
@@ -294,29 +308,16 @@ struct RecordHits {
     hits: Vec<StrandMem>,
 }
 
-/// Turn a batch result into per-record results, surfacing the first
+/// Turn a batch's outputs into per-record results, surfacing the first
 /// failed query as the CLI error.
 fn collect_batch(
     queries: &SeqSet,
-    results: Vec<Result<GpumemResult, RunError>>,
-) -> Result<Vec<GpumemResult>, String> {
-    results
+    outputs: Vec<Result<RunOutput, RunError>>,
+) -> Result<Vec<RunOutput>, String> {
+    outputs
         .into_iter()
         .zip(&queries.records)
-        .map(|(result, span)| result.map_err(|e| format!("query {}: {e}", span.name)))
-        .collect()
-}
-
-/// Run a batch under explicit [`RunOptions`] and keep only the results.
-fn batch_results(
-    engine: &Engine,
-    queries: &SeqSet,
-    options: &RunOptions,
-) -> Vec<Result<GpumemResult, RunError>> {
-    engine
-        .execute(&RunRequest::batch(queries).options(options.clone()))
-        .into_iter()
-        .map(|r| r.map(|out| out.result))
+        .map(|(output, span)| output.map_err(|e| format!("query {}: {e}", span.name)))
         .collect()
 }
 
@@ -325,20 +326,7 @@ fn run_gpumem(
     reference: &PackedSeq,
     queries: &SeqSet,
 ) -> Result<Vec<RecordHits>, String> {
-    // Mirror the builder's seed-length default so `--seed-mode dual`
-    // derives its co-prime pair from the length the index will use.
-    let seed_len = opts
-        .seed_len
-        .unwrap_or_else(|| 13usize.min(opts.min_len as usize));
-    let seed_mode = parse_seed_mode(&opts.seed_mode, opts.min_len, seed_len)?;
-    let mut builder = GpumemConfig::builder(opts.min_len)
-        .threads_per_block(128)
-        .blocks_per_tile(16)
-        .seed_mode(seed_mode);
-    if let Some(seed_len) = opts.seed_len {
-        builder = builder.seed_len(seed_len);
-    }
-    let config = builder.build().map_err(|e| e.to_string())?;
+    let config = cli_config(opts.min_len, opts.seed_len, &opts.seed_mode)?;
     // Host the session in a (single-reference, unbounded) registry so
     // `--metrics` exports the registry counters alongside the serving
     // metrics; the spec stays the paper's Tesla K20c.
@@ -350,31 +338,26 @@ fn run_gpumem(
         .threads(opts.query_threads)
         .build()
         .map_err(|e| e.to_string())?;
-    let options = RunOptions {
-        shards: opts.shards,
-        ..RunOptions::default()
+    let run = |queries: &SeqSet, trace: bool| {
+        let options = RunOptions {
+            trace,
+            shards: opts.shards,
+            ..RunOptions::default()
+        };
+        collect_batch(
+            queries,
+            engine.execute(&RunRequest::batch(queries).options(options)),
+        )
     };
 
     // Each query runs over every free worker (or its shards) and, when
     // traced, records its own span tree, one track per worker; the
     // merged trace keeps every query's tracks apart.
     let tracing = opts.trace.is_some() || opts.profile;
-    let mut traces = Vec::new();
-    let forward_options = RunOptions {
-        trace: tracing,
-        ..options.clone()
-    };
-    let forward = engine
-        .execute(&RunRequest::batch(queries).options(forward_options))
+    let (forward, traces): (Vec<GpumemResult>, Vec<Option<Trace>>) = run(queries, tracing)?
         .into_iter()
-        .map(|r| {
-            r.map(|out| {
-                traces.extend(out.trace);
-                out.result
-            })
-        })
-        .collect();
-    let forward = collect_batch(queries, forward)?;
+        .map(|out| (out.result, out.trace))
+        .unzip();
     let reverse = if opts.both_strands {
         // Reverse-complement each record independently; coordinates map
         // back per record.
@@ -388,10 +371,7 @@ fn run_gpumem(
             })
             .collect();
         let rc_set = SeqSet::from_records(&rc_records);
-        Some(collect_batch(
-            queries,
-            batch_results(&engine, &rc_set, &options),
-        )?)
+        Some(run(&rc_set, false)?)
     } else {
         None
     };
@@ -410,7 +390,7 @@ fn run_gpumem(
     }
 
     if tracing {
-        let trace = Trace::merge(traces);
+        let trace = Trace::merge(traces.into_iter().flatten().collect());
         if let Some(path) = &opts.trace {
             std::fs::write(path, trace.to_chrome_json()).map_err(|e| format!("{path}: {e}"))?;
         }
@@ -433,7 +413,7 @@ fn run_gpumem(
             })
             .collect();
         if let Some(reverse) = &reverse {
-            hits.extend(reverse[i].mems.iter().map(|&mem| StrandMem {
+            hits.extend(reverse[i].result.mems.iter().map(|&mem| StrandMem {
                 mem: gpumem::seq::map_reverse_mem(mem, span.len),
                 strand: Strand::Reverse,
             }));
@@ -497,7 +477,7 @@ fn run_finder(
 
 fn usage() {
     eprintln!(
-        "usage: gpumem-cli run [--tool T] [--min-len L] [--seed-len ls] [--seed-mode ref|dual[:k1,k2]] [--sparseness K] [--threads t] [--query-threads n] [--shards n] [--both-strands] [--mum] [--rare t] [--stats] [--sanitize] [--trace out.json] [--metrics out.json] [--profile] <reference.fa> <query.fa>\n       gpumem-cli registry add <handles.tsv> <name> <reference.fa> [--min-len L] [--seed-len ls]\n       gpumem-cli registry list <handles.tsv>\n       gpumem-cli registry evict-stats <handles.tsv> [--budget bytes] [--rounds N]\n       gpumem-cli metrics export [--format prometheus|json] [--min-len L] [--seed-len ls] [--query-threads n] [--shards n] [--journal events.jsonl] <reference.fa> <query.fa>\n       gpumem-cli bench-info [--min-len L] [--check [--max-regress R] [--history results/bench_history.jsonl]]"
+        "usage: gpumem-cli run [--tool T] [--min-len L] [--seed-len ls] [--seed-mode ref|dual[:k1,k2]] [--sparseness K] [--threads t] [--query-threads n] [--shards n] [--both-strands] [--mum] [--rare t] [--stats] [--sanitize] [--trace out.json] [--metrics out.json] [--profile] <reference.fa> <query.fa>\n       gpumem-cli registry add <handles.tsv> <name> <reference.fa> [--min-len L] [--seed-len ls]\n       gpumem-cli registry list <handles.tsv>\n       gpumem-cli registry evict-stats <handles.tsv> [--budget bytes] [--rounds N]\n       gpumem-cli metrics export [--format prometheus|json] [--min-len L] [--seed-len ls] [--query-threads n] [--shards n] [--journal events.jsonl] <reference.fa> <query.fa>\n       gpumem-cli bench-info [--min-len L]"
     );
 }
 
@@ -516,10 +496,12 @@ fn main() -> ExitCode {
             usage();
             ExitCode::from(2)
         }
-        _ => {
-            // The pre-subcommand flag form: keep it working, nudge once.
-            eprintln!("note: flag-style invocation is deprecated; use `gpumem-cli run ...`");
-            run_main(&argv)
+        Some(other) => {
+            eprintln!(
+                "error: unknown command {other} (expected run, registry, metrics or bench-info)\n"
+            );
+            usage();
+            ExitCode::from(2)
         }
     }
 }
@@ -584,13 +566,7 @@ fn read_handle_file(path: &str) -> Result<Vec<HandleEntry>, String> {
 }
 
 fn entry_config(entry: &HandleEntry) -> Result<GpumemConfig, String> {
-    let mut builder = GpumemConfig::builder(entry.min_len)
-        .threads_per_block(128)
-        .blocks_per_tile(16);
-    if let Some(seed_len) = entry.seed_len {
-        builder = builder.seed_len(seed_len);
-    }
-    builder.build().map_err(|e| format!("{}: {e}", entry.name))
+    cli_config(entry.min_len, entry.seed_len, "ref").map_err(|e| format!("{}: {e}", entry.name))
 }
 
 /// Load every handle-file entry into `registry`, returning the handles
@@ -861,13 +837,7 @@ fn metrics_export(argv: &[String]) -> Result<(), String> {
     };
     let reference = load_reference(ref_path)?;
     let queries = SeqSet::from_records(&load_records(query_path)?);
-    let mut cfg = GpumemConfig::builder(min_len)
-        .threads_per_block(128)
-        .blocks_per_tile(16);
-    if let Some(seed_len) = seed_len {
-        cfg = cfg.seed_len(seed_len);
-    }
-    let config = cfg.build().map_err(|e| e.to_string())?;
+    let config = cli_config(min_len, seed_len, "ref")?;
     let registry = Arc::new(Registry::new(DeviceSpec::tesla_k20c()));
     let sink: Option<Arc<JsonlEventSink>> = match &journal {
         Some(path) => Some(Arc::new(
@@ -891,7 +861,10 @@ fn metrics_export(argv: &[String]) -> Result<(), String> {
         shards,
         ..RunOptions::default()
     };
-    collect_batch(&queries, batch_results(&engine, &queries, &options))?;
+    collect_batch(
+        &queries,
+        engine.execute(&RunRequest::batch(&queries).options(options)),
+    )?;
     let snapshot = engine.metrics();
     match format.as_str() {
         "prometheus" => print!("{}", telemetry::render_prometheus(&snapshot)),
@@ -900,124 +873,8 @@ fn metrics_export(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The history fields where smaller is better (wall seconds).
-const HISTORY_LOWER_BETTER: [&str; 2] = ["wall_s", "match_wall_s"];
-/// The history fields where larger is better (throughput, speedup
-/// ratios).
-const HISTORY_HIGHER_BETTER: [&str; 3] = [
-    "qps_batch",
-    "seedmode_l300_modeled_ratio",
-    "sharded_modeled_ratio",
-];
-
-/// Compare the newest trajectory entry against the best earlier entry
-/// per metric; fail on any regression beyond `max_regress`. Only
-/// earlier entries from the same toolchain (`rustc`) and CPU count
-/// (`nproc`) count: wall times from another build or machine are not
-/// comparable.
-fn bench_check(history: &str, max_regress: f64) -> Result<(), String> {
-    let body = match std::fs::read_to_string(history) {
-        Ok(body) => body,
-        Err(_) => {
-            println!("bench-check: no history at {history}; nothing to check");
-            return Ok(());
-        }
-    };
-    let entries: Vec<serde::json::Value> = body
-        .lines()
-        .enumerate()
-        .filter(|(_, line)| !line.trim().is_empty())
-        .map(|(n, line)| serde::json::parse(line).map_err(|e| format!("{history}:{}: {e}", n + 1)))
-        .collect::<Result<_, _>>()?;
-    if entries.len() < 2 {
-        println!(
-            "bench-check: {} history entr{} at {history}; need 2+ to compare",
-            entries.len(),
-            if entries.len() == 1 { "y" } else { "ies" }
-        );
-        return Ok(());
-    }
-    let (last, earlier) = entries.split_last().expect("len >= 2");
-    fn machine(entry: &serde::json::Value) -> (Option<&str>, Option<f64>) {
-        (
-            entry.get("rustc").and_then(serde::json::Value::as_str),
-            entry.get("nproc").and_then(serde::json::Value::as_f64),
-        )
-    }
-    let (prior, skipped): (Vec<_>, Vec<_>) =
-        earlier.iter().partition(|e| machine(e) == machine(last));
-    println!(
-        "bench-check: comparing with {} earlier entr{}; skipped {} from another rustc or nproc",
-        prior.len(),
-        if prior.len() == 1 { "y" } else { "ies" },
-        skipped.len()
-    );
-    if prior.is_empty() {
-        return Ok(());
-    }
-    let field = |entry: &serde::json::Value, name: &str| {
-        entry.get(name).and_then(serde::json::Value::as_f64)
-    };
-    let mut failures = Vec::new();
-    for name in HISTORY_LOWER_BETTER {
-        let Some(current) = field(last, name) else {
-            continue;
-        };
-        let best = prior
-            .iter()
-            .filter_map(|e| field(e, name))
-            .fold(f64::INFINITY, f64::min);
-        if !best.is_finite() {
-            continue;
-        }
-        if current > best * (1.0 + max_regress) {
-            failures.push(format!(
-                "{name}: {current:.4} vs best {best:.4} (regressed > {:.0}%)",
-                max_regress * 100.0
-            ));
-        } else {
-            println!("ok {name}: {current:.4} (best {best:.4})");
-        }
-    }
-    for name in HISTORY_HIGHER_BETTER {
-        let Some(current) = field(last, name) else {
-            continue;
-        };
-        let best = prior
-            .iter()
-            .filter_map(|e| field(e, name))
-            .fold(f64::NEG_INFINITY, f64::max);
-        if !best.is_finite() {
-            continue;
-        }
-        if current < best * (1.0 - max_regress) {
-            failures.push(format!(
-                "{name}: {current:.4} vs best {best:.4} (regressed > {:.0}%)",
-                max_regress * 100.0
-            ));
-        } else {
-            println!("ok {name}: {current:.4} (best {best:.4})");
-        }
-    }
-    if failures.is_empty() {
-        println!(
-            "bench-check: latest entry within {:.0}% of the recorded trajectory",
-            max_regress * 100.0
-        );
-        Ok(())
-    } else {
-        Err(format!(
-            "bench trajectory regression: {}",
-            failures.join("; ")
-        ))
-    }
-}
-
 fn bench_info_main(argv: &[String]) -> Result<(), String> {
     let mut min_len = 20u32;
-    let mut check = false;
-    let mut max_regress = 0.20f64;
-    let mut history = "results/bench_history.jsonl".to_string();
     let mut args = argv.iter().cloned();
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -1028,28 +885,10 @@ fn bench_info_main(argv: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|e| format!("bad --min-len: {e}"))?
             }
-            "--check" => check = true,
-            "--max-regress" => {
-                max_regress = args
-                    .next()
-                    .ok_or("missing value for --max-regress")?
-                    .parse()
-                    .map_err(|e| format!("bad --max-regress: {e}"))?
-            }
-            "--history" => {
-                history = args.next().ok_or("missing value for --history")?;
-            }
             other => return Err(format!("bench-info: unknown option {other}")),
         }
     }
-    if check {
-        return bench_check(&history, max_regress);
-    }
-    let config = GpumemConfig::builder(min_len)
-        .threads_per_block(128)
-        .blocks_per_tile(16)
-        .build()
-        .map_err(|e| e.to_string())?;
+    let config = cli_config(min_len, None, "ref")?;
     println!(
         "{:<12} {:>4} {:>9} {:>5} {:>10} {:>14}",
         "device", "SMs", "cores/SM", "warp", "clock_mhz", "mem_bytes"

@@ -31,11 +31,13 @@
 //! ## Serving many queries
 //!
 //! For query streams against one reference, the serving engine caches
-//! the per-row partial indexes in a session and runs batches in
-//! parallel — everything needed is re-exported at the crate root:
+//! the per-row partial indexes in a session and runs each query's tile
+//! rows on every worker free when it arrives. `Engine::execute` is its
+//! one request path — everything needed is re-exported at the crate
+//! root:
 //!
 //! ```
-//! use gpumem::{Engine, GpumemConfig, RunError};
+//! use gpumem::{Engine, GpumemConfig, RunError, RunRequest};
 //! use gpumem::seq::{FastaRecord, PackedSeq, SeqSet};
 //!
 //! let reference = PackedSeq::from_ascii(b"ACGTACGTACGTGGGGACGTACGTACGT").unwrap();
@@ -44,9 +46,9 @@
 //!     FastaRecord { header: "q1".into(), seq: "GGGGACGTACGTAAAA".parse().unwrap() },
 //! ]);
 //! let config = GpumemConfig::builder(8).seed_len(4).build().unwrap();
-//! let engine = Engine::builder(reference).config(config).build()?;
-//! for result in engine.run_batch(&queries) {
-//!     assert!(result?.mems.iter().all(|m| m.len >= 8));
+//! let engine = Engine::builder(reference).config(config).threads(2).build()?;
+//! for output in engine.execute(&RunRequest::batch(&queries)) {
+//!     assert!(output?.result.mems.iter().all(|m| m.len >= 8));
 //! }
 //! # Ok::<(), RunError>(())
 //! ```
@@ -90,14 +92,14 @@ pub use gpumem_seq as seq;
 // The serving/session API at the root, so batch users need one `use`.
 pub use gpumem_core::{
     Engine, EngineBuilder, Gpumem, GpumemConfig, GpumemResult, GpumemStats, IndexBuildReport,
-    MemCollector, MemSink, MemStage, MetricsSnapshot, PinnedSession, Queries, RefEntryInfo,
-    RefHandle, RefSession, Registry, RegistryStats, RunError, RunOptions, RunOutput, RunRequest,
-    SeedMode, SessionCache, ShardHealth, ShardPlan, Trace, TraceRecorder,
+    MetricsSnapshot, PinnedSession, Queries, RefEntryInfo, RefHandle, RefSession, Registry,
+    RegistryStats, RunError, RunOptions, RunOutput, RunRequest, SeedMode, ShardHealth, ShardPlan,
+    Trace, TraceRecorder,
 };
 
 // The telemetry subsystem (metrics exposition, event journal, clocks),
 // likewise at the root — see `gpumem_core::telemetry`.
 pub use gpumem_core::{
-    Event, EventSink, EventValue, JsonlEventSink, ManualClock, MemoryEventSink, MetricsRegistry,
-    TelemetryClock, WallClock,
+    Event, EventSink, EventValue, JsonlEventSink, ManualClock, MemoryEventSink, TelemetryClock,
+    WallClock,
 };

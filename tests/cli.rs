@@ -48,6 +48,7 @@ fn all_tools_print_identical_matches() {
     let run = |tool: &str| -> String {
         let out = cli()
             .args([
+                "run",
                 "--tool",
                 tool,
                 "--min-len",
@@ -79,7 +80,7 @@ fn mum_filter_is_a_subset() {
     let (ref_fa, query_fa) = write_pair(&dir);
 
     let lines = |extra: &[&str]| -> Vec<String> {
-        let mut args = vec!["--tool", "mummer", "--min-len", "25"];
+        let mut args = vec!["run", "--tool", "mummer", "--min-len", "25"];
         args.extend_from_slice(extra);
         args.push(ref_fa.as_str());
         args.push(query_fa.as_str());
@@ -109,6 +110,7 @@ fn sanitize_flag_reports_clean_run() {
 
     let out = cli()
         .args([
+            "run",
             "--tool",
             "gpumem",
             "--min-len",
@@ -129,6 +131,7 @@ fn sanitize_flag_reports_clean_run() {
     // The report must not change the matches themselves.
     let plain = cli()
         .args([
+            "run",
             "--tool",
             "gpumem",
             "--min-len",
@@ -180,13 +183,17 @@ fn sanitize_flag_sees_the_launches_of_sharded_runs() {
 
 #[test]
 fn bad_usage_fails_cleanly() {
-    let out = cli().arg("only-one-file.fa").output().expect("binary runs");
+    let out = cli()
+        .args(["run", "only-one-file.fa"])
+        .output()
+        .expect("binary runs");
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("usage:"), "{err}");
 
     let out = cli()
         .args([
+            "run",
             "--tool",
             "nonsense",
             "/nonexistent/a.fa",
@@ -234,7 +241,7 @@ fn multi_record_query_groups_hits_and_names_records() {
     let all_fa = write("queries.fa", &records);
 
     let run = |tool: &str, query_fa: &str, extra: &[&str]| -> String {
-        let mut args = vec!["--tool", tool, "--min-len", "25"];
+        let mut args = vec!["run", "--tool", tool, "--min-len", "25"];
         args.extend_from_slice(extra);
         args.push(ref_fa.as_str());
         args.push(query_fa);
@@ -277,7 +284,7 @@ fn seed_mode_dual_matches_ref_only_output() {
     let (ref_fa, query_fa) = write_pair(&dir);
 
     let run = |extra: &[&str]| -> String {
-        let mut args = vec!["--tool", "gpumem", "--min-len", "25"];
+        let mut args = vec!["run", "--tool", "gpumem", "--min-len", "25"];
         args.extend_from_slice(extra);
         args.push(ref_fa.as_str());
         args.push(query_fa.as_str());
@@ -306,7 +313,7 @@ fn seed_mode_validation_errors_are_structured() {
     let (ref_fa, query_fa) = write_pair(&dir);
 
     let fail = |extra: &[&str]| -> String {
-        let mut args = vec!["--tool", "gpumem", "--min-len", "25"];
+        let mut args = vec!["run", "--tool", "gpumem", "--min-len", "25"];
         args.extend_from_slice(extra);
         args.push(ref_fa.as_str());
         args.push(query_fa.as_str());
@@ -429,27 +436,26 @@ fn multi_record_reference_is_refused() {
 }
 
 #[test]
-fn run_subcommand_matches_legacy_form_which_notes_deprecation() {
+fn bare_flag_form_is_refused_with_usage() {
     let dir = std::env::temp_dir().join("gpumem-cli-test-subcmd");
     std::fs::create_dir_all(&dir).unwrap();
     let (ref_fa, query_fa) = write_pair(&dir);
 
-    let legacy = cli()
-        .args(["--tool", "gpumem", "--min-len", "25", &ref_fa, &query_fa])
+    let bare = cli()
+        .args(["--tool", "mummer", "--min-len", "25", &ref_fa, &query_fa])
         .output()
         .expect("binary runs");
-    assert!(legacy.status.success());
-    let err = String::from_utf8_lossy(&legacy.stderr);
-    assert!(
-        err.contains("deprecated"),
-        "missing deprecation note: {err}"
-    );
+    assert_eq!(bare.status.code(), Some(2));
+    assert!(bare.stdout.is_empty(), "the bare form printed matches");
+    let err = String::from_utf8_lossy(&bare.stderr);
+    assert!(err.contains("unknown command --tool"), "{err}");
+    assert!(err.contains("usage: gpumem-cli run"), "{err}");
 
     let sub = cli()
         .args([
             "run",
             "--tool",
-            "gpumem",
+            "mummer",
             "--min-len",
             "25",
             &ref_fa,
@@ -458,12 +464,6 @@ fn run_subcommand_matches_legacy_form_which_notes_deprecation() {
         .output()
         .expect("binary runs");
     assert!(sub.status.success());
-    let err = String::from_utf8_lossy(&sub.stderr);
-    assert!(
-        !err.contains("deprecated"),
-        "run subcommand should not warn: {err}"
-    );
-    assert_eq!(sub.stdout, legacy.stdout, "the two forms must agree");
     assert!(!sub.stdout.is_empty(), "expected matches");
 }
 
@@ -503,12 +503,11 @@ fn shards_flag_preserves_output() {
     assert!(!out.status.success(), "--shards 0 must be rejected");
 }
 
-#[test]
-fn traced_shards_keep_tracks_of_their_own() {
-    let dir = std::env::temp_dir().join("gpumem-cli-test-trace-shards");
-    std::fs::create_dir_all(&dir).unwrap();
-    // Three tile rows: the CLI's tile spans 36,864 reference bases at
-    // L = 25, so each query's two shards both get rows.
+/// An 80 kb reference and a query file of two 3 kb reads from it. At
+/// L = 25 and ℓs = 8 the CLI's tile spans 36,864 reference bases, so
+/// the reference is three tile rows and a query split two ways gives
+/// both halves rows.
+fn write_two_reads(dir: &std::path::Path) -> (String, String) {
     let reference = GenomeModel::mammalian().generate(80_000, 4500);
     let model = MutationModel {
         sub_rate: 0.03,
@@ -539,7 +538,38 @@ fn traced_shards_keep_tracks_of_their_own() {
             seq: reference,
         }],
     );
-    let query_fa = write("queries.fa", &records);
+    (ref_fa, write("queries.fa", &records))
+}
+
+/// The `Run` events of a Chrome trace file, in file order, as
+/// `(name, start µs, end µs, track)`.
+fn run_events(path: &std::path::Path) -> Vec<(String, f64, f64, u64)> {
+    let trace = serde::json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+    trace
+        .get("traceEvents")
+        .and_then(|v| v.as_array())
+        .expect("traceEvents array")
+        .iter()
+        .filter(|e| e.get("cat").and_then(|v| v.as_str()) == Some("Run"))
+        .map(|e| {
+            let number = |key: &str| e.get(key).and_then(|v| v.as_f64()).expect(key);
+            let name = e.get("name").and_then(|v| v.as_str()).expect("name");
+            let ts = number("ts");
+            (
+                name.to_string(),
+                ts,
+                ts + number("dur"),
+                number("tid") as u64,
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn traced_shards_keep_tracks_of_their_own() {
+    let dir = std::env::temp_dir().join("gpumem-cli-test-trace-shards");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (ref_fa, query_fa) = write_two_reads(&dir);
     let trace_path = dir.join("trace.json");
     let out = cli()
         .args(["run", "--min-len", "25", "--seed-len", "8", "--shards", "2"])
@@ -555,24 +585,60 @@ fn traced_shards_keep_tracks_of_their_own() {
     );
     assert!(!out.stdout.is_empty(), "expected matches");
 
-    let trace = serde::json::parse(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
-    let mut shard_tids: Vec<u64> = trace
-        .get("traceEvents")
-        .and_then(|v| v.as_array())
-        .expect("traceEvents array")
-        .iter()
-        .filter(|e| e.get("cat").and_then(|v| v.as_str()) == Some("Run"))
-        .filter(|e| {
-            e.get("name")
-                .and_then(|v| v.as_str())
-                .is_some_and(|name| name.starts_with("shard "))
-        })
-        .map(|e| e.get("tid").and_then(|v| v.as_u64()).expect("tid"))
+    let mut shard_tids: Vec<u64> = run_events(&trace_path)
+        .into_iter()
+        .filter(|(name, ..)| name.starts_with("shard "))
+        .map(|(.., tid)| tid)
         .collect();
     assert_eq!(shard_tids.len(), 4, "two shards of each of two queries");
     shard_tids.sort_unstable();
     shard_tids.dedup();
     assert_eq!(shard_tids.len(), 4, "shards share a track: {shard_tids:?}");
+}
+
+#[test]
+fn traced_requests_share_one_clock() {
+    let dir = std::env::temp_dir().join("gpumem-cli-test-trace-clock");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (ref_fa, query_fa) = write_two_reads(&dir);
+    let trace_path = dir.join("trace.json");
+    let out = cli()
+        .args(["run", "--min-len", "25", "--seed-len", "8"])
+        .args(["--query-threads", "2", "--trace"])
+        .arg(&trace_path)
+        .args([&ref_fa, &query_fa])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "traced run failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    // Each query: its two workers' rows, then the calling thread's merge.
+    let runs = run_events(&trace_path);
+    let names: Vec<&str> = runs.iter().map(|(name, ..)| name.as_str()).collect();
+    assert_eq!(
+        names,
+        ["worker 0", "worker 1", "query", "worker 0", "worker 1", "query"]
+    );
+    // Float microseconds: allow a nanosecond of rounding.
+    let slack = 1e-3;
+    for request in runs.chunks(3) {
+        let query_start = request[2].1;
+        for (name, _, end, _) in &request[..2] {
+            assert!(
+                *end <= query_start + slack,
+                "{name} ends at {end} µs, after its query span starts at {query_start} µs"
+            );
+        }
+    }
+    let first_end = runs[2].2;
+    let second_start = runs[3..].iter().map(|run| run.1).fold(f64::MAX, f64::min);
+    assert!(
+        second_start + slack >= first_end,
+        "query 1 starts at {second_start} µs, before query 0 ends at {first_end} µs"
+    );
 }
 
 #[test]
@@ -707,66 +773,13 @@ fn bench_info_prints_device_catalog() {
 }
 
 #[test]
-fn bench_check_compares_only_entries_of_the_same_rustc_and_nproc() {
-    let dir = std::env::temp_dir().join("gpumem-cli-test-bench-fingerprint");
-    std::fs::create_dir_all(&dir).unwrap();
-    let history = dir.join("history.jsonl");
-    let entry = |rustc: &str, nproc: u32, wall: f64| {
-        format!(
-            "{{\"ts\":1,\"git_sha\":\"abc\",\"rustc\":\"{rustc}\",\"nproc\":{nproc},\
-             \"wall_s\":{wall},\"match_wall_s\":0.2,\"qps_batch\":50.0,\"mems\":41040}}"
-        )
-    };
-    let check = |lines: &[String]| {
-        std::fs::write(&history, lines.join("\n") + "\n").unwrap();
-        cli()
-            .args([
-                "bench-info",
-                "--check",
-                "--history",
-                history.to_str().unwrap(),
-            ])
-            .output()
-            .expect("binary runs")
-    };
-    let here = "rustc 1.0.0 (test 2026-01-01)";
-    // A faster entry from another toolchain would fail the newest one;
-    // it is skipped, and the same-machine entry passes it.
-    let out = check(&[
-        entry(here, 2, 1.0),
-        entry("rustc 9.9.9 (other 2026-01-01)", 2, 0.5),
-        entry(here, 2, 1.1),
-    ]);
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(
-        out.status.success(),
-        "mismatched entry compared: {stdout}{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(
-        stdout.contains("comparing with 1 earlier entry"),
-        "{stdout}"
-    );
-    assert!(stdout.contains("skipped 1"), "{stdout}");
-    // Another CPU count is skipped too, and the same machine's regression
-    // still fails.
-    let out = check(&[
-        entry(here, 2, 1.0),
-        entry(here, 8, 2.0),
-        entry(here, 2, 1.3),
-    ]);
-    assert!(!out.status.success(), "same-machine regression must fail");
-    assert!(String::from_utf8(out.stdout).unwrap().contains("skipped 1"));
-}
-
-#[test]
 fn both_strands_superset_and_strand_column() {
     let dir = std::env::temp_dir().join("gpumem-cli-test-strands");
     std::fs::create_dir_all(&dir).unwrap();
     let (ref_fa, query_fa) = write_pair(&dir);
 
     let run = |extra: &[&str]| -> Vec<String> {
-        let mut args = vec!["--tool", "mummer", "--min-len", "25"];
+        let mut args = vec!["run", "--tool", "mummer", "--min-len", "25"];
         args.extend_from_slice(extra);
         args.push(ref_fa.as_str());
         args.push(query_fa.as_str());

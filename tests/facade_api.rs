@@ -48,7 +48,7 @@ fn index_and_eq1_are_exposed() {
 #[test]
 fn serving_api_is_exposed_at_the_root() {
     use gpumem::seq::{FastaRecord, SeqSet};
-    use gpumem::{Engine, GpumemConfig, IndexBuildReport, MemCollector, MemSink, MemStage};
+    use gpumem::{Engine, GpumemConfig, IndexBuildReport, RunOptions, RunRequest};
 
     let reference: PackedSeq = "ACGTACGTACGTGGGGACGTACGTACGT".parse().unwrap();
     let config = GpumemConfig::builder(8).seed_len(4).build().unwrap();
@@ -67,34 +67,20 @@ fn serving_api_is_exposed_at_the_root() {
             seq: "GGGGACGTACGTAAAA".parse().unwrap(),
         },
     ]);
-    let results = engine.run_batch(&queries);
-    assert_eq!(results.len(), 2);
-    for (i, result) in results.into_iter().enumerate() {
-        let result = result.unwrap();
+    let traced = RunOptions {
+        trace: true,
+        ..RunOptions::default()
+    };
+    let outputs = engine.execute(&RunRequest::batch(&queries).options(traced));
+    assert_eq!(outputs.len(), 2);
+    for (i, output) in outputs.into_iter().enumerate() {
+        let output = output.unwrap();
         assert_eq!(
-            result.mems,
+            output.result.mems,
             engine.run(&queries.record_seq(i)).unwrap().mems
         );
-        // Streaming into a collector reproduces the collected run.
-        let mut sink = MemCollector::default();
-        engine
-            .run_with_sink(&queries.record_seq(i), &mut sink)
-            .unwrap();
-        assert_eq!(sink.into_canonical(), result.mems);
+        assert!(output.trace.is_some(), "a traced request records a trace");
     }
-
-    // MemSink is object-safe and implementable downstream.
-    struct Count(usize);
-    impl MemSink for Count {
-        fn mems(&mut self, _stage: MemStage, mems: &[gpumem::seq::Mem]) {
-            self.0 += mems.len();
-        }
-    }
-    let mut count = Count(0);
-    engine
-        .run_with_sink(&queries.record_seq(0), &mut count)
-        .unwrap();
-    assert!(count.0 > 0);
 }
 
 #[test]
@@ -128,7 +114,7 @@ fn registry_and_request_api_are_exposed_at_the_root() {
         .unwrap();
     assert_eq!(out.result.mems, plain.mems);
 
-    let plan = ShardPlan::uniform(2, 8);
+    let plan = ShardPlan::from_row_masses(2, &[1; 8]);
     assert_eq!(plan.n_shards(), 2);
     let stats = engine.metrics().registry;
     assert!(stats.attached);

@@ -57,13 +57,14 @@ fn trace_flag_emits_chrome_trace_json_that_reconciles() {
     let trace_path = dir.join("trace.json");
 
     let baseline = cli()
-        .args(["--min-len", "25", &ref_fa, &query_fa])
+        .args(["run", "--min-len", "25", &ref_fa, &query_fa])
         .output()
         .expect("binary runs");
     assert!(baseline.status.success());
 
     let out = cli()
         .args([
+            "run",
             "--min-len",
             "25",
             "--trace",
@@ -167,6 +168,7 @@ fn metrics_flag_emits_serving_snapshot() {
 
     let out = cli()
         .args([
+            "run",
             "--min-len",
             "25",
             "--metrics",
@@ -221,7 +223,7 @@ fn profile_flag_prints_stage_table_to_stderr() {
     let (ref_fa, query_fa) = write_pair(&dir);
 
     let out = cli()
-        .args(["--min-len", "25", "--profile", &ref_fa, &query_fa])
+        .args(["run", "--min-len", "25", "--profile", &ref_fa, &query_fa])
         .output()
         .expect("binary runs");
     assert!(
@@ -249,6 +251,7 @@ fn observability_flags_reject_cpu_tools() {
 
     let out = cli()
         .args([
+            "run",
             "--tool",
             "mummer",
             "--min-len",

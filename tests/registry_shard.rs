@@ -1,16 +1,16 @@
 //! Registry + sharding invariants end to end: splitting a run's tile
 //! rows across N simulated devices is a pure throughput knob — the
-//! canonical MEM set must be byte-identical for every shard count,
-//! every explicit row placement, and every combination with the other
-//! per-request knobs. The registry's byte budget must hold under
-//! arbitrary access churn, and pinned sessions must never be evicted.
+//! canonical MEM set must be byte-identical for every shard count and
+//! every combination with the other per-request knobs (arbitrary row
+//! placements are `gpumem-core`'s `gather_rows` tests). The registry's
+//! byte budget must hold under arbitrary access churn, and pinned
+//! sessions must never be evicted.
 
 use std::sync::Arc;
 
 use gpumem::seq::{GenomeModel, MutationModel, PackedSeq};
 use gpumem::sim::{Device, DeviceSpec};
-use gpumem::{Engine, GpumemConfig, Registry, RunOptions, RunRequest, SeedMode, ShardPlan};
-use proptest::prelude::*;
+use gpumem::{Engine, GpumemConfig, Registry, RunOptions, RunRequest, SeedMode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -75,31 +75,6 @@ fn shard_count_invariance_one_two_four_seven() {
             single.mems,
             "{shards} shards"
         );
-    }
-}
-
-#[test]
-fn uniform_and_skewed_explicit_plans_are_byte_identical() {
-    let (reference, query) = skewed_pair(31_002);
-    let engine = engine_for(reference);
-    let single = engine.run(&query).unwrap().mems;
-    let n_rows = engine.session().rows();
-    assert!(n_rows >= 2, "fixture must span several tile rows");
-
-    // A balanced split, an LPT split over heavily skewed masses, and a
-    // pathological placement (everything on shard 2 of 3) all agree.
-    let skewed_masses: Vec<u64> = (0..n_rows).map(|r| ((r as u64) + 1).pow(3)).collect();
-    let lopsided = ShardPlan::from_assignments(vec![Vec::new(), (0..n_rows).collect(), Vec::new()]);
-    for (what, plan) in [
-        ("uniform", ShardPlan::uniform(3, n_rows)),
-        ("lpt-skewed", ShardPlan::from_row_masses(3, &skewed_masses)),
-        ("lopsided", lopsided),
-    ] {
-        let options = RunOptions {
-            shard_plan: Some(plan),
-            ..RunOptions::default()
-        };
-        assert_eq!(sharded_mems(&engine, &query, options), single, "{what}");
     }
 }
 
@@ -201,39 +176,4 @@ fn budget_holds_under_churn_and_pinned_sessions_survive() {
     assert!(!registry.remove(handles[0]));
     drop(pinned);
     assert!(registry.remove(handles[0]));
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Any placement of the tile rows onto any number of shards — drawn
-    /// at random, from empty to badly unbalanced — reproduces the
-    /// single-device canonical MEM set byte for byte.
-    #[test]
-    fn random_row_placements_reproduce_single_device_mems(
-        content_seed in 0u64..500,
-        split_seed in 0u64..10_000,
-    ) {
-        let (reference, query) = skewed_pair(content_seed);
-        let engine = engine_for(reference);
-        let single = engine.run(&query).unwrap().mems;
-        let n_rows = engine.session().rows();
-
-        let mut rng = StdRng::seed_from_u64(split_seed);
-        let n_shards = rng.gen_range(2..=7usize);
-        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
-        for row in 0..n_rows {
-            let shard = rng.gen_range(0..n_shards);
-            rows[shard].push(row);
-        }
-        let options = RunOptions {
-            shard_plan: Some(ShardPlan::from_assignments(rows)),
-            ..RunOptions::default()
-        };
-        prop_assert_eq!(
-            sharded_mems(&engine, &query, options),
-            single,
-            "{} shards, split seed {}", n_shards, split_seed
-        );
-    }
 }

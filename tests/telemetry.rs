@@ -3,8 +3,8 @@
 //! once, stable names), the structured event journal (lifecycle,
 //! index-build, registry pin/unpin/evict, anomaly events) and its
 //! exact reconciliation against `Trace::stage_totals()`, deterministic
-//! uptime via an injected clock, and the `gpumem-cli metrics export` /
-//! `bench-info --check` surfaces.
+//! uptime via an injected clock, and the `gpumem-cli metrics export`
+//! surface.
 //!
 //! Re-bless the golden files after an intentional exposition change:
 //!
@@ -32,7 +32,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::json::parse;
 
-/// Every metric family `export_snapshot` must expose, exactly once.
+/// Every metric family the exposition must declare, exactly once.
 const FAMILIES: &[&str] = &[
     "gpumem_uptime_seconds",
     "gpumem_queries_total",
@@ -356,8 +356,19 @@ fn run_end_event_reconciles_exactly_with_trace_stage_totals() {
         .build()
         .unwrap();
 
-    let (_, trace) = engine.run_traced(&query).unwrap();
-    let totals = trace.stage_totals();
+    let options = RunOptions {
+        trace: true,
+        ..RunOptions::default()
+    };
+    let out = engine
+        .execute(&RunRequest::query(&query).options(options))
+        .pop()
+        .unwrap()
+        .unwrap();
+    let totals = out
+        .trace
+        .expect("a traced request records a trace")
+        .stage_totals();
     assert!(totals.launches > 0, "trivial trace");
 
     let ends = sink.of_kind("run_end");
@@ -435,6 +446,42 @@ fn sharded_runs_populate_shard_health_and_the_imbalance_gauge() {
     let text = telemetry::render_prometheus(&engine.metrics());
     assert!(text.contains("gpumem_shard_imbalance"));
     assert!(text.contains("gpumem_shard_modeled_seconds{shard=\"1\"}"));
+}
+
+#[test]
+fn cold_sharded_requests_journal_every_index_build() {
+    let (reference, query) = test_pair(9_007);
+    let sink = Arc::new(MemoryEventSink::new());
+    let engine = Engine::builder(reference)
+        .config(test_config())
+        .spec(DeviceSpec::test_tiny())
+        .event_sink(Arc::clone(&sink) as Arc<dyn EventSink>)
+        .build()
+        .unwrap();
+    let options = RunOptions {
+        shards: 2,
+        ..RunOptions::default()
+    };
+    let out = engine
+        .execute(&RunRequest::query(&query).options(options))
+        .pop()
+        .unwrap()
+        .unwrap();
+
+    // The shards built every row on their own devices: one event each,
+    // carrying the launches the run's index stats add up.
+    let built = engine.metrics().index_cache.built;
+    assert!(built >= 2, "the fixture spans several rows");
+    let builds = sink.of_kind("index_build");
+    assert_eq!(builds.len() as u64, built, "one index_build per row built");
+    let launches: u64 = builds
+        .iter()
+        .map(|e| e.u64_field("launches").unwrap())
+        .sum();
+    assert_eq!(launches, out.result.stats.index.launches);
+    let mut rows: Vec<u64> = builds.iter().map(|e| e.u64_field("row").unwrap()).collect();
+    rows.sort_unstable();
+    assert_eq!(rows, (0..built).collect::<Vec<_>>());
 }
 
 #[test]
@@ -613,57 +660,4 @@ fn cli_metrics_export_emits_both_formats_and_a_journal() {
     let doc = parse(&String::from_utf8(json.stdout).unwrap()).expect("valid JSON exposition");
     let metrics = doc.get("metrics").unwrap().as_array().unwrap();
     assert_eq!(metrics.len(), FAMILIES.len());
-}
-
-#[test]
-fn cli_bench_check_gates_the_recorded_trajectory() {
-    let dir = std::env::temp_dir().join("gpumem-telemetry-bench-check");
-    std::fs::create_dir_all(&dir).unwrap();
-    let history = dir.join("history.jsonl");
-    let entry = |wall: f64, qps: f64| {
-        format!(
-            "{{\"ts\":1,\"wall_s\":{wall},\"match_wall_s\":0.2,\"qps_batch\":{qps},\
-             \"seedmode_l300_modeled_ratio\":4.0,\
-             \"sharded_modeled_ratio\":3.5,\"mems\":41040}}"
-        )
-    };
-    let check = |history: &std::path::Path| {
-        cli()
-            .args([
-                "bench-info",
-                "--check",
-                "--history",
-                history.to_str().unwrap(),
-            ])
-            .output()
-            .expect("binary runs")
-    };
-
-    // Within tolerance of the best recorded entry: pass.
-    std::fs::write(
-        &history,
-        format!("{}\n{}\n", entry(1.0, 50.0), entry(1.1, 46.0)),
-    )
-    .unwrap();
-    let ok = check(&history);
-    assert!(
-        ok.status.success(),
-        "in-tolerance trajectory must pass: {}",
-        String::from_utf8_lossy(&ok.stderr)
-    );
-
-    // A >20% wall-clock regression in the latest entry: fail.
-    std::fs::write(
-        &history,
-        format!("{}\n{}\n", entry(1.0, 50.0), entry(1.3, 50.0)),
-    )
-    .unwrap();
-    let bad = check(&history);
-    assert!(!bad.status.success(), "regression must fail the check");
-    let stderr = String::from_utf8(bad.stderr).unwrap();
-    assert!(stderr.contains("regression"), "got: {stderr}");
-
-    // A missing trajectory is a skip, not a failure (fresh checkout).
-    let none = check(&dir.join("absent.jsonl"));
-    assert!(none.status.success(), "missing history must not fail");
 }

@@ -356,10 +356,12 @@ fn render_registry(sample: &RegistrySample) -> String {
     )
 }
 
-/// Sharded scenario: the pipeline dataset split across N simulated
-/// devices. `modeled_ratio` is single-device modeled match time over
-/// the slowest shard's — the modeled multi-device speedup, bounded by
-/// the heaviest shard (the quantity the LPT plan balances).
+/// Sharded scenario: the pipeline dataset's tile rows split across N
+/// simulated devices, as the engine models it (the request runs on its
+/// workers and sums each shard's rows). `modeled_ratio` is
+/// single-device modeled match time over the slowest shard's — the
+/// modeled multi-device speedup, bounded by the heaviest shard (the
+/// quantity the LPT plan balances).
 const SHARD_COUNT: usize = 4;
 
 struct ShardedSample {
@@ -869,8 +871,9 @@ fn main() {
         sample
     };
 
-    // Sharded scenario: byte-identity across N devices plus the
-    // modeled multi-device speedup (bounded by the slowest shard).
+    // Sharded scenario: a sharded request's MEM set equals the plain
+    // one, plus the modeled N-device speedup (bounded by the slowest
+    // shard).
     let sharded_sample = {
         let sample = measure_sharded(&reference, &query, &config);
         eprintln!(

@@ -19,10 +19,9 @@
 //!   misattributing pool statistics.
 //!
 //! [`Engine::execute`] is the one request path — one query or a set,
-//! traced or not, on the free workers or split over shards — and
+//! traced or not, with or without a modeled shard split — and
 //! [`Engine::run`] its default-options shorthand for one query.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -43,7 +42,6 @@ use crate::shard::ShardPlan;
 use crate::telemetry::{Event, EventSink, TelemetryClock, WallClock};
 use crate::tile::Tiling;
 use crate::trace::Trace;
-use gpumem_index::SeedMode;
 
 /// Accumulated index-build cost of a session.
 #[derive(Default)]
@@ -107,12 +105,6 @@ impl RefSession {
 
     /// The reference sequence.
     pub fn reference(&self) -> &PackedSeq {
-        &self.reference
-    }
-
-    /// The reference behind its shared handle (what a registry keys
-    /// identity on).
-    pub fn reference_arc(&self) -> &Arc<PackedSeq> {
         &self.reference
     }
 
@@ -357,8 +349,8 @@ pub struct DeviceCounters {
     pub busiest_block_cycles: u64,
 }
 
-/// Health of the engine's sharded execution path: how the last
-/// sharded run's modeled matching time split across shards, with the
+/// Health of the engine's modeled shard split: how the last sharded
+/// request's modeled matching time split across shards, with the
 /// max/mean imbalance ratio as a first-class gauge (1.0 = perfectly
 /// balanced; the signal [`ShardPlan::from_row_masses`] exists to
 /// minimize).
@@ -383,7 +375,7 @@ pub struct ShardHealth {
 }
 
 impl ShardHealth {
-    /// Fold one sharded run's per-shard matching stats in.
+    /// Fold one sharded request's per-shard matching stats in.
     fn record(&mut self, shard_matching: &[LaunchStats]) {
         self.sharded_runs += 1;
         self.shards = shard_matching.len() as u64;
@@ -465,26 +457,21 @@ impl<'a> From<&'a SeqSet> for Queries<'a> {
     }
 }
 
-/// Per-request knobs of [`Engine::execute`] — the one place run-time
-/// configuration lives. Everything here is output-preserving relative
-/// to the engine's base configuration except `seed_mode`, which changes
-/// *which* MEM-definition parameters apply (and transparently routes to
-/// a separate cached session, since a different seed mode means a
-/// different index layout).
+/// Per-request knobs of [`Engine::execute`]. Neither changes the MEM
+/// set or a modeled statistic of the run; a different configuration,
+/// seed mode included, is a different engine (or registry entry).
 #[derive(Clone, Debug, Default)]
 pub struct RunOptions {
     /// Record a [`Trace`] for each query (returned in
     /// [`RunOutput::trace`]).
     pub trace: bool,
-    /// Split each query's tile rows across this many fresh simulated
-    /// devices (`0`/`1` = run on the engine's free workers). The
-    /// canonical MEM set is byte-identical for every shard count — see
+    /// Also report each query's matching statistics as split over this
+    /// many devices (`0`/`1` = no split): one
+    /// [`GpumemStats::shard_matching`] entry per shard, the sum of its
+    /// tile rows' statistics under [`ShardPlan::from_row_masses`]. The
+    /// query runs on the engine's free workers like any other — see
     /// [`crate::shard`].
     pub shards: usize,
-    /// Run under a different seed-sampling mode than the engine's base
-    /// configuration (e.g. probe the copMEM-style dual grid for one
-    /// request). Validated like a fresh configuration.
-    pub seed_mode: Option<SeedMode>,
 }
 
 /// One unit of work for [`Engine::execute`]: what to run plus how.
@@ -552,7 +539,6 @@ pub struct EngineBuilder {
     name: Option<String>,
     clock: Option<Arc<dyn TelemetryClock>>,
     events: Option<Arc<dyn EventSink>>,
-    warp_floor: Option<f64>,
 }
 
 impl EngineBuilder {
@@ -579,9 +565,8 @@ impl EngineBuilder {
 
     /// Host the engine's session in `registry`: the session is
     /// registered (deduplicated against existing entries) and pinned
-    /// for the engine's lifetime, per-request seed-mode override
-    /// sessions share the registry's byte budget, and
-    /// [`Engine::metrics`] carries the registry counters.
+    /// for the engine's lifetime, and [`Engine::metrics`] carries the
+    /// registry counters.
     pub fn registry(mut self, registry: Arc<Registry>) -> Self {
         self.registry = Some(registry);
         self
@@ -604,7 +589,7 @@ impl EngineBuilder {
     }
 
     /// Attach a journal sink: the engine emits `run_start`/`run_end`,
-    /// `index_build`, `shard_dispatch`, and `anomaly` events into it.
+    /// `index_build` and `shard_dispatch` events into it.
     /// With no sink attached the event path is a single branch — runs
     /// are byte-identical to a sink-less engine. Note this wires the
     /// *engine* only; call [`Registry::set_event_sink`] to also journal
@@ -614,20 +599,11 @@ impl EngineBuilder {
         self
     }
 
-    /// Emit an `anomaly` event after any run whose matching warp
-    /// efficiency falls below `floor` (only meaningful with
-    /// [`EngineBuilder::event_sink`]).
-    pub fn warp_efficiency_floor(mut self, floor: f64) -> Self {
-        self.warp_floor = Some(floor);
-        self
-    }
-
     /// Validate and assemble the engine.
     pub fn build(self) -> Result<Engine, RunError> {
         let telemetry = EngineTelemetry {
             clock: self.clock.unwrap_or_else(|| Arc::new(WallClock::new())),
             events: self.events,
-            warp_floor: self.warp_floor,
         };
         let config = self.config.unwrap_or_else(|| {
             GpumemConfig::builder(20)
@@ -661,11 +637,10 @@ impl EngineBuilder {
 }
 
 /// The engine's telemetry attachment: the clock behind `uptime_s` and
-/// event timestamps, the optional journal sink, and anomaly floors.
+/// event timestamps, and the optional journal sink.
 struct EngineTelemetry {
     clock: Arc<dyn TelemetryClock>,
     events: Option<Arc<dyn EventSink>>,
-    warp_floor: Option<f64>,
 }
 
 /// The serving engine: a [`RefSession`] bound to a pool of query
@@ -684,22 +659,10 @@ pub struct Engine {
     build_wait: Mutex<Duration>,
     matching_totals: Mutex<LaunchStats>,
     shard_health: Mutex<ShardHealth>,
-    /// The base session's pin in the hosting registry, held for the
+    /// The session's pin in the hosting registry, held for the
     /// engine's lifetime.
     pin: Option<PinnedSession>,
     telemetry: EngineTelemetry,
-    /// Sessions materialized for per-request seed-mode overrides on
-    /// registry-less engines (registry-hosted engines route overrides
-    /// through the registry so they share its byte budget).
-    overrides: Mutex<HashMap<GpumemConfig, Arc<RefSession>>>,
-}
-
-/// The resolved (session, config) pair one [`Engine::execute`] call
-/// runs under; holds the override session's pin for the duration.
-struct ResolvedRun {
-    session: Arc<RefSession>,
-    config: GpumemConfig,
-    _pin: Option<PinnedSession>,
 }
 
 impl Engine {
@@ -714,7 +677,6 @@ impl Engine {
             name: None,
             clock: None,
             events: None,
-            warp_floor: None,
         }
     }
 
@@ -747,7 +709,6 @@ impl Engine {
             shard_health: Mutex::new(ShardHealth::default()),
             pin,
             telemetry,
-            overrides: Mutex::new(HashMap::new()),
         }
     }
 
@@ -761,25 +722,7 @@ impl Engine {
         }
     }
 
-    /// Emit threshold-crossing anomaly events for one run's stats.
-    fn check_anomalies(&self, stats: &GpumemStats) {
-        if self.telemetry.events.is_none() {
-            return;
-        }
-        if let Some(floor) = self.telemetry.warp_floor {
-            let eff = stats.matching.warp_efficiency(self.spec.warp_size);
-            if eff < floor {
-                self.emit(|ts| {
-                    Event::new("anomaly", ts)
-                        .with_str("metric", "warp_efficiency")
-                        .with_f64("value", eff)
-                        .with_f64("floor", floor)
-                });
-            }
-        }
-    }
-
-    /// The engine's base session.
+    /// The engine's session.
     pub fn session(&self) -> &Arc<RefSession> {
         &self.session
     }
@@ -835,18 +778,13 @@ impl Engine {
         self.session.warm(&worker.device)
     }
 
-    /// `session`'s index of `row`, for a request on `device`. Times the
-    /// acquisition — building a cold row, or waiting on another
+    /// The session's index of `row`, for a request on `device`. Times
+    /// the acquisition — building a cold row, or waiting on another
     /// request's in-flight build of the same row — and journals each
     /// build.
-    fn acquire_row(
-        &self,
-        session: &RefSession,
-        device: &Device,
-        row: usize,
-    ) -> (SharedSeedLookup, LaunchStats) {
+    fn acquire_row(&self, device: &Device, row: usize) -> (SharedSeedLookup, LaunchStats) {
         let t = Instant::now();
-        let out = session.row_index(device, row);
+        let out = self.session.row_index(device, row);
         *self.build_wait.lock() += t.elapsed();
         // A cached row reports default (zero-launch) stats, so
         // launches > 0 is exactly "this call built the index".
@@ -879,10 +817,10 @@ impl Engine {
     }
 
     /// Account one completed query to the latency histogram, the
-    /// workers it `held` (first the one it checked out first; none for a
-    /// sharded query), and — when registry-hosted — the registry's LRU
-    /// clock (which also enforces the byte budget, charging any rows the
-    /// query lazily built).
+    /// workers it `held` (first the one it checked out first), and —
+    /// when registry-hosted — the registry's LRU clock (which also
+    /// enforces the byte budget, charging any rows the query lazily
+    /// built).
     fn record_query(&self, held: &[(usize, MutexGuard<'_, Worker>)], latency: Duration) {
         let busy = u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX);
         for (n, &(w, _)) in held.iter().enumerate() {
@@ -897,122 +835,49 @@ impl Engine {
         }
     }
 
-    /// Resolve a request's options into the (session, config) pair to
-    /// run under. A seed-mode override needs its own index layout, so it
-    /// resolves to a separate session — through the registry (budgeted,
-    /// pinned for the call) when hosted, else a per-engine cache — and
-    /// runs under that session's re-derived configuration.
-    fn resolve_options(&self, opts: &RunOptions) -> Result<ResolvedRun, RunError> {
-        let base = self.session.config();
-        match opts.seed_mode {
-            Some(mode) if mode != base.seed_mode => {
-                // Re-derive through the validating builder: the seed
-                // mode dictates step and therefore the tile geometry.
-                let config = GpumemConfig::builder(base.min_len)
-                    .seed_len(base.seed_len)
-                    .seed_mode(mode)
-                    .threads_per_block(base.threads_per_block)
-                    .blocks_per_tile(base.blocks_per_tile)
-                    .load_balancing(base.load_balancing)
-                    .index_kind(base.index_kind)
-                    .build()
-                    .map_err(|e| RunError::InvalidOptions(e.to_string()))?;
-                let (session, pin) = self.override_session(config.clone())?;
-                Ok(ResolvedRun {
-                    session,
-                    config,
-                    _pin: pin,
-                })
-            }
-            _ => Ok(ResolvedRun {
-                session: Arc::clone(&self.session),
-                config: base.clone(),
-                _pin: None,
-            }),
-        }
-    }
-
-    /// The cached session for an overridden index layout.
-    fn override_session(
-        &self,
-        session_config: GpumemConfig,
-    ) -> Result<(Arc<RefSession>, Option<PinnedSession>), RunError> {
-        if let Some(pin) = &self.pin {
-            let registry = pin.registry();
-            let handle = registry.add(
-                "seed-mode-override",
-                Arc::clone(self.session.reference_arc()),
-                session_config,
-            )?;
-            let pin = registry.pin(handle).expect("freshly added handle resolves");
-            let session = Arc::clone(pin.session());
-            return Ok((session, Some(pin)));
-        }
-        let mut overrides = self.overrides.lock();
-        if let Some(session) = overrides.get(&session_config) {
-            return Ok((Arc::clone(session), None));
-        }
-        let session = Arc::new(RefSession::new(
-            Arc::clone(self.session.reference_arc()),
-            session_config.clone(),
-            &self.spec,
-        )?);
-        overrides.insert(session_config, Arc::clone(&session));
-        Ok((session, None))
-    }
-
     /// The run surface: execute every query of `request` under its
     /// options, one query at a time, returning one [`RunOutput`] per
     /// query in order. Every modeled statistic and the MEM set are what
-    /// one device would report, however many devices ran the rows.
+    /// one device would report, however many workers ran the rows.
     ///
-    /// Each query runs through `pipeline::gather_rows`: every device
-    /// runs its share of the tile rows with its own scratch, and their
-    /// out-tile fragments are host-merged once. Where the devices come
-    /// from is what the options choose:
+    /// Each query runs through `pipeline::gather_rows` on the workers
+    /// free when it arrives, up to those whose buffer pools fit the
+    /// replica budget (one at the dense default ℓs = 13) and one per
+    /// row: the first worker it checks out on the calling thread, the
+    /// others on scoped host threads, each with its own device and
+    /// scratch; their out-tile fragments are host-merged once. Only the
+    /// first worker is waited for, so concurrent callers spread over the
+    /// pool, and a query that finds one worker free runs on the calling
+    /// thread alone. Traced on one worker, the query is one `Run` span
+    /// named `"query"`; on several, each worker's rows sit under
+    /// `"worker {w}"` on a track of its own and the host merge under the
+    /// calling thread's `"query"` span.
     ///
-    /// * by default, the workers free when the query arrives, up to those
-    ///   whose buffer pools fit the replica budget (one at the dense
-    ///   default ℓs = 13) and one per row: the first worker it checks out
-    ///   on the calling thread, the others on scoped host threads. Only
-    ///   the first worker is waited for, so concurrent callers spread over
-    ///   the pool, and a query that finds one worker free runs on the
-    ///   calling thread alone. Traced on one worker, the query is one
-    ///   `Run` span named `"query"`; on several, each worker's rows sit
-    ///   under `"worker {w}"` on a track of its own and the host merge
-    ///   under the calling thread's `"query"` span.
-    /// * with [`RunOptions::shards`] ≥ 2, one fresh device per shard; the
-    ///   query holds no worker. Traced, each shard's rows sit under
-    ///   `"shard {s}"` and the host merge under `"run"`. See
-    ///   [`crate::shard`] for why the result is byte-identical.
+    /// With [`RunOptions::shards`] = n ≥ 2 the query runs the same way,
+    /// and its matching statistics are also split the way n devices
+    /// would have run its rows: tile rows are independent, so each
+    /// shard's figures are the sum of its rows' (see [`crate::shard`]).
     pub fn execute(&self, request: &RunRequest<'_>) -> Vec<Result<RunOutput, RunError>> {
         let opts = &request.options;
-        let n = match request.queries {
-            Queries::One(_) => 1,
-            Queries::Set(set) => set.records.len(),
-        };
-        let resolved = match self.resolve_options(opts) {
-            Ok(resolved) => resolved,
-            Err(e) => return (0..n).map(|_| Err(e.clone())).collect(),
-        };
         let run = |query: &PackedSeq| {
             ensure_sort_key(query)?;
-            Ok(self.run_query(query, &resolved, opts))
+            Ok(self.run_query(query, opts))
         };
         match request.queries {
             Queries::One(query) => vec![run(query)],
-            Queries::Set(set) => (0..n).map(|i| run(&set.record_seq(i))).collect(),
+            Queries::Set(set) => (0..set.records.len())
+                .map(|i| run(&set.record_seq(i)))
+                .collect(),
         }
     }
 
     /// One query of [`Engine::execute`].
-    fn run_query(&self, query: &PackedSeq, resolved: &ResolvedRun, opts: &RunOptions) -> RunOutput {
-        let (session, config) = (&resolved.session, &resolved.config);
-        let sharded = opts.shards >= 2;
+    fn run_query(&self, query: &PackedSeq, opts: &RunOptions) -> RunOutput {
+        let config = self.session.config();
         let t0 = Instant::now();
         self.emit(|ts| {
             let event = Event::new("run_start", ts).with_u64("query_len", query.len() as u64);
-            if sharded {
+            if opts.shards >= 2 {
                 event.with_u64("shards", opts.shards as u64)
             } else {
                 event
@@ -1021,28 +886,9 @@ impl Engine {
         // Row mass ∝ reference bases covered (the last row may be
         // short); occurrence-accurate masses would need the indexes
         // built up front, defeating lazy residency.
-        let masses = row_masses(config, session.reference(), query);
-        // A sharded request runs on fresh devices, one per shard, and
-        // holds no worker; any other on the workers free when it arrives.
-        let fresh = if sharded { opts.shards } else { 0 };
-        let shard_devices: Vec<Device> =
-            (0..fresh).map(|_| Device::new(self.spec.clone())).collect();
-        let mut shard_scratch: Vec<TileScratch> = shard_devices
-            .iter()
-            .map(|_| TileScratch::new(config))
-            .collect();
-        let mut held = if sharded {
-            Vec::new()
-        } else {
-            self.checkout(self.workers_per_request(config).min(masses.len()).max(1))
-        };
-        let mut workers = RowWorker::zip(&shard_devices, &mut shard_scratch);
-        workers.extend(held.iter_mut().map(|(_, worker)| {
-            let Worker { device, scratch } = &mut **worker;
-            RowWorker { device, scratch }
-        }));
-        let plan = ShardPlan::from_row_masses(workers.len(), &masses);
-        if sharded {
+        let masses = row_masses(config, self.session.reference(), query);
+        let shards = (opts.shards >= 2).then(|| ShardPlan::from_row_masses(opts.shards, &masses));
+        if let Some(plan) = &shards {
             for s in 0..plan.n_shards() {
                 self.emit(|ts| {
                     Event::new("shard_dispatch", ts)
@@ -1051,38 +897,43 @@ impl Engine {
                 });
             }
         }
-        // The free workers stand for one device: their pools fold into
-        // its footprint. Shards stay devices of their own.
+        let mut held = self.checkout(self.workers_per_request(config).min(masses.len()).max(1));
+        let mut workers: Vec<RowWorker<'_>> = held
+            .iter_mut()
+            .map(|(_, worker)| {
+                let Worker { device, scratch } = &mut **worker;
+                RowWorker { device, scratch }
+            })
+            .collect();
+        let plan = ShardPlan::from_row_masses(workers.len(), &masses);
         let pools: Vec<&Device> = workers.iter().map(|worker| worker.device).collect();
-        let (span, run_span) = if sharded {
-            ("shard", "run")
-        } else {
-            ("worker", "query")
-        };
         let row_index =
-            |device: &Device, row: usize, _region: Region| self.acquire_row(session, device, row);
+            |device: &Device, row: usize, _region: Region| self.acquire_row(device, row);
         let gathered = gather_rows(
             &mut workers,
             &plan,
-            span,
-            run_span,
+            "query",
             config,
-            session.reference(),
+            self.session.reference(),
             query,
             &row_index,
             opts.trace,
-            (!sharded).then_some(&pools[..]),
+            &pools,
         );
         let GpumemResult { mems, mut stats } = gathered.result;
-        if sharded {
-            stats.shard_matching = gathered.workers.into_iter().map(|s| s.matching).collect();
+        if let Some(shards) = &shards {
+            stats.shard_matching = (0..shards.n_shards())
+                .map(|s| {
+                    let rows = shards.rows(s).iter();
+                    rows.map(|&row| gathered.row_matching[row].clone()).sum()
+                })
+                .collect();
             self.shard_health.lock().record(&stats.shard_matching);
         }
         *self.matching_totals.lock() += stats.matching.clone();
         self.record_query(&held, t0.elapsed());
         drop(held);
         self.emit_run_end(query, &stats, mems.len());
-        self.check_anomalies(&stats);
         RunOutput {
             result: GpumemResult { mems, stats },
             trace: gathered.trace,
@@ -1475,16 +1326,18 @@ mod tests {
         }
     }
 
+    /// Counts the launches of the device it observes.
+    #[derive(Default)]
+    struct Count(AtomicU64);
+
+    impl gpu_sim::LaunchObserver for Count {
+        fn on_launch(&self, _: gpu_sim::LaunchRecord<'_>) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     #[test]
     fn engine_split_reaches_an_idle_worker() {
-        use std::sync::atomic::AtomicU64;
-        #[derive(Default)]
-        struct Count(AtomicU64);
-        impl gpu_sim::LaunchObserver for Count {
-            fn on_launch(&self, _: gpu_sim::LaunchRecord<'_>) {
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-        }
         let reference = GenomeModel::mammalian().generate(2_000, 811);
         let engine = engine_of(&reference, config(16), 2);
         let count = Arc::new(Count::default());
@@ -1548,26 +1401,24 @@ mod tests {
     }
 
     #[test]
-    fn sharded_request_holds_no_worker() {
+    fn sharded_request_launches_on_the_workers() {
         let reference = GenomeModel::mammalian().generate(2_000, 813);
         let engine = engine_of(&reference, config(16), 1);
+        let count = Arc::new(Count::default());
+        engine.workers[0]
+            .lock()
+            .device
+            .set_observer(Some(count.clone()));
         let q = GenomeModel::mammalian().generate(1_000, 814);
-        let expect = engine.run(&q).unwrap().mems;
-        let held = engine.workers[0].lock();
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::scope(|s| {
-            s.spawn(|| tx.send(run_one(&engine, &q, sharded(2)).result.mems));
-            let reply = rx.recv_timeout(Duration::from_secs(60));
-            // Release worker 0 before judging, so a request queued on it
-            // finishes and the scope can join.
-            drop(held);
-            let mems = reply.expect("sharded request blocked on the held worker 0");
-            assert_eq!(mems, expect);
-        });
+        let stats = run_one(&engine, &q, sharded(2)).result.stats;
+        assert!(stats.index.launches > 0, "a cold request builds its rows");
+        assert_eq!(
+            count.0.load(Ordering::Relaxed),
+            stats.index.launches + stats.matching.launches,
+            "every launch of the sharded request ran on worker 0"
+        );
         let m = engine.metrics();
-        assert_eq!(m.queries, 2, "the sharded request counts as a query");
-        assert_eq!(m.latency.count, 2);
-        assert_eq!(m.workers[0].queries, 1, "only the unsharded request");
+        assert_eq!(m.workers[0].queries, 1, "the request held worker 0");
     }
 
     #[test]
@@ -1637,7 +1488,7 @@ mod tests {
     fn sharded_traced_run_merges_shard_traces() {
         let reference = GenomeModel::mammalian().generate(2_000, 838);
         let query = GenomeModel::mammalian().generate(1_200, 839);
-        let engine = engine_of(&reference, config(16), 1);
+        let engine = engine_of(&reference, config(16), 2);
         let single = engine.run(&query).unwrap();
         let options = RunOptions {
             trace: true,
@@ -1645,54 +1496,18 @@ mod tests {
         };
         let out = run_one(&engine, &query, options);
         assert_eq!(out.result.mems, single.mems);
+        let stats = &out.result.stats;
         let trace = out.trace.expect("traced shard run yields a trace");
-        let shard_spans: Vec<_> = trace
-            .spans()
-            .iter()
-            .filter(|s| s.cat == SpanCat::Run && s.name.starts_with("shard "))
-            .collect();
-        assert_eq!(shard_spans.len(), 2, "one span per shard");
-    }
-
-    #[test]
-    fn run_options_override_seed_mode() {
-        use gpumem_index::SeedMode;
-        let reference = GenomeModel::mammalian().generate(2_500, 840);
-        let query = GenomeModel::mammalian().generate(1_500, 841);
-        let engine = engine_of(&reference, config(25), 1);
-
-        // A seed-mode override answers exactly like an engine built
-        // with that mode, and materializes exactly one extra session.
-        let mode = SeedMode::DualSampled { k1: 4, k2: 3 };
-        let options = RunOptions {
-            seed_mode: Some(mode),
-            ..RunOptions::default()
-        };
-        let overridden = engine
-            .execute(&RunRequest::query(&query).options(options.clone()))
-            .pop()
-            .unwrap()
-            .unwrap();
-        let dual_cfg = GpumemConfig::builder(25)
-            .seed_len(8)
-            .threads_per_block(8)
-            .blocks_per_tile(2)
-            .seed_mode(mode)
-            .build()
-            .unwrap();
-        let dual_engine = engine_of(&reference, dual_cfg, 1);
-        assert_eq!(
-            overridden.result.mems,
-            dual_engine.run(&query).unwrap().mems
-        );
-        assert_eq!(overridden.result.mems, naive_mems(&reference, &query, 25));
-        // Repeating the override reuses the cached session.
-        engine
-            .execute(&RunRequest::query(&query).options(options))
-            .pop()
-            .unwrap()
-            .unwrap();
-        assert_eq!(engine.overrides.lock().len(), 1);
+        let mut expected = stats.index.clone();
+        expected += stats.matching.clone();
+        assert_eq!(trace.stage_totals(), expected, "stage spans reconcile");
+        // The shards split the matching launches and sum back to them;
+        // only the pool gauge is the folded one-device footprint.
+        assert_eq!(stats.shard_matching.len(), 2);
+        let mut shards: LaunchStats = stats.shard_matching.iter().cloned().sum();
+        assert!(shards.pool_peak_bytes <= stats.matching.pool_peak_bytes);
+        shards.pool_peak_bytes = stats.matching.pool_peak_bytes;
+        assert_eq!(shards, stats.matching, "shard_matching sums to matching");
     }
 
     #[test]

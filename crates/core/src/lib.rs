@@ -20,10 +20,11 @@
 //!   a [`gpu_sim::Device`];
 //! * [`engine`] — the serving layer: cached [`RefSession`] reference
 //!   indexes and the [`Engine`] with per-worker devices/scratch, whose
-//!   one request path [`Engine::execute`] serves one query or a set,
-//!   traced or not, on the free workers or split over shards;
+//!   one request path [`Engine::execute`] serves one query or a set on
+//!   the free workers, traced or not, with or without a modeled shard
+//!   split;
 //! * [`registry`] / [`shard`] — many references under one byte budget,
-//!   and the row placement a sharded request runs;
+//!   and the row placement a shard split sums;
 //! * [`trace`] — the observability layer: hierarchical run spans with
 //!   exact per-stage device statistics, Chrome Trace Event export, and
 //!   the human-readable profile report;

@@ -55,11 +55,6 @@ pub enum RunError {
         /// The device's global memory capacity in bytes.
         capacity: u64,
     },
-    /// A [`RunRequest`](crate::engine::RunRequest) carried options the
-    /// engine cannot honor (conflicting builder inputs, a seed-mode
-    /// override that fails config validation, a shard plan that does
-    /// not cover the run's tile rows, …).
-    InvalidOptions(String),
 }
 
 impl std::fmt::Display for RunError {
@@ -74,7 +69,6 @@ impl std::fmt::Display for RunError {
                 "tile working set (~{estimate} bytes) exceeds device memory ({capacity} bytes); \
                  reduce blocks_per_tile or seed_len"
             ),
-            RunError::InvalidOptions(why) => write!(f, "invalid run options: {why}"),
         }
     }
 }
@@ -229,7 +223,8 @@ pub struct GpumemStats {
     pub matching: LaunchStats,
     /// Host time spent simulating index construction. When a run's tile
     /// rows are simulated on several host threads (see [`Gpumem::run`]
-    /// and sharded engine runs), this is the sum over the threads, so
+    /// and [`Engine::execute`](crate::engine::Engine::execute)), this is
+    /// the sum over the threads, so
     /// `index_wall + match_wall` may exceed the run's wall time.
     pub index_wall: Duration,
     /// Host time spent simulating extraction, including the host merge
@@ -242,32 +237,15 @@ pub struct GpumemStats {
     pub rows: usize,
     /// Number of tile columns.
     pub cols: usize,
-    /// Per-shard extraction statistics of a sharded run, one entry per
-    /// shard in shard order; empty for single-device runs. `matching`
-    /// is their sum, but the per-shard split is what a speedup model
-    /// needs: the sharded critical path is the *slowest* shard.
+    /// Extraction statistics of an engine request with
+    /// [`RunOptions::shards`](crate::engine::RunOptions) = n ≥ 2, split
+    /// as if its tile rows had run on n devices: one entry per shard in
+    /// shard order, each the sum of its rows' statistics; empty
+    /// otherwise. `matching` is their sum (but for `pool_peak_bytes`,
+    /// the one-device footprint), yet the per-shard split is what a
+    /// speedup model needs: the sharded critical path is the *slowest*
+    /// shard.
     pub shard_matching: Vec<LaunchStats>,
-}
-
-impl GpumemStats {
-    /// Max/mean per-shard modeled matching time of a sharded run — the
-    /// load-imbalance ratio (1.0 = perfectly balanced; also 1.0 for
-    /// single-device runs, where there is nothing to imbalance).
-    pub fn shard_imbalance(&self) -> f64 {
-        if self.shard_matching.is_empty() {
-            return 1.0;
-        }
-        let times: Vec<f64> = self
-            .shard_matching
-            .iter()
-            .map(LaunchStats::modeled_secs)
-            .collect();
-        let mean = times.iter().sum::<f64>() / times.len() as f64;
-        if mean <= 0.0 {
-            return 1.0;
-        }
-        times.iter().copied().fold(0.0, f64::max) / mean
-    }
 }
 
 impl std::fmt::Display for GpumemStats {
@@ -314,8 +292,9 @@ pub struct GpumemResult {
 /// tile rows `rows`, handing each non-empty batch of in-block or in-tile
 /// MEMs to `out` as its stage completes, and leaving the produced
 /// out-tile fragments in `scratch.out_tile` for a later
-/// [`finish_global`]. `query_codes` holds the seed code of every query
-/// position ([`encode_query_seeds`]). Out-tile fragments are per-tile
+/// [`finish_global`]. Returns the rows' statistics and, per row, its
+/// extraction statistics. `query_codes` holds the seed code of every
+/// query position ([`encode_query_seeds`]). Out-tile fragments are per-tile
 /// products — independent of which device runs the tile — so
 /// concatenating the fragments of disjoint row subsets and host-merging
 /// them once reproduces the single-device output exactly.
@@ -331,8 +310,9 @@ fn run_tile_rows(
     out: &mut dyn FnMut(&[Mem]),
     trace: Option<&TraceRecorder>,
     rows: &[usize],
-) -> GpumemStats {
+) -> (GpumemStats, Vec<RowMatching>) {
     let mut stats = GpumemStats::default();
+    let mut per_row = Vec::with_capacity(rows.len());
     scratch.out_tile.clear();
 
     if reference.len() >= config.seed_len && !query.is_empty() {
@@ -365,6 +345,7 @@ fn run_tile_rows(
             stats.index += istats;
             stats.index_wall += t0.elapsed();
 
+            let mut matching = LaunchStats::default();
             for col in 0..tiling.n_cols() {
                 let t1 = Instant::now();
                 let tile_span =
@@ -400,7 +381,7 @@ fn run_tile_rows(
                 if let (Some(t), Some(id)) = (trace, batch_span) {
                     t.end_with_stats(id, launch.clone());
                 }
-                stats.matching += launch;
+                matching += launch;
 
                 stats.counts.in_block += scratch.blocks_out.in_block.len();
                 if !scratch.blocks_out.in_block.is_empty() {
@@ -439,7 +420,7 @@ fn run_tile_rows(
                     if let (Some(t), Some(id)) = (trace, merge_span) {
                         t.end_with_stats(id, launch.clone());
                     }
-                    stats.matching += launch;
+                    matching += launch;
                     stats.counts.in_tile += scratch.tile_out.in_tile.len();
                     if !scratch.tile_out.in_tile.is_empty() {
                         out(&scratch.tile_out.in_tile);
@@ -453,13 +434,15 @@ fn run_tile_rows(
                     t.end(id);
                 }
             }
+            stats.matching += matching.clone();
+            per_row.push((row, matching));
             if let (Some(t), Some(id)) = (trace, row_span) {
                 t.end(id);
             }
         }
     }
 
-    stats
+    (stats, per_row)
 }
 
 /// Host merge of out-tile fragments (§III-C2) — the closing half of
@@ -496,6 +479,9 @@ fn finish_global(
     }
     stats.match_wall += t2.elapsed();
 }
+
+/// A tile row and its extraction statistics.
+type RowMatching = (usize, LaunchStats);
 
 /// A tile row's partial index on a worker's device: built fresh, or
 /// served from a session cache with zero launch stats.
@@ -562,6 +548,7 @@ impl<'a> RowWorker<'a> {
 /// One worker's share of a gathered run.
 struct WorkerRun {
     stats: GpumemStats,
+    rows: Vec<RowMatching>,
     trace: Option<Trace>,
 }
 
@@ -574,8 +561,8 @@ impl RowJob<'_> {
         rows: &[usize],
         trace: Option<&TraceRecorder>,
         out: &mut dyn FnMut(&[Mem]),
-    ) -> GpumemStats {
-        run_tile_rows(
+    ) -> WorkerRun {
+        let (stats, rows) = run_tile_rows(
             worker.device,
             self.config,
             self.reference,
@@ -586,7 +573,12 @@ impl RowJob<'_> {
             out,
             trace,
             rows,
-        )
+        );
+        WorkerRun {
+            stats,
+            rows,
+            trace: None,
+        }
     }
 
     /// [`RowJob::run`] as one worker of several. A traced worker
@@ -608,13 +600,13 @@ impl RowJob<'_> {
             (recorder, id, previous)
         });
         let trace = recorder.as_ref().map(|(recorder, ..)| &**recorder);
-        let stats = self.run(worker, rows, trace, out);
+        let run = self.run(worker, rows, trace, out);
         let trace = recorder.map(|(recorder, id, previous)| {
             recorder.end(id);
             device.set_observer(previous);
             recorder.snapshot()
         });
-        WorkerRun { stats, trace }
+        WorkerRun { trace, ..run }
     }
 }
 
@@ -623,8 +615,9 @@ pub(crate) struct Gathered {
     /// Canonical MEMs, and the workers' statistics summed in worker
     /// order plus the host merge and the canonicalization.
     pub(crate) result: GpumemResult,
-    /// Each worker's own statistics, in worker order.
-    pub(crate) workers: Vec<GpumemStats>,
+    /// Each tile row's extraction statistics, indexed by row: what any
+    /// split of the rows over devices sums per device.
+    pub(crate) row_matching: Vec<LaunchStats>,
     /// With tracing: one track per worker, then the calling thread's
     /// (a single track when one worker ran on the calling thread).
     pub(crate) trace: Option<Trace>,
@@ -644,29 +637,27 @@ pub(crate) struct Gathered {
 /// workers instead take turns on the calling thread, the only thread a
 /// session instruments. The query's seed codes are encoded once and
 /// shared. Traced workers record on their own devices, their rows under
-/// one `Run` span named `"{span} {w}"`; the host merge and the
+/// one `Run` span named `"worker {w}"`; the host merge and the
 /// canonicalization sit under the calling thread's `Run` span, named
 /// `run_span`. A one-worker run is that one span. A traced device's own
 /// observer, if any, is set aside while its rows run and put back
 /// afterwards.
 ///
-/// `fold` names the devices whose pools fold into one device's
-/// footprint ([`folded_pool_bytes`]): the run's `pool_peak_bytes`
-/// becomes that footprint, carried in the trace by the host merge's
-/// stage span. Without it, the workers' gauges merge by max, one
-/// footprint per device.
+/// The workers stand for one device: `pools` names the devices whose
+/// pools fold into its footprint ([`folded_pool_bytes`]), which becomes
+/// the run's `pool_peak_bytes`, carried in the trace by the host
+/// merge's stage span.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gather_rows(
     workers: &mut [RowWorker<'_>],
     plan: &ShardPlan,
-    span: &str,
     run_span: &str,
     config: &GpumemConfig,
     reference: &PackedSeq,
     query: &PackedSeq,
     row_index: &RowIndexFn<'_>,
     traced: bool,
-    fold: Option<&[&Device]>,
+    pools: &[&Device],
 ) -> Gathered {
     debug_assert_eq!(workers.len(), plan.n_shards(), "one worker per shard");
     let mut query_codes = Vec::new();
@@ -691,13 +682,13 @@ pub(crate) fn gather_rows(
             device.set_observer(Some(crate::trace::as_observer(host)));
             host.begin(run_span, SpanCat::Run)
         });
-        let stats = job.run(worker, plan.rows(0), host.as_deref(), &mut collect);
+        let run = job.run(worker, plan.rows(0), host.as_deref(), &mut collect);
         if host.is_some() {
             device.set_observer(previous);
         }
-        (vec![WorkerRun { stats, trace: None }], run_span)
+        (vec![run], run_span)
     } else {
-        let span_of = |w: usize| traced.then(|| format!("{span} {w}"));
+        let span_of = |w: usize| traced.then(|| format!("worker {w}"));
         let runs: Vec<WorkerRun> = if gpu_sim::sanitizer::enabled() {
             workers
                 .iter_mut()
@@ -748,12 +739,12 @@ pub(crate) fn gather_rows(
     let mut stats = GpumemStats::default();
     let mut fragments = Vec::new();
     let mut traces = Vec::new();
-    let mut worker_stats = Vec::with_capacity(runs.len());
+    let mut row_matching = Vec::new();
     for (run, worker) in runs.into_iter().zip(workers.iter_mut()) {
-        let s = &run.stats;
+        let s = run.stats;
         (stats.rows, stats.cols) = (s.rows, s.cols);
-        stats.index += s.index.clone();
-        stats.matching += s.matching.clone();
+        stats.index += s.index;
+        stats.matching += s.matching;
         stats.index_wall += s.index_wall;
         stats.match_wall += s.match_wall;
         stats.counts.in_block += s.counts.in_block;
@@ -761,21 +752,20 @@ pub(crate) fn gather_rows(
         stats.counts.in_tile += s.counts.in_tile;
         fragments.append(&mut worker.scratch.out_tile);
         traces.extend(run.trace);
-        worker_stats.push(run.stats);
+        row_matching.extend(run.rows);
     }
+    row_matching.sort_unstable_by_key(|&(row, _)| row);
 
-    let launched = stats.index.launches + stats.matching.launches > 0;
-    let footprint = match fold {
-        Some(pools) if launched => {
-            let bytes = folded_pool_bytes(pools);
-            for s in [&mut stats.index, &mut stats.matching] {
-                if s.launches > 0 {
-                    s.pool_peak_bytes = bytes;
-                }
+    let footprint = if stats.index.launches + stats.matching.launches > 0 {
+        let bytes = folded_pool_bytes(pools);
+        for s in [&mut stats.index, &mut stats.matching] {
+            if s.launches > 0 {
+                s.pool_peak_bytes = bytes;
             }
-            bytes
         }
-        _ => 0,
+        bytes
+    } else {
+        0
     };
     finish_global(
         reference,
@@ -808,7 +798,7 @@ pub(crate) fn gather_rows(
     });
     Gathered {
         result: GpumemResult { mems, stats },
-        workers: worker_stats,
+        row_matching: row_matching.into_iter().map(|(_, s)| s).collect(),
         trace,
     }
 }
@@ -978,14 +968,13 @@ impl Gpumem {
         let gathered = gather_rows(
             &mut RowWorker::zip(&self.devices, &mut scratch),
             &plan,
-            "worker",
             "run",
             &self.config,
             reference,
             query,
             &row_index,
             traced,
-            Some(&pools),
+            &pools,
         );
         for replica in replicas {
             replica.set_observer(None);
@@ -1481,18 +1470,18 @@ pub(crate) mod tests {
             assert!(row != last, "row {row} refused");
             build_row_index(device, gpumem.config(), &reference, region)
         };
+        let pools: Vec<&Device> = devices.iter().collect();
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             gather_rows(
                 &mut workers,
                 &plan,
-                "worker",
                 "run",
                 gpumem.config(),
                 &reference,
                 &reference,
                 &row_index,
                 false,
-                None,
+                &pools,
             )
         }))
         .err()
@@ -1527,8 +1516,7 @@ pub(crate) mod tests {
         (PackedSeq::from_codes(&codes), query, config)
     }
 
-    /// The MEMs of `plan`'s rows gathered on one fresh device per shard,
-    /// as a sharded engine request runs them.
+    /// The MEMs of `plan`'s rows gathered on one fresh device per shard.
     pub(crate) fn gather_plan(
         plan: &ShardPlan,
         config: &GpumemConfig,
@@ -1543,17 +1531,17 @@ pub(crate) mod tests {
         let row_index = |device: &Device, _row: usize, region: Region| {
             build_row_index(device, config, reference, region)
         };
+        let pools: Vec<&Device> = devices.iter().collect();
         gather_rows(
             &mut RowWorker::zip(&devices, &mut scratch),
             plan,
-            "shard",
             "run",
             config,
             reference,
             query,
             &row_index,
             false,
-            None,
+            &pools,
         )
         .result
         .mems

@@ -126,8 +126,8 @@ pub struct Registry {
     /// Journal sink for `evict`/`pin`/`unpin` events (none by default —
     /// the zero-cost-off contract).
     events: Mutex<Option<Arc<dyn EventSink>>>,
-    /// Timestamp source for those events.
-    tele_clock: Mutex<Arc<dyn TelemetryClock>>,
+    /// Timestamp source for those events, started at registry creation.
+    tele_clock: WallClock,
 }
 
 impl Registry {
@@ -157,7 +157,7 @@ impl Registry {
             evictions: AtomicU64::new(0),
             peak: AtomicU64::new(0),
             events: Mutex::new(None),
-            tele_clock: Mutex::new(Arc::new(WallClock::new())),
+            tele_clock: WallClock::new(),
         }
     }
 
@@ -169,17 +169,11 @@ impl Registry {
         *self.events.lock() = sink;
     }
 
-    /// Replace the clock behind event timestamps (default: a
-    /// [`WallClock`] started at registry creation).
-    pub fn set_telemetry_clock(&self, clock: Arc<dyn TelemetryClock>) {
-        *self.tele_clock.lock() = clock;
-    }
-
     /// Emit a journal event; a single cheap check when no sink is set.
     fn emit(&self, make: impl FnOnce(f64) -> Event) {
         let sink = self.events.lock().clone();
         if let Some(sink) = sink {
-            let ts = self.tele_clock.lock().now().as_secs_f64();
+            let ts = self.tele_clock.now().as_secs_f64();
             sink.event(&make(ts));
         }
     }

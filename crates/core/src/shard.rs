@@ -1,11 +1,21 @@
-//! Sharded tile-row execution: split one reference's tile rows across
-//! several simulated devices.
+//! Shard plans: how one run's tile rows split across several simulated
+//! devices.
 //!
 //! The paper's §IV loop walks one reference's tile rows on one device.
 //! A row is a self-contained unit of work — it owns its partial index
 //! and its tiles' kernels read nothing outside the row slice — so a
-//! "cluster-shaped" run can hand disjoint row subsets to N devices and
-//! run them concurrently (the SaLoBa-style scatter/gather shape).
+//! "cluster-shaped" run can hand disjoint row subsets to N devices (the
+//! SaLoBa-style scatter/gather shape). A [`ShardPlan`] places the rows
+//! twice over:
+//!
+//! * every run spreads its rows over the devices that simulate them,
+//!   one host thread each: [`Gpumem::run`](crate::Gpumem::run)'s
+//!   replicas, or the engine workers free when a request arrives;
+//! * an engine request with [`RunOptions::shards`](crate::RunOptions)
+//!   = n also reports its matching statistics as n devices would have
+//!   split them. That split is summed, not run: every modeled field of
+//!   a launch is a counter, a `Duration` sum or a max, so a shard's
+//!   figures are exactly the sum of its rows' from the one run.
 //!
 //! ## Why the merged output is byte-identical
 //!

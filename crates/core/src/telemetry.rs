@@ -14,9 +14,9 @@
 //!   straight from the snapshot at scrape time, with stable names,
 //!   optional labels, and a deterministic order;
 //! * [`EventSink`] + [`Event`] — the structured event journal
-//!   (run-lifecycle, index-build, eviction, pin/unpin, shard-dispatch,
-//!   threshold anomalies), with [`JsonlEventSink`] writing one JSON
-//!   object per line and [`MemoryEventSink`] for tests;
+//!   (run-lifecycle, index-build, eviction, pin/unpin, shard-dispatch),
+//!   with [`JsonlEventSink`] writing one JSON object per line and
+//!   [`MemoryEventSink`] for tests;
 //! * [`TelemetryClock`] — the injectable time source
 //!   ([`WallClock`] in production, [`ManualClock`] in golden tests)
 //!   behind `uptime_s` and every event timestamp.
@@ -294,7 +294,7 @@ pub struct Event {
     /// Seconds on the emitting component's [`TelemetryClock`].
     pub ts_s: f64,
     /// The event kind (`run_start`, `run_end`, `index_build`, `evict`,
-    /// `pin`, `unpin`, `shard_dispatch`, `anomaly`, ...).
+    /// `pin`, `unpin`, `shard_dispatch`).
     pub kind: String,
     /// The kind-specific payload, in emission order.
     pub fields: Vec<(String, EventValue)>,

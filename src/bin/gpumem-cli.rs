@@ -23,9 +23,10 @@
 //!                        run on up to n simulated devices, one host
 //!                        thread each (default 1; a dense ℓs = 13
 //!                        index keeps each query on one)
-//!   --shards <n>         split each query's tile rows across n
-//!                        simulated devices and merge (default 1; the
-//!                        merged MEM set is byte-identical to n = 1)
+//!   --shards <n>         split each query's modeled matching statistics
+//!                        over n simulated devices, as `--metrics`
+//!                        reports them (default 1; the query itself
+//!                        runs on the workers and prints the same MEMs)
 //!   --both-strands       also match the reverse complement of the query
 //!   --mum                report only maximal unique matches
 //!   --rare <t>           report matches occurring ≤ t times in each sequence
@@ -150,56 +151,27 @@ fn parse_args(argv: &[String]) -> Result<Options, String> {
             args.next()
                 .ok_or_else(|| format!("missing value for {name}"))
         };
+        let mut count = |name: &str| positive(name, &value(name)?);
         match arg.as_str() {
             "--tool" => opts.tool = value("--tool")?,
             "--min-len" => {
-                opts.min_len = value("--min-len")?
-                    .parse()
+                opts.min_len = count("--min-len")?
+                    .try_into()
                     .map_err(|e| format!("bad --min-len: {e}"))?
             }
-            "--seed-len" => {
-                opts.seed_len = Some(
-                    value("--seed-len")?
-                        .parse()
-                        .map_err(|e| format!("bad --seed-len: {e}"))?,
-                )
-            }
+            "--seed-len" => opts.seed_len = Some(count("--seed-len")?),
             "--seed-mode" => opts.seed_mode = value("--seed-mode")?,
-            "--sparseness" => {
-                opts.sparseness = value("--sparseness")?
-                    .parse()
-                    .map_err(|e| format!("bad --sparseness: {e}"))?
-            }
+            "--sparseness" => opts.sparseness = count("--sparseness")?,
             "--threads" => {
                 opts.threads = value("--threads")?
                     .parse()
                     .map_err(|e| format!("bad --threads: {e}"))?
             }
-            "--query-threads" => {
-                opts.query_threads = value("--query-threads")?
-                    .parse()
-                    .map_err(|e| format!("bad --query-threads: {e}"))?;
-                if opts.query_threads == 0 {
-                    return Err("bad --query-threads: must be positive".into());
-                }
-            }
-            "--shards" => {
-                opts.shards = value("--shards")?
-                    .parse()
-                    .map_err(|e| format!("bad --shards: {e}"))?;
-                if opts.shards == 0 {
-                    return Err("bad --shards: must be positive".into());
-                }
-            }
+            "--query-threads" => opts.query_threads = count("--query-threads")?,
+            "--shards" => opts.shards = count("--shards")?,
             "--both-strands" => opts.both_strands = true,
             "--mum" => opts.mum = true,
-            "--rare" => {
-                opts.rare = Some(
-                    value("--rare")?
-                        .parse()
-                        .map_err(|e| format!("bad --rare: {e}"))?,
-                )
-            }
+            "--rare" => opts.rare = Some(count("--rare")?),
             "--stats" => opts.stats = true,
             "--sanitize" => opts.sanitize = true,
             "--trace" => opts.trace = Some(value("--trace")?),
@@ -210,6 +182,16 @@ fn parse_args(argv: &[String]) -> Result<Options, String> {
             other => positional.push(other.to_string()),
         }
     }
+    // The sparse suffix arrays sample every K-th suffix, so a match
+    // shorter than K can fall between samples.
+    if matches!(opts.tool.as_str(), "essamem" | "sparsemem")
+        && opts.sparseness > opts.min_len as usize
+    {
+        return Err(format!(
+            "bad --sparseness: K = {} must not exceed --min-len {}",
+            opts.sparseness, opts.min_len
+        ));
+    }
     match positional.len() {
         2 => {
             opts.reference = positional.remove(0);
@@ -219,6 +201,15 @@ fn parse_args(argv: &[String]) -> Result<Options, String> {
         n => Err(format!(
             "expected <reference.fa> <query.fa>, got {n} positionals"
         )),
+    }
+}
+
+/// The value `value` of flag `name` as a positive count.
+fn positive(name: &str, value: &str) -> Result<usize, String> {
+    match value.parse() {
+        Ok(0) => Err(format!("bad {name}: must be positive")),
+        Ok(n) => Ok(n),
+        Err(e) => Err(format!("bad {name}: {e}")),
     }
 }
 
@@ -342,7 +333,6 @@ fn run_gpumem(
         let options = RunOptions {
             trace,
             shards: opts.shards,
-            ..RunOptions::default()
         };
         collect_batch(
             queries,
@@ -350,9 +340,9 @@ fn run_gpumem(
         )
     };
 
-    // Each query runs over every free worker (or its shards) and, when
-    // traced, records its own span tree, one track per worker; the
-    // merged trace keeps every query's tracks apart.
+    // Each query runs over every free worker and, when traced, records
+    // its own span tree, one track per worker; the merged trace keeps
+    // every query's tracks apart.
     let tracing = opts.trace.is_some() || opts.profile;
     let (forward, traces): (Vec<GpumemResult>, Vec<Option<Trace>>) = run(queries, tracing)?
         .into_iter()
@@ -801,22 +791,8 @@ fn metrics_export(argv: &[String]) -> Result<(), String> {
                         .map_err(|e| format!("bad --seed-len: {e}"))?,
                 )
             }
-            "--query-threads" => {
-                query_threads = value("--query-threads")?
-                    .parse()
-                    .map_err(|e| format!("bad --query-threads: {e}"))?;
-                if query_threads == 0 {
-                    return Err("bad --query-threads: must be positive".into());
-                }
-            }
-            "--shards" => {
-                shards = value("--shards")?
-                    .parse()
-                    .map_err(|e| format!("bad --shards: {e}"))?;
-                if shards == 0 {
-                    return Err("bad --shards: must be positive".into());
-                }
-            }
+            "--query-threads" => query_threads = positive(&arg, &value(&arg)?)?,
+            "--shards" => shards = positive(&arg, &value(&arg)?)?,
             "--journal" => journal = Some(value("--journal")?),
             other if other.starts_with("--") => {
                 return Err(format!("metrics export: unknown option {other}"))

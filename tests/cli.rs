@@ -202,6 +202,104 @@ fn bad_usage_fails_cleanly() {
         .output()
         .expect("binary runs");
     assert!(!out.status.success());
+
+    // Flag values a finder cannot take are refused with the usage, not
+    // a panic inside the finder.
+    let dir = std::env::temp_dir().join("gpumem-cli-test-bad-values");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (ref_fa, query_fa) = write_pair(&dir);
+    let cases: &[&[&str]] = &[
+        &["--tool", "mummer", "--min-len", "0"],
+        &["--tool", "slamem", "--min-len", "0"],
+        &["--tool", "essamem", "--min-len", "0"],
+        &["--tool", "sparsemem", "--min-len", "0"],
+        &["--tool", "essamem", "--sparseness", "0"],
+        &["--tool", "sparsemem", "--sparseness", "0"],
+        &["--tool", "essamem", "--sparseness", "8", "--min-len", "6"],
+        &["--tool", "sparsemem", "--sparseness", "8", "--min-len", "6"],
+        &["--tool", "mummer", "--rare", "0"],
+        &["--tool", "gpumem", "--seed-len", "8", "--rare", "0"],
+        &["--tool", "gpumem", "--seed-len", "0"],
+    ];
+    for args in cases {
+        let out = cli()
+            .arg("run")
+            .args(*args)
+            .args([&ref_fa, &query_fa])
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(err.contains("error: bad --"), "{args:?}: {err}");
+        assert!(err.contains("usage:"), "{args:?}: {err}");
+    }
+}
+
+/// Empty records: an empty reference or an empty query yields no match
+/// and a clean exit, and an empty record among others changes nothing
+/// for its neighbours, with every tool.
+#[test]
+fn empty_records_print_nothing_and_spare_their_neighbours() {
+    let dir = std::env::temp_dir().join("gpumem-cli-test-empty-records");
+    std::fs::create_dir_all(&dir).unwrap();
+    let reference = GenomeModel::mammalian().generate(3_000, 4600);
+    let text = String::from_utf8(reference.to_ascii()).unwrap();
+    let write = |name: &str, body: String| -> String {
+        let path = dir.join(name);
+        std::fs::write(&path, body).unwrap();
+        path.to_str().unwrap().to_string()
+    };
+    let ref_fa = write("ref.fa", format!(">ref\n{text}\n"));
+    let empty_ref_fa = write("empty_ref.fa", ">ref\n".into());
+    let query_fa = write("query.fa", format!(">q\n{}\n", &text[200..900]));
+    let empty_query_fa = write("empty_query.fa", ">q\n".into());
+    let three_fa = write(
+        "three.fa",
+        format!(
+            ">a\n{}\n>empty\n>b\n{}\n",
+            &text[200..900],
+            &text[1_500..2_400]
+        ),
+    );
+    let run = |tool: &str, ref_fa: &str, query_fa: &str| -> String {
+        let out = cli()
+            .args(["run", "--tool", tool, "--min-len", "25", "--seed-len", "8"])
+            .args([ref_fa, query_fa])
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{tool} {ref_fa} {query_fa}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    for tool in ["gpumem", "mummer", "essamem", "sparsemem", "slamem"] {
+        assert_eq!(
+            run(tool, &empty_ref_fa, &query_fa),
+            "",
+            "{tool}: empty reference"
+        );
+        assert_eq!(
+            run(tool, &ref_fa, &empty_query_fa),
+            "",
+            "{tool}: empty query"
+        );
+        let out = run(tool, &ref_fa, &three_fa);
+        let names: Vec<&str> = out
+            .lines()
+            .map(|line| line.split_whitespace().last().unwrap())
+            .collect();
+        assert!(
+            names.contains(&"a") && names.contains(&"b"),
+            "{tool}: {out}"
+        );
+        assert!(
+            names.iter().all(|&name| name == "a" || name == "b"),
+            "{tool}: {out}"
+        );
+    }
 }
 
 #[test]
@@ -573,7 +671,7 @@ fn traced_shards_keep_tracks_of_their_own() {
     let trace_path = dir.join("trace.json");
     let out = cli()
         .args(["run", "--min-len", "25", "--seed-len", "8", "--shards", "2"])
-        .arg("--trace")
+        .args(["--query-threads", "2", "--trace"])
         .arg(&trace_path)
         .args([&ref_fa, &query_fa])
         .output()
@@ -585,15 +683,20 @@ fn traced_shards_keep_tracks_of_their_own() {
     );
     assert!(!out.stdout.is_empty(), "expected matches");
 
-    let mut shard_tids: Vec<u64> = run_events(&trace_path)
+    // A sharded request runs on the workers like any other.
+    let mut worker_tids: Vec<u64> = run_events(&trace_path)
         .into_iter()
-        .filter(|(name, ..)| name.starts_with("shard "))
+        .filter(|(name, ..)| name.starts_with("worker "))
         .map(|(.., tid)| tid)
         .collect();
-    assert_eq!(shard_tids.len(), 4, "two shards of each of two queries");
-    shard_tids.sort_unstable();
-    shard_tids.dedup();
-    assert_eq!(shard_tids.len(), 4, "shards share a track: {shard_tids:?}");
+    assert_eq!(worker_tids.len(), 4, "two workers of each of two queries");
+    worker_tids.sort_unstable();
+    worker_tids.dedup();
+    assert_eq!(
+        worker_tids.len(),
+        4,
+        "workers share a track: {worker_tids:?}"
+    );
 }
 
 #[test]

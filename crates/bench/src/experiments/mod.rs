@@ -1,7 +1,6 @@
 //! One module per table/figure; each `run(scale, seed)` prints the
 //! paper-shaped table and writes `results/<name>.tsv`. The binaries in
-//! `src/bin/` are thin wrappers so `run_all` (and the criterion
-//! benches) can reuse the logic.
+//! `src/bin/` are thin wrappers so `run_all` can reuse the logic.
 
 pub mod fig4;
 pub mod fig5;

@@ -1,5 +1,4 @@
-//! Experiment harness shared by the table/figure binaries and the
-//! criterion benches.
+//! Experiment harness shared by the table/figure binaries.
 //!
 //! Every binary regenerates one table or figure of the paper (see
 //! DESIGN.md §4 for the experiment index) at a configurable scale:

@@ -12,7 +12,7 @@
 //! | `n_block` | `blocks_per_tile` | user input |
 //! | `ℓ_tile` | `tile_len()` | `= n_block · ℓ_block` — automatically a multiple of both `step` and `query_step()`, which keeps the reference *and* query sampling phases continuous across tile rows/columns (required for the Eq. 1 / CRT coverage guarantee to hold globally) |
 
-use gpumem_index::{check_dual_steps, check_step, max_step, IndexError, SeedMode};
+use gpumem_index::{check_dual_steps, check_step, max_step, IndexError, SeedCodec, SeedMode};
 
 /// Which index layout the pipeline builds per tile row.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -62,6 +62,9 @@ pub enum ConfigError {
     NoBlocks,
     /// `L` must be positive.
     ZeroMinLen,
+    /// `ℓs` must lie in `1..=`[`SeedCodec::MAX_SEED_LEN`]: a seed code
+    /// packs `2·ℓs` bits into a `u32`.
+    SeedLenOutOfRange(usize),
     /// An explicit `step` was combined with [`SeedMode::DualSampled`]
     /// and disagrees with its `k1` — in dual mode the reference step
     /// *is* `k1`, so there is nothing independent to override.
@@ -85,6 +88,11 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::NoBlocks => write!(f, "blocks_per_tile must be positive"),
             ConfigError::ZeroMinLen => write!(f, "minimum MEM length L must be positive"),
+            ConfigError::SeedLenOutOfRange(seed_len) => write!(
+                f,
+                "seed length {seed_len} out of range 1..={}",
+                SeedCodec::MAX_SEED_LEN
+            ),
             ConfigError::StepConflictsWithSeedMode { step, k1 } => write!(
                 f,
                 "explicit step {step} conflicts with DualSampled k1 = {k1}; in dual mode the reference step is k1"
@@ -225,6 +233,9 @@ impl GpumemConfigBuilder {
         let seed_len = self
             .seed_len
             .unwrap_or_else(|| 13usize.min(self.min_len as usize));
+        if !(1..=SeedCodec::MAX_SEED_LEN).contains(&seed_len) {
+            return Err(ConfigError::SeedLenOutOfRange(seed_len));
+        }
         if seed_len as u32 > self.min_len {
             return Err(IndexError::SeedLongerThanL {
                 seed_len,
@@ -316,6 +327,12 @@ mod tests {
             GpumemConfig::builder(0).build(),
             Err(ConfigError::ZeroMinLen)
         ));
+        for seed_len in [0, SeedCodec::MAX_SEED_LEN + 1] {
+            assert_eq!(
+                GpumemConfig::builder(50).seed_len(seed_len).build(),
+                Err(ConfigError::SeedLenOutOfRange(seed_len))
+            );
+        }
         assert!(matches!(
             GpumemConfig::builder(10).seed_len(13).build(),
             Err(ConfigError::Index(IndexError::SeedLongerThanL { .. }))

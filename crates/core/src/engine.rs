@@ -11,22 +11,22 @@
 //!   caches every row's partial index behind an [`Arc`] — built lazily
 //!   on first touch (or eagerly via [`RefSession::warm`]) and shared by
 //!   all subsequent queries;
-//! * [`Engine`] binds a session to a pool of query workers, each with
-//!   its own simulated [`Device`] and tile scratch. Tile rows are
-//!   independent, so a request runs its rows on every worker that is
-//!   free when it arrives, one host thread each, and concurrent
-//!   requests spread over the pool without contending on scratch or
-//!   misattributing pool statistics.
+//! * [`Engine`] binds a session to a set of query workers (the kind a
+//!   [`Gpumem`](crate::Gpumem) owns), each with its own simulated
+//!   [`Device`] and tile scratch. Tile rows are independent, so a
+//!   request runs its rows on every worker free when it arrives, each
+//!   claiming the next row as it gets to it, and concurrent requests
+//!   spread over the set without contending on scratch.
 //!
 //! [`Engine::execute`] is the one request path — one query or a set,
 //! traced or not, with or without a modeled shard split — and
 //! [`Engine::run`] its default-options shorthand for one query.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 
 use gpu_sim::{Device, DeviceSpec, LaunchStats};
 use gpumem_index::{Region, SharedSeedLookup};
@@ -34,8 +34,8 @@ use gpumem_seq::{PackedSeq, SeqSet};
 
 use crate::config::GpumemConfig;
 use crate::pipeline::{
-    build_row_index, ensure_fits, ensure_sort_key, gather_rows, replica_cap, row_masses,
-    GpumemResult, GpumemStats, IndexBuildReport, RowWorker, RunError, TileScratch,
+    build_row_index, ensure_fits, ensure_sort_key, gather_rows, row_masses, GpumemResult,
+    GpumemStats, Held, IndexBuildReport, RunError, WorkerSet,
 };
 use crate::registry::{PinnedSession, Registry, RegistryStats};
 use crate::shard::ShardPlan;
@@ -204,14 +204,8 @@ impl RefSession {
     }
 }
 
-/// One query worker: a simulated device plus reusable tile scratch.
-struct Worker {
-    device: Device,
-    scratch: TileScratch,
-}
-
-/// One worker's share of the serving metrics, kept beside its mutex so
-/// that a metrics poll never waits on a running request.
+/// One worker's share of the serving metrics, kept beside the worker
+/// set so that a metrics poll never waits on a running request.
 #[derive(Default)]
 struct WorkerLoad {
     /// Wall time, in nanoseconds, of the requests that held the worker.
@@ -643,16 +637,13 @@ struct EngineTelemetry {
     events: Option<Arc<dyn EventSink>>,
 }
 
-/// The serving engine: a [`RefSession`] bound to a pool of query
+/// The serving engine: a [`RefSession`] bound to a set of query
 /// workers, optionally hosted in a [`Registry`].
 pub struct Engine {
     session: Arc<RefSession>,
-    spec: DeviceSpec,
-    workers: Vec<Mutex<Worker>>,
+    workers: WorkerSet,
     /// `loads[w]` is worker `w`'s share of the serving metrics.
     loads: Vec<WorkerLoad>,
-    /// Where a request waits when every worker is busy.
-    next_worker: AtomicUsize,
     /// Clock reading at assembly — `uptime_s` is measured from here.
     created_at: Duration,
     latency: Mutex<LatencyHistogram>,
@@ -688,20 +679,11 @@ impl Engine {
         telemetry: EngineTelemetry,
     ) -> Engine {
         let n = query_threads.max(1);
-        let workers = (0..n)
-            .map(|_| {
-                Mutex::new(Worker {
-                    device: Device::new(spec.clone()),
-                    scratch: TileScratch::new(session.config()),
-                })
-            })
-            .collect();
+        let workers = WorkerSet::new(session.config(), Device::new(spec), n);
         Engine {
             session,
-            spec,
             workers,
             loads: (0..n).map(|_| WorkerLoad::default()).collect(),
-            next_worker: AtomicUsize::new(0),
             created_at: telemetry.clock.now(),
             latency: Mutex::new(LatencyHistogram::new()),
             build_wait: Mutex::new(Duration::ZERO),
@@ -734,48 +716,14 @@ impl Engine {
 
     /// The device spec each worker simulates.
     pub fn spec(&self) -> &DeviceSpec {
-        &self.spec
-    }
-
-    /// How many workers one request under `config` may hold: every
-    /// worker, as long as the helpers' pools fit the budget that also
-    /// caps [`Gpumem`](crate::Gpumem)'s replicas. A helper that meets a
-    /// cold row builds its index in its own pool, so a dense ℓs = 13
-    /// engine runs each request on one worker.
-    fn workers_per_request(&self, config: &GpumemConfig) -> usize {
-        self.workers
-            .len()
-            .min(replica_cap(config).saturating_add(1))
-    }
-
-    /// Check out up to `most` workers for one request, each with its
-    /// place in the pool: the first free one, else a blocking wait on the next
-    /// worker in rotation, so concurrent requests spread over the pool
-    /// instead of queueing on one worker; then every other worker that
-    /// is free at once. Only the first is waited for, so a request never
-    /// waits while it holds a worker.
-    fn checkout(&self, most: usize) -> Vec<(usize, MutexGuard<'_, Worker>)> {
-        let free = |skip: Option<usize>| {
-            self.workers
-                .iter()
-                .enumerate()
-                .filter(move |&(w, _)| Some(w) != skip)
-                .filter_map(|(w, worker)| Some((w, worker.try_lock()?)))
-        };
-        let mut held: Vec<_> = free(None).take(most).collect();
-        if held.is_empty() {
-            let next = self.next_worker.fetch_add(1, Ordering::Relaxed) % self.workers.len();
-            held.push((next, self.workers[next].lock()));
-            held.extend(free(Some(next)).take(most.saturating_sub(1)));
-        }
-        held
+        self.workers.devices()[0].spec()
     }
 
     /// Build every row index now, so the first query pays no index
     /// launches.
     pub fn warm(&self) -> IndexBuildReport {
-        let worker = self.workers[0].lock();
-        self.session.warm(&worker.device)
+        let held = self.workers.checkout(1);
+        self.session.warm(held[0].device)
     }
 
     /// The session's index of `row`, for a request on `device`. Times
@@ -821,12 +769,13 @@ impl Engine {
     /// when registry-hosted — the registry's LRU clock (which also
     /// enforces the byte budget, charging any rows the query lazily
     /// built).
-    fn record_query(&self, held: &[(usize, MutexGuard<'_, Worker>)], latency: Duration) {
+    fn record_query(&self, held: &[Held<'_>], latency: Duration) {
         let busy = u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX);
-        for (n, &(w, _)) in held.iter().enumerate() {
-            self.loads[w].busy_ns.fetch_add(busy, Ordering::Relaxed);
+        for (n, worker) in held.iter().enumerate() {
+            let load = &self.loads[worker.id];
+            load.busy_ns.fetch_add(busy, Ordering::Relaxed);
             if n == 0 {
-                self.loads[w].queries.fetch_add(1, Ordering::Relaxed);
+                load.queries.fetch_add(1, Ordering::Relaxed);
             }
         }
         self.latency.lock().record(latency);
@@ -842,14 +791,13 @@ impl Engine {
     ///
     /// Each query runs through `pipeline::gather_rows` on the workers
     /// free when it arrives, up to those whose buffer pools fit the
-    /// replica budget (one at the dense default ℓs = 13) and one per
-    /// row: the first worker it checks out on the calling thread, the
-    /// others on scoped host threads, each with its own device and
-    /// scratch; their out-tile fragments are host-merged once. Only the
-    /// first worker is waited for, so concurrent callers spread over the
-    /// pool, and a query that finds one worker free runs on the calling
-    /// thread alone. Traced on one worker, the query is one `Run` span
-    /// named `"query"`; on several, each worker's rows sit under
+    /// pool budget (one at the dense default ℓs = 13) and one per row:
+    /// the first on the calling thread, the others on scoped host
+    /// threads, each claiming the next unclaimed row with its own device
+    /// and scratch; their out-tile fragments are host-merged once. Only
+    /// the first worker is waited for, so concurrent callers spread over
+    /// the set. Traced on one worker, the query is one `Run` span named
+    /// `"query"`; on several, each worker's rows sit under
     /// `"worker {w}"` on a track of its own and the host merge under the
     /// calling thread's `"query"` span.
     ///
@@ -897,21 +845,12 @@ impl Engine {
                 });
             }
         }
-        let mut held = self.checkout(self.workers_per_request(config).min(masses.len()).max(1));
-        let mut workers: Vec<RowWorker<'_>> = held
-            .iter_mut()
-            .map(|(_, worker)| {
-                let Worker { device, scratch } = &mut **worker;
-                RowWorker { device, scratch }
-            })
-            .collect();
-        let plan = ShardPlan::from_row_masses(workers.len(), &masses);
-        let pools: Vec<&Device> = workers.iter().map(|worker| worker.device).collect();
+        let mut held = self.workers.checkout(masses.len());
+        let pools: Vec<&Device> = held.iter().map(|worker| worker.device).collect();
         let row_index =
             |device: &Device, row: usize, _region: Region| self.acquire_row(device, row);
         let gathered = gather_rows(
-            &mut workers,
-            &plan,
+            &mut held,
             "query",
             config,
             self.session.reference(),
@@ -996,7 +935,7 @@ impl Engine {
         };
         let totals = self.matching_totals.lock().clone();
         let device = DeviceCounters {
-            warp_efficiency: totals.warp_efficiency(self.spec.warp_size),
+            warp_efficiency: totals.warp_efficiency(self.spec().warp_size),
             divergence_rate: totals.divergence_rate(),
             block_occupancy: totals.block_occupancy(),
             busiest_block_cycles: totals.busiest_block_cycles,
@@ -1264,7 +1203,8 @@ mod tests {
     fn metrics_never_wait_on_a_held_worker() {
         let reference = GenomeModel::mammalian().generate(2_000, 813);
         let engine = engine_of(&reference, config(16), 2);
-        let held = engine.workers[0].lock();
+        let held = engine.workers.checkout(1);
+        assert_eq!(held[0].id, 0);
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::scope(|s| {
             s.spawn(|| tx.send(engine.metrics().queries));
@@ -1341,10 +1281,7 @@ mod tests {
         let reference = GenomeModel::mammalian().generate(2_000, 811);
         let engine = engine_of(&reference, config(16), 2);
         let count = Arc::new(Count::default());
-        engine.workers[1]
-            .lock()
-            .device
-            .set_observer(Some(count.clone()));
+        engine.workers.devices()[1].set_observer(Some(count.clone()));
         let q = GenomeModel::mammalian().generate(1_000, 812);
         let stats = engine.run(&q).unwrap().stats;
         assert!(stats.rows >= 2, "both workers get rows");
@@ -1368,7 +1305,8 @@ mod tests {
                 .build()
                 .unwrap();
             assert_eq!(engine.session().built_rows(), 0, "nothing built");
-            engine.workers_per_request(engine.session().config())
+            let held = engine.workers.checkout(usize::MAX).len();
+            held
         };
         assert_eq!(
             workers(13),
@@ -1384,7 +1322,8 @@ mod tests {
         let engine = engine_of(&reference, config(16), 2);
         let q = GenomeModel::mammalian().generate(1_000, 814);
         let expect = engine.run(&q).unwrap().mems;
-        let held = engine.workers[0].lock();
+        let held = engine.workers.checkout(1);
+        assert_eq!(held[0].id, 0);
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::scope(|s| {
             s.spawn(|| tx.send(engine.run(&q).map(|r| r.mems)));
@@ -1405,10 +1344,7 @@ mod tests {
         let reference = GenomeModel::mammalian().generate(2_000, 813);
         let engine = engine_of(&reference, config(16), 1);
         let count = Arc::new(Count::default());
-        engine.workers[0]
-            .lock()
-            .device
-            .set_observer(Some(count.clone()));
+        engine.workers.devices()[0].set_observer(Some(count.clone()));
         let q = GenomeModel::mammalian().generate(1_000, 814);
         let stats = run_one(&engine, &q, sharded(2)).result.stats;
         assert!(stats.index.launches > 0, "a cold request builds its rows");

@@ -6,19 +6,20 @@
 //! fragments (§III-C1), and finally merge the accumulated out-tile
 //! fragments on the host (§III-C2).
 //!
-//! The tile loop itself lives in `run_tile_rows`: it runs a set of tile
-//! rows on one device, hands every stage's MEMs on as tiles complete and
-//! takes the row index from a caller-supplied provider. `gather_rows`
-//! spreads a run's rows over several devices and host threads and
-//! merges them back into one run; [`Gpumem::run`] wires it to a fresh
-//! per-row build, and engine requests to a cached
-//! [`RefSession`](crate::engine::RefSession).
+//! The tile loop itself lives in `run_tile_rows`: it runs the tile rows
+//! a worker claims on its device, hands every stage's MEMs on as tiles
+//! complete and takes the row index from a caller-supplied provider.
+//! `gather_rows` spreads a run's rows over the workers a `WorkerSet`
+//! checks out, one host thread each, and merges them back into one run;
+//! [`Gpumem::run`] wires it to a fresh per-row build, and engine requests
+//! to a cached [`RefSession`](crate::engine::RefSession).
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use gpu_sim::{Device, DeviceSpec, LaunchConfig, LaunchStats, PoolClass};
 use gpumem_index::{build_compact_gpu, build_gpu, Region, SharedSeedLookup};
@@ -28,7 +29,6 @@ use crate::block::{encode_query_seeds, process_block, BlockOutput, BlockScratch}
 use crate::config::GpumemConfig;
 use crate::expand::Bounds;
 use crate::global::global_merge;
-use crate::shard::ShardPlan;
 use crate::tile::Tiling;
 use crate::tile_run::{merge_tile, TileOutput};
 use crate::trace::{SpanCat, Trace, TraceRecorder};
@@ -173,10 +173,10 @@ pub struct IndexBuildReport {
 /// What one worker's tile rows reuse from tile to tile: the block
 /// scratch and accumulators hoisted across every launch (blocks execute
 /// sequentially on the launching thread, see the `gpu_sim::exec` docs)
-/// plus the out-tile fragments its rows produced. The serving engine
-/// keeps one per query worker, so parallel requests never contend on
-/// scratch; a one-shot run gives each of its workers a fresh one.
-pub(crate) struct TileScratch {
+/// plus the out-tile fragments its rows produced. Every worker of a
+/// [`WorkerSet`] keeps one for the set's life, so parallel runs never
+/// contend on scratch and its recorded charges stay warm across runs.
+struct TileScratch {
     block: BlockScratch,
     blocks_out: BlockOutput,
     tile_out: TileOutput,
@@ -184,7 +184,7 @@ pub(crate) struct TileScratch {
 }
 
 impl TileScratch {
-    pub(crate) fn new(config: &GpumemConfig) -> TileScratch {
+    fn new(config: &GpumemConfig) -> TileScratch {
         TileScratch {
             block: BlockScratch::new(config.threads_per_block),
             blocks_out: BlockOutput::default(),
@@ -288,8 +288,8 @@ pub struct GpumemResult {
     pub stats: GpumemStats,
 }
 
-/// The tile loop of one [`gather_rows`] worker: runs every tile of the
-/// tile rows `rows`, handing each non-empty batch of in-block or in-tile
+/// The tile loop of one [`gather_rows`] worker: runs every tile of each
+/// tile row `rows` yields, handing each non-empty batch of in-block or in-tile
 /// MEMs to `out` as its stage completes, and leaving the produced
 /// out-tile fragments in `scratch.out_tile` for a later
 /// [`finish_global`]. Returns the rows' statistics and, per row, its
@@ -309,22 +309,19 @@ fn run_tile_rows(
     scratch: &mut TileScratch,
     out: &mut dyn FnMut(&[Mem]),
     trace: Option<&TraceRecorder>,
-    rows: &[usize],
+    rows: impl Iterator<Item = usize>,
 ) -> (GpumemStats, Vec<RowMatching>) {
     let mut stats = GpumemStats::default();
-    let mut per_row = Vec::with_capacity(rows.len());
+    let mut per_row = Vec::new();
     scratch.out_tile.clear();
 
     if reference.len() >= config.seed_len && !query.is_empty() {
         let tiling = Tiling::new(config.tile_len(), reference.len(), query.len());
         stats.rows = tiling.n_rows();
         stats.cols = tiling.n_cols();
-        debug_assert!(
-            rows.iter().all(|&r| r < tiling.n_rows()),
-            "shard rows out of range"
-        );
 
-        for &row in rows {
+        for row in rows {
+            debug_assert!(row < tiling.n_rows(), "row {row} out of range");
             let row_range = tiling.row_range(row);
             let row_span = trace.map(|t| t.begin(format!("tile_row {row}"), SpanCat::TileRow));
 
@@ -489,7 +486,8 @@ pub(crate) type RowIndexFn<'a> =
     dyn Fn(&Device, usize, Region) -> (SharedSeedLookup, LaunchStats) + Sync + 'a;
 
 /// Reference bases each tile row of a run covers — the row masses a
-/// [`ShardPlan`] balances — or no rows when no seed can match.
+/// [`ShardPlan`](crate::ShardPlan) balances — or no rows when no seed
+/// can match.
 pub(crate) fn row_masses(
     config: &GpumemConfig,
     reference: &PackedSeq,
@@ -518,31 +516,19 @@ fn folded_pool_bytes(devices: &[&Device]) -> u64 {
     most.values().map(PoolClass::bytes).sum()
 }
 
-/// What one run's tile rows share, whichever worker runs them.
+/// What one run's tile rows share, whichever worker runs them, and the
+/// cursor the workers claim the rows through.
 struct RowJob<'a> {
     config: &'a GpumemConfig,
     reference: &'a PackedSeq,
     query: &'a PackedSeq,
     query_codes: &'a [u32],
     row_index: &'a RowIndexFn<'a>,
-}
-
-/// One worker of a gathered run: the device its rows launch on and the
-/// scratch they reuse, which keeps the worker's out-tile fragments.
-pub(crate) struct RowWorker<'a> {
-    pub(crate) device: &'a Device,
-    pub(crate) scratch: &'a mut TileScratch,
-}
-
-impl<'a> RowWorker<'a> {
-    /// One worker per scratch: `devices[w]` with `scratch[w]`.
-    pub(crate) fn zip(devices: &'a [Device], scratch: &'a mut [TileScratch]) -> Vec<RowWorker<'a>> {
-        devices
-            .iter()
-            .zip(scratch)
-            .map(|(device, scratch)| RowWorker { device, scratch })
-            .collect()
-    }
+    /// The run's tile rows.
+    n_rows: usize,
+    /// The next row to claim. The rows below it that no worker has
+    /// asked for are the workers' first rows, one each.
+    next_row: AtomicUsize,
 }
 
 /// One worker's share of a gathered run.
@@ -553,27 +539,50 @@ struct WorkerRun {
 }
 
 impl RowJob<'_> {
-    /// Run `rows` on `worker`, handing MEMs to `out` and leaving the
-    /// out-tile fragments in its scratch.
+    /// Worker `w`'s tile rows: row `w`, then whichever row is unclaimed
+    /// each time it asks. A worker that starts late holds up its first
+    /// row alone, and the rows it would have reached go to the others.
+    fn rows(&self, w: usize) -> impl Iterator<Item = usize> + '_ {
+        // Relaxed: the cursor publishes no data, and joining the workers
+        // orders their results before the merge.
+        let claim = std::iter::from_fn(move || Some(self.next_row.fetch_add(1, Ordering::Relaxed)));
+        std::iter::once(w)
+            .chain(claim)
+            .take_while(move |&row| row < self.n_rows)
+    }
+
+    /// Run worker `w`'s rows on `device` with `scratch`, handing MEMs to
+    /// `out` and leaving the out-tile fragments in `scratch`. A
+    /// `recorder` takes the place of the device's own observer, if any,
+    /// until the rows are done.
     fn run(
         &self,
-        worker: &mut RowWorker<'_>,
-        rows: &[usize],
-        trace: Option<&TraceRecorder>,
+        w: usize,
+        device: &Device,
+        scratch: &mut TileScratch,
+        recorder: Option<&Arc<TraceRecorder>>,
         out: &mut dyn FnMut(&[Mem]),
     ) -> WorkerRun {
+        let previous = recorder.map(|recorder| {
+            let previous = device.observer();
+            device.set_observer(Some(crate::trace::as_observer(recorder)));
+            previous
+        });
         let (stats, rows) = run_tile_rows(
-            worker.device,
+            device,
             self.config,
             self.reference,
             self.query,
             self.query_codes,
             self.row_index,
-            worker.scratch,
+            scratch,
             out,
-            trace,
-            rows,
+            recorder.map(|recorder| &**recorder),
+            self.rows(w),
         );
+        if let Some(previous) = previous {
+            device.set_observer(previous);
+        }
         WorkerRun {
             stats,
             rows,
@@ -582,28 +591,23 @@ impl RowJob<'_> {
     }
 
     /// [`RowJob::run`] as one worker of several. A traced worker
-    /// records on its own recorder, its rows under one `Run` span
-    /// named `span`.
+    /// records on its own recorder, its rows under one `Run` span named
+    /// `"worker {w}"`.
     fn run_worker(
         &self,
-        worker: &mut RowWorker<'_>,
-        rows: &[usize],
-        span: Option<String>,
+        w: usize,
+        device: &Device,
+        scratch: &mut TileScratch,
+        traced: bool,
         out: &mut dyn FnMut(&[Mem]),
     ) -> WorkerRun {
-        let device = worker.device;
-        let recorder = span.map(|span| {
-            let recorder = Arc::new(TraceRecorder::new(device.spec().warp_size));
-            let previous = device.observer();
-            device.set_observer(Some(crate::trace::as_observer(&recorder)));
-            let id = recorder.begin(span, SpanCat::Run);
-            (recorder, id, previous)
-        });
-        let trace = recorder.as_ref().map(|(recorder, ..)| &**recorder);
-        let run = self.run(worker, rows, trace, out);
-        let trace = recorder.map(|(recorder, id, previous)| {
+        let recorder = traced.then(|| Arc::new(TraceRecorder::new(device.spec().warp_size)));
+        let span = recorder
+            .as_ref()
+            .map(|recorder| recorder.begin(format!("worker {w}"), SpanCat::Run));
+        let run = self.run(w, device, scratch, recorder.as_ref(), out);
+        let trace = recorder.zip(span).map(|(recorder, id)| {
             recorder.end(id);
-            device.set_observer(previous);
             recorder.snapshot()
         });
         WorkerRun { trace, ..run }
@@ -624,24 +628,25 @@ pub(crate) struct Gathered {
 }
 
 /// The scatter/gather core of [`Gpumem::run`] and of engine requests:
-/// worker `w` runs the tile rows `plan.rows(w)` on `workers[w]`'s device
-/// with its scratch, the workers' out-tile fragments are concatenated
-/// and host-merged once, and the MEMs are canonicalized (see
-/// [`crate::shard`] for why this equals a one-device run).
+/// the checked-out `workers` claim the tile rows through one cursor —
+/// worker `w` starts on row `w`, and every later row goes to whichever
+/// worker asks next — and run them on their own devices with their own
+/// scratch. The workers' out-tile fragments are concatenated and
+/// host-merged once, and the MEMs are canonicalized (see
+/// [`crate::shard`] for why this equals a one-device run, whichever
+/// worker ran which row).
 ///
-/// Worker 0 runs on the calling thread; every other worker gets a host
-/// thread of its own and sends its MEMs to the calling thread in one
-/// batch per stage, which the calling thread folds into the run's one
-/// MEM vector between its own tiles and after them, so no worker holds
-/// a copy of its whole output. While a sanitizer session is live, the
-/// workers instead take turns on the calling thread, the only thread a
-/// session instruments. The query's seed codes are encoded once and
-/// shared. Traced workers record on their own devices, their rows under
-/// one `Run` span named `"worker {w}"`; the host merge and the
-/// canonicalization sit under the calling thread's `Run` span, named
-/// `run_span`. A one-worker run is that one span. A traced device's own
-/// observer, if any, is set aside while its rows run and put back
-/// afterwards.
+/// Worker 0 runs on the calling thread; every other worker gets a scoped
+/// host thread and sends its MEMs to the calling thread in one batch per
+/// stage, which the calling thread folds into the run's one MEM vector
+/// between its own tiles and after them, so no worker holds a copy of
+/// its whole output. A worker's panic reaches the caller with its
+/// payload. The query's seed codes are encoded once and shared. Traced
+/// workers record on their own devices, their rows under one `Run` span
+/// named `"worker {w}"`; the host merge and the canonicalization sit
+/// under the calling thread's `Run` span, named `run_span`. A one-worker
+/// run is that one span. A traced device's own observer, if any, is set
+/// aside while its rows run and put back afterwards.
 ///
 /// The workers stand for one device: `pools` names the devices whose
 /// pools fold into its footprint ([`folded_pool_bytes`]), which becomes
@@ -649,8 +654,7 @@ pub(crate) struct Gathered {
 /// merge's stage span.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gather_rows(
-    workers: &mut [RowWorker<'_>],
-    plan: &ShardPlan,
+    workers: &mut [Held<'_>],
     run_span: &str,
     config: &GpumemConfig,
     reference: &PackedSeq,
@@ -659,7 +663,6 @@ pub(crate) fn gather_rows(
     traced: bool,
     pools: &[&Device],
 ) -> Gathered {
-    debug_assert_eq!(workers.len(), plan.n_shards(), "one worker per shard");
     let mut query_codes = Vec::new();
     encode_query_seeds(query, config.seed_len, &mut query_codes);
     let job = RowJob {
@@ -668,6 +671,8 @@ pub(crate) fn gather_rows(
         query,
         query_codes: &query_codes,
         row_index,
+        n_rows: row_masses(config, reference, query).len(),
+        next_row: AtomicUsize::new(workers.len()),
     };
     let host = traced.then(|| Arc::new(TraceRecorder::new(workers[0].device.spec().warp_size)));
     let mut mems: Vec<Mem> = Vec::new();
@@ -676,64 +681,52 @@ pub(crate) fn gather_rows(
     let (runs, run_span) = if let [worker] = workers {
         // One worker: the rows run on the calling thread, recorded by
         // the run's own recorder.
-        let device = worker.device;
-        let previous = device.observer();
-        let run_span = host.as_ref().map(|host| {
-            device.set_observer(Some(crate::trace::as_observer(host)));
-            host.begin(run_span, SpanCat::Run)
-        });
-        let run = job.run(worker, plan.rows(0), host.as_deref(), &mut collect);
-        if host.is_some() {
-            device.set_observer(previous);
-        }
+        let run_span = host.as_ref().map(|host| host.begin(run_span, SpanCat::Run));
+        let run = job.run(
+            0,
+            worker.device,
+            &mut worker.scratch,
+            host.as_ref(),
+            &mut collect,
+        );
         (vec![run], run_span)
     } else {
-        let span_of = |w: usize| traced.then(|| format!("worker {w}"));
-        let runs: Vec<WorkerRun> = if gpu_sim::sanitizer::enabled() {
-            workers
+        let (tx, rx) = mpsc::channel::<Vec<Mem>>();
+        let (first, rest) = workers.split_first_mut().expect("a worker");
+        let runs: Vec<WorkerRun> = std::thread::scope(|scope| {
+            let spawned: Vec<_> = rest
                 .iter_mut()
-                .enumerate()
-                .map(|(w, worker)| job.run_worker(worker, plan.rows(w), span_of(w), &mut collect))
-                .collect()
-        } else {
-            let (tx, rx) = mpsc::channel::<Vec<Mem>>();
-            let (first, rest) = workers.split_first_mut().expect("a worker");
-            std::thread::scope(|scope| {
-                let spawned: Vec<_> = rest
-                    .iter_mut()
-                    .zip(1..)
-                    .map(|(worker, w)| {
-                        let (job, rows, span) = (&job, plan.rows(w), span_of(w));
-                        let tx = tx.clone();
-                        scope.spawn(move || {
-                            // The receiver only goes away while the
-                            // caller unwinds.
-                            let mut send = |batch: &[Mem]| {
-                                let _ = tx.send(batch.to_vec());
-                            };
-                            job.run_worker(worker, rows, span, &mut send)
-                        })
+                .zip(1..)
+                .map(|(worker, w)| {
+                    let (job, device, scratch) = (&job, worker.device, &mut *worker.scratch);
+                    let tx = tx.clone();
+                    scope.spawn(move || {
+                        // The receiver only goes away while the caller
+                        // unwinds.
+                        let mut send = |batch: &[Mem]| {
+                            let _ = tx.send(batch.to_vec());
+                        };
+                        job.run_worker(w, device, scratch, traced, &mut send)
                     })
-                    .collect();
-                drop(tx);
-                let first = job.run_worker(first, plan.rows(0), span_of(0), &mut |batch| {
-                    collect(batch);
-                    for sent in rx.try_iter() {
-                        collect(&sent);
-                    }
-                });
-                for sent in rx {
+                })
+                .collect();
+            drop(tx);
+            let first = job.run_worker(0, first.device, &mut first.scratch, traced, &mut |batch| {
+                collect(batch);
+                for sent in rx.try_iter() {
                     collect(&sent);
                 }
-                let joined = spawned.into_iter().map(|h| {
-                    h.join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                });
-                std::iter::once(first).chain(joined).collect()
-            })
-        };
-        let run_span = host.as_ref().map(|h| h.begin(run_span, SpanCat::Run));
-        (runs, run_span)
+            });
+            for sent in rx {
+                collect(&sent);
+            }
+            let joined = spawned.into_iter().map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            });
+            std::iter::once(first).chain(joined).collect()
+        });
+        (runs, host.as_ref().map(|h| h.begin(run_span, SpanCat::Run)))
     };
 
     let mut stats = GpumemStats::default();
@@ -803,21 +796,94 @@ pub(crate) fn gather_rows(
     }
 }
 
-/// Host bytes the device replicas of one [`Gpumem`], or the helper
-/// workers of one engine request, may hold in their buffer pools,
-/// together. A pool keeps what a row's index build took from it — at
-/// most [`device_memory_estimate`] bytes — for as long as its device
-/// lives, and a dense `ptrs` table grows as 4^ℓs: about 0.8 MB per
-/// device at ℓs = 8, but 805 MB at the default ℓs = 13. So extra
-/// devices are used only while they fit: dense-index runs at ℓs = 13
-/// keep to one device and hold what they held on one thread.
+/// Host bytes the helper workers of one run may hold in their buffer
+/// pools, together. A pool keeps what a row's index build took from it
+/// — at most [`device_memory_estimate`] bytes — for as long as its
+/// device lives, and a dense `ptrs` table grows as 4^ℓs: about 0.8 MB
+/// per device at ℓs = 8, but 805 MB at the default ℓs = 13. So a run
+/// takes helpers only while they fit: dense-index runs at ℓs = 13 keep
+/// to one worker and hold what they held on one thread.
 const REPLICA_POOL_BUDGET: u64 = 256 << 20;
 
-/// How many devices beyond the first a run under `config` may use:
-/// as many as [`REPLICA_POOL_BUDGET`] leaves room for.
-pub(crate) fn replica_cap(config: &GpumemConfig) -> usize {
-    let fit = REPLICA_POOL_BUDGET / device_memory_estimate(config).max(1);
-    usize::try_from(fit).unwrap_or(usize::MAX)
+/// The workers of one [`Gpumem`] or [`Engine`](crate::Engine). A run
+/// checks out the workers free when it starts ([`WorkerSet::checkout`]),
+/// and [`gather_rows`] spreads its tile rows over them.
+pub(crate) struct WorkerSet {
+    /// Worker `w`'s device, kept for the set's life.
+    devices: Vec<Device>,
+    /// Worker `w`'s tile scratch, kept for the set's life. Holding its
+    /// lock is holding the worker.
+    scratch: Vec<Mutex<TileScratch>>,
+    /// Where a run waits when every worker is busy.
+    next: AtomicUsize,
+    /// The most workers one run may hold: the first, and as many more
+    /// as [`REPLICA_POOL_BUDGET`] leaves room for.
+    per_run: usize,
+}
+
+/// A worker checked out of a [`WorkerSet`], until it is dropped.
+pub(crate) struct Held<'a> {
+    /// The worker's place in its set.
+    pub(crate) id: usize,
+    pub(crate) device: &'a Device,
+    scratch: MutexGuard<'a, TileScratch>,
+}
+
+impl WorkerSet {
+    /// `n` workers (at least one) for runs under `config`: `device`,
+    /// then devices with its spec and cost model.
+    pub(crate) fn new(config: &GpumemConfig, device: Device, n: usize) -> WorkerSet {
+        let n = n.max(1);
+        let replicas: Vec<Device> = (1..n)
+            .map(|_| Device::with_cost_model(device.spec().clone(), device.cost_model().clone()))
+            .collect();
+        let fit = REPLICA_POOL_BUDGET / device_memory_estimate(config).max(1);
+        WorkerSet {
+            devices: std::iter::once(device).chain(replicas).collect(),
+            scratch: (0..n)
+                .map(|_| Mutex::new(TileScratch::new(config)))
+                .collect(),
+            next: AtomicUsize::new(0),
+            per_run: n.min(usize::try_from(fit).unwrap_or(usize::MAX).saturating_add(1)),
+        }
+    }
+
+    /// Every worker's device, in worker order.
+    pub(crate) fn devices(&self) -> &[Device] {
+        &self.devices
+    }
+
+    /// Check out workers for a run of `rows` tile rows: the first free
+    /// worker, else a wait on the next one in rotation, so concurrent
+    /// runs spread over the set; then every other free worker, up to one
+    /// per row and the budget's cap. Only the first is waited for, so a
+    /// run never waits while it holds a worker. Under a live sanitizer
+    /// session, which instruments the calling thread alone, a run holds
+    /// one worker.
+    pub(crate) fn checkout(&self, rows: usize) -> Vec<Held<'_>> {
+        let most = if gpu_sim::sanitizer::enabled() {
+            1
+        } else {
+            self.per_run.min(rows).max(1)
+        };
+        let hold = |id: usize, scratch| Held {
+            id,
+            device: &self.devices[id],
+            scratch,
+        };
+        let free = |skip: Option<usize>| {
+            (0..self.devices.len())
+                .filter(move |&w| Some(w) != skip)
+                .filter_map(move |w| Some(hold(w, self.scratch[w].try_lock()?)))
+        };
+        let mut held: Vec<Held<'_>> = free(None).take(most).collect();
+        if held.is_empty() {
+            let next = self.next.fetch_add(1, Ordering::Relaxed) % self.devices.len();
+            held.push(hold(next, self.scratch[next].lock()));
+            held.extend(free(Some(next)).take(most - 1));
+        }
+        held
+    }
 }
 
 /// The GPUMEM tool: a configuration bound to a (simulated) device.
@@ -825,16 +891,17 @@ pub(crate) fn replica_cap(config: &GpumemConfig) -> usize {
 /// Tile rows are independent (each builds its own partial index and
 /// only out-tile fragments meet, in the host merge), so a run simulates
 /// them on up to `std::thread::available_parallelism()` host threads,
-/// each on its own replica of the device. Replicas are made once, with
-/// the device's spec and cost model, so their buffer pools stay warm
-/// across runs, and only as many as fit a 256 MiB budget of pool
-/// storage, which keeps the default dense ℓs = 13 index on one thread.
-/// The run still reports one device: every modeled statistic, the MEM
-/// set and the pool footprint are what the device alone would report.
+/// each worker on its own replica of the device with its own scratch.
+/// Workers are made once, with the device's spec and cost model, so
+/// their buffer pools and scratch stay warm across runs; a run takes
+/// only as many as fit a 256 MiB budget of pool storage, which keeps the
+/// default dense ℓs = 13 index on one thread. The run still reports one
+/// device: every modeled statistic, the MEM set and the pool footprint
+/// are what the device alone would report.
 pub struct Gpumem {
     config: GpumemConfig,
     /// The device, then its replicas: one per worker.
-    devices: Vec<Device>,
+    workers: WorkerSet,
 }
 
 impl Gpumem {
@@ -849,16 +916,12 @@ impl Gpumem {
         Gpumem::with_workers(config, device, cores)
     }
 
-    /// [`Gpumem::with_device`] with up to `workers` host threads per run,
-    /// as many as [`REPLICA_POOL_BUDGET`] leaves room for.
+    /// [`Gpumem::with_device`] with `workers` workers.
     pub(crate) fn with_workers(config: GpumemConfig, device: Device, workers: usize) -> Gpumem {
-        let replicas = (workers.max(1) - 1).min(replica_cap(&config));
-        let replicas: Vec<Device> = (0..replicas)
-            .map(|_| Device::with_cost_model(device.spec().clone(), device.cost_model().clone()))
-            .collect();
-        let mut devices = vec![device];
-        devices.extend(replicas);
-        Gpumem { config, devices }
+        Gpumem {
+            workers: WorkerSet::new(&config, device, workers),
+            config,
+        }
     }
 
     /// The configuration.
@@ -873,7 +936,7 @@ impl Gpumem {
     /// a plain run. A traced run sets it aside for its own recorder and
     /// puts it back afterwards.
     pub fn device(&self) -> &Device {
-        &self.devices[0]
+        &self.workers.devices()[0]
     }
 
     /// Estimated device bytes for one tile row (see
@@ -915,9 +978,9 @@ impl Gpumem {
     }
 
     /// Extract all MEMs of length ≥ L between `reference` and `query`.
-    /// The tile rows are split over the workers by reference bases
-    /// ([`ShardPlan::from_row_masses`]); with one core, one row or no
-    /// replica (see [`Gpumem`]) they all run on the calling thread.
+    /// The run checks out the free workers and each claims tile rows as
+    /// it gets to them; with one core, one row or a pool budget for one
+    /// worker (see [`Gpumem`]) they all run on the calling thread.
     pub fn run(&self, reference: &PackedSeq, query: &PackedSeq) -> Result<GpumemResult, RunError> {
         self.run_inner(reference, query, false)
             .map(|gathered| gathered.result)
@@ -950,24 +1013,20 @@ impl Gpumem {
         ensure_sort_key(query)?;
         ensure_fits(&self.config, self.device().spec())?;
 
-        let masses = row_masses(&self.config, reference, query);
-        let workers = self.devices.len().min(masses.len()).max(1);
-        let plan = ShardPlan::from_row_masses(workers, &masses);
+        let rows = row_masses(&self.config, reference, query).len();
+        let mut held = self.workers.checkout(rows);
         let row_index = |device: &Device, _row: usize, region: Region| {
             build_row_index(device, &self.config, reference, region)
         };
-        let (device, replicas) = self.devices[..workers].split_first().expect("a device");
-        let observer = device.observer();
-        for replica in replicas {
-            replica.set_observer(observer.clone());
+        // The run stands for the device: its observer sees every launch,
+        // and its pool would have kept earlier runs' buffers too.
+        let observer = self.device().observer();
+        for worker in held.iter().filter(|worker| worker.id != 0) {
+            worker.device.set_observer(observer.clone());
         }
-        let mut scratch: Vec<TileScratch> = (0..workers)
-            .map(|_| TileScratch::new(&self.config))
-            .collect();
-        let pools: Vec<&Device> = self.devices.iter().collect();
+        let pools: Vec<&Device> = self.workers.devices().iter().collect();
         let gathered = gather_rows(
-            &mut RowWorker::zip(&self.devices, &mut scratch),
-            &plan,
+            &mut held,
             "run",
             &self.config,
             reference,
@@ -976,8 +1035,8 @@ impl Gpumem {
             traced,
             &pools,
         );
-        for replica in replicas {
-            replica.set_observer(None);
+        for worker in held.iter().filter(|worker| worker.id != 0) {
+            worker.device.set_observer(None);
         }
         Ok(gathered)
     }
@@ -1423,7 +1482,7 @@ pub(crate) mod tests {
             stats.index.launches + stats.matching.launches
         );
         assert!(
-            gpumem.devices[1].observer().is_none(),
+            gpumem.workers.devices()[1].observer().is_none(),
             "replicas report to the observer only during a run"
         );
         gpumem.run_traced(&reference, &query).unwrap();
@@ -1434,62 +1493,23 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn replicas_fit_the_host_pool_budget() {
-        let devices = |seed_len| {
+    fn a_run_holds_only_the_workers_the_pool_budget_fits() {
+        let held = |seed_len| {
             let config = GpumemConfig::builder(25)
                 .seed_len(seed_len)
                 .build()
                 .unwrap();
             let gpumem = Gpumem::with_workers(config, Device::new(DeviceSpec::test_tiny()), 8);
-            let replicas = gpumem.devices.len() as u64 - 1;
+            let held = gpumem.workers.checkout(usize::MAX).len();
+            let helpers = held as u64 - 1;
             assert!(
-                replicas * gpumem.device_memory_estimate() <= REPLICA_POOL_BUDGET,
-                "ℓs = {seed_len}: {replicas} replicas"
+                helpers * gpumem.device_memory_estimate() <= REPLICA_POOL_BUDGET,
+                "ℓs = {seed_len}: {helpers} helpers"
             );
-            gpumem.devices.len()
+            held
         };
-        assert_eq!(devices(8), 8, "a small index runs on every worker");
-        assert_eq!(devices(13), 1, "the default ℓs = 13 keeps to the device");
-    }
-
-    #[test]
-    fn a_worker_panic_reaches_the_caller_with_its_payload() {
-        let reference = GenomeModel::uniform().generate(2_000, 408);
-        let gpumem = small_gpumem(16, 6, 8, 2);
-        let masses = row_masses(gpumem.config(), &reference, &reference);
-        assert!(masses.len() >= 2);
-        let devices: Vec<Device> = (0..2)
-            .map(|_| Device::new(DeviceSpec::test_tiny()))
-            .collect();
-        let mut scratch: Vec<TileScratch> =
-            (0..2).map(|_| TileScratch::new(gpumem.config())).collect();
-        let mut workers = RowWorker::zip(&devices, &mut scratch);
-        let plan = ShardPlan::from_row_masses(2, &masses);
-        let last = masses.len() - 1;
-        let row_index = |device: &Device, row: usize, region: Region| {
-            assert!(row != last, "row {row} refused");
-            build_row_index(device, gpumem.config(), &reference, region)
-        };
-        let pools: Vec<&Device> = devices.iter().collect();
-        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            gather_rows(
-                &mut workers,
-                &plan,
-                "run",
-                gpumem.config(),
-                &reference,
-                &reference,
-                &row_index,
-                false,
-                &pools,
-            )
-        }))
-        .err()
-        .expect("the worker's panic propagates");
-        let message = panic
-            .downcast_ref::<String>()
-            .expect("the worker's own payload");
-        assert_eq!(message, &format!("row {last} refused"));
+        assert_eq!(held(8), 8, "a small index runs on every worker");
+        assert_eq!(held(13), 1, "the default ℓs = 13 keeps to one worker");
     }
 
     /// A related pair with a planted poly-C desert, so tile-row masses
@@ -1516,35 +1536,21 @@ pub(crate) mod tests {
         (PackedSeq::from_codes(&codes), query, config)
     }
 
-    /// The MEMs of `plan`'s rows gathered on one fresh device per shard.
-    pub(crate) fn gather_plan(
-        plan: &ShardPlan,
+    /// `row_index`'s rows gathered on the workers a fresh set of
+    /// `workers` test-tiny devices checks out for them.
+    pub(crate) fn gather_on(
+        workers: usize,
         config: &GpumemConfig,
         reference: &PackedSeq,
         query: &PackedSeq,
-    ) -> Vec<Mem> {
-        let devices: Vec<Device> = (0..plan.n_shards())
-            .map(|_| Device::new(DeviceSpec::test_tiny()))
-            .collect();
-        let mut scratch: Vec<TileScratch> =
-            devices.iter().map(|_| TileScratch::new(config)).collect();
-        let row_index = |device: &Device, _row: usize, region: Region| {
-            build_row_index(device, config, reference, region)
-        };
-        let pools: Vec<&Device> = devices.iter().collect();
+        row_index: &RowIndexFn<'_>,
+    ) -> Gathered {
+        let set = WorkerSet::new(config, Device::new(DeviceSpec::test_tiny()), workers);
+        let mut held = set.checkout(row_masses(config, reference, query).len());
+        let pools: Vec<&Device> = set.devices().iter().collect();
         gather_rows(
-            &mut RowWorker::zip(&devices, &mut scratch),
-            plan,
-            "run",
-            config,
-            reference,
-            query,
-            &row_index,
-            false,
-            &pools,
+            &mut held, "run", config, reference, query, row_index, false, &pools,
         )
-        .result
-        .mems
     }
 
     /// The one-device MEM set of a pair.
@@ -1560,34 +1566,64 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn lopsided_and_empty_shard_plans_reproduce_one_device() {
+    fn a_stalled_helper_holds_only_its_first_row() {
         let (reference, query, config) = skewed_pair(31_002);
         let single = one_device_mems(&config, &reference, &query);
-        assert!(!single.is_empty(), "fixture must produce MEMs");
         let n_rows = row_masses(&config, &reference, &query).len();
-        assert!(n_rows >= 2, "fixture must span several tile rows");
+        assert!(n_rows >= 4, "fixture must span at least four tile rows");
 
-        // An LPT split over heavily skewed masses, everything on shard 1
-        // of 3, and one row per shard with empty shards to spare.
-        let skewed: Vec<u64> = (0..n_rows).map(|r| ((r as u64) + 1).pow(3)).collect();
-        let all: Vec<usize> = (0..n_rows).collect();
-        let spread: Vec<Vec<usize>> = (0..n_rows + 2)
-            .map(|s| if s < n_rows { vec![s] } else { Vec::new() })
-            .collect();
-        for (what, plan) in [
-            ("lpt-skewed", ShardPlan::from_row_masses(3, &skewed)),
-            (
-                "lopsided",
-                ShardPlan::from_assignments(vec![Vec::new(), all, Vec::new()]),
-            ),
-            ("spread", ShardPlan::from_assignments(spread)),
-        ] {
-            assert_eq!(
-                gather_plan(&plan, &config, &reference, &query),
-                single,
-                "{what}"
-            );
-        }
+        // Worker 1 starts on row 1, on a thread of its own, and stalls
+        // there until every other row is built: the calling thread must
+        // claim them all. A static split would leave some to worker 1,
+        // and the stall would time out.
+        let caller = std::thread::current().id();
+        let built = (std::sync::Mutex::new(0usize), std::sync::Condvar::new());
+        let helper_rows = std::sync::Mutex::new(Vec::new());
+        let row_index = |device: &Device, row: usize, region: Region| {
+            let helper = std::thread::current().id() != caller;
+            let (count, wake) = &built;
+            if helper && row == 1 {
+                let others_built = |built: &mut usize| *built < n_rows - 1;
+                let timeout = Duration::from_secs(20);
+                let waited = wake
+                    .wait_timeout_while(count.lock().unwrap(), timeout, others_built)
+                    .unwrap()
+                    .1;
+                assert!(!waited.timed_out(), "rows waited for the stalled worker");
+            }
+            if helper {
+                helper_rows.lock().unwrap().push(row);
+            }
+            let out = build_row_index(device, &config, &reference, region);
+            *count.lock().unwrap() += 1;
+            wake.notify_all();
+            out
+        };
+        let gathered = gather_on(2, &config, &reference, &query, &row_index);
+        assert_eq!(gathered.result.mems, single);
+        assert_eq!(helper_rows.into_inner().unwrap(), [1]);
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller_with_its_payload() {
+        let reference = GenomeModel::uniform().generate(2_000, 408);
+        let gpumem = small_gpumem(16, 6, 8, 2);
+        let config = gpumem.config();
+        assert!(row_masses(config, &reference, &reference).len() >= 2);
+        // Row 1 is worker 1's first row: the helper thread refuses it.
+        let row_index = |device: &Device, row: usize, region: Region| {
+            assert!(row != 1, "row {row} refused");
+            build_row_index(device, config, &reference, region)
+        };
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            gather_on(2, config, &reference, &reference, &row_index)
+        }))
+        .err()
+        .expect("the worker's panic propagates");
+        let message = panic
+            .downcast_ref::<String>()
+            .expect("the worker's own payload");
+        assert_eq!(message, "row 1 refused");
     }
 
     #[test]
@@ -1604,7 +1640,7 @@ pub(crate) mod tests {
 
 #[cfg(test)]
 mod proptests {
-    use super::tests::{gather_plan, one_device_mems, skewed_pair};
+    use super::tests::{gather_on, one_device_mems, skewed_pair};
     use super::*;
     use gpumem_seq::naive_mems;
     use proptest::prelude::*;
@@ -1614,29 +1650,32 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
-        /// Any placement of the tile rows onto any number of shards —
-        /// drawn at random, from empty to badly unbalanced — reproduces
-        /// the one-device canonical MEM set byte for byte.
+        /// However many workers claim the tile rows, and however long
+        /// each row's index takes — so whichever worker ends up with
+        /// which rows — the gather reproduces the one-device canonical
+        /// MEM set byte for byte.
         #[test]
-        fn random_row_placements_reproduce_one_device(
+        fn claimed_rows_reproduce_one_device_under_any_stalls(
             content_seed in 0u64..500,
-            split_seed in 0u64..10_000,
+            stall_seed in 0u64..10_000,
         ) {
             let (reference, query, config) = skewed_pair(content_seed);
             let single = one_device_mems(&config, &reference, &query);
             let n_rows = row_masses(&config, &reference, &query).len();
 
-            let mut rng = StdRng::seed_from_u64(split_seed);
-            let n_shards = rng.gen_range(2..=7usize);
-            let mut rows: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
-            for row in 0..n_rows {
-                rows[rng.gen_range(0..n_shards)].push(row);
-            }
-            let plan = ShardPlan::from_assignments(rows);
+            let mut rng = StdRng::seed_from_u64(stall_seed);
+            let workers = rng.gen_range(2..=7usize);
+            let stalls: Vec<Duration> = (0..n_rows)
+                .map(|_| Duration::from_micros(rng.gen_range(0..3_000)))
+                .collect();
+            let row_index = |device: &Device, row: usize, region: Region| {
+                std::thread::sleep(stalls[row]);
+                build_row_index(device, &config, &reference, region)
+            };
             prop_assert_eq!(
-                gather_plan(&plan, &config, &reference, &query),
+                gather_on(workers, &config, &reference, &query, &row_index).result.mems,
                 single,
-                "{} shards, split seed {}", n_shards, split_seed
+                "{} workers, stall seed {}", workers, stall_seed
             );
         }
     }

@@ -1,21 +1,24 @@
-//! Shard plans: how one run's tile rows split across several simulated
-//! devices.
+//! Shard plans: how one run's tile rows would split across several
+//! simulated devices.
 //!
 //! The paper's §IV loop walks one reference's tile rows on one device.
 //! A row is a self-contained unit of work — it owns its partial index
 //! and its tiles' kernels read nothing outside the row slice — so a
 //! "cluster-shaped" run can hand disjoint row subsets to N devices (the
-//! SaLoBa-style scatter/gather shape). A [`ShardPlan`] places the rows
-//! twice over:
+//! SaLoBa-style scatter/gather shape). Two things follow:
 //!
-//! * every run spreads its rows over the devices that simulate them,
-//!   one host thread each: [`Gpumem::run`](crate::Gpumem::run)'s
-//!   replicas, or the engine workers free when a request arrives;
+//! * every run spreads its rows over the workers that simulate them,
+//!   one host thread each: [`Gpumem::run`](crate::Gpumem::run)'s, or
+//!   the engine workers free when a request arrives. No plan places
+//!   them: each worker starts on a row of its own and then claims
+//!   whichever row is next unclaimed, so a worker that starts late or
+//!   stalls holds up one row, not a share fixed in advance;
 //! * an engine request with [`RunOptions::shards`](crate::RunOptions)
 //!   = n also reports its matching statistics as n devices would have
-//!   split them. That split is summed, not run: every modeled field of
-//!   a launch is a counter, a `Duration` sum or a max, so a shard's
-//!   figures are exactly the sum of its rows' from the one run.
+//!   split them under a [`ShardPlan`]. That split is summed, not run:
+//!   every modeled field of a launch is a counter, a `Duration` sum or a
+//!   max, so a shard's figures are exactly the sum of its rows' from the
+//!   one run.
 //!
 //! ## Why the merged output is byte-identical
 //!
@@ -25,12 +28,12 @@
 //! are too — which fragments a tile emits depends only on the tile's
 //! slice, never on which device launched it or in what order. So
 //! running disjoint row subsets on separate devices, concatenating every
-//! shard's fragments, and host-merging them **once** feeds the global
+//! worker's fragments, and host-merging them **once** feeds the global
 //! merge the exact multiset of fragments a single device would have
 //! produced — and `global_merge` sorts before combining, so the result
-//! is byte-identical. [`ShardPlan`] only decides *placement*; it cannot
-//! change the output, which is what the shard-count invariance proptest
-//! gates.
+//! is byte-identical, whichever worker claimed which row. The pipeline's
+//! claim-loop tests (stalled and randomly delayed workers) and the
+//! shard-count invariance test gate it.
 
 /// An assignment of tile-row ids to shards (one shard per simulated
 /// device). Every row appears in exactly one shard; a shard may be
@@ -61,12 +64,6 @@ impl ShardPlan {
             // instead of all piling onto shard 0.
             load[target] += row_masses[r].max(1);
         }
-        ShardPlan::from_assignments(rows)
-    }
-
-    /// A plan from explicit per-shard row lists. Rows are sorted within
-    /// each shard.
-    pub(crate) fn from_assignments(mut rows: Vec<Vec<usize>>) -> ShardPlan {
         for shard in &mut rows {
             shard.sort_unstable();
         }
@@ -132,14 +129,5 @@ mod tests {
             ShardPlan::from_row_masses(3, &masses),
             ShardPlan::from_row_masses(3, &masses)
         );
-    }
-
-    #[test]
-    fn explicit_assignments_round_trip() {
-        let plan = ShardPlan::from_assignments(vec![vec![2, 0], vec![1]]);
-        assert_eq!(plan.rows(0), &[0, 2]);
-        assert_eq!(plan.rows(1), &[1]);
-        assert!(covers(&plan, 3));
-        assert!(!covers(&plan, 4));
     }
 }

@@ -18,15 +18,13 @@
 //! ([`sparsify::check_dual_steps`]), with the query side of the pair
 //! enforced by the pipeline's probe schedule rather than the index.
 //!
-//! Three builders produce bit-identical indexes:
+//! Two builders produce bit-identical indexes:
 //!
 //! * [`build_gpu()`] — Algorithm 1 verbatim on the [`gpu_sim`] device
 //!   (atomic count → device prefix-sum → atomic fill → per-seed sort);
-//! * [`build_parallel`] — a rayon CPU equivalent (used to cross-check
-//!   the GPU build and as a fast path in tests);
-//! * [`build_sequential`] — the obviously-correct reference.
+//! * [`build_sequential`] — the obviously-correct host reference.
 //!
-//! A fourth builder family lives in [`compact`]: the sorted-directory
+//! A second builder family lives in [`compact`]: the sorted-directory
 //! layout (a §V "novel indexing techniques" extension) that drops the
 //! `4^ℓs` table in favour of `O(n_locs)` memory; both layouts serve the
 //! pipeline through the [`SeedLookup`] trait.
@@ -39,7 +37,7 @@ pub mod lookup;
 pub mod seed;
 pub mod sparsify;
 
-pub use build_cpu::{build_parallel, build_sequential};
+pub use build_cpu::build_sequential;
 pub use build_gpu::build_gpu;
 pub use compact::{build_compact_gpu, build_compact_sequential, CompactSeedIndex};
 pub use index::{Region, SeedIndex};

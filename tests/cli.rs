@@ -852,6 +852,61 @@ fn registry_subcommands_round_trip() {
     );
 }
 
+/// Runs the CLI with `args`, expecting a structured refusal of an
+/// out-of-range ℓs: exit status 1 with the configuration error, not a
+/// panic (status 101).
+fn refuse_seed_len(args: &[&str], seed_len: usize) {
+    let out = cli().args(args).output().expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+    assert!(!err.contains("panicked"), "{args:?}: {err}");
+    assert!(
+        err.contains(&format!("seed length {seed_len} out of range 1..=15")),
+        "{args:?}: {err}"
+    );
+}
+
+#[test]
+fn registry_add_refuses_an_out_of_range_seed_len() {
+    let dir = std::env::temp_dir().join("gpumem-cli-test-registry-seed-len");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (ref_fa, _) = write_pair(&dir);
+    let handles = dir.join("handles.tsv");
+    let _ = std::fs::remove_file(&handles);
+    let handles = handles.to_str().unwrap();
+    refuse_seed_len(
+        &["registry", "add", handles, "x", &ref_fa, "--seed-len", "0"],
+        0,
+    );
+    assert!(
+        std::fs::metadata(handles).is_err(),
+        "a refused entry must not be written"
+    );
+}
+
+#[test]
+fn metrics_export_refuses_an_out_of_range_seed_len() {
+    let dir = std::env::temp_dir().join("gpumem-cli-test-metrics-seed-len");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (ref_fa, query_fa) = write_pair(&dir);
+    for seed_len in [0, 16] {
+        let seed_len_arg = seed_len.to_string();
+        refuse_seed_len(
+            &[
+                "metrics",
+                "export",
+                "--min-len",
+                "20",
+                "--seed-len",
+                &seed_len_arg,
+                &ref_fa,
+                &query_fa,
+            ],
+            seed_len,
+        );
+    }
+}
+
 #[test]
 fn bench_info_prints_device_catalog() {
     let out = cli()

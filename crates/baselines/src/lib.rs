@@ -12,8 +12,8 @@
 //! against the ground-truth [`gpumem_seq::naive_mems`] and against each
 //! other by property tests — so Tables III/IV compare equal work.
 //!
-//! Substrates: [`sa`] (SA-IS, parallel prefix-doubling/sampled sorts,
-//! Kasai LCP) and [`fm`] (FM-index).
+//! Substrates: [`sa`] (SA-IS, prefix-doubling/sampled sorts, Kasai
+//! LCP) and [`fm`] (FM-index).
 
 //! Extensions beyond the tables: [`strands`] adds both-strand matching
 //! (the `-b` mode of the original tools) and [`variants`] implements
@@ -33,7 +33,7 @@ pub mod variants;
 pub use common::MemFinder;
 pub use essa_mem::EssaMem;
 pub use mummer::Mummer;
-pub use parallel::{build_in_pool, find_mems_parallel};
+pub use parallel::find_mems_parallel;
 pub use sla_mem::SlaMem;
 pub use sparse_mem::SparseMem;
 pub use strands::{find_mems_both_strands, is_strand_mem_exact};

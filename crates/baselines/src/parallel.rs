@@ -1,35 +1,19 @@
-//! Shared-memory parallel drivers (the paper's τ = 1, 4, 8 runs).
+//! Shared-memory parallel driver (the paper's τ = 1, 4, 8 query runs).
 //!
 //! The query is partitioned into position ranges; because every finder
 //! reports a MEM exactly once, at a unique anchor position (see
 //! [`crate::common`]), disjoint ranges produce disjoint result sets and
-//! the union is exact. Index builds run inside the same sized pool so
-//! construction also scales with τ (Table III's sparseMEM/essaMEM
-//! columns).
+//! the union is exact. Index builds run on the calling thread.
 
-use std::ops::Range;
-
-use rayon::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use gpumem_seq::{canonicalize, Mem, PackedSeq};
 
 use crate::common::MemFinder;
 
-/// Build a dedicated rayon pool of `threads` workers.
-fn pool(threads: usize) -> rayon::ThreadPool {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads.max(1))
-        .build()
-        .expect("rayon pool construction cannot fail with valid size")
-}
-
-/// Run `build` under a τ-thread pool (any rayon parallelism inside the
-/// closure — e.g. the sparse suffix sort — uses exactly τ workers).
-pub fn build_in_pool<T: Send>(threads: usize, build: impl FnOnce() -> T + Send) -> T {
-    pool(threads).install(build)
-}
-
-/// Find all MEMs with `threads` workers over query partitions.
+/// Find all MEMs with `threads` workers over query partitions: at most
+/// `threads` scoped host threads, each claiming the next unclaimed
+/// range until none is left.
 pub fn find_mems_parallel<F: MemFinder + ?Sized>(
     finder: &F,
     query: &PackedSeq,
@@ -42,17 +26,32 @@ pub fn find_mems_parallel<F: MemFinder + ?Sized>(
     let n = query.len();
     // Over-partition 4x for load balance (MEM density is uneven).
     let chunk = n.div_ceil(threads * 4).max(1);
-    let ranges: Vec<Range<usize>> = (0..n)
-        .step_by(chunk)
-        .map(|lo| lo..(lo + chunk).min(n))
-        .collect();
-    let parts: Vec<Vec<Mem>> = pool(threads).install(|| {
-        ranges
-            .into_par_iter()
-            .map(|range| finder.find_in_range(query, range, min_len))
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut mems = Vec::new();
+        loop {
+            // Relaxed: the cursor publishes no data, and joining the
+            // workers orders their results before the merge.
+            let lo = next.fetch_add(chunk, Ordering::Relaxed);
+            if lo >= n {
+                return mems;
+            }
+            mems.extend(finder.find_in_range(query, lo..(lo + chunk).min(n), min_len));
+        }
+    };
+    let mems: Vec<Mem> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads.min(n.div_ceil(chunk)))
+            .map(|_| scope.spawn(worker))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| {
+                w.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
             .collect()
     });
-    canonicalize(parts.into_iter().flatten().collect())
+    canonicalize(mems)
 }
 
 #[cfg(test)]
@@ -80,12 +79,6 @@ mod tests {
                 assert_eq!(got, expect, "{} τ={threads}", finder.name());
             }
         }
-    }
-
-    #[test]
-    fn build_in_pool_runs_with_requested_width() {
-        let width = build_in_pool(3, rayon::current_num_threads);
-        assert_eq!(width, 3);
     }
 
     #[test]

@@ -1,24 +1,19 @@
-//! Parallel suffix sorting.
+//! Suffix sorting by comparison.
 //!
-//! Two entry points used by the sparseMEM/essaMEM baselines, both of
-//! which scale with the rayon pool they run under (the paper runs those
-//! tools at τ = 1, 4, 8 and their *index construction* speeds up with
-//! τ — Table III):
+//! Two entry points used by the sparseMEM/essaMEM baselines, both
+//! sequential (the paper runs those tools at τ = 1, 4, 8; here only
+//! their queries use τ threads, see [`crate::parallel`]):
 //!
-//! * [`suffix_array_doubling`] — Manber–Myers prefix doubling with
-//!   parallel sorts; O(n log² n), fully general.
+//! * [`suffix_array_doubling`] — Manber–Myers prefix doubling;
+//!   O(n log² n), fully general.
 //! * [`sort_sampled_suffixes`] — directly comparison-sorts a *sampled*
 //!   subset of suffixes with word-parallel LCE comparisons; this is how
 //!   the sparse tools build their `K`-sampled suffix arrays without
 //!   paying for a full array.
 
-use rayon::prelude::*;
-
 use gpumem_seq::PackedSeq;
 
-/// Full suffix array by prefix doubling with parallel sorts. Runs under
-/// the ambient rayon pool, so wrapping the call in
-/// `ThreadPool::install` gives the τ-thread builds of Table III.
+/// Full suffix array by prefix doubling.
 pub fn suffix_array_doubling(codes: &[u8]) -> Vec<u32> {
     let n = codes.len();
     if n == 0 {
@@ -36,7 +31,7 @@ pub fn suffix_array_doubling(codes: &[u8]) -> Vec<u32> {
             let second = if i + k < n { rank[i + k] + 1 } else { 0 };
             (rank[i], second)
         };
-        sa.par_sort_unstable_by_key(|&i| key(i));
+        sa.sort_unstable_by_key(|&i| key(i));
 
         // Re-rank.
         next_rank[sa[0] as usize] = 0;
@@ -55,10 +50,10 @@ pub fn suffix_array_doubling(codes: &[u8]) -> Vec<u32> {
 }
 
 /// Sort the suffixes starting at `positions` (a `K`-sampled subset) by
-/// direct comparison with word-parallel LCE. Parallel under the ambient
-/// rayon pool. Returns the positions in lexicographic suffix order.
+/// direct comparison with word-parallel LCE. Returns the positions in
+/// lexicographic suffix order.
 pub fn sort_sampled_suffixes(reference: &PackedSeq, mut positions: Vec<u32>) -> Vec<u32> {
-    positions.par_sort_unstable_by(|&a, &b| compare_suffixes(reference, a as usize, b as usize));
+    positions.sort_unstable_by(|&a, &b| compare_suffixes(reference, a as usize, b as usize));
     positions
 }
 

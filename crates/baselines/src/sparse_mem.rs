@@ -31,8 +31,7 @@ pub struct SparseMem {
 
 impl SparseMem {
     /// Build the sparse suffix array with sparseness `k` (`k = 1` is a
-    /// full suffix array). Sorting runs under the ambient rayon pool,
-    /// so wrap in `ThreadPool::install` for a τ-thread build.
+    /// full suffix array). The build runs on the calling thread.
     pub fn build(reference: &PackedSeq, k: usize) -> SparseMem {
         assert!(k >= 1, "sparseness must be at least 1");
         let positions: Vec<u32> = (0..reference.len() as u32).step_by(k).collect();

@@ -2,15 +2,17 @@
 //!
 //! Columns exactly as the paper: sparseMEM (τ = 1, 4, 8 — the tool
 //! couples sparseness K to τ), essaMEM (τ = 1, 4, 8 — fixed K = 4),
-//! MUMmer, slaMEM, GPUMEM. CPU tools report wall seconds; GPUMEM
-//! reports modeled device seconds (and wall as a cross-check).
+//! MUMmer, slaMEM, GPUMEM. CPU tools report wall seconds of a build on
+//! one thread (so essaMEM's τ columns repeat one build, and sparseMEM's
+//! differ only by K); GPUMEM reports modeled device seconds (and wall
+//! as a cross-check).
 //! Expected shape (DESIGN.md §4): GPUMEM ≪ all CPU tools; GPUMEM's
 //! build grows as L shrinks (Δs shrinks) while CPU builds are
 //! L-independent; slaMEM's build is the slowest CPU build.
 
 use std::collections::HashMap;
 
-use gpumem_baselines::{build_in_pool, EssaMem, Mummer, SlaMem, SparseMem};
+use gpumem_baselines::{EssaMem, Mummer, SlaMem, SparseMem};
 use gpumem_core::Gpumem;
 use gpumem_seq::DatasetPair;
 
@@ -54,11 +56,11 @@ pub fn run(scale: f64, seed: u64) -> Vec<f64> {
         let mut cells = vec![row.pair.name.clone(), row.min_len.to_string()];
         for tau in [1usize, 4, 8] {
             // sparseMEM couples K to τ (sparser index with more threads).
-            let (_, t) = time_secs(|| build_in_pool(tau, || SparseMem::build(reference, tau)));
+            let (_, t) = time_secs(|| SparseMem::build(reference, tau));
             cells.push(secs(t));
         }
-        for tau in [1usize, 4, 8] {
-            let (_, t) = time_secs(|| build_in_pool(tau, || EssaMem::build(reference, ESSA_K)));
+        for _tau in [1usize, 4, 8] {
+            let (_, t) = time_secs(|| EssaMem::build(reference, ESSA_K));
             cells.push(secs(t));
         }
         let (_, t_mummer) = time_secs(|| Mummer::build(reference));

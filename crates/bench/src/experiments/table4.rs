@@ -8,9 +8,7 @@
 
 use std::collections::HashMap;
 
-use gpumem_baselines::{
-    build_in_pool, find_mems_parallel, EssaMem, MemFinder, Mummer, SlaMem, SparseMem,
-};
+use gpumem_baselines::{find_mems_parallel, EssaMem, MemFinder, Mummer, SlaMem, SparseMem};
 use gpumem_core::Gpumem;
 use gpumem_seq::DatasetPair;
 
@@ -56,7 +54,7 @@ pub fn run(scale: f64, seed: u64) -> Vec<(f64, usize)> {
 
         // sparseMEM: index sparseness = τ, matched with τ threads.
         for tau in [1usize, 4, 8] {
-            let finder = build_in_pool(tau, || SparseMem::build(reference, tau));
+            let finder = SparseMem::build(reference, tau);
             let (mems, t) = time_secs(|| find_mems_parallel(&finder, query, min_len, tau));
             counts.push(mems.len());
             cells.push(secs(t));

@@ -225,15 +225,14 @@ pub fn balance_into(
 mod tests {
     use super::*;
     use gpu_sim::{Device, DeviceSpec, LaunchConfig};
-    use parking_lot::Mutex;
 
     fn run_balance(loads: Vec<u32>, enabled: bool) -> Assignment {
         let device = Device::new(DeviceSpec::test_tiny());
-        let out = Mutex::new(Assignment::default());
-        device.launch_fn(LaunchConfig::new(1, loads.len()), |ctx| {
-            *out.lock() = balance(ctx, &loads, enabled);
+        let mut out = Assignment::default();
+        device.launch(LaunchConfig::new(1, loads.len()), "test", |ctx| {
+            out = balance(ctx, &loads, enabled);
         });
-        out.into_inner()
+        out
     }
 
     /// Invariants every assignment must satisfy.
@@ -350,7 +349,7 @@ mod tests {
         loads[0] = 6_400;
         let work = |enabled: bool| {
             device
-                .launch_fn(LaunchConfig::new(1, 64), |ctx| {
+                .launch(LaunchConfig::new(1, 64), "test", |ctx| {
                     let a = balance(ctx, &loads, enabled);
                     ctx.simt(|lane| {
                         let g = a.group_of_thread[lane.tid];
@@ -378,7 +377,6 @@ mod tests {
 mod proptests {
     use super::*;
     use gpu_sim::{Device, DeviceSpec, LaunchConfig};
-    use parking_lot::Mutex;
     use proptest::prelude::*;
 
     proptest! {
@@ -390,11 +388,10 @@ mod proptests {
             enabled: bool,
         ) {
             let device = Device::new(DeviceSpec::test_tiny());
-            let out = Mutex::new(Assignment::default());
-            device.launch_fn(LaunchConfig::new(1, 32), |ctx| {
-                *out.lock() = balance(ctx, &loads, enabled);
+            let mut a = Assignment::default();
+            device.launch(LaunchConfig::new(1, 32), "test", |ctx| {
+                a = balance(ctx, &loads, enabled);
             });
-            let a = out.into_inner();
             let nonempty = loads.iter().filter(|&&l| l > 0).count();
             prop_assert_eq!(a.groups.len(), nonempty);
             for group in &a.groups {

@@ -284,7 +284,6 @@ mod tests {
     use gpu_sim::{Device, DeviceSpec, LaunchConfig};
     use gpumem_index::{build_sequential, Region};
     use gpumem_seq::{canonicalize, is_maximal_exact, naive_mems, GenomeModel};
-    use parking_lot::Mutex;
 
     /// Run a single block covering the whole query against the whole
     /// reference (one row, one block).
@@ -302,25 +301,27 @@ mod tests {
         let device = Device::new(DeviceSpec::test_tiny());
         let mut query_codes = Vec::new();
         encode_query_seeds(query, config.seed_len, &mut query_codes);
-        let out = Mutex::new(BlockOutput::default());
-        device.launch_fn(LaunchConfig::new(1, config.threads_per_block), |ctx| {
-            let mut scratch = BlockScratch::new(config.threads_per_block);
-            let mut block_out = BlockOutput::default();
-            process_block(
-                ctx,
-                reference,
-                query,
-                &query_codes,
-                &index,
-                config,
-                0..reference.len(),
-                0..query.len(),
-                &mut scratch,
-                &mut block_out,
-            );
-            *out.lock() = block_out;
-        });
-        out.into_inner()
+        let mut out = BlockOutput::default();
+        device.launch(
+            LaunchConfig::new(1, config.threads_per_block),
+            "test",
+            |ctx| {
+                let mut scratch = BlockScratch::new(config.threads_per_block);
+                process_block(
+                    ctx,
+                    reference,
+                    query,
+                    &query_codes,
+                    &index,
+                    config,
+                    0..reference.len(),
+                    0..query.len(),
+                    &mut scratch,
+                    &mut out,
+                );
+            },
+        );
+        out
     }
 
     fn config(min_len: u32, seed_len: usize, tau: usize) -> GpumemConfig {
@@ -437,10 +438,9 @@ mod tests {
         let mut text_codes = Vec::new();
         encode_query_seeds(&text, 4, &mut text_codes);
         let device = Device::new(DeviceSpec::test_tiny());
-        let out = Mutex::new(BlockOutput::default());
-        device.launch_fn(LaunchConfig::new(1, 4), |ctx| {
+        let mut output = BlockOutput::default();
+        device.launch(LaunchConfig::new(1, 4), "test", |ctx| {
             let mut scratch = BlockScratch::new(4);
-            let mut block_out = BlockOutput::default();
             process_block(
                 ctx,
                 &text,
@@ -451,11 +451,9 @@ mod tests {
                 0..text.len(),
                 40..60, // interior query window
                 &mut scratch,
-                &mut block_out,
+                &mut output,
             );
-            *out.lock() = block_out;
         });
-        let output = out.into_inner();
         // The self-match diagonal crosses both edges of the window.
         assert!(
             output
@@ -478,10 +476,9 @@ mod tests {
         let mut text_codes = Vec::new();
         encode_query_seeds(&text, 4, &mut text_codes);
         let device = Device::new(DeviceSpec::test_tiny());
-        let out = Mutex::new(BlockOutput::default());
-        device.launch_fn(LaunchConfig::new(1, 4), |ctx| {
+        let mut out = BlockOutput::default();
+        device.launch(LaunchConfig::new(1, 4), "test", |ctx| {
             let mut scratch = BlockScratch::new(4);
-            let mut block_out = BlockOutput::default();
             process_block(
                 ctx,
                 &text,
@@ -492,10 +489,9 @@ mod tests {
                 0..100,
                 50..50,
                 &mut scratch,
-                &mut block_out,
+                &mut out,
             );
-            *out.lock() = block_out;
         });
-        assert_eq!(out.into_inner(), BlockOutput::default());
+        assert_eq!(out, BlockOutput::default());
     }
 }

@@ -484,7 +484,6 @@ mod tests {
     use super::*;
     use crate::balance::GroupAssign;
     use gpu_sim::{Device, DeviceSpec, LaunchConfig};
-    use parking_lot::Mutex;
 
     #[test]
     fn combine_pair_follows_the_paper_equation() {
@@ -561,13 +560,13 @@ mod tests {
                 .collect(),
             group_of_thread: (0..tau).collect(),
         };
-        let out = Mutex::new(Vec::new());
-        device.launch_fn(LaunchConfig::new(1, tau), |ctx| {
+        let mut out = Vec::new();
+        device.launch(LaunchConfig::new(1, tau), "test", |ctx| {
             let mut t = triplets.clone();
             tree_combine(ctx, &assignment, &mut t);
-            *out.lock() = t.into_iter().flatten().filter(|m| m.len > 0).collect();
+            out = t.into_iter().flatten().filter(|m| m.len > 0).collect();
         });
-        out.into_inner()
+        out
     }
 
     fn chain(slots: std::ops::Range<usize>, w: u32, diag: u32) -> Vec<Vec<Mem>> {
@@ -675,8 +674,8 @@ mod tests {
             ],
             group_of_thread: vec![0, 0, 0, 1],
         };
-        let out = Mutex::new(Vec::new());
-        device.launch_fn(LaunchConfig::new(1, 4), |ctx| {
+        let mut got = Vec::new();
+        device.launch(LaunchConfig::new(1, 4), "test", |ctx| {
             let mut t = vec![Vec::new(); 4];
             // Slot 0 has triplets on three diagonals; slot 1 continues
             // one of them.
@@ -697,13 +696,12 @@ mod tests {
                 len: 4,
             });
             tree_combine(ctx, &assignment, &mut t);
-            *out.lock() = t
+            got = t
                 .into_iter()
                 .flatten()
                 .filter(|m| m.len > 0)
                 .collect::<Vec<_>>();
         });
-        let mut got = out.into_inner();
         got.sort_unstable();
         assert_eq!(
             got,
@@ -818,13 +816,10 @@ mod tests {
             Mem { r: 0, q: 7, len: 3 },
             Mem { r: 3, q: 3, len: 3 },
         ];
-        let out = Mutex::new(Vec::new());
-        device.launch_fn(LaunchConfig::new(1, 32), |ctx| {
-            let mut data = input.clone();
-            block_sort_by_diag(ctx, &mut data);
-            *out.lock() = data;
+        let mut got = input.clone();
+        device.launch(LaunchConfig::new(1, 32), "test", |ctx| {
+            block_sort_by_diag(ctx, &mut got);
         });
-        let got = out.into_inner();
         let mut expect = input;
         expect.sort_unstable_by_key(diag_key);
         assert_eq!(got, expect);

@@ -1151,6 +1151,30 @@ mod tests {
     }
 
     #[test]
+    fn build_refuses_a_block_wider_than_the_device() {
+        let spec = DeviceSpec::test_tiny();
+        let reference = GenomeModel::uniform().generate(1_000, 811);
+        let wide = GpumemConfig::builder(25)
+            .seed_len(8)
+            .threads_per_block(2 * spec.max_threads_per_block)
+            .build()
+            .unwrap();
+        let err = Engine::builder(reference)
+            .config(wide)
+            .spec(spec)
+            .build()
+            .err()
+            .unwrap();
+        assert_eq!(
+            err,
+            RunError::BlockTooWide {
+                threads_per_block: 512,
+                limit: 256
+            }
+        );
+    }
+
+    #[test]
     fn empty_batch_and_empty_records() {
         let reference = GenomeModel::uniform().generate(500, 810);
         let engine = engine_of(&reference, config(16), 2);

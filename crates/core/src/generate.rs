@@ -102,7 +102,6 @@ mod tests {
     use gpu_sim::{Device, DeviceSpec, LaunchConfig};
     use gpumem_index::{build_sequential, Region};
     use gpumem_seq::GenomeModel;
-    use parking_lot::Mutex;
 
     /// Drive one generation round over the whole query with a trivial
     /// block (every slot = one query position, stride w = 1).
@@ -117,8 +116,8 @@ mod tests {
     ) -> Vec<Vec<Mem>> {
         let index = build_sequential(reference, Region::whole(reference), seed_len, 1);
         let device = Device::new(DeviceSpec::test_tiny());
-        let out = Mutex::new(Vec::new());
-        device.launch_fn(LaunchConfig::new(1, tau), |ctx| {
+        let mut out = Vec::new();
+        device.launch(LaunchConfig::new(1, tau), "test", |ctx| {
             let q_of_slot: Vec<Option<usize>> = (0..tau)
                 .map(|k| {
                     let q = q_start + k;
@@ -146,9 +145,9 @@ mod tests {
                 cap,
                 &mut triplets,
             );
-            *out.lock() = triplets;
+            out = triplets;
         });
-        out.into_inner()
+        out
     }
 
     #[test]

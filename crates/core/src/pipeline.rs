@@ -55,6 +55,14 @@ pub enum RunError {
         /// The device's global memory capacity in bytes.
         capacity: u64,
     },
+    /// The configured block has more threads than the device allows.
+    BlockTooWide {
+        /// Threads per block the configuration asks for (`τ`).
+        threads_per_block: usize,
+        /// The device's limit
+        /// ([`DeviceSpec::max_threads_per_block`]).
+        limit: usize,
+    },
 }
 
 impl std::fmt::Display for RunError {
@@ -68,6 +76,14 @@ impl std::fmt::Display for RunError {
                 f,
                 "tile working set (~{estimate} bytes) exceeds device memory ({capacity} bytes); \
                  reduce blocks_per_tile or seed_len"
+            ),
+            RunError::BlockTooWide {
+                threads_per_block,
+                limit,
+            } => write!(
+                f,
+                "block of {threads_per_block} threads exceeds the device's limit of {limit} \
+                 threads per block; reduce threads_per_block"
             ),
         }
     }
@@ -86,9 +102,15 @@ pub(crate) fn ensure_sort_key(seq: &PackedSeq) -> Result<(), RunError> {
     Ok(())
 }
 
-/// Refuse configurations whose tile-row working set overflows `spec`'s
-/// global memory.
+/// Refuse configurations whose blocks are wider than `spec` allows or
+/// whose tile-row working set overflows `spec`'s global memory.
 pub(crate) fn ensure_fits(config: &GpumemConfig, spec: &DeviceSpec) -> Result<(), RunError> {
+    if config.threads_per_block > spec.max_threads_per_block {
+        return Err(RunError::BlockTooWide {
+            threads_per_block: config.threads_per_block,
+            limit: spec.max_threads_per_block,
+        });
+    }
     let estimate = device_memory_estimate(config);
     if estimate > spec.global_mem_bytes {
         return Err(RunError::DeviceMemoryExceeded {
@@ -353,14 +375,11 @@ fn run_tile_rows(
                 scratch.blocks_out.in_block.clear();
                 scratch.blocks_out.out_block.clear();
                 let batch_span = trace.map(|t| t.begin("block_batch", SpanCat::Stage));
-                let cell = Mutex::new((&mut scratch.blocks_out, &mut scratch.block));
-                let launch = device.launch_fn_named(
+                let launch = device.launch(
                     LaunchConfig::new(config.blocks_per_tile, config.threads_per_block),
                     "match.blocks",
                     |ctx| {
                         let block_q = tiling.block_range(col, ctx.block_id, config.block_width());
-                        let guard = &mut *cell.lock();
-                        let (output, scratch) = guard;
                         process_block(
                             ctx,
                             reference,
@@ -370,8 +389,8 @@ fn run_tile_rows(
                             config,
                             row_range.clone(),
                             block_q,
-                            scratch,
-                            output,
+                            &mut scratch.block,
+                            &mut scratch.blocks_out,
                         );
                     },
                 );
@@ -395,22 +414,18 @@ fn run_tile_rows(
                     scratch.tile_out.in_tile.clear();
                     scratch.tile_out.out_tile.clear();
                     let merge_span = trace.map(|t| t.begin("tile_merge", SpanCat::Stage));
-                    let cell =
-                        Mutex::new((&mut scratch.blocks_out.out_block, &mut scratch.tile_out));
-                    let launch = device.launch_fn_named(
+                    let launch = device.launch(
                         LaunchConfig::new(1, config.threads_per_block),
                         "match.tile_merge",
                         |ctx| {
-                            let guard = &mut *cell.lock();
-                            let (fragments, output) = guard;
                             merge_tile(
                                 ctx,
                                 reference,
                                 query,
-                                fragments,
+                                &mut scratch.blocks_out.out_block,
                                 &tile_bounds,
                                 config.min_len,
-                                output,
+                                &mut scratch.tile_out,
                             );
                         },
                     );
@@ -1273,6 +1288,28 @@ pub(crate) mod tests {
                 if estimate > capacity && capacity == 1 << 16
         ));
         assert!(err.to_string().contains("exceeds device memory"));
+    }
+
+    #[test]
+    fn run_refuses_a_block_wider_than_the_device() {
+        let spec = DeviceSpec::test_tiny();
+        let config = GpumemConfig::builder(25)
+            .seed_len(8)
+            .threads_per_block(2 * spec.max_threads_per_block)
+            .build()
+            .unwrap();
+        let text = GenomeModel::uniform().generate(1_000, 501);
+        let err = Gpumem::with_device(config, Device::new(spec))
+            .run(&text, &text)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RunError::BlockTooWide {
+                threads_per_block: 512,
+                limit: 256
+            }
+        );
+        assert!(err.to_string().contains("limit of 256 threads per block"));
     }
 
     #[test]

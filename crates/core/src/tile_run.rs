@@ -104,7 +104,6 @@ mod tests {
     use super::*;
     use gpu_sim::{Device, DeviceSpec, LaunchConfig};
     use gpumem_seq::{canonicalize, is_maximal_exact, GenomeModel};
-    use parking_lot::Mutex;
 
     fn run_merge(
         reference: &PackedSeq,
@@ -114,10 +113,9 @@ mod tests {
         min_len: u32,
     ) -> TileOutput {
         let device = Device::new(DeviceSpec::test_tiny());
-        let out = Mutex::new(TileOutput::default());
-        device.launch_fn(LaunchConfig::new(1, 64), |ctx| {
+        let mut out = TileOutput::default();
+        device.launch(LaunchConfig::new(1, 64), "test", |ctx| {
             let mut fragments = out_block.clone();
-            let mut tile_out = TileOutput::default();
             merge_tile(
                 ctx,
                 reference,
@@ -125,11 +123,10 @@ mod tests {
                 &mut fragments,
                 &bounds,
                 min_len,
-                &mut tile_out,
+                &mut out,
             );
-            *out.lock() = tile_out;
         });
-        out.into_inner()
+        out
     }
 
     #[test]

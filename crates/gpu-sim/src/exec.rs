@@ -1,14 +1,13 @@
 //! Kernel launch and SIMT execution.
 //!
-//! See the crate docs for the model. In short: blocks execute
-//! *sequentially on the launching thread* in ascending `block_id`
-//! order (the vendored rayon stand-in is a sequential shim, so the
-//! simulation is deterministic and kernels may capture host state
-//! behind a plain `Mutex` without contention) while being
-//! *cost-modeled* as parallel across SMs; inside a block,
-//! [`BlockCtx::simt`] runs a closure once per logical thread, warp by
-//! warp; each region boundary is a block barrier; warp cost is the max
-//! over lane costs plus a divergence serialization charge.
+//! See the crate docs for the model. In short: [`Device::launch`] runs
+//! a kernel's blocks *one after another on the launching thread*, in
+//! ascending `block_id` order, so the simulation is deterministic and a
+//! kernel is an `FnMut` that may keep per-block scratch in its captures,
+//! while the blocks are *cost-modeled* as parallel across SMs; inside a
+//! block, [`BlockCtx::simt`] runs a closure once per logical thread,
+//! warp by warp; each region boundary is a block barrier; warp cost is
+//! the max over lane costs plus a divergence serialization charge.
 //!
 //! A launch never leaves its thread, but devices are independent:
 //! several devices may launch concurrently from different threads, each
@@ -20,12 +19,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use rayon::prelude::*;
 
 use crate::cost::{CostModel, Op};
-use crate::memory::{GpuU32, GpuU64};
+use crate::memory::{Elem, GpuBuf};
 use crate::observe::{LaunchObserver, LaunchRecord, PhaseStats};
-use crate::pool::{BufferPool, Init, PoolClass, PooledU32, PooledU64};
+use crate::pool::{BufferPool, Init, PoolClass, Pooled};
+use crate::sanitizer::{AccessKind, SiteCtx};
 use crate::spec::DeviceSpec;
 use crate::stats::LaunchStats;
 
@@ -62,22 +61,6 @@ impl LaunchConfig {
             grid_dim,
             block_dim,
         }
-    }
-}
-
-/// A kernel executed once per block.
-pub trait BlockKernel: Sync {
-    /// Execute the block's work. All SIMT structure is expressed through
-    /// the context.
-    fn block(&self, ctx: &mut BlockCtx<'_>);
-}
-
-impl<F> BlockKernel for F
-where
-    F: Fn(&mut BlockCtx<'_>) + Sync,
-{
-    fn block(&self, ctx: &mut BlockCtx<'_>) {
-        self(ctx)
     }
 }
 
@@ -128,27 +111,17 @@ impl Device {
         self.observer.lock().clone()
     }
 
-    /// Pool-backed [`GpuU32::named`]: `len` zeroed elements, reusing
+    /// Pool-backed [`GpuBuf::named`]: `len` zeroed elements, reusing
     /// storage freed by earlier drops of pooled buffers on this device.
-    pub fn alloc_u32(&self, len: usize, name: &str) -> PooledU32<'_> {
-        self.pool.get_u32(len, name, Init::Zeroed)
+    pub fn alloc<T: Elem>(&self, len: usize, name: &str) -> Pooled<'_, T> {
+        self.pool.get(len, name, Init::Zeroed)
     }
 
-    /// Pool-backed [`GpuU32::alloc_uninit`]: contents are undefined
+    /// Pool-backed [`GpuBuf::alloc_uninit`]: contents are undefined
     /// (recycled storage keeps its previous bits) and the sanitizer
     /// flags reads-before-writes.
-    pub fn alloc_u32_uninit(&self, len: usize, name: &str) -> PooledU32<'_> {
-        self.pool.get_u32(len, name, Init::Uninit)
-    }
-
-    /// Pool-backed [`GpuU64::named`].
-    pub fn alloc_u64(&self, len: usize, name: &str) -> PooledU64<'_> {
-        self.pool.get_u64(len, name, Init::Zeroed)
-    }
-
-    /// Pool-backed [`GpuU64::alloc_uninit`].
-    pub fn alloc_u64_uninit(&self, len: usize, name: &str) -> PooledU64<'_> {
-        self.pool.get_u64(len, name, Init::Uninit)
+    pub fn alloc_uninit<T: Elem>(&self, len: usize, name: &str) -> Pooled<'_, T> {
+        self.pool.get(len, name, Init::Uninit)
     }
 
     /// The buffers this device's pool holds, per size class (see
@@ -171,21 +144,17 @@ impl Device {
     }
 
     /// Launch `kernel` over `cfg.grid_dim` blocks of `cfg.block_dim`
-    /// logical threads and return aggregate statistics.
+    /// logical threads and return aggregate statistics. The blocks run
+    /// one after another on the calling thread, in ascending `block_id`
+    /// order; `name` is what sanitizer reports and the launch observer
+    /// call the kernel.
     ///
     /// A `grid_dim` of zero is a no-op (see [`LaunchConfig::new`]).
-    /// Under the sanitizer the launch is reported as `"kernel"`; use
-    /// [`Device::launch_named`] to give it a real name.
-    pub fn launch<K: BlockKernel>(&self, cfg: LaunchConfig, kernel: &K) -> LaunchStats {
-        self.launch_named(cfg, "kernel", kernel)
-    }
-
-    /// [`Device::launch`] with a kernel name for sanitizer reports.
-    pub fn launch_named<K: BlockKernel>(
+    pub fn launch(
         &self,
         cfg: LaunchConfig,
         name: &str,
-        kernel: &K,
+        mut kernel: impl FnMut(&mut BlockCtx<'_>),
     ) -> LaunchStats {
         assert!(
             cfg.block_dim <= self.spec.max_threads_per_block,
@@ -193,33 +162,24 @@ impl Device {
             cfg.block_dim,
             self.spec.max_threads_per_block
         );
-        #[cfg(feature = "sanitize")]
         crate::sanitizer::begin_launch(name, self.spec.warp_size as u32);
         // One lock per launch; the Arc clone keeps the observer alive
         // even if it is swapped out mid-launch.
         let observer = self.observer.lock().clone();
         let phases_enabled = observer.is_some();
         let start = Instant::now();
-        let results: Vec<(BlockOut, Vec<PhaseStats>)> = (0..cfg.grid_dim)
-            .into_par_iter()
-            .map(|block_id| {
-                let mut ctx = BlockCtx::new(
-                    block_id,
-                    cfg,
-                    &self.cost,
-                    self.spec.warp_size,
-                    phases_enabled,
-                );
-                kernel.block(&mut ctx);
-                ctx.finish()
-            })
-            .collect();
-        let wall = start.elapsed();
-        #[cfg(feature = "sanitize")]
-        crate::sanitizer::end_launch();
-        let mut outs = Vec::with_capacity(results.len());
+        let mut outs = Vec::with_capacity(cfg.grid_dim);
         let mut phases: Vec<PhaseStats> = Vec::new();
-        for (out, block_phases) in results {
+        for block_id in 0..cfg.grid_dim {
+            let mut ctx = BlockCtx::new(
+                block_id,
+                cfg,
+                &self.cost,
+                self.spec.warp_size,
+                phases_enabled,
+            );
+            kernel(&mut ctx);
+            let (out, block_phases) = ctx.finish();
             outs.push(out);
             // Merge per-block phase rows by name, keeping the order in
             // which phases were first marked.
@@ -230,6 +190,8 @@ impl Device {
                 }
             }
         }
+        let wall = start.elapsed();
+        crate::sanitizer::end_launch();
         let stats = self.aggregate(outs, wall);
         if let Some(observer) = observer {
             observer.on_launch(LaunchRecord {
@@ -239,22 +201,6 @@ impl Device {
             });
         }
         stats
-    }
-
-    /// Convenience: launch a closure kernel.
-    pub fn launch_fn<F>(&self, cfg: LaunchConfig, f: F) -> LaunchStats
-    where
-        F: Fn(&mut BlockCtx<'_>) + Sync,
-    {
-        self.launch(cfg, &f)
-    }
-
-    /// Convenience: launch a closure kernel with a sanitizer name.
-    pub fn launch_fn_named<F>(&self, cfg: LaunchConfig, name: &str, f: F) -> LaunchStats
-    where
-        F: Fn(&mut BlockCtx<'_>) + Sync,
-    {
-        self.launch_named(cfg, name, &f)
     }
 
     /// Fold per-block results into launch statistics, scheduling block
@@ -508,14 +454,11 @@ impl<'c> BlockCtx<'c> {
     /// outside the range are masked off, as with an early `if (tid >= n)
     /// return;` guard in CUDA).
     pub fn simt_range<F: FnMut(&mut Lane<'_>)>(&mut self, threads: Range<usize>, mut f: F) {
-        let (cost, block_id) = (self.cost, self.block_id);
-        #[cfg(feature = "sanitize")]
-        let region = self.region;
+        let (cost, block_id, region) = (self.cost, self.block_id, self.region);
         self.fold_region(threads, |tid| {
             let mut lane = Lane {
                 tid,
                 block_id,
-                #[cfg(feature = "sanitize")]
                 region,
                 cost,
                 cycles: 0,
@@ -693,7 +636,6 @@ pub struct Lane<'c> {
     /// Block index within the grid (`blockIdx.x`).
     pub block_id: usize,
     /// SIMT region this lane is executing in (sanitizer coordinates).
-    #[cfg(feature = "sanitize")]
     region: u32,
     cost: &'c CostModel,
     cycles: u64,
@@ -739,49 +681,37 @@ impl Lane<'_> {
     }
 
     /// This lane's coordinates for the sanitizer.
-    #[cfg(feature = "sanitize")]
     #[inline]
-    fn site(&self) -> crate::sanitizer::SiteCtx {
-        crate::sanitizer::SiteCtx {
+    fn site(&self) -> SiteCtx {
+        SiteCtx {
             block: self.block_id as u32,
             region: self.region,
             tid: self.tid as u32,
         }
     }
 
-    /// Sanitizer check for one device access; `false` means suppress.
-    #[cfg(feature = "sanitize")]
+    /// Sanitizer check for one device access, made while a session is
+    /// live; `false` means suppress the access.
     #[inline]
-    fn check32(&self, buf: &GpuU32, i: usize, kind: crate::sanitizer::AccessKind) -> bool {
-        crate::sanitizer::device_access(buf.meta(), buf.len(), i, kind, self.site())
-    }
-
-    /// Sanitizer check for one device access; `false` means suppress.
-    #[cfg(feature = "sanitize")]
-    #[inline]
-    fn check64(&self, buf: &GpuU64, i: usize, kind: crate::sanitizer::AccessKind) -> bool {
+    fn check<T: Elem>(&self, buf: &GpuBuf<T>, i: usize, kind: AccessKind) -> bool {
         crate::sanitizer::device_access(buf.meta(), buf.len(), i, kind, self.site())
     }
 
     /// Global load through the cost model.
     #[inline(always)]
-    pub fn ld32(&mut self, buf: &GpuU32, i: usize) -> u32 {
+    pub fn ld<T: Elem>(&mut self, buf: &GpuBuf<T>, i: usize) -> T {
         self.charge(Op::GlobalLoad, 1);
-        #[cfg(feature = "sanitize")]
-        if crate::sanitizer::enabled() && !self.check32(buf, i, crate::sanitizer::AccessKind::Read)
-        {
-            return 0;
+        if crate::sanitizer::enabled() && !self.check(buf, i, AccessKind::Read) {
+            return T::default();
         }
         buf.load(i)
     }
 
     /// Global store through the cost model.
     #[inline(always)]
-    pub fn st32(&mut self, buf: &GpuU32, i: usize, v: u32) {
+    pub fn st<T: Elem>(&mut self, buf: &GpuBuf<T>, i: usize, v: T) {
         self.charge(Op::GlobalStore, 1);
-        #[cfg(feature = "sanitize")]
-        if crate::sanitizer::enabled() && !self.check32(buf, i, crate::sanitizer::AccessKind::Write)
-        {
+        if crate::sanitizer::enabled() && !self.check(buf, i, AccessKind::Write) {
             return;
         }
         buf.store_raw(i, v);
@@ -789,86 +719,45 @@ impl Lane<'_> {
 
     /// Bulk global load: read `dst.len()` consecutive elements starting
     /// at `start`. Each element is charged as one coalesced
-    /// [`Op::GlobalLoad`], identical to `dst.len()` [`Lane::ld32`]
-    /// calls (the cost model is linear in the count), but in one charge
-    /// call and — when no sanitizer session is active — one bulk copy.
-    pub fn ld32_slice(&mut self, buf: &GpuU32, start: usize, dst: &mut [u32]) {
+    /// [`Op::GlobalLoad`], identical to `dst.len()` [`Lane::ld`] calls
+    /// (the cost model is linear in the count), but in one charge call
+    /// and — when no sanitizer session is active — one bulk copy.
+    pub fn ld_slice<T: Elem>(&mut self, buf: &GpuBuf<T>, start: usize, dst: &mut [T]) {
         self.charge(Op::GlobalLoad, dst.len() as u64);
-        #[cfg(feature = "sanitize")]
-        if crate::sanitizer::enabled() {
-            for (k, out) in dst.iter_mut().enumerate() {
-                *out = if self.check32(buf, start + k, crate::sanitizer::AccessKind::Read) {
-                    buf.load(start + k)
-                } else {
-                    0
-                };
-            }
+        if !crate::sanitizer::enabled() {
+            buf.load_range(start, dst);
             return;
         }
-        buf.load_range(start, dst);
+        for (k, out) in dst.iter_mut().enumerate() {
+            *out = if self.check(buf, start + k, AccessKind::Read) {
+                buf.load(start + k)
+            } else {
+                T::default()
+            };
+        }
     }
 
     /// Bulk global store: write `src` to `src.len()` consecutive
     /// elements starting at `start`; the cost-model dual of
-    /// [`Lane::ld32_slice`].
-    pub fn st32_slice(&mut self, buf: &GpuU32, start: usize, src: &[u32]) {
+    /// [`Lane::ld_slice`].
+    pub fn st_slice<T: Elem>(&mut self, buf: &GpuBuf<T>, start: usize, src: &[T]) {
         self.charge(Op::GlobalStore, src.len() as u64);
-        #[cfg(feature = "sanitize")]
-        if crate::sanitizer::enabled() {
-            for (k, &v) in src.iter().enumerate() {
-                if self.check32(buf, start + k, crate::sanitizer::AccessKind::Write) {
-                    buf.store_raw(start + k, v);
-                }
-            }
-            return;
-        }
+        let checked = crate::sanitizer::enabled();
         for (k, &v) in src.iter().enumerate() {
-            buf.store_raw(start + k, v);
-        }
-    }
-
-    /// Bulk global fill: store `v` to `len` consecutive elements
-    /// starting at `start`, charged as `len` coalesced global stores.
-    pub fn fill32(&mut self, buf: &GpuU32, start: usize, len: usize, v: u32) {
-        self.charge(Op::GlobalStore, len as u64);
-        #[cfg(feature = "sanitize")]
-        if crate::sanitizer::enabled() {
-            for i in start..start + len {
-                if self.check32(buf, i, crate::sanitizer::AccessKind::Write) {
-                    buf.store_raw(i, v);
-                }
+            if !checked || self.check(buf, start + k, AccessKind::Write) {
+                buf.store_raw(start + k, v);
             }
-            return;
-        }
-        for i in start..start + len {
-            buf.store_raw(i, v);
         }
     }
 
-    /// `atomicAdd` on a `u32` buffer, returning the old value.
+    /// `atomicAdd`, returning the old value.
     #[inline(always)]
-    pub fn atomic_add32(&mut self, buf: &GpuU32, i: usize, v: u32) -> u32 {
+    pub fn atomic_add<T: Elem>(&mut self, buf: &GpuBuf<T>, i: usize, v: T) -> T {
         self.charge(Op::Atomic, 1);
-        #[cfg(feature = "sanitize")]
-        if crate::sanitizer::enabled()
-            && !self.check32(buf, i, crate::sanitizer::AccessKind::Atomic)
-        {
-            return 0;
+        if crate::sanitizer::enabled() && !self.check(buf, i, AccessKind::Atomic) {
+            return T::default();
         }
         buf.atomic_add(i, v)
-    }
-
-    /// `atomicMax` on a `u32` buffer, returning the old value.
-    #[inline(always)]
-    pub fn atomic_max32(&mut self, buf: &GpuU32, i: usize, v: u32) -> u32 {
-        self.charge(Op::Atomic, 1);
-        #[cfg(feature = "sanitize")]
-        if crate::sanitizer::enabled()
-            && !self.check32(buf, i, crate::sanitizer::AccessKind::Atomic)
-        {
-            return 0;
-        }
-        buf.atomic_max(i, v)
     }
 
     /// Atomically reserve `count` consecutive slots of `target` by
@@ -876,111 +765,35 @@ impl Lane<'_> {
     /// the reserved range — the paper's Algorithm 1 fill idiom
     /// (`idx = atomicAdd(&ptr[code], 1)` then `locs[idx] = pos`).
     ///
-    /// Costs exactly one atomic op, like [`Lane::atomic_add32`]. Under
+    /// Costs exactly one atomic op, like [`Lane::atomic_add`]. Under
     /// the sanitizer the reserved range of `target` is additionally
     /// recorded, so two cursors handing out overlapping slots of the
     /// same target are reported as an overlapping-reservation hazard,
     /// and the reserved slots count as initialized.
     #[inline(always)]
-    pub fn atomic_reserve32(
+    pub fn atomic_reserve<T: Elem, U: Elem>(
         &mut self,
-        cursor: &GpuU32,
+        cursor: &GpuBuf<T>,
         i: usize,
-        count: u32,
-        target: &GpuU32,
-    ) -> u32 {
+        count: T,
+        target: &GpuBuf<U>,
+    ) -> T {
         self.charge(Op::Atomic, 1);
-        #[cfg(feature = "sanitize")]
-        {
-            if !self.check32(cursor, i, crate::sanitizer::AccessKind::Atomic) {
-                return 0;
-            }
-            let base = cursor.atomic_add(i, count);
-            crate::sanitizer::record_reservation(
-                target.meta(),
-                target.len(),
-                u64::from(base),
-                u64::from(count),
-                self.site(),
-            );
-            base
+        if !crate::sanitizer::enabled() {
+            return cursor.atomic_add(i, count);
         }
-        #[cfg(not(feature = "sanitize"))]
-        {
-            let _ = target;
-            cursor.atomic_add(i, count)
+        if !self.check(cursor, i, AccessKind::Atomic) {
+            return T::default();
         }
-    }
-
-    /// Global load of a `u64` element.
-    #[inline(always)]
-    pub fn ld64(&mut self, buf: &GpuU64, i: usize) -> u64 {
-        self.charge(Op::GlobalLoad, 1);
-        #[cfg(feature = "sanitize")]
-        if crate::sanitizer::enabled() && !self.check64(buf, i, crate::sanitizer::AccessKind::Read)
-        {
-            return 0;
-        }
-        buf.load(i)
-    }
-
-    /// Global store of a `u64` element.
-    #[inline(always)]
-    pub fn st64(&mut self, buf: &GpuU64, i: usize, v: u64) {
-        self.charge(Op::GlobalStore, 1);
-        #[cfg(feature = "sanitize")]
-        if crate::sanitizer::enabled() && !self.check64(buf, i, crate::sanitizer::AccessKind::Write)
-        {
-            return;
-        }
-        buf.store_raw(i, v);
-    }
-
-    /// Bulk `u64` global load (see [`Lane::ld32_slice`]).
-    pub fn ld64_slice(&mut self, buf: &GpuU64, start: usize, dst: &mut [u64]) {
-        self.charge(Op::GlobalLoad, dst.len() as u64);
-        #[cfg(feature = "sanitize")]
-        if crate::sanitizer::enabled() {
-            for (k, out) in dst.iter_mut().enumerate() {
-                *out = if self.check64(buf, start + k, crate::sanitizer::AccessKind::Read) {
-                    buf.load(start + k)
-                } else {
-                    0
-                };
-            }
-            return;
-        }
-        buf.load_range(start, dst);
-    }
-
-    /// Bulk `u64` global store (see [`Lane::st32_slice`]).
-    pub fn st64_slice(&mut self, buf: &GpuU64, start: usize, src: &[u64]) {
-        self.charge(Op::GlobalStore, src.len() as u64);
-        #[cfg(feature = "sanitize")]
-        if crate::sanitizer::enabled() {
-            for (k, &v) in src.iter().enumerate() {
-                if self.check64(buf, start + k, crate::sanitizer::AccessKind::Write) {
-                    buf.store_raw(start + k, v);
-                }
-            }
-            return;
-        }
-        for (k, &v) in src.iter().enumerate() {
-            buf.store_raw(start + k, v);
-        }
-    }
-
-    /// `atomicAdd` on a `u64` buffer, returning the old value.
-    #[inline(always)]
-    pub fn atomic_add64(&mut self, buf: &GpuU64, i: usize, v: u64) -> u64 {
-        self.charge(Op::Atomic, 1);
-        #[cfg(feature = "sanitize")]
-        if crate::sanitizer::enabled()
-            && !self.check64(buf, i, crate::sanitizer::AccessKind::Atomic)
-        {
-            return 0;
-        }
-        buf.atomic_add(i, v)
+        let base = cursor.atomic_add(i, count);
+        crate::sanitizer::record_reservation(
+            target.meta(),
+            target.len(),
+            base.into(),
+            count.into(),
+            self.site(),
+        );
+        base
     }
 
     /// Cycles charged to this lane so far in the current region.
@@ -992,6 +805,7 @@ impl Lane<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memory::{GpuU32, GpuU64};
     use crate::spec::DeviceSpec;
 
     fn tiny() -> Device {
@@ -1003,9 +817,9 @@ mod tests {
         let device = tiny();
         let counter = GpuU32::new(1);
         let cfg = LaunchConfig::new(7, 65); // deliberately not warp-aligned
-        let stats = device.launch_fn(cfg, |ctx| {
+        let stats = device.launch(cfg, "test", |ctx| {
             ctx.simt(|lane| {
-                lane.atomic_add32(&counter, 0, 1);
+                lane.atomic_add(&counter, 0, 1);
             });
         });
         assert_eq!(counter.load(0), 7 * 65);
@@ -1019,9 +833,9 @@ mod tests {
     fn thread_and_block_ids_are_correct() {
         let device = tiny();
         let seen = GpuU32::new(4 * 64);
-        device.launch_fn(LaunchConfig::new(4, 64), |ctx| {
+        device.launch(LaunchConfig::new(4, 64), "test", |ctx| {
             ctx.simt(|lane| {
-                lane.st32(&seen, lane.block_id * 64 + lane.tid, 1);
+                lane.st(&seen, lane.block_id * 64 + lane.tid, 1);
             });
         });
         assert!(seen.to_vec().iter().all(|&v| v == 1));
@@ -1038,7 +852,7 @@ mod tests {
             },
         );
         // One warp; lane t charges t ALU cycles. Warp cost must be 31.
-        let stats = device.launch_fn(LaunchConfig::new(1, 32), |ctx| {
+        let stats = device.launch(LaunchConfig::new(1, 32), "test", |ctx| {
             ctx.simt(|lane| {
                 lane.charge(Op::Alu, lane.tid as u64);
             });
@@ -1060,7 +874,7 @@ mod tests {
                 ..CostModel::default()
             },
         );
-        let stats = device.launch_fn(LaunchConfig::new(2, 64), |ctx| {
+        let stats = device.launch(LaunchConfig::new(2, 64), "test", |ctx| {
             ctx.simt(|lane| lane.charge(Op::Alu, 100));
         });
         assert!((stats.warp_efficiency(32) - 1.0).abs() < 1e-9);
@@ -1076,7 +890,7 @@ mod tests {
         };
         let device = Device::with_cost_model(DeviceSpec::test_tiny(), model);
         // Half the warp takes one path, half the other: 2 distinct paths.
-        let stats = device.launch_fn(LaunchConfig::new(1, 32), |ctx| {
+        let stats = device.launch(LaunchConfig::new(1, 32), "test", |ctx| {
             ctx.simt(|lane| {
                 if lane.branch(lane.tid % 2 == 0) {
                     lane.charge(Op::Alu, 5);
@@ -1093,7 +907,7 @@ mod tests {
     #[test]
     fn uniform_branches_do_not_diverge() {
         let device = tiny();
-        let stats = device.launch_fn(LaunchConfig::new(1, 64), |ctx| {
+        let stats = device.launch(LaunchConfig::new(1, 64), "test", |ctx| {
             ctx.simt(|lane| {
                 lane.branch(true);
                 lane.branch(false);
@@ -1106,10 +920,10 @@ mod tests {
     fn simt_range_masks_threads() {
         let device = tiny();
         let counter = GpuU32::new(1);
-        device.launch_fn(LaunchConfig::new(1, 128), |ctx| {
+        device.launch(LaunchConfig::new(1, 128), "test", |ctx| {
             ctx.simt_range(10..50, |lane| {
                 assert!((10..50).contains(&lane.tid));
-                lane.atomic_add32(&counter, 0, 1);
+                lane.atomic_add(&counter, 0, 1);
             });
         });
         assert_eq!(counter.load(0), 40);
@@ -1119,7 +933,7 @@ mod tests {
     fn regions_are_barriers_shared_memory_is_coherent() {
         let device = tiny();
         let result = GpuU32::new(64);
-        device.launch_fn(LaunchConfig::new(1, 64), |ctx| {
+        device.launch(LaunchConfig::new(1, 64), "test", |ctx| {
             let mut shared = vec![0u32; 64];
             ctx.simt(|lane| {
                 lane.shared(1);
@@ -1129,7 +943,7 @@ mod tests {
             ctx.simt(|lane| {
                 lane.shared(1);
                 let other = shared[63 - lane.tid];
-                lane.st32(&result, lane.tid, other);
+                lane.st(&result, lane.tid, other);
             });
         });
         let out = result.to_vec();
@@ -1141,10 +955,10 @@ mod tests {
     #[test]
     fn modeled_time_scales_with_work() {
         let device = tiny();
-        let small = device.launch_fn(LaunchConfig::new(4, 64), |ctx| {
+        let small = device.launch(LaunchConfig::new(4, 64), "test", |ctx| {
             ctx.simt(|lane| lane.charge(Op::Alu, 1_000));
         });
-        let large = device.launch_fn(LaunchConfig::new(4, 64), |ctx| {
+        let large = device.launch(LaunchConfig::new(4, 64), "test", |ctx| {
             ctx.simt(|lane| lane.charge(Op::Alu, 100_000));
         });
         assert!(large.modeled_secs() > small.modeled_secs() * 10.0);
@@ -1164,7 +978,7 @@ mod tests {
                 ..CostModel::default()
             },
         );
-        let stats = device.launch_fn(LaunchConfig::new(4, 32), |ctx| {
+        let stats = device.launch(LaunchConfig::new(4, 32), "test", |ctx| {
             ctx.simt(|lane| lane.charge(Op::Alu, 1_000));
         });
         assert_eq!(stats.warp_cycles, 4_000);
@@ -1174,7 +988,7 @@ mod tests {
     #[test]
     fn empty_grid_is_a_noop() {
         let device = tiny();
-        let stats = device.launch_fn(LaunchConfig::new(0, 32), |ctx| {
+        let stats = device.launch(LaunchConfig::new(0, 32), "test", |ctx| {
             ctx.simt(|_| panic!("no blocks should run"));
         });
         assert_eq!(stats.blocks, 0);
@@ -1188,7 +1002,7 @@ mod tests {
         // charged the fixed launch overhead, and all work counters stay
         // zero.
         let device = tiny();
-        let stats = device.launch_fn(LaunchConfig::new(0, 64), |_| {
+        let stats = device.launch(LaunchConfig::new(0, 64), "test", |_| {
             panic!("kernel body must not run for a zero-block grid")
         });
         assert_eq!(stats.launches, 1);
@@ -1204,7 +1018,7 @@ mod tests {
     #[should_panic(expected = "exceeds device limit")]
     fn oversized_block_rejected() {
         let device = tiny();
-        device.launch_fn(LaunchConfig::new(1, 512), |_| {});
+        device.launch(LaunchConfig::new(1, 512), "test", |_| {});
     }
 
     #[test]
@@ -1214,27 +1028,27 @@ mod tests {
         // Kernels (and the pipeline's collector pattern) rely on this
         // determinism, so it is pinned here.
         let device = tiny();
-        let order = parking_lot::Mutex::new(Vec::new());
+        let mut order = Vec::new();
         let launcher = std::thread::current().id();
-        device.launch_fn(LaunchConfig::new(16, 32), |ctx| {
+        device.launch(LaunchConfig::new(16, 32), "test", |ctx| {
             assert_eq!(
                 std::thread::current().id(),
                 launcher,
                 "blocks must run on the launching thread"
             );
-            order.lock().push(ctx.block_id);
+            order.push(ctx.block_id);
         });
-        assert_eq!(order.into_inner(), (0..16).collect::<Vec<_>>());
+        assert_eq!(order, (0..16).collect::<Vec<_>>());
     }
 
     #[test]
     fn pool_allocations_are_counted_then_reused() {
         let device = tiny();
         let round = |name: &str| {
-            let buf = device.alloc_u32(100, name);
-            device.launch_fn(LaunchConfig::new(1, 32), |ctx| {
+            let buf = device.alloc::<u32>(100, name);
+            device.launch(LaunchConfig::new(1, 32), "test", |ctx| {
                 ctx.simt(|lane| {
-                    lane.st32(&buf, lane.tid, 1);
+                    lane.st(&buf, lane.tid, 1);
                 });
             })
         };
@@ -1252,21 +1066,21 @@ mod tests {
         let device = tiny();
         let a = GpuU32::from_slice(&(0..64).collect::<Vec<u32>>());
         let b = GpuU32::new(64);
-        let element = device.launch_fn(LaunchConfig::new(1, 16), |ctx| {
+        let element = device.launch(LaunchConfig::new(1, 16), "test", |ctx| {
             ctx.simt(|lane| {
                 let lo = lane.tid * 4;
                 for i in lo..lo + 4 {
-                    let v = lane.ld32(&a, i);
-                    lane.st32(&b, i, v);
+                    let v = lane.ld(&a, i);
+                    lane.st(&b, i, v);
                 }
             });
         });
-        let bulk = device.launch_fn(LaunchConfig::new(1, 16), |ctx| {
+        let bulk = device.launch(LaunchConfig::new(1, 16), "test", |ctx| {
             ctx.simt(|lane| {
                 let lo = lane.tid * 4;
                 let mut tmp = [0u32; 4];
-                lane.ld32_slice(&a, lo, &mut tmp);
-                lane.st32_slice(&b, lo, &tmp);
+                lane.ld_slice(&a, lo, &mut tmp);
+                lane.st_slice(&b, lo, &tmp);
             });
         });
         assert_eq!(b.to_vec(), a.to_vec());
@@ -1277,30 +1091,17 @@ mod tests {
     }
 
     #[test]
-    fn fill32_writes_and_charges_stores() {
-        let device = tiny();
-        let buf = GpuU32::new(128);
-        let stats = device.launch_fn(LaunchConfig::new(1, 4), |ctx| {
-            ctx.simt(|lane| {
-                lane.fill32(&buf, lane.tid * 32, 32, 9);
-            });
-        });
-        assert_eq!(buf.to_vec(), vec![9; 128]);
-        assert_eq!(stats.global_mem_ops, 128);
-    }
-
-    #[test]
     fn bulk_u64_slice_ops_round_trip() {
         let device = tiny();
         let src: Vec<u64> = (0..32).map(|i| (i as u64) << 40 | i as u64).collect();
         let a = GpuU64::from_slice(&src);
         let b = GpuU64::new(32);
-        let stats = device.launch_fn(LaunchConfig::new(1, 8), |ctx| {
+        let stats = device.launch(LaunchConfig::new(1, 8), "test", |ctx| {
             ctx.simt(|lane| {
                 let lo = lane.tid * 4;
                 let mut tmp = [0u64; 4];
-                lane.ld64_slice(&a, lo, &mut tmp);
-                lane.st64_slice(&b, lo, &tmp);
+                lane.ld_slice(&a, lo, &mut tmp);
+                lane.st_slice(&b, lo, &tmp);
             });
         });
         assert_eq!(b.to_vec(), src);
@@ -1330,14 +1131,14 @@ mod tests {
         device.set_observer(Some(recorder.clone()));
         assert!(device.observer().is_some());
         let counter = GpuU32::new(1);
-        let stats = device.launch_fn_named(LaunchConfig::new(2, 32), "count", |ctx| {
+        let stats = device.launch(LaunchConfig::new(2, 32), "count", |ctx| {
             ctx.simt(|lane| {
-                lane.atomic_add32(&counter, 0, 1);
+                lane.atomic_add(&counter, 0, 1);
             });
         });
         device.set_observer(None);
         assert!(device.observer().is_none());
-        device.launch_fn_named(LaunchConfig::new(1, 32), "silent", |ctx| {
+        device.launch(LaunchConfig::new(1, 32), "silent", |ctx| {
             ctx.simt(|_| {});
         });
         let records = recorder.records.lock();
@@ -1354,13 +1155,13 @@ mod tests {
         let recorder = Arc::new(Recorder::default());
         device.set_observer(Some(recorder.clone()));
         let sink = GpuU32::new(1);
-        let stats = device.launch_fn(LaunchConfig::new(3, 32), |ctx| {
+        let stats = device.launch(LaunchConfig::new(3, 32), "test", |ctx| {
             ctx.simt(|lane| lane.compare(5)); // before any phase marker
             ctx.phase("gather");
             ctx.simt(|lane| lane.compare(2));
             ctx.phase("scatter");
             ctx.simt(|lane| {
-                lane.atomic_add32(&sink, 0, 1);
+                lane.atomic_add(&sink, 0, 1);
             });
             ctx.phase("gather"); // resumes the existing row
             ctx.simt(|lane| lane.compare(1));
@@ -1395,7 +1196,7 @@ mod tests {
         // markers and the observer change no modeled statistic.
         let run = |device: &Device| {
             let sink = GpuU32::new(1);
-            device.launch_fn(LaunchConfig::new(2, 64), |ctx| {
+            device.launch(LaunchConfig::new(2, 64), "test", |ctx| {
                 ctx.phase("a");
                 ctx.simt(|lane| {
                     if lane.branch(lane.tid % 2 == 0) {
@@ -1404,7 +1205,7 @@ mod tests {
                 });
                 ctx.phase("b");
                 ctx.simt(|lane| {
-                    lane.atomic_add32(&sink, 0, 1);
+                    lane.atomic_add(&sink, 0, 1);
                 });
             })
         };
@@ -1470,7 +1271,7 @@ mod tests {
                                 device.set_observer(Some(recorder.clone()));
                             }
                             let mut stats =
-                                device.launch_fn(LaunchConfig::new(2, block_dim), |ctx| {
+                                device.launch(LaunchConfig::new(2, block_dim), "test", |ctx| {
                                     ctx.phase("region");
                                     if computed {
                                         ctx.simt_computed(threads.clone(), |tid| {
@@ -1495,7 +1296,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "sanitize")]
     #[test]
     fn computed_region_advances_the_sanitizer_region_ordinal() {
         // Each block writes its half of `buf`, runs or computes a region,
@@ -1505,16 +1305,16 @@ mod tests {
             let device = tiny();
             let buf = GpuU32::named(64, "buf");
             let session = crate::sanitizer::Session::start();
-            device.launch_fn_named(LaunchConfig::new(2, 32), "probe", |ctx| {
+            device.launch(LaunchConfig::new(2, 32), "probe", |ctx| {
                 let base = ctx.block_id * 32;
-                ctx.simt(|lane| lane.st32(&buf, base + lane.tid, 1));
+                ctx.simt(|lane| lane.st(&buf, base + lane.tid, 1));
                 if computed {
                     ctx.simt_computed(0..32, |tid| computed_lane(tid, 2));
                 } else {
                     run_lanes(ctx, 0..32, 2);
                 }
                 ctx.simt_range(0..1, |lane| {
-                    lane.ld32(&buf, 64 + lane.block_id);
+                    lane.ld(&buf, 64 + lane.block_id);
                 });
             });
             let report = session.finish();
@@ -1531,10 +1331,10 @@ mod tests {
     #[test]
     fn pool_peak_bytes_gauge_reports_footprint() {
         let device = tiny();
-        let buf = device.alloc_u32(100, "a"); // class 128 → 512 bytes
-        let stats = device.launch_fn(LaunchConfig::new(1, 32), |ctx| {
+        let buf = device.alloc::<u32>(100, "a"); // class 128 → 512 bytes
+        let stats = device.launch(LaunchConfig::new(1, 32), "test", |ctx| {
             ctx.simt(|lane| {
-                lane.st32(&buf, lane.tid, 1);
+                lane.st(&buf, lane.tid, 1);
             });
         });
         assert_eq!(stats.pool_peak_bytes, 512);
@@ -1542,26 +1342,5 @@ mod tests {
         assert_eq!(classes.len(), 1);
         assert_eq!((classes[0].len, classes[0].buffers), (128, 1));
         assert_eq!(classes[0].bytes(), stats.pool_peak_bytes);
-    }
-
-    #[test]
-    fn struct_kernel_trait_objects_work() {
-        struct AddK {
-            out: GpuU32,
-        }
-        impl BlockKernel for AddK {
-            fn block(&self, ctx: &mut BlockCtx<'_>) {
-                ctx.simt(|lane| {
-                    lane.atomic_add32(&self.out, 0, lane.tid as u32);
-                });
-            }
-        }
-        let device = tiny();
-        let kernel = AddK {
-            out: GpuU32::new(1),
-        };
-        device.launch(LaunchConfig::new(2, 16), &kernel);
-        let expect: u32 = 2 * (0..16).sum::<u32>();
-        assert_eq!(kernel.out.load(0), expect);
     }
 }

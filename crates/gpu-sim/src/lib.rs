@@ -6,16 +6,16 @@
 //! immature, so this crate *simulates the execution model* instead of
 //! the hardware:
 //!
-//! * a kernel is launched over a 1-D **grid of blocks**; the simulator
-//!   executes blocks *sequentially on the launching thread*, in
-//!   ascending `block_id` order (the vendored rayon is a sequential
-//!   stand-in), while *cost-modeling* them as distributed across SMs —
-//!   execution is therefore fully deterministic, and block order is an
-//!   asserted invariant, not an accident of scheduling. Separate
-//!   [`Device`]s share nothing (each owns its buffer pool and launch
-//!   observer), so different devices may launch from different host
-//!   threads at once — the GPUMEM pipeline simulates independent tile
-//!   rows that way, one device per thread;
+//! * a kernel is an `FnMut` launched over a 1-D **grid of blocks**
+//!   ([`Device::launch`]); the simulator executes blocks *sequentially
+//!   on the launching thread*, in ascending `block_id` order, while
+//!   *cost-modeling* them as distributed across SMs — execution is
+//!   therefore fully deterministic, block order is an asserted
+//!   invariant, and a kernel may keep per-block scratch in its
+//!   captures. Separate [`Device`]s share nothing (each owns its buffer
+//!   pool and launch observer), so different devices may launch from
+//!   different host threads at once — the GPUMEM pipeline simulates
+//!   independent tile rows that way, one device per thread;
 //! * inside a block, code is written as a sequence of **SIMT regions**
 //!   ([`BlockCtx::simt`]): each region runs a closure once per logical
 //!   thread, warp by warp, and region boundaries are `__syncthreads()`
@@ -35,10 +35,12 @@
 //!   paper's proactive load-balancing heuristic (Fig. 2, Alg. 2) exists
 //!   to mitigate, so disabling load balancing shows up in modeled device
 //!   time exactly as in the paper's Figure 7;
-//! * **global memory** is shared between blocks via [`GpuU32`] /
-//!   [`GpuU64`] buffers whose element operations are relaxed atomics, and
-//!   `atomicAdd` (Algorithm 1's conflict-avoidance primitive) is charged
-//!   at a higher cost than a plain access;
+//! * **global memory** is shared between blocks via [`GpuBuf`] buffers
+//!   of `u32` ([`GpuU32`]) or `u64` ([`GpuU64`]); as no two accesses
+//!   overlap, an element is a plain `Cell`, and `atomicAdd`
+//!   (Algorithm 1's conflict-avoidance primitive) is charged at a higher
+//!   cost than a plain access. What would race on hardware, the
+//!   [`sanitizer`] reports;
 //! * modeled **device time** converts accumulated warp cycles to seconds
 //!   on a [`DeviceSpec`], scheduling blocks onto SMs with an LPT greedy
 //!   assignment and accounting for the SM's warp-level parallelism.
@@ -53,15 +55,14 @@ pub mod memory;
 pub mod observe;
 pub mod pool;
 pub mod primitives;
-#[cfg(feature = "sanitize")]
 pub mod sanitizer;
 pub mod spec;
 pub mod stats;
 
 pub use cost::{CostModel, Op};
-pub use exec::{BlockCtx, BlockKernel, Device, Lane, LaneCharge, LaunchConfig, RegionCharge};
-pub use memory::{GpuU32, GpuU64};
+pub use exec::{BlockCtx, Device, Lane, LaneCharge, LaunchConfig, RegionCharge};
+pub use memory::{Elem, GpuBuf, GpuU32, GpuU64};
 pub use observe::{LaunchObserver, LaunchRecord, PhaseStats};
-pub use pool::{PoolClass, PooledU32, PooledU64};
+pub use pool::{PoolClass, Pooled};
 pub use spec::DeviceSpec;
 pub use stats::LaunchStats;

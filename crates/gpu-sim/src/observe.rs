@@ -24,8 +24,7 @@ use crate::stats::LaunchStats;
 /// run before the first marker are unattributed (they appear in the
 /// launch totals but no phase), so phase counters sum to *at most* the
 /// launch totals.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
+#[derive(Clone, Debug, Default, PartialEq, Eq, serde::Serialize)]
 pub struct PhaseStats {
     /// Phase name (the string passed to `BlockCtx::phase`).
     pub name: String,
@@ -85,7 +84,7 @@ impl PhaseStats {
 /// valid only for the duration of the callback.
 #[derive(Clone, Copy, Debug)]
 pub struct LaunchRecord<'a> {
-    /// The launch name (as passed to `launch_named`).
+    /// The launch name (as passed to `Device::launch`).
     pub name: &'a str,
     /// Aggregate statistics of the launch.
     pub stats: &'a LaunchStats,
@@ -98,7 +97,7 @@ pub struct LaunchRecord<'a> {
 ///
 /// Implementations must be cheap and reentrancy-free: the callback
 /// runs on the launching thread, after cost aggregation, before
-/// `launch_named` returns. Launching from inside the callback on the
+/// [`Device::launch`](crate::Device::launch) returns. Launching from inside the callback on the
 /// same device is allowed but will recurse into the observer.
 pub trait LaunchObserver: Send + Sync {
     /// Observe one completed launch.

@@ -23,19 +23,54 @@
 //! as [`LaunchStats::pool_allocs`](crate::stats::LaunchStats), which is
 //! what the steady-state regression tests pin to zero.
 
-use std::collections::HashMap;
+use std::cell::Cell;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
-use crate::memory::{GpuU32, GpuU64};
+use crate::memory::{Elem, GpuBuf};
+
+/// The element types a pool keeps free lists for, each pointing at its
+/// own list (the trait that seals [`Elem`]).
+pub(crate) mod sealed {
+    use std::cell::Cell;
+    use std::collections::HashMap;
+
+    use parking_lot::Mutex;
+
+    /// Recycled storage of one element type, per size class.
+    pub type FreeList<T> = Mutex<HashMap<usize, Vec<Vec<Cell<T>>>>>;
+
+    /// A pool's free lists, one per element type.
+    #[derive(Default)]
+    pub struct FreeLists {
+        u32s: FreeList<u32>,
+        u64s: FreeList<u64>,
+    }
+
+    pub trait Sealed: Sized {
+        /// This element type's free list in `lists`.
+        fn free_list(lists: &FreeLists) -> &FreeList<Self>;
+    }
+
+    impl Sealed for u32 {
+        fn free_list(lists: &FreeLists) -> &FreeList<u32> {
+            &lists.u32s
+        }
+    }
+
+    impl Sealed for u64 {
+        fn free_list(lists: &FreeLists) -> &FreeList<u64> {
+            &lists.u64s
+        }
+    }
+}
 
 /// Per-size-class free lists of recycled buffer storage.
 #[derive(Default)]
 pub(crate) struct BufferPool {
-    free_u32: Mutex<HashMap<usize, Vec<Vec<AtomicU32>>>>,
-    free_u64: Mutex<HashMap<usize, Vec<Vec<AtomicU64>>>>,
+    free: sealed::FreeLists,
     /// Fresh heap allocations (pool misses) since the last drain.
     fresh: AtomicU64,
     /// Buffers held per size class, on loan or free, sorted by element
@@ -112,124 +147,67 @@ impl BufferPool {
         }
     }
 
-    fn acquire_u32(&self, len: usize, init: Init) -> (Vec<AtomicU32>, usize) {
+    /// A buffer of `len` elements from the free list of its size class
+    /// `len.next_power_of_two()`, or freshly allocated at the class's
+    /// capacity.
+    pub(crate) fn get<T: Elem>(&self, len: usize, name: &str, init: Init) -> Pooled<'_, T> {
         let class = len.next_power_of_two().max(1);
-        let recycled = self.free_u32.lock().get_mut(&class).and_then(Vec::pop);
-        match recycled {
+        let zero = || Cell::new(T::default());
+        let recycled = T::free_list(&self.free)
+            .lock()
+            .get_mut(&class)
+            .and_then(Vec::pop);
+        let data = match recycled {
             Some(mut data) => {
                 data.truncate(len);
                 // Within the class capacity: never reallocates.
-                data.resize_with(len, || AtomicU32::new(0));
+                data.resize_with(len, zero);
                 if init == Init::Zeroed {
                     for cell in &data {
-                        cell.store(0, Ordering::Relaxed);
+                        cell.set(T::default());
                     }
                 }
-                (data, class)
+                data
             }
             None => {
-                self.grow(4, class);
+                self.grow(std::mem::size_of::<T>(), class);
                 let mut data = Vec::with_capacity(class);
-                data.resize_with(len, || AtomicU32::new(0));
-                (data, class)
+                data.resize_with(len, zero);
+                data
             }
-        }
-    }
-
-    fn acquire_u64(&self, len: usize, init: Init) -> (Vec<AtomicU64>, usize) {
-        let class = len.next_power_of_two().max(1);
-        let recycled = self.free_u64.lock().get_mut(&class).and_then(Vec::pop);
-        match recycled {
-            Some(mut data) => {
-                data.truncate(len);
-                data.resize_with(len, || AtomicU64::new(0));
-                if init == Init::Zeroed {
-                    for cell in &data {
-                        cell.store(0, Ordering::Relaxed);
-                    }
-                }
-                (data, class)
-            }
-            None => {
-                self.grow(8, class);
-                let mut data = Vec::with_capacity(class);
-                data.resize_with(len, || AtomicU64::new(0));
-                (data, class)
-            }
-        }
-    }
-
-    fn release_u32(&self, class: usize, data: Vec<AtomicU32>) {
-        self.free_u32.lock().entry(class).or_default().push(data);
-    }
-
-    fn release_u64(&self, class: usize, data: Vec<AtomicU64>) {
-        self.free_u64.lock().entry(class).or_default().push(data);
-    }
-
-    pub(crate) fn get_u32(&self, len: usize, name: &str, init: Init) -> PooledU32<'_> {
-        let (data, class) = self.acquire_u32(len, init);
-        PooledU32 {
-            buf: Some(GpuU32::from_pool(data, name, init == Init::Uninit)),
-            pool: self,
-            class,
-        }
-    }
-
-    pub(crate) fn get_u64(&self, len: usize, name: &str, init: Init) -> PooledU64<'_> {
-        let (data, class) = self.acquire_u64(len, init);
-        PooledU64 {
-            buf: Some(GpuU64::from_pool(data, name, init == Init::Uninit)),
+        };
+        Pooled {
+            buf: GpuBuf::from_storage(data, name, init == Init::Uninit),
             pool: self,
             class,
         }
     }
 }
 
-/// A pool-backed [`GpuU32`]; derefs to the buffer and returns the
+/// A pool-backed [`GpuBuf`]; derefs to the buffer and returns the
 /// storage to its size class when dropped.
-pub struct PooledU32<'d> {
-    buf: Option<GpuU32>,
+pub struct Pooled<'d, T: Elem> {
+    buf: GpuBuf<T>,
     pool: &'d BufferPool,
     class: usize,
 }
 
-impl Deref for PooledU32<'_> {
-    type Target = GpuU32;
+impl<T: Elem> Deref for Pooled<'_, T> {
+    type Target = GpuBuf<T>;
 
-    fn deref(&self) -> &GpuU32 {
-        self.buf.as_ref().expect("present until drop")
+    fn deref(&self) -> &GpuBuf<T> {
+        &self.buf
     }
 }
 
-impl Drop for PooledU32<'_> {
+impl<T: Elem> Drop for Pooled<'_, T> {
     fn drop(&mut self) {
-        if let Some(buf) = self.buf.take() {
-            self.pool.release_u32(self.class, buf.into_data());
-        }
-    }
-}
-
-/// A pool-backed [`GpuU64`]; see [`PooledU32`].
-pub struct PooledU64<'d> {
-    buf: Option<GpuU64>,
-    pool: &'d BufferPool,
-    class: usize,
-}
-
-impl Deref for PooledU64<'_> {
-    type Target = GpuU64;
-
-    fn deref(&self) -> &GpuU64 {
-        self.buf.as_ref().expect("present until drop")
-    }
-}
-
-impl Drop for PooledU64<'_> {
-    fn drop(&mut self) {
-        if let Some(buf) = self.buf.take() {
-            self.pool.release_u64(self.class, buf.into_data());
-        }
+        let data = self.buf.take_data();
+        T::free_list(&self.pool.free)
+            .lock()
+            .entry(self.class)
+            .or_default()
+            .push(data);
     }
 }
 
@@ -241,13 +219,13 @@ mod tests {
     fn first_allocation_is_fresh_second_is_reused() {
         let pool = BufferPool::default();
         {
-            let a = pool.get_u32(100, "a", Init::Zeroed);
+            let a = pool.get::<u32>(100, "a", Init::Zeroed);
             assert_eq!(a.len(), 100);
         }
         assert_eq!(pool.take_fresh(), 1);
         {
             // 100 and 120 share the 128 class: reuse, no fresh alloc.
-            let b = pool.get_u32(120, "b", Init::Zeroed);
+            let b = pool.get::<u32>(120, "b", Init::Zeroed);
             assert_eq!(b.len(), 120);
         }
         assert_eq!(pool.take_fresh(), 0);
@@ -257,34 +235,34 @@ mod tests {
     fn named_reuse_is_zeroed_uninit_reuse_may_not_be() {
         let pool = BufferPool::default();
         {
-            let a = pool.get_u32(8, "a", Init::Zeroed);
+            let a = pool.get::<u32>(8, "a", Init::Zeroed);
             for i in 0..8 {
                 a.store(i, 7);
             }
         }
         {
-            let b = pool.get_u32(8, "b", Init::Uninit);
+            let b = pool.get::<u32>(8, "b", Init::Uninit);
             assert_eq!(b.to_vec(), vec![7; 8], "uninit reuse keeps stale data");
         }
-        let c = pool.get_u32(8, "c", Init::Zeroed);
+        let c = pool.get::<u32>(8, "c", Init::Zeroed);
         assert_eq!(c.to_vec(), vec![0; 8], "named reuse is zeroed");
     }
 
     #[test]
     fn distinct_size_classes_do_not_mix() {
         let pool = BufferPool::default();
-        drop(pool.get_u32(10, "small", Init::Zeroed));
+        drop(pool.get::<u32>(10, "small", Init::Zeroed));
         pool.take_fresh();
-        drop(pool.get_u32(1000, "big", Init::Zeroed));
+        drop(pool.get::<u32>(1000, "big", Init::Zeroed));
         assert_eq!(pool.take_fresh(), 1, "1000 cannot reuse the 16 class");
     }
 
     #[test]
     fn u64_pool_reuses_and_resizes() {
         let pool = BufferPool::default();
-        drop(pool.get_u64(33, "a", Init::Zeroed));
+        drop(pool.get::<u64>(33, "a", Init::Zeroed));
         pool.take_fresh();
-        let b = pool.get_u64(64, "b", Init::Zeroed);
+        let b = pool.get::<u64>(64, "b", Init::Zeroed);
         assert_eq!(b.len(), 64, "recycled 64-class grows to the request");
         assert_eq!(pool.take_fresh(), 0);
     }
@@ -292,11 +270,11 @@ mod tests {
     #[test]
     fn peak_bytes_counts_class_capacity_and_is_reuse_invariant() {
         let pool = BufferPool::default();
-        drop(pool.get_u32(100, "a", Init::Zeroed)); // class 128 → 512 B
+        drop(pool.get::<u32>(100, "a", Init::Zeroed)); // class 128 → 512 B
         assert_eq!(pool.peak_bytes(), 512);
-        drop(pool.get_u32(120, "b", Init::Zeroed)); // reuses the 128 class
+        drop(pool.get::<u32>(120, "b", Init::Zeroed)); // reuses the 128 class
         assert_eq!(pool.peak_bytes(), 512, "reuse does not grow the pool");
-        drop(pool.get_u64(10, "c", Init::Zeroed)); // class 16 → 128 B
+        drop(pool.get::<u64>(10, "c", Init::Zeroed)); // class 16 → 128 B
         assert_eq!(pool.peak_bytes(), 512 + 128);
     }
 
@@ -305,11 +283,11 @@ mod tests {
         let pool = BufferPool::default();
         {
             // Two 128-class u32 buffers at once, then one reused.
-            let _a = pool.get_u32(100, "a", Init::Zeroed);
-            let _b = pool.get_u32(128, "b", Init::Uninit);
+            let _a = pool.get::<u32>(100, "a", Init::Zeroed);
+            let _b = pool.get::<u32>(128, "b", Init::Uninit);
         }
-        drop(pool.get_u32(120, "c", Init::Zeroed));
-        drop(pool.get_u64(128, "d", Init::Zeroed));
+        drop(pool.get::<u32>(120, "c", Init::Zeroed));
+        drop(pool.get::<u64>(128, "d", Init::Zeroed));
         let classes = pool.classes();
         assert_eq!(
             classes,
@@ -333,19 +311,18 @@ mod tests {
     #[test]
     fn zero_len_allocations_work() {
         let pool = BufferPool::default();
-        let a = pool.get_u32(0, "empty", Init::Zeroed);
+        let a = pool.get::<u32>(0, "empty", Init::Zeroed);
         assert!(a.is_empty());
     }
 
-    #[cfg(feature = "sanitize")]
     #[test]
     fn reused_buffers_get_fresh_identities() {
         let pool = BufferPool::default();
         let first_id = {
-            let a = pool.get_u32(4, "a", Init::Zeroed);
+            let a = pool.get::<u32>(4, "a", Init::Zeroed);
             a.meta().id()
         };
-        let b = pool.get_u32(4, "b", Init::Zeroed);
+        let b = pool.get::<u32>(4, "b", Init::Zeroed);
         assert_ne!(b.meta().id(), first_id);
         assert_eq!(b.meta().name(), "b");
     }

@@ -30,12 +30,12 @@ pub fn device_sort_u64(device: &Device, buf: &GpuU64) -> LaunchStats {
     let n_chunks = n.div_ceil(CHUNK);
 
     // Per-block "shared memory" scratch, hoisted out of the launches:
-    // blocks execute sequentially (see `exec` docs), so one buffer
-    // behind a Mutex serves every block without a per-block allocation.
-    let shared_scratch = parking_lot::Mutex::new(Vec::<u64>::with_capacity(CHUNK));
+    // blocks execute one after another (see `exec` docs), so one buffer
+    // serves every block without a per-block allocation.
+    let mut shared = Vec::<u64>::with_capacity(CHUNK);
 
     // Phase 1: per-block chunk sorts.
-    let mut stats = device.launch_fn_named(
+    let mut stats = device.launch(
         LaunchConfig::new(n_chunks, BLOCK_DIM),
         "sort.chunks",
         |ctx| {
@@ -52,7 +52,6 @@ pub fn device_sort_u64(device: &Device, buf: &GpuU64) -> LaunchStats {
                 };
                 lane.charge(crate::cost::Op::GlobalLoad, per_lane);
             });
-            let mut shared = shared_scratch.lock();
             shared.clear();
             shared.resize(m, 0);
             buf.load_range(lo, &mut shared);
@@ -71,51 +70,48 @@ pub fn device_sort_u64(device: &Device, buf: &GpuU64) -> LaunchStats {
 
     // Phase 2: iterative merge passes over run pairs. The run/merged
     // buffers are likewise hoisted and reused across blocks and passes.
-    let merge_scratch = parking_lot::Mutex::new((Vec::<u64>::new(), Vec::<u64>::new()));
+    let (mut runs, mut merged) = (Vec::<u64>::new(), Vec::<u64>::new());
     let mut run = CHUNK;
     while run < n {
         let n_pairs = n.div_ceil(2 * run);
-        stats +=
-            device.launch_fn_named(LaunchConfig::new(n_pairs, BLOCK_DIM), "sort.merge", |ctx| {
-                let pair = ctx.block_id;
-                let lo = pair * 2 * run;
-                let mid = (lo + run).min(n);
-                let hi = (lo + 2 * run).min(n);
-                if mid >= hi {
-                    return; // lone tail run, already sorted
-                }
-                // One logical merger; the block's lanes share the element-
-                // movement cost (a real kernel would use merge-path
-                // partitioning).
-                let total = (hi - lo) as u64;
-                let per_lane = total.div_ceil(BLOCK_DIM as u64);
-                ctx.simt(|lane| {
-                    lane.charge(crate::cost::Op::GlobalLoad, per_lane);
-                    lane.charge(crate::cost::Op::Compare, per_lane);
-                    lane.charge(crate::cost::Op::GlobalStore, per_lane);
-                });
-                let guard = &mut *merge_scratch.lock();
-                let (runs, merged) = guard;
-                runs.clear();
-                runs.resize(hi - lo, 0);
-                buf.load_range(lo, runs);
-                merged.clear();
-                merged.reserve(hi - lo);
-                let (left, right) = runs.split_at(mid - lo);
-                let (mut a, mut b) = (0, 0);
-                while a < left.len() && b < right.len() {
-                    if left[a] <= right[b] {
-                        merged.push(left[a]);
-                        a += 1;
-                    } else {
-                        merged.push(right[b]);
-                        b += 1;
-                    }
-                }
-                merged.extend_from_slice(&left[a..]);
-                merged.extend_from_slice(&right[b..]);
-                buf.store_range(lo, merged);
+        stats += device.launch(LaunchConfig::new(n_pairs, BLOCK_DIM), "sort.merge", |ctx| {
+            let pair = ctx.block_id;
+            let lo = pair * 2 * run;
+            let mid = (lo + run).min(n);
+            let hi = (lo + 2 * run).min(n);
+            if mid >= hi {
+                return; // lone tail run, already sorted
+            }
+            // One logical merger; the block's lanes share the element-
+            // movement cost (a real kernel would use merge-path
+            // partitioning).
+            let total = (hi - lo) as u64;
+            let per_lane = total.div_ceil(BLOCK_DIM as u64);
+            ctx.simt(|lane| {
+                lane.charge(crate::cost::Op::GlobalLoad, per_lane);
+                lane.charge(crate::cost::Op::Compare, per_lane);
+                lane.charge(crate::cost::Op::GlobalStore, per_lane);
             });
+            runs.clear();
+            runs.resize(hi - lo, 0);
+            buf.load_range(lo, &mut runs);
+            merged.clear();
+            merged.reserve(hi - lo);
+            let (left, right) = runs.split_at(mid - lo);
+            let (mut a, mut b) = (0, 0);
+            while a < left.len() && b < right.len() {
+                if left[a] <= right[b] {
+                    merged.push(left[a]);
+                    a += 1;
+                } else {
+                    merged.push(right[b]);
+                    b += 1;
+                }
+            }
+            merged.extend_from_slice(&left[a..]);
+            merged.extend_from_slice(&right[b..]);
+            buf.store_range(lo, &merged);
+        });
         run *= 2;
     }
     stats

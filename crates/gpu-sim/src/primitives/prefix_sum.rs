@@ -100,31 +100,31 @@ pub fn device_exclusive_scan(device: &Device, buf: &GpuU32) -> LaunchStats {
         return LaunchStats::default();
     }
     let n_chunks = n.div_ceil(SCAN_CHUNK);
-    let sums = device.alloc_u32(n_chunks, "scan.sums");
+    let sums = device.alloc::<u32>(n_chunks, "scan.sums");
     const PER_THREAD: usize = SCAN_CHUNK.div_ceil(SCAN_BLOCK_DIM);
 
     // Per-block shared-memory scratch, hoisted out of the launch: blocks
-    // execute sequentially (see `exec` docs), so one buffer behind a
-    // Mutex serves every block without a per-block allocation. Each
-    // block fully overwrites `local` before reading it. Next to it, the
-    // recorded charge of the block scan over `local`.
-    let local_scratch = parking_lot::Mutex::new((vec![0u32; SCAN_BLOCK_DIM], None::<RegionCharge>));
+    // execute one after another (see `exec` docs), so one buffer serves
+    // every block without a per-block allocation. Each block fully
+    // overwrites `local` before reading it. Next to it, the recorded
+    // charge of the block scan over `local`.
+    let mut local = vec![0u32; SCAN_BLOCK_DIM];
+    let mut scan_charge = None::<RegionCharge>;
 
     // Pass 1: each block exclusively scans its chunk and records the
     // chunk total.
-    let mut stats = device.launch_fn_named(
+    let mut stats = device.launch(
         LaunchConfig::new(n_chunks, SCAN_BLOCK_DIM),
         "scan.local",
         |ctx| {
             let chunk_start = ctx.block_id * SCAN_CHUNK;
             let chunk_end = (chunk_start + SCAN_CHUNK).min(n);
             let m = chunk_end - chunk_start;
-            let (local, scan_charge) = &mut *local_scratch.lock();
             ctx.simt(|lane| {
                 let lo = chunk_start + lane.tid * PER_THREAD;
                 let hi = (lo + PER_THREAD).min(chunk_end);
                 let mut vals = [0u32; PER_THREAD];
-                lane.ld32_slice(buf, lo, &mut vals[..hi.saturating_sub(lo)]);
+                lane.ld_slice(buf, lo, &mut vals[..hi.saturating_sub(lo)]);
                 let sum = vals.iter().fold(0u32, |a, &v| a.wrapping_add(v));
                 lane.shared(1);
                 local[lane.tid] = sum;
@@ -132,7 +132,9 @@ pub fn device_exclusive_scan(device: &Device, buf: &GpuU32) -> LaunchStats {
             // The block scan touches only shared memory and branches
             // only on thread id: every chunk replays the first one's
             // charge and scans on the host.
-            if !ctx.replay_or_record(scan_charge, |ctx| block_exclusive_scan(ctx, local)) {
+            if !ctx.replay_or_record(&mut scan_charge, |ctx| {
+                block_exclusive_scan(ctx, &mut local)
+            }) {
                 let mut acc = 0u32;
                 for v in local.iter_mut() {
                     let sum = *v;
@@ -149,15 +151,15 @@ pub fn device_exclusive_scan(device: &Device, buf: &GpuU32) -> LaunchStats {
                 lane.shared(1);
                 let mut acc = local[lane.tid];
                 let mut vals = [0u32; PER_THREAD];
-                lane.ld32_slice(buf, lo, &mut vals[..k]);
+                lane.ld_slice(buf, lo, &mut vals[..k]);
                 let mut outs = [0u32; PER_THREAD];
                 for j in 0..k {
                     outs[j] = acc;
                     acc = acc.wrapping_add(vals[j]);
                 }
-                lane.st32_slice(buf, lo, &outs[..k]);
+                lane.st_slice(buf, lo, &outs[..k]);
                 if lane.branch(lane.tid == last_lane) {
-                    lane.st32(&sums, block_id, acc);
+                    lane.st(&sums, block_id, acc);
                 }
             });
         },
@@ -168,7 +170,7 @@ pub fn device_exclusive_scan(device: &Device, buf: &GpuU32) -> LaunchStats {
         stats += device_exclusive_scan(device, &sums);
 
         // Pass 3: add each chunk's offset to its elements.
-        stats += device.launch_fn_named(
+        stats += device.launch(
             LaunchConfig::new(n_chunks, SCAN_BLOCK_DIM),
             "scan.add_offsets",
             |ctx| {
@@ -176,16 +178,16 @@ pub fn device_exclusive_scan(device: &Device, buf: &GpuU32) -> LaunchStats {
                 let chunk_end = (chunk_start + SCAN_CHUNK).min(n);
                 let block_id = ctx.block_id;
                 ctx.simt(|lane| {
-                    let offset = lane.ld32(&sums, block_id);
+                    let offset = lane.ld(&sums, block_id);
                     let lo = chunk_start + lane.tid * PER_THREAD;
                     let hi = (lo + PER_THREAD).min(chunk_end);
                     let k = hi.saturating_sub(lo);
                     let mut vals = [0u32; PER_THREAD];
-                    lane.ld32_slice(buf, lo, &mut vals[..k]);
+                    lane.ld_slice(buf, lo, &mut vals[..k]);
                     for v in &mut vals[..k] {
                         *v = v.wrapping_add(offset);
                     }
-                    lane.st32_slice(buf, lo, &vals[..k]);
+                    lane.st_slice(buf, lo, &vals[..k]);
                 });
             },
         );
@@ -227,11 +229,11 @@ mod tests {
                 })
                 .collect();
             let out = GpuU32::new(n);
-            device.launch_fn(LaunchConfig::new(1, 256), |ctx| {
+            device.launch(LaunchConfig::new(1, 256), "test", |ctx| {
                 let mut shared = input.clone();
                 block_inclusive_scan(ctx, &mut shared, &mut Vec::new());
                 ctx.simt_range(0..n, |lane| {
-                    lane.st32(&out, lane.tid, shared[lane.tid]);
+                    lane.st(&out, lane.tid, shared[lane.tid]);
                 });
             });
             assert_eq!(out.to_vec(), expect, "n = {n}");
@@ -243,11 +245,11 @@ mod tests {
         let device = device();
         let input: Vec<u32> = vec![5, 0, 2, 9, 1, 1, 7];
         let out = GpuU32::new(input.len());
-        device.launch_fn(LaunchConfig::new(1, 64), |ctx| {
+        device.launch(LaunchConfig::new(1, 64), "test", |ctx| {
             let mut shared = input.clone();
             block_exclusive_scan(ctx, &mut shared);
             ctx.simt_range(0..shared.len(), |lane| {
-                lane.st32(&out, lane.tid, shared[lane.tid]);
+                lane.st(&out, lane.tid, shared[lane.tid]);
             });
         });
         assert_eq!(out.to_vec(), host_exclusive(&input));
@@ -257,7 +259,7 @@ mod tests {
     #[should_panic(expected = "needs at least")]
     fn block_scan_larger_than_block_rejected() {
         let device = device();
-        device.launch_fn(LaunchConfig::new(1, 32), |ctx| {
+        device.launch(LaunchConfig::new(1, 32), "test", |ctx| {
             let mut shared = vec![0u32; 64];
             block_inclusive_scan(ctx, &mut shared, &mut Vec::new());
         });

@@ -47,10 +47,10 @@ mod tests {
     fn run_search(data: Vec<u32>, targets: Vec<u32>) -> Vec<u32> {
         let device = Device::new(DeviceSpec::test_tiny());
         let out = GpuU32::new(targets.len());
-        device.launch_fn(LaunchConfig::new(1, targets.len().max(1)), |ctx| {
+        device.launch(LaunchConfig::new(1, targets.len().max(1)), "test", |ctx| {
             ctx.simt_range(0..targets.len(), |lane| {
                 let idx = upper_bound_shared(lane, &data, targets[lane.tid]);
-                lane.st32(&out, lane.tid, idx as u32);
+                lane.st(&out, lane.tid, idx as u32);
             });
         });
         out.to_vec()

@@ -14,18 +14,18 @@ use crate::memory::GpuU32;
 /// performed by a single lane with every access charged.
 pub fn lane_sort_bucket(lane: &mut Lane<'_>, buf: &GpuU32, start: usize, end: usize) {
     for i in (start + 1)..end {
-        let value = lane.ld32(buf, i);
+        let value = lane.ld(buf, i);
         let mut j = i;
         while j > start {
-            let prev = lane.ld32(buf, j - 1);
+            let prev = lane.ld(buf, j - 1);
             lane.compare(1);
             if prev <= value {
                 break;
             }
-            lane.st32(buf, j, prev);
+            lane.st(buf, j, prev);
             j -= 1;
         }
-        lane.st32(buf, j, value);
+        lane.st(buf, j, value);
     }
 }
 
@@ -96,7 +96,7 @@ mod tests {
     fn lane_sort_sorts_bucket_only() {
         let device = device();
         let buf = GpuU32::from_slice(&[9, 5, 3, 8, 1, 7, 0]);
-        device.launch_fn(LaunchConfig::new(1, 1), |ctx| {
+        device.launch(LaunchConfig::new(1, 1), "test", |ctx| {
             ctx.simt(|lane| lane_sort_bucket(lane, &buf, 1, 6));
         });
         // Only [1, 6) sorted; ends untouched.
@@ -107,7 +107,7 @@ mod tests {
     fn lane_sort_handles_trivial_buckets() {
         let device = device();
         let buf = GpuU32::from_slice(&[2, 1]);
-        device.launch_fn(LaunchConfig::new(1, 1), |ctx| {
+        device.launch(LaunchConfig::new(1, 1), "test", |ctx| {
             ctx.simt(|lane| {
                 lane_sort_bucket(lane, &buf, 0, 0);
                 lane_sort_bucket(lane, &buf, 0, 1);
@@ -122,7 +122,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let input: Vec<u32> = (0..200).map(|_| rng.gen()).collect();
         let buf = GpuU32::from_slice(&input);
-        device.launch_fn(LaunchConfig::new(1, 1), |ctx| {
+        device.launch(LaunchConfig::new(1, 1), "test", |ctx| {
             ctx.simt(|lane| lane_sort_bucket(lane, &buf, 0, 200));
         });
         let mut expect = input;
@@ -137,7 +137,7 @@ mod tests {
         for n in [0usize, 1, 2, 3, 7, 8, 9, 63, 64, 65, 500, 1024, 1500] {
             let input: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
             let out = GpuU64::new(n);
-            device.launch_fn(LaunchConfig::new(1, 128), |ctx| {
+            device.launch(LaunchConfig::new(1, 128), "test", |ctx| {
                 let mut shared = input.clone();
                 block_bitonic_sort_u64(ctx, &mut shared);
                 assert_eq!(shared.len(), n, "length preserved");
@@ -145,7 +145,7 @@ mod tests {
                 ctx.simt_range(0..stride, |lane| {
                     let mut i = lane.tid;
                     while i < n {
-                        lane.st64(&out, i, shared[i]);
+                        lane.st(&out, i, shared[i]);
                         i += stride;
                     }
                 });
@@ -160,7 +160,7 @@ mod tests {
     fn bitonic_handles_duplicates_and_max_values() {
         let device = device();
         let input = vec![u64::MAX, 3, 3, u64::MAX, 0, 3];
-        device.launch_fn(LaunchConfig::new(1, 32), |ctx| {
+        device.launch(LaunchConfig::new(1, 32), "test", |ctx| {
             let mut shared = input.clone();
             block_bitonic_sort_u64(ctx, &mut shared);
             assert_eq!(shared, vec![0, 3, 3, 3, u64::MAX, u64::MAX]);
@@ -170,11 +170,11 @@ mod tests {
     #[test]
     fn bitonic_charges_nlogsquared_cost() {
         let device = device();
-        let small = device.launch_fn(LaunchConfig::new(1, 64), |ctx| {
+        let small = device.launch(LaunchConfig::new(1, 64), "test", |ctx| {
             let mut v: Vec<u64> = (0..64u64).rev().collect();
             block_bitonic_sort_u64(ctx, &mut v);
         });
-        let large = device.launch_fn(LaunchConfig::new(1, 64), |ctx| {
+        let large = device.launch(LaunchConfig::new(1, 64), "test", |ctx| {
             let mut v: Vec<u64> = (0..1024u64).rev().collect();
             block_bitonic_sort_u64(ctx, &mut v);
         });

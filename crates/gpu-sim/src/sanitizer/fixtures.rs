@@ -6,10 +6,11 @@
 //! hazardous variant is flagged — naming the buffer and both
 //! conflicting sites — and that the clean twin produces a clean report.
 //! All fixture buffers are named `fixture.*` so reports are easy to
-//! filter.
+//! filter. The race, bounds and uninitialized-read fixtures take the
+//! buffer's element type, so both `u32` and `u64` buffers are checked.
 
 use crate::exec::{Device, LaunchConfig};
-use crate::memory::GpuU32;
+use crate::memory::{Elem, GpuBuf, GpuU32};
 use crate::sanitizer::{HazardClass, SanitizeReport, Session};
 use crate::spec::DeviceSpec;
 
@@ -19,14 +20,14 @@ fn device() -> Device {
 
 /// Inter-block race: when hazardous, lane 0 of *every* block writes
 /// element 0; the clean twin writes one slot per block.
-pub fn run_inter_block_race(hazardous: bool) -> SanitizeReport {
+pub fn run_inter_block_race<T: Elem + From<u32>>(hazardous: bool) -> SanitizeReport {
     let session = Session::start();
-    let out = GpuU32::named(4, "fixture.race");
-    device().launch_fn_named(LaunchConfig::new(4, 32), "race_fixture", |ctx| {
+    let out = GpuBuf::<T>::named(4, "fixture.race");
+    device().launch(LaunchConfig::new(4, 32), "race_fixture", |ctx| {
         let block = ctx.block_id;
         ctx.simt_range(0..1, |lane| {
             let slot = if hazardous { 0 } else { block };
-            lane.st32(&out, slot, block as u32);
+            lane.st(&out, slot, T::from(block as u32));
         });
     });
     session.finish()
@@ -40,21 +41,21 @@ pub fn run_missing_barrier(hazardous: bool) -> SanitizeReport {
     let n = 32usize;
     let buf = GpuU32::named(n, "fixture.shared");
     let out = GpuU32::named(n, "fixture.shared_out");
-    device().launch_fn_named(LaunchConfig::new(1, n), "barrier_fixture", |ctx| {
+    device().launch(LaunchConfig::new(1, n), "barrier_fixture", |ctx| {
         if hazardous {
             ctx.simt(|lane| {
-                lane.st32(&buf, lane.tid, lane.tid as u32);
-                let v = lane.ld32(&buf, (lane.tid + 1) % n);
-                lane.st32(&out, lane.tid, v);
+                lane.st(&buf, lane.tid, lane.tid as u32);
+                let v = lane.ld(&buf, (lane.tid + 1) % n);
+                lane.st(&out, lane.tid, v);
             });
         } else {
             ctx.simt(|lane| {
-                lane.st32(&buf, lane.tid, lane.tid as u32);
+                lane.st(&buf, lane.tid, lane.tid as u32);
             });
             // __syncthreads() between the regions.
             ctx.simt(|lane| {
-                let v = lane.ld32(&buf, (lane.tid + 1) % n);
-                lane.st32(&out, lane.tid, v);
+                let v = lane.ld(&buf, (lane.tid + 1) % n);
+                lane.st(&out, lane.tid, v);
             });
         }
     });
@@ -63,14 +64,14 @@ pub fn run_missing_barrier(hazardous: bool) -> SanitizeReport {
 
 /// Out of bounds: when hazardous the buffer is one element too small
 /// for the block, so the last lane indexes past the end.
-pub fn run_out_of_bounds(hazardous: bool) -> SanitizeReport {
+pub fn run_out_of_bounds<T: Elem + From<u32>>(hazardous: bool) -> SanitizeReport {
     let session = Session::start();
     let n = 32usize;
     let len = if hazardous { n - 1 } else { n };
-    let buf = GpuU32::named(len, "fixture.bounds");
-    device().launch_fn_named(LaunchConfig::new(1, n), "bounds_fixture", |ctx| {
+    let buf = GpuBuf::<T>::named(len, "fixture.bounds");
+    device().launch(LaunchConfig::new(1, n), "bounds_fixture", |ctx| {
         ctx.simt(|lane| {
-            lane.st32(&buf, lane.tid, 7);
+            lane.st(&buf, lane.tid, T::from(7));
         });
     });
     session.finish()
@@ -79,23 +80,23 @@ pub fn run_out_of_bounds(hazardous: bool) -> SanitizeReport {
 /// Uninitialized read: the buffer comes from `alloc_uninit`
 /// (`cudaMalloc`); when hazardous the kernel reads it before anything
 /// wrote it, the clean twin zero-fills it in an earlier launch.
-pub fn run_uninit_read(hazardous: bool) -> SanitizeReport {
+pub fn run_uninit_read<T: Elem>(hazardous: bool) -> SanitizeReport {
     let session = Session::start();
     let n = 32usize;
-    let buf = GpuU32::alloc_uninit(n, "fixture.uninit");
-    let out = GpuU32::named(n, "fixture.uninit_out");
+    let buf = GpuBuf::<T>::alloc_uninit(n, "fixture.uninit");
+    let out = GpuBuf::<T>::named(n, "fixture.uninit_out");
     let dev = device();
     if !hazardous {
-        dev.launch_fn_named(LaunchConfig::new(1, n), "zero_fill", |ctx| {
+        dev.launch(LaunchConfig::new(1, n), "zero_fill", |ctx| {
             ctx.simt(|lane| {
-                lane.st32(&buf, lane.tid, 0);
+                lane.st(&buf, lane.tid, T::default());
             });
         });
     }
-    dev.launch_fn_named(LaunchConfig::new(1, n), "uninit_fixture", |ctx| {
+    dev.launch(LaunchConfig::new(1, n), "uninit_fixture", |ctx| {
         ctx.simt(|lane| {
-            let v = lane.ld32(&buf, lane.tid);
-            lane.st32(&out, lane.tid, v);
+            let v = lane.ld(&buf, lane.tid);
+            lane.st(&out, lane.tid, v);
         });
     });
     session.finish()
@@ -110,13 +111,13 @@ pub fn run_overlapping_reservation(hazardous: bool) -> SanitizeReport {
     let slots = GpuU32::named(64, "fixture.slots");
     let cursor = GpuU32::named(1, "fixture.cursor");
     let rogue = GpuU32::named(1, "fixture.rogue_cursor");
-    device().launch_fn_named(LaunchConfig::new(1, 8), "reserve_fixture", |ctx| {
+    device().launch(LaunchConfig::new(1, 8), "reserve_fixture", |ctx| {
         ctx.simt(|lane| {
             let use_rogue = hazardous && lane.tid >= 4;
             let base = if use_rogue {
-                lane.atomic_reserve32(&rogue, 0, 2, &slots)
+                lane.atomic_reserve(&rogue, 0, 2, &slots)
             } else {
-                lane.atomic_reserve32(&cursor, 0, 2, &slots)
+                lane.atomic_reserve(&cursor, 0, 2, &slots)
             };
             let _ = base;
         });
@@ -127,6 +128,7 @@ pub fn run_overlapping_reservation(hazardous: bool) -> SanitizeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sanitizer::AccessKind;
 
     /// The hazards of `class` on a `fixture.*` buffer.
     fn of_class(report: &SanitizeReport, class: HazardClass) -> Vec<&crate::sanitizer::Hazard> {
@@ -139,7 +141,7 @@ mod tests {
 
     #[test]
     fn inter_block_race_flagged_and_clean_twin_passes() {
-        let report = run_inter_block_race(true);
+        let report = run_inter_block_race::<u32>(true);
         let hits = of_class(&report, HazardClass::InterBlockRace);
         assert!(!hits.is_empty(), "race not flagged:\n{report}");
         let h = hits[0];
@@ -152,7 +154,7 @@ mod tests {
             "sites must be in different blocks"
         );
 
-        let clean = run_inter_block_race(false);
+        let clean = run_inter_block_race::<u32>(false);
         assert!(clean.is_clean(), "clean twin flagged:\n{clean}");
     }
 
@@ -177,7 +179,7 @@ mod tests {
 
     #[test]
     fn out_of_bounds_flagged_and_clean_twin_passes() {
-        let report = run_out_of_bounds(true);
+        let report = run_out_of_bounds::<u32>(true);
         let hits = of_class(&report, HazardClass::OutOfBounds);
         assert!(!hits.is_empty(), "OOB not flagged:\n{report}");
         let h = hits[0];
@@ -185,13 +187,13 @@ mod tests {
         assert_eq!(h.elems, 31..32, "the one out-of-range element");
         assert!(h.second.is_none());
 
-        let clean = run_out_of_bounds(false);
+        let clean = run_out_of_bounds::<u32>(false);
         assert!(clean.is_clean(), "clean twin flagged:\n{clean}");
     }
 
     #[test]
     fn uninit_read_flagged_and_clean_twin_passes() {
-        let report = run_uninit_read(true);
+        let report = run_uninit_read::<u32>(true);
         let hits = of_class(&report, HazardClass::UninitRead);
         assert!(!hits.is_empty(), "uninit read not flagged:\n{report}");
         let h = hits[0];
@@ -199,7 +201,7 @@ mod tests {
         assert_eq!(h.elems, 0..32, "all 32 uninit reads coalesce");
         assert_eq!(h.first.kernel, "uninit_fixture");
 
-        let clean = run_uninit_read(false);
+        let clean = run_uninit_read::<u32>(false);
         assert!(clean.is_clean(), "clean twin flagged:\n{clean}");
     }
 
@@ -226,10 +228,10 @@ mod tests {
         let session = Session::start();
         let buf = GpuU32::named(4, "fixture.oob_load");
         let out = GpuU32::named(1, "fixture.oob_out");
-        device().launch_fn_named(LaunchConfig::new(1, 1), "oob_load", |ctx| {
+        device().launch(LaunchConfig::new(1, 1), "oob_load", |ctx| {
             ctx.simt(|lane| {
-                let v = lane.ld32(&buf, 1000);
-                lane.st32(&out, 0, v + 1);
+                let v = lane.ld(&buf, 1000);
+                lane.st(&out, 0, v + 1);
             });
         });
         let report = session.finish();
@@ -247,9 +249,46 @@ mod tests {
 
     #[test]
     fn report_counts_launches_and_accesses() {
-        let report = run_inter_block_race(false);
+        let report = run_inter_block_race::<u32>(false);
         assert_eq!(report.launches, 1);
         assert_eq!(report.accesses_checked, 4, "one store per block");
         assert_eq!(report.suppressed, 0);
+    }
+
+    #[test]
+    fn hazards_on_u64_buffers_are_reported_under_the_buffer_name() {
+        let cases: [(SanitizeReport, HazardClass, &str); 3] = [
+            (
+                run_out_of_bounds::<u64>(true),
+                HazardClass::OutOfBounds,
+                "fixture.bounds",
+            ),
+            (
+                run_uninit_read::<u64>(true),
+                HazardClass::UninitRead,
+                "fixture.uninit",
+            ),
+            (
+                run_inter_block_race::<u64>(true),
+                HazardClass::InterBlockRace,
+                "fixture.race",
+            ),
+        ];
+        for (report, class, buffer) in &cases {
+            let hits = of_class(report, *class);
+            assert_eq!(hits.len(), 1, "{class:?} on a u64 buffer:\n{report}");
+            assert_eq!(hits[0].buffer, *buffer);
+        }
+        let race = of_class(&cases[2].0, HazardClass::InterBlockRace)[0];
+        let second = race.second.as_ref().expect("races have two sites");
+        assert_ne!(race.first.block, second.block, "a write-write race");
+        assert_eq!(
+            (race.first.kind, second.kind),
+            (AccessKind::Write, AccessKind::Write)
+        );
+
+        assert!(run_out_of_bounds::<u64>(false).is_clean());
+        assert!(run_uninit_read::<u64>(false).is_clean());
+        assert!(run_inter_block_race::<u64>(false).is_clean());
     }
 }

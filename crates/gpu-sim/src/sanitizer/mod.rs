@@ -1,13 +1,13 @@
 //! Shadow-memory hazard sanitizer for the SIMT simulator.
 //!
-//! The simulator executes lanes sequentially and blocks under rayon,
-//! so whole families of CUDA bugs — inter-block data races, missing
+//! The simulator executes a launch's blocks one after another, and a
+//! block's lanes one after another, so whole families of CUDA bugs — inter-block data races, missing
 //! `__syncthreads()`, out-of-bounds indexing, reads of uninitialized
 //! `cudaMalloc` memory, double-booked `atomicAdd` slot reservations —
 //! run *deterministically correct* here while they would corrupt
 //! results on real hardware. This module makes them visible: while a
-//! [`Session`] is active, every instrumented access through
-//! [`crate::GpuU32`]/[`crate::GpuU64`] from a [`crate::Lane`] is logged
+//! [`Session`] is active, every instrumented access to a
+//! [`crate::GpuBuf`] from a [`crate::Lane`] is logged
 //! with its full SIMT coordinates (launch, block, SIMT region, warp,
 //! lane) and checked by five detectors (see
 //! [`HazardClass`]).
@@ -20,10 +20,10 @@
 //! let session = sanitizer::Session::start();
 //! let device = Device::new(DeviceSpec::test_tiny());
 //! let buf = GpuU32::named(64, "out");
-//! device.launch_fn_named(LaunchConfig::new(2, 32), "fill", |block| {
+//! device.launch(LaunchConfig::new(2, 32), "fill", |block| {
 //!     let base = block.block_id * block.block_dim;
 //!     block.simt(|lane| {
-//!         lane.st32(&buf, base + lane.tid, (base + lane.tid) as u32);
+//!         lane.st(&buf, base + lane.tid, (base + lane.tid) as u32);
 //!     });
 //! });
 //! let report = session.finish();
@@ -34,9 +34,9 @@
 //!
 //! * Sessions are global and serialized: [`Session::start`] blocks
 //!   until any other live session finishes. A session observes only
-//!   launches made from the thread that started it (the vendored rayon
-//!   executes blocks on the launching thread), so concurrently running
-//!   tests cannot pollute each other's reports.
+//!   launches made from the thread that started it (a launch runs its
+//!   blocks on the launching thread), so concurrently running tests
+//!   cannot pollute each other's reports.
 //! * Only accesses made *through a lane* are instrumented. Host-side
 //!   `load`/`store`/`to_vec` are treated like `cudaMemcpy`: they mark
 //!   elements initialized but never race (the simulator only runs them
@@ -87,9 +87,10 @@ pub(crate) struct LaunchMeta {
 
 struct State {
     /// The thread that started the session. Instrumentation is confined
-    /// to it: the vendored rayon executes blocks on the launching
-    /// thread, and confining the session keeps concurrently running
-    /// tests (which launch kernels of their own) out of the capture.
+    /// to it: a launch runs every block on the launching thread, and
+    /// confining the session keeps launches made on other threads (by
+    /// concurrently running tests, or by other devices) out of the
+    /// capture.
     owner: ThreadId,
     launches: Vec<LaunchMeta>,
     buffers: HashMap<u64, BufState>,
@@ -285,7 +286,7 @@ pub(crate) fn device_access(
     .unwrap_or(true)
 }
 
-/// Log an `atomic_reserve32` slot reservation on `target`.
+/// Log an `atomic_reserve` slot reservation on `target`.
 pub(crate) fn record_reservation(
     target: &crate::memory::BufMeta,
     target_len: usize,

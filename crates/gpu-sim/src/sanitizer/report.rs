@@ -10,11 +10,11 @@ use std::ops::Range;
 /// How an instrumented access touched memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AccessKind {
-    /// Plain global load (`Lane::ld32`/`ld64`).
+    /// Plain global load (`Lane::ld`, `Lane::ld_slice`).
     Read,
-    /// Plain global store (`Lane::st32`/`st64`).
+    /// Plain global store (`Lane::st`, `Lane::st_slice`).
     Write,
-    /// Read-modify-write (`Lane::atomic_add*`, `atomic_reserve32`).
+    /// Read-modify-write (`Lane::atomic_add`, `Lane::atomic_reserve`).
     Atomic,
 }
 
@@ -49,7 +49,7 @@ pub enum HazardClass {
     ///
     /// [`alloc_uninit`]: crate::GpuU32::alloc_uninit
     UninitRead,
-    /// Two `atomic_reserve32` calls reserved overlapping element ranges
+    /// Two `atomic_reserve` calls reserved overlapping element ranges
     /// of the same target buffer — two cursors handing out the same
     /// slots, as when a fill kernel's `temp` cursor is not a faithful
     /// copy of the scanned `ptrs`.
@@ -72,7 +72,7 @@ impl fmt::Display for HazardClass {
 /// and from where in the SIMT hierarchy.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AccessSite {
-    /// Kernel name (as given to `Device::launch_named`).
+    /// Kernel name (as given to `Device::launch`).
     pub kernel: String,
     /// Launch ordinal within the sanitizer session.
     pub launch: u32,

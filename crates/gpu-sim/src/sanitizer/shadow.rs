@@ -161,7 +161,7 @@ impl ElemLog {
     }
 }
 
-/// One `atomic_reserve32` slot reservation on a target buffer.
+/// One `atomic_reserve` slot reservation on a target buffer.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Reservation {
     pub base: u64,

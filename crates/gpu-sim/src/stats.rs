@@ -9,8 +9,7 @@ use std::time::Duration;
 /// and [`busiest_block_cycles`](LaunchStats::busiest_block_cycles) is a
 /// counter and sums under `+`; those two are gauges and merge by `max`
 /// (the peak of a union of launches is the largest peak, not the sum).
-#[derive(Clone, Debug, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
+#[derive(Clone, Debug, Default, PartialEq, serde::Serialize)]
 pub struct LaunchStats {
     /// Number of kernel launches folded into this value.
     pub launches: u64,

@@ -60,12 +60,12 @@ pub fn build_gpu(
     // Pool-backed: every tile row re-allocates the same geometry, so
     // rows after the first reuse this storage (LaunchStats::pool_allocs
     // pins that in the regression tests).
-    let ptrs = device.alloc_u32(num_seeds + 1, "index.ptrs");
+    let ptrs = device.alloc::<u32>(num_seeds + 1, "index.ptrs");
     let mut stats = LaunchStats::default();
 
     // Step 1: count seed occurrences.
     let grid = n_positions.div_ceil(BLOCK_DIM);
-    stats += device.launch_fn_named(LaunchConfig::new(grid, BLOCK_DIM), "index.count", |ctx| {
+    stats += device.launch(LaunchConfig::new(grid, BLOCK_DIM), "index.count", |ctx| {
         let base = ctx.block_id * BLOCK_DIM;
         ctx.simt(|lane| {
             let gid = base + lane.tid;
@@ -74,7 +74,7 @@ pub fn build_gpu(
                 lane.charge(Op::GlobalLoad, 1); // packed seed read
                 lane.charge(Op::Alu, 2);
                 let code = codec.encode(seq, pos).expect("sample position fits a seed");
-                lane.atomic_add32(&ptrs, code as usize, 1);
+                lane.atomic_add(&ptrs, code as usize, 1);
             }
         });
     });
@@ -83,9 +83,9 @@ pub fn build_gpu(
     stats += device_exclusive_scan(device, &ptrs);
 
     // Step 3: fill locs through an atomic cursor copy.
-    let temp = device.alloc_u32(num_seeds, "index.temp");
+    let temp = device.alloc::<u32>(num_seeds, "index.temp");
     let copy_grid = num_seeds.div_ceil(BLOCK_DIM * SEEDS_PER_THREAD);
-    stats += device.launch_fn_named(
+    stats += device.launch(
         LaunchConfig::new(copy_grid, BLOCK_DIM),
         "index.copy_cursor",
         |ctx| {
@@ -95,8 +95,8 @@ pub fn build_gpu(
                 let hi = (lo + SEEDS_PER_THREAD).min(num_seeds);
                 let mut cursor = [0u32; SEEDS_PER_THREAD];
                 let cursor = &mut cursor[..hi.saturating_sub(lo)];
-                lane.ld32_slice(&ptrs, lo, cursor);
-                lane.st32_slice(&temp, lo, cursor);
+                lane.ld_slice(&ptrs, lo, cursor);
+                lane.st_slice(&temp, lo, cursor);
             });
         },
     );
@@ -105,8 +105,8 @@ pub fn build_gpu(
     // what initializes it, and the sanitizer checks exactly that
     // (recycled pool storage keeps stale bits, so a read-before-write
     // here would also return garbage, as on real hardware).
-    let locs = device.alloc_u32_uninit(n_positions, "index.locs");
-    stats += device.launch_fn_named(LaunchConfig::new(grid, BLOCK_DIM), "index.fill", |ctx| {
+    let locs = device.alloc_uninit::<u32>(n_positions, "index.locs");
+    stats += device.launch(LaunchConfig::new(grid, BLOCK_DIM), "index.fill", |ctx| {
         let base = ctx.block_id * BLOCK_DIM;
         ctx.simt(|lane| {
             let gid = base + lane.tid;
@@ -115,15 +115,15 @@ pub fn build_gpu(
                 lane.charge(Op::GlobalLoad, 1);
                 lane.charge(Op::Alu, 2);
                 let code = codec.encode(seq, pos).expect("sample position fits a seed");
-                let idx = lane.atomic_reserve32(&temp, code as usize, 1, &locs);
-                lane.st32(&locs, idx as usize, pos as u32);
+                let idx = lane.atomic_reserve(&temp, code as usize, 1, &locs);
+                lane.st(&locs, idx as usize, pos as u32);
             }
         });
     });
 
     // Step 4: one thread per seed sorts its bucket.
     let sort_grid = num_seeds.div_ceil(BLOCK_DIM * SEEDS_PER_THREAD);
-    stats += device.launch_fn_named(
+    stats += device.launch(
         LaunchConfig::new(sort_grid, BLOCK_DIM),
         "index.sort_buckets",
         |ctx| {
@@ -140,7 +140,7 @@ pub fn build_gpu(
                 // repeated reads charges the 2 loads per seed.
                 let mut bounds = [0u32; SEEDS_PER_THREAD + 1];
                 let bounds = &mut bounds[..=seeds];
-                lane.ld32_slice(&ptrs, lo_seed, bounds);
+                lane.ld_slice(&ptrs, lo_seed, bounds);
                 lane.charge(Op::GlobalLoad, seeds as u64 - 1);
                 for pair in bounds.windows(2) {
                     let (lo, hi) = (pair[0] as usize, pair[1] as usize);

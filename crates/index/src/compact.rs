@@ -166,10 +166,10 @@ pub fn build_compact_gpu(
     let codec = SeedCodec::new(seed_len);
     let positions = SeedIndex::expected_positions(region, step, seed_len, seq.len());
     let n = positions.len();
-    let pairs = device.alloc_u64(n, "compact.pairs");
+    let pairs = device.alloc::<u64>(n, "compact.pairs");
 
     const BLOCK_DIM: usize = 256;
-    let mut stats = device.launch_fn_named(
+    let mut stats = device.launch(
         LaunchConfig::new(n.div_ceil(BLOCK_DIM), BLOCK_DIM),
         "compact.pack",
         |ctx| {
@@ -183,7 +183,7 @@ pub fn build_compact_gpu(
                     let code = codec
                         .encode(seq, pos as usize)
                         .expect("position bounds-checked");
-                    lane.st64(&pairs, gid, (u64::from(code) << 32) | u64::from(pos));
+                    lane.st(&pairs, gid, (u64::from(code) << 32) | u64::from(pos));
                 }
             });
         },

@@ -30,13 +30,13 @@ fn main() {
     let histogram = GpuU32::new(256);
     let n = data.len();
     let cfg = LaunchConfig::new(n.div_ceil(256 * 64), 256);
-    let stats = device.launch_fn(cfg, |ctx| {
+    let stats = device.launch(cfg, "histogram", |ctx| {
         let base = ctx.block_id * 256 * 64;
         ctx.simt(|lane| {
             let lo = base + lane.tid * 64;
             for i in lo..(lo + 64).min(n) {
                 lane.charge(Op::GlobalLoad, 1);
-                lane.atomic_add32(&histogram, data[i] as usize, 1);
+                lane.atomic_add(&histogram, data[i] as usize, 1);
             }
         });
     });
@@ -61,13 +61,13 @@ fn main() {
 
     // 3. Warp imbalance: one heavy lane per warp vs spread work — the
     //    effect the paper's load-balancing heuristic removes.
-    let imbalanced = device.launch_fn(LaunchConfig::new(13, 256), |ctx| {
+    let imbalanced = device.launch(LaunchConfig::new(13, 256), "imbalanced", |ctx| {
         ctx.simt(|lane| {
             let work = if lane.tid % 32 == 0 { 32_000 } else { 0 };
             lane.charge(Op::Compare, work);
         });
     });
-    let balanced = device.launch_fn(LaunchConfig::new(13, 256), |ctx| {
+    let balanced = device.launch(LaunchConfig::new(13, 256), "balanced", |ctx| {
         ctx.simt(|lane| lane.charge(Op::Compare, 1_000));
     });
     println!(
@@ -80,7 +80,7 @@ fn main() {
     assert!(imbalanced.modeled_secs() > balanced.modeled_secs() * 5.0);
 
     // 4. Divergence: lanes disagreeing on a branch serialize the warp.
-    let divergent = device.launch_fn(LaunchConfig::new(1, 256), |ctx| {
+    let divergent = device.launch(LaunchConfig::new(1, 256), "divergent", |ctx| {
         ctx.simt(|lane| {
             if lane.branch(lane.tid % 2 == 0) {
                 lane.charge(Op::Alu, 100);

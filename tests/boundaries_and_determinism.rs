@@ -107,7 +107,8 @@ fn output_is_invariant_to_step_choice() {
 
 #[test]
 fn repeated_runs_are_bit_identical() {
-    // Blocks race on rayon threads; the canonical output must not.
+    // Tile rows go to whichever worker claims them first; the canonical
+    // output must not depend on it.
     let reference = GenomeModel::mammalian().generate(5_000, 95);
     let query = GenomeModel::mammalian().generate(4_000, 96);
     let gpumem = tiny_gpumem(12, 6, 16, 2);

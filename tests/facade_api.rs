@@ -125,9 +125,9 @@ fn registry_and_request_api_are_exposed_at_the_root() {
 fn simulator_is_exposed() {
     let device = Device::new(DeviceSpec::test_tiny());
     let counter = gpumem::sim::GpuU32::new(1);
-    device.launch_fn(LaunchConfig::new(2, 32), |ctx| {
+    device.launch(LaunchConfig::new(2, 32), "test", |ctx| {
         ctx.simt(|lane| {
-            lane.atomic_add32(&counter, 0, 1);
+            lane.atomic_add(&counter, 0, 1);
         });
     });
     assert_eq!(counter.load(0), 64);

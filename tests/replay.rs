@@ -82,16 +82,16 @@ fn replay_charges_what_running_the_regions_charges() {
             device.set_observer(Some(log.clone()));
         }
         let cfg = LaunchConfig::new(3, 65);
-        let run = device.launch_fn(cfg, |ctx| {
+        let run = device.launch(cfg, "test", |ctx| {
             ctx.phase("known");
             known_regions(ctx);
             ctx.phase("tail");
             ctx.simt(|lane| lane.compare(1));
         });
-        let memo = Mutex::new(None);
-        let replayed = device.launch_fn(cfg, |ctx| {
+        let mut memo = None;
+        let replayed = device.launch(cfg, "test", |ctx| {
             ctx.phase("known");
-            let ran = ctx.replay_or_record(&mut memo.lock().unwrap(), known_regions);
+            let ran = ctx.replay_or_record(&mut memo, known_regions);
             assert_eq!(ran, ctx.block_id == 0, "block 0 records, the rest replay");
             ctx.phase("tail");
             ctx.simt(|lane| lane.compare(1));
@@ -119,23 +119,23 @@ fn replay_keeps_sanitizer_region_ordinals() {
     let sanitized = |replay: bool, probe: bool| {
         let device = tiny();
         let buf = GpuU32::named(64, "buf");
-        let memo = Mutex::new(None);
+        let mut memo = None;
         let session = sanitizer::Session::start();
-        device.launch_fn_named(LaunchConfig::new(2, 32), "replay", |ctx| {
+        device.launch(LaunchConfig::new(2, 32), "replay", |ctx| {
             let base = ctx.block_id * 32;
-            ctx.simt(|lane| lane.st32(&buf, base + lane.tid, 1));
+            ctx.simt(|lane| lane.st(&buf, base + lane.tid, 1));
             if replay {
-                ctx.replay_or_record(&mut memo.lock().unwrap(), known_regions);
+                ctx.replay_or_record(&mut memo, known_regions);
             } else {
                 known_regions(ctx);
             }
             ctx.simt(|lane| {
-                let v = lane.ld32(&buf, base + lane.tid);
-                lane.st32(&buf, base + lane.tid, v + 1);
+                let v = lane.ld(&buf, base + lane.tid);
+                lane.st(&buf, base + lane.tid, v + 1);
             });
             if probe {
                 ctx.simt_range(0..1, |lane| {
-                    lane.ld32(&buf, 64 + lane.block_id);
+                    lane.ld(&buf, 64 + lane.block_id);
                 });
             }
         });
@@ -161,14 +161,14 @@ fn replay_keeps_sanitizer_region_ordinals() {
 #[test]
 fn replay_refuses_a_recording_made_under_another_key() {
     let record = |device: &Device, tau: usize| -> RegionCharge {
-        let memo = Mutex::new(None);
-        device.launch_fn(LaunchConfig::new(1, tau), |ctx| {
-            assert!(ctx.replay_or_record(&mut memo.lock().unwrap(), known_regions));
+        let mut memo = None;
+        device.launch(LaunchConfig::new(1, tau), "test", |ctx| {
+            assert!(ctx.replay_or_record(&mut memo, known_regions));
         });
-        memo.into_inner().unwrap().expect("recorded")
+        memo.expect("recorded")
     };
     let recording = record(&tiny(), 64);
-    let accepted = tiny().launch_fn(LaunchConfig::new(1, 64), |ctx| {
+    let accepted = tiny().launch(LaunchConfig::new(1, 64), "test", |ctx| {
         assert!(ctx.replay(&recording));
     });
     assert_eq!(accepted.warps, 2 + 2, "two regions of two warps each");
@@ -189,22 +189,18 @@ fn replay_refuses_a_recording_made_under_another_key() {
         ("warp size", narrow_warps, 64),
         ("cost model", pricier, 64),
     ] {
-        let refused = device.launch_fn(LaunchConfig::new(1, tau), |ctx| {
+        let refused = device.launch(LaunchConfig::new(1, tau), "test", |ctx| {
             assert!(!ctx.replay(&recording), "{why}");
         });
         assert_eq!(refused.warps + refused.lane_cycles, 0, "{why}: charged");
         // The memoizing form runs the regions instead and keeps the new
         // recording.
-        let memo = Mutex::new(Some(recording.clone()));
-        let ran = device.launch_fn(LaunchConfig::new(1, tau), |ctx| {
-            assert!(ctx.replay_or_record(&mut memo.lock().unwrap(), known_regions));
+        let mut memo = Some(recording.clone());
+        let ran = device.launch(LaunchConfig::new(1, tau), "test", |ctx| {
+            assert!(ctx.replay_or_record(&mut memo, known_regions));
         });
         assert!(ran.warps > 0);
-        assert_eq!(
-            memo.into_inner().unwrap(),
-            Some(record(&device, tau)),
-            "{why}"
-        );
+        assert_eq!(memo, Some(record(&device, tau)), "{why}");
     }
 }
 
@@ -215,12 +211,11 @@ fn balance_round(
     enabled: bool,
     scratch: &mut BalanceScratch,
 ) -> (Assignment, LaunchStats) {
-    let cell = Mutex::new((Assignment::default(), scratch));
-    let stats = tiny().launch_fn(LaunchConfig::new(1, loads.len()), |ctx| {
-        let (out, scratch) = &mut *cell.lock().unwrap();
-        balance_into(ctx, loads, enabled, scratch, out);
+    let mut out = Assignment::default();
+    let stats = tiny().launch(LaunchConfig::new(1, loads.len()), "test", |ctx| {
+        balance_into(ctx, loads, enabled, scratch, &mut out);
     });
-    (cell.into_inner().unwrap().0, without_wall(stats))
+    (out, without_wall(stats))
 }
 
 #[test]
@@ -314,23 +309,25 @@ fn block_run(
     let mut query_codes = Vec::new();
     encode_query_seeds(query, config.seed_len, &mut query_codes);
     let (device, log) = observed();
-    let cell = Mutex::new((BlockOutput::default(), scratch));
-    let stats = device.launch_fn(LaunchConfig::new(1, config.threads_per_block), |ctx| {
-        let (out, scratch) = &mut *cell.lock().unwrap();
-        process_block(
-            ctx,
-            reference,
-            query,
-            &query_codes,
-            index,
-            config,
-            row.clone(),
-            block_q.clone(),
-            scratch,
-            out,
-        );
-    });
-    let output = cell.into_inner().unwrap().0;
+    let mut output = BlockOutput::default();
+    let stats = device.launch(
+        LaunchConfig::new(1, config.threads_per_block),
+        "test",
+        |ctx| {
+            process_block(
+                ctx,
+                reference,
+                query,
+                &query_codes,
+                index,
+                config,
+                row.clone(),
+                block_q.clone(),
+                scratch,
+                &mut output,
+            );
+        },
+    );
     let phases = log.0.lock().unwrap().pop().expect("one launch");
     (output, without_wall(stats), phases)
 }
@@ -343,15 +340,14 @@ fn combine_run(
     scratch: &mut CombineScratch,
 ) -> Observed<Vec<Vec<Mem>>> {
     let (device, log) = observed();
-    let cell = Mutex::new((triplets.to_vec(), scratch));
+    let mut t = triplets.to_vec();
     let tau = triplets.len();
-    let stats = device.launch_fn(LaunchConfig::new(1, tau), |ctx| {
-        let (t, scratch) = &mut *cell.lock().unwrap();
+    let stats = device.launch(LaunchConfig::new(1, tau), "test", |ctx| {
         ctx.phase("combine");
-        tree_combine_scheduled(ctx, assignment, scratch, t);
+        tree_combine_scheduled(ctx, assignment, scratch, &mut t);
     });
     let phases = log.0.lock().unwrap().pop().expect("one launch");
-    (cell.into_inner().unwrap().0, without_wall(stats), phases)
+    (t, without_wall(stats), phases)
 }
 
 /// An assignment of explicit `(slot, threads)` groups over `tau`
@@ -761,9 +757,9 @@ fn round_run(
 ) -> Observed<(Assignment, Vec<Vec<Mem>>)> {
     let tau = loads.len();
     let (device, log) = observed();
-    let cell = Mutex::new((Assignment::default(), triplets.to_vec()));
-    let stats = device.launch_fn(LaunchConfig::new(1, tau), |ctx| {
-        let (assignment, lists) = &mut *cell.lock().unwrap();
+    let mut assignment = Assignment::default();
+    let mut lists = triplets.to_vec();
+    let stats = device.launch(LaunchConfig::new(1, tau), "test", |ctx| {
         ctx.phase("balance");
         if kernel {
             balance_into(
@@ -771,20 +767,20 @@ fn round_run(
                 loads,
                 enabled,
                 &mut BalanceScratch::default(),
-                assignment,
+                &mut assignment,
             );
         } else {
-            *assignment = reference_balance(ctx, loads, enabled);
+            assignment = reference_balance(ctx, loads, enabled);
         }
         ctx.phase("combine");
         if kernel {
-            tree_combine_scheduled(ctx, assignment, &mut CombineScratch::new(tau), lists);
+            tree_combine_scheduled(ctx, &assignment, &mut CombineScratch::new(tau), &mut lists);
         } else {
-            reference_combine(ctx, assignment, lists);
+            reference_combine(ctx, &assignment, &mut lists);
         }
     });
     let phases = log.0.lock().unwrap().pop().expect("one launch");
-    (cell.into_inner().unwrap(), without_wall(stats), phases)
+    ((assignment, lists), without_wall(stats), phases)
 }
 
 /// A round's loads and slot lists drawn from `seed`: slot `k` probes

@@ -216,7 +216,7 @@ fn sanitizer_still_catches_a_seeded_bug_in_context() {
     let _ = reference;
 
     let session = Session::start();
-    device.launch_fn_named(LaunchConfig::new(2, 32), "bug.fill", |ctx| {
+    device.launch(LaunchConfig::new(2, 32), "bug.fill", |ctx| {
         let block = ctx.block_id;
         ctx.simt(|lane| {
             // Each block reserves through its own zeroed cursor: both
@@ -226,8 +226,8 @@ fn sanitizer_still_catches_a_seeded_bug_in_context() {
             } else {
                 &bad_cursor_b
             };
-            let base = lane.atomic_reserve32(cursor, 0, 1, &locs);
-            lane.st32(&locs, base as usize, lane.tid as u32);
+            let base = lane.atomic_reserve(cursor, 0, 1, &locs);
+            lane.st(&locs, base as usize, lane.tid as u32);
         });
     });
     let report = session.finish();

@@ -87,11 +87,6 @@ impl FmIndex {
         }
     }
 
-    /// Text length.
-    pub fn text_len(&self) -> usize {
-        self.n
-    }
-
     /// Occurrences of code `c` in `bwt[0 .. row)`.
     #[inline]
     fn occ(&self, c: u8, row: usize) -> usize {

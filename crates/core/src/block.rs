@@ -102,7 +102,6 @@ pub fn encode_query_seeds(query: &PackedSeq, seed_len: usize, codes: &mut Vec<u3
 ///
 /// `query_codes` holds the query's seed codes from
 /// [`encode_query_seeds`].
-#[allow(clippy::too_many_arguments)]
 pub fn process_block(
     ctx: &mut BlockCtx<'_>,
     reference: &PackedSeq,
@@ -236,7 +235,6 @@ pub fn process_block(
 /// The paper's expansion step: threads of a group split its surviving
 /// triplets as in generation; charges accumulate into locals and post
 /// in one batch per lane.
-#[allow(clippy::too_many_arguments)]
 fn expand_static(
     ctx: &mut BlockCtx<'_>,
     reference: &PackedSeq,

@@ -2,9 +2,9 @@
 //!
 //! Two combiners, matching the paper's two levels:
 //!
-//! * [`tree_combine`] — Algorithm 3 / Figure 3: within a block round,
-//!   `2·log₂τ − 1` iterations over seed distances `d = 1, 2, …, τ/2,
-//!   …, 2, 1`; at each iteration an active seed's triplets absorb
+//! * [`tree_combine_scheduled`] — Algorithm 3 / Figure 3: within a
+//!   block round, `2·log₂τ − 1` iterations over seed distances
+//!   `d = 1, 2, …, τ/2, …, 2, 1`; at each iteration an active seed's triplets absorb
 //!   overlapping triplets of the seed `d` slots to its right. Two
 //!   triplets `(r,q,λ)`, `(r',q',λ')` overlap iff
 //!   `0 < r'−r = q'−q ≤ λ`; the left one becomes
@@ -49,7 +49,7 @@ pub fn combine_pair(left: Mem, right: Mem) -> Option<Mem> {
 /// iterations and then halves; active slots are `≡ 0 (mod 2d)` on the
 /// way up and `≡ d (mod 2d)` on the way down, which guarantees no slot
 /// is both modified (a source) and deleted (a target) in the same
-/// iteration — see [`tree_combine`]'s conflict-freedom test.
+/// iteration (the module tests' `schedule_is_conflict_free_for_all_tau`).
 pub fn combine_schedule(tau: usize) -> Vec<Vec<(usize, usize)>> {
     assert!(
         tau.is_power_of_two() && tau >= 2,
@@ -146,16 +146,9 @@ impl CombineScratch {
     }
 }
 
-/// Algorithm 3 over one round's per-slot triplet lists. Deleted
-/// triplets are marked `len = 0` (callers filter). Builds its scratch
-/// on the fly; hot callers keep a [`CombineScratch`] and use
-/// [`tree_combine_scheduled`].
-pub fn tree_combine(ctx: &mut BlockCtx<'_>, assignment: &Assignment, triplets: &mut [Vec<Mem>]) {
-    let mut scratch = CombineScratch::new(ctx.block_dim);
-    tree_combine_scheduled(ctx, assignment, &mut scratch, triplets);
-}
-
-/// [`tree_combine`] over caller-kept scratch.
+/// Algorithm 3 over one round's per-slot triplet lists, with
+/// caller-kept scratch. Deleted triplets are marked `len = 0` (callers
+/// filter).
 ///
 /// When one group holds every thread and every other slot is empty (a
 /// single-seed round under load balancing), no iteration can pair two
@@ -548,7 +541,7 @@ mod tests {
         assert_eq!(combine_pair(left, left), None);
     }
 
-    /// Run tree_combine with a one-thread-per-slot assignment.
+    /// Run the combine with a one-thread-per-slot assignment.
     fn run_tree(tau: usize, triplets: Vec<Vec<Mem>>) -> Vec<Mem> {
         let device = Device::new(DeviceSpec::test_tiny());
         let assignment = Assignment {
@@ -563,7 +556,8 @@ mod tests {
         let mut out = Vec::new();
         device.launch(LaunchConfig::new(1, tau), "test", |ctx| {
             let mut t = triplets.clone();
-            tree_combine(ctx, &assignment, &mut t);
+            let mut scratch = CombineScratch::new(ctx.block_dim);
+            tree_combine_scheduled(ctx, &assignment, &mut scratch, &mut t);
             out = t.into_iter().flatten().filter(|m| m.len > 0).collect();
         });
         out
@@ -695,7 +689,8 @@ mod tests {
                 q: 4,
                 len: 4,
             });
-            tree_combine(ctx, &assignment, &mut t);
+            let mut scratch = CombineScratch::new(ctx.block_dim);
+            tree_combine_scheduled(ctx, &assignment, &mut scratch, &mut t);
             got = t
                 .into_iter()
                 .flatten()

@@ -43,14 +43,6 @@ use crate::telemetry::{Event, EventSink, TelemetryClock, WallClock};
 use crate::tile::Tiling;
 use crate::trace::Trace;
 
-/// Accumulated index-build cost of a session.
-#[derive(Default)]
-struct BuildAccum {
-    stats: LaunchStats,
-    wall: Duration,
-    built: usize,
-}
-
 /// A cached reference session: one per `(reference, config)` pair.
 ///
 /// Owns the per-row partial indexes. Row ranges depend only on the
@@ -62,7 +54,9 @@ pub struct RefSession {
     config: GpumemConfig,
     row_regions: Vec<Region>,
     rows: Vec<Mutex<Option<SharedSeedLookup>>>,
-    build: Mutex<BuildAccum>,
+    /// Accumulated index-build cost ([`IndexBuildReport::rows`] counts
+    /// the rows built).
+    build: Mutex<IndexBuildReport>,
     /// Row-index lookups served from cache (misses = rows built).
     hits: AtomicU64,
     /// Bytes of currently resident row indexes (the
@@ -97,7 +91,7 @@ impl RefSession {
             config,
             row_regions,
             rows,
-            build: Mutex::new(BuildAccum::default()),
+            build: Mutex::new(IndexBuildReport::default()),
             hits: AtomicU64::new(0),
             resident: AtomicU64::new(0),
         })
@@ -120,7 +114,7 @@ impl RefSession {
 
     /// Number of row indexes built so far.
     pub fn built_rows(&self) -> usize {
-        self.build.lock().built
+        self.build.lock().rows
     }
 
     /// Row-index lookups served from the cache so far (the cache-miss
@@ -176,10 +170,10 @@ impl RefSession {
         self.resident
             .fetch_add(index.memory_bytes() as u64, Ordering::Relaxed);
         *slot = Some(Arc::clone(&index));
-        let mut accum = self.build.lock();
-        accum.stats += stats.clone();
-        accum.wall += wall;
-        accum.built += 1;
+        let mut build = self.build.lock();
+        build.stats += stats.clone();
+        build.wall += wall;
+        build.rows += 1;
         (index, stats)
     }
 
@@ -195,12 +189,7 @@ impl RefSession {
     /// Aggregate index-build cost so far ([`IndexBuildReport::rows`] is
     /// the number of rows actually built).
     pub fn index_report(&self) -> IndexBuildReport {
-        let accum = self.build.lock();
-        IndexBuildReport {
-            stats: accum.stats.clone(),
-            wall: accum.wall,
-            rows: accum.built,
-        }
+        self.build.lock().clone()
     }
 }
 
@@ -1159,7 +1148,7 @@ mod tests {
             .threads_per_block(2 * spec.max_threads_per_block)
             .build()
             .unwrap();
-        let err = Engine::builder(reference)
+        let err = Engine::builder(reference.clone())
             .config(wide)
             .spec(spec)
             .build()
@@ -1168,8 +1157,27 @@ mod tests {
         assert_eq!(
             err,
             RunError::BlockTooWide {
-                threads_per_block: 512,
+                width: 512,
                 limit: 256
+            }
+        );
+
+        // τ fits a 128-thread device, but the index kernels' blocks do not.
+        let narrow = DeviceSpec {
+            max_threads_per_block: 128,
+            ..DeviceSpec::test_tiny()
+        };
+        let err = Engine::builder(reference)
+            .config(config(16))
+            .spec(narrow)
+            .build()
+            .err()
+            .unwrap();
+        assert_eq!(
+            err,
+            RunError::BlockTooWide {
+                width: gpu_sim::primitives::BLOCK_DIM,
+                limit: 128
             }
         );
     }

@@ -33,7 +33,6 @@ pub(crate) fn lce_cost(matched: usize) -> (u64, u64) {
 ///
 /// Runs as one SIMT region; lanes of one group stride over the seed's
 /// bucket (the even split of §III-B2).
-#[allow(clippy::too_many_arguments)]
 pub fn generate_triplets(
     ctx: &mut gpu_sim::BlockCtx<'_>,
     reference: &PackedSeq,

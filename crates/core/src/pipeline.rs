@@ -21,6 +21,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, MutexGuard};
 
+use gpu_sim::primitives::BLOCK_DIM;
 use gpu_sim::{Device, DeviceSpec, LaunchConfig, LaunchStats, PoolClass};
 use gpumem_index::{build_compact_gpu, build_gpu, Region, SharedSeedLookup};
 use gpumem_seq::{canonicalize, Mem, PackedSeq};
@@ -55,10 +56,12 @@ pub enum RunError {
         /// The device's global memory capacity in bytes.
         capacity: u64,
     },
-    /// The configured block has more threads than the device allows.
+    /// A block the run launches has more threads than the device allows.
     BlockTooWide {
-        /// Threads per block the configuration asks for (`τ`).
-        threads_per_block: usize,
+        /// The run's widest block: the larger of `τ` and the fixed width
+        /// of the index and primitive kernels
+        /// ([`gpu_sim::primitives::BLOCK_DIM`]).
+        width: usize,
         /// The device's limit
         /// ([`DeviceSpec::max_threads_per_block`]).
         limit: usize,
@@ -77,13 +80,15 @@ impl std::fmt::Display for RunError {
                 "tile working set (~{estimate} bytes) exceeds device memory ({capacity} bytes); \
                  reduce blocks_per_tile or seed_len"
             ),
-            RunError::BlockTooWide {
-                threads_per_block,
-                limit,
-            } => write!(
+            RunError::BlockTooWide { width, limit } if *limit < BLOCK_DIM => write!(
                 f,
-                "block of {threads_per_block} threads exceeds the device's limit of {limit} \
-                 threads per block; reduce threads_per_block"
+                "block of {width} threads exceeds the device's limit of {limit} threads per \
+                 block; the index kernels launch {BLOCK_DIM}-thread blocks"
+            ),
+            RunError::BlockTooWide { width, limit } => write!(
+                f,
+                "block of {width} threads exceeds the device's limit of {limit} threads per \
+                 block; reduce threads_per_block"
             ),
         }
     }
@@ -102,12 +107,14 @@ pub(crate) fn ensure_sort_key(seq: &PackedSeq) -> Result<(), RunError> {
     Ok(())
 }
 
-/// Refuse configurations whose blocks are wider than `spec` allows or
-/// whose tile-row working set overflows `spec`'s global memory.
+/// Refuse configurations whose blocks (`τ`, or the index and primitive
+/// kernels' fixed [`BLOCK_DIM`]) are wider than `spec` allows or whose
+/// tile-row working set overflows `spec`'s global memory.
 pub(crate) fn ensure_fits(config: &GpumemConfig, spec: &DeviceSpec) -> Result<(), RunError> {
-    if config.threads_per_block > spec.max_threads_per_block {
+    let width = config.threads_per_block.max(BLOCK_DIM);
+    if width > spec.max_threads_per_block {
         return Err(RunError::BlockTooWide {
-            threads_per_block: config.threads_per_block,
+            width,
             limit: spec.max_threads_per_block,
         });
     }
@@ -320,7 +327,6 @@ pub struct GpumemResult {
 /// products — independent of which device runs the tile — so
 /// concatenating the fragments of disjoint row subsets and host-merging
 /// them once reproduces the single-device output exactly.
-#[allow(clippy::too_many_arguments)]
 fn run_tile_rows(
     device: &Device,
     config: &GpumemConfig,
@@ -465,7 +471,6 @@ fn run_tile_rows(
 /// a gather that reports one device folds its workers' pools into.
 /// Sets `stats.counts.out_tile` and `from_global`, and hands the merged
 /// MEMs to `out`.
-#[allow(clippy::too_many_arguments)]
 fn finish_global(
     reference: &PackedSeq,
     query: &PackedSeq,
@@ -667,7 +672,6 @@ pub(crate) struct Gathered {
 /// pools fold into its footprint ([`folded_pool_bytes`]), which becomes
 /// the run's `pool_peak_bytes`, carried in the trace by the host
 /// merge's stage span.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn gather_rows(
     workers: &mut [Held<'_>],
     run_span: &str,
@@ -960,12 +964,6 @@ impl Gpumem {
         device_memory_estimate(&self.config)
     }
 
-    /// `true` if a tile row's working set fits the device's global
-    /// memory. [`Gpumem::run`] refuses to start otherwise.
-    pub fn fits_device(&self) -> bool {
-        self.device_memory_estimate() <= self.device().spec().global_mem_bytes
-    }
-
     /// Build all per-row partial indexes without matching — the Table
     /// III measurement (index generation time).
     pub fn build_index_only(&self, reference: &PackedSeq) -> IndexBuildReport {
@@ -1239,14 +1237,12 @@ pub(crate) mod tests {
             .blocks_per_tile(4)
             .build()
             .unwrap();
-        // ptrs alone for ℓs = 13 is ~268 MB.
-        let spacious = Gpumem::with_device(config.clone(), Device::new(DeviceSpec::tesla_k20c()));
-        assert!(spacious.fits_device());
-        assert!(spacious.device_memory_estimate() > 268_000_000);
-        let mut cramped_spec = DeviceSpec::test_tiny();
-        cramped_spec.global_mem_bytes = 1 << 20; // 1 MiB device
-        let cramped = Gpumem::with_device(config, Device::new(cramped_spec));
-        assert!(!cramped.fits_device());
+        // ptrs alone for ℓs = 13 is ~268 MB: within a K20c's memory,
+        // beyond a 1 MiB device's.
+        let estimate = device_memory_estimate(&config);
+        assert!(estimate > 268_000_000);
+        assert!(estimate <= DeviceSpec::tesla_k20c().global_mem_bytes);
+        assert!(estimate > 1 << 20);
     }
 
     #[test]
@@ -1305,11 +1301,37 @@ pub(crate) mod tests {
         assert_eq!(
             err,
             RunError::BlockTooWide {
-                threads_per_block: 512,
+                width: 512,
                 limit: 256
             }
         );
         assert!(err.to_string().contains("limit of 256 threads per block"));
+        assert!(err.to_string().contains("reduce threads_per_block"));
+
+        // τ fits a 128-thread device, but the index kernels' blocks do not.
+        let narrow = DeviceSpec {
+            max_threads_per_block: 128,
+            ..DeviceSpec::test_tiny()
+        };
+        let config = GpumemConfig::builder(25)
+            .seed_len(8)
+            .threads_per_block(64)
+            .build()
+            .unwrap();
+        let err = Gpumem::with_device(config, Device::new(narrow))
+            .run(&text, &text)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RunError::BlockTooWide {
+                width: BLOCK_DIM,
+                limit: 128
+            }
+        );
+        assert!(err
+            .to_string()
+            .contains("index kernels launch 256-thread blocks"));
+        assert!(!err.to_string().contains("reduce threads_per_block"));
     }
 
     #[test]

@@ -326,15 +326,7 @@ impl Trace {
         for span in &self.spans {
             for p in &span.phases {
                 match phases.iter_mut().find(|q| q.name == p.name) {
-                    Some(q) => {
-                        q.warps += p.warps;
-                        q.warp_cycles += p.warp_cycles;
-                        q.lane_cycles += p.lane_cycles;
-                        q.divergence_events += p.divergence_events;
-                        q.atomic_ops += p.atomic_ops;
-                        q.global_mem_ops += p.global_mem_ops;
-                        q.comparisons += p.comparisons;
-                    }
+                    Some(q) => q.merge(p),
                     None => phases.push(p.clone()),
                 }
             }

@@ -46,8 +46,8 @@ pub struct PhaseStats {
 
 impl PhaseStats {
     /// Merge another accumulation of the same phase (e.g. from another
-    /// block of the same launch) into this one.
-    pub(crate) fn merge(&mut self, rhs: &PhaseStats) {
+    /// block of the same launch, or another launch) into this one.
+    pub fn merge(&mut self, rhs: &PhaseStats) {
         self.warps += rhs.warps;
         self.warp_cycles += rhs.warp_cycles;
         self.lane_cycles += rhs.lane_cycles;

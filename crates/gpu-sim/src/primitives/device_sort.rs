@@ -14,12 +14,11 @@
 
 use crate::exec::{Device, LaunchConfig};
 use crate::memory::GpuU64;
+use crate::primitives::BLOCK_DIM;
 use crate::stats::LaunchStats;
 
 /// Elements per block in the chunk-sort phase.
 const CHUNK: usize = 2048;
-/// Threads per block for both phases.
-const BLOCK_DIM: usize = 256;
 
 /// Sort `buf` ascending. Returns the accumulated launch statistics.
 pub fn device_sort_u64(device: &Device, buf: &GpuU64) -> LaunchStats {

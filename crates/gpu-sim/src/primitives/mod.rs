@@ -10,6 +10,11 @@
 //! * [`search`] — the shared-memory binary search Algorithm 2 ends with
 //!   (`group[tid] ← binarySearch(assign, tid)`).
 
+/// Threads per block of every fixed-width kernel: the device-wide scan,
+/// [`device_sort_u64`] and the index-construction kernels. A device whose
+/// `max_threads_per_block` is below it cannot run them.
+pub const BLOCK_DIM: usize = 256;
+
 pub mod device_sort;
 pub mod prefix_sum;
 pub mod search;

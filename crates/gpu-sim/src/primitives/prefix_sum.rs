@@ -18,6 +18,7 @@
 
 use crate::exec::{BlockCtx, Device, LaunchConfig, RegionCharge};
 use crate::memory::GpuU32;
+use crate::primitives::BLOCK_DIM;
 use crate::stats::LaunchStats;
 
 /// In-place inclusive scan of a shared-memory array within a block.
@@ -71,8 +72,6 @@ pub fn block_exclusive_scan(ctx: &mut BlockCtx<'_>, data: &mut [u32]) {
 
 /// Elements scanned by one block of the device-wide scan.
 const SCAN_CHUNK: usize = 4096;
-/// Threads per block for the device-wide scan kernels.
-const SCAN_BLOCK_DIM: usize = 256;
 
 /// Element counts of the chunk-sum buffers [`device_exclusive_scan`]
 /// takes from the device's pool to scan `n` elements, one per level of
@@ -101,20 +100,20 @@ pub fn device_exclusive_scan(device: &Device, buf: &GpuU32) -> LaunchStats {
     }
     let n_chunks = n.div_ceil(SCAN_CHUNK);
     let sums = device.alloc::<u32>(n_chunks, "scan.sums");
-    const PER_THREAD: usize = SCAN_CHUNK.div_ceil(SCAN_BLOCK_DIM);
+    const PER_THREAD: usize = SCAN_CHUNK.div_ceil(BLOCK_DIM);
 
     // Per-block shared-memory scratch, hoisted out of the launch: blocks
     // execute one after another (see `exec` docs), so one buffer serves
     // every block without a per-block allocation. Each block fully
     // overwrites `local` before reading it. Next to it, the recorded
     // charge of the block scan over `local`.
-    let mut local = vec![0u32; SCAN_BLOCK_DIM];
+    let mut local = vec![0u32; BLOCK_DIM];
     let mut scan_charge = None::<RegionCharge>;
 
     // Pass 1: each block exclusively scans its chunk and records the
     // chunk total.
     let mut stats = device.launch(
-        LaunchConfig::new(n_chunks, SCAN_BLOCK_DIM),
+        LaunchConfig::new(n_chunks, BLOCK_DIM),
         "scan.local",
         |ctx| {
             let chunk_start = ctx.block_id * SCAN_CHUNK;
@@ -171,7 +170,7 @@ pub fn device_exclusive_scan(device: &Device, buf: &GpuU32) -> LaunchStats {
 
         // Pass 3: add each chunk's offset to its elements.
         stats += device.launch(
-            LaunchConfig::new(n_chunks, SCAN_BLOCK_DIM),
+            LaunchConfig::new(n_chunks, BLOCK_DIM),
             "scan.add_offsets",
             |ctx| {
                 let chunk_start = ctx.block_id * SCAN_CHUNK;

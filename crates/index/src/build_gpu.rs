@@ -17,7 +17,7 @@
 //! the same four kernels run with `step = k1`, and the co-prime query
 //! step `k2` is applied by the pipeline when probing, not here.
 
-use gpu_sim::primitives::{device_exclusive_scan, lane_sort_bucket};
+use gpu_sim::primitives::{device_exclusive_scan, lane_sort_bucket, BLOCK_DIM};
 use gpu_sim::{Device, LaunchConfig, LaunchStats, Op};
 
 use gpumem_seq::PackedSeq;
@@ -25,8 +25,6 @@ use gpumem_seq::PackedSeq;
 use crate::index::{Region, SeedIndex};
 use crate::seed::SeedCodec;
 
-/// Threads per block for the construction kernels.
-const BLOCK_DIM: usize = 256;
 /// Seeds handled per thread in the copy/sort kernels (strided loops keep
 /// the grid size reasonable for `4^13` seeds).
 const SEEDS_PER_THREAD: usize = 64;

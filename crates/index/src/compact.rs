@@ -19,7 +19,7 @@
 //! merge passes), replacing Algorithm 1's count/scan/fill/sort with a
 //! sort/compact pass.
 
-use gpu_sim::primitives::device_sort_u64;
+use gpu_sim::primitives::{device_sort_u64, BLOCK_DIM};
 use gpu_sim::{Device, LaunchConfig, LaunchStats, Op};
 use gpumem_seq::PackedSeq;
 
@@ -168,7 +168,6 @@ pub fn build_compact_gpu(
     let n = positions.len();
     let pairs = device.alloc::<u64>(n, "compact.pairs");
 
-    const BLOCK_DIM: usize = 256;
     let mut stats = device.launch(
         LaunchConfig::new(n.div_ceil(BLOCK_DIM), BLOCK_DIM),
         "compact.pack",

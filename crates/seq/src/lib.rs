@@ -31,5 +31,5 @@ pub use generate::{table2_pairs, DatasetPair, GenomeModel, MutationModel, PairSp
 pub use mem::{
     canonicalize, is_maximal_exact, map_reverse_mem, naive_mems, Mem, Strand, StrandMem,
 };
-pub use multiseq::{RecordPos, RecordSpan, SeqSet};
+pub use multiseq::{RecordSpan, SeqSet};
 pub use packed::PackedSeq;

@@ -1,18 +1,11 @@
 //! Multi-record sequence sets.
 //!
 //! Real FASTA inputs carry many records (chromosomes, contigs, reads).
-//! MEM tools handle them by concatenating the records and mapping match
-//! coordinates back; matches that would span a record boundary are not
-//! real matches and must be dropped. [`SeqSet`] packages that pattern:
-//! concatenation, name/offset bookkeeping, coordinate mapping, and
-//! boundary filtering.
-//!
-//! (A 2-bit alphabet has no spare separator symbol, so unlike
-//! byte-alphabet tools the concatenation is unpadded and the boundary
-//! filter is mandatory — `split_mem` applies it.)
+//! [`SeqSet`] holds a file's records as one concatenation with each
+//! record's name and span. The engine runs each query record on its own
+//! ([`SeqSet::record_seq`]), so no match ever spans two records.
 
 use crate::fasta::FastaRecord;
-use crate::mem::Mem;
 use crate::packed::PackedSeq;
 
 /// One record's placement inside the concatenation.
@@ -26,13 +19,6 @@ pub struct RecordSpan {
     pub len: usize,
 }
 
-impl RecordSpan {
-    /// Exclusive end offset.
-    pub fn end(&self) -> usize {
-        self.start + self.len
-    }
-}
-
 /// A concatenated multi-record sequence with coordinate bookkeeping.
 #[derive(Clone, Debug)]
 pub struct SeqSet {
@@ -40,15 +26,6 @@ pub struct SeqSet {
     pub seq: PackedSeq,
     /// Record spans, in concatenation order.
     pub records: Vec<RecordSpan>,
-}
-
-/// A match coordinate resolved to a record.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RecordPos<'a> {
-    /// The record's name.
-    pub record: &'a str,
-    /// Offset within the record.
-    pub offset: usize,
 }
 
 impl SeqSet {
@@ -92,48 +69,6 @@ impl SeqSet {
             .subseq(span.start, span.len)
             .expect("record span lies within the concatenation")
     }
-
-    /// The record containing concatenated position `pos`.
-    pub fn resolve(&self, pos: usize) -> Option<RecordPos<'_>> {
-        let idx = self.records.partition_point(|span| span.end() <= pos);
-        let span = self.records.get(idx)?;
-        (pos >= span.start).then(|| RecordPos {
-            record: &span.name,
-            offset: pos - span.start,
-        })
-    }
-
-    /// Clip a concatenation-coordinate match on this set's *reference
-    /// side* to the pieces that lie within single records. A MEM
-    /// spanning a boundary is an artifact of concatenation: the pieces
-    /// within each record are reported (re-checked against `min_len`),
-    /// the spanning whole is not.
-    pub fn split_mem(&self, mem: Mem, min_len: u32) -> Vec<(usize, Mem)> {
-        let (start, end) = (mem.r as usize, mem.r_end() as usize);
-        let mut out = Vec::new();
-        let mut idx = self.records.partition_point(|span| span.end() <= start);
-        while idx < self.records.len() {
-            let span = &self.records[idx];
-            if span.start >= end {
-                break;
-            }
-            let lo = start.max(span.start);
-            let hi = end.min(span.end());
-            let piece_len = hi - lo;
-            if piece_len >= min_len as usize {
-                out.push((
-                    idx,
-                    Mem {
-                        r: lo as u32,
-                        q: mem.q + (lo - start) as u32,
-                        len: piece_len as u32,
-                    },
-                ));
-            }
-            idx += 1;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -163,42 +98,8 @@ mod tests {
         assert_eq!(set.len(), 22);
         assert_eq!(set.records.len(), 3);
         assert_eq!(set.records[1].start, 10);
-        assert_eq!(set.records[2].end(), 22);
+        assert_eq!((set.records[2].start, set.records[2].len), (14, 8));
         assert_eq!(set.seq.to_ascii()[10..14].to_vec(), b"GGGG".to_vec());
-    }
-
-    #[test]
-    fn resolve_maps_back_to_records() {
-        let set = set();
-        assert_eq!(
-            set.resolve(0),
-            Some(RecordPos {
-                record: "chrA",
-                offset: 0
-            })
-        );
-        assert_eq!(
-            set.resolve(9),
-            Some(RecordPos {
-                record: "chrA",
-                offset: 9
-            })
-        );
-        assert_eq!(
-            set.resolve(10),
-            Some(RecordPos {
-                record: "chrB",
-                offset: 0
-            })
-        );
-        assert_eq!(
-            set.resolve(21),
-            Some(RecordPos {
-                record: "chrC",
-                offset: 7
-            })
-        );
-        assert_eq!(set.resolve(22), None);
     }
 
     #[test]
@@ -210,89 +111,9 @@ mod tests {
     }
 
     #[test]
-    fn interior_mem_passes_through() {
-        let set = set();
-        let mem = Mem {
-            r: 2,
-            q: 50,
-            len: 6,
-        }; // fully inside chrA
-        assert_eq!(set.split_mem(mem, 4), vec![(0, mem)]);
-    }
-
-    #[test]
-    fn spanning_mem_is_split_and_filtered() {
-        let set = set();
-        // Covers chrA[6..10], chrB[0..4], chrC[0..2].
-        let mem = Mem {
-            r: 6,
-            q: 100,
-            len: 10,
-        };
-        let pieces = set.split_mem(mem, 4);
-        assert_eq!(
-            pieces,
-            vec![
-                (
-                    0,
-                    Mem {
-                        r: 6,
-                        q: 100,
-                        len: 4
-                    }
-                ),
-                (
-                    1,
-                    Mem {
-                        r: 10,
-                        q: 104,
-                        len: 4
-                    }
-                ),
-            ],
-            "the 2-base chrC piece falls below min_len"
-        );
-        // With a lower threshold the chrC piece appears too.
-        assert_eq!(set.split_mem(mem, 2).len(), 3);
-    }
-
-    #[test]
     fn empty_set() {
         let set = SeqSet::from_records(&[]);
         assert!(set.is_empty());
-        assert_eq!(set.resolve(0), None);
-        assert!(set.split_mem(Mem { r: 0, q: 0, len: 1 }, 1).is_empty());
-    }
-
-    #[test]
-    fn end_to_end_with_a_finder() {
-        // Two reference "chromosomes" sharing different segments with a
-        // query; matches resolve to the right records.
-        let shared_a: PackedSeq = "ACGGTTACGGATCCAG".parse().unwrap();
-        let shared_c: PackedSeq = "TGCATGCAAGGTTCCA".parse().unwrap();
-        let set = SeqSet::from_records(&[
-            FastaRecord {
-                header: "recA".into(),
-                seq: shared_a.clone(),
-            },
-            FastaRecord {
-                header: "recC".into(),
-                seq: shared_c.clone(),
-            },
-        ]);
-        let mut q_codes = vec![1u8; 50];
-        q_codes.splice(5..5, shared_a.to_codes());
-        q_codes.splice(40..40, shared_c.to_codes());
-        let query = PackedSeq::from_codes(&q_codes);
-
-        let mems = crate::mem::naive_mems(&set.seq, &query, 12);
-        let mut records_hit: Vec<&str> = mems
-            .iter()
-            .flat_map(|&m| set.split_mem(m, 12))
-            .map(|(idx, _)| set.records[idx].name.as_str())
-            .collect();
-        records_hit.sort_unstable();
-        records_hit.dedup();
-        assert_eq!(records_hit, vec!["recA", "recC"]);
+        assert!(set.records.is_empty());
     }
 }

@@ -45,12 +45,6 @@ impl PackedSeq {
         Ok(PackedSeq::from_codes(&codes))
     }
 
-    /// Build from a slice of [`Base`]s.
-    pub fn from_bases(bases: &[Base]) -> PackedSeq {
-        let codes: Vec<u8> = bases.iter().map(|b| b.code()).collect();
-        PackedSeq::from_codes(&codes)
-    }
-
     /// Build from raw 2-bit codes (values `0..=3`; higher bits are
     /// masked off).
     pub fn from_codes(codes: &[u8]) -> PackedSeq {

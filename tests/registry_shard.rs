@@ -3,13 +3,15 @@
 //! — the canonical MEM set must be byte-identical for every shard count
 //! (arbitrary row placements are `gpumem-core`'s `gather_rows` tests).
 //! The registry's byte budget must hold under arbitrary access churn,
-//! and pinned sessions must never be evicted.
+//! from one thread or several at once, and pinned sessions must never be
+//! evicted.
 
 use std::sync::Arc;
 
 use gpumem::seq::{GenomeModel, MutationModel, PackedSeq};
 use gpumem::sim::{Device, DeviceSpec};
-use gpumem::{Engine, GpumemConfig, Registry, RunOptions, RunRequest};
+use gpumem::{Engine, GpumemConfig, PinnedSession, RefHandle, Registry, RunOptions, RunRequest};
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -77,8 +79,10 @@ fn shard_count_invariance_one_two_four_seven() {
     }
 }
 
-#[test]
-fn budget_holds_under_churn_and_pinned_sessions_survive() {
+/// Five references under a budget that holds roughly two and a half of
+/// them (sized off one warmed reference's footprint), the first pinned
+/// and warm: the registry, its handles, the pin and the budget.
+fn churn_registry() -> (Arc<Registry>, Vec<RefHandle>, PinnedSession, u64) {
     let spec = DeviceSpec::test_tiny();
     let config = GpumemConfig::builder(20)
         .seed_len(6)
@@ -91,8 +95,6 @@ fn budget_holds_under_churn_and_pinned_sessions_survive() {
         .collect();
     let device = Device::new(spec.clone());
 
-    // Probe one warmed reference's footprint so the budget is sized to
-    // hold roughly two of the five.
     let probe = Registry::new(spec.clone());
     let handle = probe
         .add("probe", Arc::clone(&references[0]), config.clone())
@@ -115,6 +117,13 @@ fn budget_holds_under_churn_and_pinned_sessions_survive() {
     let pinned = registry.pin(handles[0]).unwrap();
     pinned.session().warm(&device);
     registry.touch(handles[0]);
+    (registry, handles, pinned, budget)
+}
+
+#[test]
+fn budget_holds_under_churn_and_pinned_sessions_survive() {
+    let (registry, handles, pinned, budget) = churn_registry();
+    let device = Device::new(registry.spec().clone());
     let pinned_resident = pinned.session().resident_bytes();
     assert!(pinned_resident > 0);
 
@@ -150,4 +159,40 @@ fn budget_holds_under_churn_and_pinned_sessions_survive() {
     assert!(!registry.remove(handles[0]));
     drop(pinned);
     assert!(registry.remove(handles[0]));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// 2–4 threads churn one registry at once, each on its own device,
+    /// warming and touching seeded picks of the five references beside
+    /// the pinned one. Once they have joined and the budget is enforced,
+    /// residency fits the budget, the pin kept every row, and the churn
+    /// evicted.
+    #[test]
+    fn budget_holds_under_concurrent_churn(threads in 2usize..=4, seed: u64) {
+        let (registry, handles, pinned, budget) = churn_registry();
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let (registry, handles) = (&registry, &handles);
+                scope.spawn(move || {
+                    let device = Device::new(registry.spec().clone());
+                    let mut rng = StdRng::seed_from_u64(seed.wrapping_add(t as u64));
+                    for _ in 0..20 {
+                        let pick = handles[rng.gen_range(0..handles.len())];
+                        registry.session(pick).unwrap().warm(&device);
+                        registry.touch(pick);
+                    }
+                });
+            }
+        });
+        registry.enforce_budget();
+        prop_assert!(
+            registry.resident_bytes() <= budget,
+            "resident {} exceeds budget {budget}",
+            registry.resident_bytes()
+        );
+        prop_assert_eq!(pinned.session().resident_rows(), pinned.session().rows());
+        prop_assert!(registry.stats().evictions > 0, "churn must evict");
+    }
 }

@@ -12,8 +12,8 @@
 //! against the ground-truth [`gpumem_seq::naive_mems`] and against each
 //! other by property tests — so Tables III/IV compare equal work.
 //!
-//! Substrates: [`sa`] (SA-IS, prefix-doubling/sampled sorts, Kasai
-//! LCP) and [`fm`] (FM-index).
+//! Substrates: [`sa`] (SA-IS, the one full suffix-array builder;
+//! sampled suffix sorts; Kasai LCP) and [`fm`] (FM-index).
 
 //! Extensions beyond the tables: [`strands`] adds both-strand matching
 //! (the `-b` mode of the original tools) and [`variants`] implements

@@ -21,6 +21,7 @@
 //! Plus [`block_sort_by_diag`], the in-kernel bitonic sort that puts
 //! out-block MEMs in `(r−q, q)` order (§III-C1).
 
+use gpu_sim::primitives::block_bitonic_sort_by_key;
 use gpu_sim::{BlockCtx, LaneCharge, Op, RegionCharge};
 use gpumem_seq::Mem;
 
@@ -387,53 +388,19 @@ pub fn diag_key(mem: &Mem) -> u64 {
 }
 
 /// In-kernel bitonic sort of triplets by `(r − q, q)` (§III-C1's
-/// "parallel sort"). Cost-modeled like
-/// [`gpu_sim::primitives::block_bitonic_sort_u64`].
+/// "parallel sort"): [`block_bitonic_sort_by_key`] over each triplet
+/// paired with its [`diag_key`].
 pub fn block_sort_by_diag(ctx: &mut BlockCtx<'_>, data: &mut Vec<Mem>) {
-    let n = data.len();
-    if n <= 1 {
+    if data.len() <= 1 {
         return;
     }
-    let padded = n.next_power_of_two();
     let pad = Mem {
         r: u32::MAX,
         q: u32::MAX,
         len: 0,
     };
     let mut keyed: Vec<(u64, Mem)> = data.iter().map(|m| (diag_key(m), *m)).collect();
-    keyed.resize(padded, (u64::MAX, pad));
-
-    let lanes = ctx.block_dim.min(padded / 2).max(1);
-    let mut k = 2;
-    while k <= padded {
-        let mut j = k / 2;
-        while j >= 1 {
-            ctx.simt_range(0..lanes, |lane| {
-                let (mut shared, mut compares, mut alu) = (0u64, 0u64, 0u64);
-                let mut i = lane.tid;
-                while i < padded {
-                    let partner = i ^ j;
-                    if partner > i {
-                        shared += 2;
-                        compares += 1;
-                        let ascending = (i & k) == 0;
-                        if (keyed[i].0 > keyed[partner].0) == ascending {
-                            keyed.swap(i, partner);
-                            shared += 2;
-                        }
-                    }
-                    alu += 2;
-                    i += lanes;
-                }
-                lane.shared(shared);
-                lane.compare(compares);
-                lane.charge(Op::Alu, alu);
-            });
-            j /= 2;
-        }
-        k *= 2;
-    }
-    keyed.truncate(n);
+    block_bitonic_sort_by_key(ctx, &mut keyed, (u64::MAX, pad), |&(key, _)| key);
     data.clear();
     data.extend(keyed.into_iter().map(|(_, m)| m));
 }

@@ -34,7 +34,7 @@ use gpumem_seq::{PackedSeq, SeqSet};
 
 use crate::config::GpumemConfig;
 use crate::pipeline::{
-    build_row_index, ensure_fits, ensure_sort_key, gather_rows, row_masses, GpumemResult,
+    build_row_index, ensure_fits, ensure_sort_key, gather_rows, row_count, GpumemResult,
     GpumemStats, Held, IndexBuildReport, RunError, WorkerSet,
 };
 use crate::registry::{PinnedSession, Registry, RegistryStats};
@@ -335,8 +335,7 @@ pub struct DeviceCounters {
 /// Health of the engine's modeled shard split: how the last sharded
 /// request's modeled matching time split across shards, with the
 /// max/mean imbalance ratio as a first-class gauge (1.0 = perfectly
-/// balanced; the signal [`ShardPlan::from_row_masses`] exists to
-/// minimize).
+/// balanced).
 #[derive(Clone, Debug, Default, serde::Serialize)]
 pub struct ShardHealth {
     /// Queries served by a multi-shard run so far.
@@ -411,13 +410,6 @@ pub struct MetricsSnapshot {
     pub shards: ShardHealth,
 }
 
-impl MetricsSnapshot {
-    /// Render the snapshot as pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        serde::json::to_string_pretty(self)
-    }
-}
-
 /// What to run: one query or a whole batch, borrowed into a
 /// [`RunRequest`].
 #[derive(Clone, Copy, Debug)]
@@ -451,7 +443,7 @@ pub struct RunOptions {
     /// Also report each query's matching statistics as split over this
     /// many devices (`0`/`1` = no split): one
     /// [`GpumemStats::shard_matching`] entry per shard, the sum of its
-    /// tile rows' statistics under [`ShardPlan::from_row_masses`]. The
+    /// tile rows' statistics under [`ShardPlan::round_robin`]. The
     /// query runs on the engine's free workers like any other — see
     /// [`crate::shard`].
     pub shards: usize,
@@ -820,11 +812,8 @@ impl Engine {
                 event
             }
         });
-        // Row mass ∝ reference bases covered (the last row may be
-        // short); occurrence-accurate masses would need the indexes
-        // built up front, defeating lazy residency.
-        let masses = row_masses(config, self.session.reference(), query);
-        let shards = (opts.shards >= 2).then(|| ShardPlan::from_row_masses(opts.shards, &masses));
+        let rows = row_count(config, self.session.reference(), query);
+        let shards = (opts.shards >= 2).then(|| ShardPlan::round_robin(opts.shards, rows));
         if let Some(plan) = &shards {
             for s in 0..plan.n_shards() {
                 self.emit(|ts| {
@@ -834,7 +823,7 @@ impl Engine {
                 });
             }
         }
-        let mut held = self.workers.checkout(masses.len());
+        let mut held = self.workers.checkout(rows);
         let pools: Vec<&Device> = held.iter().map(|worker| worker.device).collect();
         let row_index =
             |device: &Device, row: usize, _region: Region| self.acquire_row(device, row);
@@ -852,8 +841,8 @@ impl Engine {
         if let Some(shards) = &shards {
             stats.shard_matching = (0..shards.n_shards())
                 .map(|s| {
-                    let rows = shards.rows(s).iter();
-                    rows.map(|&row| gathered.row_matching[row].clone()).sum()
+                    let rows = shards.rows(s);
+                    rows.map(|row| gathered.row_matching[row].clone()).sum()
                 })
                 .collect();
             self.shard_health.lock().record(&stats.shard_matching);
@@ -1255,7 +1244,7 @@ mod tests {
         let records = query_set(&reference, 3);
         let mut split = Vec::new();
         for (name, config) in contract_configs() {
-            let rows = row_masses(&config, &reference, &query).len();
+            let rows = row_count(&config, &reference, &query);
             if rows >= 2 {
                 split.push(name);
             }

@@ -505,21 +505,12 @@ type RowMatching = (usize, LaunchStats);
 pub(crate) type RowIndexFn<'a> =
     dyn Fn(&Device, usize, Region) -> (SharedSeedLookup, LaunchStats) + Sync + 'a;
 
-/// Reference bases each tile row of a run covers — the row masses a
-/// [`ShardPlan`](crate::ShardPlan) balances — or no rows when no seed
-/// can match.
-pub(crate) fn row_masses(
-    config: &GpumemConfig,
-    reference: &PackedSeq,
-    query: &PackedSeq,
-) -> Vec<u64> {
+/// Tile rows of a run: the reference's, or none when no seed can match.
+pub(crate) fn row_count(config: &GpumemConfig, reference: &PackedSeq, query: &PackedSeq) -> usize {
     if reference.len() < config.seed_len || query.is_empty() {
-        return Vec::new();
+        return 0;
     }
-    let tiling = Tiling::new(config.tile_len(), reference.len(), query.len());
-    (0..tiling.n_rows())
-        .map(|row| tiling.row_range(row).len() as u64)
-        .collect()
+    Tiling::new(config.tile_len(), reference.len(), query.len()).n_rows()
 }
 
 /// The pool footprint one device would have if it had run everything
@@ -690,7 +681,7 @@ pub(crate) fn gather_rows(
         query,
         query_codes: &query_codes,
         row_index,
-        n_rows: row_masses(config, reference, query).len(),
+        n_rows: row_count(config, reference, query),
         next_row: AtomicUsize::new(workers.len()),
     };
     let host = traced.then(|| Arc::new(TraceRecorder::new(workers[0].device.spec().warp_size)));
@@ -1026,7 +1017,7 @@ impl Gpumem {
         ensure_sort_key(query)?;
         ensure_fits(&self.config, self.device().spec())?;
 
-        let rows = row_masses(&self.config, reference, query).len();
+        let rows = row_count(&self.config, reference, query);
         let mut held = self.workers.checkout(rows);
         let row_index = |device: &Device, _row: usize, region: Region| {
             build_row_index(device, &self.config, reference, region)
@@ -1454,7 +1445,7 @@ pub(crate) mod tests {
                     workers,
                 )
             };
-            let rows = row_masses(&config, &reference, &query).len();
+            let rows = row_count(&config, &reference, &query);
             let expect_plain = render_run(&gpumem(1).run(&reference, &query).unwrap(), None);
             let (traced, trace) = gpumem(1).run_traced(&reference, &query).unwrap();
             let expect_traced = render_run(&traced, Some(&trace));
@@ -1605,7 +1596,7 @@ pub(crate) mod tests {
         row_index: &RowIndexFn<'_>,
     ) -> Gathered {
         let set = WorkerSet::new(config, Device::new(DeviceSpec::test_tiny()), workers);
-        let mut held = set.checkout(row_masses(config, reference, query).len());
+        let mut held = set.checkout(row_count(config, reference, query));
         let pools: Vec<&Device> = set.devices().iter().collect();
         gather_rows(
             &mut held, "run", config, reference, query, row_index, false, &pools,
@@ -1628,7 +1619,7 @@ pub(crate) mod tests {
     fn a_stalled_helper_holds_only_its_first_row() {
         let (reference, query, config) = skewed_pair(31_002);
         let single = one_device_mems(&config, &reference, &query);
-        let n_rows = row_masses(&config, &reference, &query).len();
+        let n_rows = row_count(&config, &reference, &query);
         assert!(n_rows >= 4, "fixture must span at least four tile rows");
 
         // Worker 1 starts on row 1, on a thread of its own, and stalls
@@ -1668,7 +1659,7 @@ pub(crate) mod tests {
         let reference = GenomeModel::uniform().generate(2_000, 408);
         let gpumem = small_gpumem(16, 6, 8, 2);
         let config = gpumem.config();
-        assert!(row_masses(config, &reference, &reference).len() >= 2);
+        assert!(row_count(config, &reference, &reference) >= 2);
         // Row 1 is worker 1's first row: the helper thread refuses it.
         let row_index = |device: &Device, row: usize, region: Region| {
             assert!(row != 1, "row {row} refused");
@@ -1720,7 +1711,7 @@ mod proptests {
         ) {
             let (reference, query, config) = skewed_pair(content_seed);
             let single = one_device_mems(&config, &reference, &query);
-            let n_rows = row_masses(&config, &reference, &query).len();
+            let n_rows = row_count(&config, &reference, &query);
 
             let mut rng = StdRng::seed_from_u64(stall_seed);
             let workers = rng.gen_range(2..=7usize);

@@ -86,13 +86,6 @@ pub struct RegistryStats {
     pub evictions: u64,
 }
 
-impl RegistryStats {
-    /// Render the counters as pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        serde::json::to_string_pretty(self)
-    }
-}
-
 /// One row of [`Registry::list`].
 #[derive(Clone, Debug)]
 pub struct RefEntryInfo {

@@ -15,10 +15,10 @@
 //!   stalls holds up one row, not a share fixed in advance;
 //! * an engine request with [`RunOptions::shards`](crate::RunOptions)
 //!   = n also reports its matching statistics as n devices would have
-//!   split them under a [`ShardPlan`]. That split is summed, not run:
-//!   every modeled field of a launch is a counter, a `Duration` sum or a
-//!   max, so a shard's figures are exactly the sum of its rows' from the
-//!   one run.
+//!   split them under a round-robin [`ShardPlan`]. That split is
+//!   summed, not run: every modeled field of a launch is a counter, a
+//!   `Duration` sum or a max, so a shard's figures are exactly the sum
+//!   of its rows' from the one run.
 //!
 //! ## Why the merged output is byte-identical
 //!
@@ -36,48 +36,38 @@
 //! shard-count invariance test gate it.
 
 /// An assignment of tile-row ids to shards (one shard per simulated
-/// device). Every row appears in exactly one shard; a shard may be
-/// empty when there are fewer rows than shards.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// device): row `r` goes to shard `r mod n`. Every row appears in
+/// exactly one shard; a shard is empty when there are fewer rows than
+/// shards.
+///
+/// Every tile row covers `tile_len` reference bases but the last, which
+/// may cover fewer, so no placement by bases covered balances better: a
+/// longest-first greedy over those masses (each row to the least-loaded
+/// shard, ties to the lowest) deals the rows out the same way.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardPlan {
-    /// `rows[s]` — the tile-row ids shard `s` owns, ascending.
-    rows: Vec<Vec<usize>>,
+    n_shards: usize,
+    n_rows: usize,
 }
 
 impl ShardPlan {
-    /// Balance `row_masses` (index `r` = estimated work of tile row
-    /// `r`) across `n_shards` equally capable devices with the
-    /// longest-processing-time greedy: rows heaviest-first, each to the
-    /// least-loaded shard, ties to the lowest shard id. Deterministic.
-    pub fn from_row_masses(n_shards: usize, row_masses: &[u64]) -> ShardPlan {
-        let n_shards = n_shards.max(1);
-        let mut order: Vec<usize> = (0..row_masses.len()).collect();
-        order.sort_by_key(|&r| (std::cmp::Reverse(row_masses[r]), r));
-        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
-        let mut load = vec![0u64; n_shards];
-        for r in order {
-            let target = (0..n_shards)
-                .min_by_key(|&s| (load[s], s))
-                .expect("at least one shard");
-            rows[target].push(r);
-            // Zero-mass rows still count one unit so they spread out
-            // instead of all piling onto shard 0.
-            load[target] += row_masses[r].max(1);
+    /// Deal `n_rows` tile rows round-robin over `n_shards` (at least
+    /// one) equally capable devices.
+    pub fn round_robin(n_shards: usize, n_rows: usize) -> ShardPlan {
+        ShardPlan {
+            n_shards: n_shards.max(1),
+            n_rows,
         }
-        for shard in &mut rows {
-            shard.sort_unstable();
-        }
-        ShardPlan { rows }
     }
 
     /// Number of shards (devices).
     pub fn n_shards(&self) -> usize {
-        self.rows.len()
+        self.n_shards
     }
 
     /// Tile-row ids owned by shard `s`, ascending.
-    pub fn rows(&self, s: usize) -> &[usize] {
-        &self.rows[s]
+    pub fn rows(&self, s: usize) -> impl ExactSizeIterator<Item = usize> {
+        (s..self.n_rows).step_by(self.n_shards)
     }
 }
 
@@ -85,49 +75,25 @@ impl ShardPlan {
 mod tests {
     use super::*;
 
-    /// Whether `plan` places each of the rows `0..n_rows` exactly once
-    /// — the precondition for the byte-identity guarantee.
-    fn covers(plan: &ShardPlan, n_rows: usize) -> bool {
-        let mut all: Vec<usize> = plan.rows.iter().flatten().copied().collect();
-        all.sort_unstable();
-        all == (0..n_rows).collect::<Vec<_>>()
-    }
-
     #[test]
-    fn lpt_balances_skewed_masses() {
-        // One huge row and many small ones: the huge row gets a shard
-        // almost to itself.
-        let masses = [100, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10];
-        let plan = ShardPlan::from_row_masses(2, &masses);
-        assert!(covers(&plan, masses.len()));
-        let mass_of = |s: usize| -> u64 { plan.rows(s).iter().map(|&r| masses[r]).sum() };
-        let (a, b) = (mass_of(0), mass_of(1));
-        assert_eq!(a + b, 200);
-        assert!(a.abs_diff(b) <= 20, "loads {a} vs {b} not balanced");
-        // Row 0 (mass 100) sits alone-ish: its shard holds at most one
-        // light row.
-        let heavy_shard = (0..2).find(|&s| plan.rows(s).contains(&0)).unwrap();
-        assert!(plan.rows(heavy_shard).len() <= 2);
-    }
-
-    #[test]
-    fn equal_masses_cover_and_spread() {
+    fn rows_cover_and_spread() {
         for (shards, rows) in [(1, 5), (2, 5), (4, 7), (7, 4), (3, 0)] {
-            let plan = ShardPlan::from_row_masses(shards, &vec![1; rows]);
+            let plan = ShardPlan::round_robin(shards, rows);
             assert_eq!(plan.n_shards(), shards);
-            assert!(covers(&plan, rows), "{shards} shards x {rows} rows");
+            let mut all: Vec<usize> = (0..shards).flat_map(|s| plan.rows(s)).collect();
+            all.sort_unstable();
+            assert_eq!(all, (0..rows).collect::<Vec<_>>(), "{shards} x {rows}");
             let max = (0..shards).map(|s| plan.rows(s).len()).max().unwrap();
             let min = (0..shards).map(|s| plan.rows(s).len()).min().unwrap();
-            assert!(max - min <= 1, "an equal-mass split is even");
+            assert!(max - min <= 1, "a round-robin split is even");
         }
     }
 
     #[test]
-    fn plans_are_deterministic() {
-        let masses = [5, 9, 1, 9, 3, 7, 7];
-        assert_eq!(
-            ShardPlan::from_row_masses(3, &masses),
-            ShardPlan::from_row_masses(3, &masses)
-        );
+    fn row_r_goes_to_shard_r_mod_n() {
+        let plan = ShardPlan::round_robin(3, 8);
+        let rows: Vec<Vec<usize>> = (0..3).map(|s| plan.rows(s).collect()).collect();
+        assert_eq!(rows, [vec![0, 3, 6], vec![1, 4, 7], vec![2, 5]]);
+        assert_eq!(ShardPlan::round_robin(0, 2).rows(0).len(), 2);
     }
 }

@@ -807,7 +807,7 @@ pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
 /// `{"metrics": [{"name", "kind", "help", "samples": [...]}]}` with
 /// scalar samples as `{"labels", "value"}` and histogram samples as
 /// `{"labels", "buckets", "sum", "count"}` — the families of
-/// [`render_prometheus`], not [`MetricsSnapshot::to_json`]'s raw field
+/// [`render_prometheus`], not the snapshot's raw `Serialize` field
 /// dump.
 pub fn render_json(snap: &MetricsSnapshot) -> String {
     serde::json::to_string_pretty(&exposition(snap))

@@ -54,7 +54,7 @@ pub fn device_sort_u64(device: &Device, buf: &GpuU64) -> LaunchStats {
             shared.clear();
             shared.resize(m, 0);
             buf.load_range(lo, &mut shared);
-            super::sort::block_bitonic_sort_u64(ctx, &mut shared);
+            super::sort::block_bitonic_sort_by_key(ctx, &mut shared, u64::MAX, |&v| v);
             ctx.simt(|lane| {
                 let per_lane = if lane.tid < m {
                     (m - lane.tid).div_ceil(BLOCK_DIM) as u64

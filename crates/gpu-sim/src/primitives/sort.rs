@@ -4,7 +4,7 @@
 //! bucket of the `locs` array ([`lane_sort_bucket`] — buckets are short,
 //! so insertion sort is what a real kernel would run). §III-C1 sorts a
 //! block's out-block MEMs by `(r − q, q)` with a parallel in-block sort
-//! ([`block_bitonic_sort_u64`]).
+//! ([`block_bitonic_sort_by_key`]).
 
 use crate::cost::Op;
 use crate::exec::{BlockCtx, Lane};
@@ -29,20 +29,27 @@ pub fn lane_sort_bucket(lane: &mut Lane<'_>, buf: &GpuU32, start: usize, end: us
     }
 }
 
-/// In-place ascending bitonic sort of a shared-memory `u64` array,
+/// In-place ascending bitonic sort of a shared-memory array by `key`,
 /// executed block-wide with one SIMT region per compare-exchange step.
 ///
-/// The array is padded to a power of two with `u64::MAX` internally;
-/// `data`'s length is unchanged on return. Lanes are strided over the
-/// compare-exchange pairs, so arrays larger than `block_dim` are
-/// handled (each lane does several pairs per step, as real kernels do).
-pub fn block_bitonic_sort_u64(ctx: &mut BlockCtx<'_>, data: &mut Vec<u64>) {
+/// Internally the array is padded to a power of two with `pad`, whose
+/// key must be `u64::MAX` so that it sorts last; `data`'s length is
+/// unchanged on return. Lanes are strided over the compare-exchange
+/// pairs, so arrays larger than `block_dim` are handled (each lane does
+/// several pairs per step, as real kernels do). The charges depend only
+/// on the keys.
+pub fn block_bitonic_sort_by_key<T: Copy>(
+    ctx: &mut BlockCtx<'_>,
+    data: &mut Vec<T>,
+    pad: T,
+    key: impl Fn(&T) -> u64,
+) {
     let n = data.len();
     if n <= 1 {
         return;
     }
     let padded = n.next_power_of_two();
-    data.resize(padded, u64::MAX);
+    data.resize(padded, pad);
 
     let lanes = ctx.block_dim.min(padded / 2).max(1);
     let mut k = 2;
@@ -60,7 +67,7 @@ pub fn block_bitonic_sort_u64(ctx: &mut BlockCtx<'_>, data: &mut Vec<u64>) {
                         shared += 2;
                         compares += 1;
                         let ascending = (i & k) == 0;
-                        if (data[i] > data[partner]) == ascending {
+                        if (key(&data[i]) > key(&data[partner])) == ascending {
                             data.swap(i, partner);
                             shared += 2;
                         }
@@ -139,7 +146,7 @@ mod tests {
             let out = GpuU64::new(n);
             device.launch(LaunchConfig::new(1, 128), "test", |ctx| {
                 let mut shared = input.clone();
-                block_bitonic_sort_u64(ctx, &mut shared);
+                block_bitonic_sort_by_key(ctx, &mut shared, u64::MAX, |&v| v);
                 assert_eq!(shared.len(), n, "length preserved");
                 let stride = ctx.block_dim.min(n.max(1));
                 ctx.simt_range(0..stride, |lane| {
@@ -162,7 +169,7 @@ mod tests {
         let input = vec![u64::MAX, 3, 3, u64::MAX, 0, 3];
         device.launch(LaunchConfig::new(1, 32), "test", |ctx| {
             let mut shared = input.clone();
-            block_bitonic_sort_u64(ctx, &mut shared);
+            block_bitonic_sort_by_key(ctx, &mut shared, u64::MAX, |&v| v);
             assert_eq!(shared, vec![0, 3, 3, 3, u64::MAX, u64::MAX]);
         });
     }
@@ -172,11 +179,11 @@ mod tests {
         let device = device();
         let small = device.launch(LaunchConfig::new(1, 64), "test", |ctx| {
             let mut v: Vec<u64> = (0..64u64).rev().collect();
-            block_bitonic_sort_u64(ctx, &mut v);
+            block_bitonic_sort_by_key(ctx, &mut v, u64::MAX, |&v| v);
         });
         let large = device.launch(LaunchConfig::new(1, 64), "test", |ctx| {
             let mut v: Vec<u64> = (0..1024u64).rev().collect();
-            block_bitonic_sort_u64(ctx, &mut v);
+            block_bitonic_sort_by_key(ctx, &mut v, u64::MAX, |&v| v);
         });
         assert!(large.lane_cycles > small.lane_cycles * 10);
     }

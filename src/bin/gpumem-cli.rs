@@ -1,49 +1,10 @@
 //! Command-line MEM extraction, MUMmer-style.
 //!
-//! ```text
-//! gpumem-cli run [OPTIONS] <reference.fa> <query.fa>   extract MEMs
-//! gpumem-cli registry <add|list|evict-stats> ...       manage a reference set
-//! gpumem-cli metrics export [OPTIONS] <ref.fa> <query.fa>
-//!                                                      run a batch, print the unified
-//!                                                      telemetry exposition
-//! gpumem-cli bench-info [--min-len L]                  device catalog + tile geometry
+//! `gpumem-cli --help` prints the usage: every subcommand with its
+//! flags, generated from the one table (`COMMANDS`) the parser reads.
 //!
-//! RUN OPTIONS:
-//!   --tool <gpumem|mummer|essamem|sparsemem|slamem>   finder (default gpumem)
-//!   --min-len <L>        minimum MEM length (default 20)
-//!   --seed-len <ls>      GPUMEM seed length (default min(13, L))
-//!   --seed-mode <m>      GPUMEM seed sampling: `ref` (reference-only,
-//!                        Eq. 1 sparsification, default) or
-//!                        `dual[:k1,k2]` (copMEM-style dual-genome
-//!                        sampling with co-prime steps; omitting k1,k2
-//!                        picks the largest valid pair automatically)
-//!   --sparseness <K>     sparse-SA sparseness for essamem/sparsemem (default 4)
-//!   --threads <t>        CPU finder threads (default 1)
-//!   --query-threads <n>  GPUMEM query workers: each query's tile rows
-//!                        run on up to n simulated devices, one host
-//!                        thread each (default 1; a dense ℓs = 13
-//!                        index keeps each query on one)
-//!   --shards <n>         split each query's modeled matching statistics
-//!                        over n simulated devices, as `--metrics`
-//!                        reports them (default 1; the query itself
-//!                        runs on the workers and prints the same MEMs)
-//!   --both-strands       also match the reverse complement of the query
-//!   --mum                report only maximal unique matches
-//!   --rare <t>           report matches occurring ≤ t times in each sequence
-//!   --stats              print run statistics to stderr
-//!   --sanitize           run kernels under the shadow-memory hazard
-//!                        sanitizer; report to stderr, fail on hazards
-//!   --trace <path>       write a Chrome Trace Event JSON of the run
-//!                        (open in Perfetto / chrome://tracing);
-//!                        gpumem only
-//!   --metrics <path>     write the serving engine's metrics snapshot
-//!                        (latency histogram, index-cache, workers) as
-//!                        JSON; gpumem only
-//!   --profile            print a per-stage/per-phase profile table to
-//!                        stderr; gpumem only
-//! ```
-//!
-//! The query FASTA may hold many records; each is matched independently
+//! `run` matches a query FASTA against a one-record reference FASTA.
+//! The query file may hold many records; each is matched independently
 //! (GPUMEM serves them one after another from one cached reference
 //! session, each over up to `--query-threads` workers). Output: one
 //! `ref_pos  query_pos  length  strand` line per match, 1-based
@@ -52,165 +13,332 @@
 //! record name as a final column.
 //!
 //! `registry` manages a plain-text handle file (`name  path  min_len
-//! seed_len`, tab-separated, `#gpumem-registry v1` header):
-//!
-//! ```text
-//! gpumem-cli registry add <handles.tsv> <name> <reference.fa>
-//!            [--min-len L] [--seed-len ls]     validate + append an entry
-//! gpumem-cli registry list <handles.tsv>       table of hosted references
-//! gpumem-cli registry evict-stats <handles.tsv>
-//!            [--budget <bytes>] [--rounds N]   warm every reference in
-//!                                              rounds under the byte
-//!                                              budget, print the
-//!                                              registry counters as JSON
-//! ```
-//!
-//! `metrics export` runs a query batch through a registry-hosted engine
-//! and prints every serving counter on stdout in Prometheus text format
-//! (default) or the registry JSON shape — the same exposition a scraper
-//! would pull from a serving daemon:
-//!
-//! ```text
-//! gpumem-cli metrics export [--format prometheus|json] [--min-len L]
-//!            [--seed-len ls] [--query-threads n] [--shards n]
-//!            [--journal events.jsonl] <reference.fa> <query.fa>
-//! ```
-//!
-//! `--journal` additionally streams the structured event journal
-//! (run-lifecycle, index-build, registry pin/evict, shard dispatch) to a
-//! JSONL file, one event object per line.
+//! seed_len`, tab-separated, `#gpumem-registry v1` header). `metrics
+//! export` runs a query batch through a registry-hosted engine and
+//! prints every serving counter on stdout in Prometheus text format or
+//! the registry JSON shape — the exposition a scraper would pull from a
+//! serving daemon; `--journal` also streams the structured event
+//! journal to a JSONL file, one event object per line.
 //!
 //! Every GPUMEM configuration the CLI builds uses the paper's launch
 //! geometry: 128 threads per block, 16 blocks per tile.
+//!
+//! Exit status: 0 on success and for `--help`; 2 for a usage error,
+//! reported with the usage before any file is read; 1 for any other
+//! failure (configuration, FASTA loading, a run).
 
+use std::collections::HashMap;
 use std::fs::File;
 use std::io::BufReader;
 use std::process::ExitCode;
 use std::sync::Arc;
 
 use gpumem::baselines::{
-    find_mems_both_strands, EssaMem, MemFinder, Mummer, SlaMem, SparseMem, VariantFilter,
+    find_mems_both_strands, find_mems_parallel, EssaMem, MemFinder, Mummer, SlaMem, SparseMem,
+    VariantFilter,
 };
 use gpumem::core::telemetry;
 use gpumem::index::{check_dual_steps, max_coprime_steps};
 use gpumem::seq::{
-    read_fasta, AmbigPolicy, FastaRecord, Mem, PackedSeq, SeqSet, Strand, StrandMem,
+    map_reverse_mem, read_fasta, AmbigPolicy, FastaRecord, Mem, PackedSeq, SeqSet, Strand,
+    StrandMem,
 };
+use gpumem::sim::sanitizer::Session;
 use gpumem::sim::{Device, DeviceSpec, LaunchStats};
 use gpumem::{
-    Engine, EventSink, GpumemConfig, GpumemResult, JsonlEventSink, Registry, RunError, RunOptions,
+    Engine, EventSink, GpumemConfig, JsonlEventSink, MetricsSnapshot, Registry, RunOptions,
     RunOutput, RunRequest, SeedMode, Trace,
 };
 
-struct Options {
-    tool: String,
-    min_len: u32,
-    seed_len: Option<usize>,
-    seed_mode: String,
-    sparseness: usize,
-    threads: usize,
-    query_threads: usize,
-    shards: usize,
-    both_strands: bool,
-    mum: bool,
-    rare: Option<usize>,
-    stats: bool,
-    sanitize: bool,
-    trace: Option<String>,
-    metrics: Option<String>,
-    profile: bool,
-    reference: String,
-    query: String,
+/// How a flag takes its value.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// None: the flag is on or off.
+    Switch,
+    /// Any text (a path, a seed mode), shown as the placeholder given.
+    Text(&'static str),
+    /// One of these words.
+    Choice(&'static [&'static str]),
+    /// An integer in `1..=max`, shown as the placeholder given.
+    Count(&'static str, usize),
+}
+use Kind::{Choice, Count, Switch, Text};
+
+/// One flag and its line of the usage.
+struct Flag {
+    name: &'static str,
+    kind: Kind,
+    help: &'static str,
 }
 
-fn parse_args(argv: &[String]) -> Result<Options, String> {
-    let mut args = argv.iter().cloned();
-    let mut opts = Options {
-        tool: "gpumem".into(),
-        min_len: 20,
-        seed_len: None,
-        seed_mode: "ref".into(),
-        sparseness: 4,
-        threads: 1,
-        query_threads: 1,
-        shards: 1,
-        both_strands: false,
-        mum: false,
-        rare: None,
-        stats: false,
-        sanitize: false,
-        trace: None,
-        metrics: None,
-        profile: false,
-        reference: String::new(),
-        query: String::new(),
-    };
-    let mut positional = Vec::new();
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        let mut count = |name: &str| positive(name, &value(name)?);
-        match arg.as_str() {
-            "--tool" => opts.tool = value("--tool")?,
-            "--min-len" => {
-                opts.min_len = count("--min-len")?
-                    .try_into()
-                    .map_err(|e| format!("bad --min-len: {e}"))?
-            }
-            "--seed-len" => opts.seed_len = Some(count("--seed-len")?),
-            "--seed-mode" => opts.seed_mode = value("--seed-mode")?,
-            "--sparseness" => opts.sparseness = count("--sparseness")?,
-            "--threads" => {
-                opts.threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("bad --threads: {e}"))?
-            }
-            "--query-threads" => opts.query_threads = count("--query-threads")?,
-            "--shards" => opts.shards = count("--shards")?,
-            "--both-strands" => opts.both_strands = true,
-            "--mum" => opts.mum = true,
-            "--rare" => opts.rare = Some(count("--rare")?),
-            "--stats" => opts.stats = true,
-            "--sanitize" => opts.sanitize = true,
-            "--trace" => opts.trace = Some(value("--trace")?),
-            "--metrics" => opts.metrics = Some(value("--metrics")?),
-            "--profile" => opts.profile = true,
-            "--help" | "-h" => return Err("help".into()),
-            other if other.starts_with("--") => return Err(format!("unknown option {other}")),
-            other => positional.push(other.to_string()),
+const fn flag(name: &'static str, kind: Kind, help: &'static str) -> Flag {
+    Flag { name, kind, help }
+}
+
+/// A step that takes a parsed command line.
+type Step = fn(&Args) -> Result<(), String>;
+
+/// One subcommand: the words that name it, the flags it takes, its
+/// positionals and what runs it once they parse.
+struct Command {
+    name: &'static str,
+    about: &'static str,
+    flags: &'static [&'static str],
+    positionals: &'static [&'static str],
+    /// A rule between flags that their kinds cannot state.
+    check: Option<Step>,
+    run: Step,
+}
+
+/// The most host threads, engine workers or modeled shards one command
+/// may ask for. Each is paid for before any work starts: a thread, a
+/// simulated device with its scratch, a plan entry with its statistics.
+const MAX_WIDTH: usize = 256;
+
+const TOOLS: &[&str] = &["gpumem", "mummer", "essamem", "sparsemem", "slamem"];
+
+// One line per flag and a few per command, which rustfmt would spread
+// over five and eight.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    flag("--tool", Choice(TOOLS), "finder (default gpumem)"),
+    flag("--min-len", Count("L", u32::MAX as usize), "minimum MEM length (default 20)"),
+    flag("--seed-len", Count("ls", usize::MAX), "GPUMEM seed length (default min(13, L))"),
+    flag("--seed-mode", Text("ref|dual[:k1,k2]"), "GPUMEM seed sampling (default ref)"),
+    flag("--sparseness", Count("K", usize::MAX), "essamem/sparsemem SA sparseness ≤ L (default 4)"),
+    flag("--threads", Count("t", MAX_WIDTH), "CPU finder threads (default 1)"),
+    flag("--query-threads", Count("n", MAX_WIDTH), "GPUMEM workers per query (default 1)"),
+    flag("--shards", Count("n", MAX_WIDTH), "split modeled matching n ways (default 1)"),
+    flag("--both-strands", Switch, "also match the query's reverse complement"),
+    flag("--mum", Switch, "report only maximal unique matches"),
+    flag("--rare", Count("t", usize::MAX), "report matches occurring ≤ t times in each"),
+    flag("--stats", Switch, "print run statistics to stderr"),
+    flag("--sanitize", Switch, "hazard-check every kernel launch, report to stderr"),
+    flag("--trace", Text("out.json"), "write a Chrome trace of the run (gpumem only)"),
+    flag("--metrics", Text("out.json"), "write the engine's metrics as JSON (gpumem only)"),
+    flag("--profile", Switch, "print stage and phase tables to stderr (gpumem only)"),
+    flag("--budget", Count("bytes", usize::MAX), "registry byte budget (default none)"),
+    flag("--rounds", Count("N", usize::MAX), "times to warm every reference (default 2)"),
+    flag("--format", Choice(&["prometheus", "json"]), "exposition (default prometheus)"),
+    flag("--journal", Text("events.jsonl"), "also write the event journal"),
+];
+
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "run", about: "extract MEMs", positionals: &["<reference.fa>", "<query.fa>"],
+        flags: &["--tool", "--min-len", "--seed-len", "--seed-mode", "--sparseness", "--threads",
+            "--query-threads", "--shards", "--both-strands", "--mum", "--rare", "--stats",
+            "--sanitize", "--trace", "--metrics", "--profile"],
+        check: Some(check_sparseness), run,
+    },
+    Command {
+        name: "registry add", about: "validate a reference, append it to the handle file",
+        positionals: &["<handles.tsv>", "<name>", "<reference.fa>"],
+        flags: &["--min-len", "--seed-len"], check: None, run: registry_add,
+    },
+    Command {
+        name: "registry list", about: "print a table of the hosted references",
+        positionals: &["<handles.tsv>"], flags: &[], check: None, run: registry_list,
+    },
+    Command {
+        name: "registry evict-stats", about: "warm every reference in rounds under the budget, \
+            print the registry counters as JSON",
+        positionals: &["<handles.tsv>"], flags: &["--budget", "--rounds"], check: None,
+        run: registry_evict_stats,
+    },
+    Command {
+        name: "metrics export", about: "run a batch, print the unified telemetry exposition",
+        positionals: &["<reference.fa>", "<query.fa>"],
+        flags: &["--format", "--min-len", "--seed-len", "--query-threads", "--shards", "--journal"],
+        check: None, run: metrics_export,
+    },
+    Command {
+        name: "bench-info", about: "print the device catalog and the tile geometry",
+        positionals: &[], flags: &["--min-len"], check: None, run: bench_info,
+    },
+];
+
+/// The table entry of flag `name`, which a command lists.
+fn lookup(name: &str) -> &'static Flag {
+    FLAGS
+        .iter()
+        .find(|flag| flag.name == name)
+        .expect("every flag a command lists is in FLAGS")
+}
+
+/// One command line, parsed against its command's table entry: each
+/// given flag's value (empty for a switch), checked against its kind.
+struct Args {
+    command: &'static Command,
+    values: HashMap<&'static str, String>,
+    positionals: Vec<String>,
+}
+
+impl Args {
+    fn switch(&self, name: &str) -> bool {
+        self.values.contains_key(name)
+    }
+
+    fn text(&self, name: &str) -> Option<&str> {
+        self.values.get(name).map(String::as_str)
+    }
+
+    fn count(&self, name: &str) -> Option<usize> {
+        let value = self.values.get(name)?;
+        Some(value.parse().expect("the parser checked every count"))
+    }
+
+    fn min_len(&self) -> u32 {
+        let min_len = self.count("--min-len").unwrap_or(20);
+        u32::try_from(min_len).expect("the table caps --min-len at u32::MAX")
+    }
+
+    /// The positionals, whose count the parser has checked.
+    fn positionals<const N: usize>(&self) -> &[String; N] {
+        self.positionals[..]
+            .try_into()
+            .expect("parsed positional count")
+    }
+}
+
+impl Flag {
+    fn placeholder(&self) -> String {
+        match self.kind {
+            Switch => String::new(),
+            Text(value) | Count(value, _) => value.to_string(),
+            Choice(words) => words.join("|"),
         }
     }
-    // The sparse suffix arrays sample every K-th suffix, so a match
-    // shorter than K can fall between samples.
-    if matches!(opts.tool.as_str(), "essamem" | "sparsemem")
-        && opts.sparseness > opts.min_len as usize
-    {
+
+    /// Why `text` is not a value of this flag, if it is not.
+    fn check_value(&self, text: &str) -> Result<(), String> {
+        let name = self.name;
+        match self.kind {
+            Choice(words) if !words.contains(&text) => Err(format!(
+                "bad {name} {text}: expected {}",
+                words.join(" or ")
+            )),
+            Count(_, max) => match text.parse::<usize>() {
+                Ok(0) => Err(format!("bad {name}: must be positive")),
+                Ok(n) if n > max => Err(format!("bad {name}: must be at most {max}")),
+                Ok(_) => Ok(()),
+                Err(e) => Err(format!("bad {name}: {e}")),
+            },
+            Switch | Text(_) | Choice(_) => Ok(()),
+        }
+    }
+}
+
+/// Parse `argv` against the table: `None` for `--help` (anywhere), else
+/// the command's arguments. Every usage error the table can judge is
+/// found here, before any file is read.
+fn parse(argv: &[String]) -> Result<Option<Args>, String> {
+    if argv.iter().any(|arg| arg == "--help" || arg == "-h") {
+        return Ok(None);
+    }
+    let first = argv.first().ok_or("missing command")?;
+    let words = |command: &Command| command.name.split(' ').count();
+    let command = COMMANDS
+        .iter()
+        .find(|command| argv.iter().take(words(command)).eq(command.name.split(' ')))
+        .ok_or_else(|| format!("unknown command {first}"))?;
+    let mut args = Args {
+        command,
+        values: HashMap::new(),
+        positionals: Vec::new(),
+    };
+    let mut rest = argv[words(command)..].iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            args.positionals.push(arg.clone());
+            continue;
+        }
+        if !command.flags.contains(&arg.as_str()) {
+            return Err(format!("unknown option {arg} for {}", command.name));
+        }
+        let flag = lookup(arg);
+        let value = match flag.kind {
+            Switch => String::new(),
+            _ => rest
+                .next()
+                .ok_or_else(|| format!("missing value for {arg}"))?
+                .clone(),
+        };
+        flag.check_value(&value)?;
+        args.values.insert(flag.name, value);
+    }
+    if args.positionals.len() != command.positionals.len() {
         return Err(format!(
-            "bad --sparseness: K = {} must not exceed --min-len {}",
-            opts.sparseness, opts.min_len
+            "{} expects {} positional(s) {}, got {}",
+            command.name,
+            command.positionals.len(),
+            command.positionals.join(" "),
+            args.positionals.len()
         ));
     }
-    match positional.len() {
-        2 => {
-            opts.reference = positional.remove(0);
-            opts.query = positional.remove(0);
-            Ok(opts)
+    if let Some(check) = command.check {
+        check(&args)?;
+    }
+    Ok(Some(args))
+}
+
+/// Every subcommand with its flags, from the table the parser reads.
+fn usage() -> String {
+    let mut text = String::new();
+    for command in COMMANDS {
+        let mut synopsis = vec!["gpumem-cli", command.name];
+        if !command.flags.is_empty() {
+            synopsis.push("[OPTIONS]");
         }
-        n => Err(format!(
-            "expected <reference.fa> <query.fa>, got {n} positionals"
-        )),
+        synopsis.extend(command.positionals);
+        let lead = if text.is_empty() { "usage:" } else { "      " };
+        text += &format!(
+            "{lead} {}\n         {}\n",
+            synopsis.join(" "),
+            command.about
+        );
+        for flag in command.flags.iter().map(|name| lookup(name)) {
+            let spec = format!("{} {}", flag.name, flag.placeholder());
+            text += &format!("           {spec:<29} {}\n", flag.help);
+        }
+    }
+    text
+}
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match parse(&argv) {
+        Ok(None) => {
+            eprint!("{}", usage());
+            ExitCode::SUCCESS
+        }
+        Err(msg) => {
+            eprint!("error: {msg}\n\n{}", usage());
+            ExitCode::from(2)
+        }
+        Ok(Some(args)) => match (args.command.run)(&args) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(msg) => {
+                eprintln!("error: {msg}");
+                ExitCode::FAILURE
+            }
+        },
     }
 }
 
-/// The value `value` of flag `name` as a positive count.
-fn positive(name: &str, value: &str) -> Result<usize, String> {
-    match value.parse() {
-        Ok(0) => Err(format!("bad {name}: must be positive")),
-        Ok(n) => Ok(n),
-        Err(e) => Err(format!("bad {name}: {e}")),
+/// The sparse suffix arrays sample every K-th suffix, so a match
+/// shorter than K can fall between samples.
+fn check_sparseness(args: &Args) -> Result<(), String> {
+    let sparseness = args.count("--sparseness").unwrap_or(4);
+    let min_len = args.min_len();
+    if matches!(args.text("--tool"), Some("essamem" | "sparsemem")) && sparseness > min_len as usize
+    {
+        return Err(format!(
+            "bad --sparseness: K = {sparseness} must not exceed --min-len {min_len}"
+        ));
     }
+    Ok(())
 }
 
 /// Resolve `--seed-mode ref|dual[:k1,k2]`. The auto `dual` form picks
@@ -228,18 +356,12 @@ fn parse_seed_mode(spec: &str, min_len: u32, seed_len: usize) -> Result<SeedMode
     let (k1, k2) = if rest.is_empty() {
         max_coprime_steps(min_len, seed_len).map_err(|e| format!("bad --seed-mode: {e}"))?
     } else {
-        let body = rest
+        let (k1, k2) = rest
             .strip_prefix(':')
             .and_then(|body| body.split_once(','))
             .ok_or_else(|| format!("bad --seed-mode {spec}: expected dual:<k1>,<k2>"))?;
-        let k1 = body
-            .0
-            .parse()
-            .map_err(|e| format!("bad --seed-mode k1: {e}"))?;
-        let k2 = body
-            .1
-            .parse()
-            .map_err(|e| format!("bad --seed-mode k2: {e}"))?;
+        let k1 = k1.parse().map_err(|e| format!("bad --seed-mode k1: {e}"))?;
+        let k2 = k2.parse().map_err(|e| format!("bad --seed-mode k2: {e}"))?;
         check_dual_steps(k1, k2, min_len, seed_len).map_err(|e| format!("bad --seed-mode: {e}"))?;
         (k1, k2)
     };
@@ -293,83 +415,82 @@ fn load_reference(path: &str) -> Result<PackedSeq, String> {
     Ok(records.remove(0).seq)
 }
 
-/// One query record's matches, in that record's coordinates.
-struct RecordHits {
-    name: String,
-    hits: Vec<StrandMem>,
-}
-
-/// Turn a batch's outputs into per-record results, surfacing the first
-/// failed query as the CLI error.
-fn collect_batch(
+/// Run `queries` as one request through an engine that hosts
+/// `reference` in a one-entry registry (the paper's Tesla K20c, no
+/// budget), so its metrics carry the registry counters. `cli_config`
+/// and `--query-threads` shape the engine; `--shards`, `--trace` and
+/// `--profile` the request; `--journal` receives its events. Returns
+/// every query's output and the metrics after the batch, or the first
+/// failed query's error.
+fn serve(
+    args: &Args,
+    reference: PackedSeq,
     queries: &SeqSet,
-    outputs: Vec<Result<RunOutput, RunError>>,
-) -> Result<Vec<RunOutput>, String> {
-    outputs
+) -> Result<(Vec<RunOutput>, MetricsSnapshot), String> {
+    let seed_mode = args.text("--seed-mode").unwrap_or("ref");
+    let config = cli_config(args.min_len(), args.count("--seed-len"), seed_mode)?;
+    let sink: Option<Arc<dyn EventSink>> = match args.text("--journal") {
+        Some(path) => Some(Arc::new(
+            JsonlEventSink::create(path).map_err(|e| format!("{path}: {e}"))?,
+        )),
+        None => None,
+    };
+    let registry = Arc::new(Registry::new(DeviceSpec::tesla_k20c()));
+    registry.set_event_sink(sink.clone());
+    let mut builder = Engine::builder(reference)
+        .config(config)
+        .registry(registry)
+        .name("cli")
+        .threads(args.count("--query-threads").unwrap_or(1));
+    if let Some(sink) = sink {
+        builder = builder.event_sink(sink);
+    }
+    let engine = builder.build().map_err(|e| e.to_string())?;
+    let options = RunOptions {
+        trace: args.text("--trace").is_some() || args.switch("--profile"),
+        shards: args.count("--shards").unwrap_or(1),
+    };
+    let outputs = engine
+        .execute(&RunRequest::batch(queries).options(options))
         .into_iter()
         .zip(&queries.records)
         .map(|(output, span)| output.map_err(|e| format!("query {}: {e}", span.name)))
-        .collect()
+        .collect::<Result<_, _>>()?;
+    Ok((outputs, engine.metrics()))
 }
 
+/// Forward-strand hits.
+fn forward_hits(mems: &[Mem]) -> Vec<StrandMem> {
+    let strand = Strand::Forward;
+    mems.iter().map(|&mem| StrandMem { mem, strand }).collect()
+}
+
+/// Each query record's GPUMEM hits, in that record's coordinates.
 fn run_gpumem(
-    opts: &Options,
+    args: &Args,
     reference: &PackedSeq,
+    records: &[FastaRecord],
     queries: &SeqSet,
-) -> Result<Vec<RecordHits>, String> {
-    let config = cli_config(opts.min_len, opts.seed_len, &opts.seed_mode)?;
-    // Host the session in a (single-reference, unbounded) registry so
-    // `--metrics` exports the registry counters alongside the serving
-    // metrics; the spec stays the paper's Tesla K20c.
-    let registry = Arc::new(Registry::new(DeviceSpec::tesla_k20c()));
-    let engine = Engine::builder(reference.clone())
-        .config(config)
-        .registry(Arc::clone(&registry))
-        .name("cli")
-        .threads(opts.query_threads)
-        .build()
-        .map_err(|e| e.to_string())?;
-    let run = |queries: &SeqSet, trace: bool| {
-        let options = RunOptions {
-            trace,
-            shards: opts.shards,
-        };
-        collect_batch(
-            queries,
-            engine.execute(&RunRequest::batch(queries).options(options)),
-        )
-    };
+) -> Result<Vec<Vec<StrandMem>>, String> {
+    // Under --both-strands each record's reverse complement follows the
+    // forward records in the same batch; coordinates map back per
+    // record.
+    let with_reverse = args.switch("--both-strands").then(|| {
+        let reversed = records.iter().map(|record| FastaRecord {
+            header: record.header.clone(),
+            seq: record.seq.reverse_complement(),
+        });
+        SeqSet::from_records(&records.iter().cloned().chain(reversed).collect::<Vec<_>>())
+    });
+    let batch = with_reverse.as_ref().unwrap_or(queries);
+    let (mut forward, metrics) = serve(args, reference.clone(), batch)?;
+    let reverse = forward.split_off(records.len());
 
-    // Each query runs over every free worker and, when traced, records
-    // its own span tree, one track per worker; the merged trace keeps
-    // every query's tracks apart.
-    let tracing = opts.trace.is_some() || opts.profile;
-    let (forward, traces): (Vec<GpumemResult>, Vec<Option<Trace>>) = run(queries, tracing)?
-        .into_iter()
-        .map(|out| (out.result, out.trace))
-        .unzip();
-    let reverse = if opts.both_strands {
-        // Reverse-complement each record independently; coordinates map
-        // back per record.
-        let rc_records: Vec<FastaRecord> = queries
-            .records
-            .iter()
-            .enumerate()
-            .map(|(i, span)| FastaRecord {
-                header: span.name.clone(),
-                seq: queries.record_seq(i).reverse_complement(),
-            })
-            .collect();
-        let rc_set = SeqSet::from_records(&rc_records);
-        Some(run(&rc_set, false)?)
-    } else {
-        None
-    };
-
-    if opts.stats {
-        let tiles: usize = forward.iter().map(|r| r.stats.rows * r.stats.cols).sum();
-        let index: LaunchStats = forward.iter().map(|r| r.stats.index.clone()).sum();
-        let matching: LaunchStats = forward.iter().map(|r| r.stats.matching.clone()).sum();
+    if args.switch("--stats") {
+        let stats = || forward.iter().map(|out| &out.result.stats);
+        let tiles: usize = stats().map(|s| s.rows * s.cols).sum();
+        let index: LaunchStats = stats().map(|s| s.index.clone()).sum();
+        let matching: LaunchStats = stats().map(|s| s.matching.clone()).sum();
         eprintln!(
             "gpumem: {} tiles, modeled index {:.3} ms + match {:.3} ms, warp efficiency {:.2}",
             tiles,
@@ -379,131 +500,148 @@ fn run_gpumem(
         );
     }
 
-    if tracing {
-        let trace = Trace::merge(traces.into_iter().flatten().collect());
-        if let Some(path) = &opts.trace {
+    // Each forward query recorded its own span tree, one track per
+    // worker; the merged trace keeps every query's tracks apart.
+    if args.text("--trace").is_some() || args.switch("--profile") {
+        let trace = Trace::merge(
+            forward
+                .iter_mut()
+                .filter_map(|out| out.trace.take())
+                .collect(),
+        );
+        if let Some(path) = args.text("--trace") {
             std::fs::write(path, trace.to_chrome_json()).map_err(|e| format!("{path}: {e}"))?;
         }
-        if opts.profile {
+        if args.switch("--profile") {
             eprint!("{}", trace.profile_report());
         }
     }
-    if let Some(path) = &opts.metrics {
-        std::fs::write(path, engine.metrics().to_json()).map_err(|e| format!("{path}: {e}"))?;
+    if let Some(path) = args.text("--metrics") {
+        std::fs::write(path, serde::json::to_string_pretty(&metrics))
+            .map_err(|e| format!("{path}: {e}"))?;
     }
 
-    let mut out = Vec::with_capacity(queries.records.len());
-    for (i, span) in queries.records.iter().enumerate() {
-        let mut hits: Vec<StrandMem> = forward[i]
-            .mems
-            .iter()
-            .map(|&mem| StrandMem {
-                mem,
-                strand: Strand::Forward,
-            })
-            .collect();
-        if let Some(reverse) = &reverse {
-            hits.extend(reverse[i].result.mems.iter().map(|&mem| StrandMem {
-                mem: gpumem::seq::map_reverse_mem(mem, span.len),
+    let hits = forward.iter().zip(&queries.records).enumerate();
+    Ok(hits
+        .map(|(i, (out, span))| {
+            let mut hits = forward_hits(&out.result.mems);
+            let reverse = reverse.get(i).map_or(&[][..], |out| &out.result.mems);
+            hits.extend(reverse.iter().map(|&mem| StrandMem {
+                mem: map_reverse_mem(mem, span.len),
                 strand: Strand::Reverse,
             }));
-        }
-        hits.sort_unstable();
-        out.push(RecordHits {
-            name: span.name.clone(),
-            hits,
-        });
-    }
-    Ok(out)
+            hits.sort_unstable();
+            hits
+        })
+        .collect())
 }
 
+/// Each query record's hits from CPU finder `tool`.
 fn run_finder(
-    opts: &Options,
+    args: &Args,
+    tool: &str,
     reference: &PackedSeq,
     queries: &SeqSet,
-) -> Result<Vec<RecordHits>, String> {
-    if opts.tool != "gpumem" && (opts.trace.is_some() || opts.metrics.is_some() || opts.profile) {
+) -> Result<Vec<Vec<StrandMem>>, String> {
+    if ["--trace", "--metrics", "--profile"]
+        .iter()
+        .any(|name| args.values.contains_key(name))
+    {
         return Err(format!(
-            "--trace/--metrics/--profile require --tool gpumem (got {})",
-            opts.tool
+            "--trace/--metrics/--profile require --tool gpumem (got {tool})"
         ));
     }
-    let finder: Box<dyn MemFinder> = match opts.tool.as_str() {
+    let sparseness = args.count("--sparseness").unwrap_or(4);
+    let finder: Box<dyn MemFinder> = match tool {
         "mummer" => Box::new(Mummer::build(reference)),
-        "essamem" => Box::new(EssaMem::build(reference, opts.sparseness)),
-        "sparsemem" => Box::new(SparseMem::build(reference, opts.sparseness)),
+        "essamem" => Box::new(EssaMem::build(reference, sparseness)),
+        "sparsemem" => Box::new(SparseMem::build(reference, sparseness)),
         "slamem" => Box::new(SlaMem::build(reference)),
-        // GPUMEM path handled separately (simulated device, batch
-        // engine).
-        "gpumem" => return run_gpumem(opts, reference, queries),
-        other => return Err(format!("unknown tool {other}")),
+        other => unreachable!("--tool {other} is not in the table"),
     };
-    let mut out = Vec::with_capacity(queries.records.len());
-    for (i, span) in queries.records.iter().enumerate() {
+    let (min_len, threads) = (args.min_len(), args.count("--threads").unwrap_or(1));
+    let hits = |i| {
         let query = queries.record_seq(i);
-        let hits = if opts.both_strands {
-            find_mems_both_strands(finder.as_ref(), &query, opts.min_len, opts.threads)
+        if args.switch("--both-strands") {
+            find_mems_both_strands(finder.as_ref(), &query, min_len, threads)
         } else {
-            gpumem::baselines::find_mems_parallel(
+            forward_hits(&find_mems_parallel(
                 finder.as_ref(),
                 &query,
-                opts.min_len,
-                opts.threads,
-            )
-            .into_iter()
-            .map(|mem| StrandMem {
-                mem,
-                strand: Strand::Forward,
-            })
-            .collect()
-        };
-        out.push(RecordHits {
-            name: span.name.clone(),
-            hits,
-        });
-    }
-    Ok(out)
+                min_len,
+                threads,
+            ))
+        }
+    };
+    Ok((0..queries.records.len()).map(hits).collect())
 }
 
-fn usage() {
-    eprintln!(
-        "usage: gpumem-cli run [--tool T] [--min-len L] [--seed-len ls] [--seed-mode ref|dual[:k1,k2]] [--sparseness K] [--threads t] [--query-threads n] [--shards n] [--both-strands] [--mum] [--rare t] [--stats] [--sanitize] [--trace out.json] [--metrics out.json] [--profile] <reference.fa> <query.fa>\n       gpumem-cli registry add <handles.tsv> <name> <reference.fa> [--min-len L] [--seed-len ls]\n       gpumem-cli registry list <handles.tsv>\n       gpumem-cli registry evict-stats <handles.tsv> [--budget bytes] [--rounds N]\n       gpumem-cli metrics export [--format prometheus|json] [--min-len L] [--seed-len ls] [--query-threads n] [--shards n] [--journal events.jsonl] <reference.fa> <query.fa>\n       gpumem-cli bench-info [--min-len L]"
-    );
-}
+fn run(args: &Args) -> Result<(), String> {
+    let [ref_path, query_path] = args.positionals();
+    let reference = load_reference(ref_path)?;
+    let records = load_records(query_path)?;
+    let queries = SeqSet::from_records(&records);
 
-fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    match argv.first().map(String::as_str) {
-        Some("run") => run_main(&argv[1..]),
-        Some("registry") => to_exit_code(registry_main(&argv[1..])),
-        Some("metrics") => to_exit_code(metrics_main(&argv[1..])),
-        Some("bench-info") => to_exit_code(bench_info_main(&argv[1..])),
-        Some("--help") | Some("-h") => {
-            usage();
-            ExitCode::SUCCESS
-        }
-        None => {
-            usage();
-            ExitCode::from(2)
-        }
-        Some(other) => {
-            eprintln!(
-                "error: unknown command {other} (expected run, registry, metrics or bench-info)\n"
-            );
-            usage();
-            ExitCode::from(2)
+    // Under --sanitize every simulated kernel launch between here and
+    // finish() is hazard-checked (only the gpumem tool launches kernels;
+    // for CPU baselines the report is trivially clean).
+    let session = args.switch("--sanitize").then(Session::start);
+    let mut by_record = match args.text("--tool").unwrap_or("gpumem") {
+        "gpumem" => run_gpumem(args, &reference, &records, &queries)?,
+        tool => run_finder(args, tool, &reference, &queries)?,
+    };
+    if let Some(session) = session {
+        let report = session.finish();
+        eprint!("{report}");
+        if !report.is_clean() {
+            return Err(format!(
+                "sanitizer detected {} hazard(s)",
+                report.hazards.len() as u64 + report.suppressed
+            ));
         }
     }
-}
 
-fn to_exit_code(result: Result<(), String>) -> ExitCode {
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            ExitCode::FAILURE
+    // Variant filtering, per query record (forward-strand coordinates
+    // only; reverse hits are filtered against the reverse complement
+    // implicitly via their reference interval).
+    if let Some(max_occ) = args.switch("--mum").then_some(1).or(args.count("--rare")) {
+        for (i, hits) in by_record.iter_mut().enumerate() {
+            let filter = VariantFilter::new(&reference, &queries.record_seq(i));
+            let mems: Vec<Mem> = hits.iter().map(|h| h.mem).collect();
+            let keep: std::collections::HashSet<Mem> =
+                filter.rare_matches(&mems, max_occ).into_iter().collect();
+            hits.retain(|h| keep.contains(&h.mem));
         }
     }
+
+    if args.switch("--stats") {
+        let total: usize = by_record.iter().map(Vec::len).sum();
+        eprintln!("{} matches (L >= {})", total, args.min_len());
+    }
+    let name_column = by_record.len() > 1;
+    let mut out = String::new();
+    for (hits, span) in by_record.iter().zip(&queries.records) {
+        for hit in hits {
+            let strand = match hit.strand {
+                Strand::Forward => '+',
+                Strand::Reverse => '-',
+            };
+            out.push_str(&format!(
+                "{:>10} {:>10} {:>8} {}",
+                hit.mem.r + 1,
+                hit.mem.q + 1,
+                hit.mem.len,
+                strand
+            ));
+            if name_column {
+                out.push(' ');
+                out.push_str(&span.name);
+            }
+            out.push('\n');
+        }
+    }
+    print!("{out}");
+    Ok(())
 }
 
 /// One line of a registry handle file.
@@ -555,12 +693,8 @@ fn read_handle_file(path: &str) -> Result<Vec<HandleEntry>, String> {
     Ok(entries)
 }
 
-fn entry_config(entry: &HandleEntry) -> Result<GpumemConfig, String> {
-    cli_config(entry.min_len, entry.seed_len, "ref").map_err(|e| format!("{}: {e}", entry.name))
-}
-
-/// Load every handle-file entry into `registry`, returning the handles
-/// in file order.
+/// Load every handle-file entry into `registry` under `cli_config`,
+/// returning the handles in file order.
 fn load_registry(
     registry: &Registry,
     entries: &[HandleEntry],
@@ -569,79 +703,31 @@ fn load_registry(
         .iter()
         .map(|entry| {
             let reference = Arc::new(load_reference(&entry.path)?);
+            let config = cli_config(entry.min_len, entry.seed_len, "ref")
+                .map_err(|e| format!("{}: {e}", entry.name))?;
             registry
-                .add(&entry.name, reference, entry_config(entry)?)
+                .add(&entry.name, reference, config)
                 .map_err(|e| format!("{}: {e}", entry.name))
         })
         .collect()
 }
 
-fn registry_main(argv: &[String]) -> Result<(), String> {
-    let (cmd, rest) = argv
-        .split_first()
-        .ok_or("registry: expected add, list, or evict-stats")?;
-    match cmd.as_str() {
-        "add" => registry_add(rest),
-        "list" => registry_list(rest),
-        "evict-stats" => registry_evict_stats(rest),
-        other => Err(format!(
-            "registry: unknown subcommand {other} (expected add, list, or evict-stats)"
-        )),
-    }
-}
-
-fn registry_add(argv: &[String]) -> Result<(), String> {
-    let mut positional = Vec::new();
-    let mut min_len = 20u32;
-    let mut seed_len = None;
-    let mut args = argv.iter().cloned();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--min-len" => {
-                min_len = args
-                    .next()
-                    .ok_or("missing value for --min-len")?
-                    .parse()
-                    .map_err(|e| format!("bad --min-len: {e}"))?
-            }
-            "--seed-len" => {
-                seed_len = Some(
-                    args.next()
-                        .ok_or("missing value for --seed-len")?
-                        .parse()
-                        .map_err(|e| format!("bad --seed-len: {e}"))?,
-                )
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("registry add: unknown option {other}"))
-            }
-            other => positional.push(other.to_string()),
-        }
-    }
-    let [file, name, fasta] = positional.as_slice() else {
-        return Err(format!(
-            "registry add: expected <handles.tsv> <name> <reference.fa>, got {} positionals",
-            positional.len()
-        ));
-    };
+fn registry_add(args: &Args) -> Result<(), String> {
+    let [file, name, fasta] = args.positionals();
     if name.contains('\t') {
         return Err("registry add: name must not contain tabs".into());
     }
     let entry = HandleEntry {
         name: name.clone(),
         path: fasta.clone(),
-        min_len,
-        seed_len,
+        min_len: args.min_len(),
+        seed_len: args.count("--seed-len"),
     };
     // Validate before writing: the FASTA must load and the session must
     // construct against the default device.
-    let reference = Arc::new(load_reference(fasta)?);
-    let ref_len = reference.len();
     let probe = Registry::new(DeviceSpec::tesla_k20c());
-    probe
-        .add(name, reference, entry_config(&entry)?)
-        .map_err(|e| format!("{name}: {e}"))?;
-    let rows = probe.list()[0].rows;
+    load_registry(&probe, std::slice::from_ref(&entry))?;
+    let info = probe.list().remove(0);
 
     let mut existing = match std::fs::metadata(file) {
         Ok(_) => read_handle_file(file)?,
@@ -663,14 +749,15 @@ fn registry_add(argv: &[String]) -> Result<(), String> {
         ));
     }
     std::fs::write(file, body).map_err(|e| format!("{file}: {e}"))?;
-    println!("registered {name}: {ref_len} bp, {rows} tile rows");
+    println!(
+        "registered {name}: {} bp, {} tile rows",
+        info.ref_len, info.rows
+    );
     Ok(())
 }
 
-fn registry_list(argv: &[String]) -> Result<(), String> {
-    let [file] = argv else {
-        return Err("registry list: expected <handles.tsv>".into());
-    };
+fn registry_list(args: &Args) -> Result<(), String> {
+    let [file] = args.positionals();
     let entries = read_handle_file(file)?;
     let registry = Registry::new(DeviceSpec::tesla_k20c());
     load_registry(&registry, &entries)?;
@@ -692,51 +779,23 @@ fn registry_list(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn registry_evict_stats(argv: &[String]) -> Result<(), String> {
-    let mut file = None;
-    let mut budget: Option<u64> = None;
-    let mut rounds = 2usize;
-    let mut args = argv.iter().cloned();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--budget" => {
-                budget = Some(
-                    args.next()
-                        .ok_or("missing value for --budget")?
-                        .parse()
-                        .map_err(|e| format!("bad --budget: {e}"))?,
-                )
-            }
-            "--rounds" => {
-                rounds = args
-                    .next()
-                    .ok_or("missing value for --rounds")?
-                    .parse()
-                    .map_err(|e| format!("bad --rounds: {e}"))?
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("registry evict-stats: unknown option {other}"))
-            }
-            other => {
-                if file.replace(other.to_string()).is_some() {
-                    return Err("registry evict-stats: expected one <handles.tsv>".into());
-                }
-            }
-        }
-    }
-    let file = file.ok_or("registry evict-stats: expected <handles.tsv>")?;
-    let entries = read_handle_file(&file)?;
-    let registry = match budget {
-        Some(bytes) => Registry::with_budget(DeviceSpec::tesla_k20c(), bytes),
+fn registry_evict_stats(args: &Args) -> Result<(), String> {
+    let [file] = args.positionals();
+    let entries = read_handle_file(file)?;
+    let registry = match args.count("--budget") {
+        Some(bytes) => Registry::with_budget(
+            DeviceSpec::tesla_k20c(),
+            u64::try_from(bytes).expect("a usize fits in a u64"),
+        ),
         None => Registry::new(DeviceSpec::tesla_k20c()),
     };
     let handles = load_registry(&registry, &entries)?;
-    // Warm every reference `rounds` times in file order: under a budget
-    // smaller than the combined index footprint, each warm of a cold
-    // reference evicts the coldest resident one — the churn whose
+    // Warm every reference `--rounds` times in file order: under a
+    // budget smaller than the combined index footprint, each warm of a
+    // cold reference evicts the coldest resident one — the churn whose
     // counters this command reports.
     let device = Device::new(registry.spec().clone());
-    for _ in 0..rounds {
+    for _ in 0..args.count("--rounds").unwrap_or(2) {
         for &handle in &handles {
             let session = registry
                 .session(handle)
@@ -745,126 +804,28 @@ fn registry_evict_stats(argv: &[String]) -> Result<(), String> {
             registry.touch(handle);
         }
     }
-    println!("{}", registry.stats().to_json());
+    println!("{}", serde::json::to_string_pretty(&registry.stats()));
     Ok(())
-}
-
-fn metrics_main(argv: &[String]) -> Result<(), String> {
-    let (cmd, rest) = argv.split_first().ok_or("metrics: expected export")?;
-    match cmd.as_str() {
-        "export" => metrics_export(rest),
-        other => Err(format!(
-            "metrics: unknown subcommand {other} (expected export)"
-        )),
-    }
 }
 
 /// Run a query batch through a registry-hosted engine and print the
 /// unified telemetry exposition — every `MetricsSnapshot`,
 /// `LaunchStats`, `RegistryStats`, and shard counter, in Prometheus
 /// text format or the registry JSON shape.
-fn metrics_export(argv: &[String]) -> Result<(), String> {
-    let mut format = "prometheus".to_string();
-    let mut min_len = 20u32;
-    let mut seed_len: Option<usize> = None;
-    let mut query_threads = 1usize;
-    let mut shards = 1usize;
-    let mut journal: Option<String> = None;
-    let mut positional = Vec::new();
-    let mut args = argv.iter().cloned();
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match arg.as_str() {
-            "--format" => format = value("--format")?,
-            "--min-len" => {
-                min_len = value("--min-len")?
-                    .parse()
-                    .map_err(|e| format!("bad --min-len: {e}"))?
-            }
-            "--seed-len" => {
-                seed_len = Some(
-                    value("--seed-len")?
-                        .parse()
-                        .map_err(|e| format!("bad --seed-len: {e}"))?,
-                )
-            }
-            "--query-threads" => query_threads = positive(&arg, &value(&arg)?)?,
-            "--shards" => shards = positive(&arg, &value(&arg)?)?,
-            "--journal" => journal = Some(value("--journal")?),
-            other if other.starts_with("--") => {
-                return Err(format!("metrics export: unknown option {other}"))
-            }
-            other => positional.push(other.to_string()),
-        }
-    }
-    if format != "prometheus" && format != "json" {
-        return Err(format!(
-            "bad --format {format}: expected prometheus or json"
-        ));
-    }
-    let [ref_path, query_path] = positional.as_slice() else {
-        return Err(format!(
-            "metrics export: expected <reference.fa> <query.fa>, got {} positionals",
-            positional.len()
-        ));
-    };
+fn metrics_export(args: &Args) -> Result<(), String> {
+    let [ref_path, query_path] = args.positionals();
     let reference = load_reference(ref_path)?;
     let queries = SeqSet::from_records(&load_records(query_path)?);
-    let config = cli_config(min_len, seed_len, "ref")?;
-    let registry = Arc::new(Registry::new(DeviceSpec::tesla_k20c()));
-    let sink: Option<Arc<JsonlEventSink>> = match &journal {
-        Some(path) => Some(Arc::new(
-            JsonlEventSink::create(path).map_err(|e| format!("{path}: {e}"))?,
-        )),
-        None => None,
-    };
-    if let Some(sink) = &sink {
-        registry.set_event_sink(Some(Arc::clone(sink) as Arc<dyn EventSink>));
-    }
-    let mut builder = Engine::builder(reference)
-        .config(config)
-        .registry(Arc::clone(&registry))
-        .name("cli")
-        .threads(query_threads);
-    if let Some(sink) = &sink {
-        builder = builder.event_sink(Arc::clone(sink) as Arc<dyn EventSink>);
-    }
-    let engine = builder.build().map_err(|e| e.to_string())?;
-    let options = RunOptions {
-        shards,
-        ..RunOptions::default()
-    };
-    collect_batch(
-        &queries,
-        engine.execute(&RunRequest::batch(&queries).options(options)),
-    )?;
-    let snapshot = engine.metrics();
-    match format.as_str() {
-        "prometheus" => print!("{}", telemetry::render_prometheus(&snapshot)),
-        _ => println!("{}", telemetry::render_json(&snapshot)),
+    let (_, snapshot) = serve(args, reference, &queries)?;
+    match args.text("--format") {
+        Some("json") => println!("{}", telemetry::render_json(&snapshot)),
+        _ => print!("{}", telemetry::render_prometheus(&snapshot)),
     }
     Ok(())
 }
 
-fn bench_info_main(argv: &[String]) -> Result<(), String> {
-    let mut min_len = 20u32;
-    let mut args = argv.iter().cloned();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--min-len" => {
-                min_len = args
-                    .next()
-                    .ok_or("missing value for --min-len")?
-                    .parse()
-                    .map_err(|e| format!("bad --min-len: {e}"))?
-            }
-            other => return Err(format!("bench-info: unknown option {other}")),
-        }
-    }
-    let config = cli_config(min_len, None, "ref")?;
+fn bench_info(args: &Args) -> Result<(), String> {
+    let config = cli_config(args.min_len(), None, "ref")?;
     println!(
         "{:<12} {:>4} {:>9} {:>5} {:>10} {:>14}",
         "device", "SMs", "cores/SM", "warp", "clock_mhz", "mem_bytes"
@@ -898,92 +859,4 @@ fn bench_info_main(argv: &[String]) -> Result<(), String> {
         gpumem::core::pipeline::device_memory_estimate(&config)
     );
     Ok(())
-}
-
-fn run_main(argv: &[String]) -> ExitCode {
-    let opts = match parse_args(argv) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            if msg != "help" {
-                eprintln!("error: {msg}\n");
-            }
-            usage();
-            return if msg == "help" {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(2)
-            };
-        }
-    };
-
-    let run = || -> Result<(), String> {
-        let reference = load_reference(&opts.reference)?;
-        let queries = SeqSet::from_records(&load_records(&opts.query)?);
-
-        // Under --sanitize every simulated kernel launch between here
-        // and finish() is hazard-checked (only the gpumem tool launches
-        // kernels; for CPU baselines the report is trivially clean).
-        let session = opts.sanitize.then(gpumem::sim::sanitizer::Session::start);
-        let mut by_record = run_finder(&opts, &reference, &queries)?;
-        if let Some(session) = session {
-            let report = session.finish();
-            eprint!("{report}");
-            if !report.is_clean() {
-                return Err(format!(
-                    "sanitizer detected {} hazard(s)",
-                    report.hazards.len() as u64 + report.suppressed
-                ));
-            }
-        }
-
-        // Variant filtering, per query record (forward-strand
-        // coordinates only; reverse hits are filtered against the
-        // reverse complement implicitly via their reference interval).
-        if opts.mum || opts.rare.is_some() {
-            let max_occ = if opts.mum { 1 } else { opts.rare.unwrap() };
-            for (i, record) in by_record.iter_mut().enumerate() {
-                let filter = VariantFilter::new(&reference, &queries.record_seq(i));
-                let mems: Vec<Mem> = record.hits.iter().map(|h| h.mem).collect();
-                let keep: std::collections::HashSet<Mem> =
-                    filter.rare_matches(&mems, max_occ).into_iter().collect();
-                record.hits.retain(|h| keep.contains(&h.mem));
-            }
-        }
-
-        if opts.stats {
-            let total: usize = by_record.iter().map(|r| r.hits.len()).sum();
-            eprintln!("{} matches (L >= {})", total, opts.min_len);
-        }
-        let name_column = by_record.len() > 1;
-        let mut out = String::new();
-        for record in &by_record {
-            for hit in &record.hits {
-                let strand = match hit.strand {
-                    Strand::Forward => '+',
-                    Strand::Reverse => '-',
-                };
-                out.push_str(&format!(
-                    "{:>10} {:>10} {:>8} {}",
-                    hit.mem.r + 1,
-                    hit.mem.q + 1,
-                    hit.mem.len,
-                    strand
-                ));
-                if name_column {
-                    out.push(' ');
-                    out.push_str(&record.name);
-                }
-                out.push('\n');
-            }
-        }
-        print!("{out}");
-        Ok(())
-    };
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            ExitCode::FAILURE
-        }
-    }
 }

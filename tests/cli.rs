@@ -852,14 +852,17 @@ fn registry_subcommands_round_trip() {
     );
 }
 
-/// Runs the CLI with `args`, expecting a structured refusal of an
-/// out-of-range ℓs: exit status 1 with the configuration error, not a
-/// panic (status 101).
+/// Runs the CLI with `args`, expecting the configuration builder's
+/// structured refusal of an out-of-range ℓs: exit status 1 with its
+/// message and nothing on stdout, not a panic (status 101). A zero ℓs
+/// never gets that far: it is a usage error (see
+/// `every_subcommand_holds_to_the_usage_contract`).
 fn refuse_seed_len(args: &[&str], seed_len: usize) {
     let out = cli().args(args).output().expect("binary runs");
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
     assert!(!err.contains("panicked"), "{args:?}: {err}");
+    assert!(out.stdout.is_empty(), "{args:?} printed output");
     assert!(
         err.contains(&format!("seed length {seed_len} out of range 1..=15")),
         "{args:?}: {err}"
@@ -875,8 +878,8 @@ fn registry_add_refuses_an_out_of_range_seed_len() {
     let _ = std::fs::remove_file(&handles);
     let handles = handles.to_str().unwrap();
     refuse_seed_len(
-        &["registry", "add", handles, "x", &ref_fa, "--seed-len", "0"],
-        0,
+        &["registry", "add", handles, "x", &ref_fa, "--seed-len", "16"],
+        16,
     );
     assert!(
         std::fs::metadata(handles).is_err(),
@@ -889,21 +892,126 @@ fn metrics_export_refuses_an_out_of_range_seed_len() {
     let dir = std::env::temp_dir().join("gpumem-cli-test-metrics-seed-len");
     std::fs::create_dir_all(&dir).unwrap();
     let (ref_fa, query_fa) = write_pair(&dir);
-    for seed_len in [0, 16] {
-        let seed_len_arg = seed_len.to_string();
-        refuse_seed_len(
-            &[
-                "metrics",
-                "export",
-                "--min-len",
-                "20",
-                "--seed-len",
-                &seed_len_arg,
-                &ref_fa,
-                &query_fa,
-            ],
-            seed_len,
-        );
+    refuse_seed_len(
+        &[
+            "metrics",
+            "export",
+            "--min-len",
+            "20",
+            "--seed-len",
+            "16",
+            &ref_fa,
+            &query_fa,
+        ],
+        16,
+    );
+}
+
+/// Every subcommand holds to one usage contract. A usage error exits 2
+/// with `error:` and the usage, before any file is read: the paths do
+/// not exist, so a check the parser missed fails on loading them, with
+/// exit status 1, before any thread or worker starts. `--help` exits 0
+/// with the usage.
+#[test]
+fn every_subcommand_holds_to_the_usage_contract() {
+    let (r, q, h) = (
+        "/nonexistent/ref.fa",
+        "/nonexistent/query.fa",
+        "/nonexistent/handles.tsv",
+    );
+    let usage_errors: &[&[&str]] = &[
+        // Unknown command or flag.
+        &[],
+        &["frobnicate", r, q],
+        &["registry", "frobnicate", h],
+        &["metrics", r, q],
+        &["run", "--frobnicate", r, q],
+        &["registry", "add", h, "x", r, "--frobnicate"],
+        &["registry", "list", h, "--min-len", "20"],
+        &["registry", "evict-stats", h, "--seed-len", "8"],
+        &["metrics", "export", "--tool", "mummer", r, q],
+        &["bench-info", "--frobnicate"],
+        // Missing value.
+        &["run", r, q, "--min-len"],
+        &["registry", "add", h, "x", r, "--seed-len"],
+        &["registry", "evict-stats", h, "--budget"],
+        &["metrics", "export", r, q, "--journal"],
+        &["bench-info", "--min-len"],
+        // Non-numeric count.
+        &["run", "--threads", "four", r, q],
+        &["registry", "add", h, "x", r, "--min-len", "2O"],
+        &["registry", "evict-stats", h, "--rounds", "-1"],
+        &["metrics", "export", "--shards", "1.5", r, q],
+        &["bench-info", "--min-len", "x"],
+        // Zero count.
+        &["run", "--threads", "0", r, q],
+        &["run", "--seed-len", "0", r, q],
+        &["registry", "add", h, "x", r, "--seed-len", "0"],
+        &["registry", "evict-stats", h, "--budget", "0"],
+        &["registry", "evict-stats", h, "--rounds", "0"],
+        &["metrics", "export", "--seed-len", "0", r, q],
+        &["metrics", "export", "--query-threads", "0", r, q],
+        &["bench-info", "--min-len", "0"],
+        // Over the limit.
+        &["run", "--threads", "257", r, q],
+        &["run", "--query-threads", "257", r, q],
+        &["run", "--shards", "257", r, q],
+        &["metrics", "export", "--query-threads", "257", r, q],
+        &["metrics", "export", "--shards", "257", r, q],
+        &["run", "--min-len", "4294967296", r, q],
+        // Unknown choice.
+        &["run", "--tool", "blast", r, q],
+        &["metrics", "export", "--format", "xml", r, q],
+        // Wrong positional count.
+        &["run", r],
+        &["run", r, q, q],
+        &["registry", "add", h, "x"],
+        &["registry", "list"],
+        &["registry", "list", h, h],
+        &["registry", "evict-stats"],
+        &["metrics", "export", r],
+        &["bench-info", "extra"],
+    ];
+    for args in usage_errors {
+        let out = cli().args(*args).output().expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.starts_with("error: "), "{args:?}: {err}");
+        assert!(err.contains("usage: gpumem-cli run"), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} printed output");
+    }
+
+    // The limits are inclusive: these get as far as loading the files.
+    for args in [
+        &["run", "--threads", "256", r, q][..],
+        &["run", "--query-threads", "256", r, q],
+        &["metrics", "export", "--shards", "256", r, q],
+    ] {
+        let out = cli().args(args).output().expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains(&format!("error: {r}: ")), "{args:?}: {err}");
+    }
+
+    for args in [
+        &["--help"][..],
+        &["-h"],
+        &["run", "--help"],
+        &["run", "--tool", "blast", "-h"],
+        &["registry", "--help"],
+        &["registry", "add", "--help"],
+        &["registry", "list", "--help"],
+        &["registry", "evict-stats", h, "--help"],
+        &["metrics", "--help"],
+        &["metrics", "export", "--help"],
+        &["bench-info", "--help"],
+    ] {
+        let out = cli().args(args).output().expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+        assert!(err.starts_with("usage: gpumem-cli run"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} printed output");
     }
 }
 

@@ -114,8 +114,9 @@ fn registry_and_request_api_are_exposed_at_the_root() {
         .unwrap();
     assert_eq!(out.result.mems, plain.mems);
 
-    let plan = ShardPlan::from_row_masses(2, &[1; 8]);
+    let plan = ShardPlan::round_robin(2, 8);
     assert_eq!(plan.n_shards(), 2);
+    assert_eq!(plan.rows(1).collect::<Vec<_>>(), [1, 3, 5, 7]);
     let stats = engine.metrics().registry;
     assert!(stats.attached);
     assert_eq!(stats.references, 1);

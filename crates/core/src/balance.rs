@@ -80,24 +80,10 @@ impl BalanceScratch {
     }
 }
 
-/// Run the assignment for one round. `loads[k]` is the index occurrence
-/// count of the seed at slot `k` (0 for slots without a valid seed).
-/// Allocates a fresh result; hot callers reuse storage via
-/// [`balance_into`].
-pub fn balance(ctx: &mut BlockCtx<'_>, loads: &[u32], enabled: bool) -> Assignment {
-    let mut out = Assignment::default();
-    balance_into(
-        ctx,
-        loads,
-        enabled,
-        &mut BalanceScratch::default(),
-        &mut out,
-    );
-    out
-}
-
-/// [`balance`] into caller-owned storage: `out` is overwritten and
-/// `scratch` provides the working arrays.
+/// Run the assignment for one round into caller-owned storage. `loads[k]`
+/// is the index occurrence count of the seed at slot `k` (0 for slots
+/// without a valid seed); `out` is overwritten and `scratch` provides the
+/// working arrays.
 pub fn balance_into(
     ctx: &mut BlockCtx<'_>,
     loads: &[u32],
@@ -230,7 +216,13 @@ mod tests {
         let device = Device::new(DeviceSpec::test_tiny());
         let mut out = Assignment::default();
         device.launch(LaunchConfig::new(1, loads.len()), "test", |ctx| {
-            out = balance(ctx, &loads, enabled);
+            balance_into(
+                ctx,
+                &loads,
+                enabled,
+                &mut BalanceScratch::default(),
+                &mut out,
+            );
         });
         out
     }
@@ -350,7 +342,8 @@ mod tests {
         let work = |enabled: bool| {
             device
                 .launch(LaunchConfig::new(1, 64), "test", |ctx| {
-                    let a = balance(ctx, &loads, enabled);
+                    let mut a = Assignment::default();
+                    balance_into(ctx, &loads, enabled, &mut BalanceScratch::default(), &mut a);
                     ctx.simt(|lane| {
                         let g = a.group_of_thread[lane.tid];
                         if g == IDLE {
@@ -390,7 +383,7 @@ mod proptests {
             let device = Device::new(DeviceSpec::test_tiny());
             let mut a = Assignment::default();
             device.launch(LaunchConfig::new(1, 32), "test", |ctx| {
-                a = balance(ctx, &loads, enabled);
+                balance_into(ctx, &loads, enabled, &mut BalanceScratch::default(), &mut a);
             });
             let nonempty = loads.iter().filter(|&&l| l > 0).count();
             prop_assert_eq!(a.groups.len(), nonempty);

@@ -34,12 +34,12 @@ use gpumem_seq::{PackedSeq, SeqSet};
 
 use crate::config::GpumemConfig;
 use crate::pipeline::{
-    build_row_index, ensure_fits, ensure_sort_key, gather_rows, row_count, GpumemResult,
-    GpumemStats, Held, IndexBuildReport, RunError, WorkerSet,
+    build_row_index, ensure_fits, ensure_sort_key, gather_rows, row_count, GpumemResult, Held,
+    IndexBuildReport, RunError, WorkerSet,
 };
 use crate::registry::{PinnedSession, Registry, RegistryStats};
 use crate::shard::ShardPlan;
-use crate::telemetry::{Event, EventSink, TelemetryClock, WallClock};
+use crate::telemetry::{emit, Event, EventSink, TelemetryClock, WallClock};
 use crate::tile::Tiling;
 use crate::trace::Trace;
 
@@ -52,7 +52,6 @@ use crate::trace::Trace;
 pub struct RefSession {
     reference: Arc<PackedSeq>,
     config: GpumemConfig,
-    row_regions: Vec<Region>,
     rows: Vec<Mutex<Option<SharedSeedLookup>>>,
     /// Accumulated index-build cost ([`IndexBuildReport::rows`] counts
     /// the rows built).
@@ -75,22 +74,11 @@ impl RefSession {
     ) -> Result<RefSession, RunError> {
         ensure_sort_key(&reference)?;
         ensure_fits(&config, spec)?;
-        let tiling = Tiling::new(config.tile_len(), reference.len(), usize::MAX);
-        let row_regions: Vec<Region> = (0..tiling.n_rows())
-            .map(|row| {
-                let range = tiling.row_range(row);
-                Region {
-                    start: range.start,
-                    len: range.len(),
-                }
-            })
-            .collect();
-        let rows = row_regions.iter().map(|_| Mutex::new(None)).collect();
+        let n_rows = Tiling::new(config.tile_len(), reference.len()).n_rows();
         Ok(RefSession {
             reference,
             config,
-            row_regions,
-            rows,
+            rows: (0..n_rows).map(|_| Mutex::new(None)).collect(),
             build: Mutex::new(IndexBuildReport::default()),
             hits: AtomicU64::new(0),
             resident: AtomicU64::new(0),
@@ -163,9 +151,9 @@ impl RefSession {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return (Arc::clone(index), LaunchStats::default());
         }
+        let region = Tiling::new(self.config.tile_len(), self.reference.len()).row_region(row);
         let t0 = Instant::now();
-        let (index, stats) =
-            build_row_index(device, &self.config, &self.reference, self.row_regions[row]);
+        let (index, stats) = build_row_index(device, &self.config, &self.reference, region);
         let wall = t0.elapsed();
         self.resident
             .fetch_add(index.memory_bytes() as u64, Ordering::Relaxed);
@@ -298,7 +286,9 @@ pub struct IndexCacheStats {
     /// Lookups that had to build (identical to `built`).
     pub misses: u64,
     /// Total wall time queries spent inside row-index acquisition —
-    /// building, or waiting on another query's in-flight build.
+    /// building, or waiting on another query's in-flight build: the sum
+    /// of every request's `GpumemStats::index_wall`, the index stage's
+    /// wall.
     pub build_wait_s: f64,
 }
 
@@ -442,10 +432,10 @@ pub struct RunOptions {
     pub trace: bool,
     /// Also report each query's matching statistics as split over this
     /// many devices (`0`/`1` = no split): one
-    /// [`GpumemStats::shard_matching`] entry per shard, the sum of its
-    /// tile rows' statistics under [`ShardPlan::round_robin`]. The
-    /// query runs on the engine's free workers like any other — see
-    /// [`crate::shard`].
+    /// [`GpumemStats::shard_matching`](crate::GpumemStats::shard_matching)
+    /// entry per shard, the sum of its tile rows' statistics under
+    /// [`ShardPlan::round_robin`]. The query runs on the engine's free
+    /// workers like any other — see [`crate::shard`].
     pub shards: usize,
 }
 
@@ -576,10 +566,7 @@ impl EngineBuilder {
 
     /// Validate and assemble the engine.
     pub fn build(self) -> Result<Engine, RunError> {
-        let telemetry = EngineTelemetry {
-            clock: self.clock.unwrap_or_else(|| Arc::new(WallClock::new())),
-            events: self.events,
-        };
+        let clock = self.clock.unwrap_or_else(|| Arc::new(WallClock));
         let config = self.config.unwrap_or_else(|| {
             GpumemConfig::builder(20)
                 .build()
@@ -601,21 +588,21 @@ impl EngineBuilder {
                 (Arc::new(session), self.spec, None)
             }
         };
-        Ok(Engine::assemble(
+        let n = self.threads.max(1);
+        Ok(Engine {
+            workers: WorkerSet::new(session.config(), Device::new(spec), n),
             session,
-            spec,
-            self.threads,
+            loads: (0..n).map(|_| WorkerLoad::default()).collect(),
+            created_at: clock.now(),
+            latency: Mutex::new(LatencyHistogram::new()),
+            build_wait_ns: AtomicU64::new(0),
+            matching_totals: Mutex::new(LaunchStats::default()),
+            shard_health: Mutex::new(ShardHealth::default()),
             pin,
-            telemetry,
-        ))
+            clock,
+            events: self.events,
+        })
     }
-}
-
-/// The engine's telemetry attachment: the clock behind `uptime_s` and
-/// event timestamps, and the optional journal sink.
-struct EngineTelemetry {
-    clock: Arc<dyn TelemetryClock>,
-    events: Option<Arc<dyn EventSink>>,
 }
 
 /// The serving engine: a [`RefSession`] bound to a set of query
@@ -628,13 +615,17 @@ pub struct Engine {
     /// Clock reading at assembly — `uptime_s` is measured from here.
     created_at: Duration,
     latency: Mutex<LatencyHistogram>,
-    build_wait: Mutex<Duration>,
+    /// The requests' summed `index_wall`, in nanoseconds.
+    build_wait_ns: AtomicU64,
     matching_totals: Mutex<LaunchStats>,
     shard_health: Mutex<ShardHealth>,
     /// The session's pin in the hosting registry, held for the
     /// engine's lifetime.
     pin: Option<PinnedSession>,
-    telemetry: EngineTelemetry,
+    /// The clock behind `uptime_s` and the engine's event timestamps.
+    clock: Arc<dyn TelemetryClock>,
+    /// The journal sink, if any.
+    events: Option<Arc<dyn EventSink>>,
 }
 
 impl Engine {
@@ -649,39 +640,6 @@ impl Engine {
             name: None,
             clock: None,
             events: None,
-        }
-    }
-
-    fn assemble(
-        session: Arc<RefSession>,
-        spec: DeviceSpec,
-        query_threads: usize,
-        pin: Option<PinnedSession>,
-        telemetry: EngineTelemetry,
-    ) -> Engine {
-        let n = query_threads.max(1);
-        let workers = WorkerSet::new(session.config(), Device::new(spec), n);
-        Engine {
-            session,
-            workers,
-            loads: (0..n).map(|_| WorkerLoad::default()).collect(),
-            created_at: telemetry.clock.now(),
-            latency: Mutex::new(LatencyHistogram::new()),
-            build_wait: Mutex::new(Duration::ZERO),
-            matching_totals: Mutex::new(LaunchStats::default()),
-            shard_health: Mutex::new(ShardHealth::default()),
-            pin,
-            telemetry,
-        }
-    }
-
-    /// Emit a journal event. Zero-cost when no sink is attached: the
-    /// event is only built (and the clock only read) after the
-    /// `is-some` branch.
-    fn emit(&self, make: impl FnOnce(f64) -> Event) {
-        if let Some(sink) = &self.telemetry.events {
-            let ts = self.telemetry.clock.now().as_secs_f64();
-            sink.event(&make(ts));
         }
     }
 
@@ -707,18 +665,14 @@ impl Engine {
         self.session.warm(held[0].device)
     }
 
-    /// The session's index of `row`, for a request on `device`. Times
-    /// the acquisition — building a cold row, or waiting on another
-    /// request's in-flight build of the same row — and journals each
-    /// build.
+    /// The session's index of `row`, for a request on `device`,
+    /// journalling each build. The request's index stage times it.
     fn acquire_row(&self, device: &Device, row: usize) -> (SharedSeedLookup, LaunchStats) {
-        let t = Instant::now();
         let out = self.session.row_index(device, row);
-        *self.build_wait.lock() += t.elapsed();
         // A cached row reports default (zero-launch) stats, so
         // launches > 0 is exactly "this call built the index".
         if out.1.launches > 0 {
-            self.emit(|ts| {
+            emit(self.events.as_deref(), &*self.clock, |ts| {
                 Event::new("index_build", ts)
                     .with_u64("row", row as u64)
                     .with_u64("launches", out.1.launches)
@@ -728,30 +682,16 @@ impl Engine {
         out
     }
 
-    /// Emit the `run_end` event carrying the run's stage totals
-    /// (`index + matching`) — by construction the exact sum
-    /// [`Trace::stage_totals`] reports for a traced run, which is what
-    /// lets the journal reconcile against the trace field for field.
-    fn emit_run_end(&self, query: &PackedSeq, stats: &GpumemStats, mems: usize) {
-        self.emit(|ts| {
-            let totals = stats.index.clone() + stats.matching.clone();
-            Event::new("run_end", ts)
-                .with_u64("query_len", query.len() as u64)
-                .with_u64("mems", mems as u64)
-                .with_u64("launches", totals.launches)
-                .with_u64("warp_cycles", totals.warp_cycles)
-                .with_u64("device_cycles", totals.device_cycles)
-                .with_f64("modeled_s", totals.modeled_secs())
-        });
-    }
-
     /// Account one completed query to the latency histogram, the
-    /// workers it `held` (first the one it checked out first), and —
-    /// when registry-hosted — the registry's LRU clock (which also
-    /// enforces the byte budget, charging any rows the query lazily
-    /// built).
-    fn record_query(&self, held: &[Held<'_>], latency: Duration) {
-        let busy = u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX);
+    /// build wait (its `index_wall`), the workers it `held` (first the
+    /// one it checked out first), and — when registry-hosted — the
+    /// registry's LRU clock (which also enforces the byte budget,
+    /// charging any rows the query lazily built).
+    fn record_query(&self, held: &[Held<'_>], latency: Duration, index_wall: Duration) {
+        let nanos = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+        self.build_wait_ns
+            .fetch_add(nanos(index_wall), Ordering::Relaxed);
+        let busy = nanos(latency);
         for (n, worker) in held.iter().enumerate() {
             let load = &self.loads[worker.id];
             load.busy_ns.fetch_add(busy, Ordering::Relaxed);
@@ -804,7 +744,7 @@ impl Engine {
     fn run_query(&self, query: &PackedSeq, opts: &RunOptions) -> RunOutput {
         let config = self.session.config();
         let t0 = Instant::now();
-        self.emit(|ts| {
+        emit(self.events.as_deref(), &*self.clock, |ts| {
             let event = Event::new("run_start", ts).with_u64("query_len", query.len() as u64);
             if opts.shards >= 2 {
                 event.with_u64("shards", opts.shards as u64)
@@ -816,7 +756,7 @@ impl Engine {
         let shards = (opts.shards >= 2).then(|| ShardPlan::round_robin(opts.shards, rows));
         if let Some(plan) = &shards {
             for s in 0..plan.n_shards() {
-                self.emit(|ts| {
+                emit(self.events.as_deref(), &*self.clock, |ts| {
                     Event::new("shard_dispatch", ts)
                         .with_u64("shard", s as u64)
                         .with_u64("rows", plan.rows(s).len() as u64)
@@ -848,9 +788,21 @@ impl Engine {
             self.shard_health.lock().record(&stats.shard_matching);
         }
         *self.matching_totals.lock() += stats.matching.clone();
-        self.record_query(&held, t0.elapsed());
+        self.record_query(&held, t0.elapsed(), stats.index_wall);
         drop(held);
-        self.emit_run_end(query, &stats, mems.len());
+        // The run's stage totals: by construction the exact sum
+        // `Trace::stage_totals` reports for a traced run, so the journal
+        // reconciles against the trace field for field.
+        emit(self.events.as_deref(), &*self.clock, |ts| {
+            let totals = stats.index.clone() + stats.matching.clone();
+            Event::new("run_end", ts)
+                .with_u64("query_len", query.len() as u64)
+                .with_u64("mems", mems.len() as u64)
+                .with_u64("launches", totals.launches)
+                .with_u64("warp_cycles", totals.warp_cycles)
+                .with_u64("device_cycles", totals.device_cycles)
+                .with_f64("modeled_s", totals.modeled_secs())
+        });
         RunOutput {
             result: GpumemResult { mems, stats },
             trace: gathered.trace,
@@ -872,7 +824,6 @@ impl Engine {
     /// a running request.
     pub fn metrics(&self) -> MetricsSnapshot {
         let uptime = self
-            .telemetry
             .clock
             .now()
             .saturating_sub(self.created_at)
@@ -909,7 +860,8 @@ impl Engine {
             built,
             hits: self.session.cache_hits(),
             misses: built,
-            build_wait_s: self.build_wait.lock().as_secs_f64(),
+            build_wait_s: Duration::from_nanos(self.build_wait_ns.load(Ordering::Relaxed))
+                .as_secs_f64(),
         };
         let totals = self.matching_totals.lock().clone();
         let device = DeviceCounters {
@@ -953,6 +905,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::pipeline::Gpumem;
+    use crate::telemetry::MemoryEventSink;
     use crate::trace::SpanCat;
     use gpumem_seq::{naive_mems, FastaRecord, GenomeModel, Mem, MutationModel};
     use rand::rngs::StdRng;
@@ -1422,6 +1375,83 @@ mod tests {
         let after = engine.run(&q).unwrap();
         assert_eq!(after.mems, plain.mems);
         assert_eq!(engine.metrics().queries, 3);
+    }
+
+    #[test]
+    fn request_walls_are_the_sums_of_their_spans() {
+        use crate::pipeline::tests::assert_walls_are_spans;
+        let reference = GenomeModel::mammalian().generate(2_000, 813);
+        let q = GenomeModel::mammalian().generate(1_200, 814);
+        for workers in [1, 2] {
+            let engine = engine_of(&reference, config(16), workers);
+            let mut index_wall = Duration::ZERO;
+            for cold in [true, false] {
+                let out = run_one(&engine, &q, traced());
+                assert_eq!(out.result.stats.index.launches > 0, cold);
+                assert_walls_are_spans(&out.result.stats, out.trace.as_ref().unwrap());
+                index_wall += out.result.stats.index_wall;
+            }
+            // The build wait is the requests' index stage wall.
+            let build_wait_s = engine.metrics().index_cache.build_wait_s;
+            assert_eq!(build_wait_s, index_wall.as_secs_f64());
+        }
+    }
+
+    #[test]
+    fn a_traced_request_and_its_journal_share_one_clock() {
+        let sink = Arc::new(MemoryEventSink::new());
+        let engine = Engine::builder(GenomeModel::mammalian().generate(2_000, 813))
+            .config(config(16))
+            .spec(DeviceSpec::test_tiny())
+            .threads(2)
+            .event_sink(sink.clone())
+            .build()
+            .unwrap();
+        std::thread::sleep(Duration::from_millis(10));
+        let q = GenomeModel::mammalian().generate(1_200, 814);
+        let trace = run_one(&engine, &q, traced()).trace.unwrap();
+        // Microseconds, as the Chrome export writes them.
+        let us = |at: Duration| at.as_secs_f64() * 1e6;
+        let journal = |kind: &str| sink.of_kind(kind)[0].ts_s * 1e6;
+        let (start, end) = (journal("run_start"), journal("run_end"));
+        for span in trace.spans() {
+            let (from, to) = (us(span.start), us(span.start + span.dur));
+            let name = &span.name;
+            assert!(
+                start <= from && to <= end,
+                "{name}: {from}..{to} µs, not in {start}..{end}"
+            );
+        }
+    }
+
+    #[test]
+    fn registry_and_engine_journal_on_one_clock() {
+        let sink = Arc::new(MemoryEventSink::new());
+        let registry = Arc::new(Registry::new(DeviceSpec::test_tiny()));
+        registry.set_event_sink(Some(sink.clone()));
+        std::thread::sleep(Duration::from_millis(10));
+        let engine = Engine::builder(GenomeModel::mammalian().generate(2_000, 842))
+            .config(config(16))
+            .registry(registry)
+            .event_sink(sink.clone())
+            .build()
+            .unwrap();
+        engine
+            .run(&GenomeModel::mammalian().generate(1_200, 843))
+            .unwrap();
+        drop(engine);
+        let events = sink.events();
+        let kinds: Vec<&str> = events.iter().map(|e| e.kind.as_str()).collect();
+        assert_eq!((kinds[0], kinds[kinds.len() - 1]), ("pin", "unpin"));
+        assert!(kinds.contains(&"run_start") && kinds.contains(&"run_end"));
+        for pair in events.windows(2) {
+            assert!(
+                pair[0].ts_s <= pair[1].ts_s,
+                "{:?} then {:?}",
+                pair[0],
+                pair[1]
+            );
+        }
     }
 
     #[test]

@@ -97,7 +97,7 @@ pub fn generate_triplets(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::balance::balance;
+    use crate::balance::{balance_into, Assignment, BalanceScratch};
     use gpu_sim::{Device, DeviceSpec, LaunchConfig};
     use gpumem_index::{build_sequential, Region};
     use gpumem_seq::GenomeModel;
@@ -131,7 +131,9 @@ mod tests {
                 .iter()
                 .map(|c| c.map_or(0, |c| index.occurrences(c) as u32))
                 .collect();
-            let assignment = balance(ctx, &loads, load_balancing);
+            let mut assignment = Assignment::default();
+            let scratch = &mut BalanceScratch::default();
+            balance_into(ctx, &loads, load_balancing, scratch, &mut assignment);
             let mut triplets: Vec<Vec<Mem>> = vec![Vec::new(); tau];
             generate_triplets(
                 ctx,

@@ -6,13 +6,15 @@
 //! fragments (§III-C1), and finally merge the accumulated out-tile
 //! fragments on the host (§III-C2).
 //!
-//! The tile loop itself lives in `run_tile_rows`: it runs the tile rows
+//! The tile loop itself lives in `RowJob::run`: it runs the tile rows
 //! a worker claims on its device, hands every stage's MEMs on as tiles
 //! complete and takes the row index from a caller-supplied provider.
 //! `gather_rows` spreads a run's rows over the workers a `WorkerSet`
 //! checks out, one host thread each, and merges them back into one run;
 //! [`Gpumem::run`] wires it to a fresh per-row build, and engine requests
-//! to a cached [`RefSession`](crate::engine::RefSession).
+//! to a cached [`RefSession`](crate::engine::RefSession). One helper,
+//! `timed`, times every tile row, tile and stage: the walls a run
+//! reports and the spans it traces come from the same clock readings.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -30,6 +32,7 @@ use crate::block::{encode_query_seeds, process_block, BlockOutput, BlockScratch}
 use crate::config::GpumemConfig;
 use crate::expand::Bounds;
 use crate::global::global_merge;
+use crate::telemetry::WallClock;
 use crate::tile::Tiling;
 use crate::tile_run::{merge_tile, TileOutput};
 use crate::trace::{SpanCat, Trace, TraceRecorder};
@@ -250,15 +253,17 @@ pub struct GpumemStats {
     /// Device statistics of the extraction launches (blocks + tile
     /// merges). Table IV reports `matching.modeled_time`.
     pub matching: LaunchStats,
-    /// Host time spent simulating index construction. When a run's tile
-    /// rows are simulated on several host threads (see [`Gpumem::run`]
-    /// and [`Engine::execute`](crate::engine::Engine::execute)), this is
-    /// the sum over the threads, so
-    /// `index_wall + match_wall` may exceed the run's wall time.
+    /// Host time spent simulating index construction: the summed
+    /// duration of the run's `index_build` stage spans, traced or not.
+    /// When a run's tile rows are simulated on several host threads (see
+    /// [`Gpumem::run`] and
+    /// [`Engine::execute`](crate::engine::Engine::execute)), this is the
+    /// sum over the threads, so `index_wall + match_wall` may exceed the
+    /// run's wall time.
     pub index_wall: Duration,
-    /// Host time spent simulating extraction, including the host merge
-    /// and the final canonicalization; summed over threads like
-    /// `index_wall`.
+    /// Host time spent simulating extraction: the summed duration of the
+    /// run's tile spans, its host merge and its final canonicalization;
+    /// summed over threads like `index_wall`.
     pub match_wall: Duration,
     /// Stage result sizes.
     pub counts: StageCounts,
@@ -317,184 +322,34 @@ pub struct GpumemResult {
     pub stats: GpumemStats,
 }
 
-/// The tile loop of one [`gather_rows`] worker: runs every tile of each
-/// tile row `rows` yields, handing each non-empty batch of in-block or in-tile
-/// MEMs to `out` as its stage completes, and leaving the produced
-/// out-tile fragments in `scratch.out_tile` for a later
-/// [`finish_global`]. Returns the rows' statistics and, per row, its
-/// extraction statistics. `query_codes` holds the seed code of every
-/// query position ([`encode_query_seeds`]). Out-tile fragments are per-tile
-/// products — independent of which device runs the tile — so
-/// concatenating the fragments of disjoint row subsets and host-merging
-/// them once reproduces the single-device output exactly.
-fn run_tile_rows(
-    device: &Device,
-    config: &GpumemConfig,
-    reference: &PackedSeq,
-    query: &PackedSeq,
-    query_codes: &[u32],
-    row_index: &RowIndexFn<'_>,
-    scratch: &mut TileScratch,
-    out: &mut dyn FnMut(&[Mem]),
+/// One timed piece of a run: a tile row, a tile, a stage, a worker's
+/// rows or the run itself. Reads the process clock
+/// ([`WallClock`](crate::telemetry::WallClock)) once before `body` and
+/// once after it, adds the difference to `wall` where the piece keeps
+/// one and, only with a recorder attached, records the span of `cat`
+/// that `name` names over the same two readings, with the device
+/// statistics `stats` takes from `body`'s result. So every wall a run
+/// reports is exactly the sum of its spans' durations, and an untraced
+/// run names no span and copies no statistics.
+fn timed<T>(
     trace: Option<&TraceRecorder>,
-    rows: impl Iterator<Item = usize>,
-) -> (GpumemStats, Vec<RowMatching>) {
-    let mut stats = GpumemStats::default();
-    let mut per_row = Vec::new();
-    scratch.out_tile.clear();
-
-    if reference.len() >= config.seed_len && !query.is_empty() {
-        let tiling = Tiling::new(config.tile_len(), reference.len(), query.len());
-        stats.rows = tiling.n_rows();
-        stats.cols = tiling.n_cols();
-
-        for row in rows {
-            debug_assert!(row < tiling.n_rows(), "row {row} out of range");
-            let row_range = tiling.row_range(row);
-            let row_span = trace.map(|t| t.begin(format!("tile_row {row}"), SpanCat::TileRow));
-
-            // Partial index of this row (Algorithm 1, on device).
-            let t0 = Instant::now();
-            let index_span = trace.map(|t| t.begin("index_build", SpanCat::Stage));
-            let (index, istats) = row_index(
-                device,
-                row,
-                Region {
-                    start: row_range.start,
-                    len: row_range.len(),
-                },
-            );
-            if let (Some(t), Some(id)) = (trace, index_span) {
-                t.end_with_stats(id, istats.clone());
-            }
-            stats.index += istats;
-            stats.index_wall += t0.elapsed();
-
-            let mut matching = LaunchStats::default();
-            for col in 0..tiling.n_cols() {
-                let t1 = Instant::now();
-                let tile_span =
-                    trace.map(|t| t.begin(format!("tile ({row},{col})"), SpanCat::Tile));
-
-                // One GPU block per ℓ_tile × ℓ_block slice; every
-                // block appends into the reused accumulator.
-                scratch.blocks_out.in_block.clear();
-                scratch.blocks_out.out_block.clear();
-                let batch_span = trace.map(|t| t.begin("block_batch", SpanCat::Stage));
-                let launch = device.launch(
-                    LaunchConfig::new(config.blocks_per_tile, config.threads_per_block),
-                    "match.blocks",
-                    |ctx| {
-                        let block_q = tiling.block_range(col, ctx.block_id, config.block_width());
-                        process_block(
-                            ctx,
-                            reference,
-                            query,
-                            query_codes,
-                            index.as_ref(),
-                            config,
-                            row_range.clone(),
-                            block_q,
-                            &mut scratch.block,
-                            &mut scratch.blocks_out,
-                        );
-                    },
-                );
-                if let (Some(t), Some(id)) = (trace, batch_span) {
-                    t.end_with_stats(id, launch.clone());
-                }
-                matching += launch;
-
-                stats.counts.in_block += scratch.blocks_out.in_block.len();
-                if !scratch.blocks_out.in_block.is_empty() {
-                    out(&scratch.blocks_out.in_block);
-                }
-                stats.counts.out_block += scratch.blocks_out.out_block.len();
-
-                // Tile merge (§III-C1) as its own kernel.
-                if !scratch.blocks_out.out_block.is_empty() {
-                    let tile_bounds = Bounds {
-                        r: row_range.clone(),
-                        q: tiling.col_range(col),
-                    };
-                    scratch.tile_out.in_tile.clear();
-                    scratch.tile_out.out_tile.clear();
-                    let merge_span = trace.map(|t| t.begin("tile_merge", SpanCat::Stage));
-                    let launch = device.launch(
-                        LaunchConfig::new(1, config.threads_per_block),
-                        "match.tile_merge",
-                        |ctx| {
-                            merge_tile(
-                                ctx,
-                                reference,
-                                query,
-                                &mut scratch.blocks_out.out_block,
-                                &tile_bounds,
-                                config.min_len,
-                                &mut scratch.tile_out,
-                            );
-                        },
-                    );
-                    if let (Some(t), Some(id)) = (trace, merge_span) {
-                        t.end_with_stats(id, launch.clone());
-                    }
-                    matching += launch;
-                    stats.counts.in_tile += scratch.tile_out.in_tile.len();
-                    if !scratch.tile_out.in_tile.is_empty() {
-                        out(&scratch.tile_out.in_tile);
-                    }
-                    scratch
-                        .out_tile
-                        .extend_from_slice(&scratch.tile_out.out_tile);
-                }
-                stats.match_wall += t1.elapsed();
-                if let (Some(t), Some(id)) = (trace, tile_span) {
-                    t.end(id);
-                }
-            }
-            stats.matching += matching.clone();
-            per_row.push((row, matching));
-            if let (Some(t), Some(id)) = (trace, row_span) {
-                t.end(id);
-            }
-        }
+    cat: SpanCat,
+    name: impl FnOnce() -> String,
+    wall: Option<&mut Duration>,
+    body: impl FnOnce() -> T,
+    stats: impl FnOnce(&T) -> Option<LaunchStats>,
+) -> T {
+    let start = WallClock::read();
+    let span = trace.map(|trace| (trace, trace.begin(name(), cat, start)));
+    let out = body();
+    let dur = WallClock::read().saturating_sub(start);
+    if let Some(wall) = wall {
+        *wall += dur;
     }
-
-    (stats, per_row)
-}
-
-/// Host merge of out-tile fragments (§III-C2) — the closing half of
-/// [`gather_rows`], which concatenates every worker's fragments and
-/// merges them once. Its stage span carries no launch: it
-/// runs on the host, so it contributes wall time but nothing to the
-/// launch-stat reconciliation, except `pool_peak_bytes`: the footprint
-/// a gather that reports one device folds its workers' pools into.
-/// Sets `stats.counts.out_tile` and `from_global`, and hands the merged
-/// MEMs to `out`.
-fn finish_global(
-    reference: &PackedSeq,
-    query: &PackedSeq,
-    out_tile: Vec<Mem>,
-    min_len: u32,
-    pool_peak_bytes: u64,
-    out: &mut Vec<Mem>,
-    trace: Option<&TraceRecorder>,
-    stats: &mut GpumemStats,
-) {
-    let t2 = Instant::now();
-    let global_span = trace.map(|t| t.begin("global_merge", SpanCat::Stage));
-    stats.counts.out_tile = out_tile.len();
-    let global = global_merge(reference, query, out_tile, min_len);
-    stats.counts.from_global = global.len();
-    out.extend(global);
-    if let (Some(t), Some(id)) = (trace, global_span) {
-        let gauge = LaunchStats {
-            pool_peak_bytes,
-            ..LaunchStats::default()
-        };
-        t.end_with_stats(id, gauge);
+    if let Some((trace, span)) = span {
+        trace.end(span, dur, stats(&out));
     }
-    stats.match_wall += t2.elapsed();
+    out
 }
 
 /// A tile row and its extraction statistics.
@@ -510,7 +365,7 @@ pub(crate) fn row_count(config: &GpumemConfig, reference: &PackedSeq, query: &Pa
     if reference.len() < config.seed_len || query.is_empty() {
         return 0;
     }
-    Tiling::new(config.tile_len(), reference.len(), query.len()).n_rows()
+    Tiling::new(config.tile_len(), reference.len()).n_rows()
 }
 
 /// The pool footprint one device would have if it had run everything
@@ -533,10 +388,13 @@ struct RowJob<'a> {
     config: &'a GpumemConfig,
     reference: &'a PackedSeq,
     query: &'a PackedSeq,
+    /// The seed code of every query position ([`encode_query_seeds`]).
     query_codes: &'a [u32],
     row_index: &'a RowIndexFn<'a>,
-    /// The run's tile rows.
+    tiling: Tiling,
+    /// The run's tile rows and columns: none when no seed can match.
     n_rows: usize,
+    n_cols: usize,
     /// The next row to claim. The rows below it that no worker has
     /// asked for are the workers' first rows, one each.
     next_row: AtomicUsize,
@@ -562,10 +420,17 @@ impl RowJob<'_> {
             .take_while(move |&row| row < self.n_rows)
     }
 
-    /// Run worker `w`'s rows on `device` with `scratch`, handing MEMs to
-    /// `out` and leaving the out-tile fragments in `scratch`. A
-    /// `recorder` takes the place of the device's own observer, if any,
-    /// until the rows are done.
+    /// The tile loop of worker `w`: runs every tile of each row it
+    /// claims on `device` with `scratch`, handing each non-empty batch
+    /// of in-block or in-tile MEMs to `out` as its stage completes, and
+    /// leaving the out-tile fragments in `scratch.out_tile` for the host
+    /// merge. Returns the rows' statistics and, per row, its extraction
+    /// statistics. Out-tile fragments are per-tile products —
+    /// independent of which device runs the tile — so concatenating the
+    /// fragments of disjoint row subsets and host-merging them once
+    /// reproduces the single-device output exactly. A `recorder` takes
+    /// the place of the device's own observer, if any, until the rows
+    /// are done.
     fn run(
         &self,
         w: usize,
@@ -576,21 +441,48 @@ impl RowJob<'_> {
     ) -> WorkerRun {
         let previous = recorder.map(|recorder| {
             let previous = device.observer();
-            device.set_observer(Some(crate::trace::as_observer(recorder)));
+            device.set_observer(Some(recorder.clone()));
             previous
         });
-        let (stats, rows) = run_tile_rows(
-            device,
-            self.config,
-            self.reference,
-            self.query,
-            self.query_codes,
-            self.row_index,
-            scratch,
-            out,
-            recorder.map(|recorder| &**recorder),
-            self.rows(w),
-        );
+        let trace = recorder.map(|recorder| &**recorder);
+        let mut stats = GpumemStats::default();
+        let mut rows = Vec::new();
+        scratch.out_tile.clear();
+        for row in self.rows(w) {
+            debug_assert!(row < self.n_rows, "row {row} out of range");
+            let row_span = || format!("tile_row {row}");
+            let row_body = || {
+                // Partial index of this row (Algorithm 1, on device).
+                let region = self.tiling.row_region(row);
+                let (index, istats) = timed(
+                    trace,
+                    SpanCat::Stage,
+                    || "index_build".into(),
+                    Some(&mut stats.index_wall),
+                    || (self.row_index)(device, row, region),
+                    |(_, istats)| Some(istats.clone()),
+                );
+                stats.index += istats;
+                let mut matching = LaunchStats::default();
+                for col in 0..self.n_cols {
+                    matching += timed(
+                        trace,
+                        SpanCat::Tile,
+                        || format!("tile ({row},{col})"),
+                        Some(&mut stats.match_wall),
+                        || {
+                            let counts = &mut stats.counts;
+                            self.tile(device, &index, region, col, scratch, out, trace, counts)
+                        },
+                        |_| None,
+                    );
+                }
+                matching
+            };
+            let matching = timed(trace, SpanCat::TileRow, row_span, None, row_body, |_| None);
+            stats.matching += matching.clone();
+            rows.push((row, matching));
+        }
         if let Some(previous) = previous {
             device.set_observer(previous);
         }
@@ -599,6 +491,90 @@ impl RowJob<'_> {
             rows,
             trace: None,
         }
+    }
+
+    /// Tile (`row`, `col`) of `index`'s row `region`: one GPU block per
+    /// `ℓ_tile × ℓ_block` slice, every block appending into the reused
+    /// accumulator, then — if any fragment crossed a block edge — the
+    /// tile merge (§III-C1) as its own kernel. Returns the tile's launch
+    /// statistics.
+    fn tile(
+        &self,
+        device: &Device,
+        index: &SharedSeedLookup,
+        region: Region,
+        col: usize,
+        scratch: &mut TileScratch,
+        out: &mut dyn FnMut(&[Mem]),
+        trace: Option<&TraceRecorder>,
+        counts: &mut StageCounts,
+    ) -> LaunchStats {
+        let (config, reference, query) = (self.config, self.reference, self.query);
+        let row_range = region.start..region.end();
+        scratch.blocks_out.in_block.clear();
+        scratch.blocks_out.out_block.clear();
+        let batch = || {
+            let launch = LaunchConfig::new(config.blocks_per_tile, config.threads_per_block);
+            device.launch(launch, "match.blocks", |ctx| {
+                let block_q =
+                    self.tiling
+                        .block_range(col, ctx.block_id, config.block_width(), query.len());
+                process_block(
+                    ctx,
+                    reference,
+                    query,
+                    self.query_codes,
+                    index.as_ref(),
+                    config,
+                    row_range.clone(),
+                    block_q,
+                    &mut scratch.block,
+                    &mut scratch.blocks_out,
+                );
+            })
+        };
+        let batch_span = || "block_batch".into();
+        let launch_stats = |launch: &LaunchStats| Some(launch.clone());
+        let mut matching = timed(trace, SpanCat::Stage, batch_span, None, batch, launch_stats);
+        counts.in_block += scratch.blocks_out.in_block.len();
+        if !scratch.blocks_out.in_block.is_empty() {
+            out(&scratch.blocks_out.in_block);
+        }
+        counts.out_block += scratch.blocks_out.out_block.len();
+        if scratch.blocks_out.out_block.is_empty() {
+            return matching;
+        }
+
+        let bounds = Bounds {
+            r: row_range.clone(),
+            q: self.tiling.col_range(col, query.len()),
+        };
+        scratch.tile_out.in_tile.clear();
+        scratch.tile_out.out_tile.clear();
+        let merge = || {
+            let launch = LaunchConfig::new(1, config.threads_per_block);
+            device.launch(launch, "match.tile_merge", |ctx| {
+                merge_tile(
+                    ctx,
+                    reference,
+                    query,
+                    &mut scratch.blocks_out.out_block,
+                    &bounds,
+                    config.min_len,
+                    &mut scratch.tile_out,
+                );
+            })
+        };
+        let merge_span = || "tile_merge".into();
+        matching += timed(trace, SpanCat::Stage, merge_span, None, merge, launch_stats);
+        counts.in_tile += scratch.tile_out.in_tile.len();
+        if !scratch.tile_out.in_tile.is_empty() {
+            out(&scratch.tile_out.in_tile);
+        }
+        scratch
+            .out_tile
+            .extend_from_slice(&scratch.tile_out.out_tile);
+        matching
     }
 
     /// [`RowJob::run`] as one worker of several. A traced worker
@@ -613,15 +589,13 @@ impl RowJob<'_> {
         out: &mut dyn FnMut(&[Mem]),
     ) -> WorkerRun {
         let recorder = traced.then(|| Arc::new(TraceRecorder::new(device.spec().warp_size)));
-        let span = recorder
-            .as_ref()
-            .map(|recorder| recorder.begin(format!("worker {w}"), SpanCat::Run));
-        let run = self.run(w, device, scratch, recorder.as_ref(), out);
-        let trace = recorder.zip(span).map(|(recorder, id)| {
-            recorder.end(id);
-            recorder.snapshot()
-        });
-        WorkerRun { trace, ..run }
+        let (trace, name) = (recorder.as_deref(), || format!("worker {w}"));
+        let rows = || self.run(w, device, scratch, recorder.as_ref(), out);
+        let run = timed(trace, SpanCat::Run, name, None, rows, |_| None);
+        WorkerRun {
+            trace: recorder.map(|recorder| recorder.snapshot()),
+            ..run
+        }
     }
 }
 
@@ -675,35 +649,28 @@ pub(crate) fn gather_rows(
 ) -> Gathered {
     let mut query_codes = Vec::new();
     encode_query_seeds(query, config.seed_len, &mut query_codes);
+    let tiling = Tiling::new(config.tile_len(), reference.len());
+    let n_rows = row_count(config, reference, query);
+    let cols = tiling.n_cols(query.len());
     let job = RowJob {
         config,
         reference,
         query,
         query_codes: &query_codes,
         row_index,
-        n_rows: row_count(config, reference, query),
+        n_cols: if n_rows > 0 { cols } else { 0 },
+        tiling,
+        n_rows,
         next_row: AtomicUsize::new(workers.len()),
     };
     let host = traced.then(|| Arc::new(TraceRecorder::new(workers[0].device.spec().warp_size)));
     let mut mems: Vec<Mem> = Vec::new();
-    let mut collect = |batch: &[Mem]| mems.extend_from_slice(batch);
-
-    let (runs, run_span) = if let [worker] = workers {
-        // One worker: the rows run on the calling thread, recorded by
-        // the run's own recorder.
-        let run_span = host.as_ref().map(|host| host.begin(run_span, SpanCat::Run));
-        let run = job.run(
-            0,
-            worker.device,
-            &mut worker.scratch,
-            host.as_ref(),
-            &mut collect,
-        );
-        (vec![run], run_span)
-    } else {
+    // Several workers run their rows before the run's span opens; one
+    // runs them on the calling thread, under it.
+    let spread = (workers.len() > 1).then(|| {
         let (tx, rx) = mpsc::channel::<Vec<Mem>>();
         let (first, rest) = workers.split_first_mut().expect("a worker");
-        let runs: Vec<WorkerRun> = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let spawned: Vec<_> = rest
                 .iter_mut()
                 .zip(1..)
@@ -722,85 +689,82 @@ pub(crate) fn gather_rows(
                 .collect();
             drop(tx);
             let first = job.run_worker(0, first.device, &mut first.scratch, traced, &mut |batch| {
-                collect(batch);
-                for sent in rx.try_iter() {
-                    collect(&sent);
-                }
+                mems.extend_from_slice(batch);
+                mems.extend(rx.try_iter().flatten());
             });
-            for sent in rx {
-                collect(&sent);
-            }
+            mems.extend(rx.iter().flatten());
             let joined = spawned.into_iter().map(|h| {
                 h.join()
                     .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
             });
-            std::iter::once(first).chain(joined).collect()
+            std::iter::once(first).chain(joined).collect::<Vec<_>>()
+        })
+    });
+    let (trace, mut traces) = (host.as_deref(), Vec::new());
+    let gather = || {
+        let runs = spread.unwrap_or_else(|| {
+            let (device, scratch) = (workers[0].device, &mut *workers[0].scratch);
+            let mut collect = |batch: &[Mem]| mems.extend_from_slice(batch);
+            vec![job.run(0, device, scratch, host.as_ref(), &mut collect)]
         });
-        (runs, host.as_ref().map(|h| h.begin(run_span, SpanCat::Run)))
-    };
+        let mut stats = GpumemStats {
+            rows: job.n_rows,
+            cols: job.n_cols,
+            ..GpumemStats::default()
+        };
+        let mut fragments = Vec::new();
+        let mut row_matching = Vec::new();
+        for (run, worker) in runs.into_iter().zip(workers.iter_mut()) {
+            let s = run.stats;
+            stats.index += s.index;
+            stats.matching += s.matching;
+            stats.index_wall += s.index_wall;
+            stats.match_wall += s.match_wall;
+            stats.counts.in_block += s.counts.in_block;
+            stats.counts.out_block += s.counts.out_block;
+            stats.counts.in_tile += s.counts.in_tile;
+            fragments.append(&mut worker.scratch.out_tile);
+            traces.extend(run.trace);
+            row_matching.extend(run.rows);
+        }
+        row_matching.sort_unstable_by_key(|&(row, _)| row);
 
-    let mut stats = GpumemStats::default();
-    let mut fragments = Vec::new();
-    let mut traces = Vec::new();
-    let mut row_matching = Vec::new();
-    for (run, worker) in runs.into_iter().zip(workers.iter_mut()) {
-        let s = run.stats;
-        (stats.rows, stats.cols) = (s.rows, s.cols);
-        stats.index += s.index;
-        stats.matching += s.matching;
-        stats.index_wall += s.index_wall;
-        stats.match_wall += s.match_wall;
-        stats.counts.in_block += s.counts.in_block;
-        stats.counts.out_block += s.counts.out_block;
-        stats.counts.in_tile += s.counts.in_tile;
-        fragments.append(&mut worker.scratch.out_tile);
-        traces.extend(run.trace);
-        row_matching.extend(run.rows);
-    }
-    row_matching.sort_unstable_by_key(|&(row, _)| row);
-
-    let footprint = if stats.index.launches + stats.matching.launches > 0 {
-        let bytes = folded_pool_bytes(pools);
-        for s in [&mut stats.index, &mut stats.matching] {
-            if s.launches > 0 {
-                s.pool_peak_bytes = bytes;
+        // Host merge of the out-tile fragments (§III-C2): it launches
+        // nothing, so its stage span adds wall time but nothing to the
+        // launch-stat reconciliation, but for the folded footprint.
+        let mut footprint = LaunchStats::default();
+        if stats.index.launches + stats.matching.launches > 0 {
+            footprint.pool_peak_bytes = folded_pool_bytes(pools);
+            for s in [&mut stats.index, &mut stats.matching] {
+                if s.launches > 0 {
+                    s.pool_peak_bytes = footprint.pool_peak_bytes;
+                }
             }
         }
-        bytes
-    } else {
-        0
+        stats.counts.out_tile = fragments.len();
+        let merge = || {
+            let global = global_merge(reference, query, fragments, config.min_len);
+            stats.counts.from_global = global.len();
+            mems.extend(global);
+        };
+        let wall = &mut stats.match_wall;
+        let (name, gauge) = (|| "global_merge".into(), |_: &()| Some(footprint));
+        timed(trace, SpanCat::Stage, name, Some(&mut *wall), merge, gauge);
+        // The final sort and dedup: a host-only stage span, launching
+        // nothing.
+        let (name, sort) = (|| "canonicalize".into(), || canonicalize(mems));
+        let mems = timed(trace, SpanCat::Stage, name, Some(wall), sort, |_| None);
+        stats.counts.total = mems.len();
+        (GpumemResult { mems, stats }, row_matching)
     };
-    finish_global(
-        reference,
-        query,
-        fragments,
-        config.min_len,
-        footprint,
-        &mut mems,
-        host.as_deref(),
-        &mut stats,
-    );
-    // The final sort and dedup: a host-only stage span, launching
-    // nothing.
-    let t = Instant::now();
-    let canonical_span = host
-        .as_ref()
-        .map(|h| h.begin("canonicalize", SpanCat::Stage));
-    let mems = canonicalize(mems);
-    if let (Some(h), Some(id)) = (&host, canonical_span) {
-        h.end(id);
-    }
-    stats.match_wall += t.elapsed();
-    stats.counts.total = mems.len();
+    let run_name = || run_span.to_string();
+    let (result, row_matching) = timed(trace, SpanCat::Run, run_name, None, gather, |_| None);
     let trace = host.map(|host| {
-        if let Some(id) = run_span {
-            host.end(id);
-        }
         traces.push(host.snapshot());
         Trace::merge(traces)
     });
     Gathered {
-        result: GpumemResult { mems, stats },
+        result,
         row_matching: row_matching.into_iter().map(|(_, s)| s).collect(),
         trace,
     }
@@ -949,30 +913,15 @@ impl Gpumem {
         &self.workers.devices()[0]
     }
 
-    /// Estimated device bytes for one tile row (see
-    /// [`device_memory_estimate`]).
-    pub fn device_memory_estimate(&self) -> u64 {
-        device_memory_estimate(&self.config)
-    }
-
     /// Build all per-row partial indexes without matching — the Table
     /// III measurement (index generation time).
     pub fn build_index_only(&self, reference: &PackedSeq) -> IndexBuildReport {
-        let tiling = Tiling::new(self.config.tile_len(), reference.len(), usize::MAX);
+        let tiling = Tiling::new(self.config.tile_len(), reference.len());
         let mut stats = LaunchStats::default();
         let start = Instant::now();
         for row in 0..tiling.n_rows() {
-            let range = tiling.row_range(row);
-            let (_, s) = build_row_index(
-                self.device(),
-                &self.config,
-                reference,
-                Region {
-                    start: range.start,
-                    len: range.len(),
-                },
-            );
-            stats += s;
+            let region = tiling.row_region(row);
+            stats += build_row_index(self.device(), &self.config, reference, region).1;
         }
         IndexBuildReport {
             stats,
@@ -1049,6 +998,7 @@ impl Gpumem {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::trace::Span;
     use gpumem_seq::{is_maximal_exact, naive_mems, table2_pairs, GenomeModel};
 
     fn small_gpumem(min_len: u32, seed_len: usize, tau: usize, n_block: usize) -> Gpumem {
@@ -1206,7 +1156,9 @@ pub(crate) mod tests {
             .build()
             .unwrap();
         let compact = Gpumem::with_device(config, Device::new(DeviceSpec::test_tiny()));
-        assert!(compact.device_memory_estimate() * 50 < dense.device_memory_estimate());
+        assert!(
+            device_memory_estimate(compact.config()) * 50 < device_memory_estimate(dense.config())
+        );
     }
 
     #[test]
@@ -1250,7 +1202,7 @@ pub(crate) mod tests {
         let gpumem = Gpumem::with_device(config, Device::new(DeviceSpec::test_tiny()));
         let stats = gpumem.run(&reference, &query).unwrap().stats;
         assert_eq!(stats.index.pool_peak_bytes, 49_676);
-        let estimate = gpumem.device_memory_estimate();
+        let estimate = device_memory_estimate(gpumem.config());
         assert!(estimate >= 49_676, "estimate {estimate}");
         assert!(estimate < 2 * 49_676, "estimate {estimate} is loose");
     }
@@ -1434,6 +1386,21 @@ pub(crate) mod tests {
         .collect()
     }
 
+    /// Asserts that `stats`' walls are exactly the summed durations of
+    /// their spans in `trace`: `index_wall` of the `index_build` stages,
+    /// `match_wall` of the tiles, the host merge and the
+    /// canonicalization.
+    pub(crate) fn assert_walls_are_spans(stats: &GpumemStats, trace: &Trace) {
+        let summed = |of: &dyn Fn(&Span) -> bool| -> Duration {
+            trace.spans().iter().filter(|s| of(s)).map(|s| s.dur).sum()
+        };
+        let host = ["global_merge", "canonicalize"];
+        let matching = summed(&|s| s.cat == SpanCat::Tile || host.contains(&s.name.as_str()));
+        assert_eq!(stats.index_wall, summed(&|s| s.name == "index_build"));
+        assert_eq!(stats.match_wall, matching);
+    }
+
+    /// Also: on any worker count, a traced run's walls are its spans'.
     #[test]
     fn worker_count_changes_no_modeled_figure_or_output() {
         let (reference, query) = smoke_pair();
@@ -1448,6 +1415,7 @@ pub(crate) mod tests {
             let rows = row_count(&config, &reference, &query);
             let expect_plain = render_run(&gpumem(1).run(&reference, &query).unwrap(), None);
             let (traced, trace) = gpumem(1).run_traced(&reference, &query).unwrap();
+            assert_walls_are_spans(&traced.stats, &trace);
             let expect_traced = render_run(&traced, Some(&trace));
             for workers in [2, 3, rows + 1] {
                 let plain = gpumem(workers).run(&reference, &query).unwrap();
@@ -1457,6 +1425,7 @@ pub(crate) mod tests {
                     "{name}: {workers} workers over {rows} rows"
                 );
                 let (traced, trace) = gpumem(workers).run_traced(&reference, &query).unwrap();
+                assert_walls_are_spans(&traced.stats, &trace);
                 assert_eq!(
                     render_run(&traced, Some(&trace)),
                     expect_traced,
@@ -1553,7 +1522,7 @@ pub(crate) mod tests {
             let held = gpumem.workers.checkout(usize::MAX).len();
             let helpers = held as u64 - 1;
             assert!(
-                helpers * gpumem.device_memory_estimate() <= REPLICA_POOL_BUDGET,
+                helpers * device_memory_estimate(gpumem.config()) <= REPLICA_POOL_BUDGET,
                 "ℓs = {seed_len}: {helpers} helpers"
             );
             held
@@ -1803,9 +1772,9 @@ mod proptests {
             let stats = gpumem.run(&reference, &query).unwrap().stats;
             let peak = stats.index.pool_peak_bytes.max(stats.matching.pool_peak_bytes);
             prop_assert!(
-                gpumem.device_memory_estimate() >= peak,
+                device_memory_estimate(gpumem.config()) >= peak,
                 "estimate {} < measured {peak} over {} rows",
-                gpumem.device_memory_estimate(),
+                device_memory_estimate(gpumem.config()),
                 stats.rows
             );
         }

@@ -29,7 +29,7 @@ use gpumem_seq::PackedSeq;
 use crate::config::GpumemConfig;
 use crate::engine::RefSession;
 use crate::pipeline::RunError;
-use crate::telemetry::{Event, EventSink, TelemetryClock, WallClock};
+use crate::telemetry::{emit, Event, EventSink, WallClock};
 
 /// A stable, copyable handle to a registered reference session. Stays
 /// valid across evictions (only [`Registry::remove`] retires it).
@@ -117,10 +117,8 @@ pub struct Registry {
     evictions: AtomicU64,
     peak: AtomicU64,
     /// Journal sink for `evict`/`pin`/`unpin` events (none by default —
-    /// the zero-cost-off contract).
+    /// the zero-cost-off contract), stamped on the process clock.
     events: Mutex<Option<Arc<dyn EventSink>>>,
-    /// Timestamp source for those events, started at registry creation.
-    tele_clock: WallClock,
 }
 
 impl Registry {
@@ -150,35 +148,20 @@ impl Registry {
             evictions: AtomicU64::new(0),
             peak: AtomicU64::new(0),
             events: Mutex::new(None),
-            tele_clock: WallClock::new(),
         }
     }
 
     /// Attach (or detach, with `None`) a journal sink: the registry
-    /// emits `evict`, `pin`, and `unpin` events into it. Eviction
-    /// events fire while the registry lock is held, so sinks must not
-    /// call back into the registry.
+    /// emits `evict`, `pin`, and `unpin` events into it. Events fire
+    /// while the registry holds its sink (and evictions while it holds
+    /// its own lock), so sinks must not call back into the registry.
     pub fn set_event_sink(&self, sink: Option<Arc<dyn EventSink>>) {
         *self.events.lock() = sink;
-    }
-
-    /// Emit a journal event; a single cheap check when no sink is set.
-    fn emit(&self, make: impl FnOnce(f64) -> Event) {
-        let sink = self.events.lock().clone();
-        if let Some(sink) = sink {
-            let ts = self.tele_clock.now().as_secs_f64();
-            sink.event(&make(ts));
-        }
     }
 
     /// The device spec sessions validate against.
     pub fn spec(&self) -> &DeviceSpec {
         &self.spec
-    }
-
-    /// The byte budget (`None` = unbounded).
-    pub fn budget(&self) -> Option<u64> {
-        self.budget
     }
 
     /// Register `(reference, config)` under `name`, or return the
@@ -254,7 +237,7 @@ impl Registry {
         };
         self.touch_locked(&mut inner, handle.0);
         drop(inner);
-        self.emit(|ts| {
+        emit(self.events.lock().as_deref(), &WallClock, |ts| {
             Event::new("pin", ts)
                 .with_u64("handle", handle.0)
                 .with_u64("pins", pins as u64)
@@ -273,7 +256,9 @@ impl Registry {
         }
         self.enforce_locked(&mut inner);
         drop(inner);
-        self.emit(|ts| Event::new("unpin", ts).with_u64("handle", handle.0));
+        emit(self.events.lock().as_deref(), &WallClock, |ts| {
+            Event::new("unpin", ts).with_u64("handle", handle.0)
+        });
     }
 
     /// Refresh `handle`'s recency and enforce the budget — what a bound
@@ -419,7 +404,7 @@ impl Registry {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
                 // Emitted under the registry lock — see
                 // [`Registry::set_event_sink`]'s no-reentrancy contract.
-                self.emit(|ts| {
+                emit(self.events.lock().as_deref(), &WallClock, |ts| {
                     Event::new("evict", ts)
                         .with_u64("handle", id)
                         .with_str("name", &inner.entries[&id].name)

@@ -19,15 +19,22 @@
 //!   [`MemoryEventSink`] for tests;
 //! * [`TelemetryClock`] — the injectable time source
 //!   ([`WallClock`] in production, [`ManualClock`] in golden tests)
-//!   behind `uptime_s` and every event timestamp.
+//!   behind `uptime_s` and the engine's event timestamps.
+//!
+//! [`WallClock`] is the process clock, whose origin every trace span
+//! ([`crate::trace`]) shares too, and the engine and the registry
+//! journal through one `emit` function. So with the default clock a
+//! request's trace, its journal and its registry's events share one
+//! time axis; an injected [`ManualClock`] stamps only the engine's
+//! own events.
 //!
 //! ## Zero-cost when off
 //!
 //! Metrics are rendered by *pulling* from a snapshot at scrape time, so
 //! nothing is recorded for them on the query path beyond the engine's
-//! own counters. The event path checks `Option<Arc<dyn EventSink>>`
-//! before building an [`Event`]; with no sink attached the only cost is
-//! that branch, and the run output and statistics are byte-identical
+//! own counters. `emit` checks for a sink before it reads the clock or
+//! builds an [`Event`]; with no sink attached the only cost is that
+//! branch, and the run output and statistics are byte-identical
 //! (pinned by the `stats_snapshot` and `telemetry` integration tests).
 //!
 //! ## Reconciliation invariant
@@ -42,6 +49,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::Write;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -56,36 +64,29 @@ use crate::registry::RegistryStats;
 // ---------------------------------------------------------------------
 
 /// The time source behind `uptime_s` and event timestamps: a monotonic
-/// duration since the clock's own epoch. Injectable so exposition and
+/// duration since the clock's origin. Injectable so exposition and
 /// journal outputs can be made deterministic in tests.
 pub trait TelemetryClock: Send + Sync {
-    /// Time elapsed since the clock's epoch.
+    /// Time elapsed since the clock's origin.
     fn now(&self) -> Duration;
 }
 
-/// The production clock: wall time since the clock was created.
-pub struct WallClock {
-    epoch: Instant,
-}
+/// The production clock: the process clock, whose origin is its first
+/// reading in the process and which every trace span shares.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct WallClock;
 
 impl WallClock {
-    /// A clock whose epoch is now.
-    pub fn new() -> WallClock {
-        WallClock {
-            epoch: Instant::now(),
-        }
-    }
-}
-
-impl Default for WallClock {
-    fn default() -> WallClock {
-        WallClock::new()
+    /// The process clock's reading.
+    pub(crate) fn read() -> Duration {
+        static ORIGIN: OnceLock<Instant> = OnceLock::new();
+        ORIGIN.get_or_init(Instant::now).elapsed()
     }
 }
 
 impl TelemetryClock for WallClock {
     fn now(&self) -> Duration {
-        self.epoch.elapsed()
+        WallClock::read()
     }
 }
 
@@ -378,6 +379,19 @@ pub trait EventSink: Send + Sync {
     fn event(&self, event: &Event);
 }
 
+/// The one way the engine and the registry journal: only when `sink`
+/// is attached, read `clock` and hand the sink the event `make` builds
+/// at that reading (in seconds).
+pub(crate) fn emit(
+    sink: Option<&dyn EventSink>,
+    clock: &dyn TelemetryClock,
+    make: impl FnOnce(f64) -> Event,
+) {
+    if let Some(sink) = sink {
+        sink.event(&make(clock.now().as_secs_f64()));
+    }
+}
+
 /// An in-memory sink for tests and reconciliation checks.
 #[derive(Default)]
 pub struct MemoryEventSink {
@@ -414,16 +428,18 @@ impl EventSink for MemoryEventSink {
 
 /// A sink that appends one JSON line per event to a writer — the
 /// durable journal. Lines are flushed per event (journals are
-/// low-rate; durability beats batching here).
+/// low-rate; durability beats batching here). The first write or flush
+/// error is kept for [`JsonlEventSink::take_error`], and the sink
+/// writes nothing from then until it is taken.
 pub struct JsonlEventSink {
-    out: Mutex<Box<dyn Write + Send>>,
+    out: Mutex<(Box<dyn Write + Send>, Option<std::io::Error>)>,
 }
 
 impl JsonlEventSink {
     /// Journal into an arbitrary writer.
     pub fn new(writer: Box<dyn Write + Send>) -> JsonlEventSink {
         JsonlEventSink {
-            out: Mutex::new(writer),
+            out: Mutex::new((writer, None)),
         }
     }
 
@@ -432,13 +448,21 @@ impl JsonlEventSink {
         let file = std::fs::File::create(path)?;
         Ok(JsonlEventSink::new(Box::new(std::io::BufWriter::new(file))))
     }
+
+    /// Take the first I/O error the journal met, if any: a caller checks
+    /// once its events are in, and fails rather than lose them unseen.
+    pub fn take_error(&self) -> Option<std::io::Error> {
+        self.out.lock().1.take()
+    }
 }
 
 impl EventSink for JsonlEventSink {
     fn event(&self, event: &Event) {
-        let mut out = self.out.lock();
-        let _ = writeln!(out, "{}", event.to_json_line());
-        let _ = out.flush();
+        let (out, error) = &mut *self.out.lock();
+        if error.is_none() {
+            let written = writeln!(out, "{}", event.to_json_line()).and_then(|()| out.flush());
+            *error = written.err();
+        }
     }
 }
 

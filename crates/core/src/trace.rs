@@ -41,13 +41,21 @@
 //! time of the *simulation* and vary run to run; consumers that need
 //! reproducibility (tests, the bench gate) compare the statistics, not
 //! the timestamps.
+//!
+//! Every span starts on the process clock ([`WallClock`]), which also
+//! stamps the journal, so all traces and a request's journal events
+//! share one time axis. The pipeline takes a span and the stage's wall
+//! in `GpumemStats` from the same two clock readings, so a wall is
+//! exactly the sum of its spans' durations.
 
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
+use gpu_sim::observe::merge_phases;
 use gpu_sim::{LaunchObserver, LaunchRecord, LaunchStats, PhaseStats};
+
+use crate::telemetry::WallClock;
 
 /// Span category (see the module docs for the contract per category).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,7 +87,7 @@ impl SpanCat {
     }
 }
 
-/// One recorded span. `start` is relative to the trace's epoch.
+/// One recorded span.
 #[derive(Clone, Debug)]
 pub struct Span {
     /// Span name (`"run"`, `"tile_row 0"`, `"block_batch"`, …).
@@ -88,7 +96,7 @@ pub struct Span {
     pub cat: SpanCat,
     /// Track this span renders on (0 unless traces were merged).
     pub track: usize,
-    /// Start offset from the trace epoch.
+    /// Start on the process clock ([`WallClock`]).
     pub start: Duration,
     /// Wall duration.
     pub dur: Duration,
@@ -103,68 +111,54 @@ pub struct Span {
 #[derive(Clone, Copy, Debug)]
 pub struct SpanId(usize);
 
-struct RecorderInner {
-    spans: Vec<Span>,
-}
-
 /// Records one run's spans; install on a device (via
-/// `Device::set_observer`) to capture per-launch detail between
-/// [`TraceRecorder::begin`]/[`TraceRecorder::end`] calls.
+/// `Device::set_observer`) to capture per-launch detail between a
+/// [`TraceRecorder::begin`] and its [`TraceRecorder::end`].
 pub struct TraceRecorder {
-    epoch: Instant,
     warp_size: usize,
-    inner: Mutex<RecorderInner>,
+    spans: Mutex<Vec<Span>>,
 }
 
 impl TraceRecorder {
-    /// A recorder with its epoch at "now". `warp_size` is used for
-    /// efficiency ratios in exports.
+    /// An empty recorder. `warp_size` is used for efficiency ratios in
+    /// exports.
     pub fn new(warp_size: usize) -> TraceRecorder {
         TraceRecorder {
-            epoch: Instant::now(),
             warp_size,
-            inner: Mutex::new(RecorderInner { spans: Vec::new() }),
+            spans: Mutex::new(Vec::new()),
         }
     }
 
-    /// Open a span; close it with [`TraceRecorder::end`] (or
-    /// [`TraceRecorder::end_with_stats`] for `Stage` spans).
-    pub fn begin(&self, name: impl Into<String>, cat: SpanCat) -> SpanId {
-        let mut inner = self.inner.lock();
-        let id = inner.spans.len();
-        inner.spans.push(Span {
+    /// Open a span that started at `start` on the process clock
+    /// ([`WallClock`]); close it with [`TraceRecorder::end`]. Spans stay
+    /// in the order they were opened in.
+    pub fn begin(&self, name: impl Into<String>, cat: SpanCat, start: Duration) -> SpanId {
+        let mut spans = self.spans.lock();
+        spans.push(Span {
             name: name.into(),
             cat,
             track: 0,
-            start: self.epoch.elapsed(),
+            start,
             dur: Duration::ZERO,
             stats: None,
             phases: Vec::new(),
         });
-        SpanId(id)
+        SpanId(spans.len() - 1)
     }
 
-    /// Close a span.
-    pub fn end(&self, id: SpanId) {
-        let mut inner = self.inner.lock();
-        let span = &mut inner.spans[id.0];
-        span.dur = self.epoch.elapsed().saturating_sub(span.start);
-    }
-
-    /// Close a span and attach its device statistics.
-    pub fn end_with_stats(&self, id: SpanId, stats: LaunchStats) {
-        let mut inner = self.inner.lock();
-        let span = &mut inner.spans[id.0];
-        span.dur = self.epoch.elapsed().saturating_sub(span.start);
-        span.stats = Some(stats);
+    /// Close a span after `dur`, with its device statistics (exact for
+    /// `Stage` spans) or none.
+    pub fn end(&self, id: SpanId, dur: Duration, stats: Option<LaunchStats>) {
+        let span = &mut self.spans.lock()[id.0];
+        span.dur = dur;
+        span.stats = stats;
     }
 
     /// Snapshot the recorded spans into an exportable [`Trace`].
     pub fn snapshot(&self) -> Trace {
         Trace {
             warp_size: self.warp_size,
-            epoch: self.epoch,
-            spans: self.inner.lock().spans.clone(),
+            spans: self.spans.lock().clone(),
         }
     }
 }
@@ -174,9 +168,8 @@ impl LaunchObserver for TraceRecorder {
     /// callback fires at launch end, so the span is back-dated by the
     /// launch's measured wall time.
     fn on_launch(&self, record: LaunchRecord<'_>) {
-        let now = self.epoch.elapsed();
-        let mut inner = self.inner.lock();
-        inner.spans.push(Span {
+        let now = WallClock::read();
+        self.spans.lock().push(Span {
             name: record.name.to_string(),
             cat: SpanCat::Launch,
             track: 0,
@@ -192,8 +185,6 @@ impl LaunchObserver for TraceRecorder {
 #[derive(Clone, Debug)]
 pub struct Trace {
     warp_size: usize,
-    /// The instant every span's `start` counts from: its recorder's.
-    epoch: Instant,
     spans: Vec<Span>,
 }
 
@@ -222,33 +213,21 @@ impl Trace {
     /// multi-query profiling run). Each input keeps its own tracks,
     /// placed after those of the inputs before it, so a single-track
     /// input takes one track of its own and the workers of a multi-track
-    /// input stay apart. Every input is rebased onto the earliest
-    /// input's epoch, so spans recorded by different recorders share one
-    /// clock.
+    /// input stay apart. Every span already starts on the process clock,
+    /// so starts are kept as recorded.
     pub fn merge(traces: Vec<Trace>) -> Trace {
         let warp_size = traces.first().map_or(32, |t| t.warp_size);
-        let epoch = traces
-            .iter()
-            .map(|t| t.epoch)
-            .min()
-            .unwrap_or_else(Instant::now);
         let mut spans = Vec::new();
         let mut placed = 0;
         for trace in traces {
             let tracks = trace.spans.iter().map(|s| s.track + 1).max().unwrap_or(1);
-            let offset = trace.epoch - epoch;
-            for mut span in trace.spans {
-                span.track += placed;
-                span.start += offset;
-                spans.push(span);
-            }
+            spans.extend(trace.spans.into_iter().map(|span| Span {
+                track: span.track + placed,
+                ..span
+            }));
             placed += tracks;
         }
-        Trace {
-            warp_size,
-            epoch,
-            spans,
-        }
+        Trace { warp_size, spans }
     }
 
     /// Export as Chrome Trace Event JSON (the `traceEvents` array
@@ -322,15 +301,8 @@ impl Trace {
     /// the bench uses this to split modeled match time into
     /// generate/expand/combine.
     pub fn phase_totals(&self) -> Vec<PhaseStats> {
-        let mut phases: Vec<PhaseStats> = Vec::new();
-        for span in &self.spans {
-            for p in &span.phases {
-                match phases.iter_mut().find(|q| q.name == p.name) {
-                    Some(q) => q.merge(p),
-                    None => phases.push(p.clone()),
-                }
-            }
-        }
+        let mut phases = Vec::new();
+        merge_phases(&mut phases, self.spans.iter().flat_map(|s| &s.phases));
         phases.sort_by_key(|p| std::cmp::Reverse(p.warp_cycles));
         phases
     }
@@ -466,12 +438,6 @@ struct EventArgs {
     phase: Option<PhaseStats>,
 }
 
-/// Convenience for an observer installation: recorders are installed as
-/// `Arc<dyn LaunchObserver>`.
-pub(crate) fn as_observer(recorder: &Arc<TraceRecorder>) -> Arc<dyn LaunchObserver> {
-    Arc::clone(recorder) as Arc<dyn LaunchObserver>
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -489,10 +455,11 @@ mod tests {
 
     fn sample_trace() -> Trace {
         let rec = TraceRecorder::new(32);
-        let run = rec.begin("run", SpanCat::Run);
-        let s1 = rec.begin("index_build", SpanCat::Stage);
-        rec.end_with_stats(s1, stage(100));
-        let s2 = rec.begin("block_batch", SpanCat::Stage);
+        let at = |us| Duration::from_micros(us);
+        let run = rec.begin("run", SpanCat::Run, at(10));
+        let s1 = rec.begin("index_build", SpanCat::Stage, at(11));
+        rec.end(s1, at(4), Some(stage(100)));
+        let s2 = rec.begin("block_batch", SpanCat::Stage, at(15));
         rec.on_launch(LaunchRecord {
             name: "match.blocks",
             stats: &stage(40),
@@ -509,8 +476,8 @@ mod tests {
                 },
             ],
         });
-        rec.end_with_stats(s2, stage(40));
-        rec.end(run);
+        rec.end(s2, at(3), Some(stage(40)));
+        rec.end(run, at(9), None);
         rec.snapshot()
     }
 
@@ -583,24 +550,18 @@ mod tests {
     }
 
     #[test]
-    fn merge_rebases_every_input_onto_the_earliest_epoch() {
+    fn merge_keeps_every_recorded_start() {
+        // A launch span starts on the process clock, wherever the other
+        // spans of its trace start.
         let first = sample_trace();
         std::thread::sleep(Duration::from_millis(2));
         let second = sample_trace();
-        let gap = second.epoch - first.epoch;
-        assert!(gap >= Duration::from_millis(2));
         let starts = |t: &Trace| t.spans().iter().map(|s| s.start).collect::<Vec<_>>();
-        let expect: Vec<Duration> = starts(&first)
-            .into_iter()
-            .chain(starts(&second).into_iter().map(|s| s + gap))
-            .collect();
-        // Input order does not matter: the earliest epoch wins.
+        let launch = |t: &Trace| t.spans()[3].start;
+        assert!(launch(&second) >= launch(&first) + Duration::from_millis(2));
+        let expect = [starts(&second), starts(&first)].concat();
         let merged = Trace::merge(vec![second, first]);
-        let mut got = starts(&merged);
-        got.sort();
-        let mut expect = expect;
-        expect.sort();
-        assert_eq!(got, expect);
+        assert_eq!(starts(&merged), expect, "input order, starts unchanged");
     }
 
     #[test]

@@ -22,7 +22,7 @@ use parking_lot::Mutex;
 
 use crate::cost::{CostModel, Op};
 use crate::memory::{Elem, GpuBuf};
-use crate::observe::{LaunchObserver, LaunchRecord, PhaseStats};
+use crate::observe::{merge_phases, LaunchObserver, LaunchRecord, PhaseStats};
 use crate::pool::{BufferPool, Init, PoolClass, Pooled};
 use crate::sanitizer::{AccessKind, SiteCtx};
 use crate::spec::DeviceSpec;
@@ -181,14 +181,7 @@ impl Device {
             kernel(&mut ctx);
             let (out, block_phases) = ctx.finish();
             outs.push(out);
-            // Merge per-block phase rows by name, keeping the order in
-            // which phases were first marked.
-            for p in block_phases {
-                match phases.iter_mut().find(|q| q.name == p.name) {
-                    Some(q) => q.merge(&p),
-                    None => phases.push(p),
-                }
-            }
+            merge_phases(&mut phases, &block_phases);
         }
         let wall = start.elapsed();
         crate::sanitizer::end_launch();

@@ -80,6 +80,23 @@ impl PhaseStats {
     }
 }
 
+/// Fold `more` into `rows` by phase name: a phase `rows` already holds
+/// absorbs the other's counters ([`PhaseStats::merge`]), and a new one
+/// joins at the end, so rows keep the order their phases were first
+/// seen in. A launch folds its blocks' phases this way, and a trace its
+/// launches'.
+pub fn merge_phases<'a>(
+    rows: &mut Vec<PhaseStats>,
+    more: impl IntoIterator<Item = &'a PhaseStats>,
+) {
+    for p in more {
+        match rows.iter_mut().find(|q| q.name == p.name) {
+            Some(q) => q.merge(p),
+            None => rows.push(p.clone()),
+        }
+    }
+}
+
 /// Everything an observer learns about one completed launch. Borrowed:
 /// valid only for the duration of the callback.
 #[derive(Clone, Copy, Debug)]

@@ -15,7 +15,7 @@
 //! * [`generate`] — synthetic genome and reference/query pair generation
 //!   standing in for the real chromosomes of Table II (see DESIGN.md §2
 //!   for why the substitution preserves the workload shape).
-//! * [`stats`] — composition and seed-occurrence statistics (Figure 6).
+//! * [`stats`] — seed-occurrence statistics (Figure 6).
 
 pub mod alphabet;
 pub mod fasta;

@@ -4,41 +4,9 @@
 //! seed-occurrence distribution of real chromosomes (Figure 6): most
 //! seeds occur once, but a heavy tail occurs many times, so a static
 //! thread-per-seed assignment leaves warps imbalanced. This module
-//! computes that histogram plus basic composition statistics.
+//! computes that histogram.
 
 use crate::packed::PackedSeq;
-
-/// Per-base composition counts.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Composition {
-    /// Counts indexed by 2-bit code (A, C, G, T).
-    pub counts: [u64; 4],
-}
-
-impl Composition {
-    /// Count the bases of `seq`.
-    pub fn of(seq: &PackedSeq) -> Composition {
-        let mut counts = [0u64; 4];
-        for i in 0..seq.len() {
-            counts[seq.code(i) as usize] += 1;
-        }
-        Composition { counts }
-    }
-
-    /// Total bases counted.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// GC fraction, or 0 for an empty sequence.
-    pub fn gc_fraction(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        (self.counts[1] + self.counts[2]) as f64 / total as f64
-    }
-}
 
 /// Histogram of seed occurrence counts: entry `(occ, n)` means `n`
 /// distinct seeds appear at exactly `occ` sampled positions.
@@ -93,22 +61,6 @@ pub fn seed_occurrence_histogram(seq: &PackedSeq, seed_len: usize, step: usize) 
 mod tests {
     use super::*;
     use crate::generate::GenomeModel;
-
-    #[test]
-    fn composition_counts_all_bases() {
-        let seq: PackedSeq = "AACCCGGGGT".parse().unwrap();
-        let comp = Composition::of(&seq);
-        assert_eq!(comp.counts, [2, 3, 4, 1]);
-        assert_eq!(comp.total(), 10);
-        assert!((comp.gc_fraction() - 0.7).abs() < 1e-9);
-    }
-
-    #[test]
-    fn composition_of_empty() {
-        let comp = Composition::of(&PackedSeq::from_codes(&[]));
-        assert_eq!(comp.total(), 0);
-        assert_eq!(comp.gc_fraction(), 0.0);
-    }
 
     #[test]
     fn histogram_of_unique_seeds() {

@@ -421,7 +421,7 @@ fn load_reference(path: &str) -> Result<PackedSeq, String> {
 /// and `--query-threads` shape the engine; `--shards`, `--trace` and
 /// `--profile` the request; `--journal` receives its events. Returns
 /// every query's output and the metrics after the batch, or the first
-/// failed query's error.
+/// failed query's error, or the journal's first write error.
 fn serve(
     args: &Args,
     reference: PackedSeq,
@@ -429,20 +429,20 @@ fn serve(
 ) -> Result<(Vec<RunOutput>, MetricsSnapshot), String> {
     let seed_mode = args.text("--seed-mode").unwrap_or("ref");
     let config = cli_config(args.min_len(), args.count("--seed-len"), seed_mode)?;
-    let sink: Option<Arc<dyn EventSink>> = match args.text("--journal") {
+    let journal = match args.text("--journal") {
         Some(path) => Some(Arc::new(
             JsonlEventSink::create(path).map_err(|e| format!("{path}: {e}"))?,
         )),
         None => None,
     };
     let registry = Arc::new(Registry::new(DeviceSpec::tesla_k20c()));
-    registry.set_event_sink(sink.clone());
+    registry.set_event_sink(journal.clone().map(|sink| sink as Arc<dyn EventSink>));
     let mut builder = Engine::builder(reference)
         .config(config)
         .registry(registry)
         .name("cli")
         .threads(args.count("--query-threads").unwrap_or(1));
-    if let Some(sink) = sink {
+    if let Some(sink) = journal.clone() {
         builder = builder.event_sink(sink);
     }
     let engine = builder.build().map_err(|e| e.to_string())?;
@@ -456,7 +456,14 @@ fn serve(
         .zip(&queries.records)
         .map(|(output, span)| output.map_err(|e| format!("query {}: {e}", span.name)))
         .collect::<Result<_, _>>()?;
-    Ok((outputs, engine.metrics()))
+    let metrics = engine.metrics();
+    // Dropping the engine unpins its session: the journal's last event.
+    drop(engine);
+    let error = journal.and_then(|sink| sink.take_error());
+    if let (Some(path), Some(error)) = (args.text("--journal"), error) {
+        return Err(format!("{path}: {error}"));
+    }
+    Ok((outputs, metrics))
 }
 
 /// Forward-strand hits.

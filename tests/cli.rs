@@ -907,6 +907,29 @@ fn metrics_export_refuses_an_out_of_range_seed_len() {
     );
 }
 
+/// A journal that cannot be written fails `metrics export` with the
+/// journal's path and the I/O error (exit 1), and nothing is printed.
+/// Skipped where `/dev/full`, whose every write fails, does not exist.
+#[test]
+fn metrics_export_fails_on_an_unwritable_journal() {
+    if !std::path::Path::new("/dev/full").exists() {
+        eprintln!("skipped: no /dev/full");
+        return;
+    }
+    let dir = std::env::temp_dir().join("gpumem-cli-test-journal-full");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (ref_fa, query_fa) = write_pair(&dir);
+    let out = cli()
+        .args(["metrics", "export", "--min-len", "25", "--seed-len", "8"])
+        .args(["--journal", "/dev/full", &ref_fa, &query_fa])
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.starts_with("error: /dev/full: "), "{err}");
+    assert!(out.stdout.is_empty(), "the exposition was printed");
+}
+
 /// Every subcommand holds to one usage contract. A usage error exits 2
 /// with `error:` and the usage, before any file is read: the paths do
 /// not exist, so a check the parser missed fails on loading them, with

@@ -34,8 +34,8 @@ use gpumem_seq::{PackedSeq, SeqSet};
 
 use crate::config::GpumemConfig;
 use crate::pipeline::{
-    build_row_index, ensure_fits, ensure_sort_key, gather_rows, row_count, GpumemResult, Held,
-    IndexBuildReport, RunError, WorkerSet,
+    build_each, build_row_index, build_rows, ensure_fits, ensure_sort_key, gather_rows, row_count,
+    GpumemResult, Held, IndexBuildReport, RowIndexes, RunError, WorkerSet,
 };
 use crate::registry::{PinnedSession, Registry, RegistryStats};
 use crate::shard::ShardPlan;
@@ -144,7 +144,8 @@ impl RefSession {
     /// This row's index: the cached handle (with zero launch stats), or
     /// a fresh build on `device`, cached for everyone after. Holding
     /// the slot lock across the build means concurrent queries touching
-    /// the same cold row build it exactly once.
+    /// the same cold row build it exactly once. The caller times the
+    /// call and accounts a build ([`RefSession::record_builds`]).
     pub(crate) fn row_index(&self, device: &Device, row: usize) -> (SharedSeedLookup, LaunchStats) {
         let mut slot = self.rows[row].lock();
         if let Some(index) = slot.as_ref() {
@@ -152,25 +153,34 @@ impl RefSession {
             return (Arc::clone(index), LaunchStats::default());
         }
         let region = Tiling::new(self.config.tile_len(), self.reference.len()).row_region(row);
-        let t0 = Instant::now();
         let (index, stats) = build_row_index(device, &self.config, &self.reference, region);
-        let wall = t0.elapsed();
         self.resident
             .fetch_add(index.memory_bytes() as u64, Ordering::Relaxed);
         *slot = Some(Arc::clone(&index));
-        let mut build = self.build.lock();
-        build.stats += stats.clone();
-        build.wall += wall;
-        build.rows += 1;
         (index, stats)
+    }
+
+    /// Account builds of [`RefSession::row_index`]: their statistics,
+    /// the walls their callers' timers read and their row count.
+    pub(crate) fn record_builds(&self, built: &IndexBuildReport) {
+        self.build.lock().absorb(built);
     }
 
     /// Build every row index now (on `device`), so subsequent queries
     /// run with zero index launches.
     pub fn warm(&self, device: &Device) -> IndexBuildReport {
-        for row in 0..self.rows.len() {
-            let _ = self.row_index(device, row);
-        }
+        let built = build_each(0..self.rows.len(), |row| self.row_index(device, row).1);
+        self.record_builds(&built);
+        self.index_report()
+    }
+
+    /// [`RefSession::warm`] on the checked-out `workers`, each claiming
+    /// the next row as a request's workers do. The report stands for
+    /// one device, whose pool footprint the workers' pools fold into.
+    pub(crate) fn warm_on(&self, workers: &mut [Held<'_>]) -> IndexBuildReport {
+        let pools: Vec<&Device> = workers.iter().map(|worker| worker.device).collect();
+        let build = |device: &Device, row: usize| self.row_index(device, row).1;
+        self.record_builds(&build_rows(workers, self.rows.len(), &build, &pools));
         self.index_report()
     }
 
@@ -628,6 +638,30 @@ pub struct Engine {
     events: Option<Arc<dyn EventSink>>,
 }
 
+/// A request's rows come from the engine's session. Each build is
+/// accounted to the session's report with the wall the request's
+/// `index_build` stage read, and journalled.
+impl RowIndexes for Engine {
+    fn index(&self, device: &Device, row: usize, _: Region) -> (SharedSeedLookup, LaunchStats) {
+        self.session.row_index(device, row)
+    }
+
+    fn built(&self, row: usize, stats: &LaunchStats, wall: Duration) {
+        emit(self.events.as_deref(), &*self.clock, |ts| {
+            Event::new("index_build", ts)
+                .with_u64("row", row as u64)
+                .with_u64("launches", stats.launches)
+                .with_f64("modeled_s", stats.modeled_secs())
+        });
+        let stats = stats.clone();
+        self.session.record_builds(&IndexBuildReport {
+            stats,
+            wall,
+            rows: 1,
+        });
+    }
+}
+
 impl Engine {
     /// Start building an engine for `reference` (see [`EngineBuilder`]).
     pub fn builder(reference: impl Into<Arc<PackedSeq>>) -> EngineBuilder {
@@ -659,27 +693,14 @@ impl Engine {
     }
 
     /// Build every row index now, so the first query pays no index
-    /// launches.
+    /// launches. The rows build on the workers free when it is called,
+    /// each claiming the next row as a request's workers do; the report
+    /// is the session's ([`RefSession::index_report`]), its statistics
+    /// what one device would report (but for `pool_allocs`, which each
+    /// device counts for itself). Warming journals nothing.
     pub fn warm(&self) -> IndexBuildReport {
-        let held = self.workers.checkout(1);
-        self.session.warm(held[0].device)
-    }
-
-    /// The session's index of `row`, for a request on `device`,
-    /// journalling each build. The request's index stage times it.
-    fn acquire_row(&self, device: &Device, row: usize) -> (SharedSeedLookup, LaunchStats) {
-        let out = self.session.row_index(device, row);
-        // A cached row reports default (zero-launch) stats, so
-        // launches > 0 is exactly "this call built the index".
-        if out.1.launches > 0 {
-            emit(self.events.as_deref(), &*self.clock, |ts| {
-                Event::new("index_build", ts)
-                    .with_u64("row", row as u64)
-                    .with_u64("launches", out.1.launches)
-                    .with_f64("modeled_s", out.1.modeled_secs())
-            });
-        }
-        out
+        let mut held = self.workers.checkout(self.session.rows());
+        self.session.warm_on(&mut held)
     }
 
     /// Account one completed query to the latency histogram, the
@@ -765,15 +786,13 @@ impl Engine {
         }
         let mut held = self.workers.checkout(rows);
         let pools: Vec<&Device> = held.iter().map(|worker| worker.device).collect();
-        let row_index =
-            |device: &Device, row: usize, _region: Region| self.acquire_row(device, row);
         let gathered = gather_rows(
             &mut held,
             "query",
             config,
             self.session.reference(),
             query,
-            &row_index,
+            self,
             opts.trace,
             &pools,
         );
@@ -1394,6 +1413,91 @@ mod tests {
             // The build wait is the requests' index stage wall.
             let build_wait_s = engine.metrics().index_cache.build_wait_s;
             assert_eq!(build_wait_s, index_wall.as_secs_f64());
+        }
+    }
+
+    /// A cold request times each row build once: the session's build
+    /// wall grows by exactly the request's `index_build` spans that
+    /// built a row, and a warm request adds nothing.
+    #[test]
+    fn a_cold_request_times_each_build_once() {
+        let reference = GenomeModel::mammalian().generate(2_000, 813);
+        let q = GenomeModel::mammalian().generate(1_200, 814);
+        for workers in [1, 2] {
+            let engine = engine_of(&reference, config(16), workers);
+            for cold in [true, false] {
+                let before = engine.session().index_report().wall;
+                let out = run_one(&engine, &q, traced());
+                let builds: Duration = out
+                    .trace
+                    .unwrap()
+                    .spans()
+                    .iter()
+                    .filter(|span| span.name == "index_build")
+                    .filter(|span| span.stats.as_ref().is_some_and(|s| s.launches > 0))
+                    .map(|span| span.dur)
+                    .sum();
+                assert_eq!(builds > Duration::ZERO, cold, "{workers} workers");
+                let grown = engine.session().index_report().wall - before;
+                assert_eq!(grown, builds, "{workers} workers, cold {cold}");
+            }
+        }
+    }
+
+    /// Every location list of a row index, in seed-code order.
+    fn index_contents(index: &dyn gpumem_index::SeedLookup) -> Vec<Vec<u32>> {
+        let codes = 1u32 << (2 * index.seed_len());
+        (0..codes).map(|code| index.lookup(code).to_vec()).collect()
+    }
+
+    #[test]
+    fn warm_on_the_worker_set_builds_every_row_once() {
+        use crate::pipeline::tests::render_launch;
+        let reference = GenomeModel::mammalian().generate(2_500, 815);
+        let compact = GpumemConfig::builder(16)
+            .seed_len(8)
+            .threads_per_block(8)
+            .blocks_per_tile(2)
+            .index_kind(crate::config::IndexKind::CompactDirectory)
+            .build()
+            .unwrap();
+        for cfg in [config(16), compact] {
+            let warm = |workers: usize| {
+                let sink = Arc::new(MemoryEventSink::new());
+                let engine = Engine::builder(reference.clone())
+                    .config(cfg.clone())
+                    .spec(DeviceSpec::test_tiny())
+                    .threads(workers)
+                    .event_sink(sink.clone())
+                    .build()
+                    .unwrap();
+                let report = engine.warm();
+                let session = engine.session();
+                assert_eq!(report.rows, session.rows(), "{workers} workers");
+                assert_eq!(session.built_rows(), session.rows(), "{workers} workers");
+                assert!(sink.events().is_empty(), "warming journals nothing");
+                let busy = engine
+                    .workers
+                    .devices()
+                    .iter()
+                    .filter(|d| !d.pool_classes().is_empty());
+                assert_eq!(
+                    busy.count(),
+                    workers.min(session.rows()),
+                    "every worker built"
+                );
+                let indexes: Vec<Vec<Vec<u32>>> = session
+                    .rows
+                    .iter()
+                    .map(|slot| index_contents(&**slot.lock().as_ref().expect("warmed")))
+                    .collect();
+                (render_launch(&report.stats), indexes)
+            };
+            let one = warm(1);
+            assert!(one.1.len() >= 3, "fixture must span at least three rows");
+            for workers in [2, 3] {
+                assert_eq!(warm(workers), one, "{workers} workers");
+            }
         }
     }
 

@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::{Mutex, MutexGuard};
 
@@ -196,10 +196,20 @@ pub(crate) fn build_row_index(
 pub struct IndexBuildReport {
     /// Device statistics of the index-construction launches.
     pub stats: LaunchStats,
-    /// Wall time spent simulating the builds.
+    /// Wall time spent simulating the builds: the sum of each build's
+    /// one reading, over every worker that built.
     pub wall: Duration,
     /// Number of tile rows whose index was built.
     pub rows: usize,
+}
+
+impl IndexBuildReport {
+    /// Add `built`'s builds to these.
+    pub(crate) fn absorb(&mut self, built: &IndexBuildReport) {
+        self.stats += built.stats.clone();
+        self.wall += built.wall;
+        self.rows += built.rows;
+    }
 }
 
 /// What one worker's tile rows reuse from tile to tile: the block
@@ -331,7 +341,7 @@ pub struct GpumemResult {
 /// statistics `stats` takes from `body`'s result. So every wall a run
 /// reports is exactly the sum of its spans' durations, and an untraced
 /// run names no span and copies no statistics.
-fn timed<T>(
+pub(crate) fn timed<T>(
     trace: Option<&TraceRecorder>,
     cat: SpanCat,
     name: impl FnOnce() -> String,
@@ -355,10 +365,33 @@ fn timed<T>(
 /// A tile row and its extraction statistics.
 type RowMatching = (usize, LaunchStats);
 
-/// A tile row's partial index on a worker's device: built fresh, or
-/// served from a session cache with zero launch stats.
-pub(crate) type RowIndexFn<'a> =
-    dyn Fn(&Device, usize, Region) -> (SharedSeedLookup, LaunchStats) + Sync + 'a;
+/// Where a run's tile rows get their partial indexes.
+pub(crate) trait RowIndexes: Sync {
+    /// Row `row`'s index on a worker's `device`: built fresh, or served
+    /// from a session cache with zero launch stats.
+    fn index(&self, device: &Device, row: usize, region: Region)
+        -> (SharedSeedLookup, LaunchStats);
+
+    /// Told of each [`RowIndexes::index`] call that built a row (one
+    /// that launched): its statistics and the wall its `index_build`
+    /// stage read, the same reading the run's `index_wall` and span
+    /// take.
+    fn built(&self, _row: usize, _stats: &LaunchStats, _wall: Duration) {}
+}
+
+impl<F> RowIndexes for F
+where
+    F: Fn(&Device, usize, Region) -> (SharedSeedLookup, LaunchStats) + Sync,
+{
+    fn index(
+        &self,
+        device: &Device,
+        row: usize,
+        region: Region,
+    ) -> (SharedSeedLookup, LaunchStats) {
+        self(device, row, region)
+    }
+}
 
 /// Tile rows of a run: the reference's, or none when no seed can match.
 pub(crate) fn row_count(config: &GpumemConfig, reference: &PackedSeq, query: &PackedSeq) -> usize {
@@ -382,6 +415,125 @@ fn folded_pool_bytes(devices: &[&Device]) -> u64 {
     most.values().map(PoolClass::bytes).sum()
 }
 
+/// The cursor through which a run's workers claim its tile rows.
+struct RowCursor {
+    n_rows: usize,
+    /// The next row to claim. The rows below it that no worker has
+    /// asked for are the workers' first rows, one each.
+    next: AtomicUsize,
+}
+
+impl RowCursor {
+    /// Rows `0..n_rows` for `workers` workers.
+    fn new(n_rows: usize, workers: usize) -> RowCursor {
+        RowCursor {
+            n_rows,
+            next: AtomicUsize::new(workers),
+        }
+    }
+
+    /// Worker `w`'s tile rows: row `w`, then whichever row is unclaimed
+    /// each time it asks. A worker that starts late holds up its first
+    /// row alone, and the rows it would have reached go to the others.
+    fn rows(&self, w: usize) -> impl Iterator<Item = usize> + '_ {
+        // Relaxed: the cursor publishes no data, and joining the workers
+        // orders their results before the merge.
+        let claim = std::iter::from_fn(move || Some(self.next.fetch_add(1, Ordering::Relaxed)));
+        std::iter::once(w)
+            .chain(claim)
+            .take_while(move |&row| row < self.n_rows)
+    }
+}
+
+/// Runs one body per checked-out worker, on the worker's device and
+/// scratch: worker 0's, `first`, on the calling thread, and worker
+/// `w`'s, which `helper(w)` makes on the calling thread before `first`
+/// starts, on a scoped host thread of its own. `helper` is dropped
+/// before `first` runs, so `first` may wait for what only the helpers
+/// still hold. Returns the bodies' results in worker order; a helper's
+/// panic reaches the caller with its payload.
+fn on_workers<T, H>(
+    workers: &mut [Held<'_>],
+    mut helper: impl FnMut(usize) -> H,
+    first: impl FnOnce(&Device, &mut TileScratch) -> T,
+) -> Vec<T>
+where
+    T: Send,
+    H: FnOnce(&Device, &mut TileScratch) -> T + Send,
+{
+    let (head, rest) = workers.split_first_mut().expect("a worker");
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = rest
+            .iter_mut()
+            .zip(1..)
+            .map(|(worker, w)| {
+                let (body, device, scratch) = (helper(w), worker.device, &mut *worker.scratch);
+                scope.spawn(move || body(device, scratch))
+            })
+            .collect();
+        drop(helper);
+        let first = first(head.device, &mut head.scratch);
+        let joined = spawned.into_iter().map(|h| {
+            h.join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        });
+        std::iter::once(first).chain(joined).collect()
+    })
+}
+
+/// Builds each of `rows` with `build`, reading the clock once at each
+/// end of every build (`timed`): the report holds the builds that
+/// launched, their walls summed. A row served from a cache launches
+/// nothing and is not counted.
+pub(crate) fn build_each(
+    rows: impl Iterator<Item = usize>,
+    build: impl Fn(usize) -> LaunchStats,
+) -> IndexBuildReport {
+    let mut report = IndexBuildReport::default();
+    for row in rows {
+        let mut wall = Duration::ZERO;
+        let stats = timed(
+            None,
+            SpanCat::Stage,
+            String::new,
+            Some(&mut wall),
+            || build(row),
+            |_| None,
+        );
+        if stats.launches > 0 {
+            report.stats += stats;
+            report.wall += wall;
+            report.rows += 1;
+        }
+    }
+    report
+}
+
+/// Builds the indexes of tile rows `0..n_rows` with `build` on the
+/// checked-out `workers`, each claiming the next row through a
+/// [`RowCursor`] ([`on_workers`]), as the rows of a run are. The
+/// workers' reports are summed in worker order; like a run's, they
+/// stand for one device, whose pool footprint is folded from `pools`
+/// ([`folded_pool_bytes`]).
+pub(crate) fn build_rows(
+    workers: &mut [Held<'_>],
+    n_rows: usize,
+    build: &(dyn Fn(&Device, usize) -> LaunchStats + Sync),
+    pools: &[&Device],
+) -> IndexBuildReport {
+    let cursor = RowCursor::new(n_rows, workers.len());
+    let claimed = &|w: usize, device: &Device| build_each(cursor.rows(w), |row| build(device, row));
+    let helper = |w: usize| move |device: &Device, _: &mut TileScratch| claimed(w, device);
+    let mut report = IndexBuildReport::default();
+    for built in on_workers(workers, helper, |device, _| claimed(0, device)) {
+        report.absorb(&built);
+    }
+    if report.stats.launches > 0 {
+        report.stats.pool_peak_bytes = folded_pool_bytes(pools);
+    }
+    report
+}
+
 /// What one run's tile rows share, whichever worker runs them, and the
 /// cursor the workers claim the rows through.
 struct RowJob<'a> {
@@ -390,14 +542,12 @@ struct RowJob<'a> {
     query: &'a PackedSeq,
     /// The seed code of every query position ([`encode_query_seeds`]).
     query_codes: &'a [u32],
-    row_index: &'a RowIndexFn<'a>,
+    row_index: &'a dyn RowIndexes,
     tiling: Tiling,
-    /// The run's tile rows and columns: none when no seed can match.
-    n_rows: usize,
+    /// The run's tile rows, none when no seed can match, and the cursor
+    /// the workers claim them through.
+    cursor: RowCursor,
     n_cols: usize,
-    /// The next row to claim. The rows below it that no worker has
-    /// asked for are the workers' first rows, one each.
-    next_row: AtomicUsize,
 }
 
 /// One worker's share of a gathered run.
@@ -408,18 +558,6 @@ struct WorkerRun {
 }
 
 impl RowJob<'_> {
-    /// Worker `w`'s tile rows: row `w`, then whichever row is unclaimed
-    /// each time it asks. A worker that starts late holds up its first
-    /// row alone, and the rows it would have reached go to the others.
-    fn rows(&self, w: usize) -> impl Iterator<Item = usize> + '_ {
-        // Relaxed: the cursor publishes no data, and joining the workers
-        // orders their results before the merge.
-        let claim = std::iter::from_fn(move || Some(self.next_row.fetch_add(1, Ordering::Relaxed)));
-        std::iter::once(w)
-            .chain(claim)
-            .take_while(move |&row| row < self.n_rows)
-    }
-
     /// The tile loop of worker `w`: runs every tile of each row it
     /// claims on `device` with `scratch`, handing each non-empty batch
     /// of in-block or in-tile MEMs to `out` as its stage completes, and
@@ -448,20 +586,25 @@ impl RowJob<'_> {
         let mut stats = GpumemStats::default();
         let mut rows = Vec::new();
         scratch.out_tile.clear();
-        for row in self.rows(w) {
-            debug_assert!(row < self.n_rows, "row {row} out of range");
+        for row in self.cursor.rows(w) {
+            debug_assert!(row < self.cursor.n_rows, "row {row} out of range");
             let row_span = || format!("tile_row {row}");
             let row_body = || {
                 // Partial index of this row (Algorithm 1, on device).
                 let region = self.tiling.row_region(row);
+                let mut wall = Duration::ZERO;
                 let (index, istats) = timed(
                     trace,
                     SpanCat::Stage,
                     || "index_build".into(),
-                    Some(&mut stats.index_wall),
-                    || (self.row_index)(device, row, region),
+                    Some(&mut wall),
+                    || self.row_index.index(device, row, region),
                     |(_, istats)| Some(istats.clone()),
                 );
+                stats.index_wall += wall;
+                if istats.launches > 0 {
+                    self.row_index.built(row, &istats, wall);
+                }
                 stats.index += istats;
                 let mut matching = LaunchStats::default();
                 for col in 0..self.n_cols {
@@ -643,7 +786,7 @@ pub(crate) fn gather_rows(
     config: &GpumemConfig,
     reference: &PackedSeq,
     query: &PackedSeq,
-    row_index: &RowIndexFn<'_>,
+    row_index: &dyn RowIndexes,
     traced: bool,
     pools: &[&Device],
 ) -> Gathered {
@@ -660,8 +803,7 @@ pub(crate) fn gather_rows(
         row_index,
         n_cols: if n_rows > 0 { cols } else { 0 },
         tiling,
-        n_rows,
-        next_row: AtomicUsize::new(workers.len()),
+        cursor: RowCursor::new(n_rows, workers.len()),
     };
     let host = traced.then(|| Arc::new(TraceRecorder::new(workers[0].device.spec().warp_size)));
     let mut mems: Vec<Mem> = Vec::new();
@@ -669,35 +811,24 @@ pub(crate) fn gather_rows(
     // runs them on the calling thread, under it.
     let spread = (workers.len() > 1).then(|| {
         let (tx, rx) = mpsc::channel::<Vec<Mem>>();
-        let (first, rest) = workers.split_first_mut().expect("a worker");
-        std::thread::scope(|scope| {
-            let spawned: Vec<_> = rest
-                .iter_mut()
-                .zip(1..)
-                .map(|(worker, w)| {
-                    let (job, device, scratch) = (&job, worker.device, &mut *worker.scratch);
-                    let tx = tx.clone();
-                    scope.spawn(move || {
-                        // The receiver only goes away while the caller
-                        // unwinds.
-                        let mut send = |batch: &[Mem]| {
-                            let _ = tx.send(batch.to_vec());
-                        };
-                        job.run_worker(w, device, scratch, traced, &mut send)
-                    })
-                })
-                .collect();
-            drop(tx);
-            let first = job.run_worker(0, first.device, &mut first.scratch, traced, &mut |batch| {
+        let job = &job;
+        let helper = move |w: usize| {
+            let tx = tx.clone();
+            move |device: &Device, scratch: &mut TileScratch| {
+                // The receiver only goes away while the caller unwinds.
+                let mut send = |batch: &[Mem]| {
+                    let _ = tx.send(batch.to_vec());
+                };
+                job.run_worker(w, device, scratch, traced, &mut send)
+            }
+        };
+        on_workers(workers, helper, |device, scratch| {
+            let first = job.run_worker(0, device, scratch, traced, &mut |batch| {
                 mems.extend_from_slice(batch);
                 mems.extend(rx.try_iter().flatten());
             });
             mems.extend(rx.iter().flatten());
-            let joined = spawned.into_iter().map(|h| {
-                h.join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            });
-            std::iter::once(first).chain(joined).collect::<Vec<_>>()
+            first
         })
     });
     let (trace, mut traces) = (host.as_deref(), Vec::new());
@@ -708,7 +839,7 @@ pub(crate) fn gather_rows(
             vec![job.run(0, device, scratch, host.as_ref(), &mut collect)]
         });
         let mut stats = GpumemStats {
-            rows: job.n_rows,
+            rows: job.cursor.n_rows,
             cols: job.n_cols,
             ..GpumemStats::default()
         };
@@ -903,31 +1034,45 @@ impl Gpumem {
         &self.config
     }
 
-    /// The device: the first worker's, and the one
-    /// [`Gpumem::build_index_only`] builds on. A run's other workers
-    /// launch on replicas of it, which report to the device's observer
-    /// for the run, so an observer installed here sees every launch of
-    /// a plain run. A traced run sets it aside for its own recorder and
-    /// puts it back afterwards.
+    /// The device: the first worker's. A run's other workers, and those
+    /// of [`Gpumem::build_index_only`], launch on replicas of it, which
+    /// report to the device's observer meanwhile, so an observer
+    /// installed here sees every launch of a plain run. A traced run
+    /// sets it aside for its own recorder and puts it back afterwards.
     pub fn device(&self) -> &Device {
         &self.workers.devices()[0]
     }
 
     /// Build all per-row partial indexes without matching — the Table
-    /// III measurement (index generation time).
+    /// III measurement (index generation time). The rows build on the
+    /// workers free when it is called, each claiming the next row as a
+    /// run's workers do; the report's statistics are what the device
+    /// alone would report (but for `pool_allocs`, which each device
+    /// counts for itself), and its wall is the builds' summed walls.
     pub fn build_index_only(&self, reference: &PackedSeq) -> IndexBuildReport {
         let tiling = Tiling::new(self.config.tile_len(), reference.len());
-        let mut stats = LaunchStats::default();
-        let start = Instant::now();
-        for row in 0..tiling.n_rows() {
-            let region = tiling.row_region(row);
-            stats += build_row_index(self.device(), &self.config, reference, region).1;
+        let build = |device: &Device, row: usize| {
+            build_row_index(device, &self.config, reference, tiling.row_region(row)).1
+        };
+        let pools: Vec<&Device> = self.workers.devices().iter().collect();
+        let n_rows = tiling.n_rows();
+        self.on_held(n_rows, |held| build_rows(held, n_rows, &build, &pools))
+    }
+
+    /// Checks out the workers free for `rows` tile rows and runs `body`
+    /// on them. The work stands for the device: the replicas report to
+    /// its observer meanwhile.
+    fn on_held<T>(&self, rows: usize, body: impl FnOnce(&mut [Held<'_>]) -> T) -> T {
+        let mut held = self.workers.checkout(rows);
+        let observer = self.device().observer();
+        for worker in held.iter().filter(|worker| worker.id != 0) {
+            worker.device.set_observer(observer.clone());
         }
-        IndexBuildReport {
-            stats,
-            wall: start.elapsed(),
-            rows: tiling.n_rows(),
+        let out = body(&mut held);
+        for worker in held.iter().filter(|worker| worker.id != 0) {
+            worker.device.set_observer(None);
         }
+        out
     }
 
     /// Extract all MEMs of length ≥ L between `reference` and `query`.
@@ -967,31 +1112,24 @@ impl Gpumem {
         ensure_fits(&self.config, self.device().spec())?;
 
         let rows = row_count(&self.config, reference, query);
-        let mut held = self.workers.checkout(rows);
         let row_index = |device: &Device, _row: usize, region: Region| {
             build_row_index(device, &self.config, reference, region)
         };
-        // The run stands for the device: its observer sees every launch,
-        // and its pool would have kept earlier runs' buffers too.
-        let observer = self.device().observer();
-        for worker in held.iter().filter(|worker| worker.id != 0) {
-            worker.device.set_observer(observer.clone());
-        }
+        // The run stands for the device: its pool would have kept
+        // earlier runs' buffers too.
         let pools: Vec<&Device> = self.workers.devices().iter().collect();
-        let gathered = gather_rows(
-            &mut held,
-            "run",
-            &self.config,
-            reference,
-            query,
-            &row_index,
-            traced,
-            &pools,
-        );
-        for worker in held.iter().filter(|worker| worker.id != 0) {
-            worker.device.set_observer(None);
-        }
-        Ok(gathered)
+        Ok(self.on_held(rows, |held| {
+            gather_rows(
+                held,
+                "run",
+                &self.config,
+                reference,
+                query,
+                &row_index,
+                traced,
+                &pools,
+            )
+        }))
     }
 }
 
@@ -1111,6 +1249,46 @@ pub(crate) mod tests {
         assert!(report.stats.launches >= 4 * rows as u64);
         assert!(report.wall > Duration::ZERO);
         assert_eq!(report.rows, rows);
+    }
+
+    /// Built on the worker set, the rows give what one device reports:
+    /// every statistic but `wall_time` and `pool_allocs` (each device
+    /// counts its own fresh buffers), and the rows' count.
+    #[test]
+    fn index_only_build_on_the_worker_set_equals_one_device() {
+        let reference = GenomeModel::uniform().generate(5_000, 405);
+        for kind in [
+            crate::config::IndexKind::DenseTable,
+            crate::config::IndexKind::CompactDirectory,
+        ] {
+            let config = GpumemConfig::builder(20)
+                .seed_len(8)
+                .threads_per_block(8)
+                .blocks_per_tile(2)
+                .index_kind(kind)
+                .build()
+                .unwrap();
+            let build = |workers: usize| {
+                let gpumem = Gpumem::with_workers(
+                    config.clone(),
+                    Device::new(DeviceSpec::test_tiny()),
+                    workers,
+                );
+                let report = gpumem.build_index_only(&reference);
+                let busy = gpumem
+                    .workers
+                    .devices()
+                    .iter()
+                    .filter(|d| !d.pool_classes().is_empty());
+                assert_eq!(busy.count(), workers.min(report.rows), "every worker built");
+                (render_launch(&report.stats), report.rows)
+            };
+            let one = build(1);
+            assert!(one.1 >= 3, "fixture must span at least three rows");
+            for workers in [2, 3] {
+                assert_eq!(build(workers), one, "{kind:?} on {workers} workers");
+            }
+        }
     }
 
     #[test]
@@ -1305,7 +1483,7 @@ pub(crate) mod tests {
     }
 
     /// Every `LaunchStats` field but `wall_time` and `pool_allocs`.
-    fn render_launch(s: &LaunchStats) -> String {
+    pub(crate) fn render_launch(s: &LaunchStats) -> String {
         format!(
             "launches={} blocks={} warps={} warp_cycles={} lane_cycles={} device_cycles={} \
              modeled_ns={} divergence={} atomics={} global={} compares={} \
@@ -1562,7 +1740,7 @@ pub(crate) mod tests {
         config: &GpumemConfig,
         reference: &PackedSeq,
         query: &PackedSeq,
-        row_index: &RowIndexFn<'_>,
+        row_index: &dyn RowIndexes,
     ) -> Gathered {
         let set = WorkerSet::new(config, Device::new(DeviceSpec::test_tiny()), workers);
         let mut held = set.checkout(row_count(config, reference, query));

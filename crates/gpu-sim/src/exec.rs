@@ -256,6 +256,47 @@ pub struct RegionCharge {
     cost: CostModel,
 }
 
+/// How a kernel whose lane charges the host can compute runs
+/// (DESIGN.md §8, "Computing charges").
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Body {
+    /// Every lane runs and every device access goes through a [`Lane`]:
+    /// the path a sanitizer session checks, and the computed body's
+    /// reference.
+    Interpreted,
+    /// The host moves the data in plain loops over the device buffers
+    /// and charges each region from the lane totals it computes
+    /// ([`BlockCtx::simt_computed`]), replaying the charges that depend
+    /// on launch geometry alone.
+    Computed,
+}
+
+impl Body {
+    /// The body a launch made now runs: [`Body::Interpreted`] while a
+    /// sanitizer session is live, since a session checks only accesses
+    /// made through lanes, else [`Body::Computed`]. The same switch
+    /// [`Lane::ld_slice`] makes.
+    pub fn current() -> Body {
+        if crate::sanitizer::enabled() {
+            Body::Interpreted
+        } else {
+            Body::Computed
+        }
+    }
+}
+
+/// The branch path of a lane that has taken no branch yet.
+const PATH_START: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The branch path after decision `taken` on `path`: the one fold both
+/// [`Lane::branch`] and [`LaneCharge::branch`] apply, so a computed
+/// lane's path equals the path the lane would have taken, collisions
+/// included.
+#[inline(always)]
+const fn fold_branch(path: u64, taken: bool) -> u64 {
+    (path ^ taken as u64 ^ 0x9E37).wrapping_mul(0x0000_0100_0000_01B3)
+}
+
 /// What one lane of a computed region charges (see
 /// [`BlockCtx::simt_computed`]): a count per operation class, priced by
 /// the block's cost model, and the id of the branch path the lane took.
@@ -277,10 +318,26 @@ impl LaneCharge {
         }
     }
 
+    /// A lane as it enters a region: nothing charged, no branch taken.
+    /// Built up with [`LaneCharge::branch`], its path is the one the
+    /// lane would have taken running [`Lane::branch`].
+    pub const fn fresh() -> LaneCharge {
+        LaneCharge::on_path(PATH_START)
+    }
+
     /// Add `count` operations of class `op`.
     #[must_use]
     pub const fn with(mut self, op: Op, count: u64) -> LaneCharge {
         self.counts[op as usize] += count;
+        self
+    }
+
+    /// Record a branch decision as [`Lane::branch`] does: one
+    /// [`Op::Branch`], and `taken` folded into the path.
+    #[must_use]
+    pub const fn branch(mut self, taken: bool) -> LaneCharge {
+        self.counts[Op::Branch as usize] += 1;
+        self.path = fold_branch(self.path, taken);
         self
     }
 
@@ -455,7 +512,7 @@ impl<'c> BlockCtx<'c> {
                 region,
                 cost,
                 cycles: 0,
-                branch_signature: 0xcbf2_9ce4_8422_2325,
+                branch_signature: PATH_START,
                 atomic_ops: 0,
                 global_ops: 0,
                 comparisons: 0,
@@ -477,9 +534,12 @@ impl<'c> BlockCtx<'c> {
     /// `charge` is called once per thread, in ascending order, so it may
     /// do the lane's work on the host as it goes.
     ///
-    /// Only for regions that touch no device buffer and whose every lane
-    /// charge is an exact function of data the host holds; the results
-    /// must come from the host. As for a region that ran, the region
+    /// Only for regions whose every lane charge is an exact function of
+    /// data the host holds, and that either touch no device buffer or
+    /// belong to a kernel that moves their data in host loops and runs
+    /// its interpreted body under a live sanitizer session
+    /// ([`Body::current`]); the results must come from the host. As for
+    /// a region that ran, the region
     /// ordinal advances by one and, under an observer, the current phase
     /// is credited; [`BlockCtx::record`] and [`BlockCtx::replay`] treat
     /// the region like any other.
@@ -656,8 +716,7 @@ impl Lane<'_> {
     #[inline(always)]
     pub fn branch(&mut self, taken: bool) -> bool {
         self.charge(Op::Branch, 1);
-        self.branch_signature =
-            (self.branch_signature ^ u64::from(taken) ^ 0x9E37).wrapping_mul(0x0000_0100_0000_01B3);
+        self.branch_signature = fold_branch(self.branch_signature, taken);
         taken
     }
 

@@ -60,7 +60,7 @@ pub mod spec;
 pub mod stats;
 
 pub use cost::{CostModel, Op};
-pub use exec::{BlockCtx, Device, Lane, LaneCharge, LaunchConfig, RegionCharge};
+pub use exec::{BlockCtx, Body, Device, Lane, LaneCharge, LaunchConfig, RegionCharge};
 pub use memory::{Elem, GpuBuf, GpuU32, GpuU64};
 pub use observe::{LaunchObserver, LaunchRecord, PhaseStats};
 pub use pool::{PoolClass, Pooled};

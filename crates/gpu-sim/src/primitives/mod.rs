@@ -22,7 +22,8 @@ pub mod sort;
 
 pub use device_sort::device_sort_u64;
 pub use prefix_sum::{
-    block_exclusive_scan, block_inclusive_scan, device_exclusive_scan, device_scan_sums,
+    block_exclusive_scan, block_inclusive_scan, device_exclusive_scan, device_exclusive_scan_as,
+    device_scan_sums,
 };
 pub use search::{upper_bound_probes, upper_bound_shared};
-pub use sort::{block_bitonic_sort_by_key, lane_sort_bucket};
+pub use sort::{block_bitonic_sort_by_key, lane_sort_bucket, sort_bucket_on_host};

@@ -15,8 +15,21 @@
 //!   The per-block scan of the chunk's thread sums branches only on
 //!   thread id, so it runs on the first chunk of a call and is replayed
 //!   on the others (DESIGN.md §8, "Replaying known charges").
+//!
+//!   The chunk pass (`scan.local`) and the offset pass
+//!   (`scan.add_offsets`) have two bodies ([`Body`]). The interpreted
+//!   one runs every lane through a [`Lane`](crate::Lane), so a live
+//!   sanitizer session checks every access; it is also the reference.
+//!   The computed one, which runs whenever no session is live, scans
+//!   and offsets each chunk in a host loop over the same buffers and
+//!   charges each lane what it would have charged
+//!   ([`BlockCtx::simt_computed`]). A full chunk's charge depends on
+//!   the launch geometry alone, so it is recorded on the first full
+//!   chunk of a launch and replayed on the others (DESIGN.md §8,
+//!   "Computing charges").
 
-use crate::exec::{BlockCtx, Device, LaunchConfig, RegionCharge};
+use crate::cost::Op;
+use crate::exec::{BlockCtx, Body, Device, LaneCharge, LaunchConfig, RegionCharge};
 use crate::memory::GpuU32;
 use crate::primitives::BLOCK_DIM;
 use crate::stats::LaunchStats;
@@ -40,7 +53,7 @@ pub fn block_inclusive_scan(ctx: &mut BlockCtx<'_>, data: &mut [u32], src: &mut 
     while dist < n {
         src.copy_from_slice(data);
         ctx.simt_range(0..n, |lane| {
-            lane.charge(crate::cost::Op::Alu, 1);
+            lane.charge(Op::Alu, 1);
             if lane.branch(lane.tid >= dist) {
                 lane.shared(2);
                 data[lane.tid] = src[lane.tid].wrapping_add(src[lane.tid - dist]);
@@ -70,8 +83,23 @@ pub fn block_exclusive_scan(ctx: &mut BlockCtx<'_>, data: &mut [u32]) {
     });
 }
 
+/// Exclusive scan of `vals` on the host, wrapping like the device;
+/// returns their total.
+fn host_exclusive_scan(vals: &mut [u32]) -> u32 {
+    let mut acc = 0u32;
+    for v in vals {
+        let sum = *v;
+        *v = acc;
+        acc = acc.wrapping_add(sum);
+    }
+    acc
+}
+
 /// Elements scanned by one block of the device-wide scan.
 const SCAN_CHUNK: usize = 4096;
+
+/// Elements each of a scan block's threads loads and stores.
+const PER_THREAD: usize = SCAN_CHUNK.div_ceil(BLOCK_DIM);
 
 /// Element counts of the chunk-sum buffers [`device_exclusive_scan`]
 /// takes from the device's pool to scan `n` elements, one per level of
@@ -92,23 +120,40 @@ pub fn device_scan_sums(mut n: usize) -> Vec<usize> {
 
 /// In-place device-wide **exclusive** scan of a global buffer:
 /// `buf[i] ← Σ_{j<i} buf[j]`. Returns the accumulated launch stats of
-/// all passes. This is `GPUPrefixSum(ptrs)` from Algorithm 1.
+/// all passes. This is `GPUPrefixSum(ptrs)` from Algorithm 1, run as
+/// [`Body::current`] says.
 pub fn device_exclusive_scan(device: &Device, buf: &GpuU32) -> LaunchStats {
+    device_exclusive_scan_as(device, buf, Body::current())
+}
+
+/// [`device_exclusive_scan`] with its `scan.local` and
+/// `scan.add_offsets` passes run as `body`. Both bodies leave the same
+/// buffer and charge the same statistics: the computed one scans each
+/// chunk in a host loop and charges every lane what it would have
+/// charged, replaying a full chunk's charge from the first full chunk
+/// of the launch.
+pub fn device_exclusive_scan_as(device: &Device, buf: &GpuU32, body: Body) -> LaunchStats {
     let n = buf.len();
     if n == 0 {
         return LaunchStats::default();
     }
     let n_chunks = n.div_ceil(SCAN_CHUNK);
     let sums = device.alloc::<u32>(n_chunks, "scan.sums");
-    const PER_THREAD: usize = SCAN_CHUNK.div_ceil(BLOCK_DIM);
+    // Chunk `b` starts at `b · SCAN_CHUNK` and holds `m` elements, of
+    // which thread `tid` loads and stores `lane_len(tid, m)`.
+    let chunk_len = |b: usize| (n - b * SCAN_CHUNK).min(SCAN_CHUNK);
+    let lane_len = |tid: usize, m: usize| m.saturating_sub(tid * PER_THREAD).min(PER_THREAD) as u64;
 
     // Per-block shared-memory scratch, hoisted out of the launch: blocks
     // execute one after another (see `exec` docs), so one buffer serves
     // every block without a per-block allocation. Each block fully
     // overwrites `local` before reading it. Next to it, the recorded
-    // charge of the block scan over `local`.
+    // charge of the block scan over `local`, the computed body's chunk
+    // of host values and the charge of a full chunk.
     let mut local = vec![0u32; BLOCK_DIM];
     let mut scan_charge = None::<RegionCharge>;
+    let mut chunk = Vec::new();
+    let mut full_chunk = None::<RegionCharge>;
 
     // Pass 1: each block exclusively scans its chunk and records the
     // chunk total.
@@ -117,8 +162,41 @@ pub fn device_exclusive_scan(device: &Device, buf: &GpuU32) -> LaunchStats {
         "scan.local",
         |ctx| {
             let chunk_start = ctx.block_id * SCAN_CHUNK;
-            let chunk_end = (chunk_start + SCAN_CHUNK).min(n);
-            let m = chunk_end - chunk_start;
+            let m = chunk_len(ctx.block_id);
+            if body == Body::Computed {
+                let mut charge = |ctx: &mut BlockCtx<'_>| {
+                    ctx.simt_computed(0..BLOCK_DIM, |tid| {
+                        LaneCharge::fresh()
+                            .with(Op::GlobalLoad, lane_len(tid, m))
+                            .with(Op::Shared, 1)
+                    });
+                    let _ = ctx.replay_or_record(&mut scan_charge, |ctx| {
+                        block_exclusive_scan(ctx, &mut local)
+                    });
+                    let last_lane = (m - 1) / PER_THREAD;
+                    ctx.simt_computed(0..BLOCK_DIM, |tid| {
+                        let k = lane_len(tid, m);
+                        let lane = LaneCharge::fresh()
+                            .with(Op::Shared, 1)
+                            .with(Op::GlobalLoad, k)
+                            .with(Op::GlobalStore, k)
+                            .branch(tid == last_lane);
+                        lane.with(Op::GlobalStore, u64::from(tid == last_lane))
+                    });
+                };
+                if m == SCAN_CHUNK {
+                    let _ = ctx.replay_or_record(&mut full_chunk, charge);
+                } else {
+                    charge(ctx);
+                }
+                chunk.resize(m, 0);
+                buf.load_range(chunk_start, &mut chunk);
+                let total = host_exclusive_scan(&mut chunk);
+                buf.store_range(chunk_start, &chunk);
+                sums.store(ctx.block_id, total);
+                return;
+            }
+            let chunk_end = chunk_start + m;
             ctx.simt(|lane| {
                 let lo = chunk_start + lane.tid * PER_THREAD;
                 let hi = (lo + PER_THREAD).min(chunk_end);
@@ -134,14 +212,9 @@ pub fn device_exclusive_scan(device: &Device, buf: &GpuU32) -> LaunchStats {
             if !ctx.replay_or_record(&mut scan_charge, |ctx| {
                 block_exclusive_scan(ctx, &mut local)
             }) {
-                let mut acc = 0u32;
-                for v in local.iter_mut() {
-                    let sum = *v;
-                    *v = acc;
-                    acc = acc.wrapping_add(sum);
-                }
+                host_exclusive_scan(&mut local);
             }
-            let last_lane = (m.saturating_sub(1)) / PER_THREAD;
+            let last_lane = (m - 1) / PER_THREAD;
             let block_id = ctx.block_id;
             ctx.simt(|lane| {
                 let lo = chunk_start + lane.tid * PER_THREAD;
@@ -166,16 +239,41 @@ pub fn device_exclusive_scan(device: &Device, buf: &GpuU32) -> LaunchStats {
 
     // Pass 2: scan the chunk totals (recursive; depth is logarithmic).
     if n_chunks > 1 {
-        stats += device_exclusive_scan(device, &sums);
+        stats += device_exclusive_scan_as(device, &sums, body);
 
         // Pass 3: add each chunk's offset to its elements.
+        let mut full_chunk = None::<RegionCharge>;
         stats += device.launch(
             LaunchConfig::new(n_chunks, BLOCK_DIM),
             "scan.add_offsets",
             |ctx| {
                 let chunk_start = ctx.block_id * SCAN_CHUNK;
-                let chunk_end = (chunk_start + SCAN_CHUNK).min(n);
+                let m = chunk_len(ctx.block_id);
                 let block_id = ctx.block_id;
+                if body == Body::Computed {
+                    let charge = |ctx: &mut BlockCtx<'_>| {
+                        ctx.simt_computed(0..BLOCK_DIM, |tid| {
+                            let k = lane_len(tid, m);
+                            LaneCharge::fresh()
+                                .with(Op::GlobalLoad, 1 + k)
+                                .with(Op::GlobalStore, k)
+                        });
+                    };
+                    if m == SCAN_CHUNK {
+                        let _ = ctx.replay_or_record(&mut full_chunk, charge);
+                    } else {
+                        charge(ctx);
+                    }
+                    let offset = sums.load(block_id);
+                    chunk.resize(m, 0);
+                    buf.load_range(chunk_start, &mut chunk);
+                    for v in &mut chunk {
+                        *v = v.wrapping_add(offset);
+                    }
+                    buf.store_range(chunk_start, &chunk);
+                    return;
+                }
+                let chunk_end = chunk_start + m;
                 ctx.simt(|lane| {
                     let offset = lane.ld(&sums, block_id);
                     let lo = chunk_start + lane.tid * PER_THREAD;

@@ -2,12 +2,13 @@
 //!
 //! Algorithm 1 step 4 assigns *one thread per seed* to sort that seed's
 //! bucket of the `locs` array ([`lane_sort_bucket`] — buckets are short,
-//! so insertion sort is what a real kernel would run). §III-C1 sorts a
+//! so insertion sort is what a real kernel would run;
+//! [`sort_bucket_on_host`] is its host twin for computed charges). §III-C1 sorts a
 //! block's out-block MEMs by `(r − q, q)` with a parallel in-block sort
 //! ([`block_bitonic_sort_by_key`]).
 
 use crate::cost::Op;
-use crate::exec::{BlockCtx, Lane};
+use crate::exec::{BlockCtx, Lane, LaneCharge};
 use crate::memory::GpuU32;
 
 /// Insertion-sort the global-memory range `[start, end)` of `buf`,
@@ -27,6 +28,34 @@ pub fn lane_sort_bucket(lane: &mut Lane<'_>, buf: &GpuU32, start: usize, end: us
         }
         lane.st(buf, j, value);
     }
+}
+
+/// The host twin of [`lane_sort_bucket`]: insertion-sorts `bucket`
+/// exactly as the lane would, and adds to `lane` the loads, compares and
+/// stores the lane would have charged sorting it in place.
+pub fn sort_bucket_on_host(bucket: &mut [u32], lane: LaneCharge) -> LaneCharge {
+    let (mut loads, mut compares, mut stores) = (0u64, 0u64, 0u64);
+    for i in 1..bucket.len() {
+        let value = bucket[i];
+        loads += 1;
+        let mut j = i;
+        while j > 0 {
+            let prev = bucket[j - 1];
+            loads += 1;
+            compares += 1;
+            if prev <= value {
+                break;
+            }
+            bucket[j] = prev;
+            stores += 1;
+            j -= 1;
+        }
+        bucket[j] = value;
+        stores += 1;
+    }
+    lane.with(Op::GlobalLoad, loads)
+        .with(Op::Compare, compares)
+        .with(Op::GlobalStore, stores)
 }
 
 /// In-place ascending bitonic sort of a shared-memory array by `key`,
@@ -135,6 +164,36 @@ mod tests {
         let mut expect = input;
         expect.sort_unstable();
         assert_eq!(buf.to_vec(), expect);
+    }
+
+    #[test]
+    fn host_twin_sorts_and_charges_like_the_lane() {
+        let device = device();
+        let mut rng = StdRng::seed_from_u64(5);
+        for len in [0usize, 1, 2, 3, 17, 64] {
+            for sorted in [false, true] {
+                let mut input: Vec<u32> = (0..len).map(|_| rng.gen_range(0..20)).collect();
+                if sorted {
+                    input.sort_unstable();
+                }
+                let buf = GpuU32::from_slice(&input);
+                let lanes = device.launch(LaunchConfig::new(1, 1), "test", |ctx| {
+                    ctx.simt(|lane| lane_sort_bucket(lane, &buf, 0, len));
+                });
+                let mut host = input.clone();
+                let computed = device.launch(LaunchConfig::new(1, 1), "test", |ctx| {
+                    ctx.simt_computed(0..1, |_| {
+                        sort_bucket_on_host(&mut host, LaneCharge::fresh())
+                    });
+                });
+                assert_eq!(host, buf.to_vec(), "len {len}");
+                let without_wall = |s: crate::LaunchStats| crate::LaunchStats {
+                    wall_time: Default::default(),
+                    ..s
+                };
+                assert_eq!(without_wall(computed), without_wall(lanes), "len {len}");
+            }
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod seed;
 pub mod sparsify;
 
 pub use build_cpu::build_sequential;
-pub use build_gpu::build_gpu;
+pub use build_gpu::{build_gpu, build_gpu_as};
 pub use compact::{build_compact_gpu, build_compact_sequential, CompactSeedIndex};
 pub use index::{Region, SeedIndex};
 pub use lookup::{SeedLookup, SharedSeedLookup};

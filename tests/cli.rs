@@ -870,6 +870,28 @@ fn refuse_seed_len(args: &[&str], seed_len: usize) {
 }
 
 #[test]
+fn registry_evict_stats_warms_a_reference_shorter_than_a_seed() {
+    let dir = std::env::temp_dir().join("gpumem-cli-test-registry-short");
+    std::fs::create_dir_all(&dir).unwrap();
+    let short = dir.join("short.fa");
+    std::fs::write(&short, ">short\nACGTA\n").unwrap();
+    let handles = dir.join("handles.tsv");
+    let _ = std::fs::remove_file(&handles);
+    let handles = handles.to_str().unwrap();
+    let run = |args: &[&str]| {
+        let out = cli().args(args).output().expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let short = short.to_str().unwrap();
+    let args = ["registry", "add", handles, "x", short, "--min-len", "20"];
+    run(&[&args[..], &["--seed-len", "8"]].concat());
+    let stats = run(&["registry", "evict-stats", handles]);
+    assert!(stats.contains("\"evictions\": 0"), "{stats}");
+}
+
+#[test]
 fn registry_add_refuses_an_out_of_range_seed_len() {
     let dir = std::env::temp_dir().join("gpumem-cli-test-registry-seed-len");
     std::fs::create_dir_all(&dir).unwrap();

@@ -16,6 +16,13 @@
 //! * The device-wide scan replays its block scan on every chunk after
 //!   the first and still matches the host scan, and a sanitized index
 //!   build over a many-chunk `ptrs` table stays hazard-free.
+//! * Algorithm 1's per-seed kernels — the scan's two passes, the cursor
+//!   copy and the bucket sorts — build the same index and charge the
+//!   same statistics computed as interpreted, on random, homopolymer and
+//!   repeat references at every ℓs from 1 to 9, over empty, interior
+//!   and tail rows. Both bodies are called directly: whether a sanitizer
+//!   session is live is process-wide, so no test can count on the body
+//!   `build_gpu` picks.
 
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
@@ -25,11 +32,14 @@ use gpumem::core::balance::{balance_into, Assignment, BalanceScratch, GroupAssig
 use gpumem::core::block::{encode_query_seeds, process_block, BlockOutput, BlockScratch};
 use gpumem::core::combine::{tree_combine_scheduled, CombineScratch};
 use gpumem::core::GpumemConfig;
-use gpumem::index::{build_compact_sequential, build_gpu, build_sequential, Region, SeedLookup};
+use gpumem::index::{
+    build_compact_sequential, build_gpu, build_gpu_as, build_sequential, Region, SeedIndex,
+    SeedLookup,
+};
 use gpumem::seq::{GenomeModel, Mem, MutationModel, PackedSeq};
-use gpumem::sim::primitives::device_exclusive_scan;
+use gpumem::sim::primitives::{device_exclusive_scan, device_exclusive_scan_as};
 use gpumem::sim::{
-    sanitizer, BlockCtx, CostModel, Device, DeviceSpec, GpuU32, LaunchConfig, LaunchObserver,
+    sanitizer, BlockCtx, Body, CostModel, Device, DeviceSpec, GpuU32, LaunchConfig, LaunchObserver,
     LaunchRecord, LaunchStats, Op, PhaseStats, RegionCharge,
 };
 use proptest::prelude::*;
@@ -495,6 +505,104 @@ fn device_scan_matches_the_host_and_index_builds_stay_hazard_free() {
         index,
         build_sequential(&reference, Region::whole(&reference), 7, 2)
     );
+}
+
+/// `build_gpu_as` under `body` on a fresh device, so that both bodies
+/// start from an empty pool: the index and every counter but wall.
+fn index_build(
+    seq: &PackedSeq,
+    region: Region,
+    seed_len: usize,
+    step: usize,
+    body: Body,
+) -> (SeedIndex, LaunchStats) {
+    let (index, stats) = build_gpu_as(&tiny(), seq, region, seed_len, step, body);
+    (index, without_wall(stats))
+}
+
+/// The three references the index kernels are drawn on: uniform random
+/// bases, a homopolymer (one bucket holds every location) and a
+/// period-3 repeat (three buckets do).
+fn index_references(len: usize, seed: u64) -> [(&'static str, PackedSeq); 3] {
+    let repeat: Vec<u8> = (0..len).map(|i| [0, 1, 3][i % 3]).collect();
+    [
+        ("random", GenomeModel::uniform().generate(len, seed)),
+        ("homopolymer", PackedSeq::from_codes(&vec![2; len])),
+        ("repeat", PackedSeq::from_codes(&repeat)),
+    ]
+}
+
+#[test]
+fn computed_scan_matches_the_interpreted_reference() {
+    let mut rng = StdRng::seed_from_u64(26);
+    for n in [1usize, 4095, 4096, 4097, 16385, 65537] {
+        let input: Vec<u32> = (0..n).map(|_| rng.gen_range(0..1_000)).collect();
+        let scan = |body: Body| {
+            let buf = GpuU32::from_slice(&input);
+            let stats = device_exclusive_scan_as(&tiny(), &buf, body);
+            (buf.to_vec(), without_wall(stats))
+        };
+        assert_eq!(scan(Body::Computed), scan(Body::Interpreted), "n={n}");
+    }
+}
+
+/// Every ℓs from 1 to 9 on each reference, over the whole sequence, an
+/// empty row, an interior row and the tail row, at two steps.
+#[test]
+fn computed_index_kernels_match_the_interpreted_references() {
+    for (name, seq) in index_references(3_000, 27) {
+        let len = seq.len();
+        for seed_len in 1..=9 {
+            for step in [1, 7] {
+                for region in [
+                    Region::whole(&seq),
+                    Region { start: 0, len: 0 },
+                    Region {
+                        start: 1_000,
+                        len: 900,
+                    },
+                    Region {
+                        start: len - 450,
+                        len: 450,
+                    },
+                ] {
+                    let run = |body| index_build(&seq, region, seed_len, step, body);
+                    let (index, stats) = run(Body::Computed);
+                    let context = format!("{name}, ℓs {seed_len}, step {step}, {region:?}");
+                    assert_eq!(
+                        index,
+                        build_sequential(&seq, region, seed_len, step),
+                        "{context}"
+                    );
+                    assert_eq!((index, stats), run(Body::Interpreted), "{context}");
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Drawn references, seed lengths, steps and rows — sequences
+    /// shorter than a seed among them — build the same index and
+    /// charge the same statistics computed as interpreted.
+    #[test]
+    fn computed_index_builds_match_interpreted_on_drawn_rows(
+        kind in 0usize..3,
+        len in 0usize..2_500,
+        seed_len in 1usize..=9,
+        step in 1usize..40,
+        start in 0usize..2_500,
+        row_len in 0usize..2_500,
+        content in 0u64..1_000,
+    ) {
+        let (name, seq) = index_references(len, content)[kind].clone();
+        let start = start.min(len);
+        let region = Region { start, len: row_len.min(len - start) };
+        let run = |body| index_build(&seq, region, seed_len, step, body);
+        prop_assert_eq!(run(Body::Computed), run(Body::Interpreted), "{} {:?}", name, region);
+    }
 }
 
 proptest! {

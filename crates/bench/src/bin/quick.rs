@@ -1,6 +1,6 @@
 //! Quick end-to-end pipeline benchmark — the tracked perf baseline.
 //!
-//! Runs five scenarios on seeded datasets, identical on every machine
+//! Runs four scenarios on seeded datasets, identical on every machine
 //! and every run, and writes one report, `results/BENCH_pipeline.json`
 //! (gitignored), with one object each:
 //!
@@ -13,8 +13,7 @@
 //!   versus one request to a fresh `Engine`;
 //! * `seedmode_l{25,100,300}` — `SeedMode::RefOnly` against copMEM-style
 //!   `SeedMode::DualSampled`; `modeled_ratio` is ref over dual;
-//! * `registry` — zipf-skewed traffic under a byte budget;
-//! * `sharded` — the smoke pair split across [`SHARD_COUNT`] devices.
+//! * `registry` — zipf-skewed traffic under a byte budget.
 //!
 //! Modeled device time is asserted identical across runs and under
 //! tracing: the simulator is deterministic, and host-side work must
@@ -35,7 +34,7 @@ use std::time::Instant;
 
 use gpu_sim::{Device, DeviceSpec};
 use gpumem_core::{
-    Engine, Gpumem, GpumemConfig, GpumemStats, Registry, RunOptions, RunRequest, SeedMode, Trace,
+    Engine, Gpumem, GpumemConfig, GpumemStats, Registry, RunRequest, SeedMode, Trace,
 };
 use gpumem_index::max_coprime_steps;
 use gpumem_seq::{FastaRecord, GenomeModel, MutationModel, PackedSeq, SeqSet};
@@ -73,9 +72,6 @@ const REGISTRY_REFS: usize = 6;
 const REGISTRY_REF_LEN: usize = 12_000;
 const REGISTRY_TOUCHES: usize = 60;
 
-/// Sharded scenario: the smoke pair's rows split across N modeled devices.
-const SHARD_COUNT: usize = 4;
-
 /// Name endings of the fields the host times (every `*wall_s`, the
 /// rates) or that depend on its worker count (`pool_allocs`): they vary
 /// from run to run, so the check compares none of them exactly. Every
@@ -108,7 +104,6 @@ struct Report {
     seedmode_l100: SeedModeAblation,
     seedmode_l300: SeedModeAblation,
     registry: RegistryChurn,
-    sharded: Sharded,
 }
 
 #[derive(Serialize)]
@@ -180,19 +175,6 @@ struct RegistryChurn {
     peak_resident_bytes: u64,
     resident_bytes: u64,
     wall_s: f64,
-}
-
-/// `modeled_ratio` is single-device modeled match time over the slowest
-/// shard's: the modeled multi-device speedup.
-#[derive(Serialize)]
-struct Sharded {
-    shards: usize,
-    single_modeled_match_s: f64,
-    max_shard_modeled_match_s: f64,
-    modeled_ratio: f64,
-    single_wall_s: f64,
-    sharded_wall_s: f64,
-    mems: usize,
 }
 
 /// `x` rounded to `places` decimals, exactly as `{:.places$}` writes it.
@@ -455,43 +437,6 @@ fn measure_registry(config: &GpumemConfig) -> RegistryChurn {
     }
 }
 
-fn measure_sharded(reference: &PackedSeq, query: &PackedSeq, config: &GpumemConfig) -> Sharded {
-    let engine = engine(reference, config);
-    let (single_wall_s, single) = timed(|| engine.run(query).expect("quick workload fits"));
-    let options = RunOptions {
-        shards: SHARD_COUNT,
-        ..RunOptions::default()
-    };
-    let (sharded_wall_s, mut sharded) =
-        timed(|| engine.execute(&RunRequest::query(query).options(options)));
-    let sharded = sharded
-        .pop()
-        .expect("one query yields one output")
-        .expect("quick workload fits");
-
-    assert_eq!(
-        single.mems, sharded.result.mems,
-        "sharded MEM set must be byte-identical to single-device"
-    );
-    let single_modeled = single.stats.matching.modeled_secs();
-    let max_shard_modeled = sharded
-        .result
-        .stats
-        .shard_matching
-        .iter()
-        .map(|s| s.modeled_secs())
-        .fold(0.0f64, f64::max);
-    Sharded {
-        shards: SHARD_COUNT,
-        single_modeled_match_s: fixed(single_modeled, 6),
-        max_shard_modeled_match_s: fixed(max_shard_modeled, 6),
-        modeled_ratio: fixed(single_modeled / max_shard_modeled, 2),
-        single_wall_s: fixed(single_wall_s, 4),
-        sharded_wall_s: fixed(sharded_wall_s, 4),
-        mems: single.mems.len(),
-    }
-}
-
 /// Every leaf of `value`, by dotted path under `path`.
 fn leaves(value: &Value, path: &str, out: &mut BTreeMap<String, Value>) {
     let Some(members) = value.as_object() else {
@@ -612,7 +557,6 @@ fn main() {
         seedmode_l100,
         seedmode_l300,
         registry: measure_registry(&config),
-        sharded: measure_sharded(&reference, &query, &config),
     };
     let json = serde::json::to_string_pretty(&report) + "\n";
 
@@ -652,7 +596,7 @@ mod tests {
 
     /// The report's modeled and count fields (modeled times and ratios,
     /// device counters, launch, MEM, index-launch and registry counts).
-    const MODELED: [&str; 41] = [
+    const MODELED: [&str; 37] = [
         "current.modeled_index_s",
         "current.modeled_match_s",
         "current.modeled_generate_s",
@@ -690,10 +634,6 @@ mod tests {
         "registry.evictions",
         "registry.peak_resident_bytes",
         "registry.resident_bytes",
-        "sharded.single_modeled_match_s",
-        "sharded.max_shard_modeled_match_s",
-        "sharded.modeled_ratio",
-        "sharded.mems",
     ];
 
     fn baseline() -> Value {
@@ -748,9 +688,9 @@ mod tests {
 
     #[test]
     fn the_tracked_baseline_agrees_with_itself() {
-        // The 41 modeled fields, the schema, the 9 dataset fields and the
-        // scenarios' 8 fixed sizes.
-        assert_eq!(check(&baseline(), Some(BASELINE)), Ok(59));
+        // The 37 modeled fields, the schema, the 9 dataset fields and the
+        // scenarios' 7 fixed sizes.
+        assert_eq!(check(&baseline(), Some(BASELINE)), Ok(54));
     }
 
     #[test]
@@ -787,14 +727,14 @@ mod tests {
     #[test]
     fn a_field_missing_from_either_side_fails() {
         assert_eq!(
-            failures(&edited("sharded.shards", None), BASELINE),
-            ["sharded.shards is missing from the fresh report"]
+            failures(&edited("registry.touches", None), BASELINE),
+            ["registry.touches is missing from the fresh report"]
         );
-        let committed = BASELINE.replacen("    \"shards\": 4,\n", "", 1);
+        let committed = BASELINE.replacen("    \"touches\": 60,\n", "", 1);
         assert_ne!(committed, BASELINE);
         assert_eq!(
             failures(&baseline(), &committed),
-            ["sharded.shards is missing from the committed baseline"]
+            ["registry.touches is missing from the committed baseline"]
         );
     }
 
@@ -827,16 +767,15 @@ mod tests {
             ("batch.speedup_qps", 0.1),
             ("seedmode_l25.ref_wall_s", 10.0),
             ("registry.wall_s", 10.0),
-            ("sharded.sharded_wall_s", 10.0),
         ] {
             assert_eq!(
                 check(&scaled(path, factor), Some(BASELINE)),
-                Ok(59),
+                Ok(54),
                 "{path}"
             );
         }
         let allocs = edited("current.pool_allocs", Some(Value::Number(7.0)));
-        assert_eq!(check(&allocs, Some(BASELINE)), Ok(59));
+        assert_eq!(check(&allocs, Some(BASELINE)), Ok(54));
     }
 
     #[test]

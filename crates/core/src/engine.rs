@@ -19,8 +19,8 @@
 //!   spread over the set without contending on scratch.
 //!
 //! [`Engine::execute`] is the one request path — one query or a set,
-//! traced or not, with or without a modeled shard split — and
-//! [`Engine::run`] its default-options shorthand for one query.
+//! traced or not — and [`Engine::run`] its default-options shorthand
+//! for one query.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -38,7 +38,6 @@ use crate::pipeline::{
     GpumemResult, Held, IndexBuildReport, RowIndexes, RunError, WorkerSet,
 };
 use crate::registry::{PinnedSession, Registry, RegistryStats};
-use crate::shard::ShardPlan;
 use crate::telemetry::{emit, Event, EventSink, TelemetryClock, WallClock};
 use crate::tile::Tiling;
 use crate::trace::Trace;
@@ -332,58 +331,12 @@ pub struct DeviceCounters {
     pub busiest_block_cycles: u64,
 }
 
-/// Health of the engine's modeled shard split: how the last sharded
-/// request's modeled matching time split across shards, with the
-/// max/mean imbalance ratio as a first-class gauge (1.0 = perfectly
-/// balanced).
-#[derive(Clone, Debug, Default, serde::Serialize)]
-pub struct ShardHealth {
-    /// Queries served by a multi-shard run so far.
-    pub sharded_runs: u64,
-    /// Shard count of the most recent sharded run.
-    pub shards: u64,
-    /// Per-shard modeled matching seconds of the most recent sharded
-    /// run, in shard order.
-    pub last_modeled_s: Vec<f64>,
-    /// Slowest shard's modeled seconds (the sharded critical path).
-    pub max_modeled_s: f64,
-    /// Mean per-shard modeled seconds.
-    pub mean_modeled_s: f64,
-    /// `max_modeled_s / mean_modeled_s` — 1.0 means a perfectly even
-    /// split (or a zero-mean run, where there is nothing to be
-    /// imbalanced about). 0.0 until the first sharded run, so
-    /// dashboards can tell "no data" from "balanced".
-    pub imbalance: f64,
-}
-
-impl ShardHealth {
-    /// Fold one sharded request's per-shard matching stats in.
-    fn record(&mut self, shard_matching: &[LaunchStats]) {
-        self.sharded_runs += 1;
-        self.shards = shard_matching.len() as u64;
-        self.last_modeled_s = shard_matching
-            .iter()
-            .map(LaunchStats::modeled_secs)
-            .collect();
-        self.max_modeled_s = self.last_modeled_s.iter().copied().fold(0.0, f64::max);
-        self.mean_modeled_s = if self.last_modeled_s.is_empty() {
-            0.0
-        } else {
-            self.last_modeled_s.iter().sum::<f64>() / self.last_modeled_s.len() as f64
-        };
-        self.imbalance = if self.mean_modeled_s > 0.0 {
-            self.max_modeled_s / self.mean_modeled_s
-        } else {
-            1.0
-        };
-    }
-}
-
 /// A point-in-time export of the engine's serving metrics, obtained
-/// from [`Engine::metrics`]; serializes directly to JSON. The unified
-/// exposition formats ([`crate::telemetry::render_prometheus`] /
-/// [`crate::telemetry::render_json`]) are derived from this snapshot,
-/// so everything here is scrapeable.
+/// from [`Engine::metrics`]. It serializes directly to JSON, the one
+/// JSON form of the metrics (what `gpumem-cli run --metrics` writes);
+/// the Prometheus exposition
+/// ([`crate::telemetry::render_prometheus`]) is derived from it, so
+/// everything here is scrapeable.
 #[derive(Clone, Debug, serde::Serialize)]
 pub struct MetricsSnapshot {
     /// Seconds since the engine was created, on the engine's
@@ -406,8 +359,6 @@ pub struct MetricsSnapshot {
     /// Counters of the registry this engine is bound to (all-zero with
     /// `attached: false` for a registry-less engine).
     pub registry: RegistryStats,
-    /// Sharded-execution health (zeroed until a sharded run happens).
-    pub shards: ShardHealth,
 }
 
 /// What to run: one query or a whole batch, borrowed into a
@@ -432,20 +383,20 @@ impl<'a> From<&'a SeqSet> for Queries<'a> {
     }
 }
 
-/// Per-request knobs of [`Engine::execute`]. Neither changes the MEM
-/// set or a modeled statistic of the run; a different configuration,
-/// seed mode included, is a different engine (or registry entry).
+/// Per-request knobs of [`Engine::execute`]. None changes the MEM set
+/// or a modeled statistic of the run; a different configuration, seed
+/// mode included, is a different engine (or registry entry).
 #[derive(Clone, Debug, Default)]
 pub struct RunOptions {
     /// Record a [`Trace`] for each query (returned in
-    /// [`RunOutput::trace`]).
+    /// [`RunOutput::trace`]). Each `TileRow` span of the trace carries
+    /// its row's matching statistics, from which any split of the rows
+    /// over devices sums offline.
     pub trace: bool,
-    /// Also report each query's matching statistics as split over this
-    /// many devices (`0`/`1` = no split): one
-    /// [`GpumemStats::shard_matching`](crate::GpumemStats::shard_matching)
-    /// entry per shard, the sum of its tile rows' statistics under
-    /// [`ShardPlan::round_robin`]. The query runs on the engine's free
-    /// workers like any other — see [`crate::shard`].
+    /// Ignored. It once reported the matching statistics as split over
+    /// this many devices; a traced request's `TileRow` spans now carry
+    /// each row's statistics instead.
+    #[deprecated(note = "ignored: sum a traced request's `TileRow` span statistics instead")]
     pub shards: usize,
 }
 
@@ -563,8 +514,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Attach a journal sink: the engine emits `run_start`/`run_end`,
-    /// `index_build` and `shard_dispatch` events into it.
+    /// Attach a journal sink: the engine emits `run_start`/`run_end`
+    /// and `index_build` events into it.
     /// With no sink attached the event path is a single branch — runs
     /// are byte-identical to a sink-less engine. Note this wires the
     /// *engine* only; call [`Registry::set_event_sink`] to also journal
@@ -607,7 +558,6 @@ impl EngineBuilder {
             latency: Mutex::new(LatencyHistogram::new()),
             build_wait_ns: AtomicU64::new(0),
             matching_totals: Mutex::new(LaunchStats::default()),
-            shard_health: Mutex::new(ShardHealth::default()),
             pin,
             clock,
             events: self.events,
@@ -628,7 +578,6 @@ pub struct Engine {
     /// The requests' summed `index_wall`, in nanoseconds.
     build_wait_ns: AtomicU64,
     matching_totals: Mutex<LaunchStats>,
-    shard_health: Mutex<ShardHealth>,
     /// The session's pin in the hosting registry, held for the
     /// engine's lifetime.
     pin: Option<PinnedSession>,
@@ -742,11 +691,6 @@ impl Engine {
     /// `"query"`; on several, each worker's rows sit under
     /// `"worker {w}"` on a track of its own and the host merge under the
     /// calling thread's `"query"` span.
-    ///
-    /// With [`RunOptions::shards`] = n ≥ 2 the query runs the same way,
-    /// and its matching statistics are also split the way n devices
-    /// would have run its rows: tile rows are independent, so each
-    /// shard's figures are the sum of its rows' (see [`crate::shard`]).
     pub fn execute(&self, request: &RunRequest<'_>) -> Vec<Result<RunOutput, RunError>> {
         let opts = &request.options;
         let run = |query: &PackedSeq| {
@@ -766,24 +710,9 @@ impl Engine {
         let config = self.session.config();
         let t0 = Instant::now();
         emit(self.events.as_deref(), &*self.clock, |ts| {
-            let event = Event::new("run_start", ts).with_u64("query_len", query.len() as u64);
-            if opts.shards >= 2 {
-                event.with_u64("shards", opts.shards as u64)
-            } else {
-                event
-            }
+            Event::new("run_start", ts).with_u64("query_len", query.len() as u64)
         });
         let rows = row_count(config, self.session.reference(), query);
-        let shards = (opts.shards >= 2).then(|| ShardPlan::round_robin(opts.shards, rows));
-        if let Some(plan) = &shards {
-            for s in 0..plan.n_shards() {
-                emit(self.events.as_deref(), &*self.clock, |ts| {
-                    Event::new("shard_dispatch", ts)
-                        .with_u64("shard", s as u64)
-                        .with_u64("rows", plan.rows(s).len() as u64)
-                });
-            }
-        }
         let mut held = self.workers.checkout(rows);
         let pools: Vec<&Device> = held.iter().map(|worker| worker.device).collect();
         let gathered = gather_rows(
@@ -796,16 +725,7 @@ impl Engine {
             opts.trace,
             &pools,
         );
-        let GpumemResult { mems, mut stats } = gathered.result;
-        if let Some(shards) = &shards {
-            stats.shard_matching = (0..shards.n_shards())
-                .map(|s| {
-                    let rows = shards.rows(s);
-                    rows.map(|row| gathered.row_matching[row].clone()).sum()
-                })
-                .collect();
-            self.shard_health.lock().record(&stats.shard_matching);
-        }
+        let GpumemResult { mems, stats } = gathered.result;
         *self.matching_totals.lock() += stats.matching.clone();
         self.record_query(&held, t0.elapsed(), stats.index_wall);
         drop(held);
@@ -915,7 +835,6 @@ impl Engine {
                 .registry()
                 .map(|registry| registry.stats())
                 .unwrap_or_default(),
-            shards: self.shard_health.lock().clone(),
         }
     }
 }
@@ -923,7 +842,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::Gpumem;
+    use crate::pipeline::{Gpumem, GpumemStats};
     use crate::telemetry::MemoryEventSink;
     use crate::trace::SpanCat;
     use gpumem_seq::{naive_mems, FastaRecord, GenomeModel, Mem, MutationModel};
@@ -988,13 +907,6 @@ mod tests {
     fn traced() -> RunOptions {
         RunOptions {
             trace: true,
-            ..RunOptions::default()
-        }
-    }
-
-    fn sharded(shards: usize) -> RunOptions {
-        RunOptions {
-            shards,
             ..RunOptions::default()
         }
     }
@@ -1333,24 +1245,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_request_launches_on_the_workers() {
-        let reference = GenomeModel::mammalian().generate(2_000, 813);
-        let engine = engine_of(&reference, config(16), 1);
-        let count = Arc::new(Count::default());
-        engine.workers.devices()[0].set_observer(Some(count.clone()));
-        let q = GenomeModel::mammalian().generate(1_000, 814);
-        let stats = run_one(&engine, &q, sharded(2)).result.stats;
-        assert!(stats.index.launches > 0, "a cold request builds its rows");
-        assert_eq!(
-            count.0.load(Ordering::Relaxed),
-            stats.index.launches + stats.matching.launches,
-            "every launch of the sharded request ran on worker 0"
-        );
-        let m = engine.metrics();
-        assert_eq!(m.workers[0].queries, 1, "the request held worker 0");
-    }
-
-    #[test]
     fn latency_histogram_buckets_are_powers_of_two() {
         let mut h = LatencyHistogram::new();
         for us in [1u64, 2, 3, 4, 1000, 1024, 1025] {
@@ -1559,49 +1453,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_is_byte_identical_to_single_device() {
-        let reference = GenomeModel::mammalian().generate(3_000, 834);
-        let query = GenomeModel::mammalian().generate(2_000, 835);
-        let engine = engine_of(&reference, config(16), 1);
-        let single = engine.run(&query).unwrap();
-        assert_eq!(single.mems, naive_mems(&reference, &query, 16));
-        assert!(single.stats.rows >= 4, "grid large enough to shard");
-        for shards in [2usize, 3, 4, 7] {
-            let out = run_one(&engine, &query, sharded(shards));
-            assert_eq!(out.result.mems, single.mems, "{shards} shards");
-            assert_eq!(out.result.stats.shard_matching.len(), shards);
-            assert_eq!(out.result.stats.rows, single.stats.rows);
-            assert_eq!(out.result.stats.counts.total, single.stats.counts.total);
-        }
-    }
-
-    #[test]
-    fn sharded_traced_run_merges_shard_traces() {
-        let reference = GenomeModel::mammalian().generate(2_000, 838);
-        let query = GenomeModel::mammalian().generate(1_200, 839);
-        let engine = engine_of(&reference, config(16), 2);
-        let single = engine.run(&query).unwrap();
-        let options = RunOptions {
-            trace: true,
-            ..sharded(2)
-        };
-        let out = run_one(&engine, &query, options);
-        assert_eq!(out.result.mems, single.mems);
-        let stats = &out.result.stats;
-        let trace = out.trace.expect("traced shard run yields a trace");
-        let mut expected = stats.index.clone();
-        expected += stats.matching.clone();
-        assert_eq!(trace.stage_totals(), expected, "stage spans reconcile");
-        // The shards split the matching launches and sum back to them;
-        // only the pool gauge is the folded one-device footprint.
-        assert_eq!(stats.shard_matching.len(), 2);
-        let mut shards: LaunchStats = stats.shard_matching.iter().cloned().sum();
-        assert!(shards.pool_peak_bytes <= stats.matching.pool_peak_bytes);
-        shards.pool_peak_bytes = stats.matching.pool_peak_bytes;
-        assert_eq!(shards, stats.matching, "shard_matching sums to matching");
-    }
-
-    #[test]
     fn registry_hosted_engine_reports_counters_and_unpins_on_drop() {
         let registry = Arc::new(Registry::new(DeviceSpec::test_tiny()));
         let reference = GenomeModel::mammalian().generate(2_000, 842);
@@ -1639,16 +1490,79 @@ mod tests {
         assert_eq!(m.registry.resident_bytes, 0);
     }
 
+    /// `trace`'s `TileRow` spans, one per tile row of the run that
+    /// reported `stats`, carry their rows' matching statistics. They sum
+    /// to `stats.matching` in every field but the pool footprint, and so
+    /// does any split of the rows over devices, here dealt round-robin
+    /// (row `r` to device `r mod n`). `Trace::stage_totals` still sums
+    /// the `Stage` spans alone.
+    fn assert_tile_rows_add_up(stats: &GpumemStats, trace: &Trace, what: &str) {
+        let mut rows: Vec<(usize, LaunchStats)> = trace
+            .spans()
+            .iter()
+            .filter(|span| span.cat == SpanCat::TileRow)
+            .map(|span| {
+                let row = span.name.strip_prefix("tile_row ").map(str::parse);
+                let stats = span
+                    .stats
+                    .clone()
+                    .expect("a TileRow span carries statistics");
+                (row.expect("a tile_row span").expect("a row number"), stats)
+            })
+            .collect();
+        rows.sort_unstable_by_key(|&(row, _)| row);
+        let ids: Vec<usize> = rows.iter().map(|&(row, _)| row).collect();
+        assert_eq!(
+            ids,
+            (0..stats.rows).collect::<Vec<_>>(),
+            "{what}: one span a row"
+        );
+        let summed = |of: &dyn Fn(usize) -> bool| -> LaunchStats {
+            let mut sum: LaunchStats = rows
+                .iter()
+                .filter(|(row, _)| of(*row))
+                .map(|(_, s)| s.clone())
+                .sum();
+            assert!(
+                sum.pool_peak_bytes <= stats.matching.pool_peak_bytes,
+                "{what}"
+            );
+            sum.pool_peak_bytes = stats.matching.pool_peak_bytes;
+            sum
+        };
+        assert_eq!(
+            summed(&|_| true),
+            stats.matching,
+            "{what}: rows sum to matching"
+        );
+        for n in [2, 3] {
+            let folded: LaunchStats = (0..n).map(|d| summed(&|row| row % n == d)).sum();
+            assert_eq!(
+                folded, stats.matching,
+                "{what}: {n} devices sum to matching"
+            );
+        }
+        let mut stages = stats.index.clone();
+        stages += stats.matching.clone();
+        assert_eq!(trace.stage_totals(), stages, "{what}: Stage spans alone");
+    }
+
     #[test]
-    fn batch_with_shard_options_matches_plain_batch() {
-        let reference = GenomeModel::mammalian().generate(2_000, 845);
-        let queries = query_set(&reference, 3);
-        let engine = engine_of(&reference, config(16), 2);
-        let plain = run_set(&engine, &queries, RunOptions::default());
-        let split = run_set(&engine, &queries, sharded(2));
-        assert_eq!(split.len(), plain.len());
-        for (s, p) in split.iter().zip(&plain) {
-            assert_eq!(s.mems, p.mems);
+    fn tile_row_statistics_add_up_on_any_worker_count() {
+        let reference = GenomeModel::mammalian().generate(2_000, 838);
+        let query = GenomeModel::mammalian().generate(1_200, 839);
+        for workers in [1, 2, 3] {
+            let device = Device::new(DeviceSpec::test_tiny());
+            let gpumem = Gpumem::with_workers(config(16), device, workers);
+            let (result, trace) = gpumem.run_traced(&reference, &query).unwrap();
+            assert!(result.stats.rows >= 3, "every worker gets a row");
+            assert_tile_rows_add_up(&result.stats, &trace, &format!("run, {workers} workers"));
+            let engine = engine_of(&reference, config(16), workers);
+            for pass in ["cold", "warm"] {
+                let out = run_one(&engine, &query, traced());
+                let what = format!("{pass} request, {workers} workers");
+                assert_tile_rows_add_up(&out.result.stats, out.trace.as_ref().unwrap(), &what);
+            }
         }
     }
 }

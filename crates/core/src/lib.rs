@@ -21,16 +21,16 @@
 //! * [`engine`] — the serving layer: cached [`RefSession`] reference
 //!   indexes and the [`Engine`] with per-worker devices/scratch, whose
 //!   one request path [`Engine::execute`] serves one query or a set on
-//!   the free workers, traced or not, with or without a modeled shard
-//!   split;
-//! * [`registry`] / [`shard`] — many references under one byte budget,
-//!   and the row placement a shard split sums;
+//!   the free workers, traced or not;
+//! * [`registry`] — many references under one byte budget;
 //! * [`trace`] — the observability layer: hierarchical run spans with
-//!   exact per-stage device statistics, Chrome Trace Event export, and
-//!   the human-readable profile report;
-//! * [`telemetry`] — the unified telemetry subsystem: Prometheus/JSON
-//!   exposition of the engine's [`MetricsSnapshot`], the structured
-//!   [`EventSink`] journal, and the injectable [`TelemetryClock`].
+//!   exact per-stage device statistics and each tile row's matching
+//!   statistics, Chrome Trace Event export, and the human-readable
+//!   profile report;
+//! * [`telemetry`] — the unified telemetry subsystem: the Prometheus
+//!   exposition of the engine's [`MetricsSnapshot`] (whose serde form
+//!   is the metrics' one JSON form), the structured [`EventSink`]
+//!   journal, and the injectable [`TelemetryClock`].
 //!
 //! The output is the exact canonical MEM set: property tests pin it to
 //! the ground-truth [`gpumem_seq::naive_mems`] and (in the workspace
@@ -57,7 +57,6 @@ pub mod generate;
 pub mod global;
 pub mod pipeline;
 pub mod registry;
-pub mod shard;
 pub mod telemetry;
 pub mod tile;
 pub mod tile_run;
@@ -66,7 +65,7 @@ pub mod trace;
 pub use config::{ConfigError, GpumemConfig, GpumemConfigBuilder, IndexKind};
 pub use engine::{
     DeviceCounters, Engine, EngineBuilder, MetricsSnapshot, Queries, RefSession, RunOptions,
-    RunOutput, RunRequest, ShardHealth,
+    RunOutput, RunRequest,
 };
 pub use expand::Bounds;
 pub use gpumem_index::SeedMode;
@@ -74,7 +73,6 @@ pub use pipeline::{
     Gpumem, GpumemResult, GpumemStats, IndexBuildReport, RunError, StageCounts, SORT_KEY_LIMIT,
 };
 pub use registry::{PinnedSession, RefEntryInfo, RefHandle, Registry, RegistryStats};
-pub use shard::ShardPlan;
 pub use telemetry::{
     Event, EventSink, EventValue, JsonlEventSink, ManualClock, MemoryEventSink, TelemetryClock,
     WallClock,

@@ -162,8 +162,9 @@ pub fn device_memory_estimate(config: &GpumemConfig) -> u64 {
         crate::config::IndexKind::CompactDirectory => 8 * 2 * class(n_locs),
     };
     let tile_bases = (config.tile_len() as u64).div_ceil(4); // 2-bit packed
-                                                             // Triplet working set: generously assume every sampled location
-                                                             // anchors one 12-byte triplet, twice (block + tile stage).
+
+    // Triplet working set: generously assume every sampled location
+    // anchors one 12-byte triplet, twice (block + tile stage).
     let triplets = n_locs * 12 * 2;
     index + 2 * tile_bases + triplets
 }
@@ -281,15 +282,6 @@ pub struct GpumemStats {
     pub rows: usize,
     /// Number of tile columns.
     pub cols: usize,
-    /// Extraction statistics of an engine request with
-    /// [`RunOptions::shards`](crate::engine::RunOptions) = n ≥ 2, split
-    /// as if its tile rows had run on n devices: one entry per shard in
-    /// shard order, each the sum of its rows' statistics; empty
-    /// otherwise. `matching` is their sum (but for `pool_peak_bytes`,
-    /// the one-device footprint), yet the per-shard split is what a
-    /// speedup model needs: the sharded critical path is the *slowest*
-    /// shard.
-    pub shard_matching: Vec<LaunchStats>,
 }
 
 impl std::fmt::Display for GpumemStats {
@@ -361,9 +353,6 @@ pub(crate) fn timed<T>(
     }
     out
 }
-
-/// A tile row and its extraction statistics.
-type RowMatching = (usize, LaunchStats);
 
 /// Where a run's tile rows get their partial indexes.
 pub(crate) trait RowIndexes: Sync {
@@ -553,7 +542,6 @@ struct RowJob<'a> {
 /// One worker's share of a gathered run.
 struct WorkerRun {
     stats: GpumemStats,
-    rows: Vec<RowMatching>,
     trace: Option<Trace>,
 }
 
@@ -562,13 +550,10 @@ impl RowJob<'_> {
     /// claims on `device` with `scratch`, handing each non-empty batch
     /// of in-block or in-tile MEMs to `out` as its stage completes, and
     /// leaving the out-tile fragments in `scratch.out_tile` for the host
-    /// merge. Returns the rows' statistics and, per row, its extraction
-    /// statistics. Out-tile fragments are per-tile products —
-    /// independent of which device runs the tile — so concatenating the
-    /// fragments of disjoint row subsets and host-merging them once
-    /// reproduces the single-device output exactly. A `recorder` takes
-    /// the place of the device's own observer, if any, until the rows
-    /// are done.
+    /// merge. Returns the rows' statistics. A `recorder` takes the place
+    /// of the device's own observer, if any, until the rows are done,
+    /// and each row's `TileRow` span carries the row's extraction
+    /// statistics.
     fn run(
         &self,
         w: usize,
@@ -584,7 +569,6 @@ impl RowJob<'_> {
         });
         let trace = recorder.map(|recorder| &**recorder);
         let mut stats = GpumemStats::default();
-        let mut rows = Vec::new();
         scratch.out_tile.clear();
         for row in self.cursor.rows(w) {
             debug_assert!(row < self.cursor.n_rows, "row {row} out of range");
@@ -622,18 +606,13 @@ impl RowJob<'_> {
                 }
                 matching
             };
-            let matching = timed(trace, SpanCat::TileRow, row_span, None, row_body, |_| None);
-            stats.matching += matching.clone();
-            rows.push((row, matching));
+            let row_stats = |matching: &LaunchStats| Some(matching.clone());
+            stats.matching += timed(trace, SpanCat::TileRow, row_span, None, row_body, row_stats);
         }
         if let Some(previous) = previous {
             device.set_observer(previous);
         }
-        WorkerRun {
-            stats,
-            rows,
-            trace: None,
-        }
+        WorkerRun { stats, trace: None }
     }
 
     /// Tile (`row`, `col`) of `index`'s row `region`: one GPU block per
@@ -747,9 +726,6 @@ pub(crate) struct Gathered {
     /// Canonical MEMs, and the workers' statistics summed in worker
     /// order plus the host merge and the canonicalization.
     pub(crate) result: GpumemResult,
-    /// Each tile row's extraction statistics, indexed by row: what any
-    /// split of the rows over devices sums per device.
-    pub(crate) row_matching: Vec<LaunchStats>,
     /// With tracing: one track per worker, then the calling thread's
     /// (a single track when one worker ran on the calling thread).
     pub(crate) trace: Option<Trace>,
@@ -760,9 +736,24 @@ pub(crate) struct Gathered {
 /// worker `w` starts on row `w`, and every later row goes to whichever
 /// worker asks next — and run them on their own devices with their own
 /// scratch. The workers' out-tile fragments are concatenated and
-/// host-merged once, and the MEMs are canonicalized (see
-/// [`crate::shard`] for why this equals a one-device run, whichever
-/// worker ran which row).
+/// host-merged once, and the MEMs are canonicalized.
+///
+/// This equals a one-device run, whichever worker ran which row. The
+/// canonical MEM set of a run is
+/// `canonicalize(in_block ∪ in_tile ∪ global_merge(out-tile fragments))`.
+/// In-block and in-tile MEMs are per-tile products, and so are out-tile
+/// fragments: which fragments a tile emits depends only on the tile's
+/// slice, never on which device launched it or in what order. So
+/// concatenating the fragments of disjoint row subsets and host-merging
+/// them once feeds the global merge the exact multiset of fragments one
+/// device would have produced, and `global_merge` sorts before
+/// combining, so the result is byte-identical. A row's extraction
+/// statistics do not depend on its worker either: every modeled field of
+/// a launch is a counter, a `Duration` sum or a max, so a traced run's
+/// `TileRow` spans, which carry them, sum to the run's `matching` (but
+/// for the pool footprint), and any split of the rows over devices sums
+/// from the trace alone. The claim-loop tests (stalled and randomly
+/// delayed workers) and the worker-count invariance tests check it.
 ///
 /// Worker 0 runs on the calling thread; every other worker gets a scoped
 /// host thread and sends its MEMs to the calling thread in one batch per
@@ -844,7 +835,6 @@ pub(crate) fn gather_rows(
             ..GpumemStats::default()
         };
         let mut fragments = Vec::new();
-        let mut row_matching = Vec::new();
         for (run, worker) in runs.into_iter().zip(workers.iter_mut()) {
             let s = run.stats;
             stats.index += s.index;
@@ -856,9 +846,7 @@ pub(crate) fn gather_rows(
             stats.counts.in_tile += s.counts.in_tile;
             fragments.append(&mut worker.scratch.out_tile);
             traces.extend(run.trace);
-            row_matching.extend(run.rows);
         }
-        row_matching.sort_unstable_by_key(|&(row, _)| row);
 
         // Host merge of the out-tile fragments (§III-C2): it launches
         // nothing, so its stage span adds wall time but nothing to the
@@ -886,19 +874,15 @@ pub(crate) fn gather_rows(
         let (name, sort) = (|| "canonicalize".into(), || canonicalize(mems));
         let mems = timed(trace, SpanCat::Stage, name, Some(wall), sort, |_| None);
         stats.counts.total = mems.len();
-        (GpumemResult { mems, stats }, row_matching)
+        GpumemResult { mems, stats }
     };
     let run_name = || run_span.to_string();
-    let (result, row_matching) = timed(trace, SpanCat::Run, run_name, None, gather, |_| None);
+    let result = timed(trace, SpanCat::Run, run_name, None, gather, |_| None);
     let trace = host.map(|host| {
         traces.push(host.snapshot());
         Trace::merge(traces)
     });
-    Gathered {
-        result,
-        row_matching: row_matching.into_iter().map(|(_, s)| s).collect(),
-        trace,
-    }
+    Gathered { result, trace }
 }
 
 /// Host bytes the helper workers of one run may hold in their buffer

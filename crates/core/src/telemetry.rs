@@ -1,20 +1,19 @@
-//! Unified telemetry: Prometheus/JSON exposition of the serving
+//! Unified telemetry: the Prometheus exposition of the serving
 //! metrics, a structured JSONL event journal, and an injectable clock.
 //!
 //! Counters live where they are counted — [`LaunchStats`] on the
 //! simulator, the engine's latency histogram and worker loads,
-//! [`RegistryStats`] on the registry, per-shard stats on
-//! [`GpumemStats::shard_matching`](crate::pipeline::GpumemStats) — and
+//! [`RegistryStats`] on the registry — and
 //! [`Engine::metrics`](crate::engine::Engine::metrics) reads them into
-//! one [`MetricsSnapshot`]. This module gives that snapshot one scrape
-//! surface:
+//! one [`MetricsSnapshot`], whose serde form is the metrics' one JSON
+//! form. This module gives that snapshot one scrape surface:
 //!
-//! * [`render_prometheus`] / [`render_json`] — the exposition a scraper
-//!   (or a future serving daemon) pulls: every metric family, built
-//!   straight from the snapshot at scrape time, with stable names,
-//!   optional labels, and a deterministic order;
+//! * [`render_prometheus`] — the exposition a scraper (or a future
+//!   serving daemon) pulls: every metric family, built straight from the
+//!   snapshot at scrape time, with stable names, optional labels, and a
+//!   deterministic order;
 //! * [`EventSink`] + [`Event`] — the structured event journal
-//!   (run-lifecycle, index-build, eviction, pin/unpin, shard-dispatch),
+//!   (run-lifecycle, index-build, eviction, pin/unpin),
 //!   with [`JsonlEventSink`] writing one JSON object per line and
 //!   [`MemoryEventSink`] for tests;
 //! * [`TelemetryClock`] — the injectable time source
@@ -56,7 +55,7 @@ use parking_lot::Mutex;
 
 use gpu_sim::LaunchStats;
 
-use crate::engine::{MetricsSnapshot, ShardHealth};
+use crate::engine::MetricsSnapshot;
 use crate::registry::RegistryStats;
 
 // ---------------------------------------------------------------------
@@ -141,7 +140,6 @@ struct Sample {
 
 /// One metric family: its `# HELP`/`# TYPE` header and every sample.
 struct Family {
-    name: &'static str,
     /// The Prometheus type: `counter`, `gauge` or `histogram`.
     kind: &'static str,
     help: &'static str,
@@ -151,8 +149,8 @@ struct Family {
 }
 
 /// Every metric family of one snapshot, keyed by name. Families and
-/// samples render in lexicographic order, making the Prometheus and JSON
-/// outputs byte-stable — the property the golden tests pin.
+/// samples render in lexicographic order, making the exposition
+/// byte-stable — the property the golden test pins.
 #[derive(Default)]
 struct Exposition(BTreeMap<&'static str, Family>);
 
@@ -168,7 +166,6 @@ impl Exposition {
         value: Value,
     ) {
         let family = self.0.entry(name).or_insert_with(|| Family {
-            name,
             kind,
             help,
             samples: BTreeMap::new(),
@@ -200,65 +197,6 @@ fn label_pairs(labels: &[(&str, String)], le: Option<&str>) -> String {
         String::new()
     } else {
         format!("{{{}}}", pairs.join(","))
-    }
-}
-
-impl serde::Serialize for Exposition {
-    fn serialize(&self, s: &mut serde::Serializer) {
-        s.begin_object();
-        s.field("metrics", &self.0.values().collect::<Vec<_>>());
-        s.end_object();
-    }
-}
-
-impl serde::Serialize for Family {
-    fn serialize(&self, s: &mut serde::Serializer) {
-        s.begin_object();
-        s.field("name", self.name);
-        s.field("kind", self.kind);
-        s.field("help", self.help);
-        s.field("samples", &self.samples.values().collect::<Vec<_>>());
-        s.end_object();
-    }
-}
-
-impl serde::Serialize for Sample {
-    fn serialize(&self, s: &mut serde::Serializer) {
-        s.begin_object();
-        s.field("labels", &Labels(&self.labels));
-        match &self.value {
-            Value::Scalar(v) => s.field("value", v),
-            Value::Histogram(buckets, sum, count) => {
-                let buckets: Vec<Bucket> = buckets.iter().map(|&(le, n)| Bucket(le, n)).collect();
-                s.field("buckets", &buckets);
-                s.field("sum", sum);
-                s.field("count", count);
-            }
-        }
-        s.end_object();
-    }
-}
-
-struct Labels<'a>(&'a [(&'static str, String)]);
-
-impl serde::Serialize for Labels<'_> {
-    fn serialize(&self, s: &mut serde::Serializer) {
-        s.begin_object();
-        for (k, v) in self.0 {
-            s.field(k, v);
-        }
-        s.end_object();
-    }
-}
-
-struct Bucket(f64, u64);
-
-impl serde::Serialize for Bucket {
-    fn serialize(&self, s: &mut serde::Serializer) {
-        s.begin_object();
-        s.field("le", &self.0);
-        s.field("count", &self.1);
-        s.end_object();
     }
 }
 
@@ -295,7 +233,7 @@ pub struct Event {
     /// Seconds on the emitting component's [`TelemetryClock`].
     pub ts_s: f64,
     /// The event kind (`run_start`, `run_end`, `index_build`, `evict`,
-    /// `pin`, `unpin`, `shard_dispatch`).
+    /// `pin`, `unpin`).
     pub kind: String,
     /// The kind-specific payload, in emission order.
     pub fields: Vec<(String, EventValue)>,
@@ -618,49 +556,10 @@ fn export_registry_stats(e: &mut Exposition, stats: &RegistryStats) {
     );
 }
 
-/// The sharded-run health block, including the first-class imbalance
-/// gauge (max/mean per-shard modeled seconds of the last sharded run).
-fn export_shard_health(e: &mut Exposition, shards: &ShardHealth) {
-    e.counter(
-        "gpumem_sharded_runs_total",
-        "Queries served by a multi-shard run.",
-        shards.sharded_runs as f64,
-    );
-    e.gauge(
-        "gpumem_shard_count",
-        "Shards of the most recent sharded run.",
-        shards.shards as f64,
-    );
-    for (i, &modeled_s) in shards.last_modeled_s.iter().enumerate() {
-        e.add(
-            "gauge",
-            "gpumem_shard_modeled_seconds",
-            "Per-shard modeled matching seconds of the last sharded run.",
-            &[("shard", &i.to_string())],
-            Value::Scalar(modeled_s),
-        );
-    }
-    e.gauge(
-        "gpumem_shard_modeled_max_seconds",
-        "Slowest shard's modeled seconds (the sharded critical path).",
-        shards.max_modeled_s,
-    );
-    e.gauge(
-        "gpumem_shard_modeled_mean_seconds",
-        "Mean per-shard modeled seconds.",
-        shards.mean_modeled_s,
-    );
-    e.gauge(
-        "gpumem_shard_imbalance",
-        "Max/mean per-shard modeled time (1.0 = perfectly balanced).",
-        shards.imbalance,
-    );
-}
-
 /// Every family of a [`MetricsSnapshot`]: uptime/queries, the latency
 /// histogram and quantiles, index-cache and worker counters,
 /// device-health gauges, the cumulative index/matching [`LaunchStats`],
-/// registry counters, and shard health.
+/// and the registry counters.
 fn exposition(snap: &MetricsSnapshot) -> Exposition {
     let mut e = Exposition::default();
     e.gauge(
@@ -790,7 +689,6 @@ fn exposition(snap: &MetricsSnapshot) -> Exposition {
     export_launch_stats(&mut e, "index", &snap.index);
     export_launch_stats(&mut e, "matching", &snap.matching);
     export_registry_stats(&mut e, &snap.registry);
-    export_shard_health(&mut e, &snap.shards);
     e
 }
 
@@ -825,16 +723,6 @@ pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
         }
     }
     out
-}
-
-/// The JSON exposition of a snapshot, pretty-printed:
-/// `{"metrics": [{"name", "kind", "help", "samples": [...]}]}` with
-/// scalar samples as `{"labels", "value"}` and histogram samples as
-/// `{"labels", "buckets", "sum", "count"}` — the families of
-/// [`render_prometheus`], not the snapshot's raw `Serialize` field
-/// dump.
-pub fn render_json(snap: &MetricsSnapshot) -> String {
-    serde::json::to_string_pretty(&exposition(snap))
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //! | category  | spans                                   | stats |
 //! |-----------|-----------------------------------------|-------|
 //! | `Run`     | the whole run / one served query        | none |
-//! | `TileRow` | one reference tile row                  | none |
+//! | `TileRow` | one reference tile row                  | informational |
 //! | `Tile`    | one reference × query tile              | none |
 //! | `Stage`   | `index_build`, `block_batch`, `tile_merge`, `global_merge` | **exact, disjoint** |
 //! | `Stage`   | `canonicalize` (the final sort and dedup, host only) | none |
@@ -31,8 +31,13 @@
 //! the run's `GpumemStats.index + GpumemStats.matching` **exactly**
 //! (integer counters, no sampling — pinned by the workspace's
 //! `stats_snapshot` tests via [`Trace::stage_totals`]). `Launch` and
-//! `Phase` spans are informational children of their stage: summing
-//! them too would double-count.
+//! `Phase` spans are informational children of their stage, and a
+//! `TileRow` span carries its row's matching launches (its tiles'
+//! `block_batch` and `tile_merge` stages): summing them too would
+//! double-count. The `TileRow` statistics sum to the run's
+//! `GpumemStats.matching` in every field but `pool_peak_bytes` (the run
+//! reports the one-device pool footprint), so a trace alone tells what
+//! any split of its tile rows over devices would have run.
 //!
 //! ## Determinism and time
 //!
@@ -101,7 +106,8 @@ pub struct Span {
     /// Wall duration.
     pub dur: Duration,
     /// Device statistics: exact for `Stage` spans, informational for
-    /// `Launch` spans, absent for structural spans.
+    /// `Launch` and `TileRow` spans, absent for the other structural
+    /// spans.
     pub stats: Option<LaunchStats>,
     /// In-kernel phase breakdown (`Launch` spans only).
     pub phases: Vec<PhaseStats>,

@@ -15,10 +15,11 @@
 //! `registry` manages a plain-text handle file (`name  path  min_len
 //! seed_len`, tab-separated, `#gpumem-registry v1` header). `metrics
 //! export` runs a query batch through a registry-hosted engine and
-//! prints every serving counter on stdout in Prometheus text format or
-//! the registry JSON shape — the exposition a scraper would pull from a
-//! serving daemon; `--journal` also streams the structured event
-//! journal to a JSONL file, one event object per line.
+//! prints every serving counter on stdout in Prometheus text format —
+//! the exposition a scraper would pull from a serving daemon;
+//! `--journal` also streams the structured event journal to a JSONL
+//! file, one event object per line. The metrics' one JSON form is the
+//! engine's snapshot, which `run --metrics` writes.
 //!
 //! Every GPUMEM configuration the CLI builds uses the paper's launch
 //! geometry: 128 threads per block, 16 blocks per tile.
@@ -90,9 +91,9 @@ struct Command {
     run: Step,
 }
 
-/// The most host threads, engine workers or modeled shards one command
-/// may ask for. Each is paid for before any work starts: a thread, a
-/// simulated device with its scratch, a plan entry with its statistics.
+/// The most host threads or engine workers one command may ask for.
+/// Each is paid for before any work starts: a thread, or a simulated
+/// device with its scratch.
 const MAX_WIDTH: usize = 256;
 
 const TOOLS: &[&str] = &["gpumem", "mummer", "essamem", "sparsemem", "slamem"];
@@ -108,7 +109,6 @@ const FLAGS: &[Flag] = &[
     flag("--sparseness", Count("K", usize::MAX), "essamem/sparsemem SA sparseness ≤ L (default 4)"),
     flag("--threads", Count("t", MAX_WIDTH), "CPU finder threads (default 1)"),
     flag("--query-threads", Count("n", MAX_WIDTH), "GPUMEM workers per query (default 1)"),
-    flag("--shards", Count("n", MAX_WIDTH), "split modeled matching n ways (default 1)"),
     flag("--both-strands", Switch, "also match the query's reverse complement"),
     flag("--mum", Switch, "report only maximal unique matches"),
     flag("--rare", Count("t", usize::MAX), "report matches occurring ≤ t times in each"),
@@ -119,7 +119,6 @@ const FLAGS: &[Flag] = &[
     flag("--profile", Switch, "print stage and phase tables to stderr (gpumem only)"),
     flag("--budget", Count("bytes", usize::MAX), "registry byte budget (default none)"),
     flag("--rounds", Count("N", usize::MAX), "times to warm every reference (default 2)"),
-    flag("--format", Choice(&["prometheus", "json"]), "exposition (default prometheus)"),
     flag("--journal", Text("events.jsonl"), "also write the event journal"),
 ];
 
@@ -128,7 +127,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "run", about: "extract MEMs", positionals: &["<reference.fa>", "<query.fa>"],
         flags: &["--tool", "--min-len", "--seed-len", "--seed-mode", "--sparseness", "--threads",
-            "--query-threads", "--shards", "--both-strands", "--mum", "--rare", "--stats",
+            "--query-threads", "--both-strands", "--mum", "--rare", "--stats",
             "--sanitize", "--trace", "--metrics", "--profile"],
         check: Some(check_sparseness), run,
     },
@@ -150,7 +149,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "metrics export", about: "run a batch, print the unified telemetry exposition",
         positionals: &["<reference.fa>", "<query.fa>"],
-        flags: &["--format", "--min-len", "--seed-len", "--query-threads", "--shards", "--journal"],
+        flags: &["--min-len", "--seed-len", "--query-threads", "--journal"],
         check: None, run: metrics_export,
     },
     Command {
@@ -418,8 +417,8 @@ fn load_reference(path: &str) -> Result<PackedSeq, String> {
 /// Run `queries` as one request through an engine that hosts
 /// `reference` in a one-entry registry (the paper's Tesla K20c, no
 /// budget), so its metrics carry the registry counters. `cli_config`
-/// and `--query-threads` shape the engine; `--shards`, `--trace` and
-/// `--profile` the request; `--journal` receives its events. Returns
+/// and `--query-threads` shape the engine; `--trace` and `--profile`
+/// the request; `--journal` receives its events. Returns
 /// every query's output and the metrics after the batch, or the first
 /// failed query's error, or the journal's first write error.
 fn serve(
@@ -448,7 +447,7 @@ fn serve(
     let engine = builder.build().map_err(|e| e.to_string())?;
     let options = RunOptions {
         trace: args.text("--trace").is_some() || args.switch("--profile"),
-        shards: args.count("--shards").unwrap_or(1),
+        ..RunOptions::default()
     };
     let outputs = engine
         .execute(&RunRequest::batch(queries).options(options))
@@ -817,17 +816,14 @@ fn registry_evict_stats(args: &Args) -> Result<(), String> {
 
 /// Run a query batch through a registry-hosted engine and print the
 /// unified telemetry exposition — every `MetricsSnapshot`,
-/// `LaunchStats`, `RegistryStats`, and shard counter, in Prometheus
-/// text format or the registry JSON shape.
+/// `LaunchStats` and `RegistryStats` counter — in Prometheus text
+/// format.
 fn metrics_export(args: &Args) -> Result<(), String> {
     let [ref_path, query_path] = args.positionals();
     let reference = load_reference(ref_path)?;
     let queries = SeqSet::from_records(&load_records(query_path)?);
     let (_, snapshot) = serve(args, reference, &queries)?;
-    match args.text("--format") {
-        Some("json") => println!("{}", telemetry::render_json(&snapshot)),
-        _ => print!("{}", telemetry::render_prometheus(&snapshot)),
-    }
+    print!("{}", telemetry::render_prometheus(&snapshot));
     Ok(())
 }
 

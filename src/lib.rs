@@ -93,8 +93,7 @@ pub use gpumem_seq as seq;
 pub use gpumem_core::{
     Engine, EngineBuilder, Gpumem, GpumemConfig, GpumemResult, GpumemStats, IndexBuildReport,
     MetricsSnapshot, PinnedSession, Queries, RefEntryInfo, RefHandle, RefSession, Registry,
-    RegistryStats, RunError, RunOptions, RunOutput, RunRequest, SeedMode, ShardHealth, ShardPlan,
-    Trace, TraceRecorder,
+    RegistryStats, RunError, RunOptions, RunOutput, RunRequest, SeedMode, Trace, TraceRecorder,
 };
 
 // The telemetry subsystem (metrics exposition, event journal, clocks),

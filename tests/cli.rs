@@ -147,8 +147,8 @@ fn sanitize_flag_reports_clean_run() {
 }
 
 #[test]
-fn sanitize_flag_sees_the_launches_of_sharded_runs() {
-    let dir = std::env::temp_dir().join("gpumem-cli-test-sanitize-shards");
+fn sanitize_flag_sees_the_launches_of_two_worker_runs() {
+    let dir = std::env::temp_dir().join("gpumem-cli-test-sanitize-workers");
     std::fs::create_dir_all(&dir).unwrap();
     let (ref_fa, query_fa) = write_pair(&dir);
 
@@ -161,7 +161,7 @@ fn sanitize_flag_sees_the_launches_of_sharded_runs() {
             "25",
             "--seed-len",
             "8",
-            "--shards",
+            "--query-threads",
             "2",
             "--sanitize",
             ref_fa.as_str(),
@@ -170,7 +170,10 @@ fn sanitize_flag_sees_the_launches_of_sharded_runs() {
         .output()
         .expect("binary runs");
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "sanitized sharded run failed: {err}");
+    assert!(
+        out.status.success(),
+        "sanitized two-worker run failed: {err}"
+    );
     assert!(err.contains("0 hazard(s)"), "expected clean report: {err}");
     let launches: u64 = err
         .split("sanitizer: ")
@@ -178,7 +181,7 @@ fn sanitize_flag_sees_the_launches_of_sharded_runs() {
         .and_then(|rest| rest.split(' ').next())
         .and_then(|n| n.parse().ok())
         .unwrap_or_else(|| panic!("no launch count in report: {err}"));
-    assert!(launches > 0, "the session saw no shard launch: {err}");
+    assert!(launches > 0, "the session saw no launch: {err}");
 }
 
 #[test]
@@ -565,42 +568,6 @@ fn bare_flag_form_is_refused_with_usage() {
     assert!(!sub.stdout.is_empty(), "expected matches");
 }
 
-#[test]
-fn shards_flag_preserves_output() {
-    let dir = std::env::temp_dir().join("gpumem-cli-test-shards");
-    std::fs::create_dir_all(&dir).unwrap();
-    let (ref_fa, query_fa) = write_pair(&dir);
-
-    let run = |extra: &[&str]| -> Vec<u8> {
-        let mut args = vec!["run", "--tool", "gpumem", "--min-len", "25"];
-        args.extend_from_slice(extra);
-        args.push(ref_fa.as_str());
-        args.push(query_fa.as_str());
-        let out = cli().args(&args).output().expect("binary runs");
-        assert!(
-            out.status.success(),
-            "gpumem {extra:?} failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        out.stdout
-    };
-
-    let single = run(&[]);
-    assert!(!single.is_empty(), "expected matches");
-    assert_eq!(run(&["--shards", "3"]), single, "sharding changed the MEMs");
-    assert_eq!(
-        run(&["--shards", "3", "--both-strands"]),
-        run(&["--both-strands"]),
-        "sharding changed the reverse-strand MEMs"
-    );
-
-    let out = cli()
-        .args(["run", "--shards", "0", &ref_fa, &query_fa])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success(), "--shards 0 must be rejected");
-}
-
 /// An 80 kb reference and a query file of two 3 kb reads from it. At
 /// L = 25 and ℓs = 8 the CLI's tile spans 36,864 reference bases, so
 /// the reference is three tile rows and a query split two ways gives
@@ -664,13 +631,13 @@ fn run_events(path: &std::path::Path) -> Vec<(String, f64, f64, u64)> {
 }
 
 #[test]
-fn traced_shards_keep_tracks_of_their_own() {
-    let dir = std::env::temp_dir().join("gpumem-cli-test-trace-shards");
+fn traced_workers_keep_tracks_of_their_own() {
+    let dir = std::env::temp_dir().join("gpumem-cli-test-trace-workers");
     std::fs::create_dir_all(&dir).unwrap();
     let (ref_fa, query_fa) = write_two_reads(&dir);
     let trace_path = dir.join("trace.json");
     let out = cli()
-        .args(["run", "--min-len", "25", "--seed-len", "8", "--shards", "2"])
+        .args(["run", "--min-len", "25", "--seed-len", "8"])
         .args(["--query-threads", "2", "--trace"])
         .arg(&trace_path)
         .args([&ref_fa, &query_fa])
@@ -678,12 +645,11 @@ fn traced_shards_keep_tracks_of_their_own() {
         .expect("binary runs");
     assert!(
         out.status.success(),
-        "traced sharded run failed: {}",
+        "traced two-worker run failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(!out.stdout.is_empty(), "expected matches");
 
-    // A sharded request runs on the workers like any other.
     let mut worker_tids: Vec<u64> = run_events(&trace_path)
         .into_iter()
         .filter(|(name, ..)| name.starts_with("worker "))
@@ -976,6 +942,9 @@ fn every_subcommand_holds_to_the_usage_contract() {
         &["registry", "evict-stats", h, "--seed-len", "8"],
         &["metrics", "export", "--tool", "mummer", r, q],
         &["bench-info", "--frobnicate"],
+        // Flags no command takes: a caller still passing one gets the usage.
+        &["run", "--shards", "2", r, q],
+        &["metrics", "export", "--format", "json", r, q],
         // Missing value.
         &["run", r, q, "--min-len"],
         &["registry", "add", h, "x", r, "--seed-len"],
@@ -986,7 +955,7 @@ fn every_subcommand_holds_to_the_usage_contract() {
         &["run", "--threads", "four", r, q],
         &["registry", "add", h, "x", r, "--min-len", "2O"],
         &["registry", "evict-stats", h, "--rounds", "-1"],
-        &["metrics", "export", "--shards", "1.5", r, q],
+        &["metrics", "export", "--query-threads", "1.5", r, q],
         &["bench-info", "--min-len", "x"],
         // Zero count.
         &["run", "--threads", "0", r, q],
@@ -1000,13 +969,10 @@ fn every_subcommand_holds_to_the_usage_contract() {
         // Over the limit.
         &["run", "--threads", "257", r, q],
         &["run", "--query-threads", "257", r, q],
-        &["run", "--shards", "257", r, q],
         &["metrics", "export", "--query-threads", "257", r, q],
-        &["metrics", "export", "--shards", "257", r, q],
         &["run", "--min-len", "4294967296", r, q],
         // Unknown choice.
         &["run", "--tool", "blast", r, q],
-        &["metrics", "export", "--format", "xml", r, q],
         // Wrong positional count.
         &["run", r],
         &["run", r, q, q],
@@ -1031,7 +997,7 @@ fn every_subcommand_holds_to_the_usage_contract() {
     for args in [
         &["run", "--threads", "256", r, q][..],
         &["run", "--query-threads", "256", r, q],
-        &["metrics", "export", "--shards", "256", r, q],
+        &["metrics", "export", "--query-threads", "256", r, q],
     ] {
         let out = cli().args(args).output().expect("binary runs");
         let err = String::from_utf8_lossy(&out.stderr);

@@ -85,8 +85,9 @@ fn serving_api_is_exposed_at_the_root() {
 
 #[test]
 fn registry_and_request_api_are_exposed_at_the_root() {
+    use gpumem::core::SpanCat;
     use gpumem::sim::DeviceSpec;
-    use gpumem::{Engine, GpumemConfig, Registry, RunOptions, RunRequest, ShardPlan};
+    use gpumem::{Engine, GpumemConfig, Registry, RunOptions, RunRequest};
     use std::sync::Arc;
 
     let reference: PackedSeq = "ACGTACGTACGTGGGGACGTACGTACGT".parse().unwrap();
@@ -104,7 +105,7 @@ fn registry_and_request_api_are_exposed_at_the_root() {
     let query: PackedSeq = "TTTTACGTACGTACGTCCCC".parse().unwrap();
     let plain = engine.run(&query).unwrap();
     let options = RunOptions {
-        shards: 2,
+        trace: true,
         ..RunOptions::default()
     };
     let out = engine
@@ -113,10 +114,17 @@ fn registry_and_request_api_are_exposed_at_the_root() {
         .unwrap()
         .unwrap();
     assert_eq!(out.result.mems, plain.mems);
-
-    let plan = ShardPlan::round_robin(2, 8);
-    assert_eq!(plan.n_shards(), 2);
-    assert_eq!(plan.rows(1).collect::<Vec<_>>(), [1, 3, 5, 7]);
+    let trace = out.trace.expect("a traced request records a trace");
+    let rows: Vec<_> = trace
+        .spans()
+        .iter()
+        .filter(|s| s.cat == SpanCat::TileRow)
+        .collect();
+    assert!(!rows.is_empty());
+    assert!(
+        rows.iter().all(|s| s.stats.is_some()),
+        "rows carry statistics"
+    );
     let stats = engine.metrics().registry;
     assert!(stats.attached);
     assert_eq!(stats.references, 1);

@@ -1,22 +1,22 @@
-//! Registry + sharding invariants end to end: a request's modeled split
-//! of its tile rows across N simulated devices is a pure reporting knob
-//! — the canonical MEM set must be byte-identical for every shard count
-//! (arbitrary row placements are `gpumem-core`'s `gather_rows` tests).
-//! The registry's byte budget must hold under arbitrary access churn,
-//! from one thread or several at once, and pinned sessions must never be
-//! evicted.
+//! Registry and engine-worker invariants end to end: however many
+//! workers an engine spreads a request's tile rows over, the canonical
+//! MEM set must be byte-identical (arbitrary row placements are
+//! `gpumem-core`'s `gather_rows` tests). The registry's byte budget must
+//! hold under arbitrary access churn, from one thread or several at
+//! once, and pinned sessions must never be evicted.
 
 use std::sync::Arc;
 
 use gpumem::seq::{GenomeModel, MutationModel, PackedSeq};
 use gpumem::sim::{Device, DeviceSpec};
-use gpumem::{Engine, GpumemConfig, PinnedSession, RefHandle, Registry, RunOptions, RunRequest};
+use gpumem::{Engine, GpumemConfig, PinnedSession, RefHandle, Registry};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// A related pair with a planted poly-C desert so tile-row masses are
-/// heavily skewed — the load imbalance sharding has to survive.
+/// heavily skewed — the load imbalance a split over workers has to
+/// survive.
 fn skewed_pair(content_seed: u64) -> (PackedSeq, PackedSeq) {
     let mut codes = GenomeModel::mammalian()
         .generate(3_000, content_seed)
@@ -36,7 +36,7 @@ fn skewed_pair(content_seed: u64) -> (PackedSeq, PackedSeq) {
     (reference, query)
 }
 
-fn engine_for(reference: PackedSeq) -> Engine {
+fn engine_for(reference: PackedSeq, threads: usize) -> Engine {
     let config = GpumemConfig::builder(20)
         .seed_len(6)
         .threads_per_block(32)
@@ -46,36 +46,27 @@ fn engine_for(reference: PackedSeq) -> Engine {
     Engine::builder(reference)
         .config(config)
         .spec(DeviceSpec::test_tiny())
+        .threads(threads)
         .build()
         .expect("engine builds")
 }
 
-fn sharded_mems(engine: &Engine, query: &PackedSeq, options: RunOptions) -> Vec<gpumem::seq::Mem> {
-    engine
-        .execute(&RunRequest::query(query).options(options))
-        .pop()
-        .expect("one result per query")
-        .expect("run succeeds")
-        .result
-        .mems
-}
-
 #[test]
-fn shard_count_invariance_one_two_four_seven() {
+fn worker_count_invariance_one_two_four_seven() {
     let (reference, query) = skewed_pair(31_001);
-    let engine = engine_for(reference);
-    let single = engine.run(&query).unwrap();
+    let single = engine_for(reference.clone(), 1).run(&query).unwrap();
     assert!(!single.mems.is_empty(), "fixture must produce MEMs");
-    for shards in [1usize, 2, 4, 7] {
-        let options = RunOptions {
-            shards,
-            ..RunOptions::default()
-        };
-        assert_eq!(
-            sharded_mems(&engine, &query, options),
-            single.mems,
-            "{shards} shards"
-        );
+    assert!(
+        single.stats.rows >= 4,
+        "fixture must span several tile rows"
+    );
+    for threads in [2usize, 4, 7] {
+        let engine = engine_for(reference.clone(), threads);
+        // A cold request and a warm one, each spread over the workers.
+        for pass in ["cold", "warm"] {
+            let split = engine.run(&query).unwrap();
+            assert_eq!(split.mems, single.mems, "{threads} workers, {pass}");
+        }
     }
 }
 

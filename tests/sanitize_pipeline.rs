@@ -6,7 +6,7 @@
 //! dataset with **zero hazards**, and the session sees every launch of
 //! runs whose tile rows would otherwise spread over host threads.
 
-use gpumem::core::{Engine, Gpumem, GpumemConfig, GpumemStats, RunOptions, RunRequest};
+use gpumem::core::{Engine, Gpumem, GpumemConfig, GpumemStats, RunRequest};
 use gpumem::index::{build_compact_gpu, build_gpu, Region};
 use gpumem::seq::{GenomeModel, MutationModel, PackedSeq};
 use gpumem::sim::sanitizer::Session;
@@ -153,30 +153,27 @@ fn session_sees_every_launch_of_a_multi_row_run() {
 }
 
 #[test]
-fn session_sees_every_launch_of_a_sharded_engine_run() {
+fn session_sees_every_launch_of_a_two_worker_engine_run() {
     let (reference, query) = smoke_pair();
     let engine = Engine::builder(reference)
         .config(two_row_config())
         .spec(DeviceSpec::test_tiny())
+        .threads(2)
         .build()
         .expect("engine builds");
-    let options = RunOptions {
-        shards: 2,
-        ..RunOptions::default()
-    };
 
     let session = Session::start();
     let out = engine
-        .execute(&RunRequest::query(&query).options(options))
+        .execute(&RunRequest::query(&query))
         .pop()
         .expect("one query yields one output")
-        .expect("sharded run succeeds");
+        .expect("two-worker run succeeds");
     let report = session.finish();
 
     let stats = &out.result.stats;
-    assert_eq!(stats.shard_matching.len(), 2);
+    assert_eq!(stats.rows, 2, "a row for each worker");
     assert!(launches(stats) > 0, "the cold session builds its rows");
-    assert!(report.is_clean(), "sharded pipeline hazards:\n{report}");
+    assert!(report.is_clean(), "two-worker pipeline hazards:\n{report}");
     assert_eq!(u64::from(report.launches), launches(stats), "{report}");
 }
 

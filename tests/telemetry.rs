@@ -1,12 +1,12 @@
-//! End-to-end tests of the telemetry subsystem: Prometheus/JSON
-//! exposition pinned by golden files (every metric family exactly
+//! End-to-end tests of the telemetry subsystem: the Prometheus
+//! exposition pinned by a golden file (every metric family exactly
 //! once, stable names), the structured event journal (lifecycle,
-//! index-build, shard-dispatch and registry pin/unpin/evict events) and its
-//! exact reconciliation against `Trace::stage_totals()`, deterministic
-//! uptime via an injected clock, and the `gpumem-cli metrics export`
-//! surface.
+//! index-build and registry pin/unpin/evict events) and its exact
+//! reconciliation against `Trace::stage_totals()`, deterministic uptime
+//! via an injected clock, and the `gpumem-cli metrics export` surface
+//! beside the snapshot JSON of `run --metrics`.
 //!
-//! Re-bless the golden files after an intentional exposition change:
+//! Re-bless the golden file after an intentional exposition change:
 //!
 //! ```text
 //! GPUMEM_BLESS=1 cargo test --test telemetry
@@ -26,7 +26,7 @@ use gpumem::seq::{write_fasta, FastaRecord, GenomeModel, MutationModel, PackedSe
 use gpumem::sim::{Device, DeviceSpec, LaunchStats};
 use gpumem::{
     Engine, EventSink, GpumemConfig, ManualClock, MemoryEventSink, MetricsSnapshot, Registry,
-    RegistryStats, RunOptions, RunRequest, ShardHealth,
+    RegistryStats, RunOptions, RunRequest,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -76,17 +76,11 @@ const FAMILIES: &[&str] = &[
     "gpumem_registry_hits_total",
     "gpumem_registry_misses_total",
     "gpumem_registry_evictions_total",
-    "gpumem_sharded_runs_total",
-    "gpumem_shard_count",
-    "gpumem_shard_modeled_seconds",
-    "gpumem_shard_modeled_max_seconds",
-    "gpumem_shard_modeled_mean_seconds",
-    "gpumem_shard_imbalance",
 ];
 
 /// A fully populated snapshot with hand-picked values, so the golden
-/// files cover every branch of the exporter (labels, histogram series,
-/// per-worker and per-shard fan-out) with deterministic numbers.
+/// file covers every branch of the exporter (labels, histogram series,
+/// per-worker fan-out) with deterministic numbers.
 fn golden_snapshot() -> MetricsSnapshot {
     MetricsSnapshot {
         uptime_s: 12.5,
@@ -179,14 +173,6 @@ fn golden_snapshot() -> MetricsSnapshot {
             misses: 2,
             evictions: 1,
         },
-        shards: ShardHealth {
-            sharded_runs: 2,
-            shards: 2,
-            last_modeled_s: vec![0.003, 0.001],
-            max_modeled_s: 0.003,
-            mean_modeled_s: 0.002,
-            imbalance: 1.5,
-        },
     }
 }
 
@@ -243,29 +229,6 @@ fn prometheus_exposition_matches_golden_with_every_family_exactly_once() {
     // Histogram exposition is cumulative and +Inf-terminated.
     assert!(text.contains("gpumem_query_latency_seconds_bucket{le=\"+Inf\"} 3"));
     assert!(text.contains("gpumem_query_latency_seconds_count 3"));
-    // The first-class shard gauges of the tentpole.
-    assert!(text.contains("gpumem_shard_imbalance 1.5"));
-    assert!(text.contains("gpumem_shard_modeled_seconds{shard=\"0\"} 0.003"));
-}
-
-#[test]
-fn json_exposition_matches_golden_and_mirrors_the_family_set() {
-    let text = telemetry::render_json(&golden_snapshot());
-    check_golden("metrics.json", &text);
-
-    let doc = parse(&text).expect("exposition is valid JSON");
-    let metrics = doc.get("metrics").unwrap().as_array().unwrap();
-    let mut names: Vec<&str> = metrics
-        .iter()
-        .map(|m| m.get("name").unwrap().as_str().unwrap())
-        .collect();
-    let total = names.len();
-    names.sort_unstable();
-    names.dedup();
-    assert_eq!(names.len(), total, "duplicate metric family in JSON");
-    let mut expected: Vec<&str> = FAMILIES.to_vec();
-    expected.sort_unstable();
-    assert_eq!(names, expected, "JSON families must mirror Prometheus");
 }
 
 fn test_pair(seed: u64) -> (PackedSeq, PackedSeq) {
@@ -389,76 +352,24 @@ fn manual_clock_makes_uptime_deterministic() {
 }
 
 #[test]
-fn sharded_runs_populate_shard_health_and_the_imbalance_gauge() {
-    let (reference, query) = test_pair(9_004);
-    let sink = Arc::new(MemoryEventSink::new());
-    let engine = Engine::builder(reference)
-        .config(test_config())
-        .spec(DeviceSpec::test_tiny())
-        .event_sink(Arc::clone(&sink) as Arc<dyn EventSink>)
-        .build()
-        .unwrap();
-
-    let fresh = engine.metrics().shards;
-    assert_eq!(fresh.sharded_runs, 0);
-    assert_eq!(fresh.imbalance, 0.0, "zeroed before any sharded run");
-
-    let options = RunOptions {
-        shards: 2,
-        ..RunOptions::default()
-    };
-    engine
-        .execute(&RunRequest::query(&query).options(options))
-        .pop()
-        .unwrap()
-        .unwrap();
-
-    let shards = engine.metrics().shards;
-    assert_eq!(shards.sharded_runs, 1);
-    assert_eq!(shards.shards, 2);
-    assert_eq!(shards.last_modeled_s.len(), 2);
-    assert!(shards.max_modeled_s >= shards.mean_modeled_s);
-    assert!(shards.imbalance >= 1.0);
-
-    let dispatches = sink.of_kind("shard_dispatch");
-    assert_eq!(dispatches.len(), 2, "one dispatch event per shard");
-    let rows: u64 = dispatches
-        .iter()
-        .map(|d| d.u64_field("rows").unwrap())
-        .sum();
-    assert_eq!(
-        rows as usize,
-        engine.session().rows(),
-        "dispatch covers all rows"
-    );
-
-    let text = telemetry::render_prometheus(&engine.metrics());
-    assert!(text.contains("gpumem_shard_imbalance"));
-    assert!(text.contains("gpumem_shard_modeled_seconds{shard=\"1\"}"));
-}
-
-#[test]
-fn cold_sharded_requests_journal_every_index_build() {
+fn cold_split_requests_journal_every_index_build() {
     let (reference, query) = test_pair(9_007);
     let sink = Arc::new(MemoryEventSink::new());
     let engine = Engine::builder(reference)
         .config(test_config())
         .spec(DeviceSpec::test_tiny())
+        .threads(2)
         .event_sink(Arc::clone(&sink) as Arc<dyn EventSink>)
         .build()
         .unwrap();
-    let options = RunOptions {
-        shards: 2,
-        ..RunOptions::default()
-    };
     let out = engine
-        .execute(&RunRequest::query(&query).options(options))
+        .execute(&RunRequest::query(&query))
         .pop()
         .unwrap()
         .unwrap();
 
-    // The request built every row on its worker: one event each,
-    // carrying the launches the run's index stats add up.
+    // The request built every row on one of its two workers: one event
+    // each, carrying the launches the run's index stats add up.
     let built = engine.metrics().index_cache.built;
     assert!(built >= 2, "the fixture spans several rows");
     let builds = sink.of_kind("index_build");
@@ -581,6 +492,9 @@ fn write_pair(dir: &std::path::Path) -> (String, String) {
     (write("ref.fa", &reference), write("query.fa", &query))
 }
 
+/// The metrics' two forms from the CLI: `metrics export` prints the
+/// Prometheus text (and journals the batch), `run --metrics` writes the
+/// engine's snapshot as JSON, and both count the same one query.
 #[test]
 fn cli_metrics_export_emits_both_formats_and_a_journal() {
     let dir = std::env::temp_dir().join("gpumem-telemetry-cli");
@@ -589,20 +503,14 @@ fn cli_metrics_export_emits_both_formats_and_a_journal() {
     let journal = dir.join("events.jsonl");
 
     let prom = cli()
+        .args(["metrics", "export", "--min-len", "20", "--seed-len", "6"])
         .args([
-            "metrics",
-            "export",
-            "--min-len",
-            "20",
-            "--seed-len",
-            "6",
-            "--shards",
+            "--query-threads",
             "2",
             "--journal",
             journal.to_str().unwrap(),
-            &ref_fa,
-            &query_fa,
         ])
+        .args([&ref_fa, &query_fa])
         .output()
         .expect("binary runs");
     assert!(
@@ -617,8 +525,7 @@ fn cli_metrics_export_emits_both_formats_and_a_journal() {
             "scrape output missing {family}"
         );
     }
-    // The sharded run surfaced in the scrape.
-    assert!(text.contains("gpumem_sharded_runs_total 1"));
+    assert!(text.contains("gpumem_queries_total 1"));
 
     let journal_text = std::fs::read_to_string(&journal).unwrap();
     assert!(!journal_text.is_empty());
@@ -626,27 +533,26 @@ fn cli_metrics_export_emits_both_formats_and_a_journal() {
         parse(line).unwrap_or_else(|e| panic!("bad journal line {line:?}: {e}"));
     }
     assert!(journal_text.contains("\"event\":\"run_end\""));
-    assert!(journal_text.contains("\"event\":\"shard_dispatch\""));
 
-    let json = cli()
+    let snapshot = dir.join("metrics.json");
+    let run = cli()
         .args([
-            "metrics",
-            "export",
-            "--format",
-            "json",
+            "run",
             "--min-len",
             "20",
             "--seed-len",
             "6",
-            "--shards",
+            "--query-threads",
             "2",
-            &ref_fa,
-            &query_fa,
         ])
+        .arg("--metrics")
+        .arg(&snapshot)
+        .args([&ref_fa, &query_fa])
         .output()
         .expect("binary runs");
-    assert!(json.status.success());
-    let doc = parse(&String::from_utf8(json.stdout).unwrap()).expect("valid JSON exposition");
-    let metrics = doc.get("metrics").unwrap().as_array().unwrap();
-    assert_eq!(metrics.len(), FAMILIES.len());
+    assert!(run.status.success());
+    let doc = parse(&std::fs::read_to_string(&snapshot).unwrap()).expect("valid JSON snapshot");
+    assert_eq!(doc.get("queries").and_then(|v| v.as_u64()), Some(1));
+    let workers = doc.get("workers").and_then(|v| v.as_array()).unwrap();
+    assert_eq!(workers.len(), 2, "one entry per engine worker");
 }

@@ -32,7 +32,9 @@ pub(crate) fn lce_cost(matched: usize) -> (u64, u64) {
 /// * `cap` — [`crate::GpumemConfig::generation_cap`] (`max(w, ℓs)`).
 ///
 /// Runs as one SIMT region; lanes of one group stride over the seed's
-/// bucket (the even split of §III-B2).
+/// bucket (the even split of §III-B2). Each lane charges the bucket
+/// lookup, but the host looks each group's bucket up once: lanes run in
+/// thread order, and a group's threads are contiguous.
 pub fn generate_triplets(
     ctx: &mut gpu_sim::BlockCtx<'_>,
     reference: &PackedSeq,
@@ -44,6 +46,10 @@ pub fn generate_triplets(
     cap: usize,
     triplets: &mut [Vec<Mem>],
 ) {
+    // Bucket boundary reads, plus the layout's lookup overhead (the
+    // compact directory pays a binary search here).
+    let lookup_loads = 2 + index.lookup_overhead_loads();
+    let mut looked_up: (usize, &[u32]) = (crate::balance::IDLE, &[]);
     ctx.simt(|lane| {
         let g = assignment.group_of_thread[lane.tid];
         if lane.branch(g == crate::balance::IDLE) {
@@ -53,10 +59,11 @@ pub fn generate_triplets(
         let (Some(q), Some(code)) = (q_of_slot[group.seed_slot], codes[group.seed_slot]) else {
             return;
         };
-        // Bucket boundary reads, plus the layout's lookup overhead
-        // (the compact directory pays a binary search here).
-        lane.charge(Op::GlobalLoad, 2 + index.lookup_overhead_loads());
-        let bucket = index.lookup(code);
+        lane.charge(Op::GlobalLoad, lookup_loads);
+        if looked_up.0 != g {
+            looked_up = (g, index.lookup(code));
+        }
+        let bucket = looked_up.1;
         let my_offset = lane.tid - group.threads.start;
         let stride = group.threads.len();
         // One `locs[j]` load and one triplet store per visited element;
@@ -125,7 +132,7 @@ mod tests {
                 .collect();
             let codes: Vec<Option<u32>> = q_of_slot
                 .iter()
-                .map(|q| q.and_then(|q| index.codec.encode(query, q)))
+                .map(|q| q.and_then(|q| index.codec().encode(query, q)))
                 .collect();
             let loads: Vec<u32> = codes
                 .iter()

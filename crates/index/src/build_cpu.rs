@@ -14,53 +14,43 @@ use gpumem_seq::PackedSeq;
 use crate::index::{Region, SeedIndex};
 use crate::seed::SeedCodec;
 
-/// Sequential reference builder: count, scan, fill (in position order,
-/// so buckets come out sorted without a separate pass).
+/// Sequential reference builder: sort the sampled positions by seed
+/// code, so buckets come out in code order and ascending within.
 pub fn build_sequential(
     seq: &PackedSeq,
     region: Region,
     seed_len: usize,
     step: usize,
 ) -> SeedIndex {
-    assert!(step >= 1, "step must be at least 1");
     let codec = SeedCodec::new(seed_len);
-    let positions = SeedIndex::expected_positions(region, step, seed_len, seq.len());
+    let locs = sorted_pairs(seq, codec, region, step)
+        .into_iter()
+        .map(|pair| pair as u32)
+        .collect();
+    SeedIndex::from_buckets(seq, codec, step, region, locs)
+}
 
-    let mut counts = vec![0u32; codec.num_seeds() + 1];
-    for &pos in &positions {
-        let code = codec
-            .encode(seq, pos as usize)
-            .expect("position bounds-checked");
-        counts[code as usize] += 1;
-    }
-
-    // Exclusive scan in place: ptrs[s] = start of bucket s.
-    let mut ptrs = counts;
-    let mut acc = 0u32;
-    for slot in ptrs.iter_mut() {
-        let v = *slot;
-        *slot = acc;
-        acc += v;
-    }
-
-    let mut cursor = ptrs.clone();
-    let mut locs = vec![0u32; positions.len()];
-    for &pos in &positions {
-        let code = codec
-            .encode(seq, pos as usize)
-            .expect("position bounds-checked");
-        let idx = cursor[code as usize];
-        cursor[code as usize] += 1;
-        locs[idx as usize] = pos;
-    }
-
-    SeedIndex {
-        codec,
-        step,
-        region,
-        ptrs,
-        locs,
-    }
+/// `region`'s sampled positions as `code << 32 | position` pairs,
+/// ascending: by seed code, then by position.
+pub(crate) fn sorted_pairs(
+    seq: &PackedSeq,
+    codec: SeedCodec,
+    region: Region,
+    step: usize,
+) -> Vec<u64> {
+    assert!(step >= 1, "step must be at least 1");
+    let mut pairs: Vec<u64> =
+        SeedIndex::expected_positions(region, step, codec.seed_len(), seq.len())
+            .into_iter()
+            .map(|pos| {
+                let code = codec
+                    .encode(seq, pos as usize)
+                    .expect("position bounds-checked");
+                (u64::from(code) << 32) | u64::from(pos)
+            })
+            .collect();
+    pairs.sort_unstable();
+    pairs
 }
 
 #[cfg(test)]

@@ -72,11 +72,12 @@ fn sparse_sort_lane(seeds: usize) -> LaneCharge {
     (0..seeds).fold(loads, |lane, _| lane.branch(false))
 }
 
-/// Build the index of `region` on the device. Returns the index
-/// (copied back to the host, as the pipeline's host-side bookkeeping
-/// needs it) plus the accumulated launch statistics — Table III's
-/// "GPUMEM index generation time" is `stats.modeled_time`. The per-seed
-/// kernels run as [`Body::current`] says.
+/// Build the index of `region` on the device. Returns the index's host
+/// form ([`SeedIndex`]: `locs` copied back and its buckets found on the
+/// host; the `4^ℓs + 1`-entry `ptrs` never leaves the device) plus the
+/// accumulated launch statistics — Table III's "GPUMEM index generation
+/// time" is `stats.modeled_time`. The per-seed kernels run as
+/// [`Body::current`] says.
 pub fn build_gpu(
     device: &Device,
     seq: &PackedSeq,
@@ -261,13 +262,19 @@ pub fn build_gpu_as(
         });
     });
 
-    let index = SeedIndex {
-        codec,
-        step,
-        region,
-        ptrs: ptrs.to_vec(),
-        locs: locs.to_vec(),
-    };
+    // The host takes `locs` and finds its buckets itself; `ptrs` stays
+    // on the device, where debug builds check the host form against it
+    // at entry 0, both bounds of every present seed and the sentinel.
+    let index = SeedIndex::from_buckets(seq, codec, step, region, locs.to_vec());
+    if cfg!(debug_assertions) {
+        assert_eq!(ptrs.load(0), 0, "ptrs[0]");
+        for (code, bucket) in index.buckets() {
+            let code = code as usize;
+            let bounds = ptrs.load(code) as usize..ptrs.load(code + 1) as usize;
+            assert_eq!(bounds, bucket, "bucket of seed {code}");
+        }
+        assert_eq!(ptrs.load(num_seeds) as usize, n_positions, "ptrs sentinel");
+    }
     (index, stats)
 }
 

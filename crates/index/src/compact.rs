@@ -23,6 +23,7 @@ use gpu_sim::primitives::{device_sort_u64, BLOCK_DIM};
 use gpu_sim::{Device, LaunchConfig, LaunchStats, Op};
 use gpumem_seq::PackedSeq;
 
+use crate::build_cpu::sorted_pairs;
 use crate::index::{Region, SeedIndex};
 use crate::lookup::SeedLookup;
 use crate::seed::SeedCodec;
@@ -83,11 +84,11 @@ impl CompactSeedIndex {
     /// Check structural equivalence against a dense [`SeedIndex`] of
     /// the same parameters (test helper).
     pub fn agrees_with_dense(&self, dense: &SeedIndex) -> Result<(), String> {
-        if self.locs.len() != dense.locs.len() {
+        if self.locs.len() != dense.num_locations() {
             return Err(format!(
                 "location count {} vs dense {}",
                 self.locs.len(),
-                dense.locs.len()
+                dense.num_locations()
             ));
         }
         for (i, &code) in self.entries.iter().enumerate() {
@@ -136,18 +137,8 @@ pub fn build_compact_sequential(
     seed_len: usize,
     step: usize,
 ) -> CompactSeedIndex {
-    assert!(step >= 1, "step must be at least 1");
     let codec = SeedCodec::new(seed_len);
-    let mut pairs: Vec<u64> = SeedIndex::expected_positions(region, step, seed_len, seq.len())
-        .into_iter()
-        .map(|pos| {
-            let code = codec
-                .encode(seq, pos as usize)
-                .expect("position bounds-checked");
-            (u64::from(code) << 32) | u64::from(pos)
-        })
-        .collect();
-    pairs.sort_unstable();
+    let pairs = sorted_pairs(seq, codec, region, step);
     CompactSeedIndex::from_sorted_pairs(codec, step, region, &pairs)
 }
 
@@ -211,7 +202,7 @@ mod tests {
                 .agrees_with_dense(&dense)
                 .unwrap_or_else(|e| panic!("(ls={seed_len}, step={step}): {e}"));
             // Trait-level equivalence on present and absent seeds.
-            for code in (0..dense.codec.num_seeds() as u32).step_by(17) {
+            for code in (0..dense.codec().num_seeds() as u32).step_by(17) {
                 assert_eq!(
                     SeedLookup::lookup(&compact, code),
                     SeedIndex::lookup(&dense, code),

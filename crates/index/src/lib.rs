@@ -9,6 +9,11 @@
 //!   bucket in `locs` (a prefix-sum of occurrence counts; the last entry
 //!   is `|locs|`).
 //!
+//! `ptrs` stays on the device. The host keeps `locs` and answers both
+//! questions the pipeline asks of a seed — how many locations, and
+//! which — from an occupancy bitset over the `4^ℓs` codes with a rank
+//! per word ([`SeedIndex`]), so it never holds a `4^ℓs`-entry array.
+//!
 //! Sampling every `Δs`-th reference position keeps the index small; the
 //! sparsification bound `Δs ≤ L − ℓs + 1` (Eq. 1, [`sparsify`])
 //! guarantees every MEM of length ≥ L still contains a sampled seed.

@@ -6,6 +6,13 @@
 //! either the paper's dense table ([`crate::SeedIndex`]) or the
 //! compact sorted directory ([`crate::CompactSeedIndex`], the §V
 //! "novel indexing techniques" extension).
+//!
+//! Both answer on the host, each from its own host form: the dense
+//! table keeps no copy of the device's `4^ℓs + 1`-entry `ptrs` but an
+//! occupancy bitset with rank, and the compact directory its sorted
+//! codes. What a lookup costs the model is separate: the dense table's
+//! two `ptrs` reads plus [`SeedLookup::lookup_overhead_loads`], charged
+//! by the pipeline.
 
 /// A shareable handle to a built row index. The serving engine caches
 /// one of these per tile row inside a `RefSession` and hands clones to
@@ -35,17 +42,18 @@ pub trait SeedLookup: Send + Sync {
         0
     }
 
-    /// Index memory in bytes.
+    /// The index's modeled device memory in bytes, what the registry
+    /// charges a built row.
     fn memory_bytes(&self) -> usize;
 }
 
 impl SeedLookup for crate::SeedIndex {
     fn seed_len(&self) -> usize {
-        self.codec.seed_len()
+        self.codec().seed_len()
     }
 
     fn step(&self) -> usize {
-        self.step
+        crate::SeedIndex::step(self)
     }
 
     fn occurrences(&self, code: u32) -> usize {

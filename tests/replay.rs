@@ -23,7 +23,11 @@
 //!   and tail rows. Both bodies are called directly: whether a sanitizer
 //!   session is live is process-wide, so no test can count on the body
 //!   `build_gpu` picks.
+//! * On the same references, seed lengths, steps and rows, the dense
+//!   index's host form answers `lookup` and `occurrences` for every seed
+//!   code as a naive map from code to sampled positions does.
 
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -33,8 +37,8 @@ use gpumem::core::block::{encode_query_seeds, process_block, BlockOutput, BlockS
 use gpumem::core::combine::{tree_combine_scheduled, CombineScratch};
 use gpumem::core::GpumemConfig;
 use gpumem::index::{
-    build_compact_sequential, build_gpu, build_gpu_as, build_sequential, Region, SeedIndex,
-    SeedLookup,
+    build_compact_sequential, build_gpu, build_gpu_as, build_sequential, Region, SeedCodec,
+    SeedIndex, SeedLookup,
 };
 use gpumem::seq::{GenomeModel, Mem, MutationModel, PackedSeq};
 use gpumem::sim::primitives::{device_exclusive_scan, device_exclusive_scan_as};
@@ -546,26 +550,32 @@ fn computed_scan_matches_the_interpreted_reference() {
     }
 }
 
-/// Every ℓs from 1 to 9 on each reference, over the whole sequence, an
-/// empty row, an interior row and the tail row, at two steps.
+/// The rows the index kernels are checked on: the whole sequence, an
+/// empty row, an interior row and the tail row.
+fn index_rows(seq: &PackedSeq) -> [Region; 4] {
+    let len = seq.len();
+    [
+        Region::whole(seq),
+        Region { start: 0, len: 0 },
+        Region {
+            start: 1_000,
+            len: 900,
+        },
+        Region {
+            start: len - 450,
+            len: 450,
+        },
+    ]
+}
+
+/// Every ℓs from 1 to 9 on each reference, over [`index_rows`], at two
+/// steps.
 #[test]
 fn computed_index_kernels_match_the_interpreted_references() {
     for (name, seq) in index_references(3_000, 27) {
-        let len = seq.len();
         for seed_len in 1..=9 {
             for step in [1, 7] {
-                for region in [
-                    Region::whole(&seq),
-                    Region { start: 0, len: 0 },
-                    Region {
-                        start: 1_000,
-                        len: 900,
-                    },
-                    Region {
-                        start: len - 450,
-                        len: 450,
-                    },
-                ] {
+                for region in index_rows(&seq) {
                     let run = |body| index_build(&seq, region, seed_len, step, body);
                     let (index, stats) = run(Body::Computed);
                     let context = format!("{name}, ℓs {seed_len}, step {step}, {region:?}");
@@ -575,6 +585,45 @@ fn computed_index_kernels_match_the_interpreted_references() {
                         "{context}"
                     );
                     assert_eq!((index, stats), run(Body::Interpreted), "{context}");
+                }
+            }
+        }
+    }
+}
+
+/// Every seed code's `lookup` and `occurrences`, host-built and
+/// device-built, against a naive map from code to the row's sampled
+/// positions, over the cases of the test above.
+#[test]
+fn lookups_match_a_naive_map_at_every_code() {
+    for (name, seq) in index_references(3_000, 27) {
+        for seed_len in 1..=9 {
+            let codec = SeedCodec::new(seed_len);
+            for step in [1, 7] {
+                for region in index_rows(&seq) {
+                    let mut naive = BTreeMap::<u32, Vec<u32>>::new();
+                    for pos in (region.start..region.end()).step_by(step) {
+                        if let Some(code) = codec.encode(&seq, pos) {
+                            naive.entry(code).or_default().push(pos as u32);
+                        }
+                    }
+                    let built = [
+                        ("host", build_sequential(&seq, region, seed_len, step)),
+                        (
+                            "device",
+                            index_build(&seq, region, seed_len, step, Body::Computed).0,
+                        ),
+                    ];
+                    for (builder, index) in &built {
+                        for code in 0..codec.num_seeds() as u32 {
+                            let want = naive.get(&code).map_or(&[][..], Vec::as_slice);
+                            let context = || {
+                                format!("{name}, ℓs {seed_len}, step {step}, {region:?}, {builder}, seed {code}")
+                            };
+                            assert_eq!(index.lookup(code), want, "{}", context());
+                            assert_eq!(index.occurrences(code), want.len(), "{}", context());
+                        }
+                    }
                 }
             }
         }

@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 use gpumem_baselines::{EssaMem, MemFinder, Mummer, SlaMem, SparseMem};
-use gpumem_index::{build_compact_sequential, build_sequential, Region, SeedLookup};
+use gpumem_index::{build_sequential, IndexKind, Region};
 use gpumem_seq::DatasetPair;
 
 use crate::report::TsvWriter;
@@ -55,9 +55,7 @@ pub fn run(scale: f64, seed: u64) -> Vec<(usize, usize)> {
         let index = build_sequential(reference, region, config.seed_len, config.step);
         let paper_bits = index.paper_bits();
         let gpumem_bytes = index.memory_bytes();
-        let compact_bytes =
-            build_compact_sequential(reference, region, config.seed_len, config.step)
-                .memory_bytes();
+        let compact_bytes = index.with_kind(IndexKind::CompactDirectory).memory_bytes();
 
         let sparse = SparseMem::build(reference, 8).index_bytes();
         let essa = EssaMem::build(reference, 4).index_bytes();

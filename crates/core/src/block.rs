@@ -16,7 +16,7 @@
 use std::ops::Range;
 
 use gpu_sim::{BlockCtx, Op, RegionCharge};
-use gpumem_index::{SeedCodec, SeedLookup};
+use gpumem_index::{SeedCodec, SeedIndex};
 use gpumem_seq::{Mem, PackedSeq};
 
 use crate::balance::{balance_into, Assignment, BalanceScratch};
@@ -107,14 +107,14 @@ pub fn process_block(
     reference: &PackedSeq,
     query: &PackedSeq,
     query_codes: &[u32],
-    index: &dyn SeedLookup,
+    index: &SeedIndex,
     config: &GpumemConfig,
     row_range: Range<usize>,
     block_q: Range<usize>,
     scratch: &mut BlockScratch,
     output: &mut BlockOutput,
 ) {
-    debug_assert_eq!(index.seed_len(), config.seed_len);
+    debug_assert_eq!(index.codec().seed_len(), config.seed_len);
     debug_assert_eq!(
         query_codes.len(),
         (query.len() + 1).saturating_sub(config.seed_len)

@@ -14,16 +14,7 @@
 
 use gpumem_index::{check_dual_steps, check_step, max_step, IndexError, SeedCodec, SeedMode};
 
-/// Which index layout the pipeline builds per tile row.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum IndexKind {
-    /// The paper's dense `ptrs`/`locs` table (Algorithm 1).
-    #[default]
-    DenseTable,
-    /// The compact sorted directory (`O(n_locs)` memory, binary-search
-    /// lookups) — the §V "novel indexing techniques" extension.
-    CompactDirectory,
-}
+pub use gpumem_index::IndexKind;
 
 /// Validated GPUMEM configuration.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]

@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use gpu_sim::{Device, DeviceSpec, LaunchStats};
-use gpumem_index::{Region, SharedSeedLookup};
+use gpumem_index::{Region, SeedIndex};
 use gpumem_seq::{PackedSeq, SeqSet};
 
 use crate::config::GpumemConfig;
@@ -51,15 +51,15 @@ use crate::trace::Trace;
 pub struct RefSession {
     reference: Arc<PackedSeq>,
     config: GpumemConfig,
-    rows: Vec<Mutex<Option<SharedSeedLookup>>>,
+    rows: Vec<Mutex<Option<Arc<SeedIndex>>>>,
     /// Accumulated index-build cost ([`IndexBuildReport::rows`] counts
     /// the rows built).
     build: Mutex<IndexBuildReport>,
     /// Row-index lookups served from cache (misses = rows built).
     hits: AtomicU64,
     /// Bytes of currently resident row indexes (the
-    /// [`SeedLookup::memory_bytes`](gpumem_index::SeedLookup) sum) —
-    /// what the registry's byte budget charges.
+    /// [`SeedIndex::memory_bytes`] sum) — what the registry's byte
+    /// budget charges.
     resident: AtomicU64,
 }
 
@@ -145,7 +145,7 @@ impl RefSession {
     /// the slot lock across the build means concurrent queries touching
     /// the same cold row build it exactly once. The caller times the
     /// call and accounts a build ([`RefSession::record_builds`]).
-    pub(crate) fn row_index(&self, device: &Device, row: usize) -> (SharedSeedLookup, LaunchStats) {
+    pub(crate) fn row_index(&self, device: &Device, row: usize) -> (Arc<SeedIndex>, LaunchStats) {
         let mut slot = self.rows[row].lock();
         if let Some(index) = slot.as_ref() {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -591,7 +591,7 @@ pub struct Engine {
 /// accounted to the session's report with the wall the request's
 /// `index_build` stage read, and journalled.
 impl RowIndexes for Engine {
-    fn index(&self, device: &Device, row: usize, _: Region) -> (SharedSeedLookup, LaunchStats) {
+    fn index(&self, device: &Device, row: usize, _: Region) -> (Arc<SeedIndex>, LaunchStats) {
         self.session.row_index(device, row)
     }
 
@@ -1339,8 +1339,8 @@ mod tests {
     }
 
     /// Every location list of a row index, in seed-code order.
-    fn index_contents(index: &dyn gpumem_index::SeedLookup) -> Vec<Vec<u32>> {
-        let codes = 1u32 << (2 * index.seed_len());
+    fn index_contents(index: &SeedIndex) -> Vec<Vec<u32>> {
+        let codes = index.codec().num_seeds() as u32;
         (0..codes).map(|code| index.lookup(code).to_vec()).collect()
     }
 
@@ -1383,7 +1383,7 @@ mod tests {
                 let indexes: Vec<Vec<Vec<u32>>> = session
                     .rows
                     .iter()
-                    .map(|slot| index_contents(&**slot.lock().as_ref().expect("warmed")))
+                    .map(|slot| index_contents(slot.lock().as_ref().expect("warmed")))
                     .collect();
                 (render_launch(&report.stats), indexes)
             };

@@ -13,7 +13,7 @@
 //! the same capped length.
 
 use gpu_sim::Op;
-use gpumem_index::SeedLookup;
+use gpumem_index::SeedIndex;
 use gpumem_seq::{Mem, PackedSeq};
 
 use crate::balance::Assignment;
@@ -39,7 +39,7 @@ pub fn generate_triplets(
     ctx: &mut gpu_sim::BlockCtx<'_>,
     reference: &PackedSeq,
     query: &PackedSeq,
-    index: &dyn SeedLookup,
+    index: &SeedIndex,
     assignment: &Assignment,
     q_of_slot: &[Option<usize>],
     codes: &[Option<u32>],
@@ -83,7 +83,7 @@ pub fn generate_triplets(
             // up to the cap. LCE below block/tile boundaries is fine —
             // classification happens at expansion time.
             let len = reference.lce_fwd(r, query, q, cap);
-            debug_assert!(len >= index.seed_len().min(cap));
+            debug_assert!(len >= index.codec().seed_len().min(cap));
             let (loads, compares) = lce_cost(len);
             lce_loads += loads;
             lce_compares += compares;

@@ -25,7 +25,7 @@ use parking_lot::{Mutex, MutexGuard};
 
 use gpu_sim::primitives::BLOCK_DIM;
 use gpu_sim::{Device, DeviceSpec, LaunchConfig, LaunchStats, PoolClass};
-use gpumem_index::{build_compact_gpu, build_gpu, Region, SharedSeedLookup};
+use gpumem_index::{build_compact_gpu, build_gpu, IndexKind, Region, SeedIndex};
 use gpumem_seq::{canonicalize, Mem, PackedSeq};
 
 use crate::block::{encode_query_seeds, process_block, BlockOutput, BlockScratch};
@@ -151,7 +151,7 @@ pub fn device_memory_estimate(config: &GpumemConfig) -> u64 {
     let class = |n: u64| n.next_power_of_two().max(1);
     let n_locs = (config.tile_len() / config.step + 1) as u64;
     let index = match config.index_kind {
-        crate::config::IndexKind::DenseTable => {
+        IndexKind::DenseTable => {
             let seeds = 1u64 << (2 * config.seed_len);
             let scan_sums: u64 = gpu_sim::primitives::device_scan_sums(seeds as usize + 1)
                 .into_iter()
@@ -159,7 +159,7 @@ pub fn device_memory_estimate(config: &GpumemConfig) -> u64 {
                 .sum();
             4 * (class(seeds + 1) + class(seeds) + scan_sums + 2 * class(n_locs))
         }
-        crate::config::IndexKind::CompactDirectory => 8 * 2 * class(n_locs),
+        IndexKind::CompactDirectory => 8 * 2 * class(n_locs),
     };
     let tile_bases = (config.tile_len() as u64).div_ceil(4); // 2-bit packed
 
@@ -177,18 +177,14 @@ pub(crate) fn build_row_index(
     config: &GpumemConfig,
     reference: &PackedSeq,
     region: Region,
-) -> (SharedSeedLookup, LaunchStats) {
-    match config.index_kind {
-        crate::config::IndexKind::DenseTable => {
-            let (index, stats) = build_gpu(device, reference, region, config.seed_len, config.step);
-            (Arc::new(index), stats)
+) -> (Arc<SeedIndex>, LaunchStats) {
+    let (index, stats) = match config.index_kind {
+        IndexKind::DenseTable => build_gpu(device, reference, region, config.seed_len, config.step),
+        IndexKind::CompactDirectory => {
+            build_compact_gpu(device, reference, region, config.seed_len, config.step)
         }
-        crate::config::IndexKind::CompactDirectory => {
-            let (index, stats) =
-                build_compact_gpu(device, reference, region, config.seed_len, config.step);
-            (Arc::new(index), stats)
-        }
-    }
+    };
+    (Arc::new(index), stats)
 }
 
 /// Report from building the per-row partial indexes (the Table III
@@ -358,8 +354,7 @@ pub(crate) fn timed<T>(
 pub(crate) trait RowIndexes: Sync {
     /// Row `row`'s index on a worker's `device`: built fresh, or served
     /// from a session cache with zero launch stats.
-    fn index(&self, device: &Device, row: usize, region: Region)
-        -> (SharedSeedLookup, LaunchStats);
+    fn index(&self, device: &Device, row: usize, region: Region) -> (Arc<SeedIndex>, LaunchStats);
 
     /// Told of each [`RowIndexes::index`] call that built a row (one
     /// that launched): its statistics and the wall its `index_build`
@@ -370,14 +365,9 @@ pub(crate) trait RowIndexes: Sync {
 
 impl<F> RowIndexes for F
 where
-    F: Fn(&Device, usize, Region) -> (SharedSeedLookup, LaunchStats) + Sync,
+    F: Fn(&Device, usize, Region) -> (Arc<SeedIndex>, LaunchStats) + Sync,
 {
-    fn index(
-        &self,
-        device: &Device,
-        row: usize,
-        region: Region,
-    ) -> (SharedSeedLookup, LaunchStats) {
+    fn index(&self, device: &Device, row: usize, region: Region) -> (Arc<SeedIndex>, LaunchStats) {
         self(device, row, region)
     }
 }
@@ -623,7 +613,7 @@ impl RowJob<'_> {
     fn tile(
         &self,
         device: &Device,
-        index: &SharedSeedLookup,
+        index: &SeedIndex,
         region: Region,
         col: usize,
         scratch: &mut TileScratch,
@@ -646,7 +636,7 @@ impl RowJob<'_> {
                     reference,
                     query,
                     self.query_codes,
-                    index.as_ref(),
+                    index,
                     config,
                     row_range.clone(),
                     block_q,
@@ -1241,10 +1231,7 @@ pub(crate) mod tests {
     #[test]
     fn index_only_build_on_the_worker_set_equals_one_device() {
         let reference = GenomeModel::uniform().generate(5_000, 405);
-        for kind in [
-            crate::config::IndexKind::DenseTable,
-            crate::config::IndexKind::CompactDirectory,
-        ] {
+        for kind in [IndexKind::DenseTable, IndexKind::CompactDirectory] {
             let config = GpumemConfig::builder(20)
                 .seed_len(8)
                 .threads_per_block(8)
@@ -1289,10 +1276,10 @@ pub(crate) mod tests {
                 .unwrap();
             Gpumem::with_device(config, Device::new(DeviceSpec::test_tiny()))
         };
-        let dense = build(crate::config::IndexKind::DenseTable)
+        let dense = build(IndexKind::DenseTable)
             .run(&pair.reference, &pair.query)
             .unwrap();
-        let compact = build(crate::config::IndexKind::CompactDirectory)
+        let compact = build(IndexKind::CompactDirectory)
             .run(&pair.reference, &pair.query)
             .unwrap();
         assert_eq!(
@@ -1314,7 +1301,7 @@ pub(crate) mod tests {
             .seed_len(10)
             .threads_per_block(8)
             .blocks_per_tile(2)
-            .index_kind(crate::config::IndexKind::CompactDirectory)
+            .index_kind(IndexKind::CompactDirectory)
             .build()
             .unwrap();
         let compact = Gpumem::with_device(config, Device::new(DeviceSpec::test_tiny()));
@@ -1534,10 +1521,7 @@ pub(crate) mod tests {
             ("tau=32", base().threads_per_block(32)),
             ("tau=128", base().threads_per_block(128)),
             ("load_balancing=off", base().load_balancing(false)),
-            (
-                "compact",
-                base().index_kind(crate::config::IndexKind::CompactDirectory),
-            ),
+            ("compact", base().index_kind(IndexKind::CompactDirectory)),
             (
                 "dual_sampled",
                 base().seed_mode(gpumem_index::SeedMode::DualSampled { k1, k2 }),
@@ -1914,9 +1898,9 @@ mod proptests {
                 (seed_len as u32 + extra, gpumem_index::SeedMode::RefOnly)
             };
             let kind = if compact {
-                crate::config::IndexKind::CompactDirectory
+                IndexKind::CompactDirectory
             } else {
-                crate::config::IndexKind::DenseTable
+                IndexKind::DenseTable
             };
             let config = GpumemConfig::builder(min_len)
                 .seed_len(seed_len)

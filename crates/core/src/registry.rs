@@ -7,7 +7,7 @@
 //! work (Goga et al.) manages. The [`Registry`] owns one
 //! [`RefSession`] per registered `(reference, config)` pair, keeps
 //! their combined resident bytes (the per-session
-//! [`SeedLookup::memory_bytes`](gpumem_index::SeedLookup::memory_bytes)
+//! [`SeedIndex::memory_bytes`](gpumem_index::SeedIndex::memory_bytes)
 //! sum — the same index-size accounting `BufferPool.pool_peak_bytes`
 //! gauges on-device) under a configurable budget by evicting the
 //! least-recently-used *cold* sessions, and never evicts a pinned

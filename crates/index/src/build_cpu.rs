@@ -11,46 +11,34 @@
 
 use gpumem_seq::PackedSeq;
 
-use crate::index::{Region, SeedIndex};
+use crate::index::{IndexKind, Region, SeedIndex};
 use crate::seed::SeedCodec;
 
 /// Sequential reference builder: sort the sampled positions by seed
-/// code, so buckets come out in code order and ascending within.
+/// code, so buckets come out in code order and ascending within. It
+/// builds the dense layout; [`SeedIndex::with_kind`] gives the compact
+/// one, which differs in nothing else.
 pub fn build_sequential(
     seq: &PackedSeq,
     region: Region,
     seed_len: usize,
     step: usize,
 ) -> SeedIndex {
-    let codec = SeedCodec::new(seed_len);
-    let locs = sorted_pairs(seq, codec, region, step)
-        .into_iter()
-        .map(|pair| pair as u32)
-        .collect();
-    SeedIndex::from_buckets(seq, codec, step, region, locs)
-}
-
-/// `region`'s sampled positions as `code << 32 | position` pairs,
-/// ascending: by seed code, then by position.
-pub(crate) fn sorted_pairs(
-    seq: &PackedSeq,
-    codec: SeedCodec,
-    region: Region,
-    step: usize,
-) -> Vec<u64> {
     assert!(step >= 1, "step must be at least 1");
-    let mut pairs: Vec<u64> =
-        SeedIndex::expected_positions(region, step, codec.seed_len(), seq.len())
-            .into_iter()
-            .map(|pos| {
-                let code = codec
-                    .encode(seq, pos as usize)
-                    .expect("position bounds-checked");
-                (u64::from(code) << 32) | u64::from(pos)
-            })
-            .collect();
+    let codec = SeedCodec::new(seed_len);
+    // `code << 32 | position` pairs sort by seed code, then position.
+    let mut pairs: Vec<u64> = SeedIndex::expected_positions(region, step, seed_len, seq.len())
+        .into_iter()
+        .map(|pos| {
+            let code = codec
+                .encode(seq, pos as usize)
+                .expect("position bounds-checked");
+            (u64::from(code) << 32) | u64::from(pos)
+        })
+        .collect();
     pairs.sort_unstable();
-    pairs
+    let locs = pairs.into_iter().map(|pair| pair as u32).collect();
+    SeedIndex::from_buckets(seq, codec, step, region, IndexKind::DenseTable, locs)
 }
 
 #[cfg(test)]

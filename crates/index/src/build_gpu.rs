@@ -46,7 +46,7 @@ use gpu_sim::{BlockCtx, Body, Device, LaneCharge, LaunchConfig, LaunchStats, Op,
 
 use gpumem_seq::PackedSeq;
 
-use crate::index::{Region, SeedIndex};
+use crate::index::{IndexKind, Region, SeedIndex};
 use crate::seed::SeedCodec;
 
 /// Seeds handled per thread in the copy/sort kernels (strided loops keep
@@ -137,8 +137,10 @@ pub fn build_gpu_as(
     let mut host = Vec::new();
     let mut full_block = None::<RegionCharge>;
 
-    // Step 3: fill locs through an atomic cursor copy.
-    let temp = device.alloc::<u32>(num_seeds, "index.temp");
+    // Step 3: fill locs through an atomic cursor copy. Like `locs`
+    // below, `temp` models a raw `cudaMalloc` allocation: the copy
+    // writes every entry before the fill reads any.
+    let temp = device.alloc_uninit::<u32>(num_seeds, "index.temp");
     stats += device.launch(seed_grid, "index.copy_cursor", |ctx| {
         let base = ctx.block_id * SEEDS_PER_BLOCK;
         if body == Body::Computed {
@@ -265,7 +267,8 @@ pub fn build_gpu_as(
     // The host takes `locs` and finds its buckets itself; `ptrs` stays
     // on the device, where debug builds check the host form against it
     // at entry 0, both bounds of every present seed and the sentinel.
-    let index = SeedIndex::from_buckets(seq, codec, step, region, locs.to_vec());
+    let kind = IndexKind::DenseTable;
+    let index = SeedIndex::from_buckets(seq, codec, step, region, kind, locs.to_vec());
     if cfg!(debug_assertions) {
         assert_eq!(ptrs.load(0), 0, "ptrs[0]");
         for (code, bucket) in index.buckets() {

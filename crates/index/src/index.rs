@@ -1,12 +1,15 @@
-//! The seed index's host form.
+//! The seed index's host form, one for both device layouts.
 //!
 //! Algorithm 1 leaves two arrays on the device: `locs`, the sampled
 //! locations bucketed by seed code, and `ptrs`, the `4^ℓs + 1` bucket
-//! offsets. The host keeps `locs` and answers what it asks of `ptrs` —
-//! how many locations a seed code has, and which — from an occupancy
-//! bitset with a rank per word. It never holds an array of `4^ℓs`
-//! entries: at the paper's ℓs = 13 the device's `ptrs` is 268 MB per
-//! tile row, the bitset and its ranks 12 MB.
+//! offsets; the compact layout keeps the present codes and their
+//! offsets in place of `ptrs`. The host keeps `locs` and answers what
+//! it asks of either directory — how many locations a seed code has,
+//! and which — from an occupancy bitset with a rank per word. It never
+//! holds an array of `4^ℓs` entries: at the paper's ℓs = 13 the
+//! device's `ptrs` is 268 MB per tile row, the bitset and its ranks
+//! 12 MB. The layout ([`IndexKind`]) decides only which device build
+//! ran and what the row costs the model.
 
 use std::ops::Range;
 
@@ -40,6 +43,18 @@ impl Region {
     }
 }
 
+/// A row index's device layout.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub enum IndexKind {
+    /// The paper's dense `ptrs`/`locs` table (Algorithm 1).
+    #[default]
+    DenseTable,
+    /// The compact sorted directory — the present seed codes and their
+    /// bucket offsets beside `locs`, so `O(n_locs)` memory and a binary
+    /// search per lookup: the §V "novel indexing techniques" extension.
+    CompactDirectory,
+}
+
 /// The lightweight index over one reference region.
 ///
 /// Beside `locs` the index keeps three arrays, built in one pass over it
@@ -53,8 +68,10 @@ impl Region {
 ///
 /// A lookup tests one bit; only a present code reads its rank, takes a
 /// popcount and reads two starts, so a miss never touches an array of
-/// `4^ℓs` entries. [`SeedIndex::memory_bytes`] and
-/// [`SeedIndex::paper_bits`] still size the device's `ptrs` and `locs`.
+/// `4^ℓs` entries. The index records the layout its builder gave it
+/// ([`SeedIndex::kind`]): [`SeedIndex::memory_bytes`] and
+/// [`SeedIndex::lookup_overhead_loads`] model that layout's device
+/// arrays, [`SeedIndex::paper_bits`] the paper's dense ones.
 ///
 /// Invariants (checked by [`SeedIndex::validate`]):
 /// * `present` and `ranks` hold one entry per 64 codes, and no bit at or
@@ -71,6 +88,7 @@ pub struct SeedIndex {
     codec: SeedCodec,
     step: usize,
     region: Region,
+    kind: IndexKind,
     present: Vec<u64>,
     ranks: Vec<u32>,
     starts: Vec<u32>,
@@ -78,16 +96,17 @@ pub struct SeedIndex {
 }
 
 impl SeedIndex {
-    /// Index `locs`: `region`'s locations sampled every `step` bases,
-    /// bucketed by seed code in ascending code order and ascending within
-    /// each bucket, as Algorithm 1 leaves them. Each location's seed is
-    /// encoded from `seq`; a code that differs from the one before starts
-    /// a bucket.
+    /// Index `locs` in layout `kind`: `region`'s locations sampled every
+    /// `step` bases, bucketed by seed code in ascending code order and
+    /// ascending within each bucket, as either device build leaves them.
+    /// Each location's seed is encoded from `seq`; a code that differs
+    /// from the one before starts a bucket.
     pub(crate) fn from_buckets(
         seq: &PackedSeq,
         codec: SeedCodec,
         step: usize,
         region: Region,
+        kind: IndexKind,
         locs: Vec<u32>,
     ) -> SeedIndex {
         let words = codec.num_seeds().div_ceil(64);
@@ -122,6 +141,7 @@ impl SeedIndex {
             codec,
             step,
             region,
+            kind,
             present,
             ranks,
             starts,
@@ -137,6 +157,17 @@ impl SeedIndex {
     /// Sampling step `Δs`.
     pub fn step(&self) -> usize {
         self.step
+    }
+
+    /// The device layout this index was built in.
+    pub fn kind(&self) -> IndexKind {
+        self.kind
+    }
+
+    /// This index relabelled as layout `kind`: the same host form,
+    /// modeled as `kind`'s device arrays.
+    pub fn with_kind(self, kind: IndexKind) -> SeedIndex {
+        SeedIndex { kind, ..self }
     }
 
     /// The `locs` range of seed `code`'s bucket, or `None` when no
@@ -187,15 +218,44 @@ impl SeedIndex {
         self.locs.len()
     }
 
-    /// The modeled device footprint in bytes: `ptrs`' `4^ℓs + 1` and
-    /// `locs`' `u32`s, the quantity the paper's §III-A sizes against GPU
-    /// memory. The host form's bitset and ranks take about a twentieth
-    /// of `ptrs`' share.
-    pub fn memory_bytes(&self) -> usize {
-        (self.codec.num_seeds() + 1 + self.locs.len()) * std::mem::size_of::<u32>()
+    /// Number of seed codes with a bucket: the compact directory's
+    /// entries.
+    fn num_present(&self) -> usize {
+        self.starts.len() - 1
     }
 
-    /// The paper's theoretical bit count (§III-A): the `locs` array
+    /// Modeled global loads one lookup costs beyond the two bucket
+    /// bounds it reads: none in the dense table, and in the compact
+    /// directory the binary search over its present codes, the bit
+    /// length of `max(present, 1)`. The pipeline charges these to the
+    /// querying lane.
+    pub fn lookup_overhead_loads(&self) -> u64 {
+        match self.kind {
+            IndexKind::DenseTable => 0,
+            IndexKind::CompactDirectory => {
+                u64::from(usize::BITS - self.num_present().max(1).leading_zeros())
+            }
+        }
+    }
+
+    /// The modeled device footprint in bytes, what the registry charges
+    /// a built row: the directory's `u32`s — the dense table's
+    /// `4^ℓs + 1` `ptrs`, or the compact directory's present codes and
+    /// their `present + 1` offsets — and `locs`'. The paper's §III-A
+    /// sizes this against GPU memory. Beside a dense table the host
+    /// form's bitset and ranks take about a twentieth of `ptrs`' share;
+    /// a compact row's host form is the same, and so can outweigh its
+    /// modeled directory.
+    pub fn memory_bytes(&self) -> usize {
+        let directory = match self.kind {
+            IndexKind::DenseTable => self.codec.num_seeds() + 1,
+            IndexKind::CompactDirectory => 2 * self.num_present() + 1,
+        };
+        (directory + self.locs.len()) * std::mem::size_of::<u32>()
+    }
+
+    /// The paper's theoretical bit count of the dense layout (§III-A),
+    /// whichever layout this index was built in: the `locs` array
     /// "can be stored in `n_locs × ⌈log₂ ℓ_tile⌉` bits" and `ptrs`
     /// needs "`4^ℓs × ⌈log₂ n_locs⌉`" bits. (The implementation uses
     /// plain `u32`s; this is the densely-packed lower bound the paper

@@ -29,24 +29,23 @@
 //!   (atomic count → device prefix-sum → atomic fill → per-seed sort);
 //! * [`build_sequential`] — the obviously-correct host reference.
 //!
-//! A second builder family lives in [`compact`]: the sorted-directory
-//! layout (a §V "novel indexing techniques" extension) that drops the
-//! `4^ℓs` table in favour of `O(n_locs)` memory; both layouts serve the
-//! pipeline through the [`SeedLookup`] trait.
+//! [`compact`] builds the second device layout ([`IndexKind`]), the
+//! sorted directory (a §V "novel indexing techniques" extension) that
+//! drops the `4^ℓs` table in favour of `O(n_locs)` device memory. Its
+//! rows take the same host form; only their modeled memory and lookup
+//! cost differ.
 
 pub mod build_cpu;
 pub mod build_gpu;
 pub mod compact;
 pub mod index;
-pub mod lookup;
 pub mod seed;
 pub mod sparsify;
 
 pub use build_cpu::build_sequential;
 pub use build_gpu::{build_gpu, build_gpu_as};
-pub use compact::{build_compact_gpu, build_compact_sequential, CompactSeedIndex};
-pub use index::{Region, SeedIndex};
-pub use lookup::{SeedLookup, SharedSeedLookup};
+pub use compact::build_compact_gpu;
+pub use index::{IndexKind, Region, SeedIndex};
 pub use seed::SeedCodec;
 pub use sparsify::{
     check_dual_steps, check_step, gcd, max_coprime_steps, max_step, IndexError, SeedMode,

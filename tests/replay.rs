@@ -37,8 +37,8 @@ use gpumem::core::block::{encode_query_seeds, process_block, BlockOutput, BlockS
 use gpumem::core::combine::{tree_combine_scheduled, CombineScratch};
 use gpumem::core::GpumemConfig;
 use gpumem::index::{
-    build_compact_sequential, build_gpu, build_gpu_as, build_sequential, Region, SeedCodec,
-    SeedIndex, SeedLookup,
+    build_compact_gpu, build_gpu, build_gpu_as, build_sequential, IndexKind, Region, SeedCodec,
+    SeedIndex,
 };
 use gpumem::seq::{GenomeModel, Mem, MutationModel, PackedSeq};
 use gpumem::sim::primitives::{device_exclusive_scan, device_exclusive_scan_as};
@@ -314,7 +314,7 @@ type Observed<T> = (T, LaunchStats, Vec<PhaseStats>);
 fn block_run(
     reference: &PackedSeq,
     query: &PackedSeq,
-    index: &dyn SeedLookup,
+    index: &SeedIndex,
     row: Range<usize>,
     config: &GpumemConfig,
     scratch: &mut BlockScratch,
@@ -592,8 +592,8 @@ fn computed_index_kernels_match_the_interpreted_references() {
 }
 
 /// Every seed code's `lookup` and `occurrences`, host-built and
-/// device-built, against a naive map from code to the row's sampled
-/// positions, over the cases of the test above.
+/// device-built in both layouts, against a naive map from code to the
+/// row's sampled positions, over the cases of the test above.
 #[test]
 fn lookups_match_a_naive_map_at_every_code() {
     for (name, seq) in index_references(3_000, 27) {
@@ -607,16 +607,22 @@ fn lookups_match_a_naive_map_at_every_code() {
                             naive.entry(code).or_default().push(pos as u32);
                         }
                     }
+                    let host = build_sequential(&seq, region, seed_len, step);
                     let built = [
-                        ("host", build_sequential(&seq, region, seed_len, step)),
+                        ("host dense", host.clone()),
+                        ("host compact", host.with_kind(IndexKind::CompactDirectory)),
                         (
-                            "device",
+                            "device dense",
                             index_build(&seq, region, seed_len, step, Body::Computed).0,
                         ),
+                        (
+                            "device compact",
+                            build_compact_gpu(&tiny(), &seq, region, seed_len, step).0,
+                        ),
                     ];
-                    for (builder, index) in &built {
-                        for code in 0..codec.num_seeds() as u32 {
-                            let want = naive.get(&code).map_or(&[][..], Vec::as_slice);
+                    for code in 0..codec.num_seeds() as u32 {
+                        let want = naive.get(&code).map_or(&[][..], Vec::as_slice);
+                        for (builder, index) in &built {
                             let context = || {
                                 format!("{name}, ℓs {seed_len}, step {step}, {region:?}, {builder}, seed {code}")
                             };
@@ -721,16 +727,12 @@ proptest! {
         // at least 64 distinct codes for every `seed` drawn here, so it
         // takes more.
         let rows = [0..200, 200..reference.len()];
-        let indexes: Vec<Box<dyn SeedLookup>> = rows
+        let kind = if compact { IndexKind::CompactDirectory } else { IndexKind::DenseTable };
+        let indexes: Vec<SeedIndex> = rows
             .iter()
             .map(|row| {
                 let region = Region { start: row.start, len: row.len() };
-                if compact {
-                    Box::new(build_compact_sequential(&reference, region, config.seed_len, config.step))
-                        as Box<dyn SeedLookup>
-                } else {
-                    Box::new(build_sequential(&reference, region, config.seed_len, config.step))
-                }
+                build_sequential(&reference, region, config.seed_len, config.step).with_kind(kind)
             })
             .collect();
         if compact {
@@ -744,7 +746,7 @@ proptest! {
             block_run(
                 &reference,
                 query,
-                indexes[row].as_ref(),
+                &indexes[row],
                 rows[row].clone(),
                 &config,
                 scratch,
